@@ -53,7 +53,7 @@ from repro.core import (
 from repro.core.reconfigure import reconfigure, reconfigure_and_measure
 from repro.dsl import TopologyBuilder, compile_source, parse_source, to_source
 from repro.shapes import Shape, available_shapes, make_shape
-from repro.sim import GossipParams, SimulationConfig, TransportCosts
+from repro.sim import GossipParams, TransportCosts
 
 __version__ = "1.0.0"
 
@@ -95,7 +95,6 @@ __all__ = [
     "make_shape",
     # simulator config
     "GossipParams",
-    "SimulationConfig",
     "TransportCosts",
     "__version__",
 ]

@@ -81,6 +81,8 @@ class PushSum(Protocol):
         partner_id = self._choose_partner(ctx)
         if partner_id is None:
             return
+        if not ctx.transport.deliverable(ctx, partner_id, self.layer):
+            return  # cut link: also a skipped turn, mass stays on this side
         # Push half of the mass to the partner, keep half.
         half_sum, half_weight = self.sum / 2.0, self.weight / 2.0
         self.sum, self.weight = half_sum, half_weight

@@ -25,7 +25,7 @@ from repro.gossip.vicinity import Vicinity
 from repro.shapes.base import Shape
 from repro.sim.config import GossipParams, TransportCosts
 from repro.runtime.api import RunnerConfig, make_runner
-from repro.runtime.engines import RoundRunner
+from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
@@ -50,7 +50,7 @@ def _deploy_elementary(
     params: Optional[GossipParams] = None,
     costs: Optional[TransportCosts] = None,
     random_feed: bool = True,
-) -> Tuple[Network, RoundRunner, Shape, Dict[int, int]]:
+) -> Tuple[Network, Engine, Shape, Dict[int, int]]:
     params = params or GossipParams()
     network = Network()
     streams = RandomStreams(seed)

@@ -167,32 +167,41 @@ class Deployment:
             uo1_view_size=self.config.uo1.view_size,
             uo2_scope=self.config.uo2_scope,
         )
-        # Through the unified factory: the runner config is adapted from
-        # this runtime's legacy config surface, the hand-built substrate
+        # Through the unified factory; the hand-built substrate
         # (network/transport/streams) is passed through unchanged.
         self.engine = make_runner(
-            RunnerConfig.from_legacy(self.config, n_nodes=n_nodes),
+            RunnerConfig(n_nodes=n_nodes, loss_rate=self.config.loss_rate),
             network=self.network,
             transport=self.transport,
             streams=self.streams,
             observers=(self.tracker,),
         )
         self.faults = None
+        self._fault_transport = None
 
     def install_faults(self, plane=None):
-        """Arm the engine with a fault plane (partitions, degraded links).
+        """Arm the deployment with a fault plane (partitions, degraded links).
 
+        Stacks one :class:`~repro.faults.transports.FaultTransport` on the
+        engine's transport; a later call swaps the plane inside that same
+        decorator, so exchanges are never vetoed (or RNG-drawn) twice.
         Returns the installed :class:`~repro.faults.plane.FaultPlane` so
         callers can attach controls to it. While the plane has no active
         fault, exchanges take the fast path and runs stay bit-identical to
         a fault-free deployment.
         """
-        if plane is None:
-            from repro.faults.plane import FaultPlane
+        from repro.faults.plane import FaultPlane
+        from repro.faults.transports import FaultTransport
 
+        if plane is None:
             plane = FaultPlane()
+        if self._fault_transport is None:
+            self._fault_transport = self.engine.transport = FaultTransport(
+                self.engine.transport, plane, self.streams
+            )
+        else:
+            self._fault_transport.plane = plane
         self.faults = plane
-        self.engine.faults = plane
         return plane
 
     # -- stack installation ------------------------------------------------------

@@ -2,18 +2,19 @@
 
 The subsystem has four planes, mirroring how real deployments fail:
 
-- **topology** (:mod:`~repro.faults.plane`): a :class:`FaultPlane` the
-  engine consults on every peer-addressed exchange — network partitions
-  (reachability) and per-link quality overrides (loss, latency);
+- **topology** (:mod:`~repro.faults.plane`): a :class:`FaultPlane` that
+  :class:`~repro.faults.transports.FaultTransport` consults on every
+  peer-addressed exchange — network partitions (reachability) and
+  per-link quality overrides (loss, latency);
 - **placement** (:mod:`~repro.faults.zones`): a :class:`ZoneMap` grouping
   nodes into availability zones so failures can be *correlated*;
 - **schedule** (:mod:`~repro.faults.controls`): engine controls that fire
   and heal faults at round boundaries — :class:`Partition`,
   :class:`ZoneOutage`, :class:`PauseResume`, :class:`LinkDegradation`;
-- **verification** (:mod:`repro.obs.recovery`, re-exported here): the
-  :class:`RecoveryObserver` measuring per-layer time-to-repair against the
-  plane's event log, and :mod:`~repro.faults.scenarios`, the standard
-  fault-matrix suite behind ``python -m repro faults``.
+- **verification**: :class:`repro.obs.recovery.RecoveryObserver` measures
+  per-layer time-to-repair against the plane's event log, and
+  :mod:`~repro.faults.scenarios` is the standard fault-matrix suite behind
+  ``python -m repro faults``.
 """
 
 from repro.faults.controls import (
@@ -42,7 +43,6 @@ from repro.faults.zones import ZoneMap
 __all__ = [
     "PERFECT_LINK",
     "SCENARIOS",
-    "EventRecovery",
     "FaultEvent",
     "FaultPlane",
     "LinkDegradation",
@@ -50,8 +50,6 @@ __all__ = [
     "LinkQuality",
     "Partition",
     "PauseResume",
-    "RecoveryObserver",
-    "RecoveryReport",
     "ScenarioResult",
     "ZoneMap",
     "ZoneOutage",
@@ -60,16 +58,3 @@ __all__ = [
     "split_by_zone",
     "split_islands",
 ]
-
-#: Recovery verification moved to repro.obs.recovery; these re-exports are
-#: lazy because obs.recovery itself imports repro.faults.plane (importing it
-#: here at module level would make the package cycle on itself).
-_RECOVERY_EXPORTS = ("EventRecovery", "RecoveryObserver", "RecoveryReport")
-
-
-def __getattr__(name: str):
-    if name in _RECOVERY_EXPORTS:
-        from repro.obs import recovery as _recovery
-
-        return getattr(_recovery, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

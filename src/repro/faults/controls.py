@@ -15,7 +15,7 @@ correlated scenarios self-stabilizing overlay work stress-tests against:
 
 Every control records its transitions on the shared
 :class:`~repro.faults.plane.FaultPlane` event log, which is what the
-:class:`~repro.faults.recovery.RecoveryObserver` measures repair times
+:class:`~repro.obs.recovery.RecoveryObserver` measures repair times
 against.
 """
 

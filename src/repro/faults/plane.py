@@ -8,14 +8,14 @@ minutes. The :class:`FaultPlane` is the single source of truth for those
 conditions:
 
 - a **partition** assigns every node to an island; exchanges between
-  different islands are dropped (the engine consults
-  :meth:`FaultPlane.reachable` through ``RoundContext.exchange_ok(peer)``);
+  different islands are dropped (layers ask the transport seam, where
+  :class:`~repro.faults.transports.FaultTransport` consults the plane);
 - a **link-quality table** (:class:`LinkFaults`) overrides the global loss
   model per (src, dst) pair, per node, or per zone pair, each with a loss
   probability and an extra latency; the transport accounts every dropped
   and delayed exchange per layer;
 - an **event log** timestamps every fault transition so the
-  :class:`~repro.faults.recovery.RecoveryObserver` can report
+  :class:`~repro.obs.recovery.RecoveryObserver` can report
   time-to-repair relative to injection and healing.
 
 Controls (:mod:`repro.faults.controls`) mutate the plane at round
@@ -258,8 +258,8 @@ class FaultPlane:
     def active(self) -> bool:
         """Whether the plane can currently affect any exchange.
 
-        The engine short-circuits on this, so an installed-but-idle plane
-        costs nothing on the hot path.
+        The fault transport short-circuits on this, so an
+        installed-but-idle plane costs nothing on the hot path.
         """
         return self._partition_active or self.links.active
 

@@ -3,7 +3,7 @@
 Each scenario follows the same protocol: deploy a ring-of-rings assembly,
 converge it cleanly, then inject one class of correlated failure and keep
 running through the repair window while a
-:class:`~repro.faults.recovery.RecoveryObserver` measures every layer's
+:class:`~repro.obs.recovery.RecoveryObserver` measures every layer's
 time-to-repair. The suite is what ``python -m repro faults`` runs:
 
 - ``partition`` — split the population into islands, heal after a window;

@@ -1,21 +1,17 @@
 """Fault injection as stackable Transport decorators.
 
-Historically per-link loss and latency lived only inside
-``RoundContext.exchange_ok`` — reachable from the round engine, invisible
-to any other runner. With the transport seam they become *decorators*: each
-wraps an inner :class:`~repro.sim.transport.Transport` and vetoes (or
-delays) exchanges in :meth:`deliverable`, chaining to the inner transport
-otherwise. Decorators compose — ``LossTransport(LatencyTransport(base))``
-— and work identically over the round engine, the loopback runner, and the
-UDP runtime's local transport.
+Each decorator wraps an inner :class:`~repro.sim.transport.Transport` and
+vetoes (or delays) exchanges in :meth:`deliverable`, chaining to the inner
+transport otherwise. Decorators compose —
+``LossTransport(LatencyTransport(base))`` — and work identically over the
+round engine, the wire-codec loopback, and the UDP runtime's local
+transport. This is the only fault path: protocol code never consults a
+fault plane, it asks the transport.
 
-Equivalence with the legacy path is pinned by
-``tests/runtime/test_fault_transport.py``: a deployment driven through
-:class:`FaultTransport` (engine faults *off*) produces byte-identical
-overlay digests and drop/delay accounting to the historical
-``engine.faults`` plane for the same seed and fault schedule, because both
-draw from the same ``("linkfaults", layer, node)`` streams in the same
-order.
+``tests/runtime/test_fault_transport.py`` pins a mixed
+partition/loss/latency schedule through :class:`FaultTransport` to golden
+digests and drop/delay counts: every link-fault coin comes from the
+``("linkfaults", layer, node)`` streams, so a seeded run is reproducible.
 """
 
 from __future__ import annotations
@@ -42,12 +38,10 @@ __all__ = [
 class FaultTransport(TransportDecorator):
     """A :class:`~repro.faults.plane.FaultPlane` as a transport decorator.
 
-    Draws from the same ``("linkfaults", layer, src)`` streams as the
-    legacy ``RoundContext.exchange_ok`` path and hands the plane the same
-    transport for drop/delay accounting — the two paths are byte-identical
-    for a fixed seed and fault schedule. While the plane has no active
-    fault the decorator adds one attribute read per exchange and draws
-    nothing.
+    Draws link-fault coins from the ``("linkfaults", layer, src)`` streams
+    and hands the plane the wrapped transport for drop/delay accounting.
+    While the plane has no active fault the decorator adds one attribute
+    read per exchange and draws nothing.
     """
 
     def __init__(self, inner: Transport, plane: FaultPlane, streams: RandomStreams):

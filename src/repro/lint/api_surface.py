@@ -7,10 +7,10 @@ from eroding is this rule: the field lists of the public configuration
 dataclasses are *pinned* here, and ``repro lint --deep`` fails when any of
 them drifts.
 
-- A new field on a **legacy** surface (``GossipParams``, ``ShardPlan``,
-  ...) is the anti-pattern the redesign removed — new knobs belong on
-  ``RunnerConfig`` (where every runner kind sees them) with the legacy
-  record adapted through ``RunnerConfig.from_legacy``.
+- A new field on a **component** record (``GossipParams``,
+  ``TransportCosts``, ``ShardPlan``) is the anti-pattern the redesign
+  removed — new knobs belong on ``RunnerConfig``, where every runner kind
+  sees them.
 - A new field on ``RunnerConfig`` itself is legitimate *API growth* and
   must update the pin in the same change, making the surface diff explicit
   in review instead of buried in a dataclass default.
@@ -41,12 +41,6 @@ PINNED_SURFACES: Dict[Tuple[str, str], Tuple[str, ...]] = {
     ("sim/config.py", "TransportCosts"): (
         "header_bytes",
         "descriptor_bytes",
-    ),
-    ("sim/config.py", "SimulationConfig"): (
-        "master_seed",
-        "max_rounds",
-        "gossip",
-        "costs",
     ),
     ("scale/engine.py", "ShardPlan"): (
         "n_nodes",
@@ -164,8 +158,7 @@ def api_surface_check(table: SymbolTable) -> List[Diagnostic]:
                         message=(
                             f"pinned config kwarg {class_name}.{name} was "
                             f"removed — callers constructing {class_name} "
-                            f"(including RunnerConfig.from_legacy) break; "
-                            f"update PINNED_SURFACES if the removal is "
+                            f"break; update PINNED_SURFACES if the removal is "
                             f"deliberate"
                         ),
                         file=module.file,

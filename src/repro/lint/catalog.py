@@ -290,10 +290,10 @@ _RULES = [
         ERROR,
         "pinned config surface drifted",
         "A public configuration dataclass (``RunnerConfig`` or one of the "
-        "legacy surfaces it consolidates) grew or lost a field without the "
-        "pin in ``repro.lint.api_surface`` being updated. New knobs belong "
-        "on ``RunnerConfig`` — legacy records adapt through "
-        "``RunnerConfig.from_legacy`` — and deliberate surface growth must "
+        "component records it is built from: ``GossipParams``, "
+        "``TransportCosts``, ``ShardPlan``) grew or lost a field without "
+        "the pin in ``repro.lint.api_surface`` being updated. New knobs "
+        "belong on ``RunnerConfig``, and deliberate surface growth must "
         "update ``PINNED_SURFACES`` in the same change so the API diff is "
         "explicit in review.",
     ),

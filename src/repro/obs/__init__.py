@@ -1,11 +1,7 @@
 """Observability — one instrumentation spine for every runtime layer.
 
-Before this subsystem the repository grew four divergent observation
-mechanisms: :class:`~repro.sim.controls.Observer` round hooks, the
-:class:`~repro.sim.trace.Tracer` event log, the fault subsystem's
-``RecoveryObserver``, and the ad-hoc aggregation helpers under
-:mod:`repro.metrics`. ``repro.obs`` replaces them with a single layered
-telemetry pipeline:
+Round hooks, the event log, the fault subsystem's recovery verifier and
+structural gauges all go through a single layered telemetry pipeline:
 
 - :class:`~repro.obs.instrument.Instrument` — the unified protocol: round
   observation (``observe``), event emission (``emit``), counters

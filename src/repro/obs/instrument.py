@@ -1,10 +1,8 @@
 """The unified instrumentation protocol.
 
-:class:`Instrument` merges the three observation mechanisms that grew
-independently — round-boundary measuring hooks (``sim.controls.Observer``),
-the structured event log (``sim.trace.Tracer``), and the fault subsystem's
-recovery verifier (``faults.recovery.RecoveryObserver``) — into one
-interface the whole runtime is written against:
+:class:`Instrument` is the one observation interface the whole runtime is
+written against — round-boundary measuring hooks, the structured event log
+and the fault subsystem's recovery verifier are all facets of it:
 
 ========================  =====================================================
 method                    role

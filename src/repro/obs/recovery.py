@@ -1,8 +1,7 @@
 """Self-healing verification: measuring recovery, not just survival.
 
-Canonical home of the recovery observer (``repro.faults.recovery`` is a
-compatibility shim). The paper claims the layered runtime "self-stabilizes
-under churn". The :class:`RecoveryObserver` turns that claim into numbers:
+The paper claims the layered runtime "self-stabilizes under churn". The
+:class:`RecoveryObserver` turns that claim into numbers:
 it re-evaluates every layer's structural convergence predicate each round,
 reads the fault plane's event log, and reports **time-to-repair** — for
 each injected fault, how many rounds each layer needed to satisfy its

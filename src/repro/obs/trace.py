@@ -1,4 +1,4 @@
-"""Structured event tracing (canonical home; ``repro.sim.trace`` is a shim).
+"""Structured event tracing.
 
 A :class:`Tracer` collects timestamped lifecycle events — crashes, joins,
 revivals, convergence transitions — as plain records that can be asserted on

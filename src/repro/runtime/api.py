@@ -1,48 +1,32 @@
 """The unified engine API: ``RunnerConfig`` → :func:`make_runner` → ``Runner``.
 
-Before this module the repo had three engine entry points with drifting
-construction surfaces: :class:`~repro.sim.engine.Engine` (round-based
-reference), :class:`~repro.scale.engine.ShardedEngine` (BSP scale tier),
-and the asyncio UDP runtime of :mod:`repro.runtime.net`. Each took its own
-mix of ``GossipParams`` / ``ShardPlan`` / ad-hoc kwargs. This module
-collapses them:
+One way to build a run, whatever executes it —
+:class:`~repro.sim.engine.Engine` (round-based reference),
+:class:`~repro.scale.engine.ShardedEngine` (BSP scale tier), or the asyncio
+UDP runtime of :mod:`repro.runtime.net`:
 
-- :class:`RunnerConfig` — one frozen, validated configuration record,
-  with :meth:`RunnerConfig.from_legacy` adapters from every historical
-  surface (``GossipParams``, ``SimulationConfig``, ``RuntimeConfig``,
-  ``ShardPlan``). The lint rule ``API001``
-  (:mod:`repro.lint.api_surface`) pins the legacy surfaces so new knobs
-  land here, not there.
-- :func:`make_runner` — the one factory. Direct construction of the
-  engine classes still works but emits a :class:`DeprecationWarning`
-  (same migration discipline as the PR-4 Instrument merge).
+- :class:`RunnerConfig` — one frozen, validated configuration record. The
+  lint rule ``API001`` (:mod:`repro.lint.api_surface`) pins it and the
+  records it is built from, so new knobs land here.
+- :func:`make_runner` — the one factory.
 - :class:`Runner` — the structural protocol every engine satisfies:
   ``run_round`` / ``run`` / ``close`` plus the ``round`` counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
-
-try:  # typing.Protocol is 3.8+; keep a soft fallback for exotic builds
-    from typing import Protocol as _Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreter only
-    _Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import ConfigurationError
-from repro.sim.config import GossipParams, SimulationConfig, TransportCosts
+from repro.sim.config import GossipParams, TransportCosts
 
 #: Engine kinds ``make_runner`` can build.
-KINDS = ("round", "loopback", "sharded", "net")
+KINDS = ("round", "sharded", "net")
 
 
 @runtime_checkable
-class Runner(_Protocol):
+class Runner(Protocol):
     """What every engine looks like from the outside.
 
     ``run_round`` executes one logical round and returns ``True`` when the
@@ -65,10 +49,10 @@ class Runner(_Protocol):
 class RunnerConfig:
     """The consolidated engine configuration — frozen and validated.
 
-    One record covers all four kinds; knobs irrelevant to a kind are
+    One record covers all three kinds; knobs irrelevant to a kind are
     simply unused (a ``net`` runner ignores ``n_shards``, a ``round``
-    runner ignores ``base_port``). Build it directly, or adapt a legacy
-    surface with :meth:`from_legacy`.
+    runner ignores ``port``) — except ``loss_rate``, which only the round
+    engine models and the other kinds reject rather than silently ignore.
     """
 
     kind: str = "round"
@@ -114,6 +98,10 @@ class RunnerConfig:
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"
             )
+        if self.loss_rate > 0.0 and self.kind != "round":
+            raise ConfigurationError(
+                f"loss_rate is only modelled by kind='round', not {self.kind!r}"
+            )
         if self.max_rounds < 0:
             raise ConfigurationError(
                 f"max_rounds must be >= 0, got {self.max_rounds}"
@@ -145,52 +133,6 @@ class RunnerConfig:
         if self.fanout < 1:
             raise ConfigurationError(f"fanout must be >= 1, got {self.fanout}")
 
-    # -- adapters from the legacy surfaces ------------------------------------
-
-    @classmethod
-    def from_legacy(cls, legacy: Any, **overrides: Any) -> "RunnerConfig":
-        """A config adapted from any historical configuration object.
-
-        Accepts :class:`~repro.sim.config.GossipParams`,
-        :class:`~repro.sim.config.SimulationConfig`,
-        :class:`~repro.core.runtime.RuntimeConfig`, and
-        :class:`~repro.scale.engine.ShardPlan`; keyword overrides win over
-        adapted fields. Unknown types are a configuration error, so typos
-        fail loudly rather than silently building defaults.
-        """
-        adapted = cls._adapt(legacy)
-        if overrides:
-            adapted = replace(adapted, **overrides)
-        return adapted
-
-    @classmethod
-    def _adapt(cls, legacy: Any) -> "RunnerConfig":
-        from repro.core.runtime import RuntimeConfig  # late: avoids a cycle
-        from repro.scale.engine import ShardPlan
-
-        if isinstance(legacy, GossipParams):
-            return cls(gossip=legacy)
-        if isinstance(legacy, SimulationConfig):
-            return cls(
-                seed=legacy.master_seed,
-                max_rounds=legacy.max_rounds,
-                gossip=legacy.gossip,
-                costs=legacy.costs,
-            )
-        if isinstance(legacy, RuntimeConfig):
-            return cls(
-                gossip=legacy.peer_sampling,
-                costs=legacy.costs,
-                loss_rate=legacy.loss_rate,
-            )
-        if isinstance(legacy, ShardPlan):
-            return cls(
-                kind="sharded", n_nodes=legacy.n_nodes, n_shards=legacy.n_shards
-            )
-        raise ConfigurationError(
-            f"no legacy adapter for {type(legacy).__name__!r}"
-        )
-
 
 #: The elementary two-layer stack the factory deploys (shared vocabulary
 #: with the perf matrix: peer sampling feeding one Vicinity overlay).
@@ -200,7 +142,7 @@ OVERLAY_LAYER = "overlay"
 
 @dataclass
 class ElementaryDeployment:
-    """The substrate :func:`make_runner` builds for ``round``/``loopback``.
+    """The substrate :func:`make_runner` builds for ``round``.
 
     Exposes the pieces callers historically built by hand (network,
     streams, transport) plus the rank bijection and the shape, so perf
@@ -299,7 +241,6 @@ def make_runner(
     controls: Tuple = (),
     observers: Tuple = (),
     actuators: Tuple = (),
-    faults: Optional[Any] = None,
     obs: Optional[Any] = None,
 ) -> Runner:
     """The one constructor for every engine.
@@ -308,45 +249,37 @@ def make_runner(
       ``network`` (a hand-built stack, e.g. the layered runtime's
       deployment) the remaining substrate kwargs are honoured; without
       one the factory deploys the elementary stack for ``config.shape``.
-      The built runner exposes ``.deployment`` in the latter case.
-    - ``loopback`` — identical to ``round`` but every exchange round-trips
-      through the wire codec (:class:`repro.runtime.loopback.LoopbackTransport`);
-      the digest gate proves this path lossless.
+      The built runner exposes ``.deployment`` in the latter case. Pass a
+      decorated ``transport`` to change what an exchange goes through —
+      e.g. ``LoopbackTransport(Transport(config.costs))`` round-trips every
+      exchange through the wire codec (the digest gate proves it lossless).
     - ``sharded`` — the BSP scale engine on ``config.workload``.
     - ``net`` — one UDP node of a swarm (see :mod:`repro.runtime.net`).
     """
-    from repro.runtime.engines import RoundRunner, ShardRunner
+    if config.kind == "round":
+        from repro.sim.engine import Engine
 
-    if config.kind in ("round", "loopback"):
         deployment = None
-        if config.kind == "loopback":
-            from repro.runtime.loopback import LoopbackTransport
-
-            if transport is None:
-                from repro.sim.transport import Transport
-
-                transport = LoopbackTransport(Transport(config.costs))
-            elif not isinstance(transport, LoopbackTransport):
-                transport = LoopbackTransport(transport)
         if network is None:
             deployment = build_elementary(config, transport)
             network, streams = deployment.network, deployment.streams
             transport = deployment.transport
-        runner = RoundRunner(
+        runner = Engine(
             network,
             transport,
             streams,
             controls=controls,
             observers=observers,
             loss_rate=config.loss_rate,
-            faults=faults,
             obs=obs,
             actuators=actuators,
         )
         runner.deployment = deployment
         return runner
     if config.kind == "sharded":
-        sharded = ShardRunner(
+        from repro.scale.engine import ShardedEngine
+
+        sharded = ShardedEngine(
             config.workload,
             config.shape,
             config.n_nodes,

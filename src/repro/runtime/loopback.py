@@ -1,4 +1,4 @@
-"""The loopback runner's transport: every exchange through the wire codec.
+"""The loopback transport: every exchange through the wire codec.
 
 :class:`LoopbackTransport` is the deterministic in-memory twin of the UDP
 runtime. It routes exchanges exactly like the sim transport — same partner
@@ -6,8 +6,8 @@ dispatch, same accounting ledger — but first serializes the request and the
 reply through :mod:`repro.runtime.wire` (encode → bytes → decode), so every
 payload a layer sends experiences the full codec round-trip a real datagram
 would. Because the round schedule and the RNG streams are untouched, a
-loopback run must produce a **byte-identical overlay digest** to the plain
-round engine for the same config — the digest gate in
+round run over this decorator must produce a **byte-identical overlay
+digest** to the plain transport for the same config — the digest gate in
 ``tests/runtime/test_loopback.py``. Any codec lossiness (a tuple collapsed
 to a list, a descriptor field dropped, provenance corrupted) surfaces there
 as a digest mismatch instead of a subtle overlay deformity in a live swarm.

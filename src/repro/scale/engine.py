@@ -47,11 +47,10 @@ Simulation-side module: no wall-clock reads (DET003); timing lives in
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.selection import Proximity, select_closest
 from repro.gossip.views import make_view
@@ -666,15 +665,6 @@ class ShardedEngine:
         mode: str = "inline",
         costs: Optional[TransportCosts] = None,
     ):
-        if type(self) is ShardedEngine:
-            # Direct construction is the legacy path; the canonical entry
-            # point is repro.runtime.api.make_runner (kind="sharded").
-            warnings.warn(
-                "constructing ShardedEngine directly is deprecated; use "
-                "repro.runtime.make_runner(RunnerConfig(kind='sharded'), ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if mode not in ("inline", "mp"):
             raise ConfigurationError(f"mode must be 'inline' or 'mp', got {mode!r}")
         self.spec = ScaleSpec(
@@ -709,8 +699,12 @@ class ShardedEngine:
 
     # -- rounds ------------------------------------------------------------------
 
-    def run_round(self) -> None:
+    def run_round(self) -> bool:
         """One BSP round: both layers, three barriered phases each.
+
+        Returns ``False`` (the :class:`~repro.runtime.api.Runner` stop
+        verdict: a BSP round never asks to stop; :meth:`run` checks
+        convergence instead).
 
         With an ``obs`` sink attached, every phase is timed as a span:
         ``shard:request`` / ``shard:respond`` / ``shard:absorb`` cover the
@@ -759,6 +753,19 @@ class ShardedEngine:
             obs.gauge("shard_messages", self.messages)
             obs.gauge("shard_bytes", self.bytes)
         self.round += 1
+        return False
+
+    def run(self, max_rounds: int) -> int:
+        """Run up to ``max_rounds`` BSP rounds; stop early on convergence."""
+        if max_rounds < 0:
+            raise SimulationError(f"max_rounds must be >= 0, got {max_rounds}")
+        executed = 0
+        for _ in range(max_rounds):
+            self.run_round()
+            executed += 1
+            if self.converged():
+                break
+        return executed
 
     def _account(self, message: Message) -> None:
         self.messages += 1

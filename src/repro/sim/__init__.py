@@ -20,7 +20,7 @@ package reimplements that execution model:
   and failure injection.
 """
 
-from repro.sim.config import GossipParams, SimulationConfig, TransportCosts
+from repro.sim.config import GossipParams, TransportCosts
 from repro.sim.engine import Engine, RoundContext
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -36,7 +36,6 @@ __all__ = [
     "Protocol",
     "RandomStreams",
     "RoundContext",
-    "SimulationConfig",
     "Transport",
     "TransportCosts",
 ]

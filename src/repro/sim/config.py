@@ -8,7 +8,7 @@ spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -87,30 +87,3 @@ class TransportCosts:
         if n_descriptors < 0:
             raise ConfigurationError("n_descriptors must be >= 0")
         return self.header_bytes + n_descriptors * self.descriptor_bytes
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Top-level experiment configuration.
-
-    Attributes
-    ----------
-    master_seed:
-        Root of every random stream in the run (see :mod:`repro.sim.rng`).
-    max_rounds:
-        Hard budget on simulated rounds.
-    gossip:
-        Default gossip parameters, used by layers that are not given
-        layer-specific overrides.
-    costs:
-        Byte-cost model for bandwidth accounting.
-    """
-
-    master_seed: int = 1
-    max_rounds: int = 120
-    gossip: GossipParams = field(default_factory=GossipParams)
-    costs: TransportCosts = field(default_factory=TransportCosts)
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ConfigurationError(f"max_rounds must be >= 1, got {self.max_rounds}")

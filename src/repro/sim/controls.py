@@ -5,33 +5,22 @@ steps of a round and may mutate the population or protocol state (churn,
 reconfiguration triggers); observers run after the node steps and record
 measurements, optionally requesting an early stop.
 
-Controls remain canonical here; the measuring side was unified into the
-:class:`~repro.obs.instrument.Instrument` protocol. ``Observer`` is kept as
-a deprecated alias of ``Instrument`` (imports still work, with a
-:class:`DeprecationWarning`), and :class:`~repro.obs.observers.SeriesObserver`
-/ :class:`~repro.obs.observers.GraphObserver` are re-exported from their
-canonical home in :mod:`repro.obs.observers`.
+Controls are canonical here; the measuring side is the
+:class:`~repro.obs.instrument.Instrument` protocol (concrete observers live
+in :mod:`repro.obs.observers`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
-from repro.obs.observers import (  # noqa: F401  (compatibility re-exports)
-    GraphObserver,
-    SeriesObserver,
-)
 from repro.sim.network import Network
 
 __all__ = [
     "Actuator",
     "CallbackControl",
     "Control",
-    "GraphObserver",
-    "Observer",
     "ScheduledControl",
-    "SeriesObserver",
 ]
 
 
@@ -89,17 +78,3 @@ class ScheduledControl(Control):
         if not self.fired and round_index >= self.at_round:
             self.fired = True
             self._callback(network, round_index)
-
-
-def __getattr__(name: str):
-    if name == "Observer":
-        warnings.warn(
-            "repro.sim.controls.Observer is deprecated; "
-            "subclass repro.obs.instrument.Instrument instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.obs.instrument import Instrument
-
-        return Instrument
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@ may stop the run early (e.g. once every layer has converged).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
@@ -19,7 +18,6 @@ from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plane import FaultPlane
     from repro.obs.instrument import Instrument
     from repro.sim.controls import Actuator, Control
     from repro.sim.node import Node
@@ -40,7 +38,6 @@ class RoundContext:
     round: int
     layer: str = ""
     loss_rate: float = 0.0
-    faults: Optional["FaultPlane"] = None
     #: Telemetry sink (see :mod:`repro.obs`); ``None`` means disabled, and
     #: protocol hot paths guard every call with ``if ctx.obs is not None``
     #: so uninstrumented runs do zero observability work.
@@ -50,52 +47,24 @@ class RoundContext:
         """The random stream for the current (layer, node) pair."""
         return self.streams.stream(self.layer, self.node.node_id)
 
-    def exchange_ok(self, peer: Optional[int] = None) -> bool:
-        """Whether this round's gossip exchange goes through.
+    def exchange_ok(self) -> bool:
+        """Whether this (node, layer, round) gets its gossip turn at all.
 
-        Two phases, matching the two failure models:
-
-        - ``exchange_ok()`` (no peer, called *before* partner selection)
-          models global memoryless message loss: with probability
-          ``loss_rate`` the active exchange of this (node, layer, round) is
-          dropped — the protocol skips its turn, exactly what a lost request
-          or reply causes in a real deployment. Gossip protocols are
-          designed to tolerate this (they merely converge more slowly),
-          which ablation A7 quantifies.
-        - ``exchange_ok(peer)`` (called *after* a partner is chosen)
-          consults the installed fault plane: a network partition drops
-          every exchange across the cut, and per-link quality overrides add
-          correlated loss and extra latency on degraded paths. Without an
-          active fault plane this phase is free and always succeeds, so
-          fault-free runs are bit-identical to the pre-faults engine.
+        Called *before* partner selection, this models global memoryless
+        message loss: with probability ``loss_rate`` the active exchange is
+        dropped and the protocol skips its turn — exactly what a lost
+        request or reply causes in a real deployment. Gossip protocols are
+        designed to tolerate this (they merely converge more slowly), which
+        ablation A7 quantifies. Whether a *chosen* partner can be reached
+        (partitions, degraded links) is the transport's question:
+        :meth:`~repro.sim.transport.Transport.deliverable`.
         """
-        if peer is None:
-            if self.loss_rate <= 0.0:
-                return True
-            return (
-                self.streams.stream("loss", self.layer, self.node.node_id).random()
-                >= self.loss_rate
-            )
-        if self.faults is None or not self.faults.active:
+        if self.loss_rate <= 0.0:
             return True
-        return self.faults.exchange_ok(
-            self.streams.stream("linkfaults", self.layer, self.node.node_id),
-            self.node.node_id,
-            peer,
-            transport=self.transport,
-            layer=self.layer,
+        return (
+            self.streams.stream("loss", self.layer, self.node.node_id).random()
+            >= self.loss_rate
         )
-
-    def reachable(self, peer: int) -> bool:
-        """Whether ``peer`` is on this node's side of any active partition.
-
-        Used by harvest-style shortcuts that read a peer's state directly
-        (a simulator idiom for piggybacked knowledge): state of a node
-        behind the cut must not leak across it.
-        """
-        if self.faults is None or not self.faults.active:
-            return True
-        return self.faults.reachable(self.node.node_id, peer)
 
 
 class Engine:
@@ -120,17 +89,17 @@ class Engine:
         after-round controls — so they decide on telemetry that is fresh
         for the round. The remediation engine of :mod:`repro.heal` attaches
         here; an engine with no actuators skips the phase entirely.
-    faults:
-        Optional :class:`~repro.faults.plane.FaultPlane` consulted by every
-        peer-addressed exchange (partitions, degraded links). Fault
-        controls mutate the plane at round boundaries; ``None`` (default)
-        keeps the engine on the fast fault-free path.
     obs:
         Optional :class:`~repro.obs.instrument.Instrument` telemetry sink,
         handed to every :class:`RoundContext` and timed around each round.
         ``None`` (default) keeps the engine on the uninstrumented path:
         one ``is None`` check per guarded call site, zero allocations.
     """
+
+    #: Set by :func:`repro.runtime.api.make_runner` when the factory
+    #: deployed the elementary stack; ``None`` when the caller supplied its
+    #: own network.
+    deployment = None
 
     def __init__(
         self,
@@ -140,20 +109,9 @@ class Engine:
         controls: Iterable["Control"] = (),
         observers: Iterable["Instrument"] = (),
         loss_rate: float = 0.0,
-        faults: Optional["FaultPlane"] = None,
         obs: Optional["Instrument"] = None,
         actuators: Iterable["Actuator"] = (),
     ):
-        if type(self) is Engine:
-            # Direct construction is the legacy path; the canonical entry
-            # point is repro.runtime.api.make_runner, which builds the
-            # RoundRunner subclass (identical behaviour, Runner surface).
-            warnings.warn(
-                "constructing Engine directly is deprecated; use "
-                "repro.runtime.make_runner(RunnerConfig(kind='round'), ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if not 0.0 <= loss_rate < 1.0:
             raise SimulationError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.network = network
@@ -163,7 +121,6 @@ class Engine:
         self.observers: List["Instrument"] = list(observers)
         self.actuators: List["Actuator"] = list(actuators)
         self.loss_rate = loss_rate
-        self.faults = faults
         self.obs = obs
         self.round = 0
 
@@ -175,6 +132,15 @@ class Engine:
 
     def add_actuator(self, actuator: "Actuator") -> None:
         self.actuators.append(actuator)
+
+    def close(self) -> None:
+        """Release resources (none for the in-memory engine)."""
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- execution ------------------------------------------------------------
 
@@ -208,7 +174,6 @@ class Engine:
                 streams=self.streams,
                 round=self.round,
                 loss_rate=self.loss_rate,
-                faults=self.faults,
                 obs=obs,
             )
             if profile:

@@ -1,19 +1,19 @@
 """Synchronous transport with per-layer byte accounting — and the seam.
 
 Gossip exchanges in the cycle-driven model are synchronous request/response
-pairs. Historically the transport did not route payloads (protocol
-instances talked directly, as in PeerSim); its job was the *measurement*
-the paper's Fig. 4 needs: bytes and messages per protocol layer per round.
+pairs, and the paper's Fig. 4 needs bytes and messages per protocol layer
+per round: the transport is that ledger.
 
-The transport is now also the **engine seam**: layers ask
-:meth:`Transport.deliverable` whether an exchange with a partner can happen
-(the fault gate) and route their request/response through
-:meth:`Transport.exchange`. On this in-memory transport ``exchange`` is a
-direct method call on the partner's protocol instance — byte-identical to
-the historical direct dispatch — while the runtime package substitutes
-implementations that serialize through the wire codec
-(:class:`repro.runtime.loopback.LoopbackTransport`) or real UDP sockets
-(:mod:`repro.runtime.net`). The layer code is identical over all three.
+It is also the **engine seam** — the only place an exchange can be vetoed
+or transformed. Layers ask :meth:`Transport.deliverable` whether an
+exchange with a partner can happen (the fault gate) and route their
+request/response through :meth:`Transport.exchange`. On this in-memory
+transport ``deliverable`` always succeeds and ``exchange`` is a direct
+method call on the partner's protocol instance (as in PeerSim); decorators
+stack fault injection (:mod:`repro.faults.transports`) or the wire codec
+(:class:`repro.runtime.loopback.LoopbackTransport`) on top, and
+:mod:`repro.runtime.net` substitutes real UDP sockets. The layer code is
+identical over all of them.
 
 ``exchange`` may return ``None`` — the request was sent but no reply
 arrived (a real-network timeout). The in-memory transport never does; a
@@ -77,11 +77,10 @@ class Transport:
         The pre-exchange fault gate: layers call this *before* building a
         buffer, so a dropped exchange draws nothing from the layer's RNG
         stream — the invariant the digest gate depends on. The in-memory
-        transport delegates to the round context's fault plane (exactly the
-        historical ``ctx.exchange_ok(dst)`` check); decorators and wire
-        transports override it with loss/latency/plane checks of their own.
+        transport has no faults of its own; decorators and wire transports
+        override this with loss/latency/plane checks.
         """
-        return ctx is None or ctx.exchange_ok(dst)
+        return True
 
     def exchange(
         self, ctx: "RoundContext", dst: int, request: ExchangeRequest
@@ -106,7 +105,7 @@ class Transport:
         drawn and nothing is accounted — reachability is a topology
         question, not a delivery attempt.
         """
-        return ctx is None or ctx.reachable(dst)
+        return True
 
     # -- accounting -----------------------------------------------------------
 

@@ -59,6 +59,27 @@ class TestPushSum:
         assert total_after == pytest.approx(total_before, rel=1e-9)
         assert weight_after == pytest.approx(len(members), rel=1e-9)
 
+    def test_partition_keeps_mass_on_each_island(self, deployment):
+        """A push never crosses an active cut: per-island mass is invariant."""
+        members = sorted(deployment.role_map.member_ids("shard0"))
+        islands = [members[: len(members) // 2], members[len(members) // 2 :]]
+        attach_push_sum(deployment, "shard0", value_of=float)
+
+        def mass(island):
+            protocols = [
+                deployment.network.node(m).protocol(LAYER_AGGREGATION) for m in island
+            ]
+            return sum(p.sum for p in protocols), sum(p.weight for p in protocols)
+
+        before = [mass(island) for island in islands]
+        deployment.install_faults().set_partition(
+            {m: index for index, island in enumerate(islands) for m in island}
+        )
+        deployment.run(10)
+        for island, expected in zip(islands, before):
+            assert mass(island) == pytest.approx(expected, rel=1e-9)
+        assert deployment.transport.total_dropped(LAYER_AGGREGATION) > 0
+
     def test_scoped_to_component(self, deployment):
         attach_push_sum(deployment, "shard0", value_of=lambda n: 1.0)
         deployment.run(5)

@@ -1,44 +1,33 @@
-"""make_runner: one factory, four kinds, deprecation on the legacy doors."""
+"""make_runner: one factory, three kinds, one class per engine."""
 
 from __future__ import annotations
 
-import warnings
-
-import pytest
-
 from repro.runtime.api import Runner, RunnerConfig, make_runner
-from repro.runtime.engines import RoundRunner, ShardRunner
 from repro.runtime.loopback import LoopbackTransport
 from repro.runtime.net import NetRunner
 from repro.scale.engine import ShardedEngine
 from repro.sim.engine import Engine
-
-
-def make_quiet(config: RunnerConfig, **kwargs):
-    """Build a runner asserting the factory path emits no DeprecationWarning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        return make_runner(config, **kwargs)
+from repro.sim.transport import Transport
 
 
 class TestFactory:
     def test_round_kind(self):
-        runner = make_quiet(RunnerConfig(kind="round", n_nodes=8))
-        assert isinstance(runner, RoundRunner)
+        runner = make_runner(RunnerConfig(kind="round", n_nodes=8))
+        assert isinstance(runner, Engine)
         assert isinstance(runner, Runner)
         assert runner.deployment is not None
         assert len(runner.deployment.rank_of) == 8
 
     def test_round_runs_and_counts(self):
-        runner = make_quiet(RunnerConfig(kind="round", n_nodes=8, shape="ring"))
+        runner = make_runner(RunnerConfig(kind="round", n_nodes=8, shape="ring"))
         executed = runner.run(5)
         assert executed == 5 and runner.round == 5
         runner.close()  # idempotent no-op
         runner.close()
 
     def test_round_with_explicit_network_skips_deployment(self):
-        donor = make_quiet(RunnerConfig(kind="round", n_nodes=4)).deployment
-        runner = make_quiet(
+        donor = make_runner(RunnerConfig(kind="round", n_nodes=4)).deployment
+        runner = make_runner(
             RunnerConfig(kind="round", n_nodes=4),
             network=donor.network,
             transport=donor.transport,
@@ -48,29 +37,29 @@ class TestFactory:
         assert runner.network is donor.network
 
     def test_loopback_kind_wraps_transport(self):
-        runner = make_quiet(RunnerConfig(kind="loopback", n_nodes=8))
-        assert isinstance(runner, RoundRunner)
-        assert isinstance(runner.transport, LoopbackTransport)
+        """A loopback run is the round kind over the decorator."""
+        wired = LoopbackTransport(Transport())
+        runner = make_runner(RunnerConfig(kind="round", n_nodes=8), transport=wired)
+        assert isinstance(runner, Engine)
+        assert runner.transport is wired is runner.deployment.transport
 
     def test_loopback_wraps_a_supplied_plain_transport(self):
-        from repro.sim.transport import Transport
-
         inner = Transport()
-        donor = make_quiet(RunnerConfig(kind="round", n_nodes=4)).deployment
-        runner = make_quiet(
-            RunnerConfig(kind="loopback", n_nodes=4),
+        donor = make_runner(RunnerConfig(kind="round", n_nodes=4)).deployment
+        runner = make_runner(
+            RunnerConfig(kind="round", n_nodes=4),
             network=donor.network,
-            transport=inner,
+            transport=LoopbackTransport(inner),
             streams=donor.streams,
         )
         assert isinstance(runner.transport, LoopbackTransport)
         assert runner.transport.unwrap() is inner
 
     def test_sharded_kind(self):
-        runner = make_quiet(
+        runner = make_runner(
             RunnerConfig(kind="sharded", n_nodes=32, n_shards=4, shape="ring")
         )
-        assert isinstance(runner, ShardRunner)
+        assert isinstance(runner, ShardedEngine)
         assert isinstance(runner, Runner)
         executed = runner.run(30)
         assert 0 < executed <= 30
@@ -78,7 +67,7 @@ class TestFactory:
         runner.close()
 
     def test_net_kind_builds_without_starting(self):
-        runner = make_quiet(
+        runner = make_runner(
             RunnerConfig(kind="net", n_nodes=3, node_index=0, round_interval=0.05)
         )
         assert isinstance(runner, NetRunner)
@@ -86,20 +75,3 @@ class TestFactory:
         runner.close()  # never started: close must still be safe
         runner.close()
 
-
-class TestDeprecatedDoors:
-    def test_direct_engine_warns(self):
-        deployment = make_quiet(RunnerConfig(kind="round", n_nodes=4)).deployment
-        with pytest.warns(DeprecationWarning, match="make_runner"):
-            Engine(deployment.network, deployment.transport, deployment.streams)
-
-    def test_direct_sharded_engine_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_runner"):
-            ShardedEngine("elementary", "ring", 16, 1)
-
-    def test_subclasses_stay_quiet(self):
-        deployment = make_quiet(RunnerConfig(kind="round", n_nodes=4)).deployment
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            RoundRunner(deployment.network, deployment.transport, deployment.streams)
-            ShardRunner("elementary", "ring", 16, 1)

@@ -1,4 +1,4 @@
-"""RunnerConfig: validation, immutability, and legacy adaptation."""
+"""RunnerConfig: validation and immutability."""
 
 from __future__ import annotations
 
@@ -6,11 +6,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.runtime import RuntimeConfig
 from repro.errors import ConfigurationError
 from repro.runtime.api import RunnerConfig
-from repro.scale.engine import ShardPlan
-from repro.sim.config import GossipParams, SimulationConfig, TransportCosts
 
 
 class TestValidation:
@@ -27,9 +24,12 @@ class TestValidation:
         "kwargs",
         [
             {"kind": "steam"},
+            {"kind": "loopback"},
             {"n_nodes": 0},
             {"loss_rate": 1.0},
             {"loss_rate": -0.2},
+            {"kind": "sharded", "loss_rate": 0.1},
+            {"kind": "net", "loss_rate": 0.1},
             {"max_rounds": -1},
             {"n_shards": 0},
             {"n_shards": 65},
@@ -59,39 +59,3 @@ class TestValidation:
         )
         assert config.node_index == 3
 
-
-class TestFromLegacy:
-    def test_gossip_params(self):
-        params = GossipParams(view_size=9)
-        config = RunnerConfig.from_legacy(params)
-        assert config.gossip is params and config.kind == "round"
-
-    def test_simulation_config(self):
-        legacy = SimulationConfig(master_seed=42, max_rounds=50)
-        config = RunnerConfig.from_legacy(legacy)
-        assert config.seed == 42 and config.max_rounds == 50
-
-    def test_runtime_config(self):
-        legacy = RuntimeConfig(loss_rate=0.1)
-        config = RunnerConfig.from_legacy(legacy)
-        assert config.loss_rate == pytest.approx(0.1)
-        assert config.gossip is legacy.peer_sampling
-
-    def test_shard_plan(self):
-        config = RunnerConfig.from_legacy(ShardPlan(n_nodes=128, n_shards=4))
-        assert config.kind == "sharded"
-        assert (config.n_nodes, config.n_shards) == (128, 4)
-
-    def test_overrides_win(self):
-        config = RunnerConfig.from_legacy(
-            SimulationConfig(master_seed=42), seed=7, kind="loopback"
-        )
-        assert config.seed == 7 and config.kind == "loopback"
-
-    def test_unknown_type_fails_loudly(self):
-        with pytest.raises(ConfigurationError, match="no legacy adapter"):
-            RunnerConfig.from_legacy(TransportCosts())
-
-    def test_overrides_still_validated(self):
-        with pytest.raises(ConfigurationError):
-            RunnerConfig.from_legacy(GossipParams(), n_nodes=0)

@@ -1,10 +1,10 @@
-"""Fault decorators: stacking semantics and legacy-path equivalence.
+"""Fault decorators: stacking semantics and the golden fault schedule.
 
-The headline regression: driving a deployment's faults through
-:class:`~repro.faults.transports.FaultTransport` (with ``engine.faults``
-*off*) must produce byte-identical overlay digests and drop/delay
-accounting to the historical ``engine.faults`` plane — both paths draw
-from the same ``("linkfaults", layer, node)`` streams in the same order.
+The headline regression: a mixed partition/loss/latency schedule driven
+through :class:`~repro.faults.transports.FaultTransport` must reproduce the
+overlay digests and drop/delay accounting recorded from the engine-side
+fault plane this decorator replaced — the ``("linkfaults", layer, node)``
+streams are drawn in the same order.
 """
 
 from __future__ import annotations
@@ -81,19 +81,22 @@ class TestDecoratorUnits:
         outer.deliverable(None, dst=2, layer="uo1")
         assert outer.total_dropped("uo1") == 1  # read through the decorator
 
+    def test_install_faults_replaces_instead_of_stacking(self):
+        deployment = standard_deployment(32, seed=1)
+        first = deployment.install_faults()
+        decorator = deployment.engine.transport
+        assert isinstance(decorator, FaultTransport) and decorator.plane is first
+        second = deployment.install_faults(FaultPlane())
+        assert deployment.engine.transport is decorator  # one decorator, ever
+        assert decorator.plane is second is deployment.faults
+        assert not isinstance(decorator.inner, FaultTransport)
 
-def run_fault_schedule(seed: int, use_decorator: bool):
-    """The mixed partition→links schedule, via either fault path."""
+
+def run_fault_schedule(seed: int):
+    """The mixed partition→links schedule through ``install_faults``."""
     deployment = standard_deployment(32, seed)
     deployment.run_until_converged(120)
-    if use_decorator:
-        plane = FaultPlane()
-        engine = deployment.engine
-        engine.transport = FaultTransport(
-            engine.transport, plane, engine.streams
-        )
-    else:
-        plane = deployment.install_faults()
+    plane = deployment.install_faults()
     ids = sorted(deployment.network.alive_ids())
     half = len(ids) // 2
     plane.set_partition(
@@ -115,12 +118,25 @@ def run_fault_schedule(seed: int, use_decorator: bool):
     }
 
 
+#: Recorded from the deleted ``engine.faults`` path (commit 128d0e4) for
+#: this schedule; every fault mode is exercised (three drop reasons + delays).
+GOLDEN = {
+    1: {
+        "digest": "56efc590e0015315d262d7348e388fa0063e17991ff9e14c3d683c41dd593a50",
+        "drop_reasons": {"loss": 63, "partition": 313, "timeout": 8},
+        "total_dropped": 384,
+        "total_delayed": 4,
+    },
+    7: {
+        "digest": "c2feb7c167ed3ed0fcae827ea489023ffab1362651dd50685897c7281dac62d2",
+        "drop_reasons": {"loss": 60, "partition": 296, "timeout": 12},
+        "total_dropped": 368,
+        "total_delayed": 4,
+    },
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [1, 7])
-def test_decorator_equivalent_to_engine_plane(seed):
-    legacy = run_fault_schedule(seed, use_decorator=False)
-    decorated = run_fault_schedule(seed, use_decorator=True)
-    assert decorated == legacy
-    # the schedule actually exercised every fault mode
-    assert set(legacy["drop_reasons"]) == {"loss", "partition", "timeout"}
-    assert legacy["total_delayed"] > 0
+def test_fault_schedule_reproduces_golden(seed):
+    assert run_fault_schedule(seed) == GOLDEN[seed]

@@ -1,7 +1,7 @@
-"""The digest gate: the loopback runner is byte-identical to the round engine.
+"""The digest gate: a run over the loopback decorator is byte-identical.
 
-Every exchange on the loopback runner round-trips its request and reply
-through the wire codec; if the codec loses anything (a tuple collapsed to a
+Every exchange over :class:`LoopbackTransport` round-trips its request and
+reply through the wire codec; if the codec loses anything (a tuple collapsed to a
 list, a descriptor field dropped) the overlays diverge and the digests
 differ. Equality here is what licenses trusting the same codec under the
 UDP runtime, where divergence would look like mysterious overlay noise.
@@ -17,9 +17,11 @@ from repro.runtime.loopback import LoopbackTransport
 from repro.sim.transport import Transport
 
 
-def digest_for(kind: str, shape: str, n_nodes: int, seed: int, rounds: int):
+def digest_for(wired: bool, shape: str, n_nodes: int, seed: int, rounds: int):
+    config = RunnerConfig(kind="round", shape=shape, n_nodes=n_nodes, seed=seed)
+    transport = Transport(config.costs)
     runner = make_runner(
-        RunnerConfig(kind=kind, shape=shape, n_nodes=n_nodes, seed=seed)
+        config, transport=LoopbackTransport(transport) if wired else transport
     )
     runner.run(rounds)
     return (
@@ -29,8 +31,8 @@ def digest_for(kind: str, shape: str, n_nodes: int, seed: int, rounds: int):
 
 
 def test_digest_gate_small_ring():
-    plain, _ = digest_for("round", "ring", 16, seed=3, rounds=20)
-    wired, transport = digest_for("loopback", "ring", 16, seed=3, rounds=20)
+    plain, _ = digest_for(False, "ring", 16, seed=3, rounds=20)
+    wired, transport = digest_for(True, "ring", 16, seed=3, rounds=20)
     assert wired == plain
     assert transport.wire_frames > 0
     assert transport.wire_bytes > transport.wire_frames  # frames are non-empty
@@ -39,16 +41,16 @@ def test_digest_gate_small_ring():
 @pytest.mark.slow
 @pytest.mark.parametrize("shape", ["ring", "grid"])
 def test_digest_gate_64(shape):
-    plain, _ = digest_for("round", shape, 64, seed=1, rounds=40)
-    wired, transport = digest_for("loopback", shape, 64, seed=1, rounds=40)
+    plain, _ = digest_for(False, shape, 64, seed=1, rounds=40)
+    wired, transport = digest_for(True, shape, 64, seed=1, rounds=40)
     assert wired == plain
     assert transport.wire_frames > 0
 
 
 def test_modelled_accounting_identical():
     """The ledger (modelled costs) must not notice the codec round-trip."""
-    _, plain = digest_for("round", "ring", 16, seed=5, rounds=12)
-    _, wired = digest_for("loopback", "ring", 16, seed=5, rounds=12)
+    _, plain = digest_for(False, "ring", 16, seed=5, rounds=12)
+    _, wired = digest_for(True, "ring", 16, seed=5, rounds=12)
     assert wired.total_bytes() == plain.total_bytes()
     assert wired.total_messages() == plain.total_messages()
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.config import GossipParams, SimulationConfig, TransportCosts
+from repro.sim.config import GossipParams
 
 
 class TestGossipParams:
@@ -37,15 +37,3 @@ class TestGossipParams:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             GossipParams().view_size = 99  # type: ignore[misc]
-
-
-class TestSimulationConfig:
-    def test_defaults(self):
-        config = SimulationConfig()
-        assert config.max_rounds >= 1
-        assert isinstance(config.gossip, GossipParams)
-        assert isinstance(config.costs, TransportCosts)
-
-    def test_max_rounds_minimum(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(max_rounds=0)

@@ -83,6 +83,7 @@ class TestLossyRuntime:
         assembly = builder.nodes(32).build()
         config = RuntimeConfig(loss_rate=0.3)
         deployment = Runtime(assembly, config=config, seed=71).deploy()
+        assert deployment.engine.loss_rate == 0.3
         report = deployment.run_until_converged(120)
         assert report.converged, report.rounds
 
