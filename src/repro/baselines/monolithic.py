@@ -15,7 +15,7 @@ baselines live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.assembly import Assembly
 from repro.core.roles import RoleMap
@@ -23,15 +23,19 @@ from repro.gossip.peer_sampling import PeerSampling
 from repro.gossip.selection import Proximity
 from repro.gossip.vicinity import Vicinity
 from repro.shapes.base import Shape
-from repro.sim.config import GossipParams, TransportCosts
-from repro.runtime.api import RunnerConfig, make_runner
+from repro.runtime.api import (
+    OVERLAY_LAYER,
+    PS_LAYER,
+    RunnerConfig,
+    build_elementary,
+    make_runner,
+    run_until,
+)
+from repro.sim.config import GossipParams
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
-
-_PS_LAYER = "peer_sampling"
-_OVERLAY_LAYER = "overlay"
 
 
 @dataclass
@@ -43,68 +47,27 @@ class ElementaryResult:
     bytes_per_node_per_round: List[float]
 
 
-def _deploy_elementary(
+def _elementary_engine(
     shape: Shape,
     n_nodes: int,
     seed: int,
-    params: Optional[GossipParams] = None,
-    costs: Optional[TransportCosts] = None,
+    params: Optional[GossipParams],
     random_feed: bool = True,
-) -> Tuple[Network, Engine, Shape, Dict[int, int]]:
-    params = params or GossipParams()
-    network = Network()
-    streams = RandomStreams(seed)
-    transport = Transport(costs or TransportCosts())
-    nodes = network.create_nodes(n_nodes)
-    metric = shape.metric(n_nodes)
-    proximity = Proximity(metric)
-    view_size = shape.view_size(n_nodes, params.view_size)
-    sized = GossipParams(
-        view_size=view_size,
-        gossip_size=min(params.gossip_size, view_size + 1),
-        healer=params.healer,
-        swapper=params.swapper,
-        backend=params.backend,
+) -> Engine:
+    """A round engine over the elementary stack of a ``Shape`` *instance*
+    (``make_runner`` deploys registry names only), optionally unfed."""
+    config = RunnerConfig(
+        kind="round", n_nodes=n_nodes, seed=seed, gossip=params or GossipParams()
     )
-    rank_of: Dict[int, int] = {}
-    for rank, node in enumerate(nodes):
-        rank_of[node.node_id] = rank
-        peer_sampling = PeerSampling(node.node_id, params, layer=_PS_LAYER)
-        peer_sampling.bootstrap(streams.stream("bootstrap", node.node_id), network)
-        node.attach(_PS_LAYER, peer_sampling)
-        node.attach(
-            _OVERLAY_LAYER,
-            Vicinity(
-                node.node_id,
-                profile=shape.coordinate(rank, n_nodes),
-                proximity=proximity,
-                params=sized,
-                layer=_OVERLAY_LAYER,
-                random_layer=_PS_LAYER if random_feed else None,
-                target_degree=max(1, shape.rank_degree(rank, n_nodes)),
-            ),
-        )
+    deployment = build_elementary(config, shape=shape, random_feed=random_feed)
     engine = make_runner(
-        RunnerConfig(kind="round", n_nodes=n_nodes, seed=seed),
-        network=network,
-        transport=transport,
-        streams=streams,
+        config,
+        network=deployment.network,
+        transport=deployment.transport,
+        streams=deployment.streams,
     )
-    return network, engine, shape, rank_of
-
-
-def _shape_converged(
-    network: Network, shape: Shape, rank_of: Dict[int, int], n_nodes: int
-) -> bool:
-    adjacency: Dict[int, List[int]] = {}
-    for node in network.alive_nodes():
-        rank = rank_of[node.node_id]
-        adjacency[rank] = [
-            rank_of[other]
-            for other in node.protocol(_OVERLAY_LAYER).neighbors()
-            if other in rank_of
-        ]
-    return shape.converged(adjacency, n_nodes)
+    engine.deployment = deployment
+    return engine
 
 
 def elementary_convergence(
@@ -120,19 +83,12 @@ def elementary_convergence(
     ``random_feed=False`` disables the peer-sampling candidate feed — the
     "no pinch of randomness" ablation (A2 in DESIGN.md).
     """
-    network, engine, shape, rank_of = _deploy_elementary(
-        shape, n_nodes, seed, params, random_feed=random_feed
-    )
-    converged_at: Optional[int] = None
-    for round_index in range(max_rounds):
-        engine.run_round()
-        if _shape_converged(network, shape, rank_of, n_nodes):
-            converged_at = round_index + 1
-            break
+    engine = _elementary_engine(shape, n_nodes, seed, params, random_feed)
+    converged_at = run_until(engine, engine.converged, max_rounds)
     executed = engine.round
     per_node = [
         value / n_nodes
-        for value in engine.transport.bytes_series(_OVERLAY_LAYER, executed)
+        for value in engine.transport.bytes_series(OVERLAY_LAYER, executed)
     ]
     return ElementaryResult(
         rounds_to_converge=converged_at,
@@ -149,11 +105,11 @@ def elementary_bandwidth(
     params: Optional[GossipParams] = None,
 ) -> List[float]:
     """Per-node per-round byte series of the elementary baseline."""
-    network, engine, _, _ = _deploy_elementary(shape, n_nodes, seed, params)
+    engine = _elementary_engine(shape, n_nodes, seed, params)
     engine.run(rounds)
     return [
         value / n_nodes
-        for value in engine.transport.bytes_series(_OVERLAY_LAYER, rounds)
+        for value in engine.transport.bytes_series(OVERLAY_LAYER, rounds)
     ]
 
 
@@ -219,23 +175,17 @@ class MonolithicComposite:
             for name in component_names
         )
         view_size = max(self.params.view_size, max_degree + 2)
-        sized = GossipParams(
-            view_size=view_size,
-            gossip_size=min(self.params.gossip_size, view_size + 1),
-            healer=self.params.healer,
-            swapper=self.params.swapper,
-            backend=self.params.backend,
-        )
+        sized = self.params.resized(view_size)
         for node in self.network.nodes():
             role = self.role_map.role(node.node_id)
             shape = assembly.components[role.component].shape
-            peer_sampling = PeerSampling(node.node_id, self.params, layer=_PS_LAYER)
+            peer_sampling = PeerSampling(node.node_id, self.params, layer=PS_LAYER)
             peer_sampling.bootstrap(
                 self.streams.stream("bootstrap", node.node_id), self.network
             )
-            node.attach(_PS_LAYER, peer_sampling)
+            node.attach(PS_LAYER, peer_sampling)
             node.attach(
-                _OVERLAY_LAYER,
+                OVERLAY_LAYER,
                 Vicinity(
                     node.node_id,
                     profile=(
@@ -245,8 +195,8 @@ class MonolithicComposite:
                     ),
                     proximity=proximity,
                     params=sized,
-                    layer=_OVERLAY_LAYER,
-                    random_layer=_PS_LAYER,
+                    layer=OVERLAY_LAYER,
+                    random_layer=PS_LAYER,
                     target_degree=max(
                         1, shape.rank_degree(role.rank, role.comp_size)
                     ),
@@ -266,7 +216,7 @@ class MonolithicComposite:
             rank_of = {node_id: rank for node_id, rank in members}
             adjacency: Dict[int, List[int]] = {}
             for node_id, rank in members:
-                protocol = self.network.node(node_id).protocol(_OVERLAY_LAYER)
+                protocol = self.network.node(node_id).protocol(OVERLAY_LAYER)
                 adjacency[rank] = [
                     rank_of[other]
                     for other in protocol.neighbors()
@@ -278,8 +228,4 @@ class MonolithicComposite:
 
     def run(self, max_rounds: int = 120) -> Optional[int]:
         """Rounds until all component shapes are realized, or ``None``."""
-        for round_index in range(max_rounds):
-            self.engine.run_round()
-            if self._converged():
-                return round_index + 1
-        return None
+        return run_until(self.engine, self._converged, max_rounds)

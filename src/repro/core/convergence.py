@@ -206,6 +206,33 @@ def port_connection_converged(
     return True
 
 
+def layer_converged(
+    layer: str,
+    network: Network,
+    role_map: RoleMap,
+    assembly: "Assembly",
+    uo1_view_size: int,
+    uo2_scope: str = "all",
+) -> bool:
+    """The legality predicate of ``layer`` — the one dispatcher.
+
+    Every observer that asks "does this layer hold right now?" (first
+    convergence, time-to-repair) goes through here, so the predicates and
+    their arguments are stated once.
+    """
+    if layer == LAYER_CORE:
+        return core_converged(network, role_map, assembly)
+    if layer == LAYER_UO1:
+        return uo1_converged(network, role_map, assembly, uo1_view_size)
+    if layer == LAYER_UO2:
+        return uo2_converged(network, role_map, assembly, uo2_scope)
+    if layer == LAYER_PORT_SELECTION:
+        return port_selection_converged(network, role_map, assembly)
+    if layer == LAYER_PORT_CONNECTION:
+        return port_connection_converged(network, role_map, assembly)
+    raise ValueError(f"unknown layer {layer!r}")
+
+
 @dataclass
 class ConvergenceReport:
     """Outcome of a convergence run: per-layer first-convergence rounds.
@@ -289,19 +316,14 @@ class ConvergenceTracker(Instrument):
         self.observed_rounds = 0
 
     def _predicate(self, layer: str, network: Network) -> bool:
-        assembly = self._assembly()
-        role_map = self._role_map()
-        if layer == LAYER_CORE:
-            return core_converged(network, role_map, assembly)
-        if layer == LAYER_UO1:
-            return uo1_converged(network, role_map, assembly, self.uo1_view_size)
-        if layer == LAYER_UO2:
-            return uo2_converged(network, role_map, assembly, self.uo2_scope)
-        if layer == LAYER_PORT_SELECTION:
-            return port_selection_converged(network, role_map, assembly)
-        if layer == LAYER_PORT_CONNECTION:
-            return port_connection_converged(network, role_map, assembly)
-        raise ValueError(f"unknown layer {layer!r}")
+        return layer_converged(
+            layer,
+            network,
+            self._role_map(),
+            self._assembly(),
+            self.uo1_view_size,
+            self.uo2_scope,
+        )
 
     def observe(self, network: Network, round_index: int) -> bool:
         self.observed_rounds += 1

@@ -68,15 +68,7 @@ def make_core_protocol(
     proximity = ComponentShapeProximity(
         profile.component, shape, profile.comp_size
     )
-    view_size = shape.view_size(profile.comp_size, params.view_size)
-    gossip_size = min(params.gossip_size, view_size + 1)
-    sized = GossipParams(
-        view_size=view_size,
-        gossip_size=gossip_size,
-        healer=min(params.healer, view_size),
-        swapper=min(params.swapper, max(0, view_size - min(params.healer, view_size))),
-        backend=params.backend,
-    )
+    sized = params.resized(shape.view_size(profile.comp_size, params.view_size))
     degree = shape.rank_degree(profile.rank, profile.comp_size)
     if degree == 0:
         # Shapes with no rank-specific targets (e.g. the random graph) still

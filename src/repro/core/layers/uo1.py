@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.views import make_view
+from repro.gossip.views import PartialView
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
 from repro.sim.network import Network
@@ -65,7 +65,7 @@ class SameComponentOverlay(Protocol):
         # Staleness hygiene: entries a dead member can no longer refresh
         # must age out instead of circulating (see Vicinity.descriptor_ttl).
         self.descriptor_ttl = descriptor_ttl or max(24, 2 * self.params.view_size)
-        self.view = make_view(self.params)
+        self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
         # Pre-resolved (name, layer) counter keys for Instrument.count_key.
         self._k_exchanges = ("exchanges", layer)
@@ -109,18 +109,7 @@ class SameComponentOverlay(Protocol):
         values are clamped so ``healer + swapper <= view_size`` holds and
         the adjusted parameters re-validate on construction.
         """
-        params = self.params
-        new_healer = params.healer if healer is None else healer
-        new_healer = min(max(0, new_healer), params.view_size)
-        new_swapper = params.swapper if swapper is None else swapper
-        new_swapper = min(max(0, new_swapper), params.view_size - new_healer)
-        self.params = GossipParams(
-            view_size=params.view_size,
-            gossip_size=params.gossip_size,
-            healer=new_healer,
-            swapper=new_swapper,
-            backend=params.backend,
-        )
+        self.params = self.params.reweighted(healer, swapper)
         return self.params
 
     def step(self, ctx: RoundContext) -> None:

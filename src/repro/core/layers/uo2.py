@@ -18,8 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.views import PartialView, make_view
-from repro.sim.config import GossipParams
+from repro.gossip.views import PartialView
 from repro.sim.engine import RoundContext
 from repro.sim.protocol import Protocol
 from repro.sim.transport import ExchangeRequest
@@ -50,18 +49,11 @@ class DistantComponentOverlay(Protocol):
         layer: str = "uo2",
         random_layer: str = "peer_sampling",
         uo1_layer: str = "uo1",
-        backend: str = "object",
     ):
         self.node_id = node_id
         self.profile = profile
         self.capacity = max(1, contacts_per_component)
         self.gossip_contacts = max(1, gossip_contacts)
-        # Buckets are tiny fixed-capacity views; the backend knob mirrors
-        # GossipParams.backend so a columnar deployment is columnar end to end.
-        self._view_params = GossipParams(
-            view_size=self.capacity, gossip_size=1, healer=0, swapper=0,
-            backend=backend,
-        )
         self.layer = layer
         self.random_layer = random_layer
         self.uo1_layer = uo1_layer
@@ -179,7 +171,7 @@ class DistantComponentOverlay(Protocol):
             return False  # own component is UO1's job
         bucket = self.buckets.get(profile.component)
         if bucket is None:
-            bucket = make_view(self._view_params, self.capacity)
+            bucket = PartialView(self.capacity)
             self.buckets[profile.component] = bucket
         return bucket.insert(descriptor)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.views import make_view
+from repro.gossip.views import PartialView
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
 from repro.sim.protocol import Protocol
@@ -35,7 +35,7 @@ class Cyclon(Protocol):
         self.node_id = node_id
         self.params = params or GossipParams()
         self.layer = layer
-        self.view = make_view(self.params)
+        self.view = PartialView(self.params.view_size)
 
     def self_descriptor(self) -> Descriptor:
         return Descriptor(self.node_id, age=0, profile=None)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.views import make_view
+from repro.gossip.views import PartialView
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
 from repro.sim.network import Network
@@ -51,7 +51,7 @@ class PeerSampling(Protocol):
         self.params = params or GossipParams()
         self.layer = layer
         self.select_tail = select_tail
-        self.view = make_view(self.params)
+        self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=None)
         # Pre-resolved (name, layer) counter keys: the hot path hands these
         # to Instrument.count_key so no tuple is allocated per increment.
@@ -87,18 +87,7 @@ class PeerSampling(Protocol):
         holds — the adjusted parameters re-validate on construction.
         Returns the new parameters.
         """
-        params = self.params
-        new_healer = params.healer if healer is None else healer
-        new_healer = min(max(0, new_healer), params.view_size)
-        new_swapper = params.swapper if swapper is None else swapper
-        new_swapper = min(max(0, new_swapper), params.view_size - new_healer)
-        self.params = GossipParams(
-            view_size=params.view_size,
-            gossip_size=params.gossip_size,
-            healer=new_healer,
-            swapper=new_swapper,
-            backend=params.backend,
-        )
+        self.params = self.params.reweighted(healer, swapper)
         return self.params
 
     def step(self, ctx: RoundContext) -> None:
@@ -222,48 +211,72 @@ class PeerSampling(Protocol):
         sent: List[Descriptor],
         received: List[Descriptor],
     ) -> None:
-        """The framework's ``select`` step (TOCS 2007, Fig. 8).
-
-        Merge the received buffer into an unbounded pool, then trim the
-        overflow in three waves: the H oldest entries (healer), up to S of
-        the entries we just shipped (swapper), then uniformly at random.
-        """
-        params = self.params
-        pool = {d.node_id: d for d in self.view}
-        for descriptor in received:
-            if descriptor.node_id == self.node_id:
-                continue
-            current = pool.get(descriptor.node_id)
-            if current is None or descriptor.age < current.age:
-                pool[descriptor.node_id] = descriptor
-
-        def excess() -> int:
-            return len(pool) - params.view_size
-
-        if excess() > 0 and params.healer > 0:
-            # nsmallest == sorted[:k] (same key, same ties) in O(n log k);
-            # the healer wave only ever needs the H oldest entries.
-            doomed = heapq.nsmallest(
-                min(params.healer, excess()),
-                pool.values(),
-                key=lambda d: (-d.age, d.node_id),
-            )
-            for descriptor in doomed:
-                del pool[descriptor.node_id]
-        if excess() > 0 and params.swapper > 0:
-            swaps = min(params.swapper, excess())
-            for descriptor in sent:
-                if swaps <= 0:
-                    break
-                if descriptor.node_id == self.node_id:
-                    continue
-                if pool.pop(descriptor.node_id, None) is not None:
-                    swaps -= 1
-        while excess() > 0:
-            victim = ctx.rng().choice(list(pool.keys()))
-            del pool[victim]
+        """Run :func:`select_view` on this node's view and count the churn."""
+        pool = select_view(
+            self.node_id,
+            {d.node_id: d for d in self.view},
+            sent,
+            received,
+            self.params,
+            ctx.rng(),
+        )
         if ctx.obs is not None:
             entering = len(pool.keys() - self.view.id_set())
             ctx.obs.count_key(self._k_replacements)
             ctx.obs.count_key(self._k_churn, entering)
         self.view.replace(pool.values())
+
+
+def select_view(
+    node_id: int,
+    pool: Dict[int, Descriptor],
+    sent: List[Descriptor],
+    received: List[Descriptor],
+    params: GossipParams,
+    rng: random.Random,
+) -> Dict[int, Descriptor]:
+    """The framework's ``select`` step (TOCS 2007, Fig. 8) — the one copy.
+
+    Merge ``received`` into ``pool`` (the current view keyed by node id,
+    youngest copy wins, ``node_id`` itself never enters), then trim the
+    overflow past ``params.view_size`` in three waves: the H oldest entries
+    (healer), up to S of the entries just shipped in ``sent`` (swapper),
+    then uniformly at random from ``rng``. Mutates and returns ``pool``.
+
+    Pure in everything but ``pool`` and ``rng``, so the round engine's
+    :class:`PeerSampling` and the BSP engine's shard nodes share it and
+    cannot drift apart on the rule their digests both depend on.
+    """
+    for descriptor in received:
+        if descriptor.node_id == node_id:
+            continue
+        current = pool.get(descriptor.node_id)
+        if current is None or descriptor.age < current.age:
+            pool[descriptor.node_id] = descriptor
+
+    def excess() -> int:
+        return len(pool) - params.view_size
+
+    if excess() > 0 and params.healer > 0:
+        # nsmallest == sorted[:k] (same key, same ties) in O(n log k);
+        # the healer wave only ever needs the H oldest entries.
+        doomed = heapq.nsmallest(
+            min(params.healer, excess()),
+            pool.values(),
+            key=lambda d: (-d.age, d.node_id),
+        )
+        for descriptor in doomed:
+            del pool[descriptor.node_id]
+    if excess() > 0 and params.swapper > 0:
+        swaps = min(params.swapper, excess())
+        for descriptor in sent:
+            if swaps <= 0:
+                break
+            if descriptor.node_id == node_id:
+                continue
+            if pool.pop(descriptor.node_id, None) is not None:
+                swaps -= 1
+    while excess() > 0:
+        victim = rng.choice(list(pool.keys()))
+        del pool[victim]
+    return pool

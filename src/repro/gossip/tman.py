@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.selection import Profile, Proximity, select_closest
-from repro.gossip.views import make_view
+from repro.gossip.views import PartialView
 from repro.perf.cache import DistanceCache
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
@@ -57,7 +57,7 @@ class TMan(Protocol):
         # Same staleness hygiene as Vicinity (see its docstring): a dead
         # node's descriptors must age out rather than circulate forever.
         self.descriptor_ttl = descriptor_ttl or max(24, 2 * self.params.view_size)
-        self.view = make_view(self.params)
+        self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
         # Pre-resolved (name, layer) counter keys for Instrument.count_key.
         self._k_exchanges = ("exchanges", layer)

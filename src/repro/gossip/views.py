@@ -326,20 +326,3 @@ class PartialView:
     def __repr__(self) -> str:
         return f"PartialView(capacity={self.capacity}, size={len(self)})"
 
-
-def make_view(params, capacity: Optional[int] = None, tombstone_ttl: int = 64):
-    """Construct the partial view selected by ``params.backend``.
-
-    Every gossip layer builds its view through this factory, so switching
-    the whole stack to the columnar representation is a parameter change
-    (``GossipParams(backend="columnar")``) rather than a code change — the
-    protocols themselves are representation-agnostic. The import is lazy:
-    :mod:`repro.scale.columnar` subclasses :class:`PartialView`, so a
-    top-level import here would be circular.
-    """
-    size = capacity if capacity is not None else params.view_size
-    if getattr(params, "backend", "object") == "columnar":
-        from repro.scale.columnar import ColumnarView
-
-        return ColumnarView(size, tombstone_ttl=tombstone_ttl)
-    return PartialView(size, tombstone_ttl=tombstone_ttl)

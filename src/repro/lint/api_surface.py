@@ -36,7 +36,6 @@ PINNED_SURFACES: Dict[Tuple[str, str], Tuple[str, ...]] = {
         "gossip_size",
         "healer",
         "swapper",
-        "backend",
     ),
     ("sim/config.py", "TransportCosts"): (
         "header_bytes",

@@ -7,8 +7,7 @@ structural gauges all go through a single layered telemetry pipeline:
   observation (``observe``), event emission (``emit``), counters
   (``count``), gauges (``gauge``), and round-scoped spans
   (``span_begin``/``span_end``). Every method is a no-op by default, so the
-  disabled hot path costs one ``is None`` check and nothing else (the same
-  contract the tracer always had).
+  disabled hot path costs one ``is None`` check and nothing else.
 - :class:`~repro.obs.collector.Collector` — the one concrete sink:
   per-layer counters (messages, descriptor churn, view replacements),
   per-round gauges (population, degree distributions, UO2 bucket
@@ -26,7 +25,7 @@ structural gauges all go through a single layered telemetry pipeline:
   (stalled convergence, partition suspicion, degree skew, churn spikes,
   dead-descriptor buildup) emitting ``alert``/``alert_cleared`` events.
 - :mod:`~repro.obs.watch` — the ``repro watch`` live terminal view and the
-  ``repro report --profile`` per-layer self-time span table.
+  per-span self-time rows behind ``repro report --profile``.
 
 Collectors are wired in through :func:`~repro.obs.hooks.attach_collector`
 (deployments) or the ``obs=`` parameter of
@@ -63,20 +62,15 @@ _EXPORTS = {
     "attach_health": "repro.obs.hooks",
     "profile_rows": "repro.obs.watch",
     "render_dashboard": "repro.obs.watch",
-    "render_profile": "repro.obs.watch",
     "NULL_INSTRUMENT": "repro.obs.instrument",
     "Instrument": "repro.obs.instrument",
     "NullInstrument": "repro.obs.instrument",
-    "GraphObserver": "repro.obs.observers",
-    "SeriesObserver": "repro.obs.observers",
     "EventRecovery": "repro.obs.recovery",
     "RecoveryObserver": "repro.obs.recovery",
     "RecoveryReport": "repro.obs.recovery",
     "ConvergenceTracer": "repro.obs.trace",
     "PopulationTracer": "repro.obs.trace",
     "TraceEvent": "repro.obs.trace",
-    "Tracer": "repro.obs.trace",
-    "attach_tracer": "repro.obs.trace",
 }
 
 
@@ -103,7 +97,6 @@ __all__ = [
     "Delivery",
     "EventRecovery",
     "FlowTracer",
-    "GraphObserver",
     "HealthMonitor",
     "HealthRule",
     "Instrument",
@@ -111,19 +104,15 @@ __all__ = [
     "PopulationTracer",
     "RecoveryObserver",
     "RecoveryReport",
-    "SeriesObserver",
     "TraceEvent",
-    "Tracer",
     "attach_collector",
     "attach_collector_to_engine",
     "attach_health",
-    "attach_tracer",
     "default_rules",
     "known_kinds",
     "profile_rows",
     "read_jsonl",
     "render_dashboard",
-    "render_profile",
     "to_jsonl",
     "to_prometheus",
     "write_jsonl",

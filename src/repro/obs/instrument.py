@@ -16,12 +16,12 @@ method                    role
 ========================  =====================================================
 
 Every method is a no-op returning a falsy value, so a subclass implements
-only the facets it cares about: :class:`~repro.obs.trace.Tracer` records
-events, :class:`~repro.obs.recovery.RecoveryObserver` observes rounds, and
+only the facets it cares about:
+:class:`~repro.obs.recovery.RecoveryObserver` observes rounds, and
 :class:`~repro.obs.collector.Collector` implements everything. Hot paths
 guard each call with ``if ctx.obs is not None`` — with no collector
 attached, instrumentation costs one attribute check and performs zero
-allocations (the contract the tracer always had, now uniform).
+allocations.
 """
 
 from __future__ import annotations

@@ -16,20 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.core.convergence import (
-    core_converged,
-    port_connection_converged,
-    port_selection_converged,
-    uo1_converged,
-    uo2_converged,
-)
-from repro.core.layers import (
-    LAYER_CORE,
-    LAYER_PORT_CONNECTION,
-    LAYER_PORT_SELECTION,
-    LAYER_UO1,
-    LAYER_UO2,
-)
+from repro.core.convergence import ConvergenceTracker, layer_converged
+from repro.core.layers import LAYER_CORE, LAYER_UO1
 from repro.core.roles import RoleMap
 from repro.faults.plane import FaultEvent, FaultPlane
 from repro.metrics.recovery import dead_descriptor_fraction
@@ -156,13 +144,7 @@ class RecoveryObserver(Instrument):
     round (no-ops on anything but a collector).
     """
 
-    ALL_LAYERS = (
-        LAYER_CORE,
-        LAYER_UO1,
-        LAYER_UO2,
-        LAYER_PORT_SELECTION,
-        LAYER_PORT_CONNECTION,
-    )
+    ALL_LAYERS = ConvergenceTracker.ALL_LAYERS
 
     def __init__(
         self,
@@ -207,19 +189,14 @@ class RecoveryObserver(Instrument):
     # -- observation ----------------------------------------------------------
 
     def _predicate(self, layer: str, network: Network) -> bool:
-        assembly = self._assembly()
-        role_map = self._role_map()
-        if layer == LAYER_CORE:
-            return core_converged(network, role_map, assembly)
-        if layer == LAYER_UO1:
-            return uo1_converged(network, role_map, assembly, self.uo1_view_size)
-        if layer == LAYER_UO2:
-            return uo2_converged(network, role_map, assembly, self.uo2_scope)
-        if layer == LAYER_PORT_SELECTION:
-            return port_selection_converged(network, role_map, assembly)
-        if layer == LAYER_PORT_CONNECTION:
-            return port_connection_converged(network, role_map, assembly)
-        raise ValueError(f"unknown layer {layer!r}")
+        return layer_converged(
+            layer,
+            network,
+            self._role_map(),
+            self._assembly(),
+            self.uo1_view_size,
+            self.uo2_scope,
+        )
 
     def observe(self, network: Network, round_index: int) -> bool:
         self.rounds.append(round_index)

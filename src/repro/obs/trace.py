@@ -1,20 +1,18 @@
-"""Structured event tracing.
+"""Structured lifecycle events.
 
-A :class:`Tracer` collects timestamped lifecycle events — crashes, joins,
-revivals, convergence transitions — as plain records that can be asserted on
-in tests, printed as a timeline, or dumped to JSON. It is the event-facet of
-the :class:`~repro.obs.instrument.Instrument` protocol: the population and
-convergence tracers below are written against ``Instrument``, so the same
-classes feed a plain :class:`Tracer` *or* a full
-:class:`~repro.obs.collector.Collector` (which also receives their counter
-and gauge calls).
+:class:`TraceEvent` is the record every event sink keeps — crashes, joins,
+revivals, convergence transitions — serializable to JSON and printable as a
+timeline line. The population and convergence tracers below turn engine
+observations into such events; they are written against the
+:class:`~repro.obs.instrument.Instrument` protocol and feed whatever sink
+they are given (in practice a :class:`~repro.obs.collector.Collector`,
+which also receives their counter and gauge calls).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs import events as _events
 from repro.obs.instrument import Instrument
@@ -63,49 +61,12 @@ class TraceEvent:
         return f"[{self.round:>4}] {self.kind}{' ' + details if details else ''}"
 
 
-class Tracer(Instrument):
-    """An append-only event log keyed by simulation round."""
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self._round_source: Callable[[], int] = lambda: 0
-
-    def bind_round_source(self, source: Callable[[], int]) -> None:
-        """Attach the clock (usually ``lambda: engine.round``)."""
-        self._round_source = source
-
-    def emit(self, kind: str, **details: Any) -> TraceEvent:
-        event = TraceEvent(round=self._round_source(), kind=kind, details=details)
-        self.events.append(event)
-        return event
-
-    # -- queries ----------------------------------------------------------------
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.kind == kind]
-
-    def since(self, round_index: int) -> List[TraceEvent]:
-        return [event for event in self.events if event.round >= round_index]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    # -- export ------------------------------------------------------------------
-
-    def timeline(self) -> str:
-        """Human-readable one-line-per-event log."""
-        return "\n".join(str(event) for event in self.events)
-
-    def to_json(self) -> str:
-        return json.dumps([event.to_dict() for event in self.events], indent=2)
-
-
 class PopulationTracer(Instrument):
     """Engine observer emitting crash/join/revive events by diffing the
     population between rounds (catches changes made by any control).
 
-    ``instrument`` is any event sink — a :class:`Tracer` keeps the events, a
-    :class:`~repro.obs.collector.Collector` additionally counts them.
+    ``instrument`` is any event sink; a
+    :class:`~repro.obs.collector.Collector` keeps the events and counts them.
     """
 
     def __init__(self, instrument: Instrument):
@@ -135,7 +96,7 @@ class ConvergenceTracer(Instrument):
     Wraps a :class:`~repro.core.convergence.ConvergenceTracker`: whenever a
     layer's first-convergence round becomes known, a ``layer_converged``
     event fires; the latest core score and the converged-layer count are
-    mirrored as gauges (no-ops on a plain :class:`Tracer`).
+    mirrored as gauges.
     """
 
     def __init__(self, instrument: Instrument, tracker) -> None:
@@ -163,25 +124,3 @@ class ConvergenceTracer(Instrument):
 
     def reset(self) -> None:
         self._reported.clear()
-
-
-def attach_tracer(deployment) -> Tracer:
-    """Wire a fresh :class:`Tracer` into a deployment.
-
-    Emits ``deploy`` immediately, then population and convergence events as
-    rounds execute. Returns the tracer; read ``tracer.timeline()`` or
-    ``tracer.to_json()`` at any point. For the full metrics pipeline
-    (counters, gauges, spans, exporters) attach a collector instead — see
-    :func:`repro.obs.hooks.attach_collector`.
-    """
-    tracer = Tracer()
-    tracer.bind_round_source(lambda: deployment.engine.round)
-    tracer.emit(
-        _events.EVENT_DEPLOY,
-        assembly=deployment.assembly.name,
-        nodes=deployment.network.size(),
-        components=len(deployment.assembly.components),
-    )
-    deployment.engine.add_observer(PopulationTracer(tracer))
-    deployment.engine.add_observer(ConvergenceTracer(tracer, deployment.tracker))
-    return tracer

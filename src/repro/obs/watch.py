@@ -272,26 +272,3 @@ def profile_rows(collector: "Collector") -> List[Tuple[str, int, float, float]]:
     ]
     rows.sort(key=lambda row: (-row[3], row[0]))
     return rows
-
-
-def render_profile(collector: "Collector") -> str:
-    """The per-span self-time table (``repro report --profile``)."""
-    rows = profile_rows(collector)
-    if not rows:
-        return "no spans recorded (was the run instrumented?)"
-    grand_self = sum(row[3] for row in rows) or 1.0
-    table_rows = [
-        [
-            name,
-            count,
-            f"{total:.4f}",
-            f"{self_time:.4f}",
-            f"{100.0 * self_time / grand_self:.1f}%",
-        ]
-        for name, count, total, self_time in rows
-    ]
-    return render_table(
-        ["span", "count", "total s", "self s", "self %"],
-        table_rows,
-        title="span profile (sorted by self-time)",
-    )

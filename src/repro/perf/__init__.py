@@ -5,15 +5,16 @@ Three concerns live here (docs/performance.md has the full story):
 - :mod:`repro.perf.cache` — the memoized distance cache the select-style
   overlay protocols (Vicinity, T-Man) rank through; ranking-function
   evaluation is the dominant cost of gossip topology construction.
-- :mod:`repro.perf.workloads` — the fixed, deterministic workload matrix
-  (node counts × shapes) the performance trajectory is measured on, plus
+- :mod:`repro.perf.workloads` — the fixed, deterministic workload matrices
+  (node counts × shapes; the gossip suite and the scale tiers) and the one
+  ``run_cell`` that drives any in-process runner kind to convergence, plus
   :mod:`repro.perf.digest` to fingerprint outcomes for regression checks.
   These modules are *simulation-side*: the determinism linter forbids
   wall-clock reads in them (DET003).
 - :mod:`repro.perf.bench` — the timing harness behind ``repro bench``:
   runs the matrix (in parallel across seeds), records wall time, rounds to
-  convergence, message/byte counts and peak view sizes, and writes the
-  machine-readable ``BENCH_gossip.json`` trajectory.
+  convergence and message/byte counts, and owns the machine-readable
+  ``BENCH_gossip.json`` trajectory on disk (``write_bench_section``).
 """
 
 from repro.perf.cache import DistanceCache
@@ -29,21 +30,21 @@ _LAZY = {
     "run_bench": "repro.perf.bench",
     "write_bench": "repro.perf.bench",
     "Workload": "repro.perf.workloads",
-    "WorkloadResult": "repro.perf.workloads",
-    "run_workload": "repro.perf.workloads",
+    "CellResult": "repro.perf.workloads",
+    "run_cell": "repro.perf.workloads",
     "workload_matrix": "repro.perf.workloads",
 }
 
 __all__ = [
     "BenchReport",
+    "CellResult",
     "DistanceCache",
     "Workload",
-    "WorkloadResult",
     "format_bench",
     "overlay_digest",
     "result_digest",
     "run_bench",
-    "run_workload",
+    "run_cell",
     "workload_matrix",
     "write_bench",
 ]

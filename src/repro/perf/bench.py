@@ -13,15 +13,17 @@ move when the simulation's semantics deliberately change.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.experiments.harness import run_parallel_seeds
 from repro.metrics.report import render_table
 from repro.metrics.stats import summarize
-from repro.perf.workloads import Workload, run_workload, workload_matrix
+from repro.perf.workloads import Workload, run_cell, workload_matrix
 from repro.sim.rng import spawn_seeds
 
 #: Schema version of the BENCH_*.json trajectory format.
@@ -39,7 +41,7 @@ def _timed_worker(task: Tuple[Workload, int]) -> Tuple[dict, float]:
     """
     workload, seed = task
     start = time.perf_counter()
-    result = run_workload(workload, seed)
+    result = run_cell(workload.config(seed), workload.max_rounds)
     return result.to_dict(), time.perf_counter() - start
 
 
@@ -74,7 +76,6 @@ class WorkloadSummary:
             },
             "messages": sum(r["messages"] for r in self.results),
             "bytes": sum(r["bytes"] for r in self.results),
-            "peak_view_size": max(r["peak_view_size"] for r in self.results),
             "digests": [r["digest"] for r in self.results],
         }
 
@@ -113,9 +114,6 @@ class BenchReport:
         if self.obs is not None:
             out["obs"] = self.obs
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def run_bench(
@@ -195,7 +193,9 @@ def _instrumented_pass(
         wall = 0.0
         for (workload, seed), (baseline, _wall) in zip(tasks, outcomes):
             result, cell_wall = _timed_quiet(
-                lambda: run_workload(workload, seed, collector=sink)
+                lambda: run_cell(
+                    workload.config(seed), workload.max_rounds, collector=sink
+                )
             )
             wall += cell_wall
             if result.digest != baseline["digest"]:
@@ -280,7 +280,6 @@ def format_bench(report: BenchReport) -> str:
         "wall s (mean)",
         "messages",
         "kB",
-        "peak view",
     )
     rows = []
     for summary in report.summaries:
@@ -295,7 +294,6 @@ def format_bench(report: BenchReport) -> str:
                 f"{cell['wall_time_s']['mean']:.3f}",
                 cell["messages"],
                 f"{cell['bytes'] / 1024:.0f}",
-                cell["peak_view_size"],
             )
         )
     title = (
@@ -362,33 +360,62 @@ def format_check(
     return "\n".join(lines)
 
 
+#: Sections of ``BENCH_gossip.json`` owned by other benches (the scale
+#: tiers, the swarm harness); a perf-matrix rewrite carries them across.
+_FOREIGN_SECTIONS = ("scale_tiers", "swarm")
+
+
+def write_bench_section(json_path: str, key: Tuple[str, ...], value: Dict) -> str:
+    """Read-modify-write ``value`` into the bench trajectory at ``key``.
+
+    The one owner of ``BENCH_gossip.json`` on disk. ``key`` is the path of
+    the section to replace (``("swarm",)``, ``("scale_tiers", "1k")``);
+    the empty path is the perf matrix, which owns every top-level key but
+    the foreign sections. An existing file that does not parse raises
+    :class:`~repro.errors.ConfigurationError` and is left untouched — a
+    half-written trajectory is evidence, not something to overwrite — and
+    the new content lands via temp file + ``os.replace``, so a reader never
+    sees a torn file.
+    """
+    path = pathlib.Path(json_path)
+    data: Dict = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError("top level is not a JSON object")
+        except (OSError, ValueError) as error:
+            raise ConfigurationError(
+                f"{path}: existing bench file does not parse ({error}); "
+                "refusing to overwrite it"
+            ) from error
+    if key:
+        section = data
+        for part in key[:-1]:
+            section = section.setdefault(part, {})
+        section[key[-1]] = value
+    else:
+        kept = {name: data[name] for name in _FOREIGN_SECTIONS if name in data}
+        data = {**value, **kept}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    scratch = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        scratch.write_text(
+            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        os.replace(scratch, path)
+    finally:
+        scratch.unlink(missing_ok=True)
+    return str(path)
+
+
 def write_bench(
     report: BenchReport,
     json_path: str = "BENCH_gossip.json",
     results_dir: Optional[str] = "benchmarks/results",
 ) -> List[str]:
     """Write the JSON trajectory (and the text table); return written paths."""
-    written = []
-    path = pathlib.Path(json_path)
-    if path.parent != pathlib.Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    if path.exists():
-        # Other benches co-own this file: the scale bench's scale_tiers
-        # section and the swarm harness's swarm section must survive a
-        # perf-matrix rewrite (and vice versa — see
-        # repro.scale.bench.write_scale_bench and repro.runtime.swarm).
-        try:
-            previous = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            previous = {}
-        for section in ("scale_tiers", "swarm"):
-            if section in previous:
-                payload[section] = previous[section]
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append(str(path))
+    written = [write_bench_section(json_path, (), report.to_dict())]
     if results_dir is not None:
         directory = pathlib.Path(results_dir)
         directory.mkdir(parents=True, exist_ok=True)

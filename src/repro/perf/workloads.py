@@ -1,34 +1,33 @@
-"""The fixed, deterministic workload matrix behind ``repro bench``.
+"""The fixed, deterministic workload matrices behind ``repro bench``.
 
 Each workload deploys the *elementary* gossip stack — global peer sampling
-feeding one Vicinity overlay — over one shape at one node count, and runs it
-to shape convergence. That is exactly the hot path this subsystem optimizes
-(per-round view ranking and merging), with none of the assembly runtime's
-upper layers diluting the measurement.
+feeding one Vicinity overlay — over one shape at one node count, and
+:func:`run_cell` runs it to shape convergence on whichever in-process
+runner a :class:`~repro.runtime.api.RunnerConfig` selects: the round
+engine (the ``gossip`` suite — the per-round view ranking and merging hot
+path, with none of the assembly runtime's upper layers diluting it) or the
+barrier-synchronous sharded engine (the ``scale`` suite, whose digests are
+invariant to backend, shard count and process placement).
 
 Simulation-side module: everything here is driven by seeds and round
-counters; wall-clock timing lives in :mod:`repro.perf.bench` only (the
-determinism linter enforces this split, DET003).
+counters; wall-clock timing lives in :mod:`repro.perf.bench` and
+:mod:`repro.scale.bench` only (the determinism linter enforces this split,
+DET003).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.collector import Collector
 from repro.obs.hooks import attach_collector_to_engine
-from repro.perf.digest import overlay_digest
-
-# Layer labels of the two-protocol elementary stack: the canonical
-# definitions now live with the factory; re-exported here because this
-# module was their historical home.
-from repro.runtime.api import OVERLAY_LAYER, PS_LAYER, RunnerConfig, make_runner
+from repro.runtime.api import RunnerConfig, make_runner, run_until
 
 
 @dataclass(frozen=True)
 class Workload:
-    """One cell of the bench matrix: a shape at a node count.
+    """One cell of a bench matrix: a shape at a node count.
 
     Frozen and built from primitives only, so it pickles cleanly into the
     parallel multi-seed runner's worker processes.
@@ -39,110 +38,120 @@ class Workload:
     n_nodes: int
     max_rounds: int = 60
 
+    def config(self, seed: int, kind: str = "round", **engine: Any) -> RunnerConfig:
+        """The runner configuration of this cell under ``seed``.
+
+        The cell name doubles as ``RunnerConfig.workload`` — the label the
+        sharded engine folds into its per-node seed derivation.
+        """
+        return RunnerConfig(
+            kind=kind,
+            workload=self.name,
+            shape=self.shape,
+            n_nodes=self.n_nodes,
+            seed=seed,
+            **engine,
+        )
+
 
 @dataclass(frozen=True)
-class WorkloadResult:
-    """Outcome of one (workload, seed) run — everything but wall time."""
+class CellResult:
+    """Outcome of one (workload, seed, runner) run — everything but wall time."""
 
     workload: str
     seed: int
+    #: How the rounds were actually executed (``mp`` degrades to ``inline``
+    #: where no process pool is available).
+    mode: str
     rounds_to_converge: Optional[int]
     executed: int
     messages: int
     bytes: int
-    peak_view_size: int
     digest: str
 
     def to_dict(self) -> Dict:
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "rounds_to_converge": self.rounds_to_converge,
-            "executed": self.executed,
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "peak_view_size": self.peak_view_size,
-            "digest": self.digest,
-        }
+        return asdict(self)
 
 
-#: The trajectory matrices. Shapes are chosen to cover distinct metric
-#: structure (1-D ring/line orders, 2-D grids, uniform cliques, recursive
-#: trees/hypercubes); node counts set the candidate-pool pressure. CI cells
+#: The trajectory matrices, keyed by ``(suite, scale)``.
+#:
+#: ``gossip`` — shapes chosen to cover distinct metric structure (1-D
+#: ring/line orders, 2-D grids, uniform cliques, recursive trees and
+#: hypercubes); node counts set the candidate-pool pressure. ``ci`` cells
 #: all converge within a couple of simulated seconds so the perf-smoke job
 #: stays cheap; ``full`` raises the counts for real trend lines.
-_CI_MATRIX: Tuple[Workload, ...] = (
-    Workload("ring-64", "ring", 64),
-    Workload("ring-256", "ring", 256),
-    Workload("grid-64", "grid", 64),
-    Workload("torus-64", "torus", 64),
-    Workload("hypercube-64", "hypercube", 64),
-    Workload("kring-96", "kring", 96),
-    Workload("tree-63", "tree", 63),
-    Workload("clique-32", "clique", 32),
-)
+#:
+#: ``scale`` — the sharded engine's tiers. ``ci`` stays small enough for
+#: the default test lane; ``1k`` is the scale-smoke job's workload; ``10k``
+#: is the headline cell (single workload — the acceptance bar is wall time
+#: and RSS, not breadth).
+_MATRICES: Dict[Tuple[str, str], Tuple[Workload, ...]] = {
+    ("gossip", "ci"): (
+        Workload("ring-64", "ring", 64),
+        Workload("ring-256", "ring", 256),
+        Workload("grid-64", "grid", 64),
+        Workload("torus-64", "torus", 64),
+        Workload("hypercube-64", "hypercube", 64),
+        Workload("kring-96", "kring", 96),
+        Workload("tree-63", "tree", 63),
+        Workload("clique-32", "clique", 32),
+    ),
+    ("gossip", "full"): (
+        Workload("ring-256", "ring", 256),
+        Workload("ring-1024", "ring", 1024, max_rounds=120),
+        Workload("grid-256", "grid", 256),
+        Workload("grid-1024", "grid", 1024, max_rounds=120),
+        Workload("torus-256", "torus", 256),
+        Workload("kring-1024", "kring", 1024, max_rounds=120),
+        Workload("hypercube-256", "hypercube", 256),
+        Workload("tree-255", "tree", 255),
+        Workload("clique-128", "clique", 128, max_rounds=120),
+    ),
+    ("scale", "ci"): (
+        Workload("ring-64", "ring", 64),
+        Workload("grid-64", "grid", 64),
+    ),
+    ("scale", "1k"): (
+        Workload("ring-1024", "ring", 1024, max_rounds=90),
+        Workload("grid-1024", "grid", 1024, max_rounds=90),
+    ),
+    ("scale", "10k"): (Workload("ring-10000", "ring", 10000, max_rounds=30),),
+}
 
-_FULL_MATRIX: Tuple[Workload, ...] = (
-    Workload("ring-256", "ring", 256),
-    Workload("ring-1024", "ring", 1024, max_rounds=120),
-    Workload("grid-256", "grid", 256),
-    Workload("grid-1024", "grid", 1024, max_rounds=120),
-    Workload("torus-256", "torus", 256),
-    Workload("kring-1024", "kring", 1024, max_rounds=120),
-    Workload("hypercube-256", "hypercube", 256),
-    Workload("tree-255", "tree", 255),
-    Workload("clique-128", "clique", 128, max_rounds=120),
-)
+
+def workload_matrix(scale: str = "ci", suite: str = "gossip") -> Tuple[Workload, ...]:
+    """The fixed matrix of ``suite`` at ``scale`` (unknown scales → ``ci``)."""
+    return _MATRICES.get((suite, scale), _MATRICES[(suite, "ci")])
 
 
-def workload_matrix(scale: str = "ci") -> Tuple[Workload, ...]:
-    """The fixed matrix for ``scale`` (``ci`` default, or ``full``)."""
-    return _FULL_MATRIX if scale == "full" else _CI_MATRIX
-
-
-def run_workload(
-    workload: Workload, seed: int, collector: Optional[Collector] = None
-) -> WorkloadResult:
-    """Deploy, converge, and measure one workload under one seed.
+def run_cell(
+    config: RunnerConfig, max_rounds: int, collector: Optional[Collector] = None
+) -> CellResult:
+    """Deploy, run to shape convergence (or ``max_rounds``), and fingerprint.
 
     Deterministic: the result (digest included) is a pure function of
-    ``(workload, seed)``, which is what lets the parallel runner fan seeds
-    out across processes without changing any number. An attached
-    ``collector`` only reads simulation state — it never touches the
-    per-node RNG streams — so the digest is identical with or without it
-    (pinned by tests/obs/test_disabled_path.py).
+    ``(config.workload, shape, n_nodes, seed)`` and the runner kind —
+    backend, shard count and execution mode only select a representation
+    and a schedule of the *same* computation, which is what lets the
+    parallel runner fan seeds out across processes without changing any
+    number. An attached ``collector`` only reads simulation state — it
+    never touches the per-node RNG streams — so the digest is identical
+    with or without it (pinned by tests/obs/test_disabled_path.py).
     """
-    n_nodes = workload.n_nodes
-    engine = make_runner(
-        RunnerConfig(kind="round", n_nodes=n_nodes, seed=seed, shape=workload.shape)
-    )
-    deployment = engine.deployment
-    network, transport = deployment.network, deployment.transport
-    if collector is not None:
-        attach_collector_to_engine(engine, collector)
-
-    def shape_converged() -> bool:
-        return deployment.converged()
-
-    peak_view = 0
-    converged_at: Optional[int] = None
-    for round_index in range(workload.max_rounds):
-        engine.run_round()
-        for node in network.alive_nodes():
-            for layer in (PS_LAYER, OVERLAY_LAYER):
-                size = len(node.protocol(layer).view)
-                if size > peak_view:
-                    peak_view = size
-        if shape_converged():
-            converged_at = round_index + 1
-            break
-    return WorkloadResult(
-        workload=workload.name,
-        seed=seed,
-        rounds_to_converge=converged_at,
-        executed=engine.round,
-        messages=transport.total_messages(),
-        bytes=transport.total_bytes(),
-        peak_view_size=peak_view,
-        digest=overlay_digest(network, (PS_LAYER, OVERLAY_LAYER)),
-    )
+    runner = make_runner(config)
+    try:
+        if collector is not None:
+            attach_collector_to_engine(runner, collector)
+        converged_at = run_until(runner, runner.converged, max_rounds)
+        return CellResult(
+            workload=config.workload,
+            seed=config.seed,
+            mode=runner.mode_used,
+            rounds_to_converge=converged_at,
+            executed=runner.round,
+            messages=runner.messages,
+            bytes=runner.bytes,
+            digest=runner.digest(),
+        )
+    finally:
+        runner.close()

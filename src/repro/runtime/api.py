@@ -10,16 +10,29 @@ UDP runtime of :mod:`repro.runtime.net`:
   records it is built from, so new knobs land here.
 - :func:`make_runner` — the one factory.
 - :class:`Runner` — the structural protocol every engine satisfies:
-  ``run_round`` / ``run`` / ``close`` plus the ``round`` counter.
+  ``run_round`` / ``run`` / ``close`` plus the ``round`` counter. The
+  in-process kinds also share a read side (``converged()``, ``digest()``,
+  ``messages``, ``bytes``, ``mode_used``).
+- :class:`ElementaryStack` — the one place that knows how the two-layer
+  elementary stack is sized and attached, whatever executes it.
+- :func:`run_until` — the one run-to-convergence loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import ConfigurationError
+from repro.gossip.peer_sampling import PeerSampling
+from repro.gossip.selection import Proximity
+from repro.gossip.vicinity import Vicinity
+from repro.perf.digest import overlay_digest
+from repro.shapes import make_shape
 from repro.sim.config import GossipParams, TransportCosts
+from repro.sim.network import Network
+from repro.sim.rng import RandomStreams
+from repro.sim.transport import Transport
 
 #: Engine kinds ``make_runner`` can build.
 KINDS = ("round", "sharded", "net")
@@ -68,7 +81,7 @@ class RunnerConfig:
     costs: TransportCosts = field(default_factory=TransportCosts)
     loss_rate: float = 0.0
     max_rounds: int = 120
-    # -- sharded knobs (historically ShardPlan + ScaleSpec) -------------------
+    # -- sharded knobs (see repro.scale.engine) --------------------------------
     backend: str = "object"
     n_shards: int = 1
     mode: str = "inline"
@@ -134,19 +147,72 @@ class RunnerConfig:
             raise ConfigurationError(f"fanout must be >= 1, got {self.fanout}")
 
 
-#: The elementary two-layer stack the factory deploys (shared vocabulary
-#: with the perf matrix: peer sampling feeding one Vicinity overlay).
+#: Layer labels of the elementary two-layer stack: global peer sampling
+#: feeding one Vicinity overlay (the paper's Figure 1, bottom to core).
 PS_LAYER = "peer_sampling"
 OVERLAY_LAYER = "overlay"
+
+
+class ElementaryStack:
+    """How the elementary stack is put together — the one copy.
+
+    Every way of running the stack takes these decisions from here: the
+    round engine's :func:`build_elementary`, the UDP runtime's local node
+    and remote facades, the monolithic baseline, and the sharded engine
+    (which re-expresses the two protocols as BSP halves but shares the
+    shape, the proximity, both parameter records and the target degrees).
+
+    ``shape`` is a registry name or a :class:`~repro.shapes.base.Shape`;
+    ``params`` sizes peer sampling as given and the overlay by the shape.
+    """
+
+    def __init__(self, shape: Any, n_nodes: int, params: Optional[GossipParams] = None):
+        self.shape = make_shape(shape) if isinstance(shape, str) else shape
+        self.n_nodes = n_nodes
+        self.params = params or GossipParams()
+        self.sized = self.params.resized(
+            self.shape.view_size(n_nodes, self.params.view_size)
+        )
+        self.proximity = Proximity(self.shape.metric(n_nodes))
+
+    def profile(self, rank: int) -> Any:
+        return self.shape.coordinate(rank, self.n_nodes)
+
+    def target_degree(self, rank: int) -> int:
+        return max(1, self.shape.rank_degree(rank, self.n_nodes))
+
+    def attach(self, node: Any, rank: int, random_feed: bool = True) -> PeerSampling:
+        """Attach both layers to ``node`` as shape rank ``rank``.
+
+        Returns the peer-sampling instance so the caller can bootstrap it
+        (or not: a remote facade keeps its empty view). ``random_feed=False``
+        cuts the overlay off from peer sampling — ablation A2.
+        """
+        peer_sampling = PeerSampling(node.node_id, self.params, layer=PS_LAYER)
+        node.attach(PS_LAYER, peer_sampling)
+        node.attach(
+            OVERLAY_LAYER,
+            Vicinity(
+                node.node_id,
+                profile=self.profile(rank),
+                proximity=self.proximity,
+                params=self.sized,
+                layer=OVERLAY_LAYER,
+                random_layer=PS_LAYER if random_feed else None,
+                target_degree=self.target_degree(rank),
+            ),
+        )
+        return peer_sampling
 
 
 @dataclass
 class ElementaryDeployment:
     """The substrate :func:`make_runner` builds for ``round``.
 
-    Exposes the pieces callers historically built by hand (network,
-    streams, transport) plus the rank bijection and the shape, so perf
-    measurement and convergence checks keep working unchanged.
+    Exposes the pieces a caller would otherwise build by hand (network,
+    streams, transport) plus the rank bijection and the shape, and answers
+    the two questions asked of a finished run: did the shape converge, and
+    what is the overlay's digest.
     """
 
     network: Any
@@ -155,81 +221,71 @@ class ElementaryDeployment:
     shape: Any
     rank_of: Dict[int, int]
 
-    def overlay_adjacency(self) -> Dict[int, Dict[str, Any]]:
-        """Rank-keyed overlay adjacency (the shape's convergence input)."""
-        adjacency: Dict[int, Any] = {}
-        for node in self.network.alive_nodes():
-            rank = self.rank_of[node.node_id]
-            adjacency[rank] = [
-                self.rank_of[other]
-                for other in node.protocol(OVERLAY_LAYER).neighbors()
-                if other in self.rank_of
-            ]
-        return adjacency
-
     def converged(self) -> bool:
-        return self.shape.converged(self.overlay_adjacency(), len(self.rank_of))
+        """Whether the live nodes' overlay neighbours realize the shape."""
+        rank_of = self.rank_of
+        adjacency = {
+            rank_of[node.node_id]: [
+                rank_of[other]
+                for other in node.protocol(OVERLAY_LAYER).neighbors()
+                if other in rank_of
+            ]
+            for node in self.network.alive_nodes()
+        }
+        return self.shape.converged(adjacency, len(rank_of))
+
+    def digest(self) -> str:
+        return overlay_digest(self.network, (PS_LAYER, OVERLAY_LAYER))
 
 
 def build_elementary(
-    config: RunnerConfig, transport: Optional[Any] = None
+    config: RunnerConfig,
+    transport: Optional[Any] = None,
+    shape: Optional[Any] = None,
+    random_feed: bool = True,
 ) -> ElementaryDeployment:
     """Deploy the elementary stack for ``config`` (digest-critical path).
 
-    Construction order — node creation, per-node bootstrap draws, protocol
-    attachment — is byte-for-byte the historical ``run_workload`` build,
-    so a runner made here reproduces the pinned perf digests exactly.
+    Node creation order and the per-node ``bootstrap`` stream draws are what
+    the pinned ``BENCH_gossip.json`` digests depend on. ``shape`` overrides
+    ``config.shape`` with a parameterized :class:`~repro.shapes.base.Shape`
+    instance; ``random_feed`` is forwarded to :meth:`ElementaryStack.attach`.
     """
-    from repro.gossip.peer_sampling import PeerSampling
-    from repro.gossip.selection import Proximity
-    from repro.gossip.vicinity import Vicinity
-    from repro.shapes import make_shape
-    from repro.sim.network import Network
-    from repro.sim.rng import RandomStreams
-    from repro.sim.transport import Transport
-
-    shape = make_shape(config.shape)
-    n_nodes = config.n_nodes
-    params = config.gossip
+    stack = ElementaryStack(
+        config.shape if shape is None else shape, config.n_nodes, config.gossip
+    )
     network = Network()
     streams = RandomStreams(config.seed)
-    if transport is None:
-        transport = Transport(config.costs)
-    nodes = network.create_nodes(n_nodes)
-    proximity = Proximity(shape.metric(n_nodes))
-    view_size = shape.view_size(n_nodes, params.view_size)
-    sized = GossipParams(
-        view_size=view_size,
-        gossip_size=min(params.gossip_size, view_size + 1),
-        healer=params.healer,
-        swapper=params.swapper,
-        backend=params.backend,
-    )
     rank_of: Dict[int, int] = {}
-    for rank, node in enumerate(nodes):
+    for rank, node in enumerate(network.create_nodes(config.n_nodes)):
         rank_of[node.node_id] = rank
-        peer_sampling = PeerSampling(node.node_id, params, layer=PS_LAYER)
-        peer_sampling.bootstrap(streams.stream("bootstrap", node.node_id), network)
-        node.attach(PS_LAYER, peer_sampling)
-        node.attach(
-            OVERLAY_LAYER,
-            Vicinity(
-                node.node_id,
-                profile=shape.coordinate(rank, n_nodes),
-                proximity=proximity,
-                params=sized,
-                layer=OVERLAY_LAYER,
-                random_layer=PS_LAYER,
-                target_degree=max(1, shape.rank_degree(rank, n_nodes)),
-            ),
+        stack.attach(node, rank, random_feed).bootstrap(
+            streams.stream("bootstrap", node.node_id), network
         )
     return ElementaryDeployment(
         network=network,
         streams=streams,
-        transport=transport,
-        shape=shape,
+        transport=Transport(config.costs) if transport is None else transport,
+        shape=stack.shape,
         rank_of=rank_of,
     )
+
+
+def run_until(
+    runner: Runner, converged: Callable[[], bool], max_rounds: int
+) -> Optional[int]:
+    """Step ``runner`` until ``converged()`` holds — the one convergence loop.
+
+    Returns the 1-based round at which the predicate first held, or
+    ``None`` when ``max_rounds`` ran out. The predicate is checked after
+    every round, so every execution of a deterministic cell stops at the
+    same round and fingerprints the same final state.
+    """
+    for round_index in range(max_rounds):
+        runner.run_round()
+        if converged():
+            return round_index + 1
+    return None
 
 
 def make_runner(
@@ -279,16 +335,7 @@ def make_runner(
     if config.kind == "sharded":
         from repro.scale.engine import ShardedEngine
 
-        sharded = ShardedEngine(
-            config.workload,
-            config.shape,
-            config.n_nodes,
-            config.seed,
-            backend=config.backend,
-            n_shards=config.n_shards,
-            mode=config.mode,
-            costs=config.costs,
-        )
+        sharded = ShardedEngine(config)
         if obs is not None:
             sharded.obs = obs
         return sharded

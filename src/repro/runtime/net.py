@@ -44,9 +44,8 @@ from collections import defaultdict
 from repro.errors import ConfigurationError, SimulationError, WireError
 from repro.gossip.descriptors import Descriptor
 from repro.runtime import wire
-from repro.runtime.api import OVERLAY_LAYER, PS_LAYER, RunnerConfig
+from repro.runtime.api import OVERLAY_LAYER, ElementaryStack, RunnerConfig
 from repro.runtime.lamport import LamportClock
-from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
 from repro.sim.node import Node
 from repro.sim.rng import RandomStreams
@@ -638,34 +637,13 @@ class NetRunner:
     """
 
     def __init__(self, config: RunnerConfig):
-        from repro.gossip.peer_sampling import PeerSampling
-        from repro.gossip.selection import Proximity
-        from repro.gossip.vicinity import Vicinity
-        from repro.shapes import make_shape
-
         self.config = config
         self.node_id = config.node_index
         self.bind_host = config.bind_host
-        self.shape = make_shape(config.shape)
         self.streams = RandomStreams(config.seed)
-        n = config.n_nodes
-        params = config.gossip
-        self._proximity = Proximity(self.shape.metric(n))
-        view_size = self.shape.view_size(n, params.view_size)
-        self._sized = GossipParams(
-            view_size=view_size,
-            gossip_size=min(params.gossip_size, view_size + 1),
-            healer=params.healer,
-            swapper=params.swapper,
-            backend=params.backend,
-        )
-        self._params = params
-        self._vicinity_cls = Vicinity
-        self._ps_cls = PeerSampling
+        self.stack = ElementaryStack(config.shape, config.n_nodes, config.gossip)
         self.node = self._build_node(self.node_id)
-        self.directory = NetDirectory(
-            self.node, self._build_node
-        )
+        self.directory = NetDirectory(self.node, self._build_node)
         self.endpoint = NetEndpoint(self)
         self.transport = NetTransport(
             Transport(config.costs),
@@ -690,21 +668,8 @@ class NetRunner:
         the knowledge a wire advertisement justifies, and enough for the
         layers' ``self_descriptor()`` reads and ``isinstance`` checks.
         """
-        n = self.config.n_nodes
         node = Node(node_id)
-        node.attach(PS_LAYER, self._ps_cls(node_id, self._params, layer=PS_LAYER))
-        node.attach(
-            OVERLAY_LAYER,
-            self._vicinity_cls(
-                node_id,
-                profile=self.shape.coordinate(node_id, n),
-                proximity=self._proximity,
-                params=self._sized,
-                layer=OVERLAY_LAYER,
-                random_layer=PS_LAYER,
-                target_degree=max(1, self.shape.rank_degree(node_id, n)),
-            ),
-        )
+        self.stack.attach(node, rank=node_id)
         return node
 
     # -- context --------------------------------------------------------------

@@ -570,23 +570,10 @@ def merge_node_events(status_dir: str) -> List[Any]:
 def write_swarm_bench(
     report: SwarmReport, json_path: str = "BENCH_gossip.json"
 ) -> str:
-    """Merge the swarm section into the shared bench trajectory file.
+    """Merge the swarm section into the shared bench trajectory file."""
+    from repro.perf.bench import write_bench_section
 
-    Read-modify-write like the scale bench: every other section
-    (the perf matrix, ``scale_tiers``) survives untouched.
-    """
-    path = pathlib.Path(json_path)
-    data: Dict[str, Any] = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            data = {}
-    data["swarm"] = report.to_dict()
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return str(path)
+    return write_bench_section(json_path, ("swarm",), report.to_dict())
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -22,23 +22,17 @@ with a 2x ceiling — the budget tests/scale/test_memory.py holds future
 changes to.
 
 Results merge into ``BENCH_gossip.json`` under a ``scale_tiers`` section
-keyed by tier, preserving whatever the perf bench wrote (and vice versa:
-``repro.perf.bench.write_bench`` carries the section across rewrites).
+keyed by tier through :func:`repro.perf.bench.write_bench_section`, the
+file's one owner, which keeps every other section intact.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.scale.workloads import (
-    ScaleResult,
-    ScaleWorkload,
-    run_scale_workload,
-    scale_matrix,
-)
+from repro.perf.bench import write_bench_section
+from repro.perf.workloads import CellResult, Workload, run_cell, workload_matrix
 from repro.sim.rng import spawn_seeds
 
 #: Schema version of the ``scale_tiers`` trajectory section.
@@ -53,9 +47,6 @@ _TIER_SHARDS: Dict[str, Tuple[int, str]] = {
     "1k": (4, "mp"),
     "10k": (4, "inline"),
 }
-
-#: The three gated configurations, in reporting order.
-_CONFIG_LABELS = ("serial-object", "serial-columnar", "sharded-columnar")
 
 
 class ScaleDigestError(RuntimeError):
@@ -72,17 +63,18 @@ def _peak_rss_kb() -> Optional[int]:
 
 
 def _run_config(
-    workload: ScaleWorkload,
+    workload: Workload,
     seed: int,
     label: str,
     backend: str,
     n_shards: int,
     mode: str,
-) -> Tuple[ScaleResult, Dict]:
-    start = time.perf_counter()
-    result = run_scale_workload(
-        workload, seed, backend=backend, n_shards=n_shards, mode=mode
+) -> Tuple[CellResult, Dict]:
+    config = workload.config(
+        seed, kind="sharded", backend=backend, n_shards=n_shards, mode=mode
     )
+    start = time.perf_counter()
+    result = run_cell(config, workload.max_rounds)
     wall = time.perf_counter() - start
     node_rounds = workload.n_nodes * result.executed
     entry = {
@@ -101,7 +93,7 @@ def _run_config(
     return result, entry
 
 
-def _memory_probe(workload: ScaleWorkload, seed: int) -> Dict:
+def _memory_probe(workload: Workload, seed: int) -> Dict:
     """Tracemalloc peak of the columnar serial cell, plus its 2x budget.
 
     Tracemalloc measures Python-level allocations only (not the RSS of
@@ -112,7 +104,10 @@ def _memory_probe(workload: ScaleWorkload, seed: int) -> Dict:
 
     tracemalloc.start()
     try:
-        run_scale_workload(workload, seed, backend="columnar", n_shards=1)
+        run_cell(
+            workload.config(seed, kind="sharded", backend="columnar"),
+            workload.max_rounds,
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,7 +139,7 @@ def run_scale_bench(
     cells: List[Dict] = []
     total_wall = 0.0
     probe: Optional[Dict] = None
-    for workload in scale_matrix(tier):
+    for workload in workload_matrix(tier, suite="scale"):
         seed = spawn_seeds(master_seed, 1, "scale-bench", workload.name)[0]
         configs = (
             ("serial-object", "object", 1, "inline"),
@@ -160,8 +155,8 @@ def run_scale_bench(
             total_wall += entry["wall_s"]
         if len(set(digests)) != 1:
             detail = ", ".join(
-                f"{label}={digest[:16]}"
-                for label, digest in zip(_CONFIG_LABELS, digests)
+                f"{entry['label']}={digest[:16]}"
+                for entry, digest in zip(entries, digests)
             )
             raise ScaleDigestError(
                 f"digest divergence on {workload.name} (seed {seed}): {detail}"
@@ -195,22 +190,8 @@ def run_scale_bench(
 def write_scale_bench(
     section: Dict, json_path: str = "BENCH_gossip.json"
 ) -> str:
-    """Merge a tier section into the trajectory under ``scale_tiers``.
-
-    Read-modify-write: the perf bench owns the rest of the file, and both
-    writers preserve each other's sections.
-    """
-    path = pathlib.Path(json_path)
-    data: Dict = {}
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    data.setdefault("scale_tiers", {})[section["tier"]] = section
-    if path.parent != pathlib.Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return str(path)
+    """Merge a tier section into the trajectory under ``scale_tiers``."""
+    return write_bench_section(json_path, ("scale_tiers", section["tier"]), section)
 
 
 def format_scale_bench(section: Dict) -> str:

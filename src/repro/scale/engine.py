@@ -46,25 +46,32 @@ Simulation-side module: no wall-clock reads (DET003); timing lives in
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.selection import Proximity, select_closest
-from repro.gossip.views import make_view
+from repro.gossip.peer_sampling import select_view
+from repro.gossip.selection import select_closest
+from repro.gossip.views import PartialView
 from repro.perf.cache import DistanceCache
-from repro.scale.columnar import NodeInterner
-from repro.shapes import make_shape
-from repro.sim.config import GossipParams, TransportCosts
+from repro.perf.digest import adjacency_digest
+from repro.runtime.api import (
+    OVERLAY_LAYER,
+    PS_LAYER,
+    ElementaryStack,
+    RunnerConfig,
+    run_until,
+)
+from repro.scale.columnar import ColumnarView, NodeInterner
 from repro.sim.rng import RandomStreams, spawn_seeds
 
-#: Layer labels of the scale tier's two-protocol stack (the same elementary
-#: stack the perf workloads deploy: global peer sampling feeding Vicinity).
-PS_LAYER = "peer_sampling"
-OVERLAY_LAYER = "overlay"
 LAYERS = (PS_LAYER, OVERLAY_LAYER)
+
+#: Partial-view representation per ``RunnerConfig.backend``. The two are
+#: observably identical (pinned by the Hypothesis twin suite), so the choice
+#: never changes a digest — it is purely a memory/speed trade.
+_VIEW_CLASSES = {"object": PartialView, "columnar": ColumnarView}
 
 #: A routed message: (source node id, destination node id, descriptor buffer).
 Message = Tuple[int, int, List[Descriptor]]
@@ -114,24 +121,12 @@ class ShardPlan:
         return remainder + (rank - pivot) // quotient
 
 
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Everything a worker needs to rebuild its shard — primitives only, so
-    it pickles into the pool without dragging live state across."""
-
-    workload: str
-    shape: str
-    n_nodes: int
-    seed: int
-    backend: str = "object"
-    n_shards: int = 1
-
-
 class _ScaleNode:
     """One node of the barrier-synchronous model.
 
     The gossip semantics mirror :class:`~repro.gossip.peer_sampling.PeerSampling`
-    (TOCS 2007 push-pull with healer/swapper selection, oldest-first partner)
+    (TOCS 2007 push-pull, oldest-first partner, and the very same
+    :func:`~repro.gossip.peer_sampling.select_view` healer/swapper step)
     and :class:`~repro.gossip.vicinity.Vicinity` (greedy closest-``k`` merge
     topped up from the random layer) — re-expressed as request/respond/absorb
     halves so an exchange can cross a shard boundary.
@@ -157,25 +152,18 @@ class _ScaleNode:
     )
 
     def __init__(
-        self,
-        node_id: int,
-        profile,
-        target_degree: int,
-        ps_params: GossipParams,
-        ov_params: GossipParams,
-        node_seed: int,
-        proximity: Proximity,
+        self, node_id: int, stack: ElementaryStack, node_seed: int, view_cls: type
     ):
         self.node_id = node_id
-        self.profile = profile
-        self.target_degree = target_degree
-        self.ps_params = ps_params
-        self.ov_params = ov_params
+        self.profile = profile = stack.profile(node_id)
+        self.target_degree = stack.target_degree(node_id)
+        self.ps_params = stack.params
+        self.ov_params = stack.sized
         # Vicinity's default: live neighbours refresh far faster than this.
-        self.descriptor_ttl = max(24, 2 * ov_params.view_size)
-        self.ps_view = make_view(ps_params)
-        self.ov_view = make_view(ov_params)
-        self.distances = DistanceCache(proximity, profile)
+        self.descriptor_ttl = max(24, 2 * stack.sized.view_size)
+        self.ps_view = view_cls(stack.params.view_size)
+        self.ov_view = view_cls(stack.sized.view_size)
+        self.distances = DistanceCache(stack.proximity, profile)
         streams = RandomStreams(node_seed)
         self.rng_boot = streams.stream("bootstrap")
         self.rng_ps = streams.stream(PS_LAYER)
@@ -224,39 +212,14 @@ class _ScaleNode:
         self._ps_apply(sent=sent or [], received=reply)
 
     def _ps_apply(self, sent: List[Descriptor], received: List[Descriptor]) -> None:
-        """The TOCS select step (mirrors ``PeerSampling._apply``)."""
-        params = self.ps_params
-        pool = {d.node_id: d for d in self.ps_view}
-        for descriptor in received:
-            if descriptor.node_id == self.node_id:
-                continue
-            current = pool.get(descriptor.node_id)
-            if current is None or descriptor.age < current.age:
-                pool[descriptor.node_id] = descriptor
-
-        def excess() -> int:
-            return len(pool) - params.view_size
-
-        if excess() > 0 and params.healer > 0:
-            doomed = heapq.nsmallest(
-                min(params.healer, excess()),
-                pool.values(),
-                key=lambda d: (-d.age, d.node_id),
-            )
-            for descriptor in doomed:
-                del pool[descriptor.node_id]
-        if excess() > 0 and params.swapper > 0:
-            swaps = min(params.swapper, excess())
-            for descriptor in sent:
-                if swaps <= 0:
-                    break
-                if descriptor.node_id == self.node_id:
-                    continue
-                if pool.pop(descriptor.node_id, None) is not None:
-                    swaps -= 1
-        while excess() > 0:
-            victim = self.rng_ps.choice(list(pool.keys()))
-            del pool[victim]
+        pool = select_view(
+            self.node_id,
+            {d.node_id: d for d in self.ps_view},
+            sent,
+            received,
+            self.ps_params,
+            self.rng_ps,
+        )
         self.ps_view.replace(pool.values())
 
     # -- shape overlay ----------------------------------------------------------
@@ -352,29 +315,18 @@ class ShardState:
 
     The same class backs both execution modes: the inline engine holds a
     list of these, the pool worker builds exactly one from the pickled
-    :class:`ScaleSpec` on its own stack.
+    :class:`~repro.runtime.api.RunnerConfig` on its own stack.
     """
 
-    def __init__(self, spec: ScaleSpec, shard_index: int):
-        self.spec = spec
-        self.shard_index = shard_index
-        plan = ShardPlan(spec.n_nodes, spec.n_shards)
-        shape = make_shape(spec.shape)
-        n = spec.n_nodes
-        base = GossipParams(backend=spec.backend)
-        view_size = shape.view_size(n, base.view_size)
-        sized = GossipParams(
-            view_size=view_size,
-            gossip_size=min(base.gossip_size, view_size + 1),
-            healer=base.healer,
-            swapper=base.swapper,
-            backend=spec.backend,
-        )
-        proximity = Proximity(shape.metric(n))
+    def __init__(self, config: RunnerConfig, shard_index: int):
+        plan = ShardPlan(config.n_nodes, config.n_shards)
+        n = config.n_nodes
+        stack = ElementaryStack(config.shape, n, config.gossip)
+        shape = stack.shape
         # Interned identity: ranks are the dense ids, and the interner keeps
         # the rank <-> node-id bijection explicit for adjacency collection.
         self.interner = NodeInterner(range(n))
-        self.profiles = [shape.coordinate(rank, n) for rank in range(n)]
+        self.profiles = [stack.profile(rank) for rank in range(n)]
         # One immutable age-0 descriptor per node, shared by every harvest
         # pool this shard builds (descriptors are immutable, so sharing is
         # free) — the static table the BSP model reads instead of peeking
@@ -385,18 +337,11 @@ class ShardState:
         self._targets = {
             rank: shape.target_neighbors(rank, n) for rank in plan.members(shard_index)
         }
-        node_seeds = spawn_seeds(spec.seed, n, "scale", spec.workload)
+        node_seeds = spawn_seeds(config.seed, n, "scale", config.workload)
+        view_cls = _VIEW_CLASSES[config.backend]
         self.nodes: Dict[int, _ScaleNode] = {}
         for rank in plan.members(shard_index):
-            node = _ScaleNode(
-                node_id=rank,
-                profile=self.profiles[rank],
-                target_degree=max(1, shape.rank_degree(rank, n)),
-                ps_params=base,
-                ov_params=sized,
-                node_seed=node_seeds[rank],
-                proximity=proximity,
-            )
+            node = _ScaleNode(rank, stack, node_seeds[rank], view_cls)
             node.bootstrap(n)
             self.nodes[rank] = node
 
@@ -463,7 +408,7 @@ class ShardState:
         return record
 
 
-def _shard_worker(conn, spec: ScaleSpec, shard_index: int) -> None:
+def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
     """The long-lived pool task hosting one shard.
 
     All mutable state — the shard, its views, its RNG streams — lives in
@@ -471,7 +416,7 @@ def _shard_worker(conn, spec: ScaleSpec, shard_index: int) -> None:
     worker process can host shards of successive runs without bleed.
     """
     try:
-        shard = ShardState(spec, shard_index)
+        shard = ShardState(config, shard_index)
         conn.send(("ready", shard_index))
         while True:
             command, payload = conn.recv()
@@ -506,8 +451,10 @@ def _shard_worker(conn, spec: ScaleSpec, shard_index: int) -> None:
 class _InlineShards:
     """Reference execution backend: every shard stepped in this process."""
 
-    def __init__(self, spec: ScaleSpec):
-        self._shards = [ShardState(spec, index) for index in range(spec.n_shards)]
+    def __init__(self, config: RunnerConfig):
+        self._shards = [
+            ShardState(config, index) for index in range(config.n_shards)
+        ]
 
     def request(self, layer: str) -> List[List[Message]]:
         return [shard.request(layer) for shard in self._shards]
@@ -543,7 +490,7 @@ class _ProcessShards:
     so shards genuinely overlap between barriers.
     """
 
-    def __init__(self, spec: ScaleSpec):
+    def __init__(self, config: RunnerConfig):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -552,16 +499,16 @@ class _ProcessShards:
         except ValueError:  # pragma: no cover - non-fork platforms
             context = multiprocessing.get_context()
         self._executor = ProcessPoolExecutor(
-            max_workers=spec.n_shards, mp_context=context
+            max_workers=config.n_shards, mp_context=context
         )
         self._conns = []
         self._futures = []
         child_ends = []
         try:
-            for index in range(spec.n_shards):
+            for index in range(config.n_shards):
                 parent_end, child_end = context.Pipe()
                 future = self._executor.submit(
-                    _shard_worker, child_end, spec, index
+                    _shard_worker, child_end, config, index
                 )
                 self._conns.append(parent_end)
                 self._futures.append(future)
@@ -634,17 +581,18 @@ class _ProcessShards:
 class ShardedEngine:
     """The scale tier's engine: BSP rounds over a sharded node population.
 
-    Parameters
-    ----------
-    workload, shape, n_nodes:
+    Built from a :class:`~repro.runtime.api.RunnerConfig` like every other
+    runner; the fields it reads:
+
+    ``workload``, ``shape``, ``n_nodes``, ``gossip``
         The deployed cell — same vocabulary as the perf workload matrix.
-    seed:
+    ``seed``
         Master seed; per-node streams derive from it via ``spawn_seeds``.
-    backend:
+    ``backend``
         Partial-view representation (``"object"`` or ``"columnar"``).
-    n_shards:
+    ``n_shards``
         How many contiguous rank blocks the population splits into.
-    mode:
+    ``mode``
         ``"inline"`` steps shards sequentially in-process (the reference);
         ``"mp"`` hosts one worker per shard on a process pool, degrading to
         inline if the pool cannot start. ``mode_used`` records the outcome.
@@ -654,48 +602,29 @@ class ShardedEngine:
     combination of ``backend``, ``n_shards``, and ``mode``.
     """
 
-    def __init__(
-        self,
-        workload: str,
-        shape: str,
-        n_nodes: int,
-        seed: int,
-        backend: str = "object",
-        n_shards: int = 1,
-        mode: str = "inline",
-        costs: Optional[TransportCosts] = None,
-    ):
-        if mode not in ("inline", "mp"):
-            raise ConfigurationError(f"mode must be 'inline' or 'mp', got {mode!r}")
-        self.spec = ScaleSpec(
-            workload=workload,
-            shape=shape,
-            n_nodes=n_nodes,
-            seed=seed,
-            backend=backend,
-            n_shards=n_shards,
-        )
-        self.plan = ShardPlan(n_nodes, n_shards)
-        self.costs = costs or TransportCosts()
+    def __init__(self, config: RunnerConfig):
+        self.config = config
+        self.plan = ShardPlan(config.n_nodes, config.n_shards)
+        self.costs = config.costs
         self.round = 0
         self.messages = 0
         self.bytes = 0
-        self.mode_used = mode
+        self.mode_used = config.mode
         #: Optional observability sink (:class:`~repro.obs.instrument.Instrument`).
         #: When set, :meth:`run_round` times each BSP phase as ``shard:*``
         #: spans. Pure observation: the digest invariant holds with or
         #: without a sink attached (pinned by tests/scale/test_spans.py).
         self.obs: Optional[Any] = None
-        if mode == "mp":
+        if config.mode == "mp":
             try:
-                self._shards = _ProcessShards(self.spec)
+                self._shards = _ProcessShards(config)
             except Exception:
                 # No usable pool (sandboxed semaphores, missing fork):
                 # the inline backend computes the identical rounds.
                 self.mode_used = "inline"
-                self._shards = _InlineShards(self.spec)
+                self._shards = _InlineShards(config)
         else:
-            self._shards = _InlineShards(self.spec)
+            self._shards = _InlineShards(config)
 
     # -- rounds ------------------------------------------------------------------
 
@@ -715,7 +644,7 @@ class ShardedEngine:
         """
         obs = self.obs
         shard_of = self.plan.shard_of
-        n_shards = self.spec.n_shards
+        n_shards = self.config.n_shards
         if obs is not None:
             obs.span_begin("round")
         for layer in LAYERS:
@@ -759,13 +688,9 @@ class ShardedEngine:
         """Run up to ``max_rounds`` BSP rounds; stop early on convergence."""
         if max_rounds < 0:
             raise SimulationError(f"max_rounds must be >= 0, got {max_rounds}")
-        executed = 0
-        for _ in range(max_rounds):
-            self.run_round()
-            executed += 1
-            if self.converged():
-                break
-        return executed
+        start = self.round
+        run_until(self, self.converged, max_rounds)
+        return self.round - start
 
     def _account(self, message: Message) -> None:
         self.messages += 1
@@ -781,17 +706,8 @@ class ShardedEngine:
         """Whether the shape's every target edge is realized (all shards)."""
         return self._shards.converged()
 
-    def overlay_adjacency(self) -> Dict[int, List[int]]:
-        """Just the shape overlay's neighbour lists (convergence checks)."""
-        return {
-            node_id: per_layer[OVERLAY_LAYER]
-            for node_id, per_layer in self.adjacency().items()
-        }
-
     def digest(self) -> str:
         """Canonical SHA-256 of the full adjacency (the determinism gate)."""
-        from repro.perf.digest import adjacency_digest
-
         return adjacency_digest(self.adjacency())
 
     # -- lifecycle ---------------------------------------------------------------

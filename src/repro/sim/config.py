@@ -8,7 +8,8 @@ spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -31,27 +32,16 @@ class GossipParams:
     swapper:
         Peer-sampling *S* parameter — how many sent descriptors are discarded
         in favour of received ones (controls view mixing).
-    backend:
-        Partial-view representation: ``"object"`` (the boxed-descriptor
-        :class:`~repro.gossip.views.PartialView`, default) or ``"columnar"``
-        (the array-backed :class:`~repro.scale.columnar.ColumnarView`).
-        The two are observably identical — selecting a backend never
-        changes a digest — so this is purely a memory/speed knob.
     """
 
     view_size: int = 12
     gossip_size: int = 6
     healer: int = 1
     swapper: int = 4
-    backend: str = "object"
 
     def __post_init__(self) -> None:
         if self.view_size < 1:
             raise ConfigurationError(f"view_size must be >= 1, got {self.view_size}")
-        if self.backend not in ("object", "columnar"):
-            raise ConfigurationError(
-                f"backend must be 'object' or 'columnar', got {self.backend!r}"
-            )
         if not 1 <= self.gossip_size <= self.view_size + 1:
             raise ConfigurationError(
                 f"gossip_size must be in [1, view_size + 1], got {self.gossip_size}"
@@ -63,6 +53,39 @@ class GossipParams:
                 "healer + swapper must not exceed view_size "
                 f"({self.healer} + {self.swapper} > {self.view_size})"
             )
+
+    def reweighted(
+        self, healer: Optional[int] = None, swapper: Optional[int] = None
+    ) -> "GossipParams":
+        """These parameters with a new healer/swapper split.
+
+        ``None`` keeps the current value; both are clamped so
+        ``healer + swapper <= view_size`` always holds.
+        """
+        healer = self.healer if healer is None else healer
+        healer = min(max(0, healer), self.view_size)
+        swapper = self.swapper if swapper is None else swapper
+        return replace(
+            self,
+            healer=healer,
+            swapper=min(max(0, swapper), self.view_size - healer),
+        )
+
+    def resized(self, view_size: int) -> "GossipParams":
+        """These parameters fitted to a view of ``view_size`` entries.
+
+        The one sizing rule of every shape-sized overlay: the gossip buffer
+        never exceeds the view plus the sender's own descriptor, and the
+        healer/swapper split is clamped so a view smaller than the default
+        (a two-node component) still validates.
+        """
+        healer = min(self.healer, view_size)
+        return GossipParams(
+            view_size=view_size,
+            gossip_size=min(self.gossip_size, view_size + 1),
+            healer=healer,
+            swapper=min(self.swapper, view_size - healer),
+        )
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,7 @@ reconfiguration triggers); observers run after the node steps and record
 measurements, optionally requesting an early stop.
 
 Controls are canonical here; the measuring side is the
-:class:`~repro.obs.instrument.Instrument` protocol (concrete observers live
-in :mod:`repro.obs.observers`).
+:class:`~repro.obs.instrument.Instrument` protocol.
 """
 
 from __future__ import annotations

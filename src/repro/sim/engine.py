@@ -133,6 +133,28 @@ class Engine:
     def add_actuator(self, actuator: "Actuator") -> None:
         self.actuators.append(actuator)
 
+    # -- the read side shared with ShardedEngine --------------------------------
+    # What a finished run is asked, under the sharded engine's spelling, so
+    # a cell runner or conformance suite never branches on the runner kind.
+    # converged()/digest() speak for the elementary stack make_runner deploys.
+
+    #: The round engine always steps in this process.
+    mode_used = "inline"
+
+    @property
+    def messages(self) -> int:
+        return self.transport.total_messages()
+
+    @property
+    def bytes(self) -> int:
+        return self.transport.total_bytes()
+
+    def converged(self) -> bool:
+        return self.deployment.converged()
+
+    def digest(self) -> str:
+        return self.deployment.digest()
+
     def close(self) -> None:
         """Release resources (none for the in-memory engine)."""
 

@@ -3,7 +3,6 @@ class GossipParams:
     gossip_size: int = 4
     healer: int = 1
     swapper: int = 1
-    backend: str = "object"
 
 
 class TransportCosts:

@@ -13,7 +13,7 @@ from repro.core import Runtime
 from repro.obs.collector import Collector
 from repro.obs.hooks import attach_collector
 from repro.perf.digest import overlay_digest
-from repro.perf.workloads import run_workload, workload_matrix
+from repro.perf.workloads import run_cell, workload_matrix
 
 RUNTIME_LAYERS = (
     "peer_sampling",
@@ -28,9 +28,9 @@ RUNTIME_LAYERS = (
 class TestWorkloadDigests:
     def test_digest_identical_with_and_without_collector(self):
         workload = workload_matrix("ci")[0]
-        baseline = run_workload(workload, seed=7)
-        instrumented = run_workload(
-            workload, seed=7, collector=Collector(gauge_every=1)
+        baseline = run_cell(workload.config(7), workload.max_rounds)
+        instrumented = run_cell(
+            workload.config(7), workload.max_rounds, Collector(gauge_every=1)
         )
         assert instrumented.digest == baseline.digest
         assert instrumented.messages == baseline.messages
@@ -38,10 +38,12 @@ class TestWorkloadDigests:
 
     def test_shared_collector_across_cells_stays_inert(self):
         workload = workload_matrix("ci")[0]
-        baseline = [run_workload(workload, seed=seed) for seed in (1, 2)]
+        baseline = [
+            run_cell(workload.config(seed), workload.max_rounds) for seed in (1, 2)
+        ]
         shared = Collector(gauge_every=0)
         again = [
-            run_workload(workload, seed=seed, collector=shared)
+            run_cell(workload.config(seed), workload.max_rounds, collector=shared)
             for seed in (1, 2)
         ]
         assert [r.digest for r in again] == [r.digest for r in baseline]
@@ -96,8 +98,10 @@ class TestProvenanceDisabledPath:
 
     def test_flow_disabled_digest_matches_uninstrumented(self):
         workload = workload_matrix("ci")[0]
-        baseline = run_workload(workload, seed=5)
-        flowless = run_workload(
-            workload, seed=5, collector=Collector(gauge_every=1, flow=None)
+        baseline = run_cell(workload.config(5), workload.max_rounds)
+        flowless = run_cell(
+            workload.config(5),
+            workload.max_rounds,
+            collector=Collector(gauge_every=1, flow=None),
         )
         assert flowless.digest == baseline.digest

@@ -16,7 +16,7 @@ from repro.obs.collector import Collector
 from repro.obs.flow import CriticalPath, Delivery, FlowTracer
 from repro.obs.hooks import attach_collector
 from repro.perf.digest import overlay_digest
-from repro.perf.workloads import run_workload, workload_matrix
+from repro.perf.workloads import run_cell, workload_matrix
 
 RUNTIME_LAYERS = (
     "peer_sampling",
@@ -161,8 +161,10 @@ class TestSeededDeployment:
 
     def test_workload_digest_identical_with_tracer(self):
         workload = workload_matrix("ci")[0]
-        baseline = run_workload(workload, seed=7)
-        traced = run_workload(
-            workload, seed=7, collector=Collector(gauge_every=0, flow=FlowTracer())
+        baseline = run_cell(workload.config(7), workload.max_rounds)
+        traced = run_cell(
+            workload.config(7),
+            workload.max_rounds,
+            collector=Collector(gauge_every=0, flow=FlowTracer()),
         )
         assert traced.digest == baseline.digest

@@ -13,10 +13,11 @@ import pytest
 
 from repro.gossip.descriptors import Descriptor, Provenance
 from repro.heal.engine import RemediationEngine
+from repro.metrics.registry import MetricsRegistry
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
 from repro.obs.health import Alert, HealthMonitor, StalledConvergence
-from repro.obs.watch import profile_rows, render_dashboard, render_profile
+from repro.obs.watch import profile_rows, render_dashboard
 
 
 class _StubMonitor:
@@ -184,11 +185,17 @@ class TestProfile:
         assert self_s == total
 
     def test_render_profile_table_and_empty_fallback(self):
-        text = render_profile(self._profiled_collector())
-        assert "span profile (sorted by self-time)" in text
+        # The rendered table is MetricsRegistry.add_profile's (what
+        # `repro report --profile` prints); profile_rows feeds it.
+        registry = MetricsRegistry()
+        registry.add_profile(self._profiled_collector())
+        text = registry.render()
+        assert "span profile (self-time)" in text
         assert "layer:a" in text
         assert "self %" in text
-        assert "instrumented" in render_profile(Collector(gauge_every=0))
+        empty = MetricsRegistry()
+        empty.add_profile(Collector(gauge_every=0))
+        assert empty.section("span profile (self-time)")[2] == []
 
 
 class TestSwarmNodesPanel:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.perf.bench import (
     SEEDS_PER_SCALE,
     BenchReport,
@@ -12,7 +15,7 @@ from repro.perf.bench import (
     run_bench,
     write_bench,
 )
-from repro.perf.workloads import Workload, run_workload, workload_matrix
+from repro.perf.workloads import Workload, run_cell, workload_matrix
 
 
 def test_workload_matrices_are_fixed_and_distinct():
@@ -29,22 +32,25 @@ def test_workload_matrices_are_fixed_and_distinct():
 
 
 def test_run_workload_produces_complete_result():
-    result = run_workload(Workload("ring-32", "ring", 32), seed=3)
-    record = result.to_dict()
+    workload = Workload("ring-32", "ring", 32)
+    record = run_cell(workload.config(3), workload.max_rounds).to_dict()
     assert record["workload"] == "ring-32"
     assert record["seed"] == 3
+    assert record["mode"] == "inline"
     assert record["rounds_to_converge"] is not None
     assert record["executed"] >= record["rounds_to_converge"]
     assert record["messages"] > 0
     assert record["bytes"] > 0
-    assert record["peak_view_size"] > 0
     assert len(record["digest"]) == 64  # sha256 hex
 
 
 def _tiny_report() -> BenchReport:
     """A hand-built report so artifact tests stay instant."""
     workload = Workload("ring-32", "ring", 32)
-    results = [run_workload(workload, seed).to_dict() for seed in (1, 2)]
+    results = [
+        run_cell(workload.config(seed), workload.max_rounds).to_dict()
+        for seed in (1, 2)
+    ]
     return BenchReport(
         scale="ci",
         master_seed=1,
@@ -71,7 +77,6 @@ def test_report_dict_carries_the_required_trajectory_fields():
     assert "mean" in summary["rounds_to_converge"]
     assert summary["messages"] > 0
     assert summary["bytes"] > 0
-    assert summary["peak_view_size"] > 0
     assert len(summary["digests"]) == 2
     assert cell["totals"]["messages"] == summary["messages"]
 
@@ -97,6 +102,41 @@ def test_write_bench_writes_json_and_table(tmp_path):
     assert payload["suite"] == "gossip"
     table = (tmp_path / "results" / "bench_gossip.txt").read_text(encoding="utf-8")
     assert "ring-32" in table
+
+
+def _swarm_report():
+    from repro.runtime.swarm import SwarmReport
+
+    return SwarmReport(
+        n_nodes=2, shape="ring", seed=1, round_interval=0.1,
+        converged=True, rounds=3, verdict="healthy",
+    )
+
+
+@pytest.mark.parametrize("writer", ["perf", "scale", "swarm"])
+def test_truncated_bench_file_fails_every_writer(tmp_path, writer):
+    """One owner, one policy: a trajectory that does not parse is evidence
+    of a torn write — every section writer must refuse loudly, name the
+    path, and leave the bytes on disk exactly as they were."""
+    from repro.runtime.swarm import write_swarm_bench
+    from repro.scale.bench import write_scale_bench
+
+    path = tmp_path / "BENCH_gossip.json"
+    torn = '{"scale_tiers": {"ci": {"tier": "ci"}}, "workloads": [{"na'
+    path.write_text(torn, encoding="utf-8")
+    write = {
+        "perf": lambda: write_bench(
+            _tiny_report(), json_path=str(path), results_dir=None
+        ),
+        "scale": lambda: write_scale_bench(
+            {"tier": "ci", "cells": []}, json_path=str(path)
+        ),
+        "swarm": lambda: write_swarm_bench(_swarm_report(), str(path)),
+    }[writer]
+    with pytest.raises(ConfigurationError, match="BENCH_gossip.json"):
+        write()
+    assert path.read_text(encoding="utf-8") == torn
+    assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
 
 
 def test_run_bench_groups_seeds_per_workload(monkeypatch):

@@ -113,7 +113,7 @@ def test_three_node_swarm_in_process():
             stats = runner.wire_stats()
             assert stats["malformed"] == 0
         adjacency = {r.node_id: set(r.neighbors()) for r in runners}
-        assert runners[0].shape.converged(adjacency, n)
+        assert runners[0].stack.shape.converged(adjacency, n)
     finally:
         for runner in runners:
             runner.close()

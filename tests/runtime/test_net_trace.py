@@ -51,7 +51,7 @@ def run_live_swarm(collectors=None):
             thread.join(timeout=ROUNDS * INTERVAL + 15)
         assert not any(thread.is_alive() for thread in threads)
         adjacency = {runner.node_id: set(runner.neighbors()) for runner in runners}
-        converged = runners[0].shape.converged(adjacency, N_NODES)
+        converged = runners[0].stack.shape.converged(adjacency, N_NODES)
         wire_stats = [runner.wire_stats() for runner in runners]
         lamports = [runner.endpoint.lamport.read() for runner in runners]
         return adjacency, converged, wire_stats, lamports

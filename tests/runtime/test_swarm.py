@@ -149,12 +149,6 @@ class TestBenchMerge:
         assert data["swarm"]["rounds"] == 7  # survived the perf rewrite
         assert data["suite"] == "gossip"
 
-    def test_corrupt_bench_file_is_replaced(self, tmp_path):
-        path = tmp_path / "BENCH_gossip.json"
-        path.write_text("not json", encoding="utf-8")
-        swarm.write_swarm_bench(make_report(), str(path))
-        assert json.loads(path.read_text(encoding="utf-8"))["swarm"]["seed"] == 1
-
 
 class TestGuards:
     def test_swarm_needs_two_nodes(self):

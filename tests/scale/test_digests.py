@@ -5,20 +5,42 @@ across view backend, shard count (even/uneven partitions), and execution
 mode — that invariance is what licenses running the 10k tier sharded at
 all. Fixed round counts keep the tier-1 cells fast; the full convergence
 runs live in the scale bench.
+
+The golden half: the digests, message/byte counts and rounds-to-converge
+committed in ``BENCH_gossip.json`` are the behavioural contract, so a fresh
+``run_cell`` of every committed cell must reproduce them exactly — on the
+round engine (the ``workloads`` matrix) and on the sharded engine (the
+``scale_tiers`` reference configuration).
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.perf.digest import adjacency_digest, result_digest
+from repro.perf.workloads import run_cell, workload_matrix
+from repro.runtime.api import RunnerConfig
 from repro.scale.engine import ShardedEngine
+from repro.sim.rng import spawn_seeds
+
+COMMITTED = json.loads(
+    (pathlib.Path(__file__).resolve().parents[2] / "BENCH_gossip.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def sharded(**fields) -> ShardedEngine:
+    return ShardedEngine(RunnerConfig(kind="sharded", **fields))
 
 
 def digest_after(
     shape: str, n_nodes: int, rounds: int, *, backend="object", n_shards=1, mode="inline"
 ) -> str:
-    with ShardedEngine(
+    with sharded(
         workload=f"{shape}-{n_nodes}",
         shape=shape,
         n_nodes=n_nodes,
@@ -62,7 +84,7 @@ def test_sharded_columnar_matches_serial_object():
 
 def test_process_pool_matches_inline():
     inline = digest_after("ring", 48, 4, backend="columnar", n_shards=2)
-    with ShardedEngine(
+    with sharded(
         workload="ring-48",
         shape="ring",
         n_nodes=48,
@@ -82,7 +104,7 @@ def test_runs_are_reproducible_and_seed_sensitive():
     first = digest_after("ring", 48, 3)
     again = digest_after("ring", 48, 3)
     assert first == again
-    with ShardedEngine(
+    with sharded(
         workload="ring-48", shape="ring", n_nodes=48, seed=8
     ) as engine:
         for _ in range(3):
@@ -91,7 +113,7 @@ def test_runs_are_reproducible_and_seed_sensitive():
 
 
 def test_digest_hashes_full_adjacency():
-    with ShardedEngine(
+    with sharded(
         workload="ring-48", shape="ring", n_nodes=48, seed=7, n_shards=3
     ) as engine:
         engine.run_round()
@@ -105,7 +127,7 @@ def test_digest_hashes_full_adjacency():
 def test_transport_accounting_is_mode_invariant():
     engines = {}
     for n_shards in (1, 3):
-        with ShardedEngine(
+        with sharded(
             workload="ring-48", shape="ring", n_nodes=48, seed=7, n_shards=n_shards
         ) as engine:
             for _ in range(3):
@@ -114,3 +136,38 @@ def test_transport_accounting_is_mode_invariant():
     assert engines[1] == engines[3]
     messages, byte_count = engines[1]
     assert messages > 0 and byte_count > messages  # header + descriptors
+
+
+@pytest.mark.parametrize(
+    "workload", workload_matrix(COMMITTED["scale"]), ids=lambda w: w.name
+)
+def test_committed_gossip_cell_reproduces(workload):
+    (cell,) = [c for c in COMMITTED["workloads"] if c["name"] == workload.name]
+    seeds = spawn_seeds(
+        COMMITTED["master_seed"], len(cell["seeds"]), "bench", workload.name
+    )
+    assert list(seeds) == cell["seeds"]
+    results = [
+        run_cell(workload.config(seed), workload.max_rounds) for seed in seeds
+    ]
+    assert [r.digest for r in results] == cell["digests"]
+    assert sum(r.messages for r in results) == cell["messages"]
+    assert sum(r.bytes for r in results) == cell["bytes"]
+    rounds = [r.rounds_to_converge for r in results]
+    assert round(sum(rounds) / len(rounds), 2) == cell["rounds_to_converge"]["mean"]
+
+
+@pytest.mark.parametrize("tier", ["ci", pytest.param("1k", marks=pytest.mark.slow)])
+def test_committed_scale_tier_reproduces(tier):
+    section = COMMITTED["scale_tiers"][tier]
+    matrix = workload_matrix(tier, suite="scale")
+    assert [w.name for w in matrix] == [c["workload"] for c in section["cells"]]
+    for workload, cell in zip(matrix, section["cells"]):
+        (seed,) = spawn_seeds(section["master_seed"], 1, "scale-bench", workload.name)
+        assert seed == cell["seed"]
+        result = run_cell(workload.config(seed, kind="sharded"), workload.max_rounds)
+        reference = cell["configs"][0]  # serial-object
+        assert result.digest == cell["digest"]
+        assert result.messages == reference["messages"]
+        assert result.bytes == reference["bytes"]
+        assert result.rounds_to_converge == reference["rounds_to_converge"]

@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from repro.scale.workloads import ScaleWorkload, run_scale_workload
+from repro.perf.workloads import Workload, run_cell
 
 TRAJECTORY = pathlib.Path(__file__).resolve().parents[2] / "BENCH_gossip.json"
 
@@ -33,12 +33,15 @@ def recorded_budget():
 @pytest.mark.slow
 def test_1k_columnar_run_stays_under_recorded_budget():
     memory = recorded_budget()
-    workload = ScaleWorkload(
+    workload = Workload(
         memory["workload"], memory["workload"].split("-")[0], memory["n_nodes"], 90
     )
     tracemalloc.start()
     try:
-        result = run_scale_workload(workload, seed=_probe_seed(workload), backend="columnar")
+        result = run_cell(
+            workload.config(_probe_seed(workload), kind="sharded", backend="columnar"),
+            workload.max_rounds,
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -51,7 +54,7 @@ def test_1k_columnar_run_stays_under_recorded_budget():
     )
 
 
-def _probe_seed(workload: ScaleWorkload) -> int:
+def _probe_seed(workload: Workload) -> int:
     from repro.sim.rng import spawn_seeds
 
     return spawn_seeds(1, 1, "scale-bench", workload.name)[0]

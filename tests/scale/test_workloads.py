@@ -1,48 +1,48 @@
-"""The scale workload matrix and its runner."""
+"""The scale rows of the workload matrix, run through the one cell runner."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.scale.workloads import (
-    ScaleWorkload,
-    run_scale_workload,
-    scale_matrix,
-)
+from repro.perf.workloads import Workload, run_cell, workload_matrix
 
 
 def test_matrix_tiers():
-    ci = scale_matrix("ci")
+    ci = workload_matrix("ci", suite="scale")
     assert all(w.n_nodes <= 64 for w in ci)
     assert {w.shape for w in ci} == {"ring", "grid"}
-    assert all(w.n_nodes == 1024 for w in scale_matrix("1k"))
-    tenk = scale_matrix("10k")
+    assert all(w.n_nodes == 1024 for w in workload_matrix("1k", suite="scale"))
+    tenk = workload_matrix("10k", suite="scale")
     assert len(tenk) == 1 and tenk[0].n_nodes == 10000
-    assert scale_matrix("unknown") == ci
+    assert workload_matrix("unknown", suite="scale") == ci
 
 
 def test_run_scale_workload_converges_and_reports():
-    workload = ScaleWorkload("ring-64", "ring", 64)
-    result = run_scale_workload(workload, seed=3)
+    workload = Workload("ring-64", "ring", 64)
+    result = run_cell(workload.config(3, kind="sharded"), workload.max_rounds)
     assert result.rounds_to_converge is not None
     assert result.executed == result.rounds_to_converge <= workload.max_rounds
     assert result.messages > 0 and result.bytes > 0
     assert len(result.digest) == 64
-    assert result.mode == "inline" and result.n_shards == 1
-    record = result.to_dict()
-    assert record["workload"] == "ring-64" and record["backend"] == "object"
+    assert result.mode == "inline"
+    assert result.to_dict()["workload"] == "ring-64"
 
 
 @pytest.mark.parametrize("backend", ["object", "columnar"])
 def test_result_is_a_pure_function_of_workload_and_seed(backend):
-    workload = ScaleWorkload("ring-48", "ring", 48, max_rounds=20)
-    first = run_scale_workload(workload, seed=5, backend=backend)
-    second = run_scale_workload(workload, seed=5, backend=backend, n_shards=3)
-    assert first.to_dict() == {**second.to_dict(), "n_shards": 1}
+    workload = Workload("ring-48", "ring", 48, max_rounds=20)
+    first = run_cell(
+        workload.config(5, kind="sharded", backend=backend), workload.max_rounds
+    )
+    second = run_cell(
+        workload.config(5, kind="sharded", backend=backend, n_shards=3),
+        workload.max_rounds,
+    )
+    assert first == second
 
 
 def test_workloads_pickle():
     import pickle
 
-    workload = ScaleWorkload("ring-64", "ring", 64)
+    workload = Workload("ring-64", "ring", 64)
     assert pickle.loads(pickle.dumps(workload)) == workload

@@ -2,23 +2,10 @@
 
 from __future__ import annotations
 
-from repro.obs.observers import GraphObserver, SeriesObserver
 from repro.sim.controls import CallbackControl, ScheduledControl
 from repro.sim.engine import Engine
 from repro.sim.network import Network
-from repro.sim.protocol import Protocol
 from repro.sim.rng import RandomStreams
-
-
-class FixedNeighbors(Protocol):
-    def __init__(self, neighbors):
-        self._neighbors = list(neighbors)
-
-    def step(self, ctx):
-        pass
-
-    def neighbors(self):
-        return list(self._neighbors)
 
 
 class TestCallbackControl:
@@ -51,48 +38,3 @@ class TestScheduledControl:
         engine.add_control(control)
         engine.run(1)
         assert calls == [2]
-
-
-class TestSeriesObserver:
-    def test_records_one_sample_per_round(self):
-        net = Network()
-        net.create_nodes(3)
-        observer = SeriesObserver("alive", lambda network, rnd: network.alive_count())
-        Engine(net, streams=RandomStreams(1), observers=[observer]).run(4)
-        assert observer.samples == [3, 3, 3, 3]
-
-    def test_never_requests_stop(self):
-        observer = SeriesObserver("x", lambda network, rnd: 0.0)
-        assert observer.observe(Network(), 0) is False
-
-
-class TestGraphObserver:
-    def test_snapshots_layer_adjacency(self):
-        net = Network()
-        a = net.create_node()
-        b = net.create_node()
-        a.attach("overlay", FixedNeighbors([b.node_id]))
-        b.attach("overlay", FixedNeighbors([a.node_id]))
-        observer = GraphObserver("overlay")
-        observer.observe(net, 0)
-        assert observer.current == {0: [1], 1: [0]}
-
-    def test_skips_dead_and_unequipped_nodes(self):
-        net = Network()
-        a = net.create_node()
-        b = net.create_node()
-        net.create_node()  # no protocol
-        a.attach("overlay", FixedNeighbors([1]))
-        b.attach("overlay", FixedNeighbors([0]))
-        net.kill(b.node_id)
-        observer = GraphObserver("overlay")
-        observer.observe(net, 0)
-        assert observer.current == {0: [1]}
-
-    def test_history_kept_on_request(self):
-        net = Network()
-        net.create_node().attach("overlay", FixedNeighbors([]))
-        observer = GraphObserver("overlay", keep_history=True)
-        observer.observe(net, 0)
-        observer.observe(net, 1)
-        assert len(observer.history) == 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.harness import run_parallel_seeds
 from repro.perf.digest import result_digest
-from repro.perf.workloads import Workload, run_workload
+from repro.perf.workloads import Workload, run_cell
 from repro.sim.rng import derive_seed, spawn_seeds
 
 #: Small, fast cells; two shapes with different metric structure.
@@ -23,22 +23,19 @@ WORKLOADS = (
 def _run_task(task):
     """Module-level so it pickles into ProcessPoolExecutor workers."""
     workload, seed = task
-    return run_workload(workload, seed).to_dict()
+    return run_cell(workload.config(seed), workload.max_rounds).to_dict()
 
 
 def test_same_workload_same_seed_is_byte_identical():
     for workload in WORKLOADS:
-        first = run_workload(workload, seed=7).to_dict()
-        second = run_workload(workload, seed=7).to_dict()
+        first = _run_task((workload, 7))
+        second = _run_task((workload, 7))
         assert first == second
         assert result_digest(first) == result_digest(second)
 
 
 def test_different_seeds_take_different_trajectories():
-    digests = {
-        result_digest(run_workload(WORKLOADS[0], seed=seed).to_dict())
-        for seed in (1, 2, 3)
-    }
+    digests = {result_digest(_run_task((WORKLOADS[0], seed))) for seed in (1, 2, 3)}
     assert len(digests) == 3
 
 

@@ -6,7 +6,8 @@ import json
 
 from repro.core import Runtime
 from repro.dsl import TopologyBuilder
-from repro.obs.trace import TraceEvent, Tracer, attach_tracer
+from repro.obs.hooks import attach_collector
+from repro.obs.trace import TraceEvent
 
 
 def small_deployment(seed=81):
@@ -18,41 +19,11 @@ def small_deployment(seed=81):
 
 
 class TestTracer:
-    def test_emit_and_query(self):
-        tracer = Tracer()
-        tracer.emit("custom", value=1)
-        tracer.emit("other")
-        tracer.emit("custom", value=2)
-        assert len(tracer) == 3
-        assert [e.details["value"] for e in tracer.of_kind("custom")] == [1, 2]
-
-    def test_round_source(self):
-        tracer = Tracer()
-        clock = {"round": 7}
-        tracer.bind_round_source(lambda: clock["round"])
-        event = tracer.emit("tick")
-        assert event.round == 7
-
-    def test_since(self):
-        tracer = Tracer()
-        clock = {"round": 0}
-        tracer.bind_round_source(lambda: clock["round"])
-        tracer.emit("early")
-        clock["round"] = 5
-        tracer.emit("late")
-        assert [e.kind for e in tracer.since(5)] == ["late"]
-
-    def test_timeline_format(self):
-        tracer = Tracer()
-        tracer.emit("node_crash", node=3)
-        assert "node_crash node=3" in tracer.timeline()
-
     def test_json_round_trip(self):
-        tracer = Tracer()
-        tracer.emit("deploy", nodes=18)
-        parsed = json.loads(tracer.to_json())
-        assert parsed == [{"round": 0, "kind": "deploy", "details": {"nodes": 18}}]
-        assert TraceEvent.from_dict(parsed[0]) == tracer.events[0]
+        event = TraceEvent(0, "deploy", {"nodes": 18})
+        parsed = json.loads(json.dumps(event.to_dict()))
+        assert parsed == {"round": 0, "kind": "deploy", "details": {"nodes": 18}}
+        assert TraceEvent.from_dict(parsed) == event
 
     def test_details_cannot_shadow_round_or_kind(self):
         # Regression: details named "round"/"kind" used to overwrite the
@@ -72,20 +43,24 @@ class TestTracer:
         assert str(TraceEvent(3, "x")) == "[   3] x"
 
 
+def of_kind(collector, kind):
+    return [event for event in collector.events if event.kind == kind]
+
+
 class TestAttachedTracer:
     def test_deploy_event_emitted(self):
         deployment = small_deployment()
-        tracer = attach_tracer(deployment)
-        deploys = tracer.of_kind("deploy")
+        collector = attach_collector(deployment, gauge_every=0)
+        deploys = of_kind(collector, "deploy")
         assert len(deploys) == 1
         assert deploys[0].details["assembly"] == "Traced"
         assert deploys[0].details["nodes"] == 18
 
     def test_layer_convergence_events(self):
         deployment = small_deployment()
-        tracer = attach_tracer(deployment)
+        collector = attach_collector(deployment, gauge_every=0)
         deployment.run_until_converged(80)
-        converged = tracer.of_kind("layer_converged")
+        converged = of_kind(collector, "layer_converged")
         assert {event.details["layer"] for event in converged} == {
             "core",
             "uo1",
@@ -98,21 +73,21 @@ class TestAttachedTracer:
 
     def test_crash_and_revive_events(self):
         deployment = small_deployment()
-        tracer = attach_tracer(deployment)
+        collector = attach_collector(deployment, gauge_every=0)
         deployment.run(2)
         deployment.network.kill(5)
         deployment.run(1)
         deployment.network.revive(5)
         deployment.run(1)
-        assert [e.details["node"] for e in tracer.of_kind("node_crash")] == [5]
-        assert [e.details["node"] for e in tracer.of_kind("node_up")] == [5]
+        assert [e.details["node"] for e in of_kind(collector, "node_crash")] == [5]
+        assert [e.details["node"] for e in of_kind(collector, "node_up")] == [5]
 
     def test_join_events(self):
         deployment = small_deployment()
-        tracer = attach_tracer(deployment)
+        collector = attach_collector(deployment, gauge_every=0)
         deployment.run(1)
         node = deployment.network.create_node()
         deployment.provisioner()(deployment.network, node)
         deployment.run(1)
-        ups = tracer.of_kind("node_up")
+        ups = of_kind(collector, "node_up")
         assert node.node_id in [event.details["node"] for event in ups]
