@@ -73,9 +73,12 @@ class PushSum(Protocol):
     # -- protocol -------------------------------------------------------------
 
     def step(self, ctx: RoundContext) -> None:
-        # A lost push is modelled as a skipped turn, never as lost mass —
-        # keeping the push-sum invariant exact (real deployments pair the
-        # push with an ack/rollback for the same reason).
+        # A one-way push, so not a GossipProtocol — but the same gate order
+        # as GossipProtocol.step: loss coin, partner rule, then the
+        # transport's ``deliverable``. A lost push is modelled as a skipped
+        # turn, never as lost mass — keeping the push-sum invariant exact
+        # (real deployments pair the push with an ack/rollback for the same
+        # reason).
         if not ctx.exchange_ok():
             return
         partner_id = self._choose_partner(ctx)

@@ -27,8 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.link import LinkSpec, PortRef
 from repro.core.profiles import NodeProfile
 from repro.sim.engine import RoundContext
-from repro.sim.protocol import Protocol
-from repro.sim.transport import ExchangeRequest
+from repro.sim.protocol import GossipProtocol
 
 #: A binding: who manages a port, and how stale that knowledge is.
 Binding = Tuple[int, int]  # (manager_id, age)
@@ -37,7 +36,7 @@ Binding = Tuple[int, int]  # (manager_id, age)
 DEFAULT_BINDING_TTL = 16
 
 
-class PortConnection(Protocol):
+class PortConnection(GossipProtocol):
     """One node's port-connection instance.
 
     Parameters
@@ -52,6 +51,9 @@ class PortConnection(Protocol):
         Rounds before an unrefreshed binding is dropped.
     """
 
+    #: The payload is a binding table, not a descriptor list.
+    traces_flow = False
+
     def __init__(
         self,
         node_id: int,
@@ -63,10 +65,9 @@ class PortConnection(Protocol):
         uo2_layer: str = "uo2",
         binding_ttl: int = DEFAULT_BINDING_TTL,
     ):
-        self.node_id = node_id
+        super().__init__(node_id, layer)
         self.profile = profile
         self.links = tuple(links)
-        self.layer = layer
         self.selection_layer = selection_layer
         self.uo1_layer = uo1_layer
         self.uo2_layer = uo2_layer
@@ -128,50 +129,22 @@ class PortConnection(Protocol):
         for ref in doomed:
             del self.bindings[ref]
 
-    # -- protocol ---------------------------------------------------------------------
+    # -- internals ----------------------------------------------------------------------
 
-    def step(self, ctx: RoundContext) -> None:
+    def _begin_round(self, ctx: RoundContext) -> bool:
+        """Age and expire, re-publish the local managers; a component
+        without links has nothing to gossip about."""
         self._age_and_expire()
         self._refresh_local_bindings(ctx)
-        if not self.links:
-            return
-        if not ctx.exchange_ok():
-            return  # this round's exchange was lost
-        partner_id = self._choose_partner(ctx)
-        if partner_id is None:
-            return
-        if not ctx.transport.deliverable(ctx, partner_id, self.layer):
-            return  # partner unreachable (partition / degraded link)
-        outgoing = dict(self.bindings)
-        incoming = ctx.transport.exchange(
-            ctx, partner_id, ExchangeRequest(self.layer, self.node_id, outgoing)
-        )
-        if incoming is None:
-            return  # sent but never answered (real-network timeout)
-        ctx.transport.record_exchange(self.layer, len(outgoing), len(incoming))
-        if ctx.obs is not None:
-            ctx.obs.count("exchanges", layer=self.layer)
-            ctx.obs.count("descriptors_sent", len(outgoing), layer=self.layer)
-            ctx.obs.count("descriptors_received", len(incoming), layer=self.layer)
-        self._merge(ctx, incoming)
+        return bool(self.links)
 
-    def on_gossip(
-        self, ctx: RoundContext, received: Dict[PortRef, Binding]
-    ) -> Dict[PortRef, Binding]:
-        reply = dict(self.bindings)
-        if ctx.obs is not None:
-            ctx.obs.count("descriptors_sent", len(reply), layer=self.layer)
-            ctx.obs.count("descriptors_received", len(received), layer=self.layer)
-        self._merge(ctx, received)
-        return reply
+    def _offer(self, ctx: RoundContext, flow, peer_id, request):
+        return dict(self.bindings), None
 
-    def on_request(
-        self, ctx: RoundContext, request: ExchangeRequest
-    ) -> Dict[PortRef, Binding]:
-        """Transport-seam entry point: delegate to :meth:`on_gossip`."""
-        return self.on_gossip(ctx, request.payload)
-
-    # -- internals ----------------------------------------------------------------------
+    def _unreachable(self, partner_id: int) -> None:
+        """A cut-off partner costs this round's exchange, nothing else:
+        bindings lapse by TTL or with a dead manager, never because a
+        gossip partner was unreachable — ``forget()`` here would drop them."""
 
     def _orient(self, link: LinkSpec):
         """Split a link into (my component's endpoint, the other endpoint)."""
@@ -240,7 +213,9 @@ class PortConnection(Protocol):
                 return rng.choice(candidates)
         return None
 
-    def _merge(self, ctx: RoundContext, received: Dict[PortRef, Binding]) -> None:
+    def _absorb(
+        self, ctx: RoundContext, _kept, received: Dict[PortRef, Binding]
+    ) -> None:
         """Keep the freshest binding per port; drop dead managers on sight.
 
         Only bindings for this component's link endpoints are retained —

@@ -20,14 +20,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.port import PortSpec
 from repro.core.profiles import NodeProfile
 from repro.sim.engine import RoundContext
-from repro.sim.protocol import Protocol
-from repro.sim.transport import ExchangeRequest
+from repro.sim.protocol import GossipProtocol
 
 #: A belief: the (node_id, rank) currently thought to manage a port.
 Belief = Tuple[int, int]
 
 
-class PortSelection(Protocol):
+class PortSelection(GossipProtocol):
     """One node's port-selection instance for its component's ports.
 
     Parameters
@@ -43,6 +42,9 @@ class PortSelection(Protocol):
         partners (UO1 first, then the core protocol).
     """
 
+    #: The payload is a belief table, not a descriptor list.
+    traces_flow = False
+
     def __init__(
         self,
         node_id: int,
@@ -51,10 +53,9 @@ class PortSelection(Protocol):
         layer: str = "port_selection",
         partner_layers: Tuple[str, ...] = ("uo1", "core"),
     ):
-        self.node_id = node_id
+        super().__init__(node_id, layer)
         self.profile = profile
         self.ports = tuple(ports)
-        self.layer = layer
         self.partner_layers = tuple(partner_layers)
         self.beliefs: Dict[str, Belief] = {}
         self._propose()
@@ -103,50 +104,23 @@ class PortSelection(Protocol):
             del self.beliefs[name]
         self._propose()
 
-    # -- protocol -----------------------------------------------------------------------
+    # -- internals ----------------------------------------------------------------------
 
-    def step(self, ctx: RoundContext) -> None:
+    def _begin_round(self, ctx: RoundContext) -> bool:
+        """Re-open elections that named dead or reassigned nodes; a
+        component without ports has nothing to gossip about."""
         self._validate_beliefs(ctx)
         self._propose()
-        if not self.ports:
-            return
-        if not ctx.exchange_ok():
-            return  # this round's exchange was lost
-        partner_id = self._choose_partner(ctx)
-        if partner_id is None:
-            return
-        if not ctx.transport.deliverable(ctx, partner_id, self.layer):
-            return  # partner unreachable (partition / degraded link)
-        outgoing = dict(self.beliefs)
-        incoming = ctx.transport.exchange(
-            ctx, partner_id, ExchangeRequest(self.layer, self.node_id, outgoing)
-        )
-        if incoming is None:
-            return  # sent but never answered (real-network timeout)
-        ctx.transport.record_exchange(self.layer, len(outgoing), len(incoming))
-        if ctx.obs is not None:
-            ctx.obs.count("exchanges", layer=self.layer)
-            ctx.obs.count("descriptors_sent", len(outgoing), layer=self.layer)
-            ctx.obs.count("descriptors_received", len(incoming), layer=self.layer)
-        self._merge(ctx, incoming)
+        return bool(self.ports)
 
-    def on_gossip(
-        self, ctx: RoundContext, received: Dict[str, Belief]
-    ) -> Dict[str, Belief]:
-        reply = dict(self.beliefs)
-        if ctx.obs is not None:
-            ctx.obs.count("descriptors_sent", len(reply), layer=self.layer)
-            ctx.obs.count("descriptors_received", len(received), layer=self.layer)
-        self._merge(ctx, received)
-        return reply
+    def _offer(self, ctx: RoundContext, flow, peer_id, request):
+        return dict(self.beliefs), None
 
-    def on_request(
-        self, ctx: RoundContext, request: ExchangeRequest
-    ) -> Dict[str, Belief]:
-        """Transport-seam entry point: delegate to :meth:`on_gossip`."""
-        return self.on_gossip(ctx, request.payload)
-
-    # -- internals ----------------------------------------------------------------------
+    def _unreachable(self, partner_id: int) -> None:
+        """A cut-off partner costs this round's exchange, nothing else: a
+        manager behind a lossy link is still the manager, and only
+        validation (dead or reassigned) may re-open an election —
+        ``forget()`` here would drop beliefs."""
 
     def _validate_beliefs(self, ctx: RoundContext) -> None:
         """Drop beliefs naming dead or reassigned nodes (failure detection)."""
@@ -197,7 +171,7 @@ class PortSelection(Protocol):
             return None
         return ctx.rng().choice(candidates)
 
-    def _merge(self, ctx: RoundContext, received: Dict[str, Belief]) -> None:
+    def _absorb(self, ctx: RoundContext, _kept, received: Dict[str, Belief]) -> None:
         """Merge a received belief table through the selectors' total orders.
 
         Beliefs naming dead nodes are rejected *on receipt* — without this,

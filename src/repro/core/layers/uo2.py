@@ -20,11 +20,10 @@ from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
 from repro.sim.engine import RoundContext
-from repro.sim.protocol import Protocol
-from repro.sim.transport import ExchangeRequest
+from repro.sim.protocol import GossipProtocol
 
 
-class DistantComponentOverlay(Protocol):
+class DistantComponentOverlay(GossipProtocol):
     """One node's UO2 instance.
 
     Parameters
@@ -50,20 +49,14 @@ class DistantComponentOverlay(Protocol):
         random_layer: str = "peer_sampling",
         uo1_layer: str = "uo1",
     ):
-        self.node_id = node_id
+        super().__init__(node_id, layer)
         self.profile = profile
         self.capacity = max(1, contacts_per_component)
         self.gossip_contacts = max(1, gossip_contacts)
-        self.layer = layer
         self.random_layer = random_layer
         self.uo1_layer = uo1_layer
         self.buckets: Dict[str, PartialView] = {}
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
-        # Pre-resolved (name, layer) counter keys for Instrument.count_key.
-        self._k_exchanges = ("exchanges", layer)
-        self._k_sent = ("descriptors_sent", layer)
-        self._k_received = ("descriptors_received", layer)
-        self._k_churn = ("descriptor_churn", layer)
 
     # -- identity -----------------------------------------------------------------
 
@@ -99,66 +92,16 @@ class DistantComponentOverlay(Protocol):
         for bucket in self.buckets.values():
             bucket.remove(node_id)
 
-    # -- protocol ---------------------------------------------------------------------
+    # -- internals -----------------------------------------------------------------------
 
-    def step(self, ctx: RoundContext) -> None:
+    def _begin_round(self, ctx: RoundContext) -> bool:
+        """Age every bucket, then adopt foreign-component peers seen in the
+        global random view."""
         for bucket in self.buckets.values():
             bucket.increase_age()
-        self._harvest(ctx)
-        if not ctx.exchange_ok():
-            return  # this round's exchange was lost
-        partner_id = self._choose_partner(ctx)
-        if partner_id is None:
-            return
-        if not ctx.transport.deliverable(ctx, partner_id, self.layer):
-            # Unreachable contact: drop it from every bucket so the next
-            # round picks a partner on this side of the cut.
-            self.forget(partner_id)
-            return
-        obs = ctx.obs
-        flow = obs.flow if obs is not None else None
-        buffer = self._make_buffer(ctx, flow)
-        reply = ctx.transport.exchange(
-            ctx, partner_id, ExchangeRequest(self.layer, self.node_id, buffer)
-        )
-        if reply is None:
-            self.forget(partner_id)
-            return
-        ctx.transport.record_exchange(self.layer, len(buffer), len(reply))
-        if obs is not None:
-            obs.count_key(self._k_exchanges)
-            obs.count_key(self._k_sent, len(buffer))
-            obs.count_key(self._k_received, len(reply))
-            if flow is not None:
-                reply = flow.on_received(
-                    self.layer, ctx.round, self.node_id, partner_id, reply
-                )
-        self._merge(ctx, reply)
-
-    def on_gossip(
-        self, ctx: RoundContext, received: List[Descriptor]
-    ) -> List[Descriptor]:
-        obs = ctx.obs
-        flow = obs.flow if obs is not None else None
-        reply = self._make_buffer(ctx, flow)
-        if obs is not None:
-            obs.count_key(self._k_sent, len(reply))
-            obs.count_key(self._k_received, len(received))
-            if flow is not None:
-                # ctx belongs to the active requester — the sender.
-                received = flow.on_received(
-                    self.layer, ctx.round, self.node_id, ctx.node.node_id, received
-                )
-        self._merge(ctx, received)
-        return reply
-
-    def on_request(
-        self, ctx: RoundContext, request: ExchangeRequest
-    ) -> List[Descriptor]:
-        """Transport-seam entry point: delegate to :meth:`on_gossip`."""
-        return self.on_gossip(ctx, request.payload)
-
-    # -- internals -----------------------------------------------------------------------
+        for advert in self._peer_adverts(ctx, self.random_layer):
+            self._insert(advert)
+        return True
 
     def _insert(self, descriptor: Descriptor) -> bool:
         """Adopt a foreign-component contact; returns whether a bucket changed."""
@@ -174,22 +117,6 @@ class DistantComponentOverlay(Protocol):
             bucket = PartialView(self.capacity)
             self.buckets[profile.component] = bucket
         return bucket.insert(descriptor)
-
-    def _harvest(self, ctx: RoundContext) -> None:
-        """Adopt foreign-component peers from the global random view."""
-        if not ctx.node.has_protocol(self.random_layer):
-            return
-        for node_id in ctx.node.protocol(self.random_layer).neighbors():
-            if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                continue
-            if not ctx.transport.reachable(ctx, node_id):
-                continue  # harvesting across the cut would leak state
-            peer = ctx.network.node(node_id)
-            if not peer.has_protocol(self.layer):
-                continue
-            peer_protocol = peer.protocol(self.layer)
-            assert isinstance(peer_protocol, DistantComponentOverlay)
-            self._insert(peer_protocol.self_descriptor())
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
         """Alternate between a same-component partner (spread foreign contact
@@ -233,10 +160,10 @@ class DistantComponentOverlay(Protocol):
             limit, bucket.descriptors(), key=lambda d: (d.age, d.node_id)
         )
 
-    def _make_buffer(self, ctx: RoundContext, flow=None) -> List[Descriptor]:
+    def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """Self plus the youngest contact of each known component, round-robin
         until the message budget is reached."""
-        advert = self.self_descriptor()
+        advert = self._self_descriptor
         if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
         buffer = [advert]
@@ -254,9 +181,9 @@ class DistantComponentOverlay(Protocol):
             if not added:
                 break
             depth += 1
-        return buffer
+        return buffer, None
 
-    def _merge(self, ctx: RoundContext, received: List[Descriptor]) -> None:
+    def _absorb(self, ctx: RoundContext, _kept, received: List[Descriptor]) -> None:
         adopted = 0
         for descriptor in received:
             # One hop in transit: stale contacts of dead nodes age out of

@@ -12,11 +12,15 @@ This package implements the published protocols the paper builds on:
   its shape components: a greedy gossip optimizer over a user-supplied
   proximity function, fed "a pinch of randomness" by the peer-sampling layer;
 - :mod:`~repro.gossip.tman` — T-Man (Jelasity, Montresor & Babaoglu, 2009),
-  the alternative topology-construction protocol, used as an ablation core.
+  the alternative topology-construction protocol, used as an ablation core:
+  Vicinity with a different partner rule.
 
 All protocols exchange :class:`~repro.gossip.descriptors.Descriptor` records
-through bounded :class:`~repro.gossip.views.PartialView` instances, and report
-their message sizes to the simulator transport for bandwidth accounting.
+through bounded :class:`~repro.gossip.views.PartialView` instances. None of
+them owns a ``step``: each is a :class:`~repro.sim.protocol.GossipProtocol`
+— a partner rule, an offer and an absorb rule — and inherits the loss coin,
+the transport seam, the bandwidth accounting, the counters and the flow
+tagging from that one exchange.
 """
 
 from repro.gossip.descriptors import Descriptor

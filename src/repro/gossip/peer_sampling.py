@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.gossip.descriptors import Descriptor
@@ -19,11 +20,10 @@ from repro.gossip.views import PartialView
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
 from repro.sim.network import Network
-from repro.sim.protocol import Protocol
-from repro.sim.transport import ExchangeRequest
+from repro.sim.protocol import GossipProtocol
 
 
-class PeerSampling(Protocol):
+class PeerSampling(GossipProtocol):
     """One node's instance of the peer-sampling service.
 
     Parameters
@@ -47,20 +47,11 @@ class PeerSampling(Protocol):
         layer: str = "peer_sampling",
         select_tail: bool = True,
     ):
-        self.node_id = node_id
+        super().__init__(node_id, layer)
         self.params = params or GossipParams()
-        self.layer = layer
         self.select_tail = select_tail
         self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=None)
-        # Pre-resolved (name, layer) counter keys: the hot path hands these
-        # to Instrument.count_key so no tuple is allocated per increment.
-        self._k_exchanges = ("exchanges", layer)
-        self._k_sent = ("descriptors_sent", layer)
-        self._k_received = ("descriptors_received", layer)
-        self._k_dead = ("dead_purged", layer)
-        self._k_replacements = ("view_replacements", layer)
-        self._k_churn = ("descriptor_churn", layer)
 
     # -- descriptor of the hosting node ---------------------------------------
 
@@ -90,67 +81,6 @@ class PeerSampling(Protocol):
         self.params = self.params.reweighted(healer, swapper)
         return self.params
 
-    def step(self, ctx: RoundContext) -> None:
-        """One active round: pick a partner, push-pull buffers, select view."""
-        self.view.increase_age()
-        if not ctx.exchange_ok():
-            return  # this round's exchange was lost (see RoundContext.exchange_ok)
-        partner = self._choose_partner(ctx)
-        if partner is None:
-            return
-        if not ctx.transport.deliverable(ctx, partner.node_id, self.layer):
-            # The transport cut this exchange (partition, lossy link). A
-            # timed-out partner is unreachable, not dead: remove it so the
-            # oldest-first selection does not retry it forever, but leave no
-            # tombstone — it may legitimately return after healing.
-            self.view.remove(partner.node_id)
-            return
-        obs = ctx.obs
-        flow = obs.flow if obs is not None else None
-        buffer = self._make_buffer(ctx, flow)
-        reply = ctx.transport.exchange(
-            ctx, partner.node_id, ExchangeRequest(self.layer, self.node_id, buffer)
-        )
-        if reply is None:
-            # Sent but never answered (a real-network timeout): same
-            # treatment as a link the fault gate refused.
-            self.view.remove(partner.node_id)
-            return
-        ctx.transport.record_exchange(self.layer, len(buffer), len(reply))
-        if obs is not None:
-            obs.count_key(self._k_exchanges)
-            obs.count_key(self._k_sent, len(buffer))
-            obs.count_key(self._k_received, len(reply))
-            if flow is not None:
-                reply = flow.on_received(
-                    self.layer, ctx.round, self.node_id, partner.node_id, reply
-                )
-        self._apply(ctx, sent=buffer, received=reply)
-
-    def on_gossip(
-        self, ctx: RoundContext, received: List[Descriptor]
-    ) -> List[Descriptor]:
-        """Passive side of an exchange: reply with a buffer, then merge."""
-        obs = ctx.obs
-        flow = obs.flow if obs is not None else None
-        reply = self._make_buffer(ctx, flow)
-        if obs is not None:
-            obs.count_key(self._k_sent, len(reply))
-            obs.count_key(self._k_received, len(received))
-            if flow is not None:
-                # ctx belongs to the active requester — the sender.
-                received = flow.on_received(
-                    self.layer, ctx.round, self.node_id, ctx.node.node_id, received
-                )
-        self._apply(ctx, sent=reply, received=received)
-        return reply
-
-    def on_request(
-        self, ctx: RoundContext, request: ExchangeRequest
-    ) -> List[Descriptor]:
-        """Transport-seam entry point: delegate to :meth:`on_gossip`."""
-        return self.on_gossip(ctx, request.payload)
-
     # -- bootstrap -----------------------------------------------------------------
 
     def bootstrap(self, rng: random.Random, network: Network, count: int = 0) -> None:
@@ -170,22 +100,12 @@ class PeerSampling(Protocol):
 
     # -- internals -----------------------------------------------------------------
 
-    def _choose_partner(self, ctx: RoundContext) -> Optional[Descriptor]:
-        """Partner selection with dead-peer healing and oracle bootstrap."""
-        while len(self.view):
-            candidate = (
-                self.view.oldest() if self.select_tail else self.view.random(ctx.rng())
-            )
-            if candidate is None:
-                break
-            if ctx.network.is_alive(candidate.node_id):
-                return candidate
-            # A failed exchange acts as a failure detection: purge the entry,
-            # leaving a tombstone so stale copies gossiped back by third
-            # parties cannot resurrect the dead descriptor.
-            self.view.purge(candidate.node_id)
-            if ctx.obs is not None:
-                ctx.obs.count_key(self._k_dead)
+    def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
+        """Tail (or uniform) selection with dead-peer healing and oracle bootstrap."""
+        pick = None if self.select_tail else partial(self.view.random, ctx.rng())
+        candidate = self._oldest_live(ctx, pick=pick)
+        if candidate is not None:
+            return candidate.node_id
         # Empty view: re-bootstrap through the membership oracle (models a
         # node rejoining via the bootstrap service after losing all links).
         self.bootstrap(ctx.rng(), ctx.network, self.params.gossip_size)
@@ -193,19 +113,19 @@ class PeerSampling(Protocol):
         if candidate is not None and ctx.network.node(candidate.node_id).has_protocol(
             self.layer
         ):
-            return candidate
+            return candidate.node_id
         return None
 
-    def _make_buffer(self, ctx: RoundContext, flow=None) -> List[Descriptor]:
+    def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """Own fresh descriptor plus a random slice of the view."""
-        advert = self.self_descriptor()
+        advert = self._self_descriptor
         if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
         buffer = [advert]
         buffer.extend(self.view.sample(ctx.rng(), self.params.gossip_size - 1))
-        return buffer
+        return buffer, buffer
 
-    def _apply(
+    def _absorb(
         self,
         ctx: RoundContext,
         sent: List[Descriptor],

@@ -18,17 +18,15 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.peer_sampling import PeerSampling
 from repro.gossip.selection import Profile, Proximity, select_closest
 from repro.gossip.views import PartialView
 from repro.perf.cache import DistanceCache
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
-from repro.sim.protocol import Protocol
-from repro.sim.transport import ExchangeRequest
+from repro.sim.protocol import GossipProtocol
 
 
-class Vicinity(Protocol):
+class Vicinity(GossipProtocol):
     """One node's instance of a Vicinity overlay.
 
     Parameters
@@ -77,24 +75,16 @@ class Vicinity(Protocol):
         target_degree: Optional[int] = None,
         descriptor_ttl: Optional[int] = None,
     ):
-        self.node_id = node_id
+        super().__init__(node_id, layer)
         self.profile = profile
         self.proximity = proximity
         self.params = params or GossipParams()
-        self.layer = layer
         self.random_layer = random_layer
         self.candidate_layers = list(candidate_layers)
         self.target_degree = target_degree or self.params.view_size
         self.descriptor_ttl = descriptor_ttl or max(24, 2 * self.params.view_size)
         self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
-        # Pre-resolved (name, layer) counter keys for Instrument.count_key.
-        self._k_exchanges = ("exchanges", layer)
-        self._k_sent = ("descriptors_sent", layer)
-        self._k_received = ("descriptors_received", layer)
-        self._k_dead = ("dead_purged", layer)
-        self._k_replacements = ("view_replacements", layer)
-        self._k_churn = ("descriptor_churn", layer)
         # The per-node memoized distance cache: every round this node ranks
         # the same few dozen candidate profiles against its own profile, and
         # ranking-function evaluation dominates the gossip round. The cache
@@ -135,173 +125,78 @@ class Vicinity(Protocol):
     def forget(self, node_id: int) -> None:
         self.view.remove(node_id)
 
-    def step(self, ctx: RoundContext) -> None:
-        """One active round: exchange the most useful candidates with the
-        oldest live neighbour, then keep the closest ``view_size`` overall."""
-        self.view.increase_age()
-        if not ctx.exchange_ok():
-            return  # this round's exchange was lost
-        partner = self._choose_partner(ctx)
-        if partner is None:
-            return
-        if not ctx.transport.deliverable(ctx, partner.node_id, self.layer):
-            # Unreachable (not dead): drop without a tombstone so the entry
-            # may return once the partition heals or the link recovers.
-            self.view.remove(partner.node_id)
-            return
-        obs = ctx.obs
-        flow = obs.flow if obs is not None else None
-        pool = self._candidate_pool(ctx)
-        buffer = self._buffer_from(pool, partner.profile, partner.node_id, flow, ctx)
-        reply = ctx.transport.exchange(
-            ctx,
-            partner.node_id,
-            ExchangeRequest(self.layer, self.node_id, buffer, profile=self.profile),
-        )
-        if reply is None:
-            self.view.remove(partner.node_id)
-            return
-        ctx.transport.record_exchange(self.layer, len(buffer), len(reply))
-        if obs is not None:
-            obs.count_key(self._k_exchanges)
-            obs.count_key(self._k_sent, len(buffer))
-            obs.count_key(self._k_received, len(reply))
-            if flow is not None:
-                reply = flow.on_received(
-                    self.layer, ctx.round, self.node_id, partner.node_id, reply
-                )
-        self._merge_pool(ctx, pool, reply)
-
-    def on_gossip(
-        self,
-        ctx: RoundContext,
-        requester_profile: Profile,
-        requester_id: int,
-        received: List[Descriptor],
-    ) -> List[Descriptor]:
-        """Passive side: reply with candidates useful *to the requester*."""
-        obs = ctx.obs
-        flow = obs.flow if obs is not None else None
-        pool = self._candidate_pool(ctx)
-        reply = self._buffer_from(pool, requester_profile, requester_id, flow, ctx)
-        if obs is not None:
-            obs.count_key(self._k_sent, len(reply))
-            obs.count_key(self._k_received, len(received))
-            if flow is not None:
-                received = flow.on_received(
-                    self.layer, ctx.round, self.node_id, requester_id, received
-                )
-        self._merge_pool(ctx, pool, received)
-        return reply
-
-    def on_request(
-        self, ctx: RoundContext, request: ExchangeRequest
-    ) -> List[Descriptor]:
-        """Transport-seam entry point: delegate to :meth:`on_gossip`."""
-        return self.on_gossip(ctx, request.profile, request.sender, request.payload)
+    @property
+    def wire_profile(self) -> Profile:
+        """Shipped with every request: the partner ranks its reply on it."""
+        return self.profile
 
     # -- internals ---------------------------------------------------------------------
 
-    def _choose_partner(self, ctx: RoundContext) -> Optional[Descriptor]:
+    def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
         """The oldest live view entry; falls back to the random layer."""
-        while len(self.view):
-            candidate = self.view.oldest()
-            if candidate is None:
-                break
-            if ctx.network.is_alive(candidate.node_id):
-                return candidate
-            # Dead (not merely unreachable): tombstone against resurrection.
-            self.view.purge(candidate.node_id)
-            if ctx.obs is not None:
-                ctx.obs.count_key(self._k_dead)
-        return self._random_partner(ctx)
+        partner = self._oldest_live(ctx)
+        return partner.node_id if partner is not None else self._random_partner(ctx)
 
-    def _own_node(self, ctx: RoundContext):
-        """The node hosting *this* protocol instance.
-
-        Not ``ctx.node``: in a passive ``on_gossip`` the context belongs to
-        the requester, and peeking the requester's helper layers instead of
-        our own would silently mix candidate sources.
-        """
-        return ctx.network.node(self.node_id)
-
-    def _random_partner(self, ctx: RoundContext) -> Optional[Descriptor]:
+    def _random_partner(self, ctx: RoundContext) -> Optional[int]:
         """Bootstrap partner from the peer-sampling layer's view.
 
         Only eligible peers qualify (a core-protocol instance must gossip
         with a node that runs the same layer and passes the filter).
         """
-        own = self._own_node(ctx)
-        if self.random_layer is None or not own.has_protocol(self.random_layer):
+        if self.random_layer is None:
             return None
-        random_view = own.protocol(self.random_layer).neighbors()
-        candidates = []
-        for node_id in random_view:
-            if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                continue
-            if not ctx.transport.reachable(ctx, node_id):
-                continue  # behind an active partition cut
-            peer = ctx.network.node(node_id)
-            if not peer.has_protocol(self.layer):
-                continue
-            peer_protocol = peer.protocol(self.layer)
-            assert isinstance(peer_protocol, Vicinity)
-            if self.proximity.eligible(self.profile, peer_protocol.profile):
-                candidates.append(peer_protocol.self_descriptor())
+        candidates = [
+            advert
+            for advert in self._peer_adverts(ctx, self.random_layer)
+            if self.proximity.eligible(self.profile, advert.profile)
+        ]
         if not candidates:
             return None
-        return ctx.rng().choice(candidates)
+        return ctx.rng().choice(candidates).node_id
 
     def _candidate_pool(self, ctx: RoundContext) -> List[Descriptor]:
         """View entries plus fresh candidates from the helper layers."""
-        own = self._own_node(ctx)
         pool = self.view.descriptors()
-        for source in self._source_layers(own):
-            for node_id in own.protocol(source).neighbors():
-                if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                    continue
-                if not ctx.transport.reachable(ctx, node_id):
-                    continue  # peeking state across the cut would leak it
-                peer = ctx.network.node(node_id)
-                if not peer.has_protocol(self.layer):
-                    continue
-                peer_protocol = peer.protocol(self.layer)
-                assert isinstance(peer_protocol, Vicinity)
-                pool.append(peer_protocol.self_descriptor())
-        return pool
-
-    def _source_layers(self, own_node) -> List[str]:
-        sources = []
-        if self.random_layer is not None and own_node.has_protocol(self.random_layer):
-            sources.append(self.random_layer)
+        if self.random_layer is not None:
+            pool.extend(self._peer_adverts(ctx, self.random_layer))
         for layer in self.candidate_layers:
-            if own_node.has_protocol(layer):
-                sources.append(layer)
-        return sources
+            pool.extend(self._peer_adverts(ctx, layer))
+        return pool
 
     def _fresh(self, descriptors: List[Descriptor]) -> List[Descriptor]:
         """Drop entries past the TTL (their owner stopped refreshing them)."""
         return [d for d in descriptors if d.age <= self.descriptor_ttl]
 
-    def _buffer_from(
-        self,
-        pool: List[Descriptor],
-        reference: Profile,
-        recipient_id: int,
-        flow=None,
-        ctx: Optional[RoundContext] = None,
-    ) -> List[Descriptor]:
-        """The ``gossip_size`` fresh candidates most useful to ``reference``."""
-        advert = self.self_descriptor()
-        if flow is not None and ctx is not None:
+    def _offer(self, ctx: RoundContext, flow, peer_id, request):
+        """The ``gossip_size`` fresh candidates most useful *to the peer*.
+
+        The candidate pool is computed once per exchange and kept for the
+        merge. The reference the buffer is ranked on is the coordinate the
+        peer advertised: on the wire for a requester, in the view entry
+        that made it this round's partner otherwise (a bootstrap partner is
+        in no view — the view was empty — so its own layer is asked).
+        """
+        if request is not None:
+            reference = request.profile
+        else:
+            known = self.view.get(peer_id)
+            reference = (
+                known.profile
+                if known is not None
+                else ctx.network.node(peer_id).protocol(self.layer).profile
+            )
+        pool = self._candidate_pool(ctx)
+        advert = self._self_descriptor
+        if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
-        return select_closest(
+        buffer = select_closest(
             self._fresh(pool) + [advert],
             reference,
             self._distances,
             self.params.gossip_size,
-            exclude_id=recipient_id,
+            exclude_id=peer_id,
         )
+        return buffer, pool
 
     def _merge_pool(
         self, ctx: RoundContext, pool: List[Descriptor], received: List[Descriptor]
@@ -335,3 +230,5 @@ class Vicinity(Protocol):
             ctx.obs.count_key(self._k_replacements)
             ctx.obs.count_key(self._k_churn, entering)
         self.view.replace(best)
+
+    _absorb = _merge_pool

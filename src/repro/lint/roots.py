@@ -52,6 +52,15 @@ DEFAULT_ROOTS: Sequence[str] = (
     # it could reach from there is a leak the taint pass must see.
     "runtime/telemetry.py::_MetricsHandler.do_GET",
     "*::*.step",
+    # GossipProtocol.step/on_request are template methods: ``self._offer``
+    # resolves to the base class only, so the per-layer overrides the
+    # exchange actually dispatches to are declared here.
+    "*::*.on_request",
+    "*::*._begin_round",
+    "*::*._choose_partner",
+    "*::*._offer",
+    "*::*._absorb",
+    "*::*._unreachable",
     "*::*.before_round",
     "*::*.after_round",
     "*::*.observe",

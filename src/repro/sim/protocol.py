@@ -1,13 +1,21 @@
-"""The protocol interface executed by the round engine."""
+"""The protocol interface executed by the round engine — and the one exchange.
+
+:class:`Protocol` is what the engines step; :class:`GossipProtocol` is the
+push-pull gossip exchange every layer of the paper's Figure 1 is an
+instance of, written once: a layer supplies a partner rule, an offer and an
+absorb rule, and inherits the loss coin, the transport seam, the byte
+ledger, the counters and the flow tagging.
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Tuple
+
+from repro.sim.transport import ExchangeRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import RoundContext
-    from repro.sim.transport import ExchangeRequest
 
 
 class Protocol(ABC):
@@ -40,9 +48,8 @@ class Protocol(ABC):
         The passive half of the protocol: transports route every incoming
         :class:`~repro.sim.transport.ExchangeRequest` here and send the
         returned payload back as the reply. The default refuses (``None``,
-        i.e. no reply — the requester treats it as a drop); gossip layers
-        override it, typically by delegating to their historical
-        ``on_gossip`` entry point.
+        i.e. no reply — the requester treats it as a drop);
+        :class:`GossipProtocol` answers with the passive half of the exchange.
         """
         return None
 
@@ -51,3 +58,205 @@ class Protocol(ABC):
 
     def forget(self, node_id: int) -> None:
         """Drop any state referring to ``node_id`` (failure detector signal)."""
+
+
+class GossipProtocol(Protocol):
+    """One push-pull gossip exchange, instantiated per layer by its hooks.
+
+    The active half (:meth:`step`) and its passive mirror
+    (:meth:`on_request`) are the whole protocol; a layer only says
+
+    - :meth:`_begin_round` — what ages or is harvested when its turn starts,
+      and whether it has anything to gossip about at all;
+    - :meth:`_choose_partner` — its partner rule;
+    - :meth:`_offer` — the buffer it ships, plus whatever its absorb rule
+      wants to remember of the offer (the shipped buffer for the swapper
+      layers, the shared candidate pool for the ranking layers);
+    - :meth:`_absorb` — its merge rule;
+    - :meth:`_unreachable` — what a refused or timed-out partner means.
+
+    The order of the active half is a contract the committed digests depend
+    on: nothing is drawn from the layer's stream between the loss coin and
+    the ``deliverable`` gate except by the partner rule, and a refused gate
+    or a ``None`` reply leaves no trace in the ledger or the counters.
+
+    The defaults of :meth:`_begin_round` and :meth:`_oldest_live` serve
+    layers whose state is one :class:`~repro.gossip.views.PartialView` at
+    ``self.view``.
+    """
+
+    #: Descriptor-list payloads carry provenance tags for the flow tracer;
+    #: layers that gossip tables instead (the port layers) opt out.
+    traces_flow = True
+    #: The coordinate shipped as ``ExchangeRequest.profile``; only layers
+    #: whose passive half ranks its reply on it (Vicinity, T-Man) set one.
+    wire_profile: Any = None
+
+    def __init__(self, node_id: int, layer: str):
+        self.node_id = node_id
+        self.layer = layer
+        # Pre-resolved (name, layer) counter keys: the hot path hands these
+        # to Instrument.count_key so no tuple is allocated per increment.
+        self._k_exchanges = ("exchanges", layer)
+        self._k_sent = ("descriptors_sent", layer)
+        self._k_received = ("descriptors_received", layer)
+        self._k_dead = ("dead_purged", layer)
+        self._k_replacements = ("view_replacements", layer)
+        self._k_churn = ("descriptor_churn", layer)
+
+    # -- the exchange -------------------------------------------------------------
+
+    def step(self, ctx: "RoundContext") -> None:
+        """The active half: pick a partner, push-pull buffers, absorb the reply."""
+        if not self._begin_round(ctx) or not ctx.exchange_ok():
+            return  # nothing to say, or this round's exchange was lost
+        partner_id = self._choose_partner(ctx)
+        if partner_id is None:
+            return
+        if not ctx.transport.deliverable(ctx, partner_id, self.layer):
+            self._unreachable(partner_id)
+            return
+        obs = ctx.obs
+        flow = obs.flow if obs is not None and self.traces_flow else None
+        buffer, kept = self._offer(ctx, flow, partner_id, None)
+        reply = ctx.transport.exchange(
+            ctx,
+            partner_id,
+            ExchangeRequest(self.layer, self.node_id, buffer, self.wire_profile),
+        )
+        if reply is None:
+            # Sent but never answered (a real-network timeout): same
+            # treatment as a link the fault gate refused.
+            self._unreachable(partner_id)
+            return
+        ctx.transport.record_exchange(self.layer, len(buffer), len(reply))
+        if obs is not None:
+            obs.count_key(self._k_exchanges)
+            obs.count_key(self._k_sent, len(buffer))
+            obs.count_key(self._k_received, len(reply))
+            if flow is not None:
+                reply = flow.on_received(
+                    self.layer, ctx.round, self.node_id, partner_id, reply
+                )
+        self._absorb(ctx, kept, reply)
+
+    def on_request(self, ctx: "RoundContext", request: ExchangeRequest) -> Any:
+        """The passive half: reply with an offer, then absorb the request.
+
+        The only passive entry point. ``ctx`` is whatever the transport
+        built — the requester's context on the in-memory transport, the
+        receiver's own on the live swarm — so the wire sender is read from
+        ``request``, never from ``ctx.node``.
+        """
+        obs = ctx.obs
+        flow = obs.flow if obs is not None and self.traces_flow else None
+        reply, kept = self._offer(ctx, flow, request.sender, request)
+        received = request.payload
+        if obs is not None:
+            obs.count_key(self._k_sent, len(reply))
+            obs.count_key(self._k_received, len(received))
+            if flow is not None:
+                received = flow.on_received(
+                    self.layer, ctx.round, self.node_id, request.sender, received
+                )
+        self._absorb(ctx, kept, received)
+        return reply
+
+    # -- what a layer supplies --------------------------------------------------------
+
+    def _begin_round(self, ctx: "RoundContext") -> bool:
+        """Age (and harvest) at the start of the turn; ``False`` sits it out.
+
+        Runs before the loss coin, so a layer with nothing to gossip about
+        draws nothing from its loss stream.
+        """
+        self.view.increase_age()
+        return True
+
+    @abstractmethod
+    def _choose_partner(self, ctx: "RoundContext") -> Optional[int]:
+        """The node id to gossip with this round, or ``None`` to skip it."""
+
+    @abstractmethod
+    def _offer(
+        self,
+        ctx: "RoundContext",
+        flow: Any,
+        peer_id: int,
+        request: Optional[ExchangeRequest],
+    ) -> Tuple[Any, Any]:
+        """``(buffer, kept)``: what to ship to ``peer_id`` and what
+        :meth:`_absorb` gets back as its second argument.
+
+        ``request`` is the incoming request on the passive half and
+        ``None`` on the active one; ``flow`` is the attached flow tracer,
+        if any, for tagging the self-advertisement.
+        """
+
+    @abstractmethod
+    def _absorb(self, ctx: "RoundContext", kept: Any, received: Any) -> None:
+        """Merge the partner's buffer into this node's state."""
+
+    def _unreachable(self, partner_id: int) -> None:
+        """The partner was cut off or timed out — unreachable, not dead.
+
+        Drop it so the partner rule does not retry it forever, but leave no
+        tombstone: it may legitimately return once the link heals.
+        """
+        self.forget(partner_id)
+
+    # -- shared partner-rule and harvest bodies ---------------------------------------
+
+    def _oldest_live(
+        self,
+        ctx: "RoundContext",
+        valid: Optional[Callable[[Any, int], bool]] = None,
+        pick: Optional[Callable[[], Any]] = None,
+    ) -> Any:
+        """The oldest view entry that is alive (and ``valid``), healing as it goes.
+
+        A failed probe acts as failure detection: a dead entry is purged
+        with a tombstone, so stale copies gossiped back by third parties
+        cannot resurrect it, and counted as ``dead_purged``. A live entry
+        failing ``valid(network, node_id)`` is merely dropped — it is not
+        dead and may qualify again later. ``pick`` replaces oldest-first
+        selection. Returns the descriptor, or ``None`` once the view is empty.
+        """
+        view = self.view
+        network = ctx.network
+        pick = pick or view.oldest
+        while len(view):
+            candidate = pick()
+            node_id = candidate.node_id
+            if not network.is_alive(node_id):
+                view.purge(node_id)
+                if ctx.obs is not None:
+                    ctx.obs.count_key(self._k_dead)
+            elif valid is None or valid(network, node_id):
+                return candidate
+            else:
+                view.remove(node_id)
+        return None
+
+    def _peer_adverts(self, ctx: "RoundContext", helper_layer: str) -> Iterator[Any]:
+        """Fresh self-descriptors of the helper layer's neighbours.
+
+        Yields ``self_descriptor()`` of every live, reachable neighbour of
+        this node's ``helper_layer`` that runs this layer — the simulator
+        idiom for knowledge piggybacked on the helper's gossip. The hosting
+        node is looked up by id, not taken from ``ctx.node``: in a passive
+        half on the in-memory transport the context is the requester's.
+        """
+        own = ctx.network.node(self.node_id)
+        if not own.has_protocol(helper_layer):
+            return
+        network, transport, layer = ctx.network, ctx.transport, self.layer
+        for node_id in own.protocol(helper_layer).neighbors():
+            if node_id == self.node_id or not network.is_alive(node_id):
+                continue
+            if not transport.reachable(ctx, node_id):
+                continue  # peeking state across a partition cut would leak it
+            peer = network.node(node_id)
+            if peer.has_protocol(layer):
+                peer_protocol = peer.protocol(layer)
+                yield peer_protocol.self_descriptor()

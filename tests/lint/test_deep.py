@@ -300,3 +300,7 @@ class TestRealTree:
         assert len(model.hot) > 100  # the round really fans out
         # Protocol steps are hot through the roots file, not luck.
         assert any(q.endswith(".step") for q in model.roots)
+        # ... and so are the per-layer hooks GossipProtocol's template
+        # methods dispatch to, which `self.` resolution alone cannot reach.
+        assert "gossip.vicinity.Vicinity._offer" in model.hot
+        assert "core.layers.uo2.DistantComponentOverlay._absorb" in model.hot

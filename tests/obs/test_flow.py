@@ -17,6 +17,8 @@ from repro.obs.flow import CriticalPath, Delivery, FlowTracer
 from repro.obs.hooks import attach_collector
 from repro.perf.digest import overlay_digest
 from repro.perf.workloads import run_cell, workload_matrix
+from repro.sim.engine import RoundContext
+from repro.sim.transport import ExchangeRequest
 
 RUNTIME_LAYERS = (
     "peer_sampling",
@@ -88,6 +90,38 @@ class TestDeliveryRecords:
         assert stats["max"] == 10
         assert stats["mean"] == pytest.approx(2.0)
         assert tracer.latency_stats("nope") is None
+
+
+class TestPassiveAttribution:
+    @pytest.mark.parametrize("layer", ["peer_sampling", "uo1", "uo2"])
+    def test_passive_delivery_is_attributed_to_the_wire_sender(
+        self, two_component_assembly, fast_config, layer
+    ):
+        """``NetRunner.make_context`` hands ``on_request`` the *receiver's*
+        context; the flow edge must still start at the wire sender."""
+        deployment = Runtime(two_component_assembly, config=fast_config, seed=3).deploy(24)
+        tracer = FlowTracer()
+        collector = attach_collector(deployment, gauge_every=0, flow=tracer)
+        sender, receiver = 4, 9
+        advert = (
+            deployment.network.node(sender)
+            .protocol(layer)
+            .self_descriptor()
+            .tagged(Provenance(sender, 0, 0))
+        )
+        ctx = RoundContext(
+            node=deployment.network.node(receiver),
+            network=deployment.network,
+            transport=deployment.transport,
+            streams=deployment.streams,
+            round=1,
+            layer=layer,
+            obs=collector,
+        )
+        deployment.network.node(receiver).protocol(layer).on_request(
+            ctx, ExchangeRequest(layer, sender, [advert])
+        )
+        assert tracer.flow_graph(layer) == {(sender, receiver): 1}
 
 
 class TestCriticalPath:
