@@ -162,15 +162,23 @@ class DistantComponentOverlay(GossipProtocol):
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """Self plus the youngest contact of each known component, round-robin
-        until the message budget is reached."""
+        until the message budget is reached.
+
+        The round-robin starts where the previous round's window ended (and
+        at a different component on every node): with more known components
+        than budget slots, a fixed start would gossip the same few names
+        forever and leave the rest to the peer-sampling harvest alone.
+        """
         advert = self._self_descriptor
         if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
         buffer = [advert]
         limit = self.gossip_contacts - 1
-        per_component = [
-            self._bucket_heads(name, limit) for name in self.known_components()
-        ]
+        names = self.known_components()
+        if names:
+            start = (ctx.round * limit + self.node_id) % len(names)
+            names = names[start:] + names[:start]
+        per_component = [self._bucket_heads(name, limit) for name in names]
         depth = 0
         while len(buffer) < self.gossip_contacts:
             added = False
