@@ -13,7 +13,8 @@ to realize links, and what applications can use for inter-component traffic.
 
 from __future__ import annotations
 
-import heapq
+from itertools import zip_longest
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.core.profiles import NodeProfile
@@ -21,6 +22,10 @@ from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
 from repro.sim.engine import RoundContext
 from repro.sim.protocol import GossipProtocol
+
+
+#: contacts() order: youngest first, ties on the lower node id.
+_YOUNGEST_FIRST = attrgetter("age", "node_id")
 
 
 class DistantComponentOverlay(GossipProtocol):
@@ -77,10 +82,12 @@ class DistantComponentOverlay(GossipProtocol):
         bucket = self.buckets.get(component)
         if bucket is None:
             return []
-        return sorted(bucket.descriptors(), key=lambda d: (d.age, d.node_id))
+        contacts = bucket.descriptors()
+        contacts.sort(key=_YOUNGEST_FIRST)
+        return contacts
 
     def known_components(self) -> List[str]:
-        return sorted(name for name, bucket in self.buckets.items() if len(bucket))
+        return sorted(name for name, bucket in self.buckets.items() if bucket.id_set())
 
     def neighbors(self) -> List[int]:
         ids: List[int] = []
@@ -123,42 +130,30 @@ class DistantComponentOverlay(GossipProtocol):
         knowledge inside the component) and a foreign contact (refresh and
         extend cross-component knowledge)."""
         rng = ctx.rng()
+        network = ctx.network
         candidates: List[int] = []
         if ctx.round % 2 == 0 and ctx.node.has_protocol(self.uo1_layer):
             candidates = [
                 node_id
                 for node_id in ctx.node.protocol(self.uo1_layer).neighbors()
-                if ctx.network.is_alive(node_id)
+                if network.is_alive(node_id)
             ]
         if not candidates:
+            # Id-only scan: no bucket is settled just to be looked at.
             candidates = [
-                descriptor.node_id
+                node_id
                 for bucket in self.buckets.values()
-                for descriptor in bucket
-                if ctx.network.is_alive(descriptor.node_id)
+                for node_id in bucket.ids()
+                if network.is_alive(node_id)
             ]
         candidates = [
             node_id
             for node_id in candidates
-            if ctx.network.node(node_id).has_protocol(self.layer)
+            if network.node(node_id).has_protocol(self.layer)
         ]
         if not candidates:
             return None
         return rng.choice(candidates)
-
-    def _bucket_heads(self, component: str, limit: int) -> List[Descriptor]:
-        """The ``limit`` youngest contacts of one bucket, in contacts() order.
-
-        nsmallest == sorted[:k] (same key, same ties) in O(n log k); the
-        round-robin below never consumes more than ``limit`` entries from a
-        single bucket, so the tail of the full ranking is never needed.
-        """
-        bucket = self.buckets.get(component)
-        if bucket is None:
-            return []
-        return heapq.nsmallest(
-            limit, bucket.descriptors(), key=lambda d: (d.age, d.node_id)
-        )
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """Self plus the youngest contact of each known component, round-robin
@@ -172,24 +167,19 @@ class DistantComponentOverlay(GossipProtocol):
         advert = self._self_descriptor
         if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
-        buffer = [advert]
-        limit = self.gossip_contacts - 1
+        slots = self.gossip_contacts - 1
         names = self.known_components()
-        if names:
-            start = (ctx.round * limit + self.node_id) % len(names)
-            names = names[start:] + names[:start]
-        per_component = [self._bucket_heads(name, limit) for name in names]
-        depth = 0
-        while len(buffer) < self.gossip_contacts:
-            added = False
-            for contacts in per_component:
-                if depth < len(contacts) and len(buffer) < self.gossip_contacts:
-                    buffer.append(contacts[depth])
-                    added = True
-            if not added:
-                break
-            depth += 1
-        return buffer, None
+        if not (slots and names):
+            return [advert], None
+        start = (ctx.round * slots + self.node_id) % len(names)
+        # Every known bucket is non-empty, so the first pass alone takes one
+        # contact from each of the first ``slots`` buckets after ``start``:
+        # the round-robin can never reach past that window, and only the
+        # buckets inside it are settled and ranked.
+        window = (names[start:] + names[:start])[:slots]
+        passes = zip_longest(*map(self.contacts, window))
+        shipped = [c for one_pass in passes for c in one_pass if c is not None]
+        return [advert, *shipped[:slots]], None
 
     def _absorb(self, ctx: RoundContext, _kept, received: List[Descriptor]) -> None:
         adopted = 0
