@@ -5,13 +5,15 @@ values sit between ~2 and ~16 rounds across 1-20 components at 25 600 nodes.
 This bench regenerates the sweep at the current scale and checks:
 
 - every series converges at every component count;
-- growth with component count is slow (bounded increments, small slope).
+- growth with component count is slow (bounded increments, small slope);
+- UO2 stays inside the paper's band at the largest count and is not the
+  steepest series (it was, while its offer never rotated).
 """
 
 from __future__ import annotations
 
 from repro.experiments.fig3 import format_fig3, run_fig3
-from repro.experiments.harness import ALL_SERIES, current_scale
+from repro.experiments.harness import ALL_SERIES, SERIES_UO2, current_scale
 
 
 def test_fig3_convergence_vs_components(benchmark, record_result):
@@ -44,3 +46,16 @@ def test_fig3_convergence_vs_components(benchmark, record_result):
         )
         budget = 25 if scale.name == "full" else 40
         assert end <= budget, f"{series} exceeded the round envelope ({end})"
+
+    # UO2 must gossip *every* known component, not only as many as fit one
+    # message (7 slots): an offer that never rotates shows as a knee past 8
+    # components — 18 rounds at 20, the steepest series by far. So its mean
+    # at the largest count stays inside the paper's plotted band, and some
+    # other series climbs faster.
+    climb = {
+        series: last.series[series].mean - first.series[series].mean
+        for series in ALL_SERIES
+    }
+    uo2_end = last.series[SERIES_UO2].mean
+    assert uo2_end <= 16, f"UO2 left the paper's band ({uo2_end:.1f} rounds)"
+    assert climb[SERIES_UO2] < max(climb.values()), f"UO2 is the steepest series: {climb}"

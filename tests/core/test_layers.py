@@ -194,14 +194,6 @@ class TestUO2:
                     shipped.update(d.profile.component for d in buffer[1:])
                 assert shipped == known, (node_id, first_round)
 
-    def test_few_components_deal_second_contacts_within_budget(self):
-        protocol = bare_uo2(full_buckets(5))  # 10 contacts for 7 slots
-        for round_number in range(10):
-            buffer = offer(protocol, round_number)
-            assert len(buffer) == 8
-            youngest = {protocol.contacts(name)[0] for name in protocol.known_components()}
-            assert youngest <= set(buffer[1:6])  # one per component first
-
     def test_zero_slots_ships_the_advert_alone(self):
         protocol = bare_uo2(full_buckets(3), gossip_contacts=1)
         for round_number in range(4):
@@ -234,10 +226,9 @@ class TestUO2:
             for round_number in rng.sample(range(60), 4):
                 expected = reference_offer(protocol, round_number)
                 actual = offer(protocol, round_number)
+                # Descriptor equality is (node_id, age): list equality is
+                # order identity, ties included.
                 assert actual == expected
-                assert [(d.node_id, d.age) for d in actual] == [
-                    (d.node_id, d.age) for d in expected
-                ]
 
     def test_partner_choice_ignores_age_debt(self):
         """The candidate list is built from ids alone: same list, same order,
@@ -285,7 +276,6 @@ class TestUO2:
         assert [d.age for d in indebted.contacts("c00")] == [
             d.age + 2 for d in settled.contacts("c00")
         ]
-
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_keeps_pace_with_uo1_past_the_message_budget(self, seed):
