@@ -82,6 +82,24 @@ class SameComponentOverlay(GossipProtocol):
             and descriptor.profile.component == self.profile.component
         )
 
+    def adopt(self, descriptor: Descriptor) -> bool:
+        """Take in one sighting of a member of this component; returns
+        whether the view changed.
+
+        The way in for knowledge that did not arrive through UO1's own
+        gossip: the peer-sampling harvest, and the own-component
+        descriptors UO2 receives on this node. The same rules apply as to
+        a gossiped entry — this component only, never self, not past the
+        TTL, and a tombstoned id only at age 0 (the view's own rule).
+        """
+        if (
+            descriptor.node_id == self.node_id
+            or descriptor.age > self.descriptor_ttl
+            or not self._accepts(descriptor)
+        ):
+            return False
+        return self.view.insert(descriptor)
+
     # -- protocol interface --------------------------------------------------------
 
     def neighbors(self) -> List[int]:
@@ -108,8 +126,7 @@ class SameComponentOverlay(GossipProtocol):
         """Age, then adopt same-component peers seen in the global random view."""
         self.view.increase_age()
         for advert in self._peer_adverts(ctx, self.random_layer):
-            if self._accepts(advert):
-                self.view.insert(advert)
+            self.adopt(advert)
         return True
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:

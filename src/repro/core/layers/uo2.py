@@ -61,6 +61,9 @@ class DistantComponentOverlay(GossipProtocol):
         self.random_layer = random_layer
         self.uo1_layer = uo1_layer
         self.buckets: Dict[str, PartialView] = {}
+        # The bucket this round's partner was drawn from (None: a member of
+        # the node's own component), noted by the partner rule for the offer.
+        self._partner_component: Optional[str] = None
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
 
     # -- identity -----------------------------------------------------------------
@@ -101,24 +104,35 @@ class DistantComponentOverlay(GossipProtocol):
 
     # -- internals -----------------------------------------------------------------------
 
+    def _uo1(self, ctx: RoundContext):
+        """The same-component overlay on *this* node, if it runs one.
+
+        Looked up by id: the passive half runs under the requester's context.
+        """
+        own = ctx.network.node(self.node_id)
+        return own.protocol(self.uo1_layer) if own.has_protocol(self.uo1_layer) else None
+
     def _begin_round(self, ctx: RoundContext) -> bool:
-        """Age every bucket, then adopt foreign-component peers seen in the
-        global random view."""
+        """Age every bucket, then adopt the peers seen in the global random
+        view."""
         for bucket in self.buckets.values():
             bucket.increase_age()
+        uo1 = self._uo1(ctx)
         for advert in self._peer_adverts(ctx, self.random_layer):
-            self._insert(advert)
+            self._insert(advert, uo1)
         return True
 
-    def _insert(self, descriptor: Descriptor) -> bool:
-        """Adopt a foreign-component contact; returns whether a bucket changed."""
+    def _insert(self, descriptor: Descriptor, uo1) -> bool:
+        """File one sighting where it belongs — a foreign contact in its
+        component's bucket, a member of this node's own component with the
+        sibling UO1 (under UO1's rules); returns whether either changed."""
         profile = descriptor.profile
         if not isinstance(profile, NodeProfile):
             return False
         if descriptor.node_id == self.node_id:
             return False
         if profile.component == self.profile.component:
-            return False  # own component is UO1's job
+            return uo1 is not None and uo1.adopt(descriptor)
         bucket = self.buckets.get(profile.component)
         if bucket is None:
             bucket = PartialView(self.capacity)
@@ -132,6 +146,7 @@ class DistantComponentOverlay(GossipProtocol):
         rng = ctx.rng()
         network = ctx.network
         candidates: List[int] = []
+        drawn_from: Dict[int, str] = {}
         if ctx.round % 2 == 0 and ctx.node.has_protocol(self.uo1_layer):
             candidates = [
                 node_id
@@ -140,12 +155,11 @@ class DistantComponentOverlay(GossipProtocol):
             ]
         if not candidates:
             # Id-only scan: no bucket is settled just to be looked at.
-            candidates = [
-                node_id
-                for bucket in self.buckets.values()
-                for node_id in bucket.ids()
-                if network.is_alive(node_id)
-            ]
+            for name, bucket in self.buckets.items():
+                for node_id in bucket.ids():
+                    if network.is_alive(node_id):
+                        candidates.append(node_id)
+                        drawn_from[node_id] = name
         candidates = [
             node_id
             for node_id in candidates
@@ -153,11 +167,19 @@ class DistantComponentOverlay(GossipProtocol):
         ]
         if not candidates:
             return None
-        return rng.choice(candidates)
+        partner = rng.choice(candidates)
+        self._partner_component = drawn_from.get(partner)
+        return partner
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
-        """Self plus the youngest contact of each known component, round-robin
+        """Self, the youngest contact held in the partner's own component,
+        then the youngest contact of each other known component, round-robin
         until the message budget is reached.
+
+        The first contact is one the partner hands to its UO1 (see
+        :meth:`_insert`): a ring-mate it may not know yet. A reply leaves
+        out the components the requester just shipped contacts of — it
+        demonstrably has those — unless nothing else is known.
 
         The round-robin starts where the previous round's window ended (and
         at a different component on every node): with more known components
@@ -168,9 +190,32 @@ class DistantComponentOverlay(GossipProtocol):
         if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
         slots = self.gossip_contacts - 1
-        names = self.known_components()
-        if not (slots and names):
+        known = self.known_components()
+        if not (slots and known):
             return [advert], None
+        if request is None:
+            theirs = self._partner_component
+            skip = {theirs}
+        else:
+            # The requester's advert leads its buffer; the rest is what it
+            # shipped (at most ``gossip_contacts - 1`` descriptors).
+            components = [
+                getattr(d.profile, "component", None) for d in request.payload
+            ]
+            theirs = components[0] if components else None
+            skip = set(components)
+        buffer = [advert]
+        if theirs in self.buckets:
+            for contact in self.contacts(theirs):
+                if contact.node_id != peer_id:
+                    buffer.append(contact)
+                    slots -= 1
+                    break
+        names = [name for name in known if name not in skip] or [
+            name for name in known if name != theirs
+        ]
+        if not (slots and names):
+            return buffer, None
         start = (ctx.round * slots + self.node_id) % len(names)
         # Every known bucket is non-empty, so the first pass alone takes one
         # contact from each of the first ``slots`` buckets after ``start``:
@@ -179,13 +224,14 @@ class DistantComponentOverlay(GossipProtocol):
         window = (names[start:] + names[:start])[:slots]
         passes = zip_longest(*map(self.contacts, window))
         shipped = [c for one_pass in passes for c in one_pass if c is not None]
-        return [advert, *shipped[:slots]], None
+        return [*buffer, *shipped[:slots]], None
 
     def _absorb(self, ctx: RoundContext, _kept, received: List[Descriptor]) -> None:
+        uo1 = self._uo1(ctx)
         adopted = 0
         for descriptor in received:
             # One hop in transit: stale contacts of dead nodes age out of
             # the buckets instead of bouncing at age 0 (see Vicinity).
-            adopted += self._insert(descriptor.aged())
+            adopted += self._insert(descriptor.aged(), uo1)
         if ctx.obs is not None and adopted:
             ctx.obs.count_key(self._k_churn, adopted)

@@ -133,26 +133,30 @@ class Vicinity(GossipProtocol):
     # -- internals ---------------------------------------------------------------------
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
-        """The oldest live view entry; falls back to the random layer."""
+        """The oldest live view entry; falls back to the helper layers."""
         partner = self._oldest_live(ctx)
         return partner.node_id if partner is not None else self._random_partner(ctx)
 
     def _random_partner(self, ctx: RoundContext) -> Optional[int]:
-        """Bootstrap partner from the peer-sampling layer's view.
+        """Bootstrap partner from the first helper layer that lists one.
 
-        Only eligible peers qualify (a core-protocol instance must gossip
-        with a node that runs the same layer and passes the filter).
+        The candidate layers come first: they are the runtime's targeted
+        feeds (UO1 lists exactly this component's members), where the
+        peer-sampling view holds an eligible peer only by chance. Only
+        eligible peers qualify (a core-protocol instance must gossip with
+        a node that runs the same layer and passes the filter).
         """
-        if self.random_layer is None:
-            return None
-        candidates = [
-            advert
-            for advert in self._peer_adverts(ctx, self.random_layer)
-            if self.proximity.eligible(self.profile, advert.profile)
-        ]
-        if not candidates:
-            return None
-        return ctx.rng().choice(candidates).node_id
+        for layer in (*self.candidate_layers, self.random_layer):
+            if layer is None:
+                continue
+            candidates = [
+                advert
+                for advert in self._peer_adverts(ctx, layer)
+                if self.proximity.eligible(self.profile, advert.profile)
+            ]
+            if candidates:
+                return ctx.rng().choice(candidates).node_id
+        return None
 
     def _candidate_pool(self, ctx: RoundContext) -> List[Descriptor]:
         """View entries plus fresh candidates from the helper layers."""

@@ -15,6 +15,7 @@ from repro.core.layers import (
     LAYER_UO1,
     LAYER_UO2,
 )
+from repro.core.layers.uo1 import SameComponentOverlay
 from repro.core.layers.uo2 import DistantComponentOverlay
 from repro.core.link import PortRef
 from repro.core.profiles import NodeProfile
@@ -72,6 +73,39 @@ class TestUO1:
             protocol.set_profile(original)
 
 
+def member(node_id, age=0, component="home"):
+    return Descriptor(node_id, age, NodeProfile(component, node_id % 4, 4, 0))
+
+
+class TestUO1Adopt:
+    """The one way in for sightings UO1's own gossip did not carry."""
+
+    def test_applies_uo1s_own_rules(self):
+        uo1 = SameComponentOverlay(0, NodeProfile("home", 0, 4, 0))
+        ttl = uo1.descriptor_ttl
+        assert uo1.adopt(member(1, age=1))
+        assert not uo1.adopt(member(1, age=2))  # the younger copy is kept
+        assert not uo1.adopt(member(2, component="away"))  # foreign
+        assert not uo1.adopt(Descriptor(2, 0, profile=7))  # no role at all
+        assert not uo1.adopt(member(0))  # self
+        assert not uo1.adopt(member(3, age=ttl + 1))  # past the TTL
+        assert uo1.adopt(member(3, age=ttl))
+        uo1.view.purge(1)
+        assert not uo1.adopt(member(1, age=1))  # tombstoned: a stale copy
+        assert uo1.neighbors() == [3]
+        assert uo1.adopt(member(1, age=0))  # the owner itself lifts it
+        assert sorted(uo1.neighbors()) == [1, 3]
+
+    def test_follows_set_profile(self):
+        uo1 = SameComponentOverlay(0, NodeProfile("home", 0, 4, 0))
+        uo1.adopt(member(1))
+        uo1.set_profile(NodeProfile("away", 0, 4, 0))
+        assert uo1.neighbors() == []
+        assert not uo1.adopt(member(1))  # the old component is foreign now
+        assert uo1.adopt(member(2, component="away"))
+        assert uo1.neighbors() == [2]
+
+
 def bare_uo2(contacts, node_id=0, capacity=2, gossip_contacts=8):
     """A UO2 instance outside any deployment, holding ``contacts`` — an
     iterable of ``(component, node_id, age)``."""
@@ -80,7 +114,8 @@ def bare_uo2(contacts, node_id=0, capacity=2, gossip_contacts=8):
     )
     for component, contact_id, age in contacts:
         protocol._insert(
-            Descriptor(contact_id, age, NodeProfile(component, contact_id % 4, 4, 0))
+            Descriptor(contact_id, age, NodeProfile(component, contact_id % 4, 4, 0)),
+            None,
         )
     return protocol
 
@@ -94,13 +129,61 @@ def full_buckets(n_components):
     ]
 
 
-def offer(protocol, round_number, passive=False):
-    request = ExchangeRequest(protocol.layer, 999, []) if passive else None
+def offer(protocol, round_number, passive=False, peer_id=999, payload=()):
+    """One offer to ``peer_id``; ``payload`` is what it shipped (passive half)."""
+    request = (
+        ExchangeRequest(protocol.layer, peer_id, list(payload)) if passive else None
+    )
     buffer, kept = protocol._offer(
-        SimpleNamespace(round=round_number), None, 999, request
+        SimpleNamespace(round=round_number), None, peer_id, request
     )
     assert kept is None
     return buffer
+
+
+def components_of(descriptors):
+    return [d.profile.component for d in descriptors]
+
+
+def draw_foreign_partner(protocol, partner_id):
+    """Run the partner rule on a foreign-contact turn, the draw forced to
+    ``partner_id``: the offer learns the partner's component from it."""
+
+    def pick(candidates):
+        assert partner_id in candidates
+        return partner_id
+
+    everyone_runs_it = SimpleNamespace(has_protocol=lambda layer: True)
+    ctx = SimpleNamespace(
+        round=1,
+        rng=lambda: SimpleNamespace(choice=pick),
+        network=SimpleNamespace(
+            is_alive=lambda node_id: True, node=lambda node_id: everyone_runs_it
+        ),
+        node=SimpleNamespace(has_protocol=lambda layer: False),
+    )
+    assert protocol._choose_partner(ctx) == partner_id
+
+
+def own_node_ctx(uo2, uo1):
+    """A context as the passive half sees it: ``ctx.node`` is the requester,
+    so the sibling UO1 may only be reached through the node's own id."""
+
+    def off_limits(*_args):
+        raise AssertionError("reached past this node's own stack")
+
+    own = SimpleNamespace(
+        has_protocol=lambda layer: layer == uo2.uo1_layer and uo1 is not None,
+        protocol=lambda layer: uo1 if layer == uo2.uo1_layer else off_limits(),
+    )
+    return SimpleNamespace(
+        round=0,
+        obs=None,
+        node=SimpleNamespace(has_protocol=off_limits, protocol=off_limits),
+        network=SimpleNamespace(
+            node=lambda node_id: own if node_id == uo2.node_id else off_limits()
+        ),
+    )
 
 
 def reference_offer(protocol, round_number):
@@ -276,6 +359,115 @@ class TestUO2:
         assert [d.age for d in indebted.contacts("c00")] == [
             d.age + 2 for d in settled.contacts("c00")
         ]
+
+    # -- the offer answers this partner --------------------------------------------
+
+    @pytest.mark.parametrize("passive", [False, True], ids=["active", "passive"])
+    @pytest.mark.parametrize("n_components,gossip_contacts", [(19, 8), (5, 8), (12, 4), (5, 2)])
+    def test_one_slot_goes_to_the_partners_component(
+        self, n_components, gossip_contacts, passive
+    ):
+        """Buffer ≤ budget, self-advert first, then the youngest *other*
+        contact of the partner's own component — once, and never the partner."""
+        protocol = bare_uo2(full_buckets(n_components), gossip_contacts=gossip_contacts)
+        for theirs in protocol.known_components():
+            for partner in protocol.contacts(theirs):
+                (other,) = [
+                    c for c in protocol.contacts(theirs) if c.node_id != partner.node_id
+                ]
+                if not passive:
+                    draw_foreign_partner(protocol, partner.node_id)
+                for round_number in range(n_components):
+                    buffer = offer(
+                        protocol, round_number, passive, partner.node_id, [partner]
+                    )
+                    assert buffer[0] is protocol.self_descriptor()
+                    assert len(buffer) == min(
+                        gossip_contacts, 2 * n_components
+                    )  # the budget, or every contact but the partner
+                    assert buffer[1] == other
+                    assert components_of(buffer[1:]).count(theirs) == 1
+                    assert partner.node_id not in [d.node_id for d in buffer]
+
+    def test_a_lone_contact_is_not_offered_to_itself(self):
+        protocol = bare_uo2([("c00", 100, 0), ("c01", 102, 0)])
+        draw_foreign_partner(protocol, 100)
+        assert [d.node_id for d in offer(protocol, 0, peer_id=100)] == [0, 102]
+        assert [d.node_id for d in offer(protocol, 0, True, 100, [member(100, 0, "c00")])] == [0, 102]
+
+    def test_same_component_partner_gets_the_plain_rotation(self):
+        """No bucket holds the node's own component: nothing to single out."""
+        protocol = bare_uo2(full_buckets(12))
+        for round_number in range(12):
+            assert offer(
+                protocol, round_number, True, 1, [member(1)]
+            ) == reference_offer(protocol, round_number)
+
+    def test_reply_skips_what_the_requester_shipped(self):
+        protocol = bare_uo2(full_buckets(12))
+        known = protocol.known_components()
+        shipped = [member(900 + i, 1, name) for i, name in enumerate(known[:7])]
+        for requester in (member(1), member(900, 0, known[0])):
+            for round_number in range(12):
+                buffer = offer(
+                    protocol, round_number, True, requester.node_id, [requester, *shipped]
+                )
+                assert len(buffer) == protocol.gossip_contacts
+                fresh = components_of(buffer[2:] if requester.node_id == 900 else buffer[1:])
+                assert set(fresh) == set(known[7:])  # 5 unshipped names fill 6-7 slots
+
+    def test_reply_falls_back_when_everything_was_shipped(self):
+        protocol = bare_uo2(full_buckets(3))
+        known = protocol.known_components()
+        shipped = [member(900 + i, 1, name) for i, name in enumerate(known)]
+        # A same-component requester: the whole list again.
+        buffer = offer(protocol, 0, True, 1, [member(1), *shipped])
+        assert sorted(components_of(buffer[1:])) == sorted(known * 2)
+        # A foreign one: its own component keeps its single slot.
+        buffer = offer(protocol, 0, True, 900, [member(900, 0, known[0]), *shipped])
+        assert components_of(buffer[1:]).count(known[0]) == 1
+        assert sorted(set(components_of(buffer[2:]))) == known[1:]
+
+    # -- the handover: own-component sightings feed UO1 ------------------------------
+
+    def test_absorb_hands_own_component_sightings_to_uo1(self):
+        home = NodeProfile("home", 0, 4, 0)
+        uo1 = SameComponentOverlay(0, home)
+        uo2 = DistantComponentOverlay(0, home)
+        ttl = uo1.descriptor_ttl
+        uo1.adopt(member(4))
+        uo1.view.purge(4)
+        received = [
+            member(1),  # a ring-mate: UO1's, one hop older
+            member(100, 0, "c00"),  # foreign: the bucket's
+            member(0),  # self
+            member(2, ttl),  # past UO1's TTL once aged in transit
+            member(4),  # tombstoned there, and no longer age 0 on arrival
+        ]
+        uo2._absorb(own_node_ctx(uo2, uo1), None, received)
+        assert [(d.node_id, d.age) for d in uo1.view] == [(1, 1)]
+        assert uo2.known_components() == ["c00"]
+        assert uo2.neighbors() == [100]
+
+    def test_absorb_follows_a_new_role(self):
+        """After ``set_profile`` it is the *new* component's descriptors that
+        reach UO1; the old one's are foreign contacts."""
+        away = NodeProfile("away", 0, 4, 0)
+        uo1 = SameComponentOverlay(0, NodeProfile("home", 0, 4, 0))
+        uo2 = DistantComponentOverlay(0, NodeProfile("home", 0, 4, 0))
+        ctx = own_node_ctx(uo2, uo1)
+        uo2._absorb(ctx, None, [member(1), member(5, 0, "away")])
+        uo1.set_profile(away)
+        uo2.set_profile(away)
+        assert uo1.neighbors() == [] and uo2.neighbors() == []
+        uo2._absorb(ctx, None, [member(1), member(5, 0, "away")])
+        assert uo1.neighbors() == [5]
+        assert uo2.known_components() == ["home"] and uo2.neighbors() == [1]
+
+    def test_without_a_uo1_nothing_of_the_own_component_is_kept(self):
+        uo2 = DistantComponentOverlay(0, NodeProfile("home", 0, 4, 0))
+        uo2._absorb(own_node_ctx(uo2, None), None, [member(1), member(100, 0, "c00")])
+        assert uo2.known_components() == ["c00"]
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_keeps_pace_with_uo1_past_the_message_budget(self, seed):

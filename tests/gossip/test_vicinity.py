@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.gossip.selection import FilteredProximity, Proximity
 from repro.gossip.vicinity import Vicinity
 from repro.shapes import make_shape
+from repro.sim.protocol import Protocol
 from tests.gossip.helpers import GossipWorld
 
 
@@ -144,3 +147,87 @@ class TestBandwidth:
         assert world.transport.total_bytes("ring") > 0
         # Push-pull: every exchange records two messages.
         assert world.transport.total_messages("ring") % 2 == 0
+
+
+class Roster(Protocol):
+    """A stand-in candidate layer: a fixed neighbour list (UO1 in the runtime)."""
+
+    def __init__(self, ids):
+        self.ids = list(ids)
+
+    def step(self, ctx):
+        pass
+
+    def neighbors(self):
+        return self.ids
+
+
+class TestBootstrapPartner:
+    """An empty view asks the candidate layers before the random layer."""
+
+    N = 16
+
+    def world(self, candidate_layers, roster=()):
+        # Same parity = same component: half the peer-sampling view is ineligible.
+        proximity = FilteredProximity(
+            lambda a, b: abs(a - b), lambda a, b: a % 2 == b % 2
+        )
+
+        def extra(node, index):
+            node.attach("members", Roster(roster if index == 0 else ()))
+            node.attach(
+                "core",
+                Vicinity(
+                    node.node_id,
+                    profile=index,
+                    proximity=proximity,
+                    layer="core",
+                    candidate_layers=candidate_layers,
+                ),
+            )
+
+        return GossipWorld(self.N, seed=3, extra=extra)
+
+    def draw(self, world):
+        """Node 0's partner rule on its (empty) view: the candidate ids each
+        ``rng.choice`` was offered, and the partner returned (the first)."""
+        offered = []
+
+        def choice(candidates):
+            offered.append([d.node_id for d in candidates])
+            return candidates[0]
+
+        ctx = SimpleNamespace(
+            round=0,
+            obs=None,
+            node=world.nodes[0],
+            network=world.network,
+            transport=world.transport,
+            rng=lambda: SimpleNamespace(choice=choice),
+        )
+        return world.nodes[0].protocol("core")._choose_partner(ctx), offered
+
+    def test_candidate_layer_comes_first(self):
+        world = self.world(["members"], roster=[7, 6, 0, 12, 3])
+        world.network.kill(12)
+        # Eligible, alive, not self — in the candidate layer's own order.
+        assert self.draw(world) == (6, [[6]])
+
+    def test_falls_back_to_the_random_layer(self):
+        """A candidate layer with nobody eligible costs no draw."""
+        world = self.world(["members"], roster=[7, 3])
+        eligible = [i for i in world.ps(0).neighbors() if i % 2 == 0]
+        assert eligible
+        assert self.draw(world) == (eligible[0], [eligible])
+
+    def test_no_candidate_layer_draws_as_before(self):
+        """One ``choice`` over the eligible peer-sampling adverts, in view
+        order — the elementary stack's draw, which its committed digests pin."""
+        world = self.world([])
+        eligible = [i for i in world.ps(0).neighbors() if i % 2 == 0]
+        assert self.draw(world) == (eligible[0], [eligible])
+
+    def test_nobody_anywhere(self):
+        world = self.world(["members"], roster=[5])
+        world.ps(0).view.replace([])
+        assert self.draw(world) == (None, [])
