@@ -472,11 +472,15 @@ class TestUO2:
     @pytest.mark.parametrize("seed", [7, 11])
     def test_keeps_pace_with_uo1_past_the_message_budget(self, seed):
         """Fig. 3's knee: 19 foreign components for 7 slots. With a fixed
-        round-robin start UO2 took 14 rounds here against UO1's 8-9."""
+        round-robin start UO2 took 14 rounds here; with the rotating one, 7
+        against a UO1 that took 8-9. Stated absolutely since UO2 feeds UO1
+        (which then needs 4): a bound relative to UO1 would now fail only
+        because UO1 got faster."""
         deployment = Runtime(ring_of_rings(n_rings=20, ring_size=6), seed=seed).deploy(120)
         report = deployment.run_until_converged(60)
         assert report.converged, report.rounds
-        assert report.rounds[LAYER_UO2] <= report.rounds[LAYER_UO1] + 2, report.rounds
+        assert report.rounds[LAYER_UO1] <= 6, report.rounds
+        assert report.rounds[LAYER_UO2] <= 9, report.rounds
 
 
 class TestCoreProtocol:

@@ -15,6 +15,15 @@ These 32-node assemblies know fewer components than a message has slots, so
 every contact still ships every round and only the *order* inside a UO2
 buffer moved — hence the eight overlay digests changed while every rounds,
 message, byte, counter and delivery literal stayed what it was.
+
+Re-pinned a second time: UO2 hands the own-component descriptors it receives
+to UO1 instead of discarding them, addresses its offer to its partner (one
+slot for the partner's component, never the partner itself, a reply skipping
+what the request shipped), and an empty core view bootstraps from UO1. That
+is a different — shorter — trajectory, so every literal moved: rounds to
+converge summed over the eight cases (slowest layer of each) 36 -> 32, no
+layer of any case slower by more than one round, UO2 bytes down 7 % (a buffer
+to a foreign partner no longer carries the partner's own descriptor back).
 """
 
 from __future__ import annotations
@@ -65,99 +74,99 @@ def observe(scenario: str, seed: int, collector=None):
 
 GOLDEN = {
     ("plain", 1): (
-        "d1633a3f53fcd0dd29f67dcd27dda85232fdccdb2d97b8aa04cee2c84c244fe5",
+        "1020543916c35cfbffc9dfbea9bb678de2dd7827dfe51dd810f5b6450b15abcd",
         {"core": 2, "uo1": 4, "uo2": 1, "port_selection": 3, "port_connection": 3},
         {
             "peer_sampling": (256, 53248),
-            "uo1": (256, 33376),
-            "uo2": (256, 45232),
-            "core": (256, 39760),
-            "port_selection": (256, 12448),
-            "port_connection": (256, 20056),
+            "uo1": (256, 33544),
+            "uo2": (256, 42160),
+            "core": (256, 39880),
+            "port_selection": (256, 12880),
+            "port_connection": (256, 20008),
         },
     ),
     ("plain", 7): (
-        "d0d169873eb2739642218ad407b7e154024f65a9c4ed303002f37f20fbcd3cdc",
-        {"core": 2, "uo1": 4, "uo2": 1, "port_selection": 3, "port_connection": 5},
+        "4562cf2b9f919cdafab26c90aca50d2b3934f6eae22ecb554276381532589199",
+        {"core": 2, "uo1": 4, "uo2": 1, "port_selection": 4, "port_connection": 3},
         {
-            "peer_sampling": (320, 66560),
-            "uo1": (320, 41720),
-            "uo2": (320, 56696),
-            "core": (320, 50024),
-            "port_selection": (320, 17168),
-            "port_connection": (320, 27368),
+            "peer_sampling": (256, 53248),
+            "uo1": (256, 33088),
+            "uo2": (256, 42160),
+            "core": (256, 39784),
+            "port_selection": (256, 12880),
+            "port_connection": (256, 20320),
         },
     ),
     ("loss", 1): (
-        "a630739bb99c352c767a4cf9ce61df4db5e07b2568272cc9b3ce8d9ac121e2f5",
-        {"core": 4, "uo1": 4, "uo2": 1, "port_selection": 3, "port_connection": 4},
+        "7980511db99376b3266c40201f09f4eefb9423414f97769b2b8a51a6739478b7",
+        {"core": 4, "uo1": 4, "uo2": 1, "port_selection": 4, "port_connection": 4},
         {
             "peer_sampling": (208, 43264),
-            "uo1": (214, 27832),
-            "uo2": (218, 38504),
-            "core": (190, 28912),
-            "port_selection": (200, 9248),
-            "port_connection": (214, 15328),
+            "uo1": (214, 28024),
+            "uo2": (218, 35792),
+            "core": (190, 28960),
+            "port_selection": (200, 9008),
+            "port_connection": (214, 15472),
         },
     ),
     ("loss", 7): (
-        "9c3e7519bdc3d3866095e878b2de227b296fbe849e8445714acd1f93aad14062",
-        {"core": 3, "uo1": 4, "uo2": 1, "port_selection": 5, "port_connection": 5},
+        "3356de13e92a14f784b624e3d6610445087520e7dc16b78f2b5902ccd3c791eb",
+        {"core": 3, "uo1": 4, "uo2": 1, "port_selection": 4, "port_connection": 4},
         {
-            "peer_sampling": (242, 50336),
-            "uo1": (254, 32744),
-            "uo2": (270, 47808),
-            "core": (252, 38832),
-            "port_selection": (252, 12960),
-            "port_connection": (250, 20824),
+            "peer_sampling": (204, 42432),
+            "uo1": (210, 27216),
+            "uo2": (218, 35744),
+            "core": (206, 31592),
+            "port_selection": (202, 9520),
+            "port_connection": (200, 13952),
         },
     ),
     ("tman", 1): (
-        "d1633a3f53fcd0dd29f67dcd27dda85232fdccdb2d97b8aa04cee2c84c244fe5",
+        "1020543916c35cfbffc9dfbea9bb678de2dd7827dfe51dd810f5b6450b15abcd",
         {"core": 2, "uo1": 4, "uo2": 1, "port_selection": 3, "port_connection": 3},
         {
             "peer_sampling": (256, 53248),
-            "uo1": (256, 33376),
-            "uo2": (256, 45232),
+            "uo1": (256, 33544),
+            "uo2": (256, 42160),
             "core": (256, 38920),
-            "port_selection": (256, 12448),
-            "port_connection": (256, 20056),
+            "port_selection": (256, 12880),
+            "port_connection": (256, 20008),
         },
     ),
     ("tman", 7): (
-        "d0d169873eb2739642218ad407b7e154024f65a9c4ed303002f37f20fbcd3cdc",
-        {"core": 3, "uo1": 4, "uo2": 1, "port_selection": 3, "port_connection": 5},
+        "4562cf2b9f919cdafab26c90aca50d2b3934f6eae22ecb554276381532589199",
+        {"core": 3, "uo1": 4, "uo2": 1, "port_selection": 4, "port_connection": 3},
         {
-            "peer_sampling": (320, 66560),
-            "uo1": (320, 41720),
-            "uo2": (320, 56696),
-            "core": (320, 48752),
-            "port_selection": (320, 17168),
-            "port_connection": (320, 27368),
+            "peer_sampling": (256, 53248),
+            "uo1": (256, 33088),
+            "uo2": (256, 42160),
+            "core": (256, 38512),
+            "port_selection": (256, 12880),
+            "port_connection": (256, 20320),
         },
     ),
     ("repair", 1): (
-        "739dc2c4f45366476bd0f2d7e0b8c870b0388addebb356273401d6cba7e495d9",
-        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 3, "port_connection": 5},
+        "3a25945000490072e6b15cb80f5f2aada016c5d3c0a24473bf0becc8a03053f0",
+        {"core": 1, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 5},
         {
             "peer_sampling": (496, 103168),
-            "uo1": (496, 65968),
-            "uo2": (496, 89392),
-            "core": (496, 72208),
-            "port_selection": (496, 25648),
-            "port_connection": (496, 40936),
+            "uo1": (496, 66136),
+            "uo2": (496, 83896),
+            "core": (496, 72304),
+            "port_selection": (496, 26080),
+            "port_connection": (496, 40984),
         },
     ),
     ("repair", 7): (
-        "de6759a4aca8fdc28268883b044cc3ad0d81bdb26e3f073e7e12f695a032e335",
-        {"core": 1, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 4},
+        "15214754c76c0731c5a403f74687af56a47544cc906836bc674411c767d73522",
+        {"core": 1, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 3},
         {
-            "peer_sampling": (512, 106496),
-            "uo1": (512, 67808),
-            "uo2": (512, 92024),
-            "core": (510, 75768),
-            "port_selection": (512, 27392),
-            "port_connection": (512, 43376),
+            "peer_sampling": (400, 83200),
+            "uo1": (400, 52648),
+            "uo2": (400, 67456),
+            "core": (400, 59248),
+            "port_selection": (400, 20608),
+            "port_connection": (400, 31240),
         },
     ),
 }
@@ -169,36 +178,36 @@ def test_stack_reproduces_golden(scenario, seed):
 
 
 TRACED_COUNTERS = {
-    ("dead_purged", "peer_sampling"): 46,
-    ("dead_purged", "uo1"): 47,
+    ("dead_purged", "peer_sampling"): 38,
+    ("dead_purged", "uo1"): 42,
     ("descriptor_churn", "core"): 344,
-    ("descriptor_churn", "peer_sampling"): 1608,
-    ("descriptor_churn", "uo1"): 173,
-    ("descriptor_churn", "uo2"): 97,
-    ("descriptors_received", "core"): 2817,
-    ("descriptors_received", "peer_sampling"): 4096,
-    ("descriptors_received", "port_connection"): 1466,
-    ("descriptors_received", "port_selection"): 800,
-    ("descriptors_received", "uo1"): 2484,
-    ("descriptors_received", "uo2"): 3493,
-    ("descriptors_sent", "core"): 2817,
-    ("descriptors_sent", "peer_sampling"): 4096,
-    ("descriptors_sent", "port_connection"): 1466,
-    ("descriptors_sent", "port_selection"): 800,
-    ("descriptors_sent", "uo1"): 2484,
-    ("descriptors_sent", "uo2"): 3493,
-    ("exchanges", "core"): 255,
-    ("exchanges", "peer_sampling"): 256,
-    ("exchanges", "port_connection"): 256,
-    ("exchanges", "port_selection"): 256,
-    ("exchanges", "uo1"): 256,
-    ("exchanges", "uo2"): 256,
+    ("descriptor_churn", "peer_sampling"): 1270,
+    ("descriptor_churn", "uo1"): 146,
+    ("descriptor_churn", "uo2"): 138,
+    ("descriptors_received", "core"): 2202,
+    ("descriptors_received", "peer_sampling"): 3200,
+    ("descriptors_received", "port_connection"): 1035,
+    ("descriptors_received", "port_selection"): 592,
+    ("descriptors_received", "uo1"): 1927,
+    ("descriptors_received", "uo2"): 2544,
+    ("descriptors_sent", "core"): 2202,
+    ("descriptors_sent", "peer_sampling"): 3200,
+    ("descriptors_sent", "port_connection"): 1035,
+    ("descriptors_sent", "port_selection"): 592,
+    ("descriptors_sent", "uo1"): 1927,
+    ("descriptors_sent", "uo2"): 2544,
+    ("exchanges", "core"): 200,
+    ("exchanges", "peer_sampling"): 200,
+    ("exchanges", "port_connection"): 200,
+    ("exchanges", "port_selection"): 200,
+    ("exchanges", "uo1"): 200,
+    ("exchanges", "uo2"): 200,
     ("node_crashes", ""): 8,
-    ("view_replacements", "core"): 510,
-    ("view_replacements", "peer_sampling"): 512,
-    ("view_replacements", "uo1"): 512,
+    ("view_replacements", "core"): 400,
+    ("view_replacements", "peer_sampling"): 400,
+    ("view_replacements", "uo1"): 400,
 }
-TRACED_DELIVERIES = 4081
+TRACED_DELIVERIES = 2929
 
 
 def test_traced_repair_reproduces_golden_telemetry():

@@ -118,20 +118,25 @@ def run_fault_schedule(seed: int):
     }
 
 
-#: Recorded from the deleted ``engine.faults`` path (commit 128d0e4) for
-#: this schedule; every fault mode is exercised (three drop reasons + delays).
+#: First recorded from the deleted ``engine.faults`` path (commit 128d0e4)
+#: for this schedule; every fault mode is exercised (three drop reasons +
+#: delays). Re-pinned when UO2 began feeding UO1 and the core began
+#: bootstrapping from it: the run that precedes the schedule converges along
+#: a different trajectory, so which exchanges meet the cut moved with it (the
+#: fault plane itself is untouched: same three reasons, same orders of
+#: magnitude — 384 / 368 dropped before).
 GOLDEN = {
     1: {
-        "digest": "56efc590e0015315d262d7348e388fa0063e17991ff9e14c3d683c41dd593a50",
-        "drop_reasons": {"loss": 63, "partition": 313, "timeout": 8},
-        "total_dropped": 384,
-        "total_delayed": 4,
+        "digest": "a1e9c370ae03374660e59a6fae28125e6fc26da22281848b3c4165dc6f82615b",
+        "drop_reasons": {"loss": 64, "partition": 317, "timeout": 8},
+        "total_dropped": 389,
+        "total_delayed": 7,
     },
     7: {
-        "digest": "c2feb7c167ed3ed0fcae827ea489023ffab1362651dd50685897c7281dac62d2",
-        "drop_reasons": {"loss": 60, "partition": 296, "timeout": 12},
-        "total_dropped": 368,
-        "total_delayed": 4,
+        "digest": "1a19e88e2b39dd3f4e1bcc80ddc37954fe0b1415ab7590e46cbcce369f52266c",
+        "drop_reasons": {"loss": 57, "partition": 281, "timeout": 14},
+        "total_dropped": 352,
+        "total_delayed": 6,
     },
 }
 
