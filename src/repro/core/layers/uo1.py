@@ -5,16 +5,20 @@ component [and] gather nodes from the same component". UO1 is, per component,
 a clustered peer-sampling service: each node maintains a small, continuously
 mixed random sample *restricted to members of its own component*.
 
-Discovery works in two channels:
+Discovery works in three channels:
 
 - *harvesting*: each round the node scans its global peer-sampling view and
   adopts any same-component peers found there (profiles piggyback on
   peer-sampling descriptors, so this costs no extra messages in the byte
   model — see DESIGN.md);
+- *handover*: UO2 on the same node passes on every descriptor of this
+  component that its own gossip brings in (:meth:`SameComponentOverlay.adopt`,
+  as the harvest does);
 - *gossip*: a push-pull exchange of view samples with one same-component
   contact, mixing membership knowledge inside the component.
 
-The view doubles as the candidate source of the component's core protocol.
+The view doubles as the candidate source — and, while the core view is
+empty, the partner source — of the component's core protocol.
 """
 
 from __future__ import annotations

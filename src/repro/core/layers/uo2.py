@@ -5,7 +5,10 @@ between nodes from different components (for performance issues)". Each node
 keeps a small bucket of contacts *per foreign component*; the buckets are
 filled by harvesting the global random view and by gossiping contact tables
 with both same-component neighbours (spreading knowledge inside the
-component) and foreign contacts (bridging components).
+component) and foreign contacts (bridging components). What that gossip
+brings in about the node's *own* component is handed to UO1 on the same node,
+and every buffer carries one contact from the partner's component for the
+same purpose.
 
 These long-distance contacts are what the port-connection layer routes over
 to realize links, and what applications can use for inter-component traffic.
@@ -205,12 +208,13 @@ class DistantComponentOverlay(GossipProtocol):
             theirs = components[0] if components else None
             skip = set(components)
         buffer = [advert]
-        if theirs in self.buckets:
-            for contact in self.contacts(theirs):
-                if contact.node_id != peer_id:
-                    buffer.append(contact)
-                    slots -= 1
-                    break
+        # No bucket for ``theirs`` (unknown, or the node's own component):
+        # ``contacts`` is empty and the whole budget goes to the rotation.
+        for contact in self.contacts(theirs):
+            if contact.node_id != peer_id:
+                buffer.append(contact)
+                slots -= 1
+                break
         names = [name for name in known if name not in skip] or [
             name for name in known if name != theirs
         ]
