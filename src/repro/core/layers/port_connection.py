@@ -223,6 +223,7 @@ class PortConnection(GossipProtocol):
         would bloat the table (and every future message) linearly in the
         total number of ports.
         """
+        adopted = 0
         for ref, (manager_id, age) in received.items():
             if ref not in self._relevant:
                 continue
@@ -233,3 +234,6 @@ class PortConnection(GossipProtocol):
             mine = self.bindings.get(ref)
             if mine is None or age < mine[1]:
                 self.bindings[ref] = (manager_id, age)
+                adopted += 1
+        if ctx.obs is not None and adopted:
+            ctx.obs.count_key(self._k_churn, adopted)

@@ -179,6 +179,7 @@ class PortSelection(GossipProtocol):
         validation only to re-adopt it from the next gossip exchange.
         """
         port_map = {port.name: port for port in self.ports}
+        adopted = 0
         for name, belief in received.items():
             port = port_map.get(name)
             if port is None:
@@ -186,7 +187,10 @@ class PortSelection(GossipProtocol):
             if not ctx.network.is_alive(belief[0]):
                 continue
             mine = self.beliefs.get(name)
-            if mine is None:
+            if mine is not None:
+                belief = port.selector.better(mine, belief)
+            if belief != mine:
                 self.beliefs[name] = belief
-            else:
-                self.beliefs[name] = port.selector.better(mine, belief)
+                adopted += 1
+        if ctx.obs is not None and adopted:
+            ctx.obs.count_key(self._k_churn, adopted)

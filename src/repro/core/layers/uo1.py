@@ -23,7 +23,7 @@ empty, the partner source — of the component's core protocol.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
@@ -112,6 +112,15 @@ class SameComponentOverlay(GossipProtocol):
     def forget(self, node_id: int) -> None:
         self.view.remove(node_id)
 
+    wire_profile_is_digest = True
+
+    @property
+    def wire_profile(self) -> Tuple[int, ...]:
+        """The have-digest shipped with every request: the ids in this
+        node's view. The partner's reply leaves them out (see
+        :meth:`_offer`)."""
+        return tuple(self.view.ids())
+
     def reweight(
         self, healer: Optional[int] = None, swapper: Optional[int] = None
     ) -> GossipParams:
@@ -151,12 +160,21 @@ class SameComponentOverlay(GossipProtocol):
         return peer_protocol.profile.component == self.profile.component
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
-        """Own fresh descriptor plus a random slice of the view."""
+        """Own fresh descriptor plus a random slice of the view — on a
+        reply, of the part of the view the requester lacks: neither itself
+        nor an id its have-digest lists. The stream is drawn from only when
+        that part exceeds the budget."""
         advert = self._self_descriptor
         if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
-        buffer = [advert]
-        buffer.extend(self.view.sample(ctx.rng(), self.params.gossip_size - 1))
+        lacking = self.view.descriptors()
+        if request is not None and request.profile:
+            have = {peer_id, *request.profile}
+            lacking = [d for d in lacking if d.node_id not in have]
+        budget = self.params.gossip_size - 1
+        if len(lacking) > budget:
+            lacking = ctx.rng().sample(lacking, budget)
+        buffer = [advert, *lacking]
         return buffer, buffer
 
     def _absorb(

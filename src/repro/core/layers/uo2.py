@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
@@ -105,6 +105,16 @@ class DistantComponentOverlay(GossipProtocol):
         for bucket in self.buckets.values():
             bucket.remove(node_id)
 
+    wire_profile_is_digest = True
+
+    @property
+    def wire_profile(self) -> Tuple[str, ...]:
+        """The have-digest shipped with every request: the components this
+        node holds a contact in. The partner's reply serves the others first
+        (see :meth:`_offer`). Built after the partner rule's scan, so it
+        never vouches for a component whose contacts are all dead."""
+        return tuple(self.known_components())
+
     # -- internals -----------------------------------------------------------------------
 
     def _uo1(self, ctx: RoundContext):
@@ -148,6 +158,19 @@ class DistantComponentOverlay(GossipProtocol):
         extend cross-component knowledge)."""
         rng = ctx.rng()
         network = ctx.network
+        # Every round, whichever turn it is: a failed probe purges the
+        # contact (tombstoned and counted, as ``_oldest_live`` does), so a
+        # bucket of corpses empties and its component leaves the digest. An
+        # id-only scan otherwise: no live bucket is settled to be looked at.
+        foreign: Dict[int, str] = {}
+        for name, bucket in self.buckets.items():
+            for node_id in bucket.ids():
+                if network.is_alive(node_id):
+                    foreign[node_id] = name
+                else:
+                    bucket.purge(node_id)
+                    if ctx.obs is not None:
+                        ctx.obs.count_key(self._k_dead)
         candidates: List[int] = []
         drawn_from: Dict[int, str] = {}
         if ctx.round % 2 == 0 and ctx.node.has_protocol(self.uo1_layer):
@@ -157,12 +180,8 @@ class DistantComponentOverlay(GossipProtocol):
                 if network.is_alive(node_id)
             ]
         if not candidates:
-            # Id-only scan: no bucket is settled just to be looked at.
-            for name, bucket in self.buckets.items():
-                for node_id in bucket.ids():
-                    if network.is_alive(node_id):
-                        candidates.append(node_id)
-                        drawn_from[node_id] = name
+            candidates = list(foreign)
+            drawn_from = foreign
         candidates = [
             node_id
             for node_id in candidates
@@ -181,8 +200,9 @@ class DistantComponentOverlay(GossipProtocol):
 
         The first contact is one the partner hands to its UO1 (see
         :meth:`_insert`): a ring-mate it may not know yet. A reply leaves
-        out the components the requester just shipped contacts of — it
-        demonstrably has those — unless nothing else is known.
+        out the components the requester demonstrably has — those it just
+        shipped contacts of and those its have-digest lists — unless nothing
+        else is known: the budget goes to what the requester lacks.
 
         The round-robin starts where the previous round's window ended (and
         at a different component on every node): with more known components
@@ -206,7 +226,7 @@ class DistantComponentOverlay(GossipProtocol):
                 getattr(d.profile, "component", None) for d in request.payload
             ]
             theirs = components[0] if components else None
-            skip = set(components)
+            skip = {*components, *(request.profile or ())}
         buffer = [advert]
         # No bucket for ``theirs`` (unknown, or the node's own component):
         # ``contacts`` is empty and the whole budget goes to the rotation.

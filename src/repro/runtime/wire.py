@@ -18,8 +18,8 @@ Design rules, enforced by tests:
   which would corrupt shape-coordinate profiles and
   :class:`~repro.gossip.descriptors.Provenance` tags crossing the wire.
   A tagged encoding (:func:`pack_value` / :func:`unpack_value`)
-  preserves tuples, descriptors, and provenance bit-for-bit — the
-  loopback digest gate rests on this.
+  preserves tuples, descriptors, node profiles, and provenance
+  bit-for-bit — the loopback digest gate rests on this.
 - **Determinism.** Message ids are ``"<src>:<seq>"`` from a per-node
   monotonic counter (:class:`MsgIdSource`), not random UUIDs, so a
   seeded swarm emits a reproducible id stream.
@@ -37,6 +37,7 @@ import json
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
+from repro.core.profiles import NodeProfile
 from repro.errors import WireError
 from repro.gossip.descriptors import Descriptor, Provenance
 
@@ -72,7 +73,8 @@ _TAG_TUPLE = "__t"
 _TAG_DESCRIPTOR = "__d"
 _TAG_PROVENANCE = "__p"
 _TAG_MAP = "__m"
-_TAGS = (_TAG_TUPLE, _TAG_DESCRIPTOR, _TAG_PROVENANCE, _TAG_MAP)
+_TAG_NODE_PROFILE = "__n"
+_TAGS = (_TAG_TUPLE, _TAG_DESCRIPTOR, _TAG_PROVENANCE, _TAG_MAP, _TAG_NODE_PROFILE)
 
 #: Optional trace-context field: a Lamport clock plus provenance tags.
 #: Version-tolerant by construction — WIRE_VERSION stays 1, decoders that
@@ -126,7 +128,9 @@ def pack_value(value: Any) -> Any:
 
     Supports the payload vocabulary of the gossip layers: scalars, strings,
     lists, tuples, string-keyed dicts, arbitrary-keyed dicts (as tagged
-    pair lists), :class:`Descriptor`, and :class:`Provenance`. Anything
+    pair lists), :class:`Descriptor`, :class:`Provenance`, and
+    :class:`~repro.core.profiles.NodeProfile` (a named tuple the UO layers
+    test with ``isinstance``: as a plain tuple it would be dropped). Anything
     else is a programming error on the *sending* side and raises
     :class:`WireError` immediately rather than emitting garbage.
     """
@@ -143,6 +147,9 @@ def pack_value(value: Any) -> Any:
         }
     if isinstance(value, Provenance):
         return {_TAG_PROVENANCE: [value.origin, value.minted_round, value.hops]}
+    if isinstance(value, NodeProfile):
+        component, rank, comp_size, coord = value
+        return {_TAG_NODE_PROFILE: [component, rank, comp_size, pack_value(coord)]}
     if isinstance(value, tuple):
         return {_TAG_TUPLE: [pack_value(item) for item in value]}
     if isinstance(value, list):
@@ -188,6 +195,17 @@ def unpack_value(value: Any) -> Any:
             if not isinstance(items, list):
                 raise WireError("malformed tuple tag")
             return tuple(unpack_value(item) for item in items)
+        if _TAG_NODE_PROFILE in value:
+            fields = value[_TAG_NODE_PROFILE]
+            if not isinstance(fields, list) or len(fields) != 4:
+                raise WireError("malformed node-profile tag")
+            component, rank, comp_size, coord = fields
+            if not isinstance(component, str) or not all(
+                isinstance(item, int) and not isinstance(item, bool)
+                for item in (rank, comp_size)
+            ):
+                raise WireError("malformed node-profile tag")
+            return NodeProfile(component, rank, comp_size, unpack_value(coord))
         if _TAG_MAP in value:
             pairs = value[_TAG_MAP]
             if not isinstance(pairs, list) or not all(

@@ -88,6 +88,14 @@ class GossipParams:
         )
 
 
+#: Bytes of one have-digest entry on a request (UO1 lists the node ids in its
+#: view, UO2 the components it holds a contact in): the width the descriptor
+#: record below gives a node identifier or a component-name hash. A constant
+#: of the cost model, not a knob — nothing in the repository prices it
+#: differently.
+DIGEST_ENTRY_BYTES = 4
+
+
 @dataclass(frozen=True)
 class TransportCosts:
     """Byte-cost model used for bandwidth accounting (paper Fig. 4).
@@ -95,7 +103,8 @@ class TransportCosts:
     A gossip message carries a fixed header plus one *descriptor* per view
     entry shipped. A descriptor serializes a node identifier, a logical age,
     and a layer profile (component name hash, rank, coordinate) — 24 bytes is
-    the size of that record in a compact binary encoding.
+    the size of that record in a compact binary encoding. A request may also
+    carry a *have-digest*, charged at :data:`DIGEST_ENTRY_BYTES` per entry.
     """
 
     header_bytes: int = 16
@@ -105,8 +114,13 @@ class TransportCosts:
         if self.header_bytes < 0 or self.descriptor_bytes < 0:
             raise ConfigurationError("byte costs must be >= 0")
 
-    def message_bytes(self, n_descriptors: int) -> int:
-        """Size in bytes of one message carrying ``n_descriptors`` entries."""
-        if n_descriptors < 0:
-            raise ConfigurationError("n_descriptors must be >= 0")
-        return self.header_bytes + n_descriptors * self.descriptor_bytes
+    def message_bytes(self, n_descriptors: int, n_digest_entries: int = 0) -> int:
+        """Size in bytes of one message carrying ``n_descriptors`` entries
+        and a have-digest of ``n_digest_entries``."""
+        if n_descriptors < 0 or n_digest_entries < 0:
+            raise ConfigurationError("n_descriptors and n_digest_entries must be >= 0")
+        return (
+            self.header_bytes
+            + n_descriptors * self.descriptor_bytes
+            + n_digest_entries * DIGEST_ENTRY_BYTES
+        )

@@ -88,9 +88,16 @@ class GossipProtocol(Protocol):
     #: Descriptor-list payloads carry provenance tags for the flow tracer;
     #: layers that gossip tables instead (the port layers) opt out.
     traces_flow = True
-    #: The coordinate shipped as ``ExchangeRequest.profile``; only layers
-    #: whose passive half ranks its reply on it (Vicinity, T-Man) set one.
+    #: What the passive half ranks its reply on, shipped as
+    #: ``ExchangeRequest.profile``: the requester's coordinate (Vicinity,
+    #: T-Man) or its have-digest — a tuple naming what it already holds, so
+    #: the reply can fill the gaps (UO1: the ids in its view; UO2: the
+    #: components it has a contact in). Read after :meth:`_offer`. ``None``
+    #: gets the uninformed reply.
     wire_profile: Any = None
+    #: A have-digest is traffic of its own (a coordinate is already in the
+    #: advert the buffer leads with): the ledger charges its entries.
+    wire_profile_is_digest = False
 
     def __init__(self, node_id: int, layer: str):
         self.node_id = node_id
@@ -119,17 +126,19 @@ class GossipProtocol(Protocol):
         obs = ctx.obs
         flow = obs.flow if obs is not None and self.traces_flow else None
         buffer, kept = self._offer(ctx, flow, partner_id, None)
-        reply = ctx.transport.exchange(
-            ctx,
-            partner_id,
-            ExchangeRequest(self.layer, self.node_id, buffer, self.wire_profile),
-        )
+        request = ExchangeRequest(self.layer, self.node_id, buffer, self.wire_profile)
+        reply = ctx.transport.exchange(ctx, partner_id, request)
         if reply is None:
             # Sent but never answered (a real-network timeout): same
             # treatment as a link the fault gate refused.
             self._unreachable(partner_id)
             return
-        ctx.transport.record_exchange(self.layer, len(buffer), len(reply))
+        ctx.transport.record_exchange(
+            self.layer,
+            len(buffer),
+            len(reply),
+            len(request.profile) if self.wire_profile_is_digest else 0,
+        )
         if obs is not None:
             obs.count_key(self._k_exchanges)
             obs.count_key(self._k_sent, len(buffer))

@@ -109,21 +109,29 @@ class Transport:
 
     # -- accounting -----------------------------------------------------------
 
-    def record_message(self, layer: str, n_descriptors: int) -> int:
-        """Account one message of ``n_descriptors`` entries on ``layer``.
+    def record_message(
+        self, layer: str, n_descriptors: int, n_digest_entries: int = 0
+    ) -> int:
+        """Account one message of ``n_descriptors`` entries (and a
+        have-digest of ``n_digest_entries``) on ``layer``.
 
         Returns the number of bytes charged.
         """
-        size = self.costs.message_bytes(n_descriptors)
+        size = self.costs.message_bytes(n_descriptors, n_digest_entries)
         self._bytes[layer][self.round] += size
         self._messages[layer][self.round] += 1
         return size
 
     def record_exchange(
-        self, layer: str, request_descriptors: int, response_descriptors: int
+        self,
+        layer: str,
+        request_descriptors: int,
+        response_descriptors: int,
+        request_digest_entries: int = 0,
     ) -> int:
-        """Account one push-pull exchange (a request and its response)."""
-        total = self.record_message(layer, request_descriptors)
+        """Account one push-pull exchange (a request, with the have-digest
+        it carried if any, and its response)."""
+        total = self.record_message(layer, request_descriptors, request_digest_entries)
         total += self.record_message(layer, response_descriptors)
         return total
 

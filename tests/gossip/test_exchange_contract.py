@@ -11,6 +11,7 @@ exchange is ledgered and counted once.
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 from pathlib import Path
 
@@ -56,6 +57,7 @@ class RecordingTransport(Transport):
         self._answers = answers
         self.stream_at_gate = None
         self.requests = []
+        self.replies = []
         self.recorded = []
 
     def deliverable(self, ctx, dst, layer=""):
@@ -68,11 +70,15 @@ class RecordingTransport(Transport):
             return None
         # The partner answers unobserved, so the counts below are the
         # active half's alone.
-        return super().exchange(dataclasses.replace(ctx, obs=None), dst, request)
+        reply = super().exchange(dataclasses.replace(ctx, obs=None), dst, request)
+        self.replies.append(reply)
+        return reply
 
-    def record_exchange(self, layer, request_descriptors, response_descriptors):
-        self.recorded.append((layer, request_descriptors, response_descriptors))
-        return super().record_exchange(layer, request_descriptors, response_descriptors)
+    def record_exchange(self, layer, request_descriptors, response_descriptors, digest=0):
+        self.recorded.append((layer, request_descriptors, response_descriptors, digest))
+        return super().record_exchange(
+            layer, request_descriptors, response_descriptors, digest
+        )
 
 
 class RecordingInstrument(Instrument):
@@ -155,13 +161,135 @@ def test_completed_exchange_is_ledgered_and_counted_once(cls):
     protocol, _, obs = one_step(cls, transport)
     (request,) = transport.requests
     assert request.layer == protocol.layer and request.sender == protocol.node_id
-    ((layer, sent, received),) = transport.recorded
+    ((layer, sent, received, digest),) = transport.recorded
     assert (layer, sent) == (protocol.layer, len(request.payload))
+    assert digest == (len(request.profile) if cls in DIGEST_LAYERS else 0)
     assert exchange_counts(obs, protocol.layer) == [
         ("exchanges", 1),
         ("descriptors_sent", sent),
         ("descriptors_received", received),
     ]
+
+
+# -- the have-digest: UO1 and UO2 ask for what they lack ------------------------------
+
+#: class -> what its request says the requester already holds.
+DIGEST_LAYERS = {
+    SameComponentOverlay: lambda protocol: tuple(protocol.view.ids()),
+    DistantComponentOverlay: lambda protocol: tuple(protocol.known_components()),
+}
+
+
+class DigestSnapshot(RecordingTransport):
+    """Also notes the requester's digest-relevant state as the request leaves
+    (the absorb that follows changes it)."""
+
+    def __init__(self, held):
+        super().__init__()
+        self._held = held
+        self.held_at_send = None
+
+    def exchange(self, ctx, dst, request):
+        self.held_at_send = self._held(ctx.node.protocol(request.layer))
+        return super().exchange(ctx, dst, request)
+
+
+@pytest.mark.parametrize("cls", DIGEST_LAYERS, ids=lambda cls: cls.__name__)
+def test_request_carries_the_have_digest_and_the_ledger_charges_it(cls):
+    transport = DigestSnapshot(DIGEST_LAYERS[cls])
+    protocol, _, _ = one_step(cls, transport)
+    (request,) = transport.requests
+    (reply,) = transport.replies
+    assert isinstance(request.profile, tuple) and request.profile
+    assert request.profile == transport.held_at_send
+    costs = transport.costs
+    assert (costs.header_bytes, costs.descriptor_bytes) == (16, 24)
+    assert transport.total_messages(protocol.layer) == 2
+    assert transport.total_bytes(protocol.layer) == (
+        2 * 16 + 24 * (len(request.payload) + len(reply)) + 4 * len(request.profile)
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in CASES if c not in DIGEST_LAYERS], ids=lambda cls: cls.__name__
+)
+def test_layers_without_a_digest_are_charged_descriptors_alone(cls):
+    transport = RecordingTransport()
+    protocol, _, _ = one_step(cls, transport)
+    (request,) = transport.requests
+    (reply,) = transport.replies
+    if cls in (Vicinity, TMan):
+        assert request.profile == protocol.profile  # a coordinate: in the advert already
+    else:
+        assert request.profile is None
+    assert transport.total_bytes(protocol.layer) == (
+        2 * 16 + 24 * (len(request.payload) + len(reply))
+    )
+
+
+def passive_reply(cls, digest):
+    """Node 0's first ``cls`` partner answers a request carrying ``digest``
+    (a callable on the partner builds it); returns (partner, request, reply,
+    stream state before, stream state after)."""
+    transport = RecordingTransport()
+    _, ctx, _ = one_step(cls, transport)
+    (sent,) = transport.requests
+    partner = next(
+        node.protocol(sent.layer)
+        for node in ctx.network.alive_nodes()
+        if node.node_id != 0
+        and node.has_protocol(sent.layer)
+        and node.protocol(sent.layer).neighbors()
+    )
+    # The advert alone: what the reply leaves out is then the digest's doing.
+    request = dataclasses.replace(sent, payload=sent.payload[:1], profile=digest(partner))
+    ctx = dataclasses.replace(ctx, obs=None)
+    before = ctx.rng().getstate()
+    reply, _kept = partner._offer(ctx, None, request.sender, request)
+    return partner, request, reply, before, ctx.rng().getstate()
+
+
+def test_uo1_reply_holds_nothing_the_digest_lists_and_never_the_requester():
+    partner, request, reply, before, after = passive_reply(
+        SameComponentOverlay, lambda partner: tuple(partner.view.ids()[::2])
+    )
+    assert reply[0] is partner.self_descriptor()
+    shipped = [d.node_id for d in reply[1:]]
+    lacking = set(partner.view.ids()) - {request.sender, *request.profile}
+    assert shipped and set(shipped) <= lacking
+    budget = partner.params.gossip_size - 1
+    assert len(shipped) == min(budget, len(lacking))
+    # The one place a passive half draws: more lacking than the budget holds.
+    assert (after != before) == (len(lacking) > budget)
+
+
+def test_uo2_reply_serves_the_lacking_components_first_and_draws_nothing():
+    partner, request, reply, before, after = passive_reply(
+        DistantComponentOverlay, lambda partner: tuple(partner.known_components()[:1])
+    )
+    assert after == before
+    assert reply[0] is partner.self_descriptor()
+    theirs = request.payload[0].profile.component
+    lacking = set(partner.known_components()) - {theirs, *request.profile}
+    assert lacking, "the scenario must leave something to ask for"
+    rotation = [d.profile.component for d in reply[1:] if d.profile.component != theirs]
+    assert set(rotation) <= lacking
+    slots = partner.gossip_contacts - len(reply) + len(rotation)
+    assert len(set(rotation)) == min(slots, len(lacking))
+
+
+@pytest.mark.parametrize("cls", DIGEST_LAYERS, ids=lambda cls: cls.__name__)
+def test_none_and_empty_digests_get_the_same_uninformed_reply(cls):
+    _, _, none_reply, before, after_none = passive_reply(cls, lambda partner: None)
+    _, _, empty_reply, again, after_empty = passive_reply(cls, lambda partner: ())
+    assert before == again  # the scenario is seeded: two identical worlds
+    assert none_reply == empty_reply and after_none == after_empty
+    if cls is SameComponentOverlay:
+        # ...and is the random slice of the whole view it always was.
+        partner, _, reply, _, _ = passive_reply(cls, lambda partner: None)
+        rng = random.Random()
+        rng.setstate(before)
+        assert reply[1:] == partner.view.sample(rng, partner.params.gossip_size - 1)
 
 
 def test_the_exchange_is_written_in_exactly_one_module():
