@@ -124,18 +124,20 @@ def run_fault_schedule(seed: int):
 #: bootstrapping from it: the run that precedes the schedule converges along
 #: a different trajectory, so which exchanges meet the cut moved with it (the
 #: fault plane itself is untouched: same three reasons, same orders of
-#: magnitude — 384 / 368 dropped before).
+#: magnitude — 384 / 368 dropped before). Re-pinned again, for the same
+#: reason, when UO1 / UO2 requests began to carry a have-digest (389 / 352
+#: dropped before).
 GOLDEN = {
     1: {
-        "digest": "a1e9c370ae03374660e59a6fae28125e6fc26da22281848b3c4165dc6f82615b",
-        "drop_reasons": {"loss": 64, "partition": 317, "timeout": 8},
-        "total_dropped": 389,
-        "total_delayed": 7,
+        "digest": "1e4e3dc3d6e66942de20d92f60359507fede6be75137911c19d807dcb4b44c5d",
+        "drop_reasons": {"loss": 62, "partition": 298, "timeout": 8},
+        "total_dropped": 368,
+        "total_delayed": 5,
     },
     7: {
-        "digest": "1a19e88e2b39dd3f4e1bcc80ddc37954fe0b1415ab7590e46cbcce369f52266c",
-        "drop_reasons": {"loss": 57, "partition": 281, "timeout": 14},
-        "total_dropped": 352,
+        "digest": "98bed33ab9349225bff7c1c2f31f2e3279bf46588c204f20e0f3dfbb24625a32",
+        "drop_reasons": {"loss": 55, "partition": 284, "timeout": 11},
+        "total_dropped": 350,
         "total_delayed": 6,
     },
 }
