@@ -180,8 +180,7 @@ class DistantComponentOverlay(GossipProtocol):
                 if network.is_alive(node_id)
             ]
         if not candidates:
-            candidates = list(foreign)
-            drawn_from = foreign
+            candidates, drawn_from = list(foreign), foreign
         candidates = [
             node_id
             for node_id in candidates

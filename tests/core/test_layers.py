@@ -179,6 +179,11 @@ class TestUO1Offer:
         assert buffer[1:] == random.Random(9).sample(lacking, 4)
 
 
+def counting_obs(counted):
+    """An instrument stand-in appending every keyed increment to ``counted``."""
+    return SimpleNamespace(count_key=lambda key, value=1: counted.append((key, value)))
+
+
 def bare_uo2(contacts, node_id=0, capacity=2, gossip_contacts=8):
     """A UO2 instance outside any deployment, holding ``contacts`` — an
     iterable of ``(component, node_id, age)``."""
@@ -457,7 +462,7 @@ class TestUO2:
                 node=lambda node_id: SimpleNamespace(has_protocol=lambda layer: True),
             ),
             node=SimpleNamespace(has_protocol=lambda layer: True, protocol=lambda layer: uo1),
-            obs=SimpleNamespace(count_key=lambda key, value=1: counted.append((key, value))),
+            obs=counting_obs(counted),
         )
         assert protocol._choose_partner(ctx) == (100 if round_number % 2 else 1)
         assert counted == [(("dead_purged", "uo2"), 1)] * 3
@@ -601,13 +606,6 @@ class TestUO2:
                 protocol, round_number, True, 1, [member(1)], everything
             ) == reference_offer(protocol, round_number)
 
-    def test_the_offer_never_draws_from_the_stream(self):
-        """``offer`` hands ``_offer`` a context without an ``rng``: every
-        call in this class would raise if either half touched one."""
-        protocol = bare_uo2(full_buckets(5))
-        assert offer(protocol, 0, True, 1, [member(1)], ("c00",))
-        assert offer(protocol, 0)
-
     # -- the handover: own-component sightings feed UO1 ------------------------------
 
     def test_absorb_hands_own_component_sightings_to_uo1(self):
@@ -750,12 +748,10 @@ class TestPortSelection:
 def absorb_ctx(counted):
     """Everybody alive; ``counted`` collects the keyed increments (``None``:
     unobserved)."""
-    obs = (
-        None
-        if counted is None
-        else SimpleNamespace(count_key=lambda key, value=1: counted.append((key, value)))
+    return SimpleNamespace(
+        network=SimpleNamespace(is_alive=lambda node_id: True),
+        obs=None if counted is None else counting_obs(counted),
     )
-    return SimpleNamespace(network=SimpleNamespace(is_alive=lambda node_id: True), obs=obs)
 
 
 class TestPortLayerChurn:

@@ -5,7 +5,9 @@ Every layer inherits its active and passive halves from
 step of each through a recording transport and pin what the committed
 digests depend on: a refused gate draws nothing and leaves no trace, a
 timed-out reply is treated exactly like a refused gate, and a completed
-exchange is ledgered and counted once.
+exchange is ledgered and counted once. The second half pins the have-digest
+of the two utility overlays: what a request says the requester holds, what
+the ledger charges for it, and what the passive half does with it.
 """
 
 from __future__ import annotations
@@ -280,16 +282,15 @@ def test_uo2_reply_serves_the_lacking_components_first_and_draws_nothing():
 
 @pytest.mark.parametrize("cls", DIGEST_LAYERS, ids=lambda cls: cls.__name__)
 def test_none_and_empty_digests_get_the_same_uninformed_reply(cls):
-    _, _, none_reply, before, after_none = passive_reply(cls, lambda partner: None)
+    partner, _, none_reply, before, after_none = passive_reply(cls, lambda partner: None)
     _, _, empty_reply, again, after_empty = passive_reply(cls, lambda partner: ())
     assert before == again  # the scenario is seeded: two identical worlds
     assert none_reply == empty_reply and after_none == after_empty
     if cls is SameComponentOverlay:
         # ...and is the random slice of the whole view it always was.
-        partner, _, reply, _, _ = passive_reply(cls, lambda partner: None)
         rng = random.Random()
         rng.setstate(before)
-        assert reply[1:] == partner.view.sample(rng, partner.params.gossip_size - 1)
+        assert none_reply[1:] == partner.view.sample(rng, partner.params.gossip_size - 1)
 
 
 def test_the_exchange_is_written_in_exactly_one_module():
