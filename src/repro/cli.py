@@ -25,11 +25,10 @@ Commands
 ``export FILE``
     Converge the topology and dump the realized overlay as Graphviz DOT or
     an edge list.
-``bench [gossip|fig2|fig3|fig4|e2|e3]``
-    Without a target (or with ``gossip``), run the deterministic gossip
-    hot-path workload matrix, print its table, and write the
-    ``BENCH_gossip.json`` trajectory. With a figure/experiment target,
-    regenerate it at the current ``REPRO_SCALE`` and print its table.
+``bench {fig2|fig3|fig4|e2|e3}``
+    Regenerate a paper figure / experiment at the current ``REPRO_SCALE``
+    and print its table. (Performance is measured by the repository
+    benchmark, ``python3 -m bench``.)
 ``faults --scenario NAME``
     Run one scenario of the fault-injection suite (or the whole matrix)
     and print its self-healing report: per-layer time-to-repair, residual
@@ -53,7 +52,7 @@ Commands
     The observability window. With a ``.topo`` file: run it instrumented
     and print/export the telemetry (``--jsonl``, ``--prom``; ``--flow``
     adds causal propagation tracing). With a ``.jsonl`` event stream:
-    summarize it post-mortem. ``bench`` and ``faults`` take ``--obs PATH``
+    summarize it post-mortem. ``faults`` and ``heal`` take ``--obs PATH``
     to capture telemetry as they run.
 ``watch FILE``
     Live terminal view of a converging run: population, per-layer
@@ -67,6 +66,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -193,97 +193,20 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro bench`` target → (``repro.experiments`` module, runner, renderer).
+_BENCH_DRIVERS = {
+    "fig2": ("fig2", "run_fig2", "format_fig2"),
+    "fig3": ("fig3", "run_fig3", "format_fig3"),
+    "fig4": ("fig4", "run_fig4", "format_fig4"),
+    "e2": ("ring_of_rings", "run_ring_of_rings", "format_ring_of_rings"),
+    "e3": ("reconfiguration", "run_reconfiguration", "format_reconfiguration"),
+}
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    target = args.target
-    if target == "scale" or (target == "gossip" and args.scale in ("1k", "10k")):
-        # The scale tiers run the sharded-engine bench: the 'scale' target
-        # accepts every tier (ci included); the default gossip target routes
-        # its 1k/10k scales here so `repro bench --scale 1k` just works.
-        from repro.scale.bench import (
-            format_scale_bench,
-            run_scale_bench,
-            write_scale_bench,
-        )
-
-        tier = args.scale if args.scale in ("ci", "1k", "10k") else "ci"
-        section = run_scale_bench(
-            tier=tier, master_seed=args.seed, n_shards=args.shards
-        )
-        print(format_scale_bench(section))
-        print(f"wrote {write_scale_bench(section, json_path=args.output)}")
-        return 0
-    if target == "gossip":
-        from repro.perf.bench import format_bench, run_bench, write_bench
-
-        report = run_bench(
-            scale=args.scale,
-            seeds=args.seeds,
-            master_seed=args.seed,
-            parallel=args.parallel,
-            obs=args.obs is not None,
-        )
-        print(format_bench(report))
-        if args.check:
-            # Regression gate: compare against the committed trajectory at
-            # --output instead of rewriting it.
-            import json as _json
-
-            from repro.perf.bench import check_bench, format_check
-
-            try:
-                baseline = _json.loads(
-                    open(args.output, "r", encoding="utf-8").read()
-                )
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read baseline {args.output}: {exc}",
-                      file=sys.stderr)
-                return 2
-            regressions = check_bench(report, baseline, tolerance=args.tolerance)
-            print(format_check(regressions, tolerance=args.tolerance))
-            return 1 if regressions else 0
-        written = write_bench(report, json_path=args.output)
-        if report.obs is not None:
-            obs = report.obs
-            flow_frac = obs.get("flow_overhead_fraction")
-            print(
-                "obs: digests "
-                + ("identical" if obs["digests_identical"] else "DIVERGED")
-                + f", instrumentation overhead {obs['overhead_fraction']:+.1%}"
-                + (
-                    f", provenance tracing {flow_frac:+.1%}"
-                    if flow_frac is not None
-                    else ""
-                )
-            )
-            written.extend(_write_obs_exports(args.obs, report.obs_collector))
-        for path in written:
-            print(f"wrote {path}")
-    elif target == "fig2":
-        from repro.experiments.fig2 import format_fig2, run_fig2
-
-        print(format_fig2(run_fig2()))
-    elif target == "fig3":
-        from repro.experiments.fig3 import format_fig3, run_fig3
-
-        print(format_fig3(run_fig3()))
-    elif target == "fig4":
-        from repro.experiments.fig4 import format_fig4, run_fig4
-
-        print(format_fig4(run_fig4()))
-    elif target == "e2":
-        from repro.experiments.ring_of_rings import (
-            format_ring_of_rings,
-            run_ring_of_rings,
-        )
-
-        print(format_ring_of_rings(run_ring_of_rings()))
-    elif target == "e3":
-        from repro.experiments.reconfiguration import (
-            format_reconfiguration,
-            run_reconfiguration,
-        )
-
-        print(format_reconfiguration(run_reconfiguration()))
+    module, run, render = _BENCH_DRIVERS[args.target]
+    driver = importlib.import_module(f"repro.experiments.{module}")
+    print(getattr(driver, render)(getattr(driver, run)()))
     return 0
 
 
@@ -698,7 +621,7 @@ def _watch_swarm(args: argparse.Namespace) -> int:
 
 
 def _cmd_swarm(args: argparse.Namespace) -> int:
-    from repro.runtime.swarm import run_swarm, write_swarm_bench
+    from repro.runtime.swarm import run_swarm
 
     def progress(poll: int, statuses, verdict: str) -> None:
         if args.quiet:
@@ -765,7 +688,8 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
         print(f"  alert: {alert['rule']} ({alert['severity']}) {alert['evidence']}")
     written = []
     if args.bench:
-        written.append(write_swarm_bench(report, args.bench))
+        report.write(args.bench)
+        written.append(args.bench)
     if args.prom:
         from repro.obs.export import write_prometheus
 
@@ -873,70 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(func=_cmd_export)
 
     bench = subparsers.add_parser(
-        "bench", help="run the perf workload matrix or regenerate a paper figure"
+        "bench", help="regenerate a paper figure or experiment table"
     )
-    bench.add_argument(
-        "target",
-        nargs="?",
-        default="gossip",
-        choices=("gossip", "scale", "fig2", "fig3", "fig4", "e2", "e3"),
-        help="'gossip' (default) runs the hot-path workload matrix; "
-        "'scale' runs the sharded-engine tier bench",
-    )
-    bench.add_argument(
-        "--scale",
-        choices=("ci", "full", "1k", "10k"),
-        default="ci",
-        help="workload matrix size: ci/full select the gossip matrix, "
-        "1k/10k the scale tiers (default: ci)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for the scale tiers (default: per-tier preset)",
-    )
-    bench.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        help="seeds per workload cell (default: per-scale preset)",
-    )
-    bench.add_argument("--seed", type=int, default=1, help="master seed (default: 1)")
-    bench.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        help="worker processes for the gossip target (default: auto)",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_gossip.json",
-        help="trajectory path for the gossip target (default: BENCH_gossip.json)",
-    )
-    bench.add_argument(
-        "--obs",
-        default=None,
-        metavar="PATH",
-        help="verify the zero-interference contract (digest identity + "
-        "overhead) and write the telemetry stream to PATH (JSONL; a "
-        "Prometheus snapshot lands at PATH.prom)",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="regression gate (gossip target): compare the fresh run "
-        "against the committed trajectory at --output instead of "
-        "rewriting it; exit 1 when any cell's mean wall time regresses "
-        "past --tolerance",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        help="allowed per-cell wall-time regression fraction for --check "
-        "(default: 0.20)",
-    )
+    bench.add_argument("target", choices=tuple(_BENCH_DRIVERS))
     bench.set_defaults(func=_cmd_bench)
 
     from repro.faults.scenarios import SCENARIOS
@@ -1134,10 +997,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swarm.add_argument(
         "--bench",
-        default="BENCH_gossip.json",
+        default=None,
         metavar="PATH",
-        help="merge per-node bandwidth into the bench trajectory's 'swarm' "
-        "section (default: BENCH_gossip.json; empty string disables)",
+        help="write the swarm report (verdict, rounds, per-node bandwidth, "
+        "flow, RTT) to PATH as one JSON document",
     )
     swarm.add_argument(
         "--prom",

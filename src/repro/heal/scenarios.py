@@ -306,9 +306,9 @@ def write_heal_bench(
 ) -> str:
     """Write the matrix stabilization numbers as JSON; returns the path.
 
-    Lands alongside ``BENCH_gossip.json``: the gossip trajectory answers
-    "how fast is a round", this file answers "how fast does a corrupted
-    system come back".
+    The repository benchmark (``BENCHMARK.json``) answers "what does
+    assembly cost"; this file answers "how fast does a corrupted system
+    come back".
     """
     payload = {
         "benchmark": "heal",

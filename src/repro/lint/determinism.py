@@ -10,11 +10,10 @@ so as the codebase grows:
   and no unseeded ``random.Random()``/``SystemRandom`` anywhere outside
   that module.
 - ``DET003`` — no wall-clock reads in simulation-facing packages (``sim``,
-  ``core``, ``gossip``, ``faults``, ``obs``, ``heal``) nor in the simulation-side
-  half of the perf subsystem (``perf/cache.py``, ``perf/digest.py``,
-  ``perf/workloads.py``): simulated time is the round counter. Timing
-  belongs to the harness (``perf/bench.py``) and to the observability
-  subsystem's single sanctioned clock site (``obs/spans.py``) alone.
+  ``core``, ``gossip``, ``faults``, ``obs``, ``heal``, ``perf``,
+  ``scale``): simulated time is the round counter. Timing belongs to the
+  observability subsystem's single sanctioned clock site
+  (``obs/spans.py``) alone.
 - ``DET004`` — no iteration over bare ``set``/``frozenset`` values in
   ordering-sensitive packages (``gossip``, ``core``, ``sim``, ``heal``): hash order
   must never feed a view merge or a stochastic choice. ``sorted(...)``,
@@ -48,10 +47,8 @@ from repro.diagnostics import ERROR, Diagnostic, sort_diagnostics
 #: The only module allowed to touch the ``random`` module directly.
 RNG_MODULE = "sim/rng.py"
 
-#: Packages/files where wall-clock reads are forbidden (DET003). The perf
-#: subsystem is split on purpose: its workloads, digests, and caches are
-#: simulation-side (results must be a pure function of (config, seed)),
-#: while perf/bench.py is the one sanctioned timing harness.
+#: Packages where wall-clock reads are forbidden (DET003): their results
+#: must be a pure function of (config, seed).
 WALLCLOCK_PATHS = (
     "sim/",
     "core/",
@@ -59,9 +56,8 @@ WALLCLOCK_PATHS = (
     "faults/",
     "obs/",
     "heal/",
-    "perf/cache.py",
-    "perf/digest.py",
-    "perf/workloads.py",
+    "perf/",
+    "scale/",
 )
 
 #: Sanctioned exceptions inside WALLCLOCK_PATHS. ``obs/spans.py`` is the

@@ -22,9 +22,8 @@ process environment       DET105   ``os.environ[...]``, ``os.getenv(...)``
 ========================  =======  ==========================================
 
 Sanctioned sites keep their exemptions: ``sim/rng.py`` may construct RNGs
-(it is where streams are derived), ``perf/bench.py`` and ``obs/spans.py``
-may read the clock (the timing harness and the observability subsystem's
-single clock site).
+(it is where streams are derived), ``obs/spans.py`` may read the clock
+(the observability subsystem's single clock site).
 
 Findings anchor at the *first call edge* of the shortest root-to-source
 chain — the call site that looks innocent — and the message spells out the
@@ -62,7 +61,6 @@ from repro.lint.symbols import (
 #: protocol state, which stays under full taint scrutiny via the
 #: ``runtime/net.py`` roots.
 CLOCK_SANCTIONED = (
-    "perf/bench.py",
     "obs/spans.py",
     "runtime/net.py",
     "runtime/swarm.py",

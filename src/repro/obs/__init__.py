@@ -16,7 +16,7 @@ structural gauges all go through a single layered telemetry pipeline:
   sanctioned clock site :mod:`repro.obs.spans` (DET003-exempt).
 - :mod:`~repro.obs.export` — JSONL event streams and a Prometheus-style
   text snapshot, surfaced via ``repro obs`` and the ``--obs`` flag on
-  ``repro bench`` / ``repro faults``.
+  ``repro faults`` / ``repro heal``.
 - :class:`~repro.obs.flow.FlowTracer` — causal propagation tracing:
   provenance-tagged self-advertisements yield per-layer propagation-latency
   distributions, the information-flow graph, and the convergence critical
@@ -30,8 +30,8 @@ structural gauges all go through a single layered telemetry pipeline:
 Collectors are wired in through :func:`~repro.obs.hooks.attach_collector`
 (deployments) or the ``obs=`` parameter of
 :class:`~repro.sim.engine.Engine` (bare engines); instrumentation is
-deliberately excluded from overlay digests, so ``BENCH_gossip.json``
-semantics digests are byte-identical with and without a collector.
+deliberately excluded from overlay digests, so the committed digests are
+byte-identical with and without a collector.
 """
 
 import importlib

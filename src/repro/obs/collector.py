@@ -7,7 +7,7 @@ per-call allocation beyond the tuple key — and the per-round structural
 gauges (degree distributions, UO2 bucket occupancy) are *sampled*: they run
 only every ``gauge_every`` rounds because they scan the population, and can
 be disabled entirely (``gauge_every=0``) for overhead-sensitive runs such
-as ``repro bench --obs``.
+as the repository benchmark's ``traced_ror`` workload.
 """
 
 from __future__ import annotations

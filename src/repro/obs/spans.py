@@ -2,12 +2,11 @@
 
 This module is the **single sanctioned wall-clock site** of the obs
 subsystem: the DET003 determinism rule forbids wall-clock reads everywhere
-else under ``obs/`` (as it does for ``sim/``, ``core/``, ``gossip/`` and
-``faults/``), exactly as ``perf/bench.py`` is the one sanctioned timing
-harness of the perf subsystem. Simulation code never reads the clock — the
-engine calls ``span_begin``/``span_end`` on its instrument and the reads
-happen here, so timing can never leak into simulated logic or seed-derived
-results.
+else under ``obs/`` (as it does for ``sim/``, ``core/``, ``gossip/``,
+``faults/``, ``perf/`` and ``scale/``). Simulation code never reads the
+clock — the engine calls ``span_begin``/``span_end`` on its instrument and
+the reads happen here, so timing can never leak into simulated logic or
+seed-derived results.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The fixed, deterministic workload matrices behind ``repro bench``.
+"""The fixed, deterministic workload matrices of the elementary stack.
 
 Each workload deploys the *elementary* gossip stack — global peer sampling
 feeding one Vicinity overlay — over one shape at one node count, and
@@ -10,9 +10,10 @@ barrier-synchronous sharded engine (the ``scale`` suite, whose digests are
 invariant to backend, shard count and process placement).
 
 Simulation-side module: everything here is driven by seeds and round
-counters; wall-clock timing lives in :mod:`repro.perf.bench` and
-:mod:`repro.scale.bench` only (the determinism linter enforces this split,
-DET003).
+counters (the determinism linter forbids clock reads under ``perf/``,
+DET003). Every matrix has its per-seed digests, message / byte counts and
+rounds-to-converge committed in ``tests/scale/elementary_cells.json``;
+``tests/scale/test_digests.py`` reproduces them from fresh runs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.collector import Collector
 from repro.obs.hooks import attach_collector_to_engine
 from repro.runtime.api import RunnerConfig, make_runner, run_until
@@ -27,10 +29,10 @@ from repro.runtime.api import RunnerConfig, make_runner, run_until
 
 @dataclass(frozen=True)
 class Workload:
-    """One cell of a bench matrix: a shape at a node count.
+    """One cell of a matrix: a shape at a node count.
 
-    Frozen and built from primitives only, so it pickles cleanly into the
-    parallel multi-seed runner's worker processes.
+    Frozen and built from primitives only, so it pickles cleanly into
+    worker processes.
     """
 
     name: str
@@ -73,18 +75,16 @@ class CellResult:
         return asdict(self)
 
 
-#: The trajectory matrices, keyed by ``(suite, scale)``.
+#: The committed matrices, keyed by ``(suite, scale)``.
 #:
-#: ``gossip`` — shapes chosen to cover distinct metric structure (1-D
-#: ring/line orders, 2-D grids, uniform cliques, recursive trees and
-#: hypercubes); node counts set the candidate-pool pressure. ``ci`` cells
-#: all converge within a couple of simulated seconds so the perf-smoke job
-#: stays cheap; ``full`` raises the counts for real trend lines.
+#: ``gossip`` — the round engine; shapes chosen to cover distinct metric
+#: structure (1-D ring/line orders, 2-D grids, uniform cliques, recursive
+#: trees and hypercubes), node counts set the candidate-pool pressure, and
+#: every cell converges within a couple of simulated seconds.
 #:
-#: ``scale`` — the sharded engine's tiers. ``ci`` stays small enough for
-#: the default test lane; ``1k`` is the scale-smoke job's workload; ``10k``
-#: is the headline cell (single workload — the acceptance bar is wall time
-#: and RSS, not breadth).
+#: ``scale`` — the sharded engine. ``ci`` stays small enough for the
+#: default test lane; ``1k`` is the slow lane's backend / sharding
+#: equivalence gate.
 _MATRICES: Dict[Tuple[str, str], Tuple[Workload, ...]] = {
     ("gossip", "ci"): (
         Workload("ring-64", "ring", 64),
@@ -96,17 +96,6 @@ _MATRICES: Dict[Tuple[str, str], Tuple[Workload, ...]] = {
         Workload("tree-63", "tree", 63),
         Workload("clique-32", "clique", 32),
     ),
-    ("gossip", "full"): (
-        Workload("ring-256", "ring", 256),
-        Workload("ring-1024", "ring", 1024, max_rounds=120),
-        Workload("grid-256", "grid", 256),
-        Workload("grid-1024", "grid", 1024, max_rounds=120),
-        Workload("torus-256", "torus", 256),
-        Workload("kring-1024", "kring", 1024, max_rounds=120),
-        Workload("hypercube-256", "hypercube", 256),
-        Workload("tree-255", "tree", 255),
-        Workload("clique-128", "clique", 128, max_rounds=120),
-    ),
     ("scale", "ci"): (
         Workload("ring-64", "ring", 64),
         Workload("grid-64", "grid", 64),
@@ -115,13 +104,18 @@ _MATRICES: Dict[Tuple[str, str], Tuple[Workload, ...]] = {
         Workload("ring-1024", "ring", 1024, max_rounds=90),
         Workload("grid-1024", "grid", 1024, max_rounds=90),
     ),
-    ("scale", "10k"): (Workload("ring-10000", "ring", 10000, max_rounds=30),),
 }
 
 
 def workload_matrix(scale: str = "ci", suite: str = "gossip") -> Tuple[Workload, ...]:
-    """The fixed matrix of ``suite`` at ``scale`` (unknown scales → ``ci``)."""
-    return _MATRICES.get((suite, scale), _MATRICES[(suite, "ci")])
+    """The fixed matrix of ``suite`` at ``scale``."""
+    try:
+        return _MATRICES[(suite, scale)]
+    except KeyError:
+        known = ", ".join(f"{s}/{c}" for s, c in _MATRICES)
+        raise ConfigurationError(
+            f"no workload matrix {suite}/{scale} (known: {known})"
+        ) from None
 
 
 def run_cell(
@@ -132,11 +126,10 @@ def run_cell(
     Deterministic: the result (digest included) is a pure function of
     ``(config.workload, shape, n_nodes, seed)`` and the runner kind —
     backend, shard count and execution mode only select a representation
-    and a schedule of the *same* computation, which is what lets the
-    parallel runner fan seeds out across processes without changing any
-    number. An attached ``collector`` only reads simulation state — it
-    never touches the per-node RNG streams — so the digest is identical
-    with or without it (pinned by tests/obs/test_disabled_path.py).
+    and a schedule of the *same* computation. An attached ``collector``
+    only reads simulation state — it never touches the per-node RNG
+    streams — so the digest is identical with or without it (pinned by
+    tests/obs/test_disabled_path.py).
     """
     runner = make_runner(config)
     try:

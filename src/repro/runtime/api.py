@@ -247,7 +247,7 @@ def build_elementary(
     """Deploy the elementary stack for ``config`` (digest-critical path).
 
     Node creation order and the per-node ``bootstrap`` stream draws are what
-    the pinned ``BENCH_gossip.json`` digests depend on. ``shape`` overrides
+    the pinned ``tests/scale/elementary_cells.json`` digests depend on. ``shape`` overrides
     ``config.shape`` with a parameterized :class:`~repro.shapes.base.Shape`
     instance; ``random_feed`` is forwarded to :meth:`ElementaryStack.attach`.
     """

@@ -278,6 +278,10 @@ class SwarmReport:
             },
         }
 
+    def write(self, json_path: str) -> None:
+        """The report as one standalone JSON document, replaced atomically."""
+        _write_status(pathlib.Path(json_path), self.to_dict())
+
 
 def feed_collector(
     collector: Any,
@@ -565,15 +569,6 @@ def merge_node_events(status_dir: str) -> List[Any]:
         events.extend(read_jsonl(str(path)))
     events.sort(key=lambda event: event.round)
     return events
-
-
-def write_swarm_bench(
-    report: SwarmReport, json_path: str = "BENCH_gossip.json"
-) -> str:
-    """Merge the swarm section into the shared bench trajectory file."""
-    from repro.perf.bench import write_bench_section
-
-    return write_bench_section(json_path, ("swarm",), report.to_dict())
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,6 +1,6 @@
-"""``repro.scale`` — the 10k-node tier: columnar views + a sharded engine.
+"""``repro.scale`` — the scale tier: columnar views + a sharded engine.
 
-ROADMAP item 1. Three pieces, each pinned by digest identity:
+Two pieces, each pinned by digest identity:
 
 - :mod:`repro.scale.columnar` — an array-backed, observably *identical*
   twin of :class:`~repro.gossip.views.PartialView` (interned node-id
@@ -11,13 +11,13 @@ ROADMAP item 1. Three pieces, each pinned by digest identity:
   the ``spawn_seeds`` SHA-256 splitter, exchanging cross-shard
   descriptors only at round barriers, so the realized overlay is a pure
   function of ``(workload, seed)`` — independent of shard count and of
-  process placement;
-- :mod:`repro.scale.bench` — the ``repro bench --scale {ci,1k,10k}``
-  tiers (the ``scale`` rows of :mod:`repro.perf.workloads`, driven by the
-  same ``run_cell`` as the gossip matrix) recording wall time, peak RSS,
-  and per-round throughput into ``BENCH_gossip.json``, gated on
-  serial-object / serial-columnar / sharded-columnar digests being
-  byte-identical per cell.
+  process placement.
+
+The gate is ``tests/scale/test_digests.py``: the ``scale`` rows of
+:mod:`repro.perf.workloads` must reproduce their committed digests, and at
+1 024 nodes serial-object, serial-columnar and sharded-columnar (4 shards,
+process pool) must all produce the same one. Timing is the repository
+benchmark's ``scale_ring`` workload (``python3 -m bench``).
 """
 
 from repro.scale.columnar import ColumnarView, NodeInterner

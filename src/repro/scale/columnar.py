@@ -18,7 +18,7 @@ order-sensitive consumer (``random``/``sample`` RNG draws, overflow
 eviction tie-breaks, ``replace`` semantics, lazy age-debt settlement)
 makes byte-identical decisions on either representation. The contract is
 pinned by the differential twin suite in tests/perf/test_columnar_twins.py
-and, end to end, by the scale bench's digest gate.
+and, end to end, by the 1k digest triple in tests/scale/test_digests.py.
 """
 
 from __future__ import annotations

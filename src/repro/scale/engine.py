@@ -40,8 +40,7 @@ worker keeps all mutable state on its stack — never in module globals
 (SHD001) — and the parent degrades to inline execution if the pool cannot
 start (sandboxes without working semaphores, platforms without fork).
 
-Simulation-side module: no wall-clock reads (DET003); timing lives in
-:mod:`repro.scale.bench`.
+Simulation-side module: no wall-clock reads (DET003).
 """
 
 from __future__ import annotations

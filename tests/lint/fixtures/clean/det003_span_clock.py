@@ -1,5 +1,5 @@
-# path: perf/bench.py
-"""Clean twin: the timing harness is the sanctioned clock site."""
+# path: obs/spans.py
+"""Clean twin: the span timer is the sanctioned clock site."""
 import time
 
 

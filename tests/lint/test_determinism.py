@@ -146,17 +146,22 @@ class TestDet003WallClock:
         assert codes(diags) == ["DET003"]
 
     def test_perf_simulation_side_modules_are_covered(self):
-        # The perf split: workloads/digest/cache are simulation-side and
-        # clock-free; only the bench harness may read the wall clock.
+        # perf/ and scale/ are simulation-side as whole packages: no module
+        # in them, present or future, may read the wall clock.
         snippet = """
             import time
 
             def tick():
                 return time.perf_counter()
             """
-        for rel_path in ("perf/workloads.py", "perf/digest.py", "perf/cache.py"):
+        for rel_path in (
+            "perf/workloads.py",
+            "perf/digest.py",
+            "perf/cache.py",
+            "perf/anything.py",
+            "scale/engine.py",
+        ):
             assert codes(lint_snippet(snippet, rel_path=rel_path)) == ["DET003"]
-        assert lint_snippet(snippet, rel_path="perf/bench.py") == []
 
     def test_heal_subsystem_is_covered(self):
         # The remediation engine is part of the simulation: its backoff

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs.collector import Collector
-from repro.perf.bench import BenchReport, write_bench
 from repro.runtime import swarm
 from repro.shapes import make_shape
 
@@ -127,27 +126,14 @@ class TestBenchMerge:
         assert bandwidth["bytes_sent"] == 2000
         assert bandwidth["malformed"] == 0
 
-    def test_write_swarm_bench_preserves_foreign_sections(self, tmp_path):
-        path = tmp_path / "BENCH_gossip.json"
-        path.write_text(
-            json.dumps({"workloads": ["keep"], "scale_tiers": {"keep": 1}}),
-            encoding="utf-8",
-        )
-        swarm.write_swarm_bench(make_report(), str(path))
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["workloads"] == ["keep"]
-        assert data["scale_tiers"] == {"keep": 1}
-        assert data["swarm"]["converged"] is True
-        assert data["swarm"]["bandwidth"]["datagrams_sent"] == 22
-
-    def test_perf_write_bench_preserves_swarm_back(self, tmp_path):
-        path = tmp_path / "BENCH_gossip.json"
-        swarm.write_swarm_bench(make_report(), str(path))
-        report = BenchReport(scale="smoke", master_seed=1, parallel=None)
-        write_bench(report, json_path=str(path), results_dir=None)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["swarm"]["rounds"] == 7  # survived the perf rewrite
-        assert data["suite"] == "gossip"
+    def test_writes_a_parseable_standalone_report_atomically(self, tmp_path):
+        path = tmp_path / "swarm.json"
+        path.write_text('{"torn": ', encoding="utf-8")  # a previous, torn file
+        report = make_report()
+        report.write(str(path))
+        assert json.loads(path.read_text(encoding="utf-8")) == report.to_dict()
+        # Replaced through a temp file, which does not outlive the write.
+        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
 
 
 class TestGuards:

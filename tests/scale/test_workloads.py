@@ -1,9 +1,10 @@
-"""The scale rows of the workload matrix, run through the one cell runner."""
+"""The workload matrices, run through the one cell runner."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.perf.workloads import Workload, run_cell, workload_matrix
 
 
@@ -12,9 +13,40 @@ def test_matrix_tiers():
     assert all(w.n_nodes <= 64 for w in ci)
     assert {w.shape for w in ci} == {"ring", "grid"}
     assert all(w.n_nodes == 1024 for w in workload_matrix("1k", suite="scale"))
-    tenk = workload_matrix("10k", suite="scale")
-    assert len(tenk) == 1 and tenk[0].n_nodes == 10000
-    assert workload_matrix("unknown", suite="scale") == ci
+
+
+@pytest.mark.parametrize("scale,suite", [("10k", "scale"), ("1K", "gossip"), ("ci", "swarm")])
+def test_unknown_matrix_is_an_error_naming_the_known_ones(scale, suite):
+    with pytest.raises(ConfigurationError, match="gossip/ci, scale/ci, scale/1k"):
+        workload_matrix(scale, suite=suite)
+
+
+def test_workload_matrices_are_fixed_and_distinct():
+    matrices = [
+        workload_matrix("ci"),
+        workload_matrix("ci", suite="scale"),
+        workload_matrix("1k", suite="scale"),
+    ]
+    assert len(set(matrices)) == len(matrices)
+    for matrix in matrices:
+        names = [w.name for w in matrix]
+        assert names and len(names) == len(set(names))
+        for workload in matrix:
+            assert workload.name == f"{workload.shape}-{workload.n_nodes}"
+    assert workload_matrix() == workload_matrix("ci", suite="gossip")
+
+
+def test_run_workload_produces_complete_result():
+    workload = Workload("ring-32", "ring", 32)
+    record = run_cell(workload.config(3), workload.max_rounds).to_dict()
+    assert record["workload"] == "ring-32"
+    assert record["seed"] == 3
+    assert record["mode"] == "inline"
+    assert record["rounds_to_converge"] is not None
+    assert record["executed"] >= record["rounds_to_converge"]
+    assert record["messages"] > 0
+    assert record["bytes"] > 0
+    assert len(record["digest"]) == 64  # sha256 hex
 
 
 def test_run_scale_workload_converges_and_reports():

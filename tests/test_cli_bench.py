@@ -44,41 +44,6 @@ def fast_drivers(monkeypatch):
     return calls
 
 
-class StubReport:
-    """Just enough of a BenchReport for the CLI's obs handling."""
-
-    def __init__(self, obs=None, obs_collector=None):
-        self.obs = obs
-        self.obs_collector = obs_collector
-
-
-@pytest.fixture
-def fast_bench(monkeypatch):
-    """Replace the gossip bench harness with an instant stub."""
-    calls = {}
-
-    import repro.perf.bench as bench
-
-    def stub_run_bench(scale, seeds, master_seed, parallel, obs=False):
-        calls["run"] = dict(
-            scale=scale,
-            seeds=seeds,
-            master_seed=master_seed,
-            parallel=parallel,
-            obs=obs,
-        )
-        return StubReport()
-
-    def stub_write_bench(report, json_path):
-        calls["write"] = dict(report=report, json_path=json_path)
-        return [json_path, "benchmarks/results/bench_gossip.txt"]
-
-    monkeypatch.setattr(bench, "run_bench", stub_run_bench)
-    monkeypatch.setattr(bench, "format_bench", lambda report: "TABLE[gossip]")
-    monkeypatch.setattr(bench, "write_bench", stub_write_bench)
-    return calls
-
-
 @pytest.mark.parametrize("target", ["fig2", "fig3", "fig4", "e2", "e3"])
 def test_bench_dispatch(fast_drivers, capsys, target):
     assert main(["bench", target]) == 0
@@ -86,68 +51,14 @@ def test_bench_dispatch(fast_drivers, capsys, target):
     assert "TABLE[" in out
 
 
-def test_bench_defaults_to_the_gossip_matrix(fast_bench, capsys):
-    assert main(["bench"]) == 0
-    out = capsys.readouterr().out
-    assert "TABLE[gossip]" in out
-    assert "wrote BENCH_gossip.json" in out
-    assert fast_bench["run"] == dict(
-        scale="ci", seeds=None, master_seed=1, parallel=None, obs=False
-    )
-
-
-def test_bench_gossip_forwards_options(fast_bench, capsys):
-    assert (
-        main(
-            [
-                "bench",
-                "gossip",
-                "--scale",
-                "full",
-                "--seeds",
-                "3",
-                "--seed",
-                "9",
-                "--parallel",
-                "2",
-                "--output",
-                "out/bench.json",
-            ]
-        )
-        == 0
-    )
-    assert fast_bench["run"] == dict(
-        scale="full", seeds=3, master_seed=9, parallel=2, obs=False
-    )
-    assert fast_bench["write"]["json_path"] == "out/bench.json"
-    assert "wrote out/bench.json" in capsys.readouterr().out
-
-
-def test_bench_obs_flag_requests_the_instrumented_pass(
-    fast_bench, monkeypatch, tmp_path, capsys
-):
-    import repro.perf.bench as bench
-    from repro.obs.collector import Collector
-
-    collector = Collector(gauge_every=0)
-    collector.emit("deploy", nodes=8)
-    report = StubReport(
-        obs={"digests_identical": True, "overhead_fraction": 0.01},
-        obs_collector=collector,
-    )
-    monkeypatch.setattr(
-        bench, "run_bench", lambda **kwargs: fast_bench["run"].update(kwargs) or report
-    )
-    fast_bench["run"] = {}
-    jsonl = tmp_path / "bench.jsonl"
-    assert main(["bench", "gossip", "--obs", str(jsonl)]) == 0
-    assert fast_bench["run"]["obs"] is True
-    out = capsys.readouterr().out
-    assert "digests identical" in out
-    assert jsonl.exists()
-    assert (tmp_path / "bench.jsonl.prom").exists()
-
-
 def test_bench_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "fig9"])
+
+
+@pytest.mark.parametrize("argv", [["bench"], ["bench", "gossip"]])
+def test_bench_needs_a_figure_or_experiment_target(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
