@@ -17,6 +17,9 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Optional
 
 
+_new = tuple.__new__
+
+
 class Provenance(NamedTuple):
     """The compact causal tag a traced descriptor carries.
 
@@ -31,80 +34,94 @@ class Provenance(NamedTuple):
 
     def hop(self) -> "Provenance":
         """The tag after one more gossip exchange."""
-        return Provenance(self.origin, self.minted_round, self.hops + 1)
+        return _new(Provenance, (self[0], self[1], self[2] + 1))
 
 
-class Descriptor:
+class _Fields(NamedTuple):
+    """Lends :class:`Descriptor` its C-level field accessors, nothing else
+    (a named-tuple *base* would add ``_replace`` / ``_make`` / ``_fields``)."""
+
+    node_id: int
+    age: int
+    profile: Any
+    provenance: Optional[Provenance]
+
+
+class Descriptor(tuple):
     """An immutable advertisement of one node at one layer.
 
     Immutability keeps views safe to share between protocol buffers: aging a
     descriptor produces a new record (:meth:`aged`) rather than mutating one
-    that may sit in a peer's in-flight message.
+    that may sit in a peer's in-flight message. The record is a tuple, so
+    every copy below — and the wire codec's, the columnar view's and
+    pickle's rebuild — is one ``tuple.__new__`` with no Python-level
+    constructor; only this public constructor coerces its arguments.
     """
 
-    __slots__ = ("node_id", "age", "profile", "provenance")
+    __slots__ = ()
+    node_id = _Fields.node_id
+    age = _Fields.age
+    profile = _Fields.profile
+    provenance = _Fields.provenance
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         node_id: int,
         age: int = 0,
         profile: Any = None,
         provenance: Optional[Provenance] = None,
     ):
-        object.__setattr__(self, "node_id", int(node_id))
-        object.__setattr__(self, "age", int(age))
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("Descriptor is immutable")
+        return _new(cls, (int(node_id), int(age), profile, provenance))
 
     def __reduce__(self):
-        # Default slots-based pickling restores attributes via __setattr__,
-        # which immutability forbids; reconstruct through __init__ instead.
         # Descriptors cross process boundaries in the sharded engine's
         # message batches and in parallel-runner results.
-        return (Descriptor, (self.node_id, self.age, self.profile, self.provenance))
+        return (_new, (Descriptor, tuple(self)))
 
     def aged(self, increment: int = 1) -> "Descriptor":
         """A copy of this descriptor, ``increment`` rounds older."""
-        return Descriptor(
-            self.node_id, self.age + increment, self.profile, self.provenance
-        )
+        return _new(Descriptor, (self[0], self[1] + increment, self[2], self[3]))
 
     def fresh(self) -> "Descriptor":
         """A copy with age reset to zero (a node advertising itself)."""
-        return Descriptor(self.node_id, 0, self.profile, self.provenance)
+        return _new(Descriptor, (self[0], 0, self[2], self[3]))
 
     def with_profile(self, profile: Any) -> "Descriptor":
         """A copy carrying a different profile (used on reconfiguration)."""
-        return Descriptor(self.node_id, self.age, profile, self.provenance)
+        return _new(Descriptor, (self[0], self[1], profile, self[3]))
 
     def tagged(self, provenance: Optional[Provenance]) -> "Descriptor":
         """A copy carrying the given provenance tag (flow tracing)."""
-        return Descriptor(self.node_id, self.age, self.profile, provenance)
+        return _new(Descriptor, (self[0], self[1], self[2], provenance))
 
     def hopped(self) -> "Descriptor":
         """A copy one gossip hop further from its origin (untagged: self)."""
-        if self.provenance is None:
+        if self[3] is None:
             return self
-        return Descriptor(
-            self.node_id, self.age, self.profile, self.provenance.hop()
-        )
+        return _new(Descriptor, (self[0], self[1], self[2], self[3].hop()))
 
     # Equality is identity + freshness; the profile rides along (two
     # descriptors for the same node at the same layer carry equal profiles).
-    # Provenance is observational metadata and deliberately excluded.
+    # Provenance is observational metadata and deliberately excluded. Anything
+    # else gets ``False``, never ``NotImplemented``: for a plain tuple the
+    # reflected ``tuple.__eq__`` would compare the four fields and say yes.
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Descriptor):
-            return NotImplemented
-        return self.node_id == other.node_id and self.age == other.age
+        return isinstance(other, Descriptor) and self[0] == other[0] and self[1] == other[1]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash((self.node_id, self.age))
+        return hash(self[:2])
+
+    # No ordering, as before: the tuple's would rank on profile and tag.
+    def __lt__(self, other: object):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
-        return f"Descriptor(node={self.node_id}, age={self.age}, profile={self.profile!r})"
+        return f"Descriptor(node={self[0]}, age={self[1]}, profile={self[2]!r})"
 
 
 def youngest(a: Optional[Descriptor], b: Optional[Descriptor]) -> Optional[Descriptor]:

@@ -13,13 +13,13 @@ Design rules, enforced by tests:
   :class:`~repro.errors.WireError` (and nothing else) for truncated
   frames, non-UTF-8 bytes, non-JSON text, wrong top-level type, missing
   or ill-typed header fields, unknown frame types, out-of-range TTLs,
-  oversized datagrams, and protocol-version skew.
+  oversized datagrams, malformed tags, and protocol-version skew.
 - **Values round-trip exactly.** JSON alone collapses tuples to lists,
   which would corrupt shape-coordinate profiles and
   :class:`~repro.gossip.descriptors.Provenance` tags crossing the wire.
-  A tagged encoding (:func:`pack_value` / :func:`unpack_value`)
-  preserves tuples, descriptors, node profiles, and provenance
-  bit-for-bit — the loopback digest gate rests on this.
+  A tagged encoding (:func:`pack_value`, undone inside the parse by
+  :func:`decode`) preserves tuples, descriptors, node profiles, and
+  provenance bit-for-bit — the loopback digest gate rests on this.
 - **Determinism.** Message ids are ``"<src>:<seq>"`` from a per-node
   monotonic counter (:class:`MsgIdSource`), not random UUIDs, so a
   seeded swarm emits a reproducible id stream.
@@ -74,7 +74,14 @@ _TAG_DESCRIPTOR = "__d"
 _TAG_PROVENANCE = "__p"
 _TAG_MAP = "__m"
 _TAG_NODE_PROFILE = "__n"
-_TAGS = (_TAG_TUPLE, _TAG_DESCRIPTOR, _TAG_PROVENANCE, _TAG_MAP, _TAG_NODE_PROFILE)
+#: Marker -> what a decode error calls it.
+_TAGS = {
+    _TAG_TUPLE: "tuple",
+    _TAG_DESCRIPTOR: "descriptor",
+    _TAG_PROVENANCE: "provenance",
+    _TAG_MAP: "map",
+    _TAG_NODE_PROFILE: "node-profile",
+}
 
 #: Optional trace-context field: a Lamport clock plus provenance tags.
 #: Version-tolerant by construction — WIRE_VERSION stays 1, decoders that
@@ -123,8 +130,52 @@ def check_trace(value: Any) -> Dict[str, Any]:
     return {"lc": clock, "tags": list(tags)}
 
 
+_SCALARS = frozenset((type(None), bool, int, float, str))
+_HEADER = frozenset(("v", "t", "id", "ttl", "src"))
+_new = tuple.__new__
+
+
+def _pack_descriptor(value: Descriptor) -> Any:
+    node_id, age, profile, provenance = value
+    kind = type(profile)
+    if kind is tuple:  # a coordinate: the common case, one call less
+        profile = {_TAG_TUPLE: _pack_items(profile)}
+    elif kind not in _SCALARS:
+        profile = pack_value(profile)
+    if provenance is not None:  # untraced runs: no call at all
+        provenance = pack_value(provenance)
+    return {_TAG_DESCRIPTOR: [node_id, age, profile, provenance]}
+
+
+def _pack_items(items: Any) -> list:
+    return [
+        item
+        if type(item) in _SCALARS
+        else _pack_descriptor(item)
+        if type(item) is Descriptor
+        else pack_value(item)
+        for item in items
+    ]
+
+
+def _pack_dict(value: dict) -> Any:
+    if all(isinstance(key, str) for key in value) and _TAGS.keys().isdisjoint(value):
+        return {key: pack_value(item) for key, item in value.items()}
+    return {_TAG_MAP: [_pack_items(pair) for pair in value.items()]}
+
+
+_PACKERS = {
+    Descriptor: _pack_descriptor,
+    Provenance: lambda value: {_TAG_PROVENANCE: _pack_items(value)},
+    NodeProfile: lambda value: {_TAG_NODE_PROFILE: _pack_items(value)},
+    tuple: lambda value: {_TAG_TUPLE: _pack_items(value)},
+    list: _pack_items,
+    dict: _pack_dict,
+}
+
+
 def pack_value(value: Any) -> Any:
-    """A JSON-safe encoding of ``value`` that :func:`unpack_value` inverts.
+    """A JSON-safe encoding of ``value`` that :func:`decode` inverts.
 
     Supports the payload vocabulary of the gossip layers: scalars, strings,
     lists, tuples, string-keyed dicts, arbitrary-keyed dicts (as tagged
@@ -134,87 +185,65 @@ def pack_value(value: Any) -> Any:
     else is a programming error on the *sending* side and raises
     :class:`WireError` immediately rather than emitting garbage.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    kind = type(value)
+    if kind in _SCALARS:
         return value
-    if isinstance(value, Descriptor):
-        return {
-            _TAG_DESCRIPTOR: [
-                value.node_id,
-                value.age,
-                pack_value(value.profile),
-                pack_value(value.provenance),
-            ]
-        }
-    if isinstance(value, Provenance):
-        return {_TAG_PROVENANCE: [value.origin, value.minted_round, value.hops]}
-    if isinstance(value, NodeProfile):
-        component, rank, comp_size, coord = value
-        return {_TAG_NODE_PROFILE: [component, rank, comp_size, pack_value(coord)]}
-    if isinstance(value, tuple):
-        return {_TAG_TUPLE: [pack_value(item) for item in value]}
-    if isinstance(value, list):
-        return [pack_value(item) for item in value]
-    if isinstance(value, dict):
-        if all(isinstance(key, str) for key in value) and not any(
-            tag in value for tag in _TAGS
-        ):
-            return {key: pack_value(item) for key, item in value.items()}
-        return {_TAG_MAP: [[pack_value(k), pack_value(v)] for k, v in value.items()]}
-    raise WireError(f"cannot encode value of type {type(value).__name__!r}")
+    for base in kind.__mro__:  # exact type first, then the nearest known base
+        packer = _PACKERS.get(base)
+        if packer is not None:
+            return packer(value)
+        if base in _SCALARS:  # an IntEnum, a str subclass: JSON's business
+            return value
+    raise WireError(f"cannot encode value of type {kind.__name__!r}")
 
 
-def unpack_value(value: Any) -> Any:
-    """Invert :func:`pack_value`; hostile shapes raise :class:`WireError`."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [unpack_value(item) for item in value]
-    if isinstance(value, dict):
-        if _TAG_DESCRIPTOR in value:
-            fields = value[_TAG_DESCRIPTOR]
-            if not isinstance(fields, list) or len(fields) != 4:
-                raise WireError("malformed descriptor tag")
-            node_id, age, profile, provenance = fields
-            if not isinstance(node_id, int) or not isinstance(age, int):
-                raise WireError("malformed descriptor tag")
-            provenance = unpack_value(provenance)
-            if provenance is not None and not isinstance(provenance, Provenance):
-                raise WireError("malformed descriptor provenance")
-            return Descriptor(node_id, age, unpack_value(profile), provenance)
-        if _TAG_PROVENANCE in value:
-            fields = value[_TAG_PROVENANCE]
-            if (
-                not isinstance(fields, list)
-                or len(fields) != 3
-                or not all(isinstance(item, int) for item in fields)
-            ):
-                raise WireError("malformed provenance tag")
-            return Provenance(*fields)
-        if _TAG_TUPLE in value:
-            items = value[_TAG_TUPLE]
-            if not isinstance(items, list):
-                raise WireError("malformed tuple tag")
-            return tuple(unpack_value(item) for item in items)
-        if _TAG_NODE_PROFILE in value:
-            fields = value[_TAG_NODE_PROFILE]
-            if not isinstance(fields, list) or len(fields) != 4:
-                raise WireError("malformed node-profile tag")
-            component, rank, comp_size, coord = fields
-            if not isinstance(component, str) or not all(
-                isinstance(item, int) and not isinstance(item, bool)
-                for item in (rank, comp_size)
-            ):
-                raise WireError("malformed node-profile tag")
-            return NodeProfile(component, rank, comp_size, unpack_value(coord))
-        if _TAG_MAP in value:
-            pairs = value[_TAG_MAP]
-            if not isinstance(pairs, list) or not all(
-                isinstance(pair, list) and len(pair) == 2 for pair in pairs
-            ):
-                raise WireError("malformed map tag")
-            return {unpack_value(k): unpack_value(v) for k, v in pairs}
-        return {key: unpack_value(item) for key, item in value.items()}
-    raise WireError(f"cannot decode value of type {type(value).__name__!r}")
+def _rebuild(obj: Dict[str, Any]) -> Any:
+    """The parser's ``object_hook``: every JSON object, innermost first.
+
+    By the time an object arrives its members are already rebuilt, so a
+    tagged object is checked and replaced on the spot — exact types (a bool
+    is not an id), no negative id, age, round or hop count, and a tag is its
+    object's only key — and :func:`decode` never walks the parsed tree again.
+    """
+    if len(obj) != 1:
+        if _TAGS.keys().isdisjoint(obj):
+            return obj
+        raise WireError("tagged object carries other keys")
+    (tag,) = obj
+    if tag not in _TAGS:
+        return obj
+    fields = obj[tag]
+    if type(fields) is list:
+        if tag == _TAG_DESCRIPTOR:
+            if len(fields) == 4:
+                node_id, age, _, provenance = fields
+                if (
+                    type(node_id) is int
+                    and type(age) is int
+                    and node_id >= 0
+                    and age >= 0
+                    and (provenance is None or type(provenance) is Provenance)
+                ):
+                    return _new(Descriptor, fields)
+        elif tag == _TAG_TUPLE:
+            return tuple(fields)
+        elif tag == _TAG_PROVENANCE:
+            if len(fields) == 3 and all(type(n) is int and n >= 0 for n in fields):
+                return _new(Provenance, fields)
+        elif tag == _TAG_NODE_PROFILE:
+            if len(fields) == 4 and [type(n) for n in fields[:3]] == [str, int, int]:
+                return _new(NodeProfile, fields)
+        elif all(type(pair) is list and len(pair) == 2 for pair in fields):
+            try:
+                return dict(fields)
+            except TypeError:  # a list or a map as a key
+                pass
+    raise WireError(f"malformed {_TAGS[tag]} tag")
+
+
+# ``pack_value`` builds a fresh tree, so the encoder's cycle check is dead work.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_DECODER = json.JSONDecoder(object_hook=_rebuild)
 
 
 def make_frame(
@@ -225,26 +254,25 @@ def make_frame(
     **fields: Any,
 ) -> Dict[str, Any]:
     """A well-formed frame dict ready for :func:`encode`."""
-    frame: Dict[str, Any] = {
+    return {
         "v": WIRE_VERSION,
         "t": frame_type,
         "id": msg_id,
         "ttl": ttl,
         "src": src,
+        **fields,
     }
-    frame.update(fields)
-    return frame
 
 
 def encode(frame: Dict[str, Any]) -> bytes:
     """Serialize a frame to wire bytes (canonical, compact JSON)."""
     _check_header(frame)
     payload = {
-        key: (pack_value(value) if key not in ("v", "t", "id", "ttl", "src") else value)
+        key: value if key in _HEADER or type(value) in _SCALARS else pack_value(value)
         for key, value in frame.items()
     }
     try:
-        data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        data = _ENCODER.encode(payload).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise WireError(f"unencodable frame: {exc}") from exc
     if len(data) > MAX_FRAME_BYTES:
@@ -256,31 +284,27 @@ def decode(data: bytes) -> Dict[str, Any]:
     """Parse wire bytes into a frame dict, or raise :class:`WireError`.
 
     The single funnel for untrusted input: every malformation — truncation,
-    bad UTF-8, bad JSON, wrong version, unknown type, hostile ids, TTL out
-    of range — surfaces as a typed error, never as a stray ``KeyError`` or
-    ``UnicodeDecodeError`` escaping into a receive loop.
+    bad UTF-8, bad JSON, a malformed tag, wrong version, unknown type,
+    hostile ids, TTL out of range — surfaces as a typed error, never as a
+    stray ``KeyError`` or ``UnicodeDecodeError`` escaping into a receive
+    loop. One pass: tags are rebuilt while the text is parsed
+    (:func:`_rebuild`).
     """
     if not isinstance(data, (bytes, bytearray)):
         raise WireError(f"expected bytes, got {type(data).__name__!r}")
     if len(data) > MAX_FRAME_BYTES:
         raise WireError(f"datagram exceeds {MAX_FRAME_BYTES} bytes ({len(data)})")
     try:
-        text = bytes(data).decode("utf-8")
+        text = str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise WireError(f"frame is not valid UTF-8: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except ValueError as exc:
+        frame = _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:  # the latter: hostile nesting
         raise WireError(f"frame is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise WireError(f"frame must be a JSON object, got {type(raw).__name__!r}")
-    _check_header(raw)
-    frame: Dict[str, Any] = {}
-    for key, value in raw.items():
-        if key in ("v", "t", "id", "ttl", "src"):
-            frame[key] = value
-        else:
-            frame[key] = unpack_value(value)
+    if type(frame) is not dict:
+        raise WireError(f"frame must be a JSON object, got {type(frame).__name__!r}")
+    _check_header(frame)
     if TRACE_KEY in frame:
         frame[TRACE_KEY] = check_trace(frame[TRACE_KEY])
     return frame

@@ -116,15 +116,11 @@ class ColumnarView(PartialView):
     # -- internals ------------------------------------------------------------
 
     def _materialize(self, slot: int) -> Descriptor:
-        return Descriptor(
-            self._ids[slot], self._ages[slot], self._profiles[slot], self._prov[slot]
-        )
+        fields = (self._ids[slot], self._ages[slot], self._profiles[slot], self._prov[slot])
+        return tuple.__new__(Descriptor, fields)  # the columns hold ints: no coercion
 
     def _write(self, slot: int, descriptor: Descriptor) -> None:
-        self._ids[slot] = descriptor.node_id
-        self._ages[slot] = descriptor.age
-        self._profiles[slot] = descriptor.profile
-        self._prov[slot] = descriptor.provenance
+        self._ids[slot], self._ages[slot], self._profiles[slot], self._prov[slot] = descriptor
 
     def _release(self, slot: int) -> None:
         self._profiles[slot] = None  # drop the reference, not just the slot

@@ -8,6 +8,16 @@ from repro.core import Runtime, RuntimeConfig
 from repro.dsl import TopologyBuilder
 from repro.sim.config import GossipParams
 
+try:
+    from hypothesis import settings as hypothesis_settings
+except ImportError:  # pragma: no cover - optional dependency
+    pass
+else:
+    # `pytest --hypothesis-profile ci`: every property test explores the same
+    # examples on every run, so a red build is a change in the code, not in
+    # the dice. Local runs keep the random default and find new examples.
+    hypothesis_settings.register_profile("ci", derandomize=True)
+
 
 @pytest.fixture
 def fast_config() -> RuntimeConfig:

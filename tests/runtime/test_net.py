@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.runtime import wire
 from repro.runtime.api import RunnerConfig, make_runner
 from repro.runtime.net import LIVENESS_WINDOW, NetDirectory, parse_rendezvous
 from repro.sim.node import Node
@@ -83,6 +85,30 @@ class TestNetDirectory:
         directory, _ = make_directory()
         directory.touch(42)
         assert directory.addr_of(42) is None
+
+
+def test_hostile_map_datagram_is_counted_and_the_node_keeps_answering():
+    """A ``__m`` tag with an unhashable key used to raise ``TypeError`` past
+    ``on_datagram``'s ``except WireError``: uncounted, and into the receive
+    loop. It is one more malformed datagram, and the next PING gets its PONG."""
+    hostile = (
+        b'{"id":"1:1","payload":{"__m":[[[1],2]]},"src":1,'
+        b'"t":"GOSSIP_REQ","ttl":0,"v":1}'
+    )
+    ping = wire.encode(wire.make_frame(wire.PING, src=1, msg_id="1:2"))
+    config = RunnerConfig(kind="net", n_nodes=2, shape="ring", seed=11, node_index=0)
+    with make_runner(config) as runner, socket.socket(
+        socket.AF_INET, socket.SOCK_DGRAM
+    ) as peer:
+        runner.start()
+        peer.settimeout(10.0)
+        peer.sendto(hostile, ("127.0.0.1", runner.port))
+        peer.sendto(ping, ("127.0.0.1", runner.port))
+        reply, _ = peer.recvfrom(wire.MAX_FRAME_BYTES)
+        assert wire.decode(reply)["t"] == wire.PONG
+        # One socket to one socket on loopback: the PING was read second.
+        stats = runner.wire_stats()
+        assert (stats["datagrams_received"], stats["malformed"]) == (2, 1)
 
 
 @pytest.mark.slow

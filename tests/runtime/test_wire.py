@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import collections
+import enum
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.core.profiles import NodeProfile
 from repro.errors import WireError
 from repro.gossip.descriptors import Descriptor, Provenance
 from repro.runtime import wire
@@ -22,6 +26,119 @@ except ImportError:  # pragma: no cover - optional dependency
 def roundtrip(payload):
     frame = wire.make_frame(wire.GOSSIP_REQ, src=3, msg_id="3:1", payload=payload)
     return wire.decode(wire.encode(frame))["payload"]
+
+
+def same(a, b):
+    """Equal values of equal types, all the way down.
+
+    ``==`` alone would pass a list for a tuple's place only by accident of
+    nesting, and passes any two descriptors of one node and age: this
+    compares all four fields, and the types of a map's keys.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):  # the encoder sorts string keys: order is not kept
+        return same(sorted(a.items(), key=repr), sorted(b.items(), key=repr))
+    return a == b
+
+
+def corpus_frames():
+    """The frames whose bytes ``wire_frames.json`` pins, by name."""
+    ring = lambda name, rank: NodeProfile(name, rank, 8, rank)  # noqa: E731
+    tag = Provenance(9, 3, 2)
+    frames = {
+        "hello": wire.make_frame(wire.HELLO, 4, "4:1", host="127.0.0.1", port=9004),
+        "get_peers": wire.make_frame(wire.GET_PEERS, 4, "4:2"),
+        "peers_list": wire.make_frame(
+            wire.PEERS_LIST, 0, "0:7", peers=[[1, "127.0.0.1", 9001], [0, "::1", 9000]]
+        ),
+        "ping": wire.make_frame(wire.PING, 2, "2:40"),
+        "pong": wire.make_frame(wire.PONG, 3, "3:41"),
+        "announce": wire.make_frame(
+            wire.ANNOUNCE, 0, "0:9", ttl=wire.MAX_TTL, node=5, host="10.0.0.5", port=9005
+        ),
+        "peer_sampling_req": wire.make_frame(
+            wire.GOSSIP_REQ, 72, "72:1", layer="peer_sampling", profile=None,
+            payload=[Descriptor(72), Descriptor(86, 1), Descriptor(8, 12)],
+        ),
+        "peer_sampling_resp": wire.make_frame(
+            wire.GOSSIP_RESP, 4, "4:1", re="72:1", layer="peer_sampling",
+            payload=[Descriptor(4), Descriptor(72)],
+        ),
+        "vicinity_grid_req": wire.make_frame(
+            wire.GOSSIP_REQ, 72, "72:2", layer="overlay", profile=(7, 2),
+            payload=[Descriptor(72, 0, (7, 2)), Descriptor(83, 3, (8, 3))],
+        ),
+        "vicinity_ring_resp": wire.make_frame(
+            wire.GOSSIP_RESP, 81, "81:1", layer="overlay",
+            payload=[Descriptor(62, 0, 0.625), Descriptor(5, 1, 0.05)],
+        ),
+        "uo1_req_have_digest": wire.make_frame(
+            wire.GOSSIP_REQ, 0, "0:1", layer="uo1", profile=(3, 5, 2, 1, 4, 6, 7),
+            payload=[Descriptor(0, 0, ring("ring0", 0)), Descriptor(5, 2, ring("ring0", 5))],
+        ),
+        "uo1_resp_advert_alone": wire.make_frame(
+            wire.GOSSIP_RESP, 1, "1:1", layer="uo1",
+            payload=[Descriptor(1, 0, ring("ring0", 1))],
+        ),
+        "uo2_req_have_digest": wire.make_frame(
+            wire.GOSSIP_REQ, 0, "0:2", layer="uo2", profile=("ring1", "ring2", "ring3"),
+            payload=[
+                Descriptor(0, 0, ring("ring0", 0)),
+                Descriptor(25, 0, NodeProfile("grid3", 1, 9, (0, 1))),
+            ],
+        ),
+        "uo2_req_empty_digest": wire.make_frame(
+            wire.GOSSIP_REQ, 0, "0:3", layer="uo2", profile=(), payload=[]
+        ),
+        "provenance_tagged": wire.make_frame(
+            wire.GOSSIP_RESP, 9, "9:5", layer="overlay",
+            payload=[Descriptor(9, 4, (1.0, 2.0), tag), Descriptor(3, 0, None, tag.hop())],
+        ),
+        "traced": wire.make_frame(
+            wire.GOSSIP_REQ, 2, "2:1", layer="peer_sampling", profile=None,
+            payload=[Descriptor(2, 0, None, Provenance(2, 7, 0))],
+        ),
+        "values": wire.make_frame(
+            wire.GOSSIP_REQ, 1, "1:9",
+            payload={
+                "nested": (1, (2.5, ("x", ())), [None, True, (False,)]),
+                "map": {(0, 1): "a", 7: [Descriptor(1, 1)], "k": -3},
+                "tag_named_key": {"__t": [1], "plain": 2},
+                "text": "caf\u00e9 \u2603 \"quoted\" \\ \n",
+                "numbers": [0, -7, 2**40, 3.5, -0.0, 1e-07, 1e22],
+                "empty": [{}, [], ()],
+            },
+        ),
+    }
+    frames["traced"][wire.TRACE_KEY] = wire.make_trace(31, [Provenance(2, 7, 0)])
+    return frames
+
+
+CORPUS = json.loads(Path(__file__).with_name("wire_frames.json").read_text("utf-8"))
+
+
+class TestPinnedBytes:
+    """``wire_frames.json`` holds the bytes the two-pass codec emitted for
+    :func:`corpus_frames`: the codec may get faster, the wire may not move."""
+
+    def test_corpus_covers_every_frame_type_and_tag(self):
+        assert sorted(CORPUS) == sorted(corpus_frames())
+        assert {frame["t"] for frame in corpus_frames().values()} == wire.FRAME_TYPES
+        for marker in ("__d", "__p", "__t", "__n", "__m", '"tr"'):
+            assert any(marker in text for text in CORPUS.values()), marker
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_encode_reproduces_the_pinned_bytes(self, name):
+        assert wire.encode(corpus_frames()[name]) == CORPUS[name].encode("utf-8")
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_decode_restores_values_and_types(self, name):
+        frame = corpus_frames()[name]
+        decoded = wire.decode(CORPUS[name].encode("utf-8"))
+        assert same(decoded, frame)
 
 
 class TestValueRoundTrip:
@@ -70,6 +187,26 @@ class TestValueRoundTrip:
         out = roundtrip(payload)
         assert [d.node_id for d in out] == list(range(5))
 
+    def test_subclasses_pack_as_their_nearest_base(self):
+        """Dispatch is on the exact type; a subclass still crosses, as before."""
+
+        class Pair(collections.namedtuple("Pair", "a b")):
+            pass
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Name(str):
+            pass
+
+        payload = [Level.HIGH, Name("x"), Pair(1, (2,)), collections.OrderedDict(a=1)]
+        frame = wire.make_frame(wire.PING, 1, "1:1", payload=payload)
+        assert wire.encode(frame) == (
+            b'{"id":"1:1","payload":[3,"x",{"__t":[1,{"__t":[2]}]},{"a":1}],'
+            b'"src":1,"t":"PING","ttl":0,"v":1}'
+        )
+        assert same(roundtrip(payload), [3, "x", (1, (2,)), {"a": 1}])
+
     def test_unencodable_value_raises_on_send(self):
         with pytest.raises(WireError):
             roundtrip(object())
@@ -79,28 +216,45 @@ class TestValueRoundTrip:
             roundtrip({1, 2})
 
 
+HEADER = {"v": wire.WIRE_VERSION, "t": wire.GOSSIP_REQ, "id": "1:1", "ttl": 0, "src": 1}
+
 if HAVE_HYPOTHESIS:
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    provenances = st.builds(
+        Provenance,
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=0, max_value=32),
+    )
+    profiles = (
+        st.none()
+        | finite
+        | st.tuples(finite)
+        | st.tuples(st.integers(0, 99), st.integers(0, 99))
+        | st.builds(
+            NodeProfile,
+            st.text(max_size=8),
+            st.integers(0, 500),
+            st.integers(1, 500),
+            st.integers(0, 500) | st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        )
+    )
     payloads = st.recursive(
         st.none()
         | st.booleans()
         | st.integers(min_value=-(2**31), max_value=2**31)
-        | st.floats(allow_nan=False, allow_infinity=False)
+        | finite
         | st.text(max_size=20),
         lambda children: st.lists(children, max_size=4)
         | st.tuples(children, children)
         | st.dictionaries(st.text(max_size=8), children, max_size=4)
+        | st.dictionaries(st.integers(0, 9) | st.tuples(st.integers(0, 9)), children, max_size=3)
         | st.builds(
             Descriptor,
             st.integers(min_value=0, max_value=10_000),
             age=st.integers(min_value=0, max_value=64),
-            profile=st.tuples(st.floats(allow_nan=False, allow_infinity=False)),
-            provenance=st.none()
-            | st.builds(
-                Provenance,
-                st.integers(min_value=0, max_value=10_000),
-                st.integers(min_value=0, max_value=500),
-                st.integers(min_value=0, max_value=32),
-            ),
+            profile=profiles,
+            provenance=st.none() | provenances,
         ),
         max_leaves=12,
     )
@@ -108,7 +262,7 @@ if HAVE_HYPOTHESIS:
     @given(payloads)
     @settings(max_examples=150, deadline=None)
     def test_hypothesis_roundtrip(payload):
-        assert roundtrip(payload) == payload
+        assert same(roundtrip(payload), payload)
 
     @given(st.binary(max_size=256))
     @settings(max_examples=150, deadline=None)
@@ -117,6 +271,38 @@ if HAVE_HYPOTHESIS:
             wire.decode(data)
         except WireError:
             pass  # the only allowed failure mode
+
+    # Random bytes die in the JSON parser and never reach a tag branch. This
+    # soup always parses and always carries a valid header: objects keyed by
+    # the tags (alone, together, beside plain keys) over field lists of every
+    # arity and maps of near-pairs, holding scalars of every type and, by
+    # recursion, other tagged objects where a scalar belongs.
+    soup_keys = st.sampled_from(["__d", "__p", "__t", "__n", "__m", "x"])
+    soup = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-3, max_value=2**33)
+        | finite
+        | st.text(max_size=4),
+        lambda children: st.lists(children, max_size=5)
+        | st.dictionaries(soup_keys, children, max_size=2)
+        | st.dictionaries(soup_keys, st.lists(children, min_size=2, max_size=4), max_size=1)
+        | st.fixed_dictionaries(
+            {"__m": st.lists(st.lists(children, min_size=1, max_size=3), max_size=3)}
+        ),
+        max_leaves=14,
+    )
+
+    @given(st.sampled_from(["payload", "profile", "peers", wire.TRACE_KEY, "id"]), soup)
+    @settings(max_examples=400, deadline=None)
+    def test_hypothesis_hostile_tag_soup_never_crashes(field, value):
+        data = json.dumps({**HEADER, field: value}).encode("utf-8")
+        try:
+            frame = wire.decode(data)
+        except WireError:
+            return  # the only allowed failure mode
+        # What the decoder lets through, the encoder can say again, unchanged.
+        assert same(wire.decode(wire.encode(frame)), frame)
 
 
 class TestHostileDecode:
@@ -186,6 +372,60 @@ class TestHostileDecode:
             hostile = self.ok_frame(payload=tag_value)
             with pytest.raises(WireError):
                 wire.decode(hostile)
+
+    def test_unhashable_map_key(self):
+        """``dict()`` over hostile pairs used to raise ``TypeError`` into the
+        receive loop; the datagram below is the one from the bug report."""
+        with pytest.raises(WireError, match="malformed map tag"):
+            wire.decode(
+                b'{"id":"1:1","payload":{"__m":[[[1],2]]},"src":1,'
+                b'"t":"GOSSIP_REQ","ttl":0,"v":1}'
+            )
+        for key in ([1], {"a": 1}, {"__m": []}, [[]]):
+            with pytest.raises(WireError, match="malformed map tag"):
+                wire.decode(self.ok_frame(payload={"__m": [[key, 2]]}))
+        assert wire.decode(self.ok_frame(payload={"__m": [[{"__t": [1]}, 2]]}))[
+            "payload"
+        ] == {(1,): 2}
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            {"__d": [True, False, None, None]},  # bools are not ids or ages
+            {"__d": [1, True, None, None]},
+            {"__d": [-5, 0, None, None]},
+            {"__d": [5, -3, None, None]},
+            {"__d": [1.0, 0, None, None]},
+            {"__d": [1, 0, None, [1, 2, 3]]},  # a provenance must be tagged
+            {"__d": [1, 0, None, {"__t": [1, 2, 3]}]},
+            {"__d": {"__t": [1, 0, None, None]}},  # fields come as a list
+            {"__p": [True, 1, 2]},
+            {"__p": [1, 2, -1]},
+            {"__p": [-1, 2, 0]},
+            {"__p": [1, -2, 0]},
+            {"__p": [1, 2.0, 0]},
+            {"__n": ["ring", True, 8, 0]},
+            {"__n": [7, 0, 8, 0]},
+            {"__d": [1, 2, None, None], "x": 1},  # a tag is the only key
+            {"__t": [1], "__m": []},
+            {"x": 1, "__p": [1, 2, 3]},
+            {"__m": [{"__t": [1, 2]}]},  # a pair is a list, not a tuple
+        ],
+    )
+    def test_strict_tags(self, hostile):
+        for field in ("payload", "profile"):
+            for value in (hostile, [hostile], {"k": hostile}, {"__t": [hostile]}):
+                with pytest.raises(WireError):
+                    wire.decode(self.ok_frame(**{field: value}))
+
+    def test_hostile_nesting(self):
+        """The parser's recursion limit is a decode error like any other."""
+        for opener, closer in ((b"[", b"]"), (b'{"__t":[', b"]}"), (b'{"a":', b"}")):
+            deep = opener * 3_000 + b"1" + closer * 3_000
+            with pytest.raises(WireError):
+                wire.decode(self.ok_frame()[:-1] + b',"payload":' + deep + b"}")
+            with pytest.raises(WireError):
+                wire.decode(opener * 3_000)
 
     def test_non_bytes_input(self):
         with pytest.raises(WireError):
