@@ -10,6 +10,10 @@ in two directions:
 - with UO2's long-distance contacts in *linked* components, which is how a
   binding first crosses the component boundary.
 
+A node alternates between the two. A node that believes it manages a linked
+port does not: it gossips every round across that port's own link — the one
+exchange that can hand the two managers each other's binding.
+
 A link ``A.p -- B.q`` is *realized* once the manager of ``A.p`` holds a
 fresh binding for ``B.q`` and vice versa: at the node level those two
 managers are connected, which is exactly the paper's definition of a link
@@ -66,31 +70,44 @@ class PortConnection(GossipProtocol):
         binding_ttl: int = DEFAULT_BINDING_TTL,
     ):
         super().__init__(node_id, layer)
-        self.profile = profile
-        self.links = tuple(links)
         self.selection_layer = selection_layer
         self.uo1_layer = uo1_layer
         self.uo2_layer = uo2_layer
         self.binding_ttl = binding_ttl
-        self.bindings: Dict[PortRef, Binding] = {}
-        self._relevant = self._relevant_refs()
-
-    def _relevant_refs(self) -> frozenset:
-        """The only port refs this node needs bindings for: the endpoints of
-        its component's links. Bounding the table here bounds the gossip
-        message size by the node's link degree, not the whole assembly."""
-        return frozenset(
-            ref for link in self.links for ref in link.endpoints()
-        )
+        self.set_profile(profile, links)
 
     # -- identity ------------------------------------------------------------------
 
     def set_profile(self, profile: NodeProfile, links: Tuple[LinkSpec, ...]) -> None:
-        """Adopt a new role (reconfiguration): stale bindings are flushed."""
+        """Adopt a new role (reconfiguration): stale bindings are flushed,
+        and what the rounds read of ``links`` is indexed once.
+
+        ``_relevant`` — the only port refs this node needs bindings for: the
+        endpoints of its component's links. Bounding the table here bounds
+        the gossip message size by the node's link degree, not the whole
+        assembly. ``_oriented`` — each link with (this component's endpoint,
+        the other endpoint). ``_linked`` — the components across the links,
+        sorted: set order depends on the per-process string hash seed and
+        candidate order feeds ``rng.choice`` — unsorted, runs would differ
+        across processes despite fixed seeds.
+        """
         self.profile = profile
         self.links = tuple(links)
-        self.bindings = {}
-        self._relevant = self._relevant_refs()
+        self.bindings: Dict[PortRef, Binding] = {}
+        own = profile.component
+        self._relevant = frozenset(
+            ref for link in self.links for ref in link.endpoints()
+        )
+        oriented = []
+        for link in self.links:
+            if link.a.component == own:
+                oriented.append((link, link.a, link.b))
+            elif link.b.component == own:
+                oriented.append((link, link.b, link.a))
+        self._oriented: Tuple[Tuple[LinkSpec, PortRef, PortRef], ...] = tuple(oriented)
+        self._linked: Tuple[str, ...] = tuple(
+            sorted({ref.component for ref in self._relevant} - {own})
+        )
 
     # -- queries ---------------------------------------------------------------------
 
@@ -106,10 +123,7 @@ class PortConnection(GossipProtocol):
         the component whose both endpoint bindings are known here.
         """
         resolved = []
-        for link in self.links:
-            local_ref, remote_ref = self._orient(link)
-            if local_ref is None:
-                continue
+        for link, local_ref, remote_ref in self._oriented:
             local_manager = self.binding_for(local_ref)
             remote_manager = self.binding_for(remote_ref)
             if local_manager is not None and remote_manager is not None:
@@ -146,14 +160,6 @@ class PortConnection(GossipProtocol):
         bindings lapse by TTL or with a dead manager, never because a
         gossip partner was unreachable — ``forget()`` here would drop them."""
 
-    def _orient(self, link: LinkSpec):
-        """Split a link into (my component's endpoint, the other endpoint)."""
-        if link.a.component == self.profile.component:
-            return link.a, link.b
-        if link.b.component == self.profile.component:
-            return link.b, link.a
-        return None, None
-
     def _age_and_expire(self) -> None:
         aged: Dict[PortRef, Binding] = {}
         for ref, (manager_id, age) in self.bindings.items():
@@ -167,51 +173,71 @@ class PortConnection(GossipProtocol):
         if not ctx.node.has_protocol(self.selection_layer):
             return
         selection = ctx.node.protocol(self.selection_layer)
-        for link in self.links:
-            local_ref, _ = self._orient(link)
-            if local_ref is None:
-                continue
+        for _link, local_ref, _remote_ref in self._oriented:
             manager_id = selection.manager_of(local_ref.port)
             if manager_id is not None:
                 self.bindings[local_ref] = (manager_id, 0)
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
-        """Prefer a long-distance contact in a linked component (odd rounds),
-        otherwise a same-component neighbour (even rounds)."""
-        rng = ctx.rng()
-        linked = {
-            ref.component
-            for link in self.links
-            for ref in link.endpoints()
-            if ref.component != self.profile.component
-        }
-        foreign: List[int] = []
-        if ctx.node.has_protocol(self.uo2_layer):
-            uo2 = ctx.node.protocol(self.uo2_layer)
-            # Sorted: set iteration order depends on the per-process string
-            # hash seed, and candidate order feeds rng.choice — without the
-            # sort, runs would differ across processes despite fixed seeds.
-            for component in sorted(linked):
-                for descriptor in uo2.contacts(component):
-                    if ctx.network.is_alive(descriptor.node_id):
-                        foreign.append(descriptor.node_id)
-        local: List[int] = []
-        if ctx.node.has_protocol(self.uo1_layer):
-            local = [
-                node_id
-                for node_id in ctx.node.protocol(self.uo1_layer).neighbors()
-                if ctx.network.is_alive(node_id)
-            ]
-        pools = [foreign, local] if ctx.round % 2 else [local, foreign]
-        for pool in pools:
-            candidates = [
-                node_id
-                for node_id in pool
-                if ctx.network.node(node_id).has_protocol(self.layer)
-            ]
+        """A manager gossips across its own link; anyone else prefers a
+        long-distance contact in a linked component on odd rounds and a
+        same-component neighbour on even ones.
+
+        The legality predicate reads the two managers' tables only, so a
+        node that — by its own selection beliefs — manages a linked port
+        spends every round on a contact in the component across that link.
+        A node that manages nothing, or holds no such contact yet,
+        alternates, each turn falling back to the other pool.
+        """
+        alternation = (self._linked, None) if ctx.round % 2 else (None, self._linked)
+        for components in (self._across_managed_ports(ctx), *alternation):
+            candidates = self._live_peers(ctx, components)
             if candidates:
-                return rng.choice(candidates)
+                return ctx.rng().choice(candidates)
         return None
+
+    def _across_managed_ports(self, ctx: RoundContext) -> Tuple[str, ...]:
+        """The components across the links of the ports this node believes
+        it manages itself, in link order."""
+        node = ctx.node
+        if not node.has_protocol(self.selection_layer):
+            return ()
+        selection = node.protocol(self.selection_layer)
+        across: List[str] = []
+        for _link, local_ref, remote_ref in self._oriented:
+            if (
+                selection.manager_of(local_ref.port) == self.node_id
+                and remote_ref.component not in across
+            ):
+                across.append(remote_ref.component)
+        return tuple(across)
+
+    def _live_peers(
+        self, ctx: RoundContext, components: Optional[Tuple[str, ...]]
+    ) -> List[int]:
+        """Live nodes running this layer among UO2's contacts in
+        ``components`` — among UO1's neighbours for ``None``."""
+        node = ctx.node
+        if components is None:
+            if not node.has_protocol(self.uo1_layer):
+                return []
+            pool = node.protocol(self.uo1_layer).neighbors()
+        elif components and node.has_protocol(self.uo2_layer):
+            uo2 = node.protocol(self.uo2_layer)
+            pool = [
+                descriptor.node_id
+                for component in components
+                for descriptor in uo2.contacts(component)
+            ]
+        else:
+            return []
+        network = ctx.network
+        return [
+            node_id
+            for node_id in pool
+            if network.is_alive(node_id)
+            and network.node(node_id).has_protocol(self.layer)
+        ]
 
     def _absorb(
         self, ctx: RoundContext, _kept, received: Dict[PortRef, Binding]

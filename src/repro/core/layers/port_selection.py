@@ -8,9 +8,15 @@ tables pairwise with the selector's total order. After O(log n) exchanges
 every member of the component agrees on the same manager — the selector's
 oracle outcome over the full membership.
 
+The election does not start from nothing: the UO1 and core views on the same
+node hold ranked descriptors of component members, and every round the node
+first adopts the best valid candidate they name (:meth:`PortSelection._seed`).
+Gossip then only has to carry a manager to the members whose views miss it.
+
 Self-stabilization: beliefs naming dead or reassigned nodes are discarded as
-soon as they are detected, re-opening the election; this is what re-elects a
-port manager after a crash or a reconfiguration.
+soon as they are detected — and refused when offered, by gossip or by a
+sibling view — re-opening the election; this is what re-elects a port
+manager after a crash or a reconfiguration.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ class PortSelection(GossipProtocol):
     layer:
         Attachment/accounting label (``port_selection``).
     partner_layers:
-        Same-node layers whose neighbour lists supply same-component gossip
-        partners (UO1 first, then the core protocol).
+        Same-node layers whose views supply same-component gossip partners
+        and election candidates (UO1 first, then the core protocol).
     """
 
     #: The payload is a belief table, not a descriptor list.
@@ -54,11 +60,8 @@ class PortSelection(GossipProtocol):
         partner_layers: Tuple[str, ...] = ("uo1", "core"),
     ):
         super().__init__(node_id, layer)
-        self.profile = profile
-        self.ports = tuple(ports)
         self.partner_layers = tuple(partner_layers)
-        self.beliefs: Dict[str, Belief] = {}
-        self._propose()
+        self.set_profile(profile, ports)
 
     # -- identity -----------------------------------------------------------------
 
@@ -66,7 +69,8 @@ class PortSelection(GossipProtocol):
         """Adopt a new role (reconfiguration): reset and re-propose."""
         self.profile = profile
         self.ports = tuple(ports)
-        self.beliefs = {}
+        self._port_map: Dict[str, PortSpec] = {port.name: port for port in self.ports}
+        self.beliefs: Dict[str, Belief] = {}
         self._propose()
 
     def _propose(self) -> None:
@@ -107,11 +111,15 @@ class PortSelection(GossipProtocol):
     # -- internals ----------------------------------------------------------------------
 
     def _begin_round(self, ctx: RoundContext) -> bool:
-        """Re-open elections that named dead or reassigned nodes; a
-        component without ports has nothing to gossip about."""
+        """Take what the sibling views already know, re-open elections that
+        named dead or reassigned nodes; a component without ports has
+        nothing to elect or gossip about."""
+        if not self.ports:
+            return False
+        self._seed(ctx)
         self._validate_beliefs(ctx)
         self._propose()
-        return bool(self.ports)
+        return True
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
         return dict(self.beliefs), None
@@ -122,29 +130,71 @@ class PortSelection(GossipProtocol):
         validation (dead or reassigned) may re-open an election —
         ``forget()`` here would drop beliefs."""
 
+    def _valid_manager(self, ctx: RoundContext, node_id: int, rank: int) -> bool:
+        """Whether ``node_id`` is alive, runs this layer and holds ``rank``
+        in this node's component right now (failure detection).
+
+        The one gate a belief passes on its way into the table, whatever
+        brought it — gossip, a sibling view — and every round it stays.
+        """
+        if not ctx.network.is_alive(node_id):
+            return False
+        peer = ctx.network.node(node_id)
+        if not peer.has_protocol(self.layer):
+            return False
+        peer_protocol = peer.protocol(self.layer)
+        assert isinstance(peer_protocol, PortSelection)
+        profile = peer_protocol.profile
+        return profile.component == self.profile.component and profile.rank == rank
+
+    def _adopt(self, ctx: RoundContext, port: PortSpec, candidate: Belief) -> bool:
+        """Take ``candidate`` as ``port``'s manager if the selector prefers it
+        to the belief held and it is valid; returns whether the table changed.
+
+        Validity is asked last: a settled table turns every offer down on
+        the comparison alone, without a remote read.
+        """
+        mine = self.beliefs.get(port.name)
+        if mine is not None and port.selector.better(mine, candidate) == mine:
+            return False
+        if not self._valid_manager(ctx, *candidate):
+            return False
+        self.beliefs[port.name] = candidate
+        return True
+
+    def _seed(self, ctx: RoundContext) -> None:
+        """Adopt the best manager the sibling layers' views already name.
+
+        A ranked descriptor of a component member states what the election
+        would otherwise have to carry here hop by hop. An invalid one (a
+        rank left over from before a reassignment) must never get in: it
+        would beat the correct belief on the lower id every round. Ranks do
+        not depend on age, so the views are read without being settled.
+        """
+        component = self.profile.component
+        ports = self.ports
+        for layer in self.partner_layers:
+            if not ctx.node.has_protocol(layer):
+                continue
+            for node_id, profile in ctx.node.protocol(layer).view.profiles():
+                if not isinstance(profile, NodeProfile) or profile.component != component:
+                    continue
+                rank = profile.rank
+                for port in ports:
+                    if port.selector.proposes(node_id, rank):
+                        self._adopt(ctx, port, (node_id, rank))
+
     def _validate_beliefs(self, ctx: RoundContext) -> None:
         """Drop beliefs naming dead or reassigned nodes (failure detection)."""
-        port_map = {port.name: port for port in self.ports}
+        port_map = self._port_map
         doomed = []
         for name, (manager_id, rank) in self.beliefs.items():
             if name not in port_map:
                 doomed.append(name)
-                continue
-            if manager_id == self.node_id:
+            elif manager_id == self.node_id:
                 if not port_map[name].selector.proposes(self.node_id, self.profile.rank):
                     doomed.append(name)
-                continue
-            if not ctx.network.is_alive(manager_id):
-                doomed.append(name)
-                continue
-            peer = ctx.network.node(manager_id)
-            if not peer.has_protocol(self.layer):
-                doomed.append(name)
-                continue
-            peer_protocol = peer.protocol(self.layer)
-            assert isinstance(peer_protocol, PortSelection)
-            profile = peer_protocol.profile
-            if profile.component != self.profile.component or profile.rank != rank:
+            elif not self._valid_manager(ctx, manager_id, rank):
                 doomed.append(name)
         for name in doomed:
             del self.beliefs[name]
@@ -174,23 +224,18 @@ class PortSelection(GossipProtocol):
     def _absorb(self, ctx: RoundContext, _kept, received: Dict[str, Belief]) -> None:
         """Merge a received belief table through the selectors' total orders.
 
-        Beliefs naming dead nodes are rejected *on receipt* — without this,
-        a crashed manager survives as a zombie: each node drops it during
-        validation only to re-adopt it from the next gossip exchange.
+        Beliefs naming dead or reassigned nodes are rejected *on receipt* —
+        without this, a crashed manager survives as a zombie: each node
+        drops it during validation only to re-adopt it from the next gossip
+        exchange; and a live node named at the rank it held before a
+        reassignment displaces the correct belief on the lower id, to be
+        deleted a round later with nothing left in its place.
         """
-        port_map = {port.name: port for port in self.ports}
         adopted = 0
         for name, belief in received.items():
-            port = port_map.get(name)
+            port = self._port_map.get(name)
             if port is None:
                 continue
-            if not ctx.network.is_alive(belief[0]):
-                continue
-            mine = self.beliefs.get(name)
-            if mine is not None:
-                belief = port.selector.better(mine, belief)
-            if belief != mine:
-                self.beliefs[name] = belief
-                adopted += 1
+            adopted += self._adopt(ctx, port, belief)
         if ctx.obs is not None and adopted:
             ctx.obs.count_key(self._k_churn, adopted)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.gossip.descriptors import Descriptor
@@ -126,6 +126,12 @@ class PartialView:
     def descriptors(self) -> List[Descriptor]:
         self._settle()
         return list(self._entries.values())
+
+    def profiles(self) -> Iterator[Tuple[int, Any]]:
+        """``(node_id, profile)`` of every entry, in entry order (age-free:
+        no settle, no copy) — for readers that ask *who is what*, not *how
+        fresh*."""
+        return ((d.node_id, d.profile) for d in self._entries.values())
 
     def is_full(self) -> bool:
         return len(self._entries) >= self.capacity

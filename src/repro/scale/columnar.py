@@ -170,6 +170,10 @@ class ColumnarView(PartialView):
         self._settle()
         return [self._materialize(slot) for slot in self._slot_of.values()]
 
+    def profiles(self):
+        ids, profiles = self._ids, self._profiles
+        return ((ids[slot], profiles[slot]) for slot in self._slot_of.values())
+
     def is_full(self) -> bool:
         return len(self._slot_of) >= self.capacity
 

@@ -20,7 +20,7 @@ from repro.core.layers.uo2 import DistantComponentOverlay
 from repro.core.layers.port_connection import PortConnection
 from repro.core.layers.port_selection import PortSelection
 from repro.core.link import LinkSpec, PortRef
-from repro.core.port import HighestIdSelector, PortSpec
+from repro.core.port import HighestIdSelector, PortSpec, RankSelector
 from repro.core.profiles import NodeProfile
 from repro.dsl import TopologyBuilder
 from repro.experiments.topologies import ring_of_rings
@@ -745,11 +745,28 @@ class TestPortSelection:
         assert protocol.manager_of("gate") != expected
 
 
-def absorb_ctx(counted):
-    """Everybody alive; ``counted`` collects the keyed increments (``None``:
-    unobserved)."""
+def stack_of(**protocols):
+    """A node stand-in running ``protocols`` (layer label -> instance)."""
     return SimpleNamespace(
-        network=SimpleNamespace(is_alive=lambda node_id: True),
+        has_protocol=protocols.__contains__, protocol=protocols.__getitem__
+    )
+
+
+def selection_network(*members, dead=()):
+    """A network whose nodes run exactly the given ``PortSelection``
+    instances: what the layer's failure detection reads of its peers."""
+    nodes = {m.node_id: stack_of(port_selection=m) for m in members}
+    return SimpleNamespace(
+        is_alive=lambda node_id: node_id in nodes and node_id not in dead,
+        node=nodes.__getitem__,
+    )
+
+
+def absorb_ctx(counted, network=None):
+    """Everybody alive unless ``network`` says otherwise; ``counted``
+    collects the keyed increments (``None``: unobserved)."""
+    return SimpleNamespace(
+        network=network or SimpleNamespace(is_alive=lambda node_id: True),
         obs=None if counted is None else counting_obs(counted),
     )
 
@@ -767,14 +784,17 @@ class TestPortLayerChurn:
             "east": (4, 2),  # east elects the highest: kept as it is
             "north": (1, 0),  # not a port of this component
         }
+        network = selection_network(
+            protocol, PortSelection(3, NodeProfile("home", 0, 4, 0), ports)
+        )
         counted = []
-        protocol._absorb(absorb_ctx(counted), None, received)
+        protocol._absorb(absorb_ctx(counted, network), None, received)
         assert protocol.beliefs == {"west": (3, 0), "east": (5, 1)}
         assert counted == [(("descriptor_churn", "port_selection"), 1)]
-        protocol._absorb(absorb_ctx(counted), None, received)  # nothing new
+        protocol._absorb(absorb_ctx(counted, network), None, received)  # nothing new
         assert len(counted) == 1
         unobserved = PortSelection(5, NodeProfile("home", 1, 4, 0), ports)
-        unobserved._absorb(absorb_ctx(None), None, received)
+        unobserved._absorb(absorb_ctx(None, network), None, received)
         assert unobserved.beliefs == protocol.beliefs
 
     def test_port_connection_counts_adopted_bindings(self):
@@ -796,6 +816,123 @@ class TestPortLayerChurn:
         assert counted[1:] == [(("descriptor_churn", "port_connection"), 1)]
         protocol._absorb(absorb_ctx(counted), None, received)  # nothing new
         assert len(counted) == 2
+
+
+class TestPortSelectionSeeding:
+    """Node 5 of ``home`` elects ``west : rank(0)``. Node 7 holds rank 0;
+    node 3 held it before a rebalance moved it to rank 2, and descriptors
+    saying otherwise are still around — on the lower id, so every unchecked
+    merge prefers them."""
+
+    PORTS = (PortSpec("west", RankSelector(0)),)
+
+    def member(self, node_id, rank):
+        return PortSelection(node_id, NodeProfile("home", rank, 4, 0), self.PORTS)
+
+    def ctx(self, protocol, *sightings):
+        """``protocol``'s own context, its UO1 view holding ``sightings`` —
+        ``(node_id, component, rank)`` as the descriptors claim them."""
+        uo1 = SameComponentOverlay(protocol.node_id, protocol.profile)
+        for node_id, component, rank in sightings:
+            uo1.view.insert(Descriptor(node_id, 0, NodeProfile(component, rank, 4, 0)))
+        return SimpleNamespace(
+            node=stack_of(uo1=uo1),
+            network=selection_network(protocol, self.member(7, 0), self.member(3, 2)),
+            obs=None,
+        )
+
+    def test_a_ranked_sibling_descriptor_seeds_the_belief(self):
+        protocol = self.member(5, 1)
+        assert protocol.beliefs == {}
+        protocol._begin_round(self.ctx(protocol, (6, "home", 3), (7, "home", 0)))
+        assert protocol.beliefs == {"west": (7, 0)}
+
+    def test_only_members_of_this_component_are_candidates(self):
+        protocol = self.member(5, 1)
+        protocol._begin_round(self.ctx(protocol, (7, "away", 0)))
+        assert protocol.beliefs == {}
+
+    def test_a_stale_rank_neither_displaces_nor_deletes_the_belief(self):
+        protocol = self.member(5, 1)
+        protocol.beliefs["west"] = (7, 0)
+        ctx = self.ctx(protocol, (3, "home", 0))
+        for _ in range(3):
+            assert protocol._begin_round(ctx)
+            assert protocol.beliefs == {"west": (7, 0)}
+
+    def test_a_stale_rank_does_not_seed_an_empty_table_either(self):
+        protocol = self.member(5, 1)
+        protocol._begin_round(self.ctx(protocol, (3, "home", 0)))
+        assert protocol.beliefs == {}
+
+    def test_a_received_belief_naming_a_reassigned_node_is_refused(self):
+        protocol = self.member(5, 1)
+        protocol.beliefs["west"] = (7, 0)
+        ctx = self.ctx(protocol)
+        counted = []
+        ctx.obs = counting_obs(counted)
+        protocol._absorb(ctx, None, {"west": (3, 0)})
+        assert protocol.beliefs == {"west": (7, 0)} and not counted
+        protocol._validate_beliefs(ctx)
+        assert protocol.beliefs == {"west": (7, 0)}
+        protocol.beliefs.clear()
+        protocol._absorb(ctx, None, {"west": (3, 0)})  # nor into an empty table
+        assert protocol.beliefs == {}
+
+
+class TestPortConnectionPartner:
+    """Node 5 of ``home``: ``east`` links to ``away``, ``west`` to ``back``;
+    UO1 knows 6 and 8, UO2 one contact in each linked component."""
+
+    LINKS = (
+        LinkSpec(PortRef("home", "east"), PortRef("away", "west")),
+        LinkSpec(PortRef("back", "east"), PortRef("home", "west")),
+    )
+
+    def candidates(self, round_number, managers, contacts):
+        """The pool the partner rule draws from, given who node 5 believes
+        manages ``home``'s ports and the foreign ``contacts`` it holds."""
+        protocol = PortConnection(5, NodeProfile("home", 1, 4, 0), self.LINKS)
+        uo1 = SameComponentOverlay(5, protocol.profile)
+        for node_id in (6, 8):
+            uo1.view.insert(Descriptor(node_id, 0, NodeProfile("home", 0, 4, 0)))
+        drawn = []
+        ctx = SimpleNamespace(
+            round=round_number,
+            rng=lambda: SimpleNamespace(choice=lambda pool: drawn.append(pool) or pool[0]),
+            node=stack_of(
+                port_selection=SimpleNamespace(manager_of=managers.get),
+                uo1=uo1,
+                uo2=bare_uo2(contacts, node_id=5),
+            ),
+            network=SimpleNamespace(
+                is_alive=lambda node_id: True,
+                node=lambda node_id: stack_of(port_connection=None),
+            ),
+        )
+        assert protocol._choose_partner(ctx) == drawn[0][0]
+        return drawn[0]
+
+    BOTH = (("away", 40, 0), ("back", 30, 0))
+
+    @pytest.mark.parametrize("round_number", [0, 1, 2, 3])
+    def test_a_manager_gossips_across_its_own_link_every_round(self, round_number):
+        managers = {"east": 5, "west": 9}
+        assert self.candidates(round_number, managers, self.BOTH) == [40]
+        managers = {"east": 9, "west": 5}
+        assert self.candidates(round_number, managers, self.BOTH) == [30]
+
+    def test_a_non_manager_alternates(self):
+        managers = {"east": 9, "west": 9}
+        assert self.candidates(0, managers, self.BOTH) == [6, 8]
+        assert self.candidates(1, managers, self.BOTH) == [40, 30]
+        assert self.candidates(1, {}, self.BOTH) == [40, 30]  # no belief yet
+
+    def test_a_manager_without_a_contact_across_its_link_falls_back(self):
+        managers = {"east": 5, "west": 9}
+        only_back = (("back", 30, 0),)
+        assert self.candidates(0, managers, only_back) == [6, 8]
+        assert self.candidates(1, managers, only_back) == [30]
 
 
 class TestPortConnection:

@@ -80,6 +80,13 @@ class TestBasics:
         assert view.get(1).age == 1
         assert view.get(2).age == 5
 
+    def test_profiles_reads_ids_and_profiles_without_settling(self):
+        view = PartialView(3, [Descriptor(1, 0, "a"), Descriptor(2, 4, "b")])
+        view.increase_age()
+        assert list(view.profiles()) == [(1, "a"), (2, "b")]
+        assert view._age_debt == 1  # age-free: the debt is still owed
+        assert view.get(2).age == 5
+
 
 class TestSelection:
     def test_oldest_and_youngest(self):

@@ -82,6 +82,7 @@ def apply(view: PartialView, op: str, payload) -> object:
 def snapshot(view: PartialView):
     """Every order-sensitive observable, in observation order."""
     return (
+        list(view.profiles()),
         [(d.node_id, d.age, d.profile) for d in view.descriptors()],
         view.ids(),
         sorted(view.id_set()),
