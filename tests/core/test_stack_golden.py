@@ -35,6 +35,23 @@ round and pays the digest (+3 %). Port connection — whose trajectory, not
 rule, moved — is two rounds later in two cases and two earlier in one: the
 slowest layer summed over the cases 32 -> 33 at this size, against 5.69 ->
 4.63 rounds at 20 components (``assembly_ror``).
+
+Re-pinned a fourth time: a node that believes it manages a linked port
+gossips its bindings across that link every round, port selection adopts the
+valid managers its sibling UO1 / core views already name, and a received
+belief naming a reassigned node is refused. Port selection now takes 2 rounds
+in all six non-repair cases (was 3-4) and 1 after a repair (was 2-3), port
+connection 2-3 (was 3-5): the slowest layer summed over the eight cases
+33 -> 24, and it is UO1 or the core in every case. The UO1 / UO2 / core
+rounds of the six non-repair cases did not move — the port layers draw from
+their own streams and only read their siblings. Both repair cases start from
+a shorter set-up run, hence a different state (core 2 -> 1 in one, UO1 2 -> 3
+in the other), and every message / byte total shrinks with the run length;
+``("loss", 1)`` runs its 4 rounds as before, so its digest and non-port
+totals are the old ones, and its port-layer bytes rise because the tables
+fill earlier. The traced counters follow the same shorter run (224 -> 168
+exchanges a layer), and UO2, whose buckets differ after the shorter set-up,
+finds 3 dead contacts to purge where it found none.
 """
 
 from __future__ import annotations
@@ -44,7 +61,13 @@ import random
 import pytest
 
 from repro.core import RuntimeConfig
-from repro.core.layers import RUNTIME_LAYERS
+from repro.core.convergence import layer_converged
+from repro.core.layers import (
+    LAYER_PORT_CONNECTION,
+    LAYER_PORT_SELECTION,
+    RUNTIME_LAYERS,
+)
+from repro.core.layers.port_connection import DEFAULT_BINDING_TTL
 from repro.faults.scenarios import standard_deployment
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
@@ -61,12 +84,14 @@ CONFIGS = {
 }
 
 
-def observe(scenario: str, seed: int, collector=None):
-    """Run one scenario; return (digest, rounds-to-converge, {layer: (msgs, bytes)})."""
+def converge(scenario: str, seed: int, collector=None):
+    """Run one scenario to convergence; return the deployment, the last
+    report and the rounds executed since deployment."""
     deployment = standard_deployment(
         N_NODES, seed, config=CONFIGS[scenario], collector=collector
     )
     report = deployment.run_until_converged(MAX_ROUNDS)
+    executed = report.executed
     if scenario == "repair":
         pool = sorted(deployment.network.alive_ids())
         for node_id in random.Random(seed).sample(pool, len(pool) // 4):
@@ -74,7 +99,14 @@ def observe(scenario: str, seed: int, collector=None):
         deployment.rebalance()
         deployment.tracker.reset()
         report = deployment.run_until_converged(MAX_ROUNDS)
+        executed += report.executed
     assert report.converged, report.rounds
+    return deployment, report, executed
+
+
+def observe(scenario: str, seed: int, collector=None):
+    """Run one scenario; return (digest, rounds-to-converge, {layer: (msgs, bytes)})."""
+    deployment, report, _ = converge(scenario, seed, collector)
     transport = deployment.transport
     traffic = {
         layer: (transport.total_messages(layer), transport.total_bytes(layer))
@@ -85,99 +117,99 @@ def observe(scenario: str, seed: int, collector=None):
 
 GOLDEN = {
     ("plain", 1): (
-        "205b1e6d9597672b9c134ab6950a29a0f02b96bfc7889ee1bde682395b451c00",
-        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 3, "port_connection": 5},
+        "d46b80fdc150118ad82991dcd66c1696f5e2c7f22514c56d3d25a97e2959d699",
+        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
-            "peer_sampling": (320, 66560),
-            "uo1": (320, 33276),
-            "uo2": (320, 55712),
-            "core": (320, 50168),
-            "port_selection": (320, 16784),
-            "port_connection": (320, 26888),
+            "peer_sampling": (192, 39936),
+            "uo1": (192, 20220),
+            "uo2": (192, 32928),
+            "core": (192, 29688),
+            "port_selection": (192, 11568),
+            "port_connection": (192, 15960),
         },
     ),
     ("plain", 7): (
-        "17cb91db66cb906eff087c1c9092c09c5bbf514038b0633a21ae21c9970d246d",
-        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 4, "port_connection": 3},
+        "c7166d34226fa5ea4e27f8c8785d95d82cd3bbff0dbcc9f51d8cb37891465e2e",
+        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
-            "peer_sampling": (256, 53248),
-            "uo1": (256, 26492),
-            "uo2": (256, 43528),
-            "core": (256, 39832),
-            "port_selection": (256, 13168),
-            "port_connection": (256, 20680),
+            "peer_sampling": (192, 39936),
+            "uo1": (192, 19964),
+            "uo2": (192, 32904),
+            "core": (192, 29592),
+            "port_selection": (192, 11496),
+            "port_connection": (192, 15936),
         },
     ),
     ("loss", 1): (
         "15453964fe77e1f11860d284fcd0e2c2205181481da5edcaa5f4aef26b549e39",
-        {"core": 4, "uo1": 3, "uo2": 1, "port_selection": 4, "port_connection": 4},
+        {"core": 4, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
             "peer_sampling": (208, 43264),
             "uo1": (214, 22416),
             "uo2": (218, 37100),
             "core": (190, 29032),
-            "port_selection": (200, 9056),
-            "port_connection": (214, 15304),
+            "port_selection": (200, 12344),
+            "port_connection": (214, 18904),
         },
     ),
     ("loss", 7): (
-        "453cfcdbb99281c371d23948a2d40880728be37524d03d376bfe4d1eec8dbcab",
-        {"core": 3, "uo1": 3, "uo2": 1, "port_selection": 4, "port_connection": 4},
+        "dc2762173a08d1a98c3c2dd11bfbd7bff18cb8babb7e70642083a3a15ec5b4a2",
+        {"core": 3, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 3},
         {
-            "peer_sampling": (204, 42432),
-            "uo1": (210, 21956),
-            "uo2": (218, 37052),
-            "core": (206, 31616),
-            "port_selection": (202, 9616),
-            "port_connection": (200, 14480),
+            "peer_sampling": (158, 32864),
+            "uo1": (156, 16448),
+            "uo2": (162, 27756),
+            "core": (156, 23616),
+            "port_selection": (152, 8840),
+            "port_connection": (154, 12496),
         },
     ),
     ("tman", 1): (
-        "205b1e6d9597672b9c134ab6950a29a0f02b96bfc7889ee1bde682395b451c00",
-        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 3, "port_connection": 5},
+        "d46b80fdc150118ad82991dcd66c1696f5e2c7f22514c56d3d25a97e2959d699",
+        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
-            "peer_sampling": (320, 66560),
-            "uo1": (320, 33276),
-            "uo2": (320, 55712),
-            "core": (320, 49160),
-            "port_selection": (320, 16784),
-            "port_connection": (320, 26888),
+            "peer_sampling": (192, 39936),
+            "uo1": (192, 20220),
+            "uo2": (192, 32928),
+            "core": (192, 28680),
+            "port_selection": (192, 11592),
+            "port_connection": (192, 15960),
         },
     ),
     ("tman", 7): (
-        "17cb91db66cb906eff087c1c9092c09c5bbf514038b0633a21ae21c9970d246d",
-        {"core": 3, "uo1": 3, "uo2": 1, "port_selection": 4, "port_connection": 3},
+        "c7166d34226fa5ea4e27f8c8785d95d82cd3bbff0dbcc9f51d8cb37891465e2e",
+        {"core": 3, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
-            "peer_sampling": (256, 53248),
-            "uo1": (256, 26492),
-            "uo2": (256, 43528),
-            "core": (256, 38512),
-            "port_selection": (256, 13168),
-            "port_connection": (256, 20680),
+            "peer_sampling": (192, 39936),
+            "uo1": (192, 19964),
+            "uo2": (192, 32904),
+            "core": (192, 28272),
+            "port_selection": (192, 11448),
+            "port_connection": (192, 15912),
         },
     ),
     ("repair", 1): (
-        "837702289dcf44a46c4d6ac9d340c7742821e4390fad445d4810e4809e8f6088",
-        {"core": 2, "uo1": 2, "uo2": 1, "port_selection": 3, "port_connection": 3},
+        "64594f9ed0cee1898baa46696adff988091df6ffc625db7c612f0cbfb3a5fdbe",
+        {"core": 1, "uo1": 2, "uo2": 1, "port_selection": 1, "port_connection": 2},
         {
-            "peer_sampling": (464, 96512),
-            "uo1": (464, 49424),
-            "uo2": (464, 80672),
-            "core": (464, 69560),
-            "port_selection": (464, 24128),
-            "port_connection": (464, 38408),
+            "peer_sampling": (288, 59904),
+            "uo1": (288, 30720),
+            "uo2": (288, 49824),
+            "core": (288, 42624),
+            "port_selection": (288, 17304),
+            "port_connection": (288, 24096),
         },
     ),
     ("repair", 7): (
-        "8555931b58f12f295ce79fa70171dece8e1cb709f414a88913e50924b80c83d6",
-        {"core": 1, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 4},
+        "8becfc562ad4d7bbaadbf892201034784c982206801335f22659f6a2c1ba0488",
+        {"core": 1, "uo1": 3, "uo2": 1, "port_selection": 1, "port_connection": 2},
         {
-            "peer_sampling": (448, 93184),
-            "uo1": (448, 46736),
-            "uo2": (448, 77608),
-            "core": (448, 65848),
-            "port_selection": (448, 23872),
-            "port_connection": (448, 36616),
+            "peer_sampling": (336, 69888),
+            "uo1": (336, 35476),
+            "uo2": (336, 57864),
+            "core": (336, 49080),
+            "port_selection": (336, 20328),
+            "port_connection": (336, 29064),
         },
     ),
 }
@@ -188,39 +220,86 @@ def test_stack_reproduces_golden(scenario, seed):
     assert observe(scenario, seed) == GOLDEN[scenario, seed]
 
 
+def port_state(deployment):
+    """What closure says must stop moving once the port layers are legal:
+    every live node's manager belief per port, and each link's two remote
+    bindings as the oracle managers hold them."""
+    network, role_map = deployment.network, deployment.role_map
+    assembly = deployment.assembly
+    beliefs, oracle = {}, {}
+    for name, spec in assembly.components.items():
+        members = [m for m in role_map.members(name) if network.is_alive(m[0])]
+        for port in spec.ports:
+            oracle[name, port.name] = port.selector.choose(members)
+            for node_id, _ in members:
+                selection = network.node(node_id).protocol(LAYER_PORT_SELECTION)
+                beliefs[node_id, port.name] = selection.manager_of(port.name)
+    bindings = {}
+    for link in assembly.links:
+        for here, there in ((link.a, link.b), (link.b, link.a)):
+            manager = oracle[here.component, here.port]
+            connection = network.node(manager).protocol(LAYER_PORT_CONNECTION)
+            bindings[here, there] = connection.binding_for(there)
+    return beliefs, bindings
+
+
+@pytest.mark.parametrize("scenario", ["plain", "repair"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_port_layers_are_closed(scenario, seed):
+    """Closure (Berns): once legal, every fault-free round stays legal — no
+    manager flaps between candidates, no realized link lapses. Run for three
+    times the rounds convergence took, and past the binding TTL: a binding
+    nobody refreshed would expire inside the window."""
+    deployment, _, executed = converge(scenario, seed)
+    settled = port_state(deployment)
+    assert None not in settled[0].values() and None not in settled[1].values()
+    for _ in range(max(3 * executed, DEFAULT_BINDING_TTL + 2)):
+        deployment.run(1)
+        assert port_state(deployment) == settled
+        for layer in (LAYER_PORT_SELECTION, LAYER_PORT_CONNECTION):
+            assert layer_converged(
+                layer,
+                deployment.network,
+                deployment.role_map,
+                deployment.assembly,
+                deployment.tracker.uo1_view_size,
+            )
+
+
 TRACED_COUNTERS = {
-    ("dead_purged", "peer_sampling"): 47,
+    ("dead_purged", "peer_sampling"): 23,
     ("dead_purged", "uo1"): 46,
+    ("dead_purged", "uo2"): 3,
     ("descriptor_churn", "core"): 344,
-    ("descriptor_churn", "peer_sampling"): 1415,
-    ("descriptor_churn", "port_connection"): 319,
-    ("descriptor_churn", "port_selection"): 96,
-    ("descriptor_churn", "uo1"): 176,
-    ("descriptor_churn", "uo2"): 158,
-    ("descriptors_received", "core"): 2445,
-    ("descriptors_received", "peer_sampling"): 3584,
-    ("descriptors_received", "port_connection"): 1227,
-    ("descriptors_received", "port_selection"): 696,
-    ("descriptors_received", "uo1"): 1429,
-    ("descriptors_received", "uo2"): 2823,
-    ("descriptors_sent", "core"): 2445,
-    ("descriptors_sent", "peer_sampling"): 3584,
-    ("descriptors_sent", "port_connection"): 1227,
-    ("descriptors_sent", "port_selection"): 696,
-    ("descriptors_sent", "uo1"): 1429,
-    ("descriptors_sent", "uo2"): 2823,
-    ("exchanges", "core"): 224,
-    ("exchanges", "peer_sampling"): 224,
-    ("exchanges", "port_connection"): 224,
-    ("exchanges", "port_selection"): 224,
-    ("exchanges", "uo1"): 224,
-    ("exchanges", "uo2"): 224,
+    ("descriptor_churn", "peer_sampling"): 1062,
+    ("descriptor_churn", "port_connection"): 249,
+    ("descriptor_churn", "port_selection"): 37,
+    ("descriptor_churn", "uo1"): 180,
+    ("descriptor_churn", "uo2"): 157,
+    ("descriptors_received", "core"): 1821,
+    ("descriptors_received", "peer_sampling"): 2688,
+    ("descriptors_received", "port_connection"): 987,
+    ("descriptors_received", "port_selection"): 623,
+    ("descriptors_received", "uo1"): 1093,
+    ("descriptors_received", "uo2"): 2103,
+    ("descriptors_sent", "core"): 1821,
+    ("descriptors_sent", "peer_sampling"): 2688,
+    ("descriptors_sent", "port_connection"): 987,
+    ("descriptors_sent", "port_selection"): 623,
+    ("descriptors_sent", "uo1"): 1093,
+    ("descriptors_sent", "uo2"): 2103,
+    ("exchanges", "core"): 168,
+    ("exchanges", "peer_sampling"): 168,
+    ("exchanges", "port_connection"): 168,
+    ("exchanges", "port_selection"): 168,
+    ("exchanges", "uo1"): 168,
+    ("exchanges", "uo2"): 168,
     ("node_crashes", ""): 8,
-    ("view_replacements", "core"): 448,
-    ("view_replacements", "peer_sampling"): 448,
-    ("view_replacements", "uo1"): 448,
+    ("view_replacements", "core"): 336,
+    ("view_replacements", "peer_sampling"): 336,
+    ("view_replacements", "uo1"): 336,
 }
-TRACED_DELIVERIES = 3342
+TRACED_DELIVERIES = 2254
 
 
 def test_traced_repair_reproduces_golden_telemetry():

@@ -126,19 +126,24 @@ def run_fault_schedule(seed: int):
 #: fault plane itself is untouched: same three reasons, same orders of
 #: magnitude — 384 / 368 dropped before). Re-pinned again, for the same
 #: reason, when UO1 / UO2 requests began to carry a have-digest (389 / 352
-#: dropped before).
+#: dropped before). Re-pinned a third time when a port manager began to
+#: gossip across its own link every round (and port selection to seed from
+#: its sibling views): the preceding run is shorter, and a manager's
+#: exchange now crosses the component boundary — hence, half the time, the
+#: partition cut — on every round instead of every other one (368 / 350
+#: dropped before, of which partition 298 / 284).
 GOLDEN = {
     1: {
-        "digest": "1e4e3dc3d6e66942de20d92f60359507fede6be75137911c19d807dcb4b44c5d",
-        "drop_reasons": {"loss": 62, "partition": 298, "timeout": 8},
-        "total_dropped": 368,
+        "digest": "d49622e9c0e75f099ebe6d2748b1817882c714f09e0ba8e45698805655ee3b2a",
+        "drop_reasons": {"loss": 68, "partition": 329, "timeout": 8},
+        "total_dropped": 405,
         "total_delayed": 5,
     },
     7: {
-        "digest": "98bed33ab9349225bff7c1c2f31f2e3279bf46588c204f20e0f3dfbb24625a32",
-        "drop_reasons": {"loss": 55, "partition": 284, "timeout": 11},
-        "total_dropped": 350,
-        "total_delayed": 6,
+        "digest": "a6b84c081b49f74eccd17b3ce0585b806562f28e91a6c07c9339f229323e1770",
+        "drop_reasons": {"loss": 56, "partition": 326, "timeout": 7},
+        "total_dropped": 389,
+        "total_delayed": 7,
     },
 }
 
