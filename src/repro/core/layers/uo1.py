@@ -166,7 +166,7 @@ class SameComponentOverlay(GossipProtocol):
         that part exceeds the budget."""
         advert = self._self_descriptor
         if flow is not None:
-            advert = flow.advertise(advert, self.node_id, ctx.round)
+            advert = advert.tagged(ctx.round)
         lacking = self.view.descriptors()
         if request is not None and request.profile:
             have = {peer_id, *request.profile}

@@ -210,7 +210,7 @@ class DistantComponentOverlay(GossipProtocol):
         """
         advert = self._self_descriptor
         if flow is not None:
-            advert = flow.advertise(advert, self.node_id, ctx.round)
+            advert = advert.tagged(ctx.round)
         slots = self.gossip_contacts - 1
         known = self.known_components()
         if not (slots and known):

@@ -6,8 +6,10 @@ peer-sampling healer uses), and a layer-specific *profile* (the coordinate a
 proximity function ranks on — a ring position, a component name + rank, ...).
 
 When causal propagation tracing is enabled (see :mod:`repro.obs.flow`), a
-descriptor additionally carries a compact :class:`Provenance` tag — origin
-node, origin round, hop count — that rides along through gossip exchanges.
+descriptor additionally carries a provenance tag: one integer, the round its
+owner minted it in, riding unchanged through every gossip exchange. The
+origin is the descriptor's own ``node_id`` and the hop count is read off the
+tracer's first-delivery chain, so no exchange ever rewrites a descriptor.
 The tag is pure metadata: it participates in neither equality nor ordering,
 so tagged and untagged runs make byte-identical selection decisions.
 """
@@ -20,23 +22,6 @@ from typing import Any, NamedTuple, Optional
 _new = tuple.__new__
 
 
-class Provenance(NamedTuple):
-    """The compact causal tag a traced descriptor carries.
-
-    ``origin`` minted the descriptor in round ``minted_round``; ``hops``
-    counts the gossip exchanges the copy has traversed since (0 for a
-    self-advertisement still at its origin).
-    """
-
-    origin: int
-    minted_round: int
-    hops: int
-
-    def hop(self) -> "Provenance":
-        """The tag after one more gossip exchange."""
-        return _new(Provenance, (self[0], self[1], self[2] + 1))
-
-
 class _Fields(NamedTuple):
     """Lends :class:`Descriptor` its C-level field accessors, nothing else
     (a named-tuple *base* would add ``_replace`` / ``_make`` / ``_fields``)."""
@@ -44,7 +29,7 @@ class _Fields(NamedTuple):
     node_id: int
     age: int
     profile: Any
-    provenance: Optional[Provenance]
+    provenance: Optional[int]
 
 
 class Descriptor(tuple):
@@ -69,7 +54,7 @@ class Descriptor(tuple):
         node_id: int,
         age: int = 0,
         profile: Any = None,
-        provenance: Optional[Provenance] = None,
+        provenance: Optional[int] = None,
     ):
         return _new(cls, (int(node_id), int(age), profile, provenance))
 
@@ -90,19 +75,13 @@ class Descriptor(tuple):
         """A copy carrying a different profile (used on reconfiguration)."""
         return _new(Descriptor, (self[0], self[1], profile, self[3]))
 
-    def tagged(self, provenance: Optional[Provenance]) -> "Descriptor":
-        """A copy carrying the given provenance tag (flow tracing)."""
-        return _new(Descriptor, (self[0], self[1], self[2], provenance))
-
-    def hopped(self) -> "Descriptor":
-        """A copy one gossip hop further from its origin (untagged: self)."""
-        if self[3] is None:
-            return self
-        return _new(Descriptor, (self[0], self[1], self[2], self[3].hop()))
+    def tagged(self, minted_round: Optional[int]) -> "Descriptor":
+        """A copy tagged with the round it was minted in (flow tracing)."""
+        return _new(Descriptor, (self[0], self[1], self[2], minted_round))
 
     # Equality is identity + freshness; the profile rides along (two
     # descriptors for the same node at the same layer carry equal profiles).
-    # Provenance is observational metadata and deliberately excluded. Anything
+    # The tag is observational metadata and deliberately excluded. Anything
     # else gets ``False``, never ``NotImplemented``: for a plain tuple the
     # reflected ``tuple.__eq__`` would compare the four fields and say yes.
     def __eq__(self, other: object) -> bool:

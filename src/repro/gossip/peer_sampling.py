@@ -120,7 +120,7 @@ class PeerSampling(GossipProtocol):
         """Own fresh descriptor plus a random slice of the view."""
         advert = self._self_descriptor
         if flow is not None:
-            advert = flow.advertise(advert, self.node_id, ctx.round)
+            advert = advert.tagged(ctx.round)
         buffer = [advert]
         buffer.extend(self.view.sample(ctx.rng(), self.params.gossip_size - 1))
         return buffer, buffer

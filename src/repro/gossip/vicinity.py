@@ -192,7 +192,7 @@ class Vicinity(GossipProtocol):
         pool = self._candidate_pool(ctx)
         advert = self._self_descriptor
         if flow is not None:
-            advert = flow.advertise(advert, self.node_id, ctx.round)
+            advert = advert.tagged(ctx.round)
         buffer = select_closest(
             self._fresh(pool) + [advert],
             reference,

@@ -3,10 +3,11 @@
 The counters of :class:`~repro.obs.collector.Collector` say how much each
 layer gossips; this module says what that gossip *achieves*. When a
 :class:`FlowTracer` is attached (``Collector(flow=FlowTracer())``), every
-self-advertisement entering a gossip buffer is stamped with a compact
-:class:`~repro.gossip.descriptors.Provenance` tag — origin node, origin
-round, hop count — and every tagged descriptor delivered by an exchange is
-recorded here. From those records the tracer derives:
+self-advertisement entering a gossip buffer is tagged with one integer, the
+round it was minted in (:meth:`~repro.gossip.descriptors.Descriptor.tagged`;
+its origin is the descriptor's own node), and every tagged descriptor
+delivered by an exchange is recorded here. From those records the tracer
+derives:
 
 - **propagation-latency distributions** per layer: how many rounds a
   descriptor needs to travel from its origin to each node that learns it;
@@ -14,11 +15,15 @@ recorded here. From those records the tracer derives:
   moved new knowledge, and how often;
 - the **convergence critical path**: for the (origin, receiver) pair whose
   first delivery happened last — the final missing edge of the knowledge
-  graph — the chain of exchanges that carried the descriptor there.
+  graph — the chain of exchanges that carried the descriptor there. Its
+  length is the hop count: one definition, computed at query time from the
+  first-delivery table, for one in-process tracer and for the merge of a
+  swarm's per-node tracers alike (a node never sees its sender's table).
 
-Tracing is observation only: tags never participate in descriptor equality
-or selection, no RNG stream is touched, and with the tracer disabled the
-hot path pays a single attribute read per exchange. Deliveries arrive in
+Tracing is observation only: the tracer reads what an exchange delivered
+and hands nothing back, tags never participate in descriptor equality or
+selection, no RNG stream is touched, and with the tracer disabled the hot
+path pays a single attribute read per exchange. Deliveries arrive in
 engine order, so every derived structure — including the critical path —
 is a pure function of the simulation seed.
 
@@ -29,14 +34,13 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.gossip.descriptors import Descriptor, Provenance
+from repro.gossip.descriptors import Descriptor
 
 
 class Delivery(NamedTuple):
     """The first time ``receiver`` learned of ``origin`` at a layer."""
 
     round: int
-    hops: int
     sender: int
     latency: int  # rounds from minting to this delivery
 
@@ -48,6 +52,7 @@ class CriticalPath(NamedTuple):
     origin: int
     receiver: int
     closed_round: int
+    #: Exchanges on ``path``: always ``len(path) - 1``.
     hops: int
     #: Node chain origin → ... → receiver, reconstructed from first
     #: deliveries (each node's own first-receipt sender, walked backwards).
@@ -59,8 +64,7 @@ class FlowTracer:
 
     Attach via ``Collector(flow=FlowTracer())`` (or set ``collector.flow``
     before wiring); the gossip layers mint tags and report deliveries
-    through :meth:`advertise` / :meth:`on_received` only while a tracer is
-    present.
+    through :meth:`on_received` only while a tracer is present.
     """
 
     def __init__(self) -> None:
@@ -74,12 +78,6 @@ class FlowTracer:
 
     # -- hot-path hooks (called by the gossip layers) -------------------------
 
-    def advertise(
-        self, descriptor: Descriptor, node_id: int, round_index: int
-    ) -> Descriptor:
-        """Stamp a self-advertisement with a fresh provenance tag."""
-        return descriptor.tagged(Provenance(node_id, round_index, 0))
-
     def on_received(
         self,
         layer: str,
@@ -87,43 +85,44 @@ class FlowTracer:
         receiver: int,
         sender: int,
         received: List[Descriptor],
-    ) -> List[Descriptor]:
-        """Record one exchange's deliveries; return hop-incremented copies.
+    ) -> None:
+        """Record one exchange's deliveries.
 
         Untagged descriptors (minted before tracing started, or copied via
-        non-exchange paths such as harvesting) pass through unchanged.
+        non-exchange paths such as harvesting) are not deliveries.
         """
-        out: List[Descriptor] = []
-        latencies = self.latencies.setdefault(layer, {})
-        edges = self.edges.setdefault(layer, {})
-        first = self.first_delivery.setdefault(layer, {})
+        try:
+            latencies = self.latencies[layer]
+            edges = self.edges[layer]
+            first = self.first_delivery[layer]
+        except KeyError:  # the layer's first exchange
+            latencies = self.latencies.setdefault(layer, {})
+            edges = self.edges.setdefault(layer, {})
+            first = self.first_delivery.setdefault(layer, {})
+        delivered = 0
         for descriptor in received:
-            tag = descriptor.provenance
-            if tag is None:
-                out.append(descriptor)
+            minted_round = descriptor.provenance
+            origin = descriptor.node_id
+            # Own knowledge echoed back carries no information.
+            if minted_round is None or origin == receiver:
                 continue
-            out.append(descriptor.hopped())
-            if tag.origin == receiver:
-                continue  # own knowledge echoed back carries no information
-            self.deliveries += 1
+            delivered += 1
             # In-process runs share one round counter, so this is always
             # >= 0. Live swarm nodes advance their counters independently;
             # a tag minted at a faster peer's round 5 can arrive during the
             # receiver's round 4. Clamp to zero so cross-node distributions
             # stay well-defined (see docs/observability.md, "clock skew").
-            latency = max(0, round_index - tag.minted_round)
+            latency = round_index - minted_round
+            if latency < 0:
+                latency = 0
             latencies[latency] = latencies.get(latency, 0) + 1
-            edge = (sender, receiver)
-            edges[edge] = edges.get(edge, 0) + 1
-            pair = (tag.origin, receiver)
+            pair = (origin, receiver)
             if pair not in first:
-                first[pair] = Delivery(
-                    round=round_index,
-                    hops=tag.hops + 1,
-                    sender=sender,
-                    latency=latency,
-                )
-        return out
+                first[pair] = Delivery(round_index, sender, latency)
+        if delivered:
+            self.deliveries += delivered
+            edge = (sender, receiver)
+            edges[edge] = edges.get(edge, 0) + delivered
 
     # -- cross-process merge ---------------------------------------------------
 
@@ -150,7 +149,7 @@ class FlowTracer:
             },
             "first": {
                 layer: [
-                    [origin, receiver, d.round, d.hops, d.sender, d.latency]
+                    [origin, receiver, d.round, d.sender, d.latency]
                     for (origin, receiver), d in sorted(table.items())
                 ]
                 for layer, table in self.first_delivery.items()
@@ -160,7 +159,7 @@ class FlowTracer:
     def absorb_state(self, state: Dict[str, object]) -> None:
         """Merge a :meth:`to_state` dump (typically from another process).
 
-        Counts add; first deliveries keep the earliest ``(round, hops)``
+        Counts add; first deliveries keep the earliest ``(round, sender)``
         record per (origin, receiver) pair. Tolerant of missing keys so
         partially-written status files degrade to partial data, never a
         crash.
@@ -177,19 +176,11 @@ class FlowTracer:
                 table[edge] = table.get(edge, 0) + int(count)
         for layer, rows in (state.get("first") or {}).items():
             table = self.first_delivery.setdefault(layer, {})
-            for origin, receiver, round_index, hops, sender, latency in rows:
+            for origin, receiver, round_index, sender, latency in rows:
                 pair = (int(origin), int(receiver))
-                record = Delivery(
-                    round=int(round_index),
-                    hops=int(hops),
-                    sender=int(sender),
-                    latency=int(latency),
-                )
+                record = Delivery(int(round_index), int(sender), int(latency))
                 existing = table.get(pair)
-                if existing is None or (record.round, record.hops) < (
-                    existing.round,
-                    existing.hops,
-                ):
+                if existing is None or record[:2] < existing[:2]:
                     table[pair] = record
         self.deliveries += int(state.get("deliveries") or 0)
 
@@ -269,7 +260,7 @@ class FlowTracer:
             origin=origin,
             receiver=receiver,
             closed_round=closing.round,
-            hops=closing.hops,
+            hops=len(chain) - 1,
             path=tuple(chain),
         )
 

@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from collections import defaultdict
 
 from repro.errors import ConfigurationError, SimulationError, WireError
-from repro.gossip.descriptors import Descriptor
 from repro.runtime import wire
 from repro.runtime.api import OVERLAY_LAYER, ElementaryStack, RunnerConfig
 from repro.runtime.lamport import LamportClock
@@ -319,18 +318,6 @@ class NetEndpoint:
 
     # -- sending --------------------------------------------------------------
 
-    def _harvest_tags(self, frame: Dict[str, Any]) -> List[Any]:
-        """Provenance tags of the descriptors a frame's payload carries."""
-        payload = frame.get("payload")
-        if not isinstance(payload, list):
-            return []
-        tags = [
-            item.provenance
-            for item in payload
-            if isinstance(item, Descriptor) and item.provenance is not None
-        ]
-        return tags[: wire.MAX_TRACE_TAGS]
-
     def send_frame(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> int:
         """Encode and send; returns the datagram size in bytes."""
         clock = self.lamport.tick()
@@ -342,9 +329,7 @@ class NetEndpoint:
             # Tracing on: attach the trace context without mutating the
             # caller's frame (relayed floods reuse the original dict).
             frame = dict(frame)
-            frame[wire.TRACE_KEY] = wire.make_trace(
-                clock, self._harvest_tags(frame)
-            )
+            frame[wire.TRACE_KEY] = wire.make_trace(clock)
         data = wire.encode(frame)
         loop = self._loop
         if loop is None or not loop.is_running():

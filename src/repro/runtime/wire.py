@@ -15,20 +15,20 @@ Design rules, enforced by tests:
   or ill-typed header fields, unknown frame types, out-of-range TTLs,
   oversized datagrams, malformed tags, and protocol-version skew.
 - **Values round-trip exactly.** JSON alone collapses tuples to lists,
-  which would corrupt shape-coordinate profiles and
-  :class:`~repro.gossip.descriptors.Provenance` tags crossing the wire.
-  A tagged encoding (:func:`pack_value`, undone inside the parse by
-  :func:`decode`) preserves tuples, descriptors, node profiles, and
-  provenance bit-for-bit — the loopback digest gate rests on this.
+  which would corrupt shape-coordinate profiles crossing the wire. A
+  tagged encoding (:func:`pack_value`, undone inside the parse by
+  :func:`decode`) preserves tuples, descriptors (their flow tag, a round
+  number, rides as a bare integer) and node profiles bit-for-bit — the
+  loopback digest gate rests on this.
 - **Determinism.** Message ids are ``"<src>:<seq>"`` from a per-node
   monotonic counter (:class:`MsgIdSource`), not random UUIDs, so a
   seeded swarm emits a reproducible id stream.
 - **Optional trace context.** A frame may carry a ``tr`` field — a
-  Lamport logical clock plus provenance tags (:func:`make_trace`),
-  validated by :func:`check_trace` on decode. The field is strictly
-  additive: ``WIRE_VERSION`` stays 1, frames without it decode exactly
-  as before, and decoders that predate the field interoperate because
-  they never look for the key.
+  Lamport logical clock (:func:`make_trace`), validated by
+  :func:`check_trace` on decode. The field is strictly additive:
+  ``WIRE_VERSION`` stays 1, frames without it decode exactly as before,
+  and decoders that predate the field interoperate because they never
+  look for the key.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.profiles import NodeProfile
 from repro.errors import WireError
-from repro.gossip.descriptors import Descriptor, Provenance
+from repro.gossip.descriptors import Descriptor
 
 #: Protocol version spoken by this build. Frames carrying any other value
 #: are rejected with a typed error (version-skew test).
@@ -71,63 +71,48 @@ FRAME_TYPES = frozenset(
 # with a marker only by carrying these exact keys; encode() guards that.
 _TAG_TUPLE = "__t"
 _TAG_DESCRIPTOR = "__d"
-_TAG_PROVENANCE = "__p"
 _TAG_MAP = "__m"
 _TAG_NODE_PROFILE = "__n"
 #: Marker -> what a decode error calls it.
 _TAGS = {
     _TAG_TUPLE: "tuple",
     _TAG_DESCRIPTOR: "descriptor",
-    _TAG_PROVENANCE: "provenance",
     _TAG_MAP: "map",
     _TAG_NODE_PROFILE: "node-profile",
 }
 
-#: Optional trace-context field: a Lamport clock plus provenance tags.
+#: Optional trace-context field: the sender's Lamport clock.
 #: Version-tolerant by construction — WIRE_VERSION stays 1, decoders that
 #: predate the field simply never look for the key, and encoders attach it
 #: only when tracing is enabled (zero wire-format change otherwise).
 TRACE_KEY = "tr"
-#: Ceiling on provenance tags one trace field may carry; bounds hostile
-#: frames that try to smuggle unbounded tag lists past the size cap.
-MAX_TRACE_TAGS = 256
 
 
-def make_trace(clock: int, tags: Any = ()) -> Dict[str, Any]:
+def make_trace(clock: int) -> Dict[str, Any]:
     """A trace-context record ready to attach as the ``tr`` frame field.
 
     ``clock`` is the sender's Lamport timestamp for the send event
-    (:class:`repro.runtime.lamport.LamportClock`); ``tags`` the
-    :class:`Provenance` records of any descriptors the frame carries.
+    (:class:`repro.runtime.lamport.LamportClock`).
     """
-    return {"lc": int(clock), "tags": list(tags)}
+    return {"lc": int(clock)}
 
 
 def check_trace(value: Any) -> Dict[str, Any]:
     """Validate a decoded trace field; hostile shapes raise :class:`WireError`.
 
-    Unknown extra keys are tolerated (future encoders may add fields under
-    the same wire version); the known keys are strictly typed — a trace
-    field is observability data, but a malformed one is still hostile
-    input and must surface as a counted decode error, never a crash in
-    the receive loop.
+    Unknown extra keys are tolerated and dropped (future encoders may add
+    fields under the same wire version, and older ones shipped a ``tags``
+    list nobody read); the clock is strictly typed — a trace field is
+    observability data, but a malformed one is still hostile input and
+    must surface as a counted decode error, never a crash in the receive
+    loop.
     """
     if not isinstance(value, dict):
         raise WireError(f"trace field must be a map, got {type(value).__name__!r}")
     clock = value.get("lc")
     if not isinstance(clock, int) or isinstance(clock, bool) or clock < 0:
         raise WireError(f"bad trace clock {clock!r}")
-    tags = value.get("tags", [])
-    if not isinstance(tags, (list, tuple)):
-        raise WireError(f"trace tags must be a list, got {type(tags).__name__!r}")
-    if len(tags) > MAX_TRACE_TAGS:
-        raise WireError(f"trace carries {len(tags)} tags (max {MAX_TRACE_TAGS})")
-    for tag in tags:
-        if not isinstance(tag, Provenance):
-            raise WireError(
-                f"trace tag must be provenance, got {type(tag).__name__!r}"
-            )
-    return {"lc": clock, "tags": list(tags)}
+    return {"lc": clock}
 
 
 _SCALARS = frozenset((type(None), bool, int, float, str))
@@ -136,15 +121,15 @@ _new = tuple.__new__
 
 
 def _pack_descriptor(value: Descriptor) -> Any:
-    node_id, age, profile, provenance = value
+    node_id, age, profile, minted_round = value
     kind = type(profile)
     if kind is tuple:  # a coordinate: the common case, one call less
         profile = {_TAG_TUPLE: _pack_items(profile)}
     elif kind not in _SCALARS:
         profile = pack_value(profile)
-    if provenance is not None:  # untraced runs: no call at all
-        provenance = pack_value(provenance)
-    return {_TAG_DESCRIPTOR: [node_id, age, profile, provenance]}
+    if minted_round is not None and type(minted_round) is not int:
+        raise WireError(f"descriptor tag must be a round, got {minted_round!r}")
+    return {_TAG_DESCRIPTOR: [node_id, age, profile, minted_round]}
 
 
 def _pack_items(items: Any) -> list:
@@ -166,7 +151,6 @@ def _pack_dict(value: dict) -> Any:
 
 _PACKERS = {
     Descriptor: _pack_descriptor,
-    Provenance: lambda value: {_TAG_PROVENANCE: _pack_items(value)},
     NodeProfile: lambda value: {_TAG_NODE_PROFILE: _pack_items(value)},
     tuple: lambda value: {_TAG_TUPLE: _pack_items(value)},
     list: _pack_items,
@@ -179,7 +163,7 @@ def pack_value(value: Any) -> Any:
 
     Supports the payload vocabulary of the gossip layers: scalars, strings,
     lists, tuples, string-keyed dicts, arbitrary-keyed dicts (as tagged
-    pair lists), :class:`Descriptor`, :class:`Provenance`, and
+    pair lists), :class:`Descriptor`, and
     :class:`~repro.core.profiles.NodeProfile` (a named tuple the UO layers
     test with ``isinstance``: as a plain tuple it would be dropped). Anything
     else is a programming error on the *sending* side and raises
@@ -202,8 +186,9 @@ def _rebuild(obj: Dict[str, Any]) -> Any:
 
     By the time an object arrives its members are already rebuilt, so a
     tagged object is checked and replaced on the spot — exact types (a bool
-    is not an id), no negative id, age, round or hop count, and a tag is its
-    object's only key — and :func:`decode` never walks the parsed tree again.
+    is neither an id nor a round), no negative id, age or minted round, and a
+    tag is its object's only key — and :func:`decode` never walks the parsed
+    tree again.
     """
     if len(obj) != 1:
         if _TAGS.keys().isdisjoint(obj):
@@ -216,20 +201,20 @@ def _rebuild(obj: Dict[str, Any]) -> Any:
     if type(fields) is list:
         if tag == _TAG_DESCRIPTOR:
             if len(fields) == 4:
-                node_id, age, _, provenance = fields
+                node_id, age, _, minted_round = fields
                 if (
                     type(node_id) is int
                     and type(age) is int
                     and node_id >= 0
                     and age >= 0
-                    and (provenance is None or type(provenance) is Provenance)
+                    and (
+                        minted_round is None
+                        or (type(minted_round) is int and minted_round >= 0)
+                    )
                 ):
                     return _new(Descriptor, fields)
         elif tag == _TAG_TUPLE:
             return tuple(fields)
-        elif tag == _TAG_PROVENANCE:
-            if len(fields) == 3 and all(type(n) is int and n >= 0 for n in fields):
-                return _new(Provenance, fields)
         elif tag == _TAG_NODE_PROFILE:
             if len(fields) == 4 and [type(n) for n in fields[:3]] == [str, int, int]:
                 return _new(NodeProfile, fields)

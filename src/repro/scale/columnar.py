@@ -5,8 +5,9 @@ A :class:`~repro.gossip.views.PartialView` keeps one boxed
 (10k nodes × 2 layers × view size ~20) that is hundreds of thousands of
 small Python objects churned every round. :class:`ColumnarView` stores the
 same state in fixed-width columns — node ids and ages in preallocated
-stdlib ``array('q')`` slots, profiles and provenance tags in parallel
-lists — and materializes :class:`Descriptor` objects only at the API
+stdlib ``array('q')`` slots, profiles and flow tags (``None`` or the round
+a descriptor was minted in, stored opaquely) in parallel lists — and
+materializes :class:`Descriptor` objects only at the API
 boundary. No numpy: the point is the layout (one allocation per column per
 view, ids/ages readable without attribute dispatch), not SIMD.
 

@@ -144,7 +144,7 @@ class GossipProtocol(Protocol):
             obs.count_key(self._k_sent, len(buffer))
             obs.count_key(self._k_received, len(reply))
             if flow is not None:
-                reply = flow.on_received(
+                flow.on_received(
                     self.layer, ctx.round, self.node_id, partner_id, reply
                 )
         self._absorb(ctx, kept, reply)
@@ -165,7 +165,7 @@ class GossipProtocol(Protocol):
             obs.count_key(self._k_sent, len(reply))
             obs.count_key(self._k_received, len(received))
             if flow is not None:
-                received = flow.on_received(
+                flow.on_received(
                     self.layer, ctx.round, self.node_id, request.sender, received
                 )
         self._absorb(ctx, kept, received)
@@ -199,7 +199,8 @@ class GossipProtocol(Protocol):
 
         ``request`` is the incoming request on the passive half and
         ``None`` on the active one; ``flow`` is the attached flow tracer,
-        if any, for tagging the self-advertisement.
+        if any: while there is one the self-advertisement ships
+        ``tagged(ctx.round)``.
         """
 
     @abstractmethod

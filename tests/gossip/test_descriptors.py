@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.gossip.descriptors import Descriptor, Provenance, youngest
+from repro.gossip.descriptors import Descriptor, youngest
 from repro.runtime import wire
 
 
@@ -56,7 +56,7 @@ class TestEquality:
 class TestTupleBackedRecord:
     """What must survive the record being a tuple underneath."""
 
-    TAG = Provenance(7, 3, 1)
+    TAG = 3  # the round the advert was minted in
 
     def test_attribute_and_item_assignment_refused(self):
         descriptor = Descriptor(1, 2, "p")
@@ -102,11 +102,11 @@ class TestTupleBackedRecord:
         clone = pickle.loads(pickle.dumps([original, original.aged()], protocol))[0]
         assert type(clone) is Descriptor
         assert tuple(clone) == tuple(original)
-        assert type(clone.provenance) is Provenance and type(clone.profile) is tuple
+        assert type(clone.provenance) is int and type(clone.profile) is tuple
 
     def test_the_codec_tags_it_as_a_descriptor_not_a_tuple(self):
         packed = wire.pack_value([Descriptor(4, 9, (1, 2), self.TAG)])
-        assert packed == [{"__d": [4, 9, {"__t": [1, 2]}, {"__p": [7, 3, 1]}]}]
+        assert packed == [{"__d": [4, 9, {"__t": [1, 2]}, 3]}]
         assert wire.pack_value(Descriptor(4)) == {"__d": [4, 0, None, None]}
         assert wire.pack_value((Descriptor(4),)) == {"__t": [{"__d": [4, 0, None, None]}]}
 
@@ -118,13 +118,9 @@ class TestTupleBackedRecord:
             (tagged.fresh(), (1, 0, "p", self.TAG)),
             (tagged.with_profile("q"), (1, 2, "q", self.TAG)),
             (tagged.tagged(None), (1, 2, "p", None)),
-            (tagged.hopped(), (1, 2, "p", Provenance(7, 3, 2))),
+            (Descriptor(1, 2, "p").tagged(3), (1, 2, "p", 3)),
         ):
             assert type(copy) is Descriptor and tuple(copy) == expected
-        assert tagged.aged().provenance is self.TAG  # shared, not rebuilt
-        assert type(tagged.hopped().provenance) is Provenance
-        untagged = Descriptor(1, 2)
-        assert untagged.hopped() is untagged
 
 
 class TestYoungest:

@@ -1,10 +1,10 @@
 """Golden record of what the flow tracer records on the six-layer stack.
 
-Pinned on the tree whose tags were three-field ``Provenance`` records
-rewritten at every hop, with the hops column of the ``first`` rows left
-out of the digest: every delivery, every latency histogram, every flow
-edge and every first-delivery ``(round, sender, latency)``, plus each
-layer's critical-path chain. A cheaper tracer must record exactly this.
+Pinned on the tree whose tags were three-field records rewritten at every
+hop, with the hops column its ``first`` rows then had left out of the
+digest: every delivery, every latency histogram, every flow edge and every
+first-delivery ``(round, sender, latency)``, plus each layer's critical-path
+chain. The one-integer tag records exactly this, untouched since.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
+from tests.core.test_stack_golden import GOLDEN as STACK_CASES
 from tests.core.test_stack_golden import converge
 
 
@@ -30,12 +31,7 @@ def traced(scenario: str, seed: int) -> FlowTracer:
 
 def record(flow: FlowTracer):
     """(digest of the raw tables, {layer: critical-path chain})."""
-    state = flow.to_state()
-    state["first"] = {
-        layer: [row[:3] + row[4:] for row in rows]  # without the hops column
-        for layer, rows in state["first"].items()
-    }
-    text = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(flow.to_state(), sort_keys=True, separators=(",", ":"))
     paths = {layer: flow.critical_path(layer).path for layer in flow.layers()}
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), paths
 
@@ -73,3 +69,17 @@ GOLDEN = {
 @pytest.mark.parametrize("scenario,seed", sorted(GOLDEN))
 def test_tracer_reproduces_golden_record(scenario, seed):
     assert record(traced(scenario, seed)) == GOLDEN[scenario, seed]
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(STACK_CASES))
+def test_reported_hops_are_the_reported_path(scenario, seed):
+    """The hop count used to be the tag's — of whichever copy arrived first
+    — beside a chain rebuilt from first-receipt senders, and the two could
+    disagree (``("loss", 1)`` and ``("repair", 7)`` here did)."""
+    flow = traced(scenario, seed)
+    assert flow.layers() == ["core", "peer_sampling", "uo1", "uo2"]
+    for layer in flow.layers():
+        found = flow.critical_path(layer)
+        assert found.hops == len(found.path) - 1 >= 1
+        assert found.path[0] == found.origin and found.path[-1] == found.receiver
+        assert len(set(found.path)) == len(found.path)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.gossip.descriptors import Descriptor, Provenance
+from repro.gossip.descriptors import Descriptor
 from repro.heal.engine import RemediationEngine
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.collector import Collector
@@ -68,7 +68,7 @@ class TestDashboard:
 
     def test_flow_table_shows_critical_path(self):
         flow = FlowTracer()
-        tagged = Descriptor(1, age=0).tagged(Provenance(1, 0, 0))
+        tagged = Descriptor(1, age=0).tagged(0)
         flow.on_received("uo1", 3, receiver=9, sender=1, received=[tagged])
         collector = Collector(gauge_every=0, flow=flow)
         frame = render_dashboard(collector)

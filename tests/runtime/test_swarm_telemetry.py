@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.gossip.descriptors import Descriptor, Provenance
+from repro.gossip.descriptors import Descriptor
 from repro.obs.collector import Collector, Histogram
 from repro.obs.flow import FlowTracer
 from repro.runtime.swarm import SwarmReport, merge_node_events, merge_telemetry
@@ -14,9 +14,7 @@ def node_status(node, *, with_flow=True, with_rtt=True, with_hops=True):
     record = {"node": node, "round": 3, "neighbors": [node + 1], "wire": {}}
     if with_flow:
         tracer = FlowTracer()
-        descriptor = Descriptor(
-            9, age=0, profile=None, provenance=Provenance(9, 0, 0)
-        )
+        descriptor = Descriptor(9, age=0, profile=None, provenance=0)
         tracer.on_received("overlay", 2, node, (node + 1) % 4, [descriptor])
         record["flow"] = tracer.to_state()
     if with_rtt:

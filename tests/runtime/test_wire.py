@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.profiles import NodeProfile
 from repro.errors import WireError
-from repro.gossip.descriptors import Descriptor, Provenance
+from repro.gossip.descriptors import Descriptor
 from repro.runtime import wire
 
 try:
@@ -47,7 +47,6 @@ def same(a, b):
 def corpus_frames():
     """The frames whose bytes ``wire_frames.json`` pins, by name."""
     ring = lambda name, rank: NodeProfile(name, rank, 8, rank)  # noqa: E731
-    tag = Provenance(9, 3, 2)
     frames = {
         "hello": wire.make_frame(wire.HELLO, 4, "4:1", host="127.0.0.1", port=9004),
         "get_peers": wire.make_frame(wire.GET_PEERS, 4, "4:2"),
@@ -95,11 +94,11 @@ def corpus_frames():
         ),
         "provenance_tagged": wire.make_frame(
             wire.GOSSIP_RESP, 9, "9:5", layer="overlay",
-            payload=[Descriptor(9, 4, (1.0, 2.0), tag), Descriptor(3, 0, None, tag.hop())],
+            payload=[Descriptor(9, 4, (1.0, 2.0), 3), Descriptor(3, 0, None, 0)],
         ),
         "traced": wire.make_frame(
             wire.GOSSIP_REQ, 2, "2:1", layer="peer_sampling", profile=None,
-            payload=[Descriptor(2, 0, None, Provenance(2, 7, 0))],
+            payload=[Descriptor(2, 0, None, 7)],
         ),
         "values": wire.make_frame(
             wire.GOSSIP_REQ, 1, "1:9",
@@ -113,7 +112,7 @@ def corpus_frames():
             },
         ),
     }
-    frames["traced"][wire.TRACE_KEY] = wire.make_trace(31, [Provenance(2, 7, 0)])
+    frames["traced"][wire.TRACE_KEY] = wire.make_trace(31)
     return frames
 
 
@@ -122,12 +121,15 @@ CORPUS = json.loads(Path(__file__).with_name("wire_frames.json").read_text("utf-
 
 class TestPinnedBytes:
     """``wire_frames.json`` holds the bytes the two-pass codec emitted for
-    :func:`corpus_frames`: the codec may get faster, the wire may not move."""
+    :func:`corpus_frames`: the codec may get faster, the wire may not move.
+    Two frames were re-pinned since, when the flow tag became one integer
+    (``provenance_tagged``) and the trace field stopped repeating the payload's
+    tags (``traced``); an untraced frame is byte for byte what it was."""
 
     def test_corpus_covers_every_frame_type_and_tag(self):
         assert sorted(CORPUS) == sorted(corpus_frames())
         assert {frame["t"] for frame in corpus_frames().values()} == wire.FRAME_TYPES
-        for marker in ("__d", "__p", "__t", "__n", "__m", '"tr"'):
+        for marker in ("__d", "__t", "__n", "__m", '"tr"'):
             assert any(marker in text for text in CORPUS.values()), marker
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -159,14 +161,12 @@ class TestValueRoundTrip:
         assert isinstance(out[1], tuple)
 
     def test_descriptor_bit_for_bit(self):
-        descriptor = Descriptor(
-            9, age=4, profile=(1.0, 2.0), provenance=Provenance(9, 3, 2)
-        )
+        descriptor = Descriptor(9, age=4, profile=(1.0, 2.0), provenance=3)
         out = roundtrip(descriptor)
         assert isinstance(out, Descriptor)
         assert out.node_id == 9 and out.age == 4
         assert out.profile == (1.0, 2.0) and isinstance(out.profile, tuple)
-        assert out.provenance == Provenance(9, 3, 2)
+        assert out.provenance == 3 and type(out.provenance) is int
 
     def test_descriptor_without_provenance(self):
         out = roundtrip(Descriptor(1, age=0, profile=None))
@@ -220,12 +220,6 @@ HEADER = {"v": wire.WIRE_VERSION, "t": wire.GOSSIP_REQ, "id": "1:1", "ttl": 0, "
 
 if HAVE_HYPOTHESIS:
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    provenances = st.builds(
-        Provenance,
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=0, max_value=32),
-    )
     profiles = (
         st.none()
         | finite
@@ -254,7 +248,7 @@ if HAVE_HYPOTHESIS:
             st.integers(min_value=0, max_value=10_000),
             age=st.integers(min_value=0, max_value=64),
             profile=profiles,
-            provenance=st.none() | provenances,
+            provenance=st.none() | st.integers(min_value=0, max_value=500),
         ),
         max_leaves=12,
     )
@@ -276,8 +270,9 @@ if HAVE_HYPOTHESIS:
     # soup always parses and always carries a valid header: objects keyed by
     # the tags (alone, together, beside plain keys) over field lists of every
     # arity and maps of near-pairs, holding scalars of every type and, by
-    # recursion, other tagged objects where a scalar belongs.
-    soup_keys = st.sampled_from(["__d", "__p", "__t", "__n", "__m", "x"])
+    # recursion, other tagged objects where a scalar belongs — the flow-tag
+    # slot of an otherwise well-formed descriptor included.
+    soup_keys = st.sampled_from(["__d", "__t", "__n", "__m", "x"])
     soup = st.recursive(
         st.none()
         | st.booleans()
@@ -289,6 +284,9 @@ if HAVE_HYPOTHESIS:
         | st.dictionaries(soup_keys, st.lists(children, min_size=2, max_size=4), max_size=1)
         | st.fixed_dictionaries(
             {"__m": st.lists(st.lists(children, min_size=1, max_size=3), max_size=3)}
+        )
+        | st.fixed_dictionaries(
+            {"__d": st.tuples(st.integers(0, 9), st.integers(0, 9), st.none(), children).map(list)}
         ),
         max_leaves=14,
     )
@@ -368,7 +366,7 @@ class TestHostileDecode:
             wire.encode(frame)
 
     def test_malformed_tag_payloads(self):
-        for tag_value in ({"__d": [1]}, {"__p": "x"}, {"__t": 3}, {"__m": [[1]]}):
+        for tag_value in ({"__d": [1]}, {"__n": "x"}, {"__t": 3}, {"__m": [[1]]}):
             hostile = self.ok_frame(payload=tag_value)
             with pytest.raises(WireError):
                 wire.decode(hostile)
@@ -396,19 +394,19 @@ class TestHostileDecode:
             {"__d": [-5, 0, None, None]},
             {"__d": [5, -3, None, None]},
             {"__d": [1.0, 0, None, None]},
-            {"__d": [1, 0, None, [1, 2, 3]]},  # a provenance must be tagged
+            {"__d": [1, 0, None, [1, 2, 3]]},  # the flow tag is one bare round
             {"__d": [1, 0, None, {"__t": [1, 2, 3]}]},
             {"__d": {"__t": [1, 0, None, None]}},  # fields come as a list
-            {"__p": [True, 1, 2]},
-            {"__p": [1, 2, -1]},
-            {"__p": [-1, 2, 0]},
-            {"__p": [1, -2, 0]},
-            {"__p": [1, 2.0, 0]},
+            {"__d": [1, 0, None]},  # arity
+            {"__d": [1, 0, None, None, None]},
+            {"__n": ["ring", 0, 8]},
+            {"__n": ["ring", 0, True, 0]},
+            {"__t": {"a": 1}},
             {"__n": ["ring", True, 8, 0]},
             {"__n": [7, 0, 8, 0]},
             {"__d": [1, 2, None, None], "x": 1},  # a tag is the only key
             {"__t": [1], "__m": []},
-            {"x": 1, "__p": [1, 2, 3]},
+            {"x": 1, "__n": ["ring", 0, 8, 0]},
             {"__m": [{"__t": [1, 2]}]},  # a pair is a list, not a tuple
         ],
     )
@@ -435,17 +433,14 @@ class TestHostileDecode:
 class TestTraceField:
     """Version-tolerant trace context: optional, validated, interoperable."""
 
-    def encode_with_trace(self, trace):
-        frame = wire.make_frame(wire.GOSSIP_REQ, src=2, msg_id="2:1", payload=[1])
+    def encode_with_trace(self, trace, payload=(1,)):
+        frame = wire.make_frame(wire.GOSSIP_REQ, src=2, msg_id="2:1", payload=list(payload))
         frame[wire.TRACE_KEY] = trace
         return wire.encode(frame)
 
     def test_round_trip_with_trace(self):
-        tags = [Provenance(4, 7, 1), Provenance(9, 2, 0)]
-        data = self.encode_with_trace(wire.make_trace(31, tags))
-        out = wire.decode(data)
-        assert out[wire.TRACE_KEY] == {"lc": 31, "tags": tags}
-        assert all(isinstance(tag, Provenance) for tag in out[wire.TRACE_KEY]["tags"])
+        out = wire.decode(self.encode_with_trace(wire.make_trace(31)))
+        assert out[wire.TRACE_KEY] == {"lc": 31}
 
     def test_round_trip_without_trace(self):
         frame = wire.make_frame(wire.GOSSIP_REQ, src=2, msg_id="2:1", payload=[1])
@@ -467,8 +462,8 @@ class TestTraceField:
         assert wire.TRACE_KEY not in stripped
 
     def test_make_trace_normalizes(self):
-        trace = wire.make_trace(7)
-        assert trace == {"lc": 7, "tags": []}
+        assert wire.make_trace(True) == {"lc": 1}
+        assert type(wire.make_trace(True)["lc"]) is int
 
     def test_hostile_trace_shapes_raise(self):
         for bad in ([1, 2], "trace", 7, True):
@@ -478,72 +473,57 @@ class TestTraceField:
     def test_hostile_clock_raises(self):
         for bad_clock in (None, "5", -1, True, 3.5):
             with pytest.raises(WireError, match="trace clock"):
-                wire.decode(self.encode_with_trace({"lc": bad_clock, "tags": []}))
+                wire.decode(self.encode_with_trace({"lc": bad_clock}))
 
     def test_missing_clock_raises(self):
         with pytest.raises(WireError, match="trace clock"):
-            wire.decode(self.encode_with_trace({"tags": []}))
+            wire.decode(self.encode_with_trace({}))
 
     def test_hostile_tags_raise(self):
-        for bad_tags in ("tags", 7, {"a": 1}):
-            with pytest.raises(WireError, match="trace tags"):
-                wire.decode(self.encode_with_trace({"lc": 0, "tags": bad_tags}))
+        """The fourth descriptor slot is outside input: ``None`` or a
+        non-negative, non-bool integer, anything else a counted error."""
+        retired = {"__p": [2, 7, 0]}
+        for bad_tag in (True, -1, 2.0, "2", [2, 7, 0], {"__t": [2]}, retired):
+            frame = {**HEADER, "payload": [{"__d": [2, 0, None, bad_tag]}], "tr": {"lc": 1}}
+            with pytest.raises(WireError, match="malformed descriptor tag"):
+                wire.decode(json.dumps(frame).encode("utf-8"))
 
     def test_non_provenance_tag_items_raise(self):
-        with pytest.raises(WireError, match="provenance"):
-            wire.decode(self.encode_with_trace({"lc": 0, "tags": [1, 2]}))
+        """Nor does the sender emit a tag its peer would refuse."""
+        for bad_tag in (True, 2.0, "2", (2, 7, 0)):
+            with pytest.raises(WireError, match="descriptor tag"):
+                self.encode_with_trace(wire.make_trace(1), [Descriptor(2, 0, None, bad_tag)])
 
-    def test_tag_flood_rejected(self):
-        tags = [[0, 0, 0]] * (wire.MAX_TRACE_TAGS + 1)
-        # Hand-rolled JSON: encode() would pay the pack cost for a frame
-        # we only need on the hostile decode side.
-        frame = {
-            "v": wire.WIRE_VERSION,
-            "t": wire.PING,
-            "id": "1:1",
-            "ttl": 0,
-            "src": 1,
-            wire.TRACE_KEY: {
-                "lc": 0,
-                "tags": [{"__p": tag} for tag in tags],
-            },
-        }
-        with pytest.raises(WireError, match="tags"):
-            wire.decode(json.dumps(frame).encode("utf-8"))
+    def test_retired_tags_key_is_dropped_unread(self):
+        """Older encoders shipped every payload tag a second time under
+        ``tr.tags``; nobody read the copy, so any shape of it still decodes."""
+        old_tags = [{"__p": [2, 7, 0]}] * 300
+        for tags in (old_tags, [], "tags", 7, {"a": 1}, [1, 2]):
+            out = wire.decode(self.encode_with_trace({"lc": 4, "tags": tags}))
+            assert out[wire.TRACE_KEY] == {"lc": 4}
 
     def test_truncated_traced_frame_raises(self):
-        data = self.encode_with_trace(wire.make_trace(3, [Provenance(1, 1, 0)]))
+        data = self.encode_with_trace(wire.make_trace(3))
         for cut in (1, len(data) // 2, len(data) - 2):
             with pytest.raises(WireError):
                 wire.decode(data[:cut])
 
     def test_unknown_extra_trace_keys_tolerated(self):
         out = wire.decode(
-            self.encode_with_trace({"lc": 9, "tags": [], "future": "field"})
+            self.encode_with_trace({"lc": 9, "future": "field"})
         )
-        assert out[wire.TRACE_KEY] == {"lc": 9, "tags": []}
+        assert out[wire.TRACE_KEY] == {"lc": 9}
 
 
 if HAVE_HYPOTHESIS:
 
-    @given(
-        st.integers(min_value=0, max_value=2**40),
-        st.lists(
-            st.builds(
-                Provenance,
-                st.integers(min_value=0, max_value=10_000),
-                st.integers(min_value=0, max_value=500),
-                st.integers(min_value=0, max_value=32),
-            ),
-            max_size=8,
-        ),
-    )
+    @given(st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=100, deadline=None)
-    def test_hypothesis_trace_roundtrip(clock, tags):
+    def test_hypothesis_trace_roundtrip(clock):
         frame = wire.make_frame(wire.GOSSIP_RESP, src=1, msg_id="1:1")
-        frame[wire.TRACE_KEY] = wire.make_trace(clock, tags)
+        frame[wire.TRACE_KEY] = wire.make_trace(clock)
         out = wire.decode(wire.encode(frame))
-        assert out[wire.TRACE_KEY] == {"lc": clock, "tags": tags}
+        assert out[wire.TRACE_KEY] == {"lc": clock}
 
     trace_shapes = st.recursive(
         st.none()
