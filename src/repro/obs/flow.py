@@ -102,10 +102,11 @@ class FlowTracer:
         delivered = 0
         for descriptor in received:
             minted_round = descriptor.provenance
-            origin = descriptor.node_id
-            # Own knowledge echoed back carries no information.
-            if minted_round is None or origin == receiver:
+            if minted_round is None:
                 continue
+            origin = descriptor.node_id
+            if origin == receiver:
+                continue  # own knowledge echoed back carries no information
             delivered += 1
             # In-process runs share one round counter, so this is always
             # >= 0. Live swarm nodes advance their counters independently;

@@ -127,7 +127,7 @@ def _pack_descriptor(value: Descriptor) -> Any:
         profile = {_TAG_TUPLE: _pack_items(profile)}
     elif kind not in _SCALARS:
         profile = pack_value(profile)
-    if minted_round is not None and type(minted_round) is not int:
+    if minted_round is not None and (type(minted_round) is not int or minted_round < 0):
         raise WireError(f"descriptor tag must be a round, got {minted_round!r}")
     return {_TAG_DESCRIPTOR: [node_id, age, profile, minted_round]}
 

@@ -490,7 +490,7 @@ class TestTraceField:
 
     def test_non_provenance_tag_items_raise(self):
         """Nor does the sender emit a tag its peer would refuse."""
-        for bad_tag in (True, 2.0, "2", (2, 7, 0)):
+        for bad_tag in (True, -1, 2.0, "2", (2, 7, 0)):
             with pytest.raises(WireError, match="descriptor tag"):
                 self.encode_with_trace(wire.make_trace(1), [Descriptor(2, 0, None, bad_tag)])
 
