@@ -60,7 +60,7 @@ import random
 
 import pytest
 
-from repro.core import RuntimeConfig
+from repro.core import Runtime, RuntimeConfig
 from repro.core.convergence import layer_converged
 from repro.core.layers import (
     LAYER_PORT_CONNECTION,
@@ -68,6 +68,7 @@ from repro.core.layers import (
     RUNTIME_LAYERS,
 )
 from repro.core.layers.port_connection import DEFAULT_BINDING_TTL
+from repro.experiments.topologies import ring_of_rings
 from repro.faults.scenarios import standard_deployment
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
@@ -218,6 +219,61 @@ GOLDEN = {
 @pytest.mark.parametrize("scenario,seed", sorted(GOLDEN))
 def test_stack_reproduces_golden(scenario, seed):
     assert observe(scenario, seed) == GOLDEN[scenario, seed]
+
+
+SAMPLER_ROUNDS = 10
+
+
+def observe_sampler(seed: int):
+    """Three rings of 20: every component outgrows UO1's view (10), so UO1
+    is a sampler there and not a member list. Run to convergence and on to
+    round ``SAMPLER_ROUNDS``, so the record covers steady-state gossip too."""
+    deployment = Runtime(ring_of_rings(n_rings=3, ring_size=20), seed=seed).deploy(60)
+    assert deployment.config.uo1.view_size < 20 - 1
+    report = deployment.run_until_converged(MAX_ROUNDS)
+    assert report.converged, report.rounds
+    deployment.run(SAMPLER_ROUNDS - report.executed)
+    transport = deployment.transport
+    traffic = {
+        layer: (transport.total_messages(layer), transport.total_bytes(layer))
+        for layer in RUNTIME_LAYERS
+    }
+    return overlay_digest(deployment.network, RUNTIME_LAYERS), report.rounds, traffic
+
+
+SAMPLER_GOLDEN = {
+    1: (
+        "83ab2344cd5a06251b6d9638c31697583ad5f61370ebc640784f95178662870d",
+        {"core": 3, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 2},
+        {
+            "peer_sampling": (1200, 249600),
+            "uo1": (1200, 180856),
+            "uo2": (1200, 151872),
+            "core": (1200, 191352),
+            "port_selection": (1200, 74064),
+            "port_connection": (1200, 121944),
+        },
+    ),
+    7: (
+        "ffb53478096eea56e1fbc5e724b95f2fc689dda970e33c353b2f4e12133fd5b3",
+        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
+        {
+            "peer_sampling": (1200, 249600),
+            "uo1": (1200, 180192),
+            "uo2": (1200, 151488),
+            "core": (1200, 191112),
+            "port_selection": (1200, 74160),
+            "port_connection": (1200, 121992),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLER_GOLDEN))
+def test_sampler_regime_reproduces_golden(seed):
+    """Components too large for a UO1 view to list: what is done for the
+    small ones (see the module docstring's re-pins) must not reach here."""
+    assert observe_sampler(seed) == SAMPLER_GOLDEN[seed]
 
 
 def port_state(deployment):
