@@ -67,6 +67,9 @@ class DistantComponentOverlay(GossipProtocol):
         # The bucket this round's partner was drawn from (None: a member of
         # the node's own component), noted by the partner rule for the offer.
         self._partner_component: Optional[str] = None
+        # The sorted component names the active offer just computed, left
+        # for the request's have-digest (``step`` reads it straight after).
+        self._offered_known: Optional[List[str]] = None
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
 
     # -- identity -----------------------------------------------------------------
@@ -112,8 +115,11 @@ class DistantComponentOverlay(GossipProtocol):
         """The have-digest shipped with every request: the components this
         node holds a contact in. The partner's reply serves the others first
         (see :meth:`_offer`). Built after the partner rule's scan, so it
-        never vouches for a component whose contacts are all dead."""
-        return tuple(self.known_components())
+        never vouches for a component whose contacts are all dead. Takes
+        the names the active offer left behind, once; any other read ranks
+        the buckets afresh."""
+        known, self._offered_known = self._offered_known, None
+        return tuple(self.known_components() if known is None else known)
 
     # -- internals -----------------------------------------------------------------------
 
@@ -213,6 +219,8 @@ class DistantComponentOverlay(GossipProtocol):
             advert = advert.tagged(ctx.round)
         slots = self.gossip_contacts - 1
         known = self.known_components()
+        if request is None:
+            self._offered_known = known
         if not (slots and known):
             return [advert], None
         if request is None:

@@ -557,6 +557,24 @@ class TestUO2:
         assert protocol.wire_profile == ("c00", "c02")
         assert bare_uo2([]).wire_profile == ()
 
+    def test_the_digest_takes_the_active_offers_names_once(self):
+        """``step`` reads the digest straight after the active offer: the
+        buckets are ranked once for both. Nothing else may see that copy."""
+        protocol = bare_uo2(full_buckets(3))
+        rankings = []
+        ranked = protocol.known_components
+        protocol.known_components = lambda: rankings.append(1) or ranked()
+        offer(protocol, 0)
+        assert protocol.wire_profile == ("c00", "c01", "c02")
+        assert len(rankings) == 1
+        protocol.forget(102)
+        protocol.forget(103)
+        assert protocol.wire_profile == ("c00", "c02")  # a second read ranks afresh
+        offer(protocol, 0, True, 1, [member(1)])  # a passive offer leaves nothing
+        protocol.forget(100)
+        protocol.forget(101)
+        assert protocol.wire_profile == ("c02",)
+
     @pytest.mark.parametrize("n_components,gossip_contacts", [(19, 8), (12, 4), (5, 8)])
     def test_no_slot_goes_to_a_listed_component_while_one_is_lacking(
         self, n_components, gossip_contacts
