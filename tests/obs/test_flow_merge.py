@@ -120,8 +120,14 @@ class TestMergedEqualsSingle:
                     layer, round_index, receiver, sender, received
                 )
 
-        converge("repair", 7, Collector(gauge_every=0, flow=Fanout()))
-        assert len(per_node) > 20 and single.deliveries > 2000
+        deployment, _, _ = converge("repair", 7, Collector(gauge_every=0, flow=Fanout()))
+        # The run exercised what is compared: every surviving node took a
+        # first delivery on every tagging layer (however short the run).
+        live = set(deployment.network.alive_ids())
+        assert live and live <= set(per_node)
+        assert single.layers() == ["core", "peer_sampling", "uo1", "uo2"]
+        for layer in single.layers():
+            assert live <= {receiver for _, receiver in single.first_delivery[layer]}
         dumps = [json.loads(json.dumps(t.to_state())) for t in per_node.values()]
         merged = merge_flow_states(dumps)
         assert merged.deliveries == single.deliveries
