@@ -5,7 +5,7 @@ component [and] gather nodes from the same component". UO1 is, per component,
 a clustered peer-sampling service: each node maintains a small, continuously
 mixed random sample *restricted to members of its own component*.
 
-Discovery works in three channels:
+Discovery works in four channels:
 
 - *harvesting*: each round the node scans its global peer-sampling view and
   adopts any same-component peers found there (profiles piggyback on
@@ -13,7 +13,9 @@ Discovery works in three channels:
   model — see DESIGN.md);
 - *handover*: UO2 on the same node passes on every descriptor of this
   component that its own gossip brings in (:meth:`SameComponentOverlay.adopt`,
-  as the harvest does);
+  as the harvest does) — and, where the whole component fits the view
+  (:meth:`SameComponentOverlay.holds_whole`), so does the core protocol
+  (:meth:`SameComponentOverlay.gather`);
 - *gossip*: a push-pull exchange of view samples with one same-component
   contact, mixing membership knowledge inside the component.
 
@@ -23,7 +25,7 @@ empty, the partner source — of the component's core protocol.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
@@ -103,6 +105,36 @@ class SameComponentOverlay(GossipProtocol):
         ):
             return False
         return self.view.insert(descriptor)
+
+    def holds_whole(self, profile: NodeProfile) -> bool:
+        """Whether a UO1 view can list every other member of the component
+        ``profile`` names — the regime the layer works in there.
+
+        The legality predicate asks a view for ``min(view_size, n - 1)``
+        members (:func:`repro.core.convergence.uo1_converged`), which is two
+        jobs: a *sampler* of a component that outgrows the view, where which
+        members are held must stay unbiased, and a *member list* of one that
+        fits, where every member is wanted and a sighting from any source
+        is progress. Read from the role, not from the view's fill level: a
+        big component's view fills slowly, so a fill-level gate would stay
+        open exactly where a biased source does harm.
+        """
+        return profile.comp_size - 1 <= self.params.view_size
+
+    def gather(self, sightings: Iterable[Descriptor]) -> None:
+        """Take what a sibling layer's exchange brought in on this node —
+        the core's, whose partners are members of this component.
+
+        Only as a member list (:meth:`holds_whole`): to a sampler the core's
+        partners are a neighbour-biased source. Through :meth:`adopt`, and an
+        id already held is passed over, so a settled view costs a probe.
+        """
+        if not self.holds_whole(self.profile):
+            return
+        held = self.view.id_set()
+        for descriptor in sightings:
+            if descriptor.node_id not in held:
+                self.adopt(descriptor)
 
     # -- protocol interface --------------------------------------------------------
 

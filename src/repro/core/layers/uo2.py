@@ -7,8 +7,9 @@ filled by harvesting the global random view and by gossiping contact tables
 with both same-component neighbours (spreading knowledge inside the
 component) and foreign contacts (bridging components). What that gossip
 brings in about the node's *own* component is handed to UO1 on the same node,
-and every buffer carries one contact from the partner's component for the
-same purpose.
+and every buffer carries a contact from the partner's component — every one
+held, when that component is small enough for a UO1 view to list it whole —
+for the same purpose.
 
 These long-distance contacts are what the port-connection layer routes over
 to realize links, and what applications can use for inter-component traffic.
@@ -131,6 +132,12 @@ class DistantComponentOverlay(GossipProtocol):
         own = ctx.network.node(self.node_id)
         return own.protocol(self.uo1_layer) if own.has_protocol(self.uo1_layer) else None
 
+    def _listed_whole(self, ctx: RoundContext, profile: NodeProfile) -> bool:
+        """Whether the component ``profile`` names is one a UO1 view lists
+        whole (the sibling UO1 says: the partner's runs the same rule)."""
+        uo1 = self._uo1(ctx)
+        return uo1 is not None and uo1.holds_whole(profile)
+
     def _begin_round(self, ctx: RoundContext) -> bool:
         """Age every bucket, then adopt the peers seen in the global random
         view."""
@@ -199,12 +206,15 @@ class DistantComponentOverlay(GossipProtocol):
         return partner
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
-        """Self, the youngest contact held in the partner's own component,
-        then the youngest contact of each other known component, round-robin
-        until the message budget is reached.
+        """Self, what is held of the partner's own component, then the
+        youngest contact of each other known component, round-robin until
+        the message budget is reached.
 
-        The first contact is one the partner hands to its UO1 (see
-        :meth:`_insert`): a ring-mate it may not know yet. A reply leaves
+        The partner hands its own component's contacts to its UO1 (see
+        :meth:`_insert`): ring-mates it may not know yet. A component its
+        UO1 lists whole — read off the contact's own ``comp_size`` — gets
+        every contact held there, any other the youngest alone: a sampler
+        is fed one sighting, a member list all of them. A reply leaves
         out the components the requester demonstrably has — those it just
         shipped contacts of and those its have-digest lists — unless nothing
         else is known: the budget goes to what the requester lacks.
@@ -234,14 +244,13 @@ class DistantComponentOverlay(GossipProtocol):
             ]
             theirs = components[0] if components else None
             skip = {*components, *(request.profile or ())}
-        buffer = [advert]
         # No bucket for ``theirs`` (unknown, or the node's own component):
         # ``contacts`` is empty and the whole budget goes to the rotation.
-        for contact in self.contacts(theirs):
-            if contact.node_id != peer_id:
-                buffer.append(contact)
-                slots -= 1
-                break
+        mates = [c for c in self.contacts(theirs) if c.node_id != peer_id]
+        if len(mates) > 1 and not self._listed_whole(ctx, mates[0].profile):
+            del mates[1:]
+        buffer = [advert, *mates[:slots]]
+        slots -= len(buffer) - 1
         names = [name for name in known if name not in skip] or [
             name for name in known if name != theirs
         ]

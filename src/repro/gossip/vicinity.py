@@ -50,6 +50,9 @@ class Vicinity(GossipProtocol):
     candidate_layers:
         Additional same-node layers whose views are used as candidate
         sources (the runtime feeds a component's core protocol from UO1).
+        The feed runs both ways: what an exchange brings in is offered back
+        through their ``gather`` (UO1 takes it while its component fits a
+        view, see :meth:`~repro.core.layers.uo1.SameComponentOverlay.gather`).
     target_degree:
         How many closest entries :meth:`neighbors` exposes; defaults to the
         full view.
@@ -221,8 +224,9 @@ class Vicinity(GossipProtocol):
         strictly increases (nobody can mint fresh ones) until the TTL
         purges it everywhere.
         """
+        arrived = [d.aged() for d in received]
         best = select_closest(
-            self._fresh(pool + [d.aged() for d in received]),
+            self._fresh(pool + arrived),
             self.profile,
             self._distances,
             self.params.view_size,
@@ -234,5 +238,11 @@ class Vicinity(GossipProtocol):
             ctx.obs.count_key(self._k_replacements)
             ctx.obs.count_key(self._k_churn, entering)
         self.view.replace(best)
+        if self.candidate_layers:
+            # By id: the passive half runs under the requester's context.
+            own = ctx.network.node(self.node_id)
+            for layer in self.candidate_layers:
+                if own.has_protocol(layer):
+                    own.protocol(layer).gather(arrived)
 
     _absorb = _merge_pool

@@ -15,6 +15,7 @@ from repro.core.layers import (
     LAYER_UO1,
     LAYER_UO2,
 )
+from repro.core.layers.core_protocol import make_core_protocol
 from repro.core.layers.uo1 import SameComponentOverlay
 from repro.core.layers.uo2 import DistantComponentOverlay
 from repro.core.layers.port_connection import PortConnection
@@ -25,6 +26,7 @@ from repro.core.profiles import NodeProfile
 from repro.dsl import TopologyBuilder
 from repro.experiments.topologies import ring_of_rings
 from repro.gossip.descriptors import Descriptor
+from repro.shapes.ring import Ring
 from repro.sim.config import GossipParams
 from repro.sim.transport import ExchangeRequest
 
@@ -110,6 +112,116 @@ class TestUO1Adopt:
         assert uo1.neighbors() == [2]
 
 
+def own_stack_ctx(node_id, round_number=0, **protocols):
+    """A context as the passive half sees it: ``ctx.node`` is the requester,
+    so a sibling layer may only be reached through the node's own id."""
+
+    def off_limits(*_args):
+        raise AssertionError("reached past this node's own stack")
+
+    own = SimpleNamespace(
+        has_protocol=lambda layer: layer in protocols,
+        protocol=lambda layer: protocols[layer] if layer in protocols else off_limits(),
+    )
+    return SimpleNamespace(
+        round=round_number,
+        obs=None,
+        node=SimpleNamespace(has_protocol=off_limits, protocol=off_limits),
+        network=SimpleNamespace(
+            node=lambda peer_id: own if peer_id == node_id else off_limits()
+        ),
+    )
+
+
+class TestUO1Regime:
+    """A member list where the component fits the view, a sampler where it
+    does not — and only the member list takes the core's sightings."""
+
+    PARAMS = GossipParams(view_size=10, gossip_size=5, healer=1, swapper=4)
+
+    def home(self, comp_size, rank=0):
+        return NodeProfile("home", rank, comp_size, rank)
+
+    def uo1(self, comp_size):
+        return SameComponentOverlay(0, self.home(comp_size), self.PARAMS)
+
+    def test_the_boundary_is_the_view_holding_every_other_member(self):
+        uo1 = self.uo1(6)
+        view_size = self.PARAMS.view_size
+        assert uo1.holds_whole(self.home(2))
+        assert uo1.holds_whole(self.home(view_size + 1))
+        assert not uo1.holds_whole(self.home(view_size + 2))
+
+    def test_gather_follows_set_profile(self):
+        """A rebalance that shrinks the component to fit opens the gate; one
+        that grows it past the view shuts it again."""
+        uo1 = self.uo1(12)
+        uo1.gather([member(1)])
+        assert uo1.neighbors() == []
+        uo1.set_profile(self.home(11))
+        uo1.gather([member(1)])
+        assert uo1.neighbors() == [1]
+        uo1.set_profile(self.home(12))
+        uo1.gather([member(2)])
+        assert uo1.neighbors() == [1]
+
+    def test_gather_applies_adopts_rules_and_skips_what_is_held(self):
+        uo1 = self.uo1(6)
+        ttl = uo1.descriptor_ttl
+        uo1.adopt(member(1, age=3))
+        uo1.adopt(member(4))
+        uo1.view.purge(4)
+        uo1.gather(
+            [
+                member(1, age=1),  # held: passed over, even a younger copy
+                member(2, age=1),
+                member(3, component="away"),
+                member(0),  # self
+                member(5, age=ttl + 1),  # past the TTL
+                member(4, age=1),  # tombstoned, and not its owner's age 0
+            ]
+        )
+        assert [(d.node_id, d.age) for d in uo1.view] == [(1, 3), (2, 1)]
+
+    def core_and_uo1(self, comp_size, flavor="vicinity"):
+        profile = self.home(comp_size)
+        uo1 = SameComponentOverlay(0, profile, self.PARAMS)
+        core = make_core_protocol(0, profile, Ring(), layer="core", flavor=flavor)
+        return core, uo1, own_stack_ctx(0, uo1=uo1, core=core)
+
+    def ring_mate(self, node_id, comp_size, age=0):
+        return Descriptor(node_id, age, self.home(comp_size, node_id))
+
+    @pytest.mark.parametrize("half", ["active", "passive"])
+    def test_the_core_hands_what_it_receives_to_a_member_list(self, half):
+        """Either half of the core's exchange, aged the one hop the core
+        itself ages it; what the core *holds* is not re-offered."""
+        core, uo1, ctx = self.core_and_uo1(6)
+        core.view.insert(self.ring_mate(5, 6))
+        received = [self.ring_mate(1, 6), self.ring_mate(2, 6, age=2), self.ring_mate(0, 6)]
+        if half == "active":
+            core._absorb(ctx, core.view.descriptors(), received)
+        else:
+            ctx.transport = None  # read by the candidate harvest, unused on an empty UO1
+            core.on_request(ctx, ExchangeRequest("core", 1, received, self.home(6, 1)))
+        assert [(d.node_id, d.age) for d in uo1.view] == [(1, 1), (2, 3)]
+        assert sorted(core.neighbors()) == [1, 5]  # the core kept its own counsel
+
+    def test_the_core_hands_nothing_to_a_sampler(self):
+        core, uo1, ctx = self.core_and_uo1(self.PARAMS.view_size + 2)
+        size = self.PARAMS.view_size + 2
+        core._absorb(ctx, [], [self.ring_mate(1, size), self.ring_mate(2, size)])
+        assert sorted(core.view.ids()) == [1, 2]
+        assert uo1.neighbors() == []
+
+    def test_the_tman_core_stays_out(self):
+        """Ablation A4's core reads no candidate layer, so it feeds none."""
+        core, uo1, ctx = self.core_and_uo1(6, flavor="tman")
+        core._absorb(ctx, [], [self.ring_mate(1, 6)])
+        assert core.view.ids() == [1]
+        assert uo1.neighbors() == []
+
+
 class TestUO1Offer:
     """The reply fills the gaps in the requester's have-digest."""
 
@@ -184,15 +296,23 @@ def counting_obs(counted):
     return SimpleNamespace(count_key=lambda key, value=1: counted.append((key, value)))
 
 
-def bare_uo2(contacts, node_id=0, capacity=2, gossip_contacts=8):
+#: Component sizes either side of what a default UO1 view (12) lists whole.
+SMALL, LARGE = 4, 40
+BOTH_REGIMES = pytest.mark.parametrize("comp_size", [SMALL, LARGE], ids=["small", "large"])
+
+
+def bare_uo2(contacts, node_id=0, capacity=2, gossip_contacts=8, comp_size=SMALL):
     """A UO2 instance outside any deployment, holding ``contacts`` — an
-    iterable of ``(component, node_id, age)``."""
+    iterable of ``(component, node_id, age)`` — whose profiles all claim a
+    component of ``comp_size`` members."""
     protocol = DistantComponentOverlay(
         node_id, NodeProfile("home", 0, 4, 0), capacity, gossip_contacts
     )
     for component, contact_id, age in contacts:
         protocol._insert(
-            Descriptor(contact_id, age, NodeProfile(component, contact_id % 4, 4, 0)),
+            Descriptor(
+                contact_id, age, NodeProfile(component, contact_id % 4, comp_size, 0)
+            ),
             None,
         )
     return protocol
@@ -207,16 +327,26 @@ def full_buckets(n_components):
     ]
 
 
-def offer(protocol, round_number, passive=False, peer_id=999, payload=(), digest=None):
+def offer(
+    protocol,
+    round_number,
+    passive=False,
+    peer_id=999,
+    payload=(),
+    digest=None,
+    with_uo1=True,
+):
     """One offer to ``peer_id``; ``payload`` is what it shipped and
-    ``digest`` what it says it holds (passive half)."""
+    ``digest`` what it says it holds (passive half). The node runs a sibling
+    UO1 with the default view, unless ``with_uo1`` says otherwise."""
     request = (
         ExchangeRequest(protocol.layer, peer_id, list(payload), digest)
         if passive
         else None
     )
+    uo1 = SameComponentOverlay(protocol.node_id, protocol.profile) if with_uo1 else None
     buffer, kept = protocol._offer(
-        SimpleNamespace(round=round_number), None, peer_id, request
+        own_node_ctx(protocol, uo1, round_number), None, peer_id, request
     )
     assert kept is None
     return buffer
@@ -246,25 +376,11 @@ def draw_foreign_partner(protocol, partner_id):
     assert protocol._choose_partner(ctx) == partner_id
 
 
-def own_node_ctx(uo2, uo1):
-    """A context as the passive half sees it: ``ctx.node`` is the requester,
-    so the sibling UO1 may only be reached through the node's own id."""
-
-    def off_limits(*_args):
-        raise AssertionError("reached past this node's own stack")
-
-    own = SimpleNamespace(
-        has_protocol=lambda layer: layer == uo2.uo1_layer and uo1 is not None,
-        protocol=lambda layer: uo1 if layer == uo2.uo1_layer else off_limits(),
-    )
-    return SimpleNamespace(
-        round=0,
-        obs=None,
-        node=SimpleNamespace(has_protocol=off_limits, protocol=off_limits),
-        network=SimpleNamespace(
-            node=lambda node_id: own if node_id == uo2.node_id else off_limits()
-        ),
-    )
+def own_node_ctx(uo2, uo1, round_number=0):
+    """The passive half's view of a node running ``uo2`` and, unless
+    ``None``, the sibling ``uo1``."""
+    siblings = {} if uo1 is None else {uo2.uo1_layer: uo1}
+    return own_stack_ctx(uo2.node_id, round_number, **siblings)
 
 
 def reference_offer(protocol, round_number):
@@ -481,14 +597,18 @@ class TestUO2:
 
     # -- the offer answers this partner --------------------------------------------
 
+    @BOTH_REGIMES
     @pytest.mark.parametrize("passive", [False, True], ids=["active", "passive"])
     @pytest.mark.parametrize("n_components,gossip_contacts", [(19, 8), (5, 8), (12, 4), (5, 2)])
     def test_one_slot_goes_to_the_partners_component(
-        self, n_components, gossip_contacts, passive
+        self, n_components, gossip_contacts, passive, comp_size
     ):
         """Buffer ≤ budget, self-advert first, then the youngest *other*
-        contact of the partner's own component — once, and never the partner."""
-        protocol = bare_uo2(full_buckets(n_components), gossip_contacts=gossip_contacts)
+        contact of the partner's own component — once, and never the partner.
+        In either regime: the partner is one of the two its bucket holds."""
+        protocol = bare_uo2(
+            full_buckets(n_components), gossip_contacts=gossip_contacts, comp_size=comp_size
+        )
         for theirs in protocol.known_components():
             for partner in protocol.contacts(theirs):
                 (other,) = [
@@ -514,6 +634,40 @@ class TestUO2:
         assert [d.node_id for d in offer(protocol, 0, peer_id=100)] == [0, 102]
         assert [d.node_id for d in offer(protocol, 0, True, 100, [member(100, 0, "c00")])] == [0, 102]
 
+    @pytest.mark.parametrize("passive", [False, True], ids=["active", "passive"])
+    def test_a_component_listed_whole_gets_every_contact_held(self, passive):
+        """Three held where the partner lives: a member list is sent the
+        other two, a sampler the youngest alone; the rotation gets the rest
+        of the budget, and a short budget is not overdrawn."""
+        contacts = [("c00", 100, 0), ("c00", 101, 2), ("c00", 102, 1)]
+        contacts += [("c01", 110, 0), ("c02", 120, 0)]
+        partner = [member(100, 0, "c00")]
+        for comp_size, mates in ((SMALL, [102, 101]), (LARGE, [102])):
+            protocol = bare_uo2(contacts, capacity=3, comp_size=comp_size)
+            if not passive:
+                draw_foreign_partner(protocol, 100)
+            ids = [d.node_id for d in offer(protocol, 0, passive, 100, partner)]
+            assert ids[: 1 + len(mates)] == [0, *mates]
+            assert sorted(ids[1 + len(mates) :]) == [110, 120]
+        tight = bare_uo2(contacts, capacity=3, gossip_contacts=2)
+        if not passive:
+            draw_foreign_partner(tight, 100)
+        assert [d.node_id for d in offer(tight, 0, passive, 100, partner)] == [0, 102]
+
+    def test_the_regime_is_read_off_the_contact_against_the_sibling_view(self):
+        """``comp_size`` in the shipped contact's own profile, against the
+        view of the UO1 on this node (12 by default); no UO1, no member list."""
+        contacts = [("c00", 100, 0), ("c00", 101, 1)]
+        requester = [member(900, 0, "c00")]
+        for comp_size, with_uo1, shipped in (
+            (13, True, [100, 101]),
+            (14, True, [100]),
+            (13, False, [100]),
+        ):
+            protocol = bare_uo2(contacts, comp_size=comp_size)
+            buffer = offer(protocol, 0, True, 900, requester, with_uo1=with_uo1)
+            assert [d.node_id for d in buffer[1:]] == shipped
+
     def test_same_component_partner_gets_the_plain_rotation(self):
         """No bucket holds the node's own component: nothing to single out."""
         protocol = bare_uo2(full_buckets(12))
@@ -522,30 +676,38 @@ class TestUO2:
                 protocol, round_number, True, 1, [member(1)]
             ) == reference_offer(protocol, round_number)
 
-    def test_reply_skips_what_the_requester_shipped(self):
-        protocol = bare_uo2(full_buckets(12))
+    @BOTH_REGIMES
+    def test_reply_skips_what_the_requester_shipped(self, comp_size):
+        protocol = bare_uo2(full_buckets(12), comp_size=comp_size)
         known = protocol.known_components()
         shipped = [member(900 + i, 1, name) for i, name in enumerate(known[:7])]
-        for requester in (member(1), member(900, 0, known[0])):
+        # A foreign requester's own component leads: both contacts held
+        # there for a member list, the youngest for a sampler.
+        theirs = 2 if comp_size == SMALL else 1
+        for requester, mates in ((member(1), 0), (member(900, 0, known[0]), theirs)):
             for round_number in range(12):
                 buffer = offer(
                     protocol, round_number, True, requester.node_id, [requester, *shipped]
                 )
                 assert len(buffer) == protocol.gossip_contacts
-                fresh = components_of(buffer[2:] if requester.node_id == 900 else buffer[1:])
-                assert set(fresh) == set(known[7:])  # 5 unshipped names fill 6-7 slots
+                assert components_of(buffer[1 : 1 + mates]) == [known[0]] * mates
+                fresh = components_of(buffer[1 + mates :])
+                assert set(fresh) == set(known[7:])  # 5 unshipped names fill 5-7 slots
 
-    def test_reply_falls_back_when_everything_was_shipped(self):
-        protocol = bare_uo2(full_buckets(3))
+    @BOTH_REGIMES
+    def test_reply_falls_back_when_everything_was_shipped(self, comp_size):
+        protocol = bare_uo2(full_buckets(3), comp_size=comp_size)
         known = protocol.known_components()
         shipped = [member(900 + i, 1, name) for i, name in enumerate(known)]
         # A same-component requester: the whole list again.
         buffer = offer(protocol, 0, True, 1, [member(1), *shipped])
         assert sorted(components_of(buffer[1:])) == sorted(known * 2)
-        # A foreign one: its own component keeps its single slot.
+        # A foreign one: its own component keeps what its regime is due —
+        # every contact held (two), or the single slot — and no more.
+        mates = 2 if comp_size == SMALL else 1
         buffer = offer(protocol, 0, True, 900, [member(900, 0, known[0]), *shipped])
-        assert components_of(buffer[1:]).count(known[0]) == 1
-        assert sorted(set(components_of(buffer[2:]))) == known[1:]
+        assert components_of(buffer[1:]).count(known[0]) == mates
+        assert sorted(set(components_of(buffer[1 + mates :]))) == known[1:]
 
     # -- the have-digest: the reply fills the gaps ------------------------------------
 
@@ -575,14 +737,18 @@ class TestUO2:
         protocol.forget(101)
         assert protocol.wire_profile == ("c02",)
 
+    @BOTH_REGIMES
     @pytest.mark.parametrize("n_components,gossip_contacts", [(19, 8), (12, 4), (5, 8)])
     def test_no_slot_goes_to_a_listed_component_while_one_is_lacking(
-        self, n_components, gossip_contacts
+        self, n_components, gossip_contacts, comp_size
     ):
         rng = random.Random(n_components)
-        protocol = bare_uo2(full_buckets(n_components), gossip_contacts=gossip_contacts)
+        protocol = bare_uo2(
+            full_buckets(n_components), gossip_contacts=gossip_contacts, comp_size=comp_size
+        )
         known = protocol.known_components()
-        for requester in (member(1), member(900, 0, known[0])):
+        theirs = 2 if comp_size == SMALL else 1
+        for requester, mates in ((member(1), 0), (member(900, 0, known[0]), theirs)):
             for round_number in range(n_components):
                 digest = tuple(rng.sample(known, rng.randint(1, n_components - 1)))
                 payload = [requester, member(901, 1, known[-1])]
@@ -595,10 +761,11 @@ class TestUO2:
                     continue  # the fallback's case, pinned below
                 assert buffer[0] is protocol.self_descriptor()
                 assert len(buffer) <= gossip_contacts
-                # The slot for the requester's own component aside (its UO1's).
-                rotation = buffer[2:] if requester.node_id == 900 else buffer[1:]
+                # The slots for the requester's own component aside (its UO1's).
+                assert components_of(buffer[1 : 1 + mates]) == [known[0]] * mates
+                rotation = buffer[1 + mates :]
                 assert set(components_of(rotation)) <= lacking
-                slots = gossip_contacts - 1 - (requester.node_id == 900)
+                slots = gossip_contacts - 1 - mates
                 assert len(set(components_of(rotation))) == min(slots, len(lacking))
 
     @pytest.mark.parametrize("digest", [None, ()], ids=["none", "empty"])
