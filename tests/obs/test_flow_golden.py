@@ -4,7 +4,13 @@ Pinned on the tree whose tags were three-field records rewritten at every
 hop, with the hops column its ``first`` rows then had left out of the
 digest: every delivery, every latency histogram, every flow edge and every
 first-delivery ``(round, sender, latency)``, plus each layer's critical-path
-chain. The one-integer tag records exactly this, untouched since.
+chain. The one-integer tag records exactly this.
+
+Re-pinned once since, with the stack goldens: the core and UO2 hand every
+same-component sighting to a UO1 whose view can list its component, these
+rings of 8 converge a round earlier, and a shorter run is fewer deliveries
+and other first receipts. The tracer and the tag are what they were — a
+handover is no delivery on ``uo1`` (docs/observability.md).
 """
 
 from __future__ import annotations
@@ -38,29 +44,29 @@ def record(flow: FlowTracer):
 
 GOLDEN = {
     ("plain", 1): (
-        "dda6aa86ae5487d98fb8febc33d4479457b65a219560030699319ca9100ecf75",
-        {"core": (22, 16), "peer_sampling": (31, 9, 20), "uo1": (30, 25), "uo2": (31, 29)},
+        "9e7d6b3876f7785a1a8fbe5aff9393e23cd6bfdcfaaa948e39401fe2b3eb4b5b",
+        {"core": (31, 24), "peer_sampling": (31, 9), "uo1": (31, 27), "uo2": (31, 4)},
     ),
     ("plain", 7): (
-        "a4cebe9740011289a5e6f9a51218cabd6f63906c01e75c5a039260cdc8cf6e88",
-        {"core": (30, 24), "peer_sampling": (31, 14, 16), "uo1": (30, 28), "uo2": (31, 24)},
+        "552f4660d617ec296cd01cb4119ee81304563b7bce6dce699636b81aa28bbe79",
+        {"core": (31, 29), "peer_sampling": (31, 2, 19, 28), "uo1": (31, 25), "uo2": (31, 12)},
     ),
     ("repair", 1): (
-        "107a3b39e63a78a08f9d639962ed36f8d88b3863d571a4e105e50d61c02fe64b",
+        "b7317ca1a8d592467d73461143202128c95734e96bc57cf0e5ba039dd8f2e94d",
         {
-            "core": (30, 23),
-            "peer_sampling": (31, 1, 16, 15, 30),
-            "uo1": (30, 22),
-            "uo2": (29, 28),
+            "core": (29, 22),
+            "peer_sampling": (31, 9, 20, 23),
+            "uo1": (30, 26, 29),
+            "uo2": (30, 10),
         },
     ),
     ("repair", 7): (
-        "6f6931e64b8b0555f70e3197354b6ba5abee49b9d2891a1ce939e79aa88a81c5",
+        "2c13fa3383d40cb89c19510e3945b2526d04fe1164bdeedcdfdb894417939448",
         {
             "core": (28, 24),
-            "peer_sampling": (31, 2, 19, 28, 5, 13),
-            "uo1": (29, 27),
-            "uo2": (29, 10),
+            "peer_sampling": (31, 14, 29),
+            "uo1": (29, 24),
+            "uo2": (29, 18),
         },
     ),
 }

@@ -131,19 +131,24 @@ def run_fault_schedule(seed: int):
 #: its sibling views): the preceding run is shorter, and a manager's
 #: exchange now crosses the component boundary — hence, half the time, the
 #: partition cut — on every round instead of every other one (368 / 350
-#: dropped before, of which partition 298 / 284).
+#: dropped before, of which partition 298 / 284). Re-pinned a fourth time
+#: when the core and UO2 began handing every sighting to a UO1 whose view can
+#: list its component (these rings of 8 fit): the preceding run is a round
+#: shorter and UO1 views fill earlier, so the partner draws that meet the cut
+#: and the degraded links differ (405 / 389 dropped before, of which
+#: partition 329 / 326).
 GOLDEN = {
     1: {
-        "digest": "d49622e9c0e75f099ebe6d2748b1817882c714f09e0ba8e45698805655ee3b2a",
-        "drop_reasons": {"loss": 68, "partition": 329, "timeout": 8},
-        "total_dropped": 405,
-        "total_delayed": 5,
+        "digest": "6d6b62448e82bd099a6de4fa8852c9de1c82f7b35ff4967a0d6d5a3cde172d90",
+        "drop_reasons": {"loss": 67, "partition": 318, "timeout": 12},
+        "total_dropped": 397,
+        "total_delayed": 2,
     },
     7: {
-        "digest": "a6b84c081b49f74eccd17b3ce0585b806562f28e91a6c07c9339f229323e1770",
-        "drop_reasons": {"loss": 56, "partition": 326, "timeout": 7},
-        "total_dropped": 389,
-        "total_delayed": 7,
+        "digest": "177ad6ddea6dfef29aafa76c39bff4181e2d8e269dc572bd7bdb7705899833c0",
+        "drop_reasons": {"loss": 59, "partition": 334, "timeout": 5},
+        "total_dropped": 398,
+        "total_delayed": 10,
     },
 }
 
