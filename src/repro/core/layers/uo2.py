@@ -132,12 +132,6 @@ class DistantComponentOverlay(GossipProtocol):
         own = ctx.network.node(self.node_id)
         return own.protocol(self.uo1_layer) if own.has_protocol(self.uo1_layer) else None
 
-    def _listed_whole(self, ctx: RoundContext, profile: NodeProfile) -> bool:
-        """Whether the component ``profile`` names is one a UO1 view lists
-        whole (the sibling UO1 says: the partner's runs the same rule)."""
-        uo1 = self._uo1(ctx)
-        return uo1 is not None and uo1.holds_whole(profile)
-
     def _begin_round(self, ctx: RoundContext) -> bool:
         """Age every bucket, then adopt the peers seen in the global random
         view."""
@@ -247,8 +241,12 @@ class DistantComponentOverlay(GossipProtocol):
         # No bucket for ``theirs`` (unknown, or the node's own component):
         # ``contacts`` is empty and the whole budget goes to the rotation.
         mates = [c for c in self.contacts(theirs) if c.node_id != peer_id]
-        if len(mates) > 1 and not self._listed_whole(ctx, mates[0].profile):
-            del mates[1:]
+        if len(mates) > 1:
+            # The sibling UO1 says what a view lists whole: the partner's
+            # runs the same rule.
+            uo1 = self._uo1(ctx)
+            if uo1 is None or not uo1.holds_whole(mates[0].profile):
+                del mates[1:]
         buffer = [advert, *mates[:slots]]
         slots -= len(buffer) - 1
         names = [name for name in known if name not in skip] or [
