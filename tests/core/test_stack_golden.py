@@ -82,6 +82,7 @@ from repro.core.convergence import layer_converged
 from repro.core.layers import (
     LAYER_PORT_CONNECTION,
     LAYER_PORT_SELECTION,
+    LAYER_UO1,
     RUNTIME_LAYERS,
 )
 from repro.core.layers.port_connection import DEFAULT_BINDING_TTL
@@ -337,6 +338,57 @@ def test_port_layers_are_closed(scenario, seed):
                 deployment.assembly,
                 deployment.tracker.uo1_view_size,
             )
+
+
+def uo1_state(deployment):
+    """Per live node: the co-members its UO1 view misses, and the ids it
+    holds that are not live co-members (the dead and the reassigned)."""
+    network, role_map = deployment.network, deployment.role_map
+    missing, stale = {}, {}
+    for name in deployment.assembly.components:
+        live = {n for n, _ in role_map.members(name) if network.is_alive(n)}
+        for node_id in live:
+            held = set(network.node(node_id).protocol(LAYER_UO1).neighbors())
+            missing[node_id] = live - {node_id} - held
+            stale[node_id] = held - live
+    return missing, stale
+
+
+@pytest.mark.parametrize("scenario", ["plain", "repair"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_uo1_is_closed(scenario, seed):
+    """Closure for the member list: for three times the rounds convergence
+    took, every live node's UO1 view names every live co-member, and the
+    only motion left is departed ids draining — none enters, and between
+    two rounds in which none left, the layer's digest is the same (entry
+    order included: an id dropped and gossiped straight back would show).
+
+    ``plain`` has no departed ids: view = live co-members, one digest. After
+    a repair the dead are purged within a round or two, but a *live* member
+    reassigned elsewhere is removed without a tombstone, so co-members
+    gossip it back until its descriptor passes the TTL — harmless to
+    legality while the view has room (5 members in 10 slots here)."""
+    deployment, _, executed = converge(scenario, seed)
+    _, stale = uo1_state(deployment)
+    digest = overlay_digest(deployment.network, [LAYER_UO1])
+    if scenario == "plain":
+        assert not any(stale.values())
+    for _ in range(3 * executed):
+        deployment.run(1)
+        missing, now_stale = uo1_state(deployment)
+        assert not any(missing.values()), missing
+        assert set().union(*now_stale.values()) <= set().union(*stale.values())
+        now_digest = overlay_digest(deployment.network, [LAYER_UO1])
+        if now_stale == stale:
+            assert now_digest == digest
+        stale, digest = now_stale, now_digest
+        assert layer_converged(
+            LAYER_UO1,
+            deployment.network,
+            deployment.role_map,
+            deployment.assembly,
+            deployment.tracker.uo1_view_size,
+        )
 
 
 TRACED_COUNTERS = {

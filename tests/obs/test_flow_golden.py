@@ -86,6 +86,7 @@ def test_reported_hops_are_the_reported_path(scenario, seed):
     assert flow.layers() == ["core", "peer_sampling", "uo1", "uo2"]
     for layer in flow.layers():
         found = flow.critical_path(layer)
+        assert found is not None  # a handover into UO1 is no delivery, yet no hole
         assert found.hops == len(found.path) - 1 >= 1
         assert found.path[0] == found.origin and found.path[-1] == found.receiver
         assert len(set(found.path)) == len(found.path)
