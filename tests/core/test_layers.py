@@ -298,7 +298,9 @@ def counting_obs(counted):
 
 #: Component sizes either side of what a default UO1 view (12) lists whole.
 SMALL, LARGE = 4, 40
-BOTH_REGIMES = pytest.mark.parametrize("comp_size", [SMALL, LARGE], ids=["small", "large"])
+#: ``(comp_size, contacts a foreign requester is sent of a bucket of two)``: a
+#: member list gets both, a sampler the youngest.
+REGIMES = ((SMALL, 2), (LARGE, 1))
 
 
 def bare_uo2(contacts, node_id=0, capacity=2, gossip_contacts=8, comp_size=SMALL):
@@ -597,36 +599,36 @@ class TestUO2:
 
     # -- the offer answers this partner --------------------------------------------
 
-    @BOTH_REGIMES
     @pytest.mark.parametrize("passive", [False, True], ids=["active", "passive"])
     @pytest.mark.parametrize("n_components,gossip_contacts", [(19, 8), (5, 8), (12, 4), (5, 2)])
     def test_one_slot_goes_to_the_partners_component(
-        self, n_components, gossip_contacts, passive, comp_size
+        self, n_components, gossip_contacts, passive
     ):
         """Buffer ≤ budget, self-advert first, then the youngest *other*
         contact of the partner's own component — once, and never the partner.
         In either regime: the partner is one of the two its bucket holds."""
-        protocol = bare_uo2(
-            full_buckets(n_components), gossip_contacts=gossip_contacts, comp_size=comp_size
-        )
-        for theirs in protocol.known_components():
-            for partner in protocol.contacts(theirs):
-                (other,) = [
-                    c for c in protocol.contacts(theirs) if c.node_id != partner.node_id
-                ]
-                if not passive:
-                    draw_foreign_partner(protocol, partner.node_id)
-                for round_number in range(n_components):
-                    buffer = offer(
-                        protocol, round_number, passive, partner.node_id, [partner]
-                    )
-                    assert buffer[0] is protocol.self_descriptor()
-                    assert len(buffer) == min(
-                        gossip_contacts, 2 * n_components
-                    )  # the budget, or every contact but the partner
-                    assert buffer[1] == other
-                    assert components_of(buffer[1:]).count(theirs) == 1
-                    assert partner.node_id not in [d.node_id for d in buffer]
+        for comp_size, _ in REGIMES:
+            protocol = bare_uo2(
+                full_buckets(n_components), gossip_contacts=gossip_contacts, comp_size=comp_size
+            )
+            for theirs in protocol.known_components():
+                for partner in protocol.contacts(theirs):
+                    (other,) = [
+                        c for c in protocol.contacts(theirs) if c.node_id != partner.node_id
+                    ]
+                    if not passive:
+                        draw_foreign_partner(protocol, partner.node_id)
+                    for round_number in range(n_components):
+                        buffer = offer(
+                            protocol, round_number, passive, partner.node_id, [partner]
+                        )
+                        assert buffer[0] is protocol.self_descriptor()
+                        assert len(buffer) == min(
+                            gossip_contacts, 2 * n_components
+                        )  # the budget, or every contact but the partner
+                        assert buffer[1] == other
+                        assert components_of(buffer[1:]).count(theirs) == 1
+                        assert partner.node_id not in [d.node_id for d in buffer]
 
     def test_a_lone_contact_is_not_offered_to_itself(self):
         protocol = bare_uo2([("c00", 100, 0), ("c01", 102, 0)])
@@ -676,38 +678,35 @@ class TestUO2:
                 protocol, round_number, True, 1, [member(1)]
             ) == reference_offer(protocol, round_number)
 
-    @BOTH_REGIMES
-    def test_reply_skips_what_the_requester_shipped(self, comp_size):
-        protocol = bare_uo2(full_buckets(12), comp_size=comp_size)
-        known = protocol.known_components()
-        shipped = [member(900 + i, 1, name) for i, name in enumerate(known[:7])]
-        # A foreign requester's own component leads: both contacts held
-        # there for a member list, the youngest for a sampler.
-        theirs = 2 if comp_size == SMALL else 1
-        for requester, mates in ((member(1), 0), (member(900, 0, known[0]), theirs)):
-            for round_number in range(12):
-                buffer = offer(
-                    protocol, round_number, True, requester.node_id, [requester, *shipped]
-                )
-                assert len(buffer) == protocol.gossip_contacts
-                assert components_of(buffer[1 : 1 + mates]) == [known[0]] * mates
-                fresh = components_of(buffer[1 + mates :])
-                assert set(fresh) == set(known[7:])  # 5 unshipped names fill 5-7 slots
+    def test_reply_skips_what_the_requester_shipped(self):
+        for comp_size, theirs in REGIMES:
+            protocol = bare_uo2(full_buckets(12), comp_size=comp_size)
+            known = protocol.known_components()
+            shipped = [member(900 + i, 1, name) for i, name in enumerate(known[:7])]
+            # A foreign requester's own component leads its reply.
+            for requester, mates in ((member(1), 0), (member(900, 0, known[0]), theirs)):
+                for round_number in range(12):
+                    buffer = offer(
+                        protocol, round_number, True, requester.node_id, [requester, *shipped]
+                    )
+                    assert len(buffer) == protocol.gossip_contacts
+                    assert components_of(buffer[1 : 1 + mates]) == [known[0]] * mates
+                    fresh = components_of(buffer[1 + mates :])
+                    assert set(fresh) == set(known[7:])  # 5 unshipped names fill 5-7 slots
 
-    @BOTH_REGIMES
-    def test_reply_falls_back_when_everything_was_shipped(self, comp_size):
-        protocol = bare_uo2(full_buckets(3), comp_size=comp_size)
-        known = protocol.known_components()
-        shipped = [member(900 + i, 1, name) for i, name in enumerate(known)]
-        # A same-component requester: the whole list again.
-        buffer = offer(protocol, 0, True, 1, [member(1), *shipped])
-        assert sorted(components_of(buffer[1:])) == sorted(known * 2)
-        # A foreign one: its own component keeps what its regime is due —
-        # every contact held (two), or the single slot — and no more.
-        mates = 2 if comp_size == SMALL else 1
-        buffer = offer(protocol, 0, True, 900, [member(900, 0, known[0]), *shipped])
-        assert components_of(buffer[1:]).count(known[0]) == mates
-        assert sorted(set(components_of(buffer[1 + mates :]))) == known[1:]
+    def test_reply_falls_back_when_everything_was_shipped(self):
+        for comp_size, mates in REGIMES:
+            protocol = bare_uo2(full_buckets(3), comp_size=comp_size)
+            known = protocol.known_components()
+            shipped = [member(900 + i, 1, name) for i, name in enumerate(known)]
+            # A same-component requester: the whole list again.
+            buffer = offer(protocol, 0, True, 1, [member(1), *shipped])
+            assert sorted(components_of(buffer[1:])) == sorted(known * 2)
+            # A foreign one: its own component keeps what its regime is due
+            # — every contact held, or the single slot — and no more.
+            buffer = offer(protocol, 0, True, 900, [member(900, 0, known[0]), *shipped])
+            assert components_of(buffer[1:]).count(known[0]) == mates
+            assert sorted(set(components_of(buffer[1 + mates :]))) == known[1:]
 
     # -- the have-digest: the reply fills the gaps ------------------------------------
 
@@ -737,36 +736,35 @@ class TestUO2:
         protocol.forget(101)
         assert protocol.wire_profile == ("c02",)
 
-    @BOTH_REGIMES
     @pytest.mark.parametrize("n_components,gossip_contacts", [(19, 8), (12, 4), (5, 8)])
     def test_no_slot_goes_to_a_listed_component_while_one_is_lacking(
-        self, n_components, gossip_contacts, comp_size
+        self, n_components, gossip_contacts
     ):
         rng = random.Random(n_components)
-        protocol = bare_uo2(
-            full_buckets(n_components), gossip_contacts=gossip_contacts, comp_size=comp_size
-        )
-        known = protocol.known_components()
-        theirs = 2 if comp_size == SMALL else 1
-        for requester, mates in ((member(1), 0), (member(900, 0, known[0]), theirs)):
-            for round_number in range(n_components):
-                digest = tuple(rng.sample(known, rng.randint(1, n_components - 1)))
-                payload = [requester, member(901, 1, known[-1])]
-                buffer = offer(
-                    protocol, round_number, True, requester.node_id, payload, digest
-                )
-                has = {*digest, *components_of(payload)}
-                lacking = set(known) - has
-                if not lacking:
-                    continue  # the fallback's case, pinned below
-                assert buffer[0] is protocol.self_descriptor()
-                assert len(buffer) <= gossip_contacts
-                # The slots for the requester's own component aside (its UO1's).
-                assert components_of(buffer[1 : 1 + mates]) == [known[0]] * mates
-                rotation = buffer[1 + mates :]
-                assert set(components_of(rotation)) <= lacking
-                slots = gossip_contacts - 1 - mates
-                assert len(set(components_of(rotation))) == min(slots, len(lacking))
+        for comp_size, theirs in REGIMES:
+            protocol = bare_uo2(
+                full_buckets(n_components), gossip_contacts=gossip_contacts, comp_size=comp_size
+            )
+            known = protocol.known_components()
+            for requester, mates in ((member(1), 0), (member(900, 0, known[0]), theirs)):
+                for round_number in range(n_components):
+                    digest = tuple(rng.sample(known, rng.randint(1, n_components - 1)))
+                    payload = [requester, member(901, 1, known[-1])]
+                    buffer = offer(
+                        protocol, round_number, True, requester.node_id, payload, digest
+                    )
+                    has = {*digest, *components_of(payload)}
+                    lacking = set(known) - has
+                    if not lacking:
+                        continue  # the fallback's case, pinned below
+                    assert buffer[0] is protocol.self_descriptor()
+                    assert len(buffer) <= gossip_contacts
+                    # The slots for the requester's own component aside (its UO1's).
+                    assert components_of(buffer[1 : 1 + mates]) == [known[0]] * mates
+                    rotation = buffer[1 + mates :]
+                    assert set(components_of(rotation)) <= lacking
+                    slots = gossip_contacts - 1 - mates
+                    assert len(set(components_of(rotation))) == min(slots, len(lacking))
 
     @pytest.mark.parametrize("digest", [None, ()], ids=["none", "empty"])
     def test_without_a_digest_the_reply_is_the_uninformed_one(self, digest):
