@@ -208,8 +208,8 @@ class TestUO1Regime:
         assert sorted(core.neighbors()) == [1, 5]  # the core kept its own counsel
 
     def test_the_core_hands_nothing_to_a_sampler(self):
-        core, uo1, ctx = self.core_and_uo1(self.PARAMS.view_size + 2)
         size = self.PARAMS.view_size + 2
+        core, uo1, ctx = self.core_and_uo1(size)
         core._absorb(ctx, [], [self.ring_mate(1, size), self.ring_mate(2, size)])
         assert sorted(core.view.ids()) == [1, 2]
         assert uo1.neighbors() == []

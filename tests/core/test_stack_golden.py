@@ -123,15 +123,20 @@ def converge(scenario: str, seed: int, collector=None):
     return deployment, report, executed
 
 
-def observe(scenario: str, seed: int, collector=None):
-    """Run one scenario; return (digest, rounds-to-converge, {layer: (msgs, bytes)})."""
-    deployment, report, _ = converge(scenario, seed, collector)
+def record(deployment, report):
+    """(digest, rounds-to-converge, {layer: (msgs, bytes)}) of a run."""
     transport = deployment.transport
     traffic = {
         layer: (transport.total_messages(layer), transport.total_bytes(layer))
         for layer in RUNTIME_LAYERS
     }
     return overlay_digest(deployment.network, RUNTIME_LAYERS), report.rounds, traffic
+
+
+def observe(scenario: str, seed: int, collector=None):
+    """Run one scenario to convergence and record it."""
+    deployment, report, _ = converge(scenario, seed, collector)
+    return record(deployment, report)
 
 
 GOLDEN = {
@@ -251,12 +256,7 @@ def observe_sampler(seed: int):
     report = deployment.run_until_converged(MAX_ROUNDS)
     assert report.converged, report.rounds
     deployment.run(SAMPLER_ROUNDS - report.executed)
-    transport = deployment.transport
-    traffic = {
-        layer: (transport.total_messages(layer), transport.total_bytes(layer))
-        for layer in RUNTIME_LAYERS
-    }
-    return overlay_digest(deployment.network, RUNTIME_LAYERS), report.rounds, traffic
+    return record(deployment, report)
 
 
 SAMPLER_GOLDEN = {
@@ -292,6 +292,17 @@ def test_sampler_regime_reproduces_golden(seed):
     """Components too large for a UO1 view to list: what is done for the
     small ones (see the module docstring's re-pins) must not reach here."""
     assert observe_sampler(seed) == SAMPLER_GOLDEN[seed]
+
+
+def legal(deployment, layer: str) -> bool:
+    """Whether ``layer``'s legality predicate holds right now."""
+    return layer_converged(
+        layer,
+        deployment.network,
+        deployment.role_map,
+        deployment.assembly,
+        deployment.tracker.uo1_view_size,
+    )
 
 
 def port_state(deployment):
@@ -330,14 +341,8 @@ def test_port_layers_are_closed(scenario, seed):
     for _ in range(max(3 * executed, DEFAULT_BINDING_TTL + 2)):
         deployment.run(1)
         assert port_state(deployment) == settled
-        for layer in (LAYER_PORT_SELECTION, LAYER_PORT_CONNECTION):
-            assert layer_converged(
-                layer,
-                deployment.network,
-                deployment.role_map,
-                deployment.assembly,
-                deployment.tracker.uo1_view_size,
-            )
+        assert legal(deployment, LAYER_PORT_SELECTION)
+        assert legal(deployment, LAYER_PORT_CONNECTION)
 
 
 def uo1_state(deployment):
@@ -382,13 +387,7 @@ def test_uo1_is_closed(scenario, seed):
         if now_stale == stale:
             assert now_digest == digest
         stale, digest = now_stale, now_digest
-        assert layer_converged(
-            LAYER_UO1,
-            deployment.network,
-            deployment.role_map,
-            deployment.assembly,
-            deployment.tracker.uo1_view_size,
-        )
+        assert legal(deployment, LAYER_UO1)
 
 
 TRACED_COUNTERS = {
