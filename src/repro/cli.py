@@ -7,14 +7,11 @@ Commands
 ``lint [PATHS…]``
     Static verification without deploying anything: run every assembly
     rule (``RPR…``) over the given ``.topo`` files/directories; with
-    ``--self-check`` the per-file determinism rules (``DET0xx``) over
-    ``repro``'s own source; with ``--deep`` the whole-program analyzer —
-    call-graph taint propagation of nondeterminism sources from the
-    engine-round entry points (``DET1xx``) plus the shard-safety pass
-    (``SHD…``). ``--format sarif`` emits SARIF 2.1.0 for code-scanning
-    UIs, ``--baseline``/``--write-baseline`` manage the suppression file,
-    ``--no-pragmas`` ignores inline ``# repro-lint:`` pragmas. Exits 1
-    when any non-baselined error-severity diagnostic is found.
+    ``--self-check`` the source passes over ``repro``'s own code — the
+    determinism rules (``DET…``: each nondeterminism source reported at its
+    site, or where an engine-round root reaches it) and shard safety
+    (``SHD…``). ``--format json`` for machines. Exits 1 when any
+    error-severity diagnostic is found.
 ``show FILE``
     Print the normalized (pretty-printed) form of a topology file.
 ``shapes``
@@ -94,52 +91,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.diagnostics import has_errors
-    from repro.lint import lint_paths, render_json, render_sarif, render_text
+    from repro.lint import lint_paths, render_json, render_text
 
-    if not args.paths and not args.self_check and not args.deep:
-        print(
-            "error: lint needs at least one path, --self-check, or --deep",
-            file=sys.stderr,
-        )
+    if not args.paths and not args.self_check:
+        print("error: lint needs at least one path or --self-check", file=sys.stderr)
         return 2
-    roots = None
-    if args.roots is not None:
-        from repro.lint import load_roots
-
-        roots = load_roots(args.roots)
-    run = lint_paths(
-        args.paths,
-        with_self_check=args.self_check,
-        deep=args.deep,
-        respect_pragmas=not args.no_pragmas,
-        baseline_path=None if args.write_baseline else args.baseline,
-        roots=roots,
-    )
-    if args.write_baseline:
-        from repro.lint import write_baseline
-
-        count = write_baseline(args.baseline, run.diagnostics)
-        print(f"wrote {args.baseline} ({count} baselined finding(s))")
-        return 0
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }[args.format]
-    print(render(run.diagnostics))
-    if run.baseline_suppressed:
-        print(
-            f"baseline: {run.baseline_suppressed} finding(s) suppressed by "
-            f"{args.baseline}",
-            file=sys.stderr,
-        )
-    for entry in run.baseline_stale:
-        print(
-            f"baseline: stale entry {entry['code']} at "
-            f"{entry['file']}:{entry['line']} (finding fixed — prune it)",
-            file=sys.stderr,
-        )
-    return 1 if has_errors(run.diagnostics) else 0
+    diagnostics = lint_paths(args.paths, with_self_check=args.self_check)
+    render = render_json if args.format == "json" else render_text
+    print(render(diagnostics))
+    return 1 if has_errors(diagnostics) else 0
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
@@ -730,45 +690,14 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--self-check",
         action="store_true",
-        help="run the per-file determinism (DET0xx) rules over the repro "
-        "package source",
-    )
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="run the whole-program passes over the repro package source: "
-        "interprocedural determinism taint (DET1xx) and shard safety (SHD)",
+        help="run the determinism (DET) and shard-safety (SHD) rules over "
+        "the repro package source",
     )
     lint.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="diagnostic output format (default: text)",
-    )
-    lint.add_argument(
-        "--no-pragmas",
-        action="store_true",
-        help="strict mode: ignore inline '# repro-lint: disable=…' pragmas",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=".repro-lint-baseline.json",
-        metavar="PATH",
-        help="suppression file subtracted from the findings (missing file "
-        "= empty baseline; default: .repro-lint-baseline.json)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="freeze the current findings into the --baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--roots",
-        default=None,
-        metavar="PATH",
-        help="custom engine-round entry-point roots file for --deep (one "
-        "'<path-glob>::<qualname-glob>' pattern per line; default: the "
-        "built-in roots in repro.lint.roots)",
     )
     lint.set_defaults(func=_cmd_lint)
 

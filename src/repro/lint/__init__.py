@@ -5,25 +5,23 @@ link reaches, a hypercube of 12, an unreachable island) should fail in
 milliseconds at ``repro lint`` time with a coded, located diagnostic — not
 after hundreds of simulated rounds as mysterious non-convergence.
 
-Three prongs, one diagnostic currency (:class:`~repro.diagnostics.Diagnostic`):
+Two prongs, one diagnostic currency (:class:`~repro.diagnostics.Diagnostic`):
 
 - :func:`lint_program` / :func:`lint_assembly` / :func:`lint_topo_file` —
   the assembly verifier (``RPR…`` rules);
-- :func:`lint_python_source` / :func:`self_check` — the per-file
-  determinism invariant linter over ``repro``'s own source (``DET0xx``);
-- :func:`deep_check` — the whole-program analyzer (``repro lint --deep``):
-  a project symbol table and call graph
-  (:mod:`repro.lint.symbols` / :mod:`repro.lint.callgraph`), taint
-  propagation of nondeterminism sources from the engine-round entry
-  points (``DET1xx``, :mod:`repro.lint.taint`), and the shard-safety pass
-  (``SHD…``, :mod:`repro.lint.shard`) that guards the digest-identity
-  contract a sharded engine will depend on. Findings can be acknowledged
-  inline (``# repro-lint: disable=CODE``) or frozen in a baseline file
-  (:mod:`repro.lint.baseline`).
+- :func:`self_check` — the source passes over ``repro``'s own code
+  (``repro lint --self-check``): a project symbol table and call graph
+  (:mod:`repro.lint.symbols` / :mod:`repro.lint.callgraph`), the
+  determinism pass (``DET…``, :mod:`repro.lint.determinism`) that reports
+  a nondeterminism source at its site or, outside its site scope, where an
+  engine-round root (:mod:`repro.lint.roots`) reaches it, and the
+  shard-safety pass (``SHD…``, :mod:`repro.lint.shard`).
+  :func:`lint_python_source` runs the determinism pass on one source text.
+  Findings are acknowledged inline (``# repro-lint: disable=CODE``).
 
-``python -m repro lint [paths…] [--self-check] [--deep] [--format
-text|json|sarif]`` is the CLI face; the full rule catalog lives in
-:mod:`repro.lint.catalog` and ``docs/lint.md``.
+``python -m repro lint [paths…] [--self-check] [--format text|json]`` is
+the CLI face; the full rule catalog lives in :mod:`repro.lint.catalog` and
+``docs/lint.md``.
 """
 
 from repro.diagnostics import (
@@ -35,26 +33,27 @@ from repro.diagnostics import (
     sort_diagnostics,
 )
 from repro.lint.assembly_rules import lint_assembly, lint_program
-from repro.lint.baseline import Baseline, write_baseline
 from repro.lint.callgraph import CallGraph
 from repro.lint.catalog import CATALOG, Rule, severity_of
-from repro.lint.deep import analyze_project, deep_check
-from repro.lint.determinism import lint_python_source, self_check
+from repro.lint.determinism import lint_python_source
 from repro.lint.pragmas import apply_pragmas, parse_pragmas
 from repro.lint.reporters import render_json, render_text
-from repro.lint.roots import DEFAULT_ROOTS, load_roots, match_roots
-from repro.lint.runner import LintRun, collect_topo_files, lint_paths, lint_topo_file
-from repro.lint.sarif import render_sarif
+from repro.lint.roots import DEFAULT_ROOTS, match_roots
+from repro.lint.runner import (
+    analyze_project,
+    collect_topo_files,
+    lint_paths,
+    lint_topo_file,
+    self_check,
+)
 from repro.lint.symbols import SymbolTable
 
 __all__ = [
     "CATALOG",
-    "Baseline",
     "CallGraph",
     "DEFAULT_ROOTS",
     "Diagnostic",
     "ERROR",
-    "LintRun",
     "Rule",
     "SymbolTable",
     "WARNING",
@@ -62,21 +61,17 @@ __all__ = [
     "apply_pragmas",
     "collect_topo_files",
     "count_by_severity",
-    "deep_check",
     "has_errors",
     "lint_assembly",
     "lint_paths",
     "lint_program",
     "lint_python_source",
     "lint_topo_file",
-    "load_roots",
     "match_roots",
     "parse_pragmas",
     "render_json",
-    "render_sarif",
     "render_text",
     "self_check",
     "severity_of",
     "sort_diagnostics",
-    "write_baseline",
 ]

@@ -13,26 +13,34 @@ which need *recall* on the engine's round hot paths more than precision:
   long as the name is not so common that the fallback would degenerate
   (bounded by :data:`FALLBACK_LIMIT`). Dynamic dispatch sites that matter —
   ``protocol.step(ctx)``, ``observer.observe(...)`` — are additionally
-  covered by the entry-point roots file (:mod:`repro.lint.roots`), so a
+  covered by the entry-point roots (:mod:`repro.lint.roots`), so a
   dropped fallback edge can narrow a chain but never hides a hot path.
 - a nested function/lambda is treated as called by its encloser (closures
   are almost always invoked, directly or as callbacks).
 - a project function *passed as a call argument* (``sorted(xs,
   key=keys.key_of)``, ``engine.register(self.on_tick)``) gets a ``ref``
   edge from the passer: callbacks are how the engine dispatches, and a
-  nondeterministic key function taints its consumer all the same.
+  nondeterministic key function reaches its consumer all the same.
 
 Cycles are expected (mutual recursion, gossip layers calling back into
-views) and handled by the fixpoint in the taint pass, not here.
+views); reachability and the shortest root-to-source chain are plain
+breadth-first walks that visit each function once.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
-from repro.lint.symbols import EXTERNAL_PREFIX, FunctionInfo, ModuleInfo, SymbolTable
+from repro.lint.symbols import (
+    EXTERNAL_PREFIX,
+    FunctionInfo,
+    ModuleInfo,
+    SymbolTable,
+    dotted_of,
+    own_nodes,
+)
 
 #: Name-based dynamic-dispatch fallback gives up when a method name has
 #: more than this many definitions project-wide (``get``, ``run``…): the
@@ -77,18 +85,6 @@ class CallSite:
     via: str
 
 
-def _dotted_of(node: ast.expr) -> Optional[str]:
-    """``a.b.c`` as a dotted string, when the expression is that simple."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class CallGraph:
     """Edges between project functions, with call-site positions."""
 
@@ -119,16 +115,6 @@ class CallGraph:
         self.edges.setdefault(caller.qname, []).append(site)
         self.callees.setdefault(caller.qname, set()).add(callee.qname)
 
-    def _own_statements(self, func: FunctionInfo) -> Iterable[ast.AST]:
-        """The function's body, nested function/class bodies excluded."""
-        stack: List[ast.AST] = list(ast.iter_child_nodes(func.node))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
     def _scan(self, func: FunctionInfo) -> None:
         module = self.table.modules.get(func.module)
         if module is None:
@@ -140,7 +126,7 @@ class CallGraph:
                     nested = module.functions.get(f"{func.local_qname}.{node.name}")
                     if nested is not None and nested.qname != func.qname:
                         self._add(func, nested, node, "nested")
-        for node in self._own_statements(func):
+        for node in own_nodes(func.node):
             if isinstance(node, ast.Call):
                 self._resolve_call(func, module, node)
                 self._callback_refs(func, module, node)
@@ -150,12 +136,12 @@ class CallGraph:
     ) -> None:
         target = node.func
         if isinstance(target, ast.Name):
-            callee = self._resolve_name(func, module, target.id)
+            callee = self.table.resolve(module, target.id)
             if callee is not None:
                 self._add(func, callee, node, "direct")
             return
         if isinstance(target, ast.Attribute):
-            dotted = _dotted_of(target)
+            dotted = dotted_of(target)
             if dotted is not None:
                 head = dotted.split(".")[0]
                 if head == "self" and func.class_name is not None:
@@ -176,11 +162,6 @@ class CallGraph:
                         return  # stdlib/third-party attribute call
             self._fallback(func, target.attr, node)
 
-    def _resolve_name(
-        self, func: FunctionInfo, module: ModuleInfo, name: str
-    ) -> Optional[FunctionInfo]:
-        return self.table.resolve(module, name)
-
     def _callback_refs(
         self, func: FunctionInfo, module: ModuleInfo, node: ast.Call
     ) -> None:
@@ -190,7 +171,7 @@ class CallGraph:
             if isinstance(arg, ast.Name):
                 callee = self.table.resolve(module, arg.id)
             elif isinstance(arg, ast.Attribute):
-                dotted = _dotted_of(arg)
+                dotted = dotted_of(arg)
                 if dotted is None:
                     continue
                 head, _, tail = dotted.partition(".")

@@ -1,24 +1,23 @@
 """The rule catalog: every diagnostic code the static analyzers can emit.
 
-Two rule families:
+Three rule families, each naming what it guards:
 
 - ``RPR…`` — assembly-program rules, checked on a parsed ``.topo`` program
   or an :class:`~repro.core.Assembly` *before* anything is simulated.
   ``RPR0xx/1xx`` are errors (the topology cannot work as written),
   ``RPR2xx`` are warnings (it will deploy, but something looks unintended).
-- ``DET…`` — determinism-invariant rules, checked on the framework's own
-  Python source. ``DET0xx`` are per-file (``repro lint --self-check``);
-  ``DET1xx`` are interprocedural (``repro lint --deep``): a nondeterminism
-  source is flagged when an engine-round entry point can transitively
-  reach it, even across module boundaries. Together they machine-enforce
-  the property that makes the multi-seed evaluation honest: all stochastic
-  behavior flows from :mod:`repro.sim.rng` and nothing order-unstable
-  feeds a protocol decision.
-- ``SHD…`` — shard-safety rules (``repro lint --deep``): the statically
-  detectable hazards that would break digest identity between a serial
-  and a sharded engine run (shared module state mutated from round hot
-  paths, RNGs cached outside the per-shard ``ctx`` discipline, mutable
-  defaults aliased across instances).
+- ``DET…`` — determinism rules over the framework's own Python source
+  (``repro lint --self-check``): one code per nondeterminism source. A
+  source inside its site scope — the simulation packages — is an error at
+  its line; elsewhere it is an error where the runtime or scale roots reach
+  it. They machine-enforce the property that makes the multi-seed
+  evaluation honest: all stochastic behavior flows from
+  :mod:`repro.sim.rng` and nothing order-unstable feeds a protocol
+  decision.
+- ``SHD…`` — shard-safety rules (also ``--self-check``): the statically
+  detectable hazards that would break digest identity between the inline
+  and the multi-process shard workers (shared module state mutated from
+  round hot paths, RNGs cached outside the per-shard ``ctx`` discipline).
 
 ``docs/lint.md`` renders this catalog with rationale and examples; keep the
 two in sync when adding a rule.
@@ -172,11 +171,19 @@ _RULES = [
         "(``Shape.min_size``): a 2-ring is an edge, a 1-clique replicates "
         "nothing. It deploys, but probably not what was meant.",
     ),
-    # -- determinism invariants (self-check) ---------------------------------
+    # -- determinism (self-check) -------------------------------------------
+    Rule(
+        "DET000",
+        ERROR,
+        "cannot parse",
+        "A module of the checked tree is not valid Python; none of the "
+        "source rules can vouch for it, so it is reported rather than "
+        "skipped.",
+    ),
     Rule(
         "DET001",
         ERROR,
-        "module-level random call",
+        "global random draw",
         "Direct ``random.<fn>()`` calls draw from the interpreter-global RNG, "
         "bypassing the seed-derived streams of ``repro.sim.rng``; two runs "
         "with the same master seed would diverge.",
@@ -192,18 +199,18 @@ _RULES = [
     Rule(
         "DET003",
         ERROR,
-        "wall-clock read in simulation path",
-        "``time.time``/``perf_counter``/``datetime.now`` in ``sim``, ``core``, "
-        "``gossip``, or ``faults`` makes behavior depend on host speed; "
-        "simulated logic must use round counters only.",
+        "wall-clock read",
+        "``time.time``/``perf_counter``/``datetime.now`` in a simulation "
+        "package, or reachable from a round root, makes behavior depend on "
+        "host speed; simulated logic must use round counters only.",
     ),
     Rule(
         "DET004",
         ERROR,
         "iteration over unordered set",
         "Iterating (or materializing with ``list``/``tuple``/``enumerate``) a "
-        "bare ``set``/``frozenset`` in gossip/view/simulation code leaks hash "
-        "ordering into protocol decisions; wrap it in ``sorted(...)``.",
+        "bare ``set``/``frozenset`` where a protocol decision can see the "
+        "result leaks hash ordering into it; wrap it in ``sorted(...)``.",
     ),
     Rule(
         "DET005",
@@ -212,35 +219,8 @@ _RULES = [
         "``dict.popitem()`` couples layer-exchange behavior to insertion "
         "order details; pop an explicit, deterministic key instead.",
     ),
-    # -- interprocedural determinism (deep analysis) -------------------------
     Rule(
-        "DET101",
-        ERROR,
-        "wall clock reachable from round hot path",
-        "An engine-round entry point transitively calls a wall-clock read "
-        "(``time.*``, ``datetime.now``) through a chain of helpers, even "
-        "though every individual call site looks clean; behavior then "
-        "depends on host speed and serial/sharded runs diverge.",
-    ),
-    Rule(
-        "DET102",
-        ERROR,
-        "nondeterministic RNG reachable from round hot path",
-        "A round entry point transitively reaches an interpreter-global "
-        "``random.*`` draw or an unseeded ``Random()``; the draw is outside "
-        "the seed-derived streams, so the same master seed no longer "
-        "denotes the same random universe across runs or shards.",
-    ),
-    Rule(
-        "DET103",
-        ERROR,
-        "unordered iteration reachable from round hot path",
-        "A helper on a round's call chain iterates a bare set or pops "
-        "arbitrary dict entries — outside the packages the per-file rule "
-        "covers — leaking hash/insertion order into protocol decisions.",
-    ),
-    Rule(
-        "DET104",
+        "DET006",
         ERROR,
         "object identity reachable from round hot path",
         "``id()`` values are CPython heap addresses: unstable between runs, "
@@ -248,7 +228,7 @@ _RULES = [
         "(keys, ordering, tie-breaking) breaks digest identity.",
     ),
     Rule(
-        "DET105",
+        "DET007",
         ERROR,
         "environment read reachable from round hot path",
         "``os.environ``/``os.getenv`` on a round's call chain makes "
@@ -256,7 +236,7 @@ _RULES = [
         "between hosts and between sharded workers; read configuration "
         "once at harness level and pass it down explicitly.",
     ),
-    # -- shard safety (deep analysis) ----------------------------------------
+    # -- shard safety (self-check) -----------------------------------------
     Rule(
         "SHD001",
         ERROR,
@@ -274,28 +254,6 @@ _RULES = [
         "per-node/per-shard ``ctx`` threading discipline (the "
         "``spawn_seeds`` ownership rule): it is consumed in arrival order, "
         "which differs between serial and sharded schedules.",
-    ),
-    Rule(
-        "SHD003",
-        ERROR,
-        "mutable default argument aliases across instances",
-        "A mutable default in the gossip/heal/obs layers is evaluated once "
-        "and aliased by every caller, so per-node state leaks across "
-        "nodes — and under sharding, across whichever nodes share the "
-        "worker. Default to ``None`` and allocate per call.",
-    ),
-    # -- API surface pinning (deep analysis) ---------------------------------
-    Rule(
-        "API001",
-        ERROR,
-        "pinned config surface drifted",
-        "A public configuration dataclass (``RunnerConfig`` or one of the "
-        "component records it is built from: ``GossipParams``, "
-        "``TransportCosts``, ``ShardPlan``) grew or lost a field without "
-        "the pin in ``repro.lint.api_surface`` being updated. New knobs "
-        "belong on ``RunnerConfig``, and deliberate surface growth must "
-        "update ``PINNED_SURFACES`` in the same change so the API diff is "
-        "explicit in review.",
     ),
 ]
 

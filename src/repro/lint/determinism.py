@@ -1,86 +1,76 @@
-"""Prong 2: the determinism invariant linter (``DET0xx`` rules).
+"""The determinism pass (``DET0xx``): one source scanner, one site table.
 
-An :mod:`ast`-based checker over the framework's *own* Python source. The
-multi-seed evaluation is only honest if seed *s* always denotes the same
-random universe; these rules machine-enforce the conventions that keep it
-so as the codebase grows:
+The multi-seed evaluation is only honest if seed *s* always denotes the
+same run. One :mod:`ast` scanner reads each module of the
+:class:`~repro.lint.symbols.SymbolTable` once and records every
+nondeterminism *source* together with the function that contains it:
 
-- ``DET001``/``DET002`` — every random draw must flow from the seed-derived
-  streams of :mod:`repro.sim.rng`: no interpreter-global ``random.*`` calls
-  and no unseeded ``random.Random()``/``SystemRandom`` anywhere outside
-  that module.
-- ``DET003`` — no wall-clock reads in simulation-facing packages (``sim``,
-  ``core``, ``gossip``, ``faults``, ``obs``, ``heal``, ``perf``,
-  ``scale``): simulated time is the round counter. Timing belongs to the
-  observability subsystem's single sanctioned clock site
-  (``obs/spans.py``) alone.
-- ``DET004`` — no iteration over bare ``set``/``frozenset`` values in
-  ordering-sensitive packages (``gossip``, ``core``, ``sim``, ``heal``): hash order
-  must never feed a view merge or a stochastic choice. ``sorted(...)``,
-  ``min``/``max``, and membership tests are all fine — including the
+- ``DET001``/``DET002`` — a draw from the interpreter-global ``random``
+  module, or an RNG seeded from the OS (``random.Random()``,
+  ``SystemRandom``); every draw must flow from :mod:`repro.sim.rng`.
+- ``DET003`` — a wall-clock read (``time.time``/``perf_counter``/…,
+  ``datetime.now``/…): simulated time is the round counter.
+- ``DET004`` — iteration over a bare ``set``/``frozenset``. ``sorted(...)``,
+  ``min``/``max`` and membership tests are fine — including the
   *sorted-wrapper idiom*, where a set is materialized into a name and the
   name is re-bound through ``sorted`` a statement or two later
-  (``ids = list(view); ids = sorted(ids)``). The visitor tracks names
-  bound to set values, so bare iteration over such a name is caught even
-  away from the construction site.
-- ``DET005`` — no ``dict.popitem()`` in those packages (insertion-order
-  coupling in layer exchanges).
+  (``ids = list(view); ids = sorted(ids)``). Names bound to set values are
+  tracked per scope, so bare iteration over such a name is caught even away
+  from the construction site.
+- ``DET005`` — ``dict.popitem()`` (insertion-order coupling).
+- ``DET006`` — ``id()``: a heap address, unstable between runs and processes.
+- ``DET007`` — ``os.environ`` / ``os.getenv``: the process environment.
 
-Inline pragmas (``# repro-lint: disable=DET004``, see
-:mod:`repro.lint.pragmas`) acknowledge a reviewed exception at its line;
-``respect_pragmas=False`` (CLI ``--no-pragmas``) runs the strict sweep.
-
-Paths are interpreted relative to the ``repro`` package root, so the rules
-apply identically whether the tree is linted in-place or from an sdist.
-The interprocedural continuation of these rules — sources reached *across*
-function and module boundaries — lives in :mod:`repro.lint.taint`.
+Where a source is reported is decided by :data:`SITES`, the one table of
+paths: inside its code's *site scope* it is an error at its own line;
+outside it, only when an engine-round root (:mod:`repro.lint.roots`) can
+reach its function, and then at the first call edge of the shortest
+root-to-source chain — the innocent-looking line to edit — with the chain
+in the message. A sanctioned file is never reported. Each source yields at
+most one finding. A reviewed exception carries an inline pragma
+(:mod:`repro.lint.pragmas`) on the source's line, or on the call edge where
+a chain is cut.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.diagnostics import ERROR, Diagnostic, sort_diagnostics
+from repro.lint.pragmas import apply_pragmas, is_disabled, parse_pragmas
+from repro.lint.roots import ProjectModel, analyze
+from repro.lint.symbols import ModuleInfo, SymbolTable, target_names
 
-#: The only module allowed to touch the ``random`` module directly.
-RNG_MODULE = "sim/rng.py"
+#: Packages whose results must be a pure function of (config, seed).
+SIM_PATHS = ("sim/", "core/", "gossip/", "faults/", "obs/", "heal/", "perf/", "scale/")
 
-#: Packages where wall-clock reads are forbidden (DET003): their results
-#: must be a pure function of (config, seed).
-WALLCLOCK_PATHS = (
-    "sim/",
-    "core/",
-    "gossip/",
-    "faults/",
-    "obs/",
-    "heal/",
-    "perf/",
-    "scale/",
-)
-
-#: Sanctioned exceptions inside WALLCLOCK_PATHS. ``obs/spans.py`` is the
-#: observability subsystem's one clock site — every span measurement flows
-#: through its ``wall_clock``, so instrumented timing stays auditable and
-#: injectable (tests swap the clock) while the rest of ``obs`` remains
-#: simulation-pure.
-WALLCLOCK_EXEMPT = ("obs/spans.py",)
-
-#: Packages where set-iteration order and popitem are forbidden (DET004/005).
+#: Packages whose protocol decisions must not see hash or insertion order.
 ORDERING_PATHS = ("gossip/", "core/", "sim/", "heal/")
 
-_WALLCLOCK_TIME_ATTRS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "process_time",
-    "process_time_ns",
+#: code → (site scope, sanctioned files). ``sim/rng.py`` is where streams
+#: are derived; ``obs/spans.py`` is the observability subsystem's one clock,
+#: through which every span measurement flows (tests swap it).
+SITES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "DET001": (("",), ("sim/rng.py",)),
+    "DET002": (("",), ("sim/rng.py",)),
+    "DET003": (SIM_PATHS, ("obs/spans.py",)),
+    "DET004": (ORDERING_PATHS, ()),
+    "DET005": (ORDERING_PATHS, ()),
+    "DET006": ((), ()),
+    "DET007": ((), ()),
 }
-_WALLCLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
+
+_CLOCK_CALLS = {
+    f"time.{name}{suffix}"
+    for name in ("time", "monotonic", "perf_counter", "process_time")
+    for suffix in ("", "_ns")
+} | {
+    f"datetime.{cls}.{name}"
+    for cls in ("datetime", "date")
+    for name in ("now", "utcnow", "today")
+}
 
 #: Builtins whose call materializes its argument in iteration order.
 _ORDER_SENSITIVE_BUILTINS = {"list", "tuple", "enumerate", "iter", "reversed"}
@@ -100,14 +90,19 @@ _ORDER_NEUTRAL_CONSUMERS = {
 }
 
 
-def _in_paths(rel_path: str, prefixes: Sequence[str]) -> bool:
-    return any(rel_path.startswith(prefix) for prefix in prefixes)
+@dataclass(frozen=True)
+class Source:
+    """One nondeterminism source site."""
 
-
-def _wallclock_forbidden(rel_path: str) -> bool:
-    return (
-        _in_paths(rel_path, WALLCLOCK_PATHS) and rel_path not in WALLCLOCK_EXEMPT
-    )
+    code: str
+    #: Qualified name of the containing function; ``None`` at module or
+    #: class scope (which no root can reach).
+    func: Optional[str]
+    rel_path: str
+    file: str
+    line: int
+    column: int
+    message: str
 
 
 class _Scope:
@@ -116,86 +111,59 @@ class _Scope:
     def __init__(self) -> None:
         #: Names currently bound to a bare set/frozenset value.
         self.set_names: Set[str] = set()
-        #: Candidate DET004 findings keyed by the name the hash-ordered
+        #: Candidate DET004 sources keyed by the name the hash-ordered
         #: materialization was assigned to; withdrawn if the name is later
         #: re-bound through ``sorted`` (or ``.sort()``-ed) in this scope.
-        self.pending: Dict[str, List[Diagnostic]] = {}
+        self.pending: Dict[str, List[Source]] = {}
 
 
-class _DeterminismVisitor(ast.NodeVisitor):
-    """One file's worth of DET findings."""
+class _Scanner(ast.NodeVisitor):
+    """Every source of one module, each tagged with its function."""
 
-    def __init__(self, rel_path: str, file: Optional[str]):
-        self.rel_path = rel_path
-        self.file = file
-        self.diagnostics: List[Diagnostic] = []
-        #: Local names bound to the ``random`` module (``import random``,
-        #: ``import random as rnd``).
-        self.random_aliases: Set[str] = set()
-        #: Local names for ``random.Random`` / functions imported from random.
-        self.from_random: Set[str] = set()
-        #: Local names bound to the ``time`` / ``datetime`` modules.
-        self.time_aliases: Set[str] = set()
-        self.datetime_aliases: Set[str] = set()
-        #: Names imported from datetime (``datetime``, ``date`` classes).
-        self.datetime_classes: Set[str] = set()
+    def __init__(self, module: ModuleInfo):
+        self.module = module
+        self.sources: List[Source] = []
+        #: Qualified-name path of the enclosing classes and functions.
+        self._names: List[str] = []
+        #: Innermost enclosing function's qname (``None`` at module scope).
+        self._funcs: List[Optional[str]] = [None]
         #: Scope stack for set-name tracking (module scope at the bottom).
         self.scopes: List[_Scope] = [_Scope()]
         #: Node ids whose DET004 handling happened higher up the tree
         #: (assignment targets, order-neutral consumer arguments).
         self._handled: Set[int] = set()
 
-    # -- bookkeeping ---------------------------------------------------------
+    def scan(self) -> List[Source]:
+        self.visit(self.module.tree)
+        self._flush_scope()
+        return self.sources
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self.random_aliases.add(bound)
-            elif alias.name == "time":
-                self.time_aliases.add(bound)
-            elif alias.name == "datetime":
-                self.datetime_aliases.add(bound)
+    # -- scopes ---------------------------------------------------------------
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._names.append(node.name)
         self.generic_visit(node)
+        self._names.pop()
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            for alias in node.names:
-                self.from_random.add(alias.asname or alias.name)
-        elif node.module == "datetime":
-            for alias in node.names:
-                if alias.name in ("datetime", "date"):
-                    self.datetime_classes.add(alias.asname or alias.name)
-        self.generic_visit(node)
-
-    # -- scope handling -------------------------------------------------------
-
-    def _enter_scope(self, node: ast.AST) -> None:
+    def visit_FunctionDef(self, node: ast.AST) -> None:
+        self._names.append(node.name)
+        info = self.module.functions.get(".".join(self._names))
+        self._funcs.append(info.qname if info is not None else None)
         self.scopes.append(_Scope())
         self.generic_visit(node)
         self._flush_scope()
+        self._funcs.pop()
+        self._names.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def _flush_scope(self) -> None:
         scope = self.scopes.pop()
         for name in sorted(scope.pending):
-            self.diagnostics.extend(scope.pending[name])
-
-    def finish(self) -> None:
-        """Flush the module scope; call exactly once after ``visit``."""
-        while self.scopes:
-            self._flush_scope()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._enter_scope(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._enter_scope(node)
+            self.sources.extend(scope.pending[name])
 
     def _is_set_name(self, name: str) -> bool:
         return any(name in scope.set_names for scope in reversed(self.scopes))
-
-    def _bind_set_names(self, names: Iterable[str]) -> None:
-        self.scopes[-1].set_names.update(names)
 
     def _unbind_name(self, name: str) -> None:
         for scope in self.scopes:
@@ -207,18 +175,19 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     # -- helpers -------------------------------------------------------------
 
-    def _emit(self, code: str, message: str, node: ast.AST) -> None:
-        self.diagnostics.append(self._diag(code, message, node))
-
-    def _diag(self, code: str, message: str, node: ast.AST) -> Diagnostic:
-        return Diagnostic(
+    def _source(self, code: str, node: ast.AST, message: str) -> Source:
+        return Source(
             code=code,
-            severity=ERROR,
-            message=message,
-            file=self.file,
+            func=self._funcs[-1],
+            rel_path=self.module.rel_path,
+            file=self.module.file,
             line=getattr(node, "lineno", 0),
             column=getattr(node, "col_offset", -1) + 1,
+            message=message,
         )
+
+    def _emit(self, code: str, node: ast.AST, message: str) -> None:
+        self.sources.append(self._source(code, node, message))
 
     def _is_set_valued(self, node: ast.expr) -> bool:
         """Syntactically certain the expression is an unordered set."""
@@ -232,293 +201,232 @@ class _DeterminismVisitor(ast.NodeVisitor):
             and node.func.id in ("set", "frozenset")
         )
 
-    def _is_sorted_call(self, node: ast.expr) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "sorted"
-        )
-
-    def _ordering_applies(self) -> bool:
-        return _in_paths(self.rel_path, ORDERING_PATHS)
-
     # -- assignments: set-name tracking + the sorted-wrapper idiom -----------
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        if self._ordering_applies():
-            self._track_assignment(node.targets, node.value)
+        self._track_assignment(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if self._ordering_applies() and node.value is not None:
+        if node.value is not None:
             self._track_assignment([node.target], node.value)
         self.generic_visit(node)
 
-    def _track_assignment(
-        self, targets: List[ast.expr], value: ast.expr
-    ) -> None:
+    def _track_assignment(self, targets: List[ast.expr], value: ast.expr) -> None:
         names = [t.id for t in targets if isinstance(t, ast.Name)]
-        if self._is_sorted_call(value):
+        call = None
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+            call = value.func.id
+        if call == "sorted":
             # ``items = sorted(items)`` — the sorted-wrapper idiom: any
             # hash-ordered materialization earlier bound to the argument
             # name was a false alarm; the re-bound name is ordered now.
-            args = value.args
-            if args and isinstance(args[0], ast.Name):
-                self._withdraw_pending(args[0].id)
+            if value.args and isinstance(value.args[0], ast.Name):
+                self._withdraw_pending(value.args[0].id)
             for name in names:
                 self._unbind_name(name)
                 self._withdraw_pending(name)
             return
         if self._is_set_valued(value):
-            self._bind_set_names(names)
+            self.scopes[-1].set_names.update(names)
             return
         if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in _ORDER_SENSITIVE_BUILTINS
+            call in _ORDER_SENSITIVE_BUILTINS
             and value.args
             and self._is_set_valued(value.args[0])
         ):
-            # ``items = list(a_set)``: hold the finding back — a later
+            # ``items = list(a_set)``: hold the source back — a later
             # ``items = sorted(items)`` / ``items.sort()`` sanctions it.
             self._handled.add(id(value))
-            diag = self._diag(
-                "DET004",
-                f"{value.func.id}() over a bare set leaks hash ordering into "
-                f"downstream decisions; wrap the set in sorted(...)",
-                value,
-            )
+            source = self._source("DET004", value, _materialized(call))
             if len(names) == 1:
-                self.scopes[-1].pending.setdefault(names[0], []).append(diag)
+                self.scopes[-1].pending.setdefault(names[0], []).append(source)
             else:
-                self.diagnostics.append(diag)
+                self.sources.append(source)
         for name in names:
             self._unbind_name(name)
 
-    # -- rules ---------------------------------------------------------------
+    # -- sources --------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        in_rng_module = self.rel_path == RNG_MODULE
+        target = self.module.external(node.func)
+        if target is not None:
+            self._external_call(node, target)
         func = node.func
-        # DET001 / DET002: draws outside the seeded-stream discipline.
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base, attr = func.value.id, func.attr
-            if base in self.random_aliases and not in_rng_module:
-                if attr == "SystemRandom":
-                    self._emit(
-                        "DET002",
-                        "random.SystemRandom is OS-seeded and never reproducible",
-                        node,
-                    )
-                elif attr == "Random":
-                    if not node.args and not node.keywords:
-                        self._emit(
-                            "DET002",
-                            "random.Random() without a seed draws from OS entropy; "
-                            "derive the seed from repro.sim.rng streams",
-                            node,
-                        )
-                else:
-                    self._emit(
-                        "DET001",
-                        f"direct random.{attr}() uses the interpreter-global RNG; "
-                        f"use a named stream from repro.sim.rng instead",
-                        node,
-                    )
-            # DET003: wall clock in simulation paths.
-            if _wallclock_forbidden(self.rel_path):
-                if base in self.time_aliases and attr in _WALLCLOCK_TIME_ATTRS:
-                    self._emit(
-                        "DET003",
-                        f"wall-clock read time.{attr}() in a simulation path; "
-                        f"simulated logic must use round counters",
-                        node,
-                    )
-                elif (
-                    base in self.datetime_classes
-                    and attr in _WALLCLOCK_DATETIME_ATTRS
-                ):
-                    self._emit(
-                        "DET003",
-                        f"wall-clock read {base}.{attr}() in a simulation path; "
-                        f"simulated logic must use round counters",
-                        node,
-                    )
-        # datetime.datetime.now() spelled through the module.
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Attribute)
-            and isinstance(func.value.value, ast.Name)
-            and func.value.value.id in self.datetime_aliases
-            and func.value.attr in ("datetime", "date")
-            and func.attr in _WALLCLOCK_DATETIME_ATTRS
-            and _wallclock_forbidden(self.rel_path)
-        ):
+        if isinstance(func, ast.Name):
+            if func.id == "id" and node.args:
+                self._emit(
+                    "DET006",
+                    node,
+                    "id() is a heap address, unstable between runs and "
+                    "processes; key on a stable identifier",
+                )
+            elif func.id in _ORDER_NEUTRAL_CONSUMERS:
+                # ``sorted(list({...}))`` and friends: the consumer
+                # neutralizes the hash order of its direct argument.
+                for arg in node.args[:1]:
+                    self._handled.add(id(arg))
+            elif (
+                func.id in _ORDER_SENSITIVE_BUILTINS
+                and id(node) not in self._handled
+                and node.args
+                and self._is_set_valued(node.args[0])
+            ):
+                self._emit("DET004", node, _materialized(func.id))
+        elif isinstance(func, ast.Attribute):
+            # ``items.sort()`` sanctions a pending materialization.
+            if func.attr == "sort" and isinstance(func.value, ast.Name):
+                self._withdraw_pending(func.value.id)
+            elif func.attr == "popitem":
+                self._emit(
+                    "DET005",
+                    node,
+                    "popitem() depends on insertion-order bookkeeping; pop an "
+                    "explicit deterministic key instead",
+                )
+        self.generic_visit(node)
+
+    def _external_call(self, node: ast.Call, target: str) -> None:
+        if target in _CLOCK_CALLS:
             self._emit(
                 "DET003",
-                f"wall-clock read datetime.{func.value.attr}.{func.attr}() in a "
-                f"simulation path; simulated logic must use round counters",
                 node,
+                f"wall-clock read {target}(); simulated logic must use round "
+                f"counters",
             )
-        # Bare names imported from random: ``from random import choice``.
-        if (
-            isinstance(func, ast.Name)
-            and func.id in self.from_random
-            and not in_rng_module
-        ):
-            if func.id in ("Random", "SystemRandom"):
-                if func.id == "SystemRandom" or (not node.args and not node.keywords):
-                    self._emit(
-                        "DET002",
-                        f"{func.id}() constructed without a derived seed",
-                        node,
-                    )
-            else:
+        elif target == "random.SystemRandom":
+            self._emit(
+                "DET002", node, "random.SystemRandom is OS-seeded and never reproducible"
+            )
+        elif target == "random.Random":
+            if not node.args and not node.keywords:
                 self._emit(
-                    "DET001",
-                    f"{func.id}() imported from random uses the interpreter-global "
-                    f"RNG; use a named stream from repro.sim.rng instead",
+                    "DET002",
                     node,
+                    "random.Random() without a seed draws from OS entropy; "
+                    "derive the seed from repro.sim.rng streams",
                 )
-        if self._ordering_applies():
-            if isinstance(func, ast.Name):
-                if func.id in _ORDER_NEUTRAL_CONSUMERS:
-                    # ``sorted(list({...}))`` and friends: the consumer
-                    # neutralizes the hash order of its direct argument.
-                    for arg in node.args[:1]:
-                        self._handled.add(id(arg))
-                # DET004: list(set(...)) and friends materialize hash order.
-                if (
-                    func.id in _ORDER_SENSITIVE_BUILTINS
-                    and id(node) not in self._handled
-                    and node.args
-                    and self._is_set_valued(node.args[0])
-                ):
-                    self._emit(
-                        "DET004",
-                        f"{func.id}() over a bare set leaks hash ordering into "
-                        f"downstream decisions; wrap the set in sorted(...)",
-                        node,
-                    )
-            if isinstance(func, ast.Attribute):
-                # ``items.sort()`` sanctions a pending materialization.
-                if func.attr == "sort" and isinstance(func.value, ast.Name):
-                    self._withdraw_pending(func.value.id)
-                # DET005: dict.popitem().
-                if func.attr == "popitem":
-                    self._emit(
-                        "DET005",
-                        "popitem() depends on insertion-order bookkeeping; pop an "
-                        "explicit deterministic key instead",
-                        node,
-                    )
+        elif target.startswith("random."):
+            self._emit(
+                "DET001",
+                node,
+                f"{target}() uses the interpreter-global RNG; use a named "
+                f"stream from repro.sim.rng instead",
+            )
+        elif target == "os.getenv":
+            self._emit("DET007", node, _ENVIRON)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "environ" and self.module.external(node) == "os.environ":
+            self._emit("DET007", node, _ENVIRON)
         self.generic_visit(node)
 
     def _check_iteration(self, iterable: ast.expr) -> None:
-        if id(iterable) in self._handled:
-            return
-        if self._is_set_valued(iterable):
+        if id(iterable) not in self._handled and self._is_set_valued(iterable):
             self._emit(
                 "DET004",
+                iterable,
                 "iteration over a bare set leaks hash ordering into downstream "
                 "decisions; wrap the set in sorted(...)",
-                iterable,
             )
 
     def visit_For(self, node: ast.For) -> None:
-        if self._ordering_applies():
-            self._check_iteration(node.iter)
-            # The loop target shadows any tracked set of the same name.
-            for name in _names_of(node.target):
-                self._unbind_name(name)
+        self._check_iteration(node.iter)
+        # The loop target shadows any tracked set of the same name.
+        for name in target_names(node.target):
+            self._unbind_name(name)
         self.generic_visit(node)
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
-        if self._ordering_applies():
-            self._check_iteration(node.iter)
+        self._check_iteration(node.iter)
         self.generic_visit(node)
 
 
-def _names_of(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_names_of(element))
-        return names
-    return []
+_ENVIRON = (
+    "os.environ read makes behavior depend on the process environment; read "
+    "configuration once at harness level and pass it down"
+)
+
+
+def _materialized(builtin: str) -> str:
+    return (
+        f"{builtin}() over a bare set leaks hash ordering into downstream "
+        f"decisions; wrap the set in sorted(...)"
+    )
+
+
+def determinism_check(model: ProjectModel) -> List[Diagnostic]:
+    """Every DET finding of the project.
+
+    A pragma on a source's own line acknowledges that source wherever it
+    would be reported; pragmas at call-edge anchors are left to
+    :func:`~repro.lint.pragmas.apply_pragmas`.
+    """
+    table = model.table
+    diagnostics = [
+        Diagnostic(
+            code="DET000",
+            severity=ERROR,
+            message=f"cannot parse: {exc.msg}",
+            file=file,
+            line=exc.lineno or 0,
+            column=exc.offset or 0,
+        )
+        for file, exc in table.unparseable
+    ]
+    roots = set(model.roots)
+    for name in sorted(table.modules):
+        module = table.modules[name]
+        pragmas = parse_pragmas(module.source)
+        for source in _Scanner(module).scan():
+            scope, sanctioned = SITES[source.code]
+            if source.rel_path in sanctioned or is_disabled(
+                pragmas, source.code, source.line
+            ):
+                continue
+            if source.rel_path.startswith(scope):
+                where = (source.message, source.file, source.line, source.column)
+            elif source.func in model.hot:
+                where = _reach(model, roots, source)
+            else:
+                continue
+            diagnostics.append(Diagnostic(source.code, ERROR, *where))
+    return diagnostics
+
+
+def _reach(
+    model: ProjectModel, roots: Set[str], source: Source
+) -> Tuple[str, str, int, int]:
+    """(message, file, line, column) of a hot source outside its site scope:
+    the first call edge of the shortest root-to-source chain."""
+    functions = model.table.functions
+    path = model.graph.shortest_path(roots, source.func)
+    if not path:  # the source sits directly in a root
+        root = functions[source.func].display()
+        message = f"in round hot path {root}: {source.message}"
+        return message, source.file, source.line, source.column
+    first = path[0]
+    chain = " -> ".join(
+        [functions[first.caller].display()]
+        + [functions[site.callee].display() for site in path]
+    )
+    message = (
+        f"round hot path reaches {source.rel_path}:{source.line} via {chain}: "
+        f"{source.message}"
+    )
+    return message, functions[first.caller].file, first.line, first.column
 
 
 def lint_python_source(
-    source: str,
-    rel_path: str,
-    file: Optional[str] = None,
-    respect_pragmas: bool = True,
+    source: str, rel_path: str, file: Optional[str] = None
 ) -> List[Diagnostic]:
-    """DET diagnostics for one Python source text.
+    """Site findings (no roots) for one Python source text.
 
     ``rel_path`` is the path relative to the ``repro`` package root (e.g.
-    ``gossip/views.py``) and selects which rule sets apply; ``file`` is the
+    ``gossip/views.py``) and selects which site scopes apply; ``file`` is the
     on-disk path reported in diagnostics (defaults to ``rel_path``).
-    ``respect_pragmas=False`` ignores inline ``# repro-lint:`` pragmas.
     """
-    if file is None:
-        file = rel_path
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Diagnostic(
-                code="DET001",
-                severity=ERROR,
-                message=f"cannot parse for determinism checks: {exc.msg}",
-                file=file,
-                line=exc.lineno or 0,
-                column=exc.offset or 0,
-            )
-        ]
-    visitor = _DeterminismVisitor(rel_path, file)
-    visitor.visit(tree)
-    visitor.finish()
-    diagnostics = visitor.diagnostics
-    if respect_pragmas:
-        from repro.lint.pragmas import apply_pragmas, parse_pragmas
+    table = SymbolTable.from_source(source, rel_path, file or rel_path)
+    diagnostics = determinism_check(analyze(table, ()))
+    return sort_diagnostics(apply_pragmas(diagnostics, table.sources))
 
-        diagnostics = apply_pragmas(diagnostics, parse_pragmas(source))
-    return sort_diagnostics(diagnostics)
-
-
-def package_root() -> str:
-    """The directory of the installed ``repro`` package."""
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
-
-
-def iter_python_files(root: Optional[str] = None) -> Iterable[str]:
-    """Every ``.py`` file under the package root, deterministically ordered."""
-    base = root or package_root()
-    for dirpath, dirnames, filenames in os.walk(base):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for filename in sorted(filenames):
-            if filename.endswith(".py"):
-                yield os.path.join(dirpath, filename)
-
-
-def self_check(
-    root: Optional[str] = None, respect_pragmas: bool = True
-) -> List[Diagnostic]:
-    """Run the determinism linter over the framework's own source tree."""
-    base = root or package_root()
-    diagnostics: List[Diagnostic] = []
-    for path in iter_python_files(base):
-        rel_path = os.path.relpath(path, base).replace(os.sep, "/")
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        diagnostics.extend(
-            lint_python_source(
-                source, rel_path, file=path, respect_pragmas=respect_pragmas
-            )
-        )
-    return sort_diagnostics(diagnostics)

@@ -2,23 +2,23 @@
 
 A pragma acknowledges one specific finding at its source line — the
 reviewed, intentional exception (a sanctioned clock read, a set iteration
-feeding a commutative fold). Two spellings:
+feeding a commutative fold). It is the linter's one suppression mechanism.
+Two spellings:
 
 - ``# repro-lint: disable=DET003`` — suppress on the same line;
 - ``# repro-lint: disable-next-line=DET003`` — suppress on the following
   line (for findings inside expressions that span formatting).
 
-Several codes separate with commas (``disable=DET003,DET101``); ``all``
-suppresses every code on that line. Pragmas are honored by the per-file
-determinism rules and by the deep interprocedural passes alike; ``repro
-lint --no-pragmas`` ignores them all for a strict sweep, which is how CI
-audits that no pragma hides a *new* class of finding.
+Several codes separate with commas (``disable=DET003,DET004``); ``all``
+suppresses every code on that line. A pragma on a nondeterminism source's
+own line acknowledges the source wherever it would be reported; a finding
+reported at a call edge can also be acknowledged at that edge's line.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Mapping, Set
 
 from repro.diagnostics import Diagnostic
 
@@ -54,11 +54,15 @@ def is_disabled(pragmas: Dict[int, Set[str]], code: str, line: int) -> bool:
 
 
 def apply_pragmas(
-    diagnostics: Iterable[Diagnostic], pragmas: Dict[int, Set[str]]
+    diagnostics: Iterable[Diagnostic], sources: Mapping[str, str]
 ) -> List[Diagnostic]:
-    """Diagnostics surviving the pragma map of their source file."""
+    """Diagnostics not acknowledged by a pragma in their file.
+
+    ``sources`` maps a diagnostic's ``file`` to that file's source text.
+    """
+    pragmas = {file: parse_pragmas(text) for file, text in sources.items()}
     return [
         diag
         for diag in diagnostics
-        if not is_disabled(pragmas, diag.code, diag.line)
+        if not is_disabled(pragmas.get(diag.file, {}), diag.code, diag.line)
     ]

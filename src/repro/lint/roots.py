@@ -1,28 +1,27 @@
-"""Engine-round entry-point roots for the interprocedural passes.
+"""Engine-round entry points and the hot set they reach.
 
 A static call graph cannot see through the engine's dynamic dispatch —
 ``protocol.step(ctx)`` fans out to whatever layers a node stacks at
 runtime, ``observer.observe(...)`` to whatever instruments are attached.
-Rather than over-approximating every attribute call, the deep passes start
-taint propagation from a declared set of *roots*: the functions the round
-engine invokes every simulated round. Anything reachable from a root is on
-the digest-identity critical path, so a nondeterminism source there breaks
-serial/sharded equivalence (ROADMAP item 1) even when every individual
-call site looks clean.
+Rather than over-approximating every attribute call, the source passes
+start from a declared set of *roots*: the functions a runner invokes every
+round. Anything reachable from a root is on the digest's critical path, so
+a nondeterminism source there makes the same seed give different runs —
+and the round, sharded and live runners disagree — even when every
+individual call site looks clean.
 
 Patterns are ``<rel-path-glob>::<qualname-glob>`` (``fnmatch`` on both
-halves), matched against every project function. This module is the
-checked-in roots file for ``repro`` itself; ``repro lint --deep
---roots FILE`` swaps in a custom list (one pattern per line, ``#``
-comments allowed) — fixture packages and downstream embedders declare
-their own hot paths the same way.
+halves; a pattern without ``::`` matches any path), matched against every
+project function.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fnmatch import fnmatch
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Set
 
+from repro.lint.callgraph import CallGraph
 from repro.lint.symbols import SymbolTable
 
 #: The round engine's entry points, in engine-phase order: the round driver
@@ -49,7 +48,7 @@ DEFAULT_ROOTS: Sequence[str] = (
     "runtime/swarm.py::_swarm_node",
     # The per-node telemetry endpoint: the /metrics handler runs on the
     # daemon HTTP thread and reads collector state only — anything else
-    # it could reach from there is a leak the taint pass must see.
+    # it could reach from there is a leak the source pass must see.
     "runtime/telemetry.py::_MetricsHandler.do_GET",
     "*::*.step",
     # GossipProtocol.step/on_request are template methods: ``self._offer``
@@ -70,19 +69,14 @@ DEFAULT_ROOTS: Sequence[str] = (
 )
 
 
-def parse_roots(text: str) -> List[str]:
-    """Root patterns from a roots-file text (one per line, ``#`` comments)."""
-    patterns: List[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            patterns.append(line)
-    return patterns
+@dataclass
+class ProjectModel:
+    """The analyzed project: symbols, call graph, and the hot set."""
 
-
-def load_roots(path: str) -> List[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_roots(handle.read())
+    table: SymbolTable
+    graph: CallGraph
+    roots: List[str]
+    hot: Set[str]
 
 
 def match_roots(
@@ -104,3 +98,10 @@ def match_roots(
                 matched.append(func.qname)
                 break
     return matched
+
+
+def analyze(table: SymbolTable, patterns: Iterable[str] = DEFAULT_ROOTS) -> ProjectModel:
+    """Call graph, matched roots and hot set of a parsed project."""
+    graph = CallGraph.build(table)
+    roots = match_roots(table, patterns)
+    return ProjectModel(table, graph, roots, graph.reachable_from(roots))

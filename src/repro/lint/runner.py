@@ -2,39 +2,28 @@
 
 ``repro lint`` hands its path arguments here: ``.topo`` files (and every
 ``.topo`` found under directory arguments, recursively) go through the
-assembly verifier; ``--self-check`` adds the per-file determinism sweep of
-the installed ``repro`` package itself; ``--deep`` adds the whole-program
-passes (interprocedural taint + shard safety) on top. The result of a run
-is a :class:`LintRun` so the CLI can report baseline bookkeeping (how many
-findings a checked-in baseline absorbed, which entries went stale) next to
-the surviving diagnostics.
+assembly verifier; ``--self-check`` adds the source passes over the
+``repro`` package itself — the determinism pass (``DET…``) and shard
+safety (``SHD…``) over one project model.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.diagnostics import ERROR, Diagnostic, sort_diagnostics
-from repro.errors import ConfigurationError, DslSyntaxError
 from repro.dsl.parser import parse_source
+from repro.errors import ConfigurationError, DslSyntaxError
 from repro.lint.assembly_rules import lint_program
-from repro.lint.determinism import self_check
+from repro.lint.determinism import determinism_check
+from repro.lint.pragmas import apply_pragmas
+from repro.lint.roots import DEFAULT_ROOTS, ProjectModel, analyze
+from repro.lint.shard import shard_check
+from repro.lint.symbols import SymbolTable
 
 #: Extension of DSL topology programs.
 TOPO_SUFFIX = ".topo"
-
-
-@dataclass
-class LintRun:
-    """One lint invocation's outcome: findings plus baseline bookkeeping."""
-
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: Findings absorbed by the baseline file (not in ``diagnostics``).
-    baseline_suppressed: int = 0
-    #: Baseline entries that matched nothing — fixed findings to prune.
-    baseline_stale: List[Dict] = field(default_factory=list)
 
 
 def collect_topo_files(paths: Sequence[str]) -> List[str]:
@@ -79,39 +68,31 @@ def lint_topo_file(path: str) -> List[Diagnostic]:
     return lint_program(tree, file=path)
 
 
-def lint_paths(
-    paths: Sequence[str],
-    with_self_check: bool = False,
-    deep: bool = False,
-    respect_pragmas: bool = True,
-    baseline_path: Optional[str] = None,
-    roots: Optional[Sequence[str]] = None,
-) -> LintRun:
-    """Lint every ``.topo`` under ``paths``; optionally self-check and deep.
+def analyze_project(
+    root: Optional[str] = None,
+    package: Tuple[str, ...] = ("repro",),
+    roots: Sequence[str] = DEFAULT_ROOTS,
+) -> ProjectModel:
+    """The project model for ``root`` (default: the installed ``repro``)."""
+    return analyze(SymbolTable.build(root, package), roots)
 
-    ``baseline_path`` names a suppression file
-    (:mod:`repro.lint.baseline`); a missing file is an empty baseline, so
-    passing the conventional path unconditionally is safe.
-    """
-    run = LintRun()
+
+def self_check(
+    root: Optional[str] = None,
+    package: Tuple[str, ...] = ("repro",),
+    roots: Sequence[str] = DEFAULT_ROOTS,
+) -> List[Diagnostic]:
+    """DET and SHD diagnostics for the project under ``root``."""
+    model = analyze_project(root, package, roots)
+    diagnostics = determinism_check(model) + shard_check(model)
+    return sort_diagnostics(apply_pragmas(diagnostics, model.table.sources))
+
+
+def lint_paths(paths: Sequence[str], with_self_check: bool = False) -> List[Diagnostic]:
+    """Lint every ``.topo`` under ``paths``; optionally self-check too."""
+    diagnostics: List[Diagnostic] = []
     for path in collect_topo_files(paths):
-        run.diagnostics.extend(lint_topo_file(path))
+        diagnostics.extend(lint_topo_file(path))
     if with_self_check:
-        run.diagnostics.extend(self_check(respect_pragmas=respect_pragmas))
-    if deep:
-        from repro.lint.deep import deep_check
-
-        run.diagnostics.extend(
-            deep_check(roots=roots, respect_pragmas=respect_pragmas)
-        )
-    if baseline_path is not None:
-        from repro.lint.baseline import Baseline
-
-        baseline = Baseline.load(baseline_path)
-        if len(baseline):
-            survivors, suppressed, stale = baseline.apply(run.diagnostics)
-            run.diagnostics = survivors
-            run.baseline_suppressed = suppressed
-            run.baseline_stale = stale
-    run.diagnostics = sort_diagnostics(run.diagnostics)
-    return run
+        diagnostics.extend(self_check())
+    return sort_diagnostics(diagnostics)

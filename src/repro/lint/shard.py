@@ -1,10 +1,9 @@
 """Shard-safety analysis (``SHD0xx`` rules).
 
-ROADMAP item 1 splits the round engine across worker shards; the
-correctness gate is digest identity — a sharded run must realize the same
-overlay, byte for byte, as a serial one. Three statically detectable
-hazards break that gate before any sharding code exists, so this pass
-forbids them now:
+The sharded engine's process backend (``scale/engine.py``'s
+``_shard_worker``) runs each shard in its own worker process, and its
+correctness gate is digest identity with the inline backend, which shares
+one interpreter. Two statically detectable hazards break that gate:
 
 - ``SHD001`` — a round hot path mutates module-level mutable state. A
   module global is process-wide: under one process every node shares it in
@@ -15,10 +14,6 @@ forbids them now:
   every RNG derive from per-node/per-stream seeds threaded through ``ctx``;
   an RNG living outside that discipline is consumed in arrival order, which
   differs between serial and sharded schedules.
-- ``SHD003`` — a mutable default argument in the gossip/heal/obs layers.
-  The default is evaluated once and aliased by every instance on the
-  shard, so per-node state leaks across nodes — and, after sharding,
-  *which* nodes share it depends on shard assignment.
 """
 
 from __future__ import annotations
@@ -27,12 +22,9 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.diagnostics import ERROR, Diagnostic
-from repro.lint.callgraph import CallGraph
-from repro.lint.symbols import FunctionInfo, ModuleInfo, SymbolTable
-from repro.lint.taint import _external_target, _own_nodes
-
-#: Layers whose function signatures the mutable-default rule covers.
-DEFAULT_ARG_PATHS = ("gossip/", "heal/", "obs/")
+from repro.lint.determinism import SITES
+from repro.lint.roots import ProjectModel
+from repro.lint.symbols import FunctionInfo, ModuleInfo, own_nodes, target_names
 
 #: Method names that mutate a list/dict/set receiver in place.
 _MUTATORS = {
@@ -100,35 +92,24 @@ def _local_bindings(func_node: ast.AST) -> Tuple[Set[str], Set[str]]:
         + ([args.kwarg] if args.kwarg else [])
     ):
         bound.add(arg.arg)
-    for node in _own_nodes(func_node):
+    for node in own_nodes(func_node):
         if isinstance(node, ast.Global):
             globals_.update(node.names)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                for name in _target_names(target):
+                for name in target_names(target):
                     bound.add(name)
         elif isinstance(node, (ast.For, ast.comprehension)):
             target = node.target
-            for name in _target_names(target):
+            for name in target_names(target):
                 bound.add(name)
         elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-            for name in _target_names(node.optional_vars):
+            for name in target_names(node.optional_vars):
                 bound.add(name)
         elif isinstance(node, ast.NamedExpr):
             bound.add(node.target.id)
     return bound - globals_, globals_
-
-
-def _target_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    return []
 
 
 def _global_mutations(
@@ -142,7 +123,7 @@ def _global_mutations(
     if not visible and not declared_global:
         return []
     found: List[Tuple[ast.AST, str, str]] = []
-    for node in _own_nodes(func.node):
+    for node in own_nodes(func.node):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             receiver = node.func.value
             if (
@@ -179,7 +160,7 @@ def _global_mutations(
 def _is_rng_value(module: ModuleInfo, node: ast.expr) -> bool:
     if not isinstance(node, ast.Call):
         return False
-    target = _external_target(module, node.func)
+    target = module.external(node.func)
     if target in ("random.Random", "random.SystemRandom"):
         return True
     func = node.func
@@ -188,12 +169,9 @@ def _is_rng_value(module: ModuleInfo, node: ast.expr) -> bool:
     return isinstance(func, ast.Attribute) and func.attr in _RNG_METHODS
 
 
-def shard_check(
-    table: SymbolTable,
-    graph: CallGraph,
-    hot: Set[str],
-) -> List[Diagnostic]:
+def shard_check(model: ProjectModel) -> List[Diagnostic]:
     """All SHD diagnostics for the project."""
+    table, hot = model.table, model.hot
     diagnostics: List[Diagnostic] = []
     # SHD001 — module-global mutation from round hot paths.
     for module in (table.modules[name] for name in sorted(table.modules)):
@@ -220,8 +198,9 @@ def shard_check(
                     )
                 )
     # SHD002 — RNG cached at module or class scope.
+    _, rng_sanctioned = SITES["DET002"]
     for module in (table.modules[name] for name in sorted(table.modules)):
-        if module.rel_path == "sim/rng.py":
+        if module.rel_path in rng_sanctioned:
             continue  # the stream factory itself
         for scope_name, body in _class_and_module_scopes(module):
             for stmt in body:
@@ -245,31 +224,6 @@ def shard_check(
                         file=module.file,
                         line=stmt.lineno,
                         column=stmt.col_offset + 1,
-                    )
-                )
-    # SHD003 — mutable default arguments in the gossip/heal/obs layers.
-    for func in table.iter_functions():
-        if not func.rel_path.startswith(DEFAULT_ARG_PATHS):
-            continue
-        args = func.node.args
-        for default in list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]:
-            if _is_mutable_value(default):
-                diagnostics.append(
-                    Diagnostic(
-                        code="SHD003",
-                        severity=ERROR,
-                        message=(
-                            f"mutable default argument in {func.display()} "
-                            f"aliases one container across every instance "
-                            f"(and, sharded, across whichever nodes land on "
-                            f"the shard); default to None and allocate per "
-                            f"call"
-                        ),
-                        file=func.file,
-                        line=getattr(default, "lineno", func.line),
-                        column=getattr(default, "col_offset", -1) + 1,
                     )
                 )
     return diagnostics

@@ -1,12 +1,12 @@
-"""Whole-program symbol table for the deep (interprocedural) lint passes.
+"""Whole-program symbol table: the project model every source pass reads.
 
-The per-file determinism rules (:mod:`repro.lint.determinism`) see one
-module at a time, so a helper that hides ``time.time()`` behind two call
-hops is invisible to them. The deep passes need a *project model* instead:
-every module under a package root parsed once, every function and method
-indexed by qualified name, and every import edge recorded so a call
-spelled ``views.merge(...)`` or a symbol re-exported through an
-``__init__.py`` can be resolved back to its definition.
+Every module under a package root is parsed once, every function and method
+indexed by qualified name, and every import edge recorded so a call spelled
+``views.merge(...)`` or a symbol re-exported through an ``__init__.py`` can
+be resolved back to its definition — and so ``perf_counter`` imported from
+``time`` is known to be the stdlib clock. A module that does not parse is
+recorded in :attr:`SymbolTable.unparseable` for the determinism pass to
+report (``DET000``).
 
 The model is purely syntactic — no imports are executed — which keeps it
 safe to run on fixture packages that would not even import (that is the
@@ -18,13 +18,62 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
-
-from repro.lint.determinism import iter_python_files
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Import targets outside the analyzed package are recorded with this
 #: prefix so resolution can tell "unknown project symbol" from "stdlib".
 EXTERNAL_PREFIX = "<ext>"
+
+
+def package_root() -> str:
+    """The directory of the installed ``repro`` package."""
+    import repro
+
+    return os.path.dirname(os.path.abspath(repro.__file__))
+
+
+def iter_python_files(root: str) -> Iterable[str]:
+    """Every ``.py`` file under ``root``, deterministically ordered."""
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
+
+
+def dotted_of(node: ast.expr) -> Optional[str]:
+    """``a.b.c`` as a dotted string, when the expression is that simple."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def own_nodes(func_node: ast.AST) -> Iterable[ast.AST]:
+    """Every node of a function, nested def/class bodies excluded."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(func_node))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def target_names(target: ast.expr) -> List[str]:
+    """Names bound by an assignment or loop target (tuples unpacked)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        names: List[str] = []
+        for element in target.elts:
+            names.extend(target_names(element))
+        return names
+    return []
 
 
 @dataclass
@@ -80,6 +129,23 @@ class ModuleInfo:
     #: Names of classes defined at module level.
     classes: List[str] = field(default_factory=list)
 
+    def external(self, node: ast.expr) -> Optional[str]:
+        """The stdlib dotted name an expression denotes, if it is one.
+
+        ``time.perf_counter`` → ``time.perf_counter`` (via ``import time``),
+        ``perf_counter`` → ``time.perf_counter`` (via a ``from`` import),
+        ``dt.datetime.now`` → ``datetime.datetime.now``.
+        """
+        dotted = dotted_of(node)
+        if dotted is None:
+            return None
+        head, _, tail = dotted.partition(".")
+        target = self.imports.get(head)
+        if target is None or not target.startswith(EXTERNAL_PREFIX):
+            return None
+        base = target[len(EXTERNAL_PREFIX) :]
+        return f"{base}.{tail}" if tail else base
+
 
 def module_name_for(rel_path: str) -> str:
     """Dotted module name for a package-root-relative path."""
@@ -118,6 +184,8 @@ class SymbolTable:
         #: Re-export aliases: alias qname → target dotted name, from
         #: ``from x import y [as z]`` at module scope.
         self.aliases: Dict[str, str] = {}
+        #: (file, error) for every module that failed to parse.
+        self.unparseable: List[Tuple[str, SyntaxError]] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -127,29 +195,36 @@ class SymbolTable:
     ) -> "SymbolTable":
         """Parse every module under ``root`` into a symbol table."""
         if root is None:
-            from repro.lint.determinism import package_root
-
             root = package_root()
         table = cls(root, package)
         for path in iter_python_files(root):
             rel_path = os.path.relpath(path, root).replace(os.sep, "/")
             with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                continue  # the per-file linter reports unparseable files
-            table._add_module(rel_path, path, tree, source)
-        # Imports are indexed in a second pass so `_strip_package` can see
-        # the complete module set when classifying internal vs external.
-        for module in table.modules.values():
-            table._index_imports(module)
-        table._link()
+                table._add_module(rel_path, path, handle.read())
+        table._finish()
         return table
 
-    def _add_module(
-        self, rel_path: str, file: str, tree: ast.Module, source: str
-    ) -> None:
+    @classmethod
+    def from_source(cls, source: str, rel_path: str, file: str) -> "SymbolTable":
+        """A one-module table; ``rel_path`` selects the rules that apply."""
+        table = cls("", ())
+        table._add_module(rel_path, file, source)
+        table._finish()
+        return table
+
+    def _finish(self) -> None:
+        # Imports are indexed after every module is added so `_strip_package`
+        # can see the complete module set when classifying internal vs external.
+        for module in self.modules.values():
+            self._index_imports(module)
+        self._link()
+
+    def _add_module(self, rel_path: str, file: str, source: str) -> None:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            self.unparseable.append((file, exc))
+            return
         name = module_name_for(rel_path)
         info = ModuleInfo(
             name=name, rel_path=rel_path, file=file, tree=tree, source=source
@@ -307,6 +382,11 @@ class SymbolTable:
             if info is not None:
                 return info
         return None
+
+    @property
+    def sources(self) -> Dict[str, str]:
+        """On-disk path → source text of every parsed module."""
+        return {module.file: module.source for module in self.modules.values()}
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qname in sorted(self.functions):

@@ -5,8 +5,8 @@ One way to build a run, whatever executes it —
 :class:`~repro.scale.engine.ShardedEngine` (BSP scale tier), or the asyncio
 UDP runtime of :mod:`repro.runtime.net`:
 
-- :class:`RunnerConfig` — one frozen, validated configuration record. The
-  lint rule ``API001`` (:mod:`repro.lint.api_surface`) pins it and the
+- :class:`RunnerConfig` — one frozen, validated configuration record. A
+  test (``tests/runtime/test_config.py``) pins its fields and those of the
   records it is built from, so new knobs land here.
 - :func:`make_runner` — the one factory.
 - :class:`Runner` — the structural protocol every engine satisfies:

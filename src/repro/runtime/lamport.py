@@ -10,10 +10,11 @@ converse does not hold, which is why per-layer propagation *latencies*
 stay round-denominated (see :mod:`repro.obs.flow`) and the Lamport value
 is used only for cross-node event ordering.
 
-The clock is purely logical — it never reads the wall clock — but it is
-listed as a sanctioned clock site in the deep-lint configuration
-(:mod:`repro.lint.taint`) because it is part of the runtime's time
-plane and future extensions (hybrid logical clocks) would read one.
+The clock is purely logical — it never reads the wall clock — so the
+determinism lint (:mod:`repro.lint.determinism`) has nothing to sanction
+here; a future hybrid logical clock that read one would need a reviewed
+``# repro-lint: disable=DET003`` pragma at its read, as ``runtime/net.py``'s
+``_now`` has.
 
 Thread-safety matters here: the asyncio receive loop observes remote
 clocks on its own daemon thread while the round loop ticks on send.

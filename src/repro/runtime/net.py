@@ -69,12 +69,12 @@ TRACED_FRAME_TYPES = frozenset(
 
 def _now() -> float:
     """Wall clock of the live runtime — the module's only clock read."""
-    return time.monotonic()  # repro-lint: disable=DET101,DET003
+    return time.monotonic()  # repro-lint: disable=DET003
 
 
 def _sleep(seconds: float) -> None:
     """Wall-clock pacing of the live runtime — the only sleep site."""
-    time.sleep(seconds)  # repro-lint: disable=DET101,DET003
+    time.sleep(seconds)
 
 
 def parse_rendezvous(value: str) -> Tuple[str, int]:

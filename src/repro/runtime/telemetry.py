@@ -16,10 +16,11 @@ Both are observation plumbing, deliberately outside the protocol hot
 path: the HTTP thread only *reads* collector aggregates (plain dict
 scans — worst case a torn read of one counter, never an exception that
 could reach the round loop), and stream flushes happen at round
-boundaries from the node's own supervisor hook.  The module is a
-sanctioned IO/clock site for deep lint (``repro.lint.taint``): the
-stdlib HTTP server consumes the wall clock internally for socket
-timeouts, which is fine — no protocol decision ever flows from it.
+boundaries from the node's own supervisor hook.  The handler is a round
+root of the determinism lint (:mod:`repro.lint.roots`), so a source it
+could reach in project code is reported; the stdlib HTTP server consumes
+the wall clock internally for socket timeouts, which is fine — no protocol
+decision ever flows from it.
 """
 
 from __future__ import annotations

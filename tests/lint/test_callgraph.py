@@ -1,7 +1,7 @@
 """Symbol table and call-graph construction on synthetic fixture packages.
 
 Each test materializes a small package in ``tmp_path`` and builds the
-project model over it — the same code path ``repro lint --deep`` uses, but
+project model over it — the same code path ``repro lint --self-check`` uses, but
 with topologies chosen to stress one resolution mechanism at a time:
 cycles, dynamic-dispatch fallback, re-exported symbols, nested defs, and
 callback references.
@@ -292,6 +292,8 @@ class TestCallGraph:
         )
         assert "broken" not in table.modules
         assert "fine.ok" in table.functions
+        # ... but it is recorded, for the determinism pass to report.
+        assert [file.endswith("broken.py") for file, _ in table.unparseable] == [True]
 
 
 @pytest.mark.parametrize("pattern,expected", [

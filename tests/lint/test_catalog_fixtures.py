@@ -11,12 +11,12 @@ Fixture conventions (all under ``tests/lint/fixtures/``):
 
 - ``<code>_*.topo`` — firing assembly fixture; ``clean/<code>_*.topo`` is
   its clean twin.
-- ``<code>_*.py`` — firing per-file determinism fixture; the first line is
-  ``# path: <rel_path>`` naming the package-relative path the rules see.
-  Clean twins live in ``clean/``.
-- ``deep/<code>_*/`` — firing whole-program fixture package: a ``ROOTS``
-  file plus modules, run through :func:`repro.lint.deep_check`. Clean
-  twins live in ``deep/clean/``.
+- ``<code>_*.py`` — firing single-module source fixture; the first line is
+  ``# path: <rel_path>`` naming the package-relative path the site scopes
+  see. Clean twins live in ``clean/``.
+- ``deep/<code>_*/`` — firing fixture package whose round root is
+  ``engine.py::Engine.run_round``, run through :func:`repro.lint.self_check`.
+  Clean twins live in ``deep/clean/``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,14 @@ import re
 
 import pytest
 
-from repro.lint import CATALOG, deep_check, lint_python_source, lint_topo_file, load_roots
+from repro.lint import CATALOG, lint_python_source, lint_topo_file, self_check
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-_CODE_RE = re.compile(r"^(rpr|det|shd|api)(\d+)_")
+_CODE_RE = re.compile(r"^(rpr|det|shd)(\d+)_")
+
+#: The round root every fixture package declares.
+FIXTURE_ROOTS = ["engine.py::Engine.run_round"]
 
 
 def _code_of(name: str):
@@ -88,9 +91,8 @@ def _run_fixture(kind: str, path: str):
             for diag in lint_python_source(source, rel_path, file=path)
         }
     assert kind == "deep"
-    roots = load_roots(os.path.join(path, "ROOTS"))
     return {
-        diag.code for diag in deep_check(root=path, package=(), roots=roots)
+        diag.code for diag in self_check(root=path, package=(), roots=FIXTURE_ROOTS)
     }
 
 

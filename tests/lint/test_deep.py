@@ -1,19 +1,17 @@
-"""Interprocedural taint (DET1xx) and shard-safety (SHD) pass semantics.
+"""Whole-program semantics of the determinism (DET) and shard-safety (SHD) passes.
 
-The deep fixture packages under ``fixtures/deep/`` prove each code fires
-and stays silent (see test_catalog_fixtures); these tests pin down the
-*shape* of the findings — where a chain finding anchors, how direct-in-root
-sources defer to their per-file twins, how pragmas and custom roots files
-interact with the whole-program passes.
+The fixture packages under ``fixtures/deep/`` prove each code fires and
+stays silent (see test_catalog_fixtures); these tests pin down the *shape*
+of the findings — where a chain finding anchors, that a source is reported
+once whether its site rule or a root claims it, how pragmas and root
+patterns interact with the whole-program passes.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.lint import analyze_project, deep_check
-from repro.lint.roots import parse_roots
-from repro.lint.taint import collect_sources
+from repro.lint import analyze_project, lint_python_source, self_check
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "deep")
 
@@ -31,11 +29,11 @@ ROOTS = ["engine.py::Engine.run_round"]
 
 class TestChainAnchoring:
     def test_finding_anchors_at_the_clean_call_site(self):
-        root = os.path.join(FIXTURES, "det101_clock_via_helper")
-        (diag,) = deep_check(root=root, package=(), roots=ROOTS)
+        root = os.path.join(FIXTURES, "det003_clock_via_helper")
+        (diag,) = self_check(root=root, package=(), roots=ROOTS)
         # The reported position is the innocent-looking call inside the
         # root — not the time.time() two hops away...
-        assert diag.code == "DET101"
+        assert diag.code == "DET003"
         assert diag.file.endswith("engine.py")
         assert diag.line == 8
         # ...but the message walks the whole chain down to the source.
@@ -69,16 +67,16 @@ class TestChainAnchoring:
                 ),
             },
         )
-        (diag,) = deep_check(root=root, package=(), roots=ROOTS)
-        assert diag.code == "DET101"
+        (diag,) = self_check(root=root, package=(), roots=ROOTS)
+        assert diag.code == "DET003"
         assert diag.file.endswith("engine.py")
         assert "leaf.py:3" in diag.message
 
 
 class TestDirectInRoot:
     def test_covered_source_defers_to_per_file_twin(self, tmp_path):
-        # time.time() directly in a root under sim/ belongs to DET003; the
-        # deep pass must not double-report it.
+        # time.time() directly in a root under sim/ is inside DET003's site
+        # scope: one finding, at the source, with the site message.
         root = project(
             tmp_path,
             {
@@ -90,14 +88,15 @@ class TestDirectInRoot:
                 ),
             },
         )
-        diags = deep_check(
+        (diag,) = self_check(
             root=root, package=(), roots=["sim/engine.py::Engine.run_round"]
         )
-        assert diags == []
+        assert (diag.code, diag.line) == ("DET003", 4)
+        assert "round hot path" not in diag.message
 
     def test_uncovered_source_is_reported_here(self, tmp_path):
-        # id() has no per-file twin, so even a direct use in a root is the
-        # deep pass's to report.
+        # id() has no site scope, so a direct use in a root is reported
+        # for the root.
         root = project(
             tmp_path,
             {
@@ -108,10 +107,36 @@ class TestDirectInRoot:
                 ),
             },
         )
-        (diag,) = deep_check(root=root, package=(), roots=ROOTS)
-        assert diag.code == "DET104"
-        assert "directly in round hot path" in diag.message
-        assert "engine.py::Engine.run_round" in diag.message
+        (diag,) = self_check(root=root, package=(), roots=ROOTS)
+        assert diag.code == "DET006"
+        assert "in round hot path engine.py::Engine.run_round" in diag.message
+
+
+class TestOneFindingPerSource:
+    def test_site_source_reached_from_a_root_is_reported_once(self, tmp_path):
+        # random.random() in gossip/ is inside DET001's site scope *and*
+        # reachable from the round root: one finding, at the source.
+        root = project(
+            tmp_path,
+            {
+                "engine.py": (
+                    "from gossip import peers\n"
+                    "class Engine:\n"
+                    "    def run_round(self, view):\n"
+                    "        return peers.pick(view)\n"
+                ),
+                "gossip/__init__.py": "",
+                "gossip/peers.py": (
+                    "import random\n"
+                    "def pick(view):\n"
+                    "    return random.choice(view)\n"
+                ),
+            },
+        )
+        (diag,) = self_check(root=root, package=(), roots=ROOTS)
+        assert diag.code == "DET001"
+        assert diag.file.endswith("peers.py")
+        assert diag.line == 3
 
 
 class TestColdSourcesStaySilent:
@@ -131,10 +156,11 @@ class TestColdSourcesStaySilent:
                 ),
             },
         )
-        assert deep_check(root=root, package=(), roots=ROOTS) == []
-        model = analyze_project(root=root, package=(), roots=ROOTS)
-        assert [s.category for s in collect_sources(model.table)] == [
-            "wallclock"
+        assert self_check(root=root, package=(), roots=ROOTS) == []
+        # The scanner does see the source: the same text under sim/ fires.
+        source = (tmp_path / "offline.py").read_text(encoding="utf-8")
+        assert [d.code for d in lint_python_source(source, "sim/offline.py")] == [
+            "DET003"
         ]
 
 
@@ -144,7 +170,7 @@ class TestDeepPragmas:
             "import helper\n"
             "class Engine:\n"
             "    def run_round(self):\n"
-            "        return helper.stamp()  # repro-lint: disable=DET101\n"
+            "        return helper.stamp()  # repro-lint: disable=DET003\n"
         ),
         "helper.py": (
             "import time\n"
@@ -155,26 +181,27 @@ class TestDeepPragmas:
 
     def test_pragma_at_anchor_line_suppresses(self, tmp_path):
         root = project(tmp_path, self.FILES)
-        assert deep_check(root=root, package=(), roots=ROOTS) == []
+        assert self_check(root=root, package=(), roots=ROOTS) == []
 
-    def test_no_pragmas_mode_reports_anyway(self, tmp_path):
-        root = project(tmp_path, self.FILES)
-        (diag,) = deep_check(
-            root=root, package=(), roots=ROOTS, respect_pragmas=False
-        )
-        assert diag.code == "DET101"
+    def test_pragma_at_source_line_suppresses(self, tmp_path):
+        files = {
+            "engine.py": (
+                "import helper\n"
+                "class Engine:\n"
+                "    def run_round(self):\n"
+                "        return helper.stamp()\n"
+            ),
+            "helper.py": (
+                "import time\n"
+                "def stamp():\n"
+                "    return time.time()  # repro-lint: disable=DET003\n"
+            ),
+        }
+        root = project(tmp_path, files)
+        assert self_check(root=root, package=(), roots=ROOTS) == []
 
 
 class TestRootsFile:
-    def test_parse_roots_skips_comments_and_blanks(self):
-        patterns = parse_roots(
-            "# engine entry points\n"
-            "\n"
-            "engine.py::Engine.run_round  # the driver\n"
-            "*::*.step\n"
-        )
-        assert patterns == ["engine.py::Engine.run_round", "*::*.step"]
-
     def test_bare_pattern_matches_any_path(self, tmp_path):
         root = project(
             tmp_path,
@@ -189,8 +216,8 @@ class TestRootsFile:
                 ),
             },
         )
-        diags = deep_check(root=root, package=(), roots=["Engine.run_round"])
-        assert [d.code for d in diags] == ["DET101"]
+        diags = self_check(root=root, package=(), roots=["Engine.run_round"])
+        assert [d.code for d in diags] == ["DET003"]
 
 
 class TestShardDetails:
@@ -213,7 +240,7 @@ class TestShardDetails:
                 ),
             },
         )
-        assert deep_check(root=root, package=(), roots=ROOTS) == []
+        assert self_check(root=root, package=(), roots=ROOTS) == []
 
     def test_global_declaration_defeats_the_shadow(self, tmp_path):
         root = project(
@@ -233,7 +260,7 @@ class TestShardDetails:
                 ),
             },
         )
-        diags = deep_check(root=root, package=(), roots=ROOTS)
+        diags = self_check(root=root, package=(), roots=ROOTS)
         assert [d.code for d in diags] == ["SHD001"]
         assert "global rebind" in diags[0].message
 
@@ -253,7 +280,7 @@ class TestShardDetails:
                 ),
             },
         )
-        assert deep_check(root=root, package=(), roots=ROOTS) == []
+        assert self_check(root=root, package=(), roots=ROOTS) == []
 
     def test_class_scope_rng_flagged_even_when_cold(self, tmp_path):
         root = project(
@@ -271,29 +298,12 @@ class TestShardDetails:
                 ),
             },
         )
-        diags = deep_check(root=root, package=(), roots=ROOTS)
+        diags = self_check(root=root, package=(), roots=ROOTS)
         assert [d.code for d in diags] == ["SHD002"]
         assert "class Chooser" in diags[0].message
 
-    def test_mutable_default_outside_covered_layers_allowed(self, tmp_path):
-        root = project(
-            tmp_path,
-            {
-                "engine.py": (
-                    "class Engine:\n"
-                    "    def run_round(self):\n"
-                    "        return 0\n"
-                ),
-                "util.py": "def push(item, buf=[]):\n    buf.append(item)\n",
-            },
-        )
-        assert deep_check(root=root, package=(), roots=ROOTS) == []
-
 
 class TestRealTree:
-    def test_installed_package_deep_check_is_clean(self):
-        assert deep_check() == []
-
     def test_model_covers_the_engine(self):
         model = analyze_project()
         assert "sim.engine.Engine.run_round" in model.roots

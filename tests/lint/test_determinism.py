@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import textwrap
 
-from repro.lint import lint_python_source, self_check
+from repro.lint import lint_python_source, render_json, self_check
 
 
 def lint_snippet(source: str, rel_path: str = "gossip/synthetic.py"):
@@ -316,6 +317,17 @@ class TestSelfCheck:
         assert codes(diags) == ["DET001"]
         assert diags[0].line == 5
         assert diags[0].file.endswith("views.py")
+
+    def test_unparseable_module_is_reported_once(self, tmp_path):
+        bad = tmp_path / "gossip"
+        bad.mkdir()
+        (bad / "views.py").write_text("def f(:\n    pass\n", encoding="utf-8")
+        diags = self_check(root=str(tmp_path))
+        assert codes(diags) == ["DET000"]
+        assert diags[0].line == 1
+        assert "cannot parse" in diags[0].message
+        (entry,) = json.loads(render_json(diags))["diagnostics"]
+        assert entry["title"] == "cannot parse"
 
 
 class TestDet004SortedWrapperIdiom:

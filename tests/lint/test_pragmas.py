@@ -1,4 +1,4 @@
-"""Inline pragma parsing and its integration with the per-file linter."""
+"""Inline pragma parsing and its integration with the determinism pass."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ from repro.lint import lint_python_source, parse_pragmas
 from repro.lint.pragmas import apply_pragmas, is_disabled
 
 
-def diag(code, line):
-    return Diagnostic(code=code, severity=ERROR, message="m", line=line)
+def diag(code, line, file="mod.py"):
+    return Diagnostic(code=code, severity=ERROR, message="m", file=file, line=line)
 
 
 class TestParsing:
@@ -21,8 +21,8 @@ class TestParsing:
         assert parse_pragmas(source) == {2: {"DET003"}}
 
     def test_multiple_codes(self):
-        pragmas = parse_pragmas("x  # repro-lint: disable=DET003,DET101\n")
-        assert pragmas == {1: {"DET003", "DET101"}}
+        pragmas = parse_pragmas("x  # repro-lint: disable=DET003,DET007\n")
+        assert pragmas == {1: {"DET003", "DET007"}}
 
     def test_all_sentinel(self):
         pragmas = parse_pragmas("x  # repro-lint: disable=all\n")
@@ -39,13 +39,20 @@ class TestParsing:
 
 class TestApplication:
     def test_apply_filters_only_matching_lines(self):
-        pragmas = {3: {"DET004"}}
+        sources = {"mod.py": "a\nb\nc  # repro-lint: disable=DET004\nd\n"}
         survivors = apply_pragmas(
-            [diag("DET004", 3), diag("DET004", 4), diag("DET005", 3)], pragmas
+            [
+                diag("DET004", 3),
+                diag("DET004", 4),
+                diag("DET005", 3),
+                diag("DET004", 3, file="other.py"),
+            ],
+            sources,
         )
-        assert [(d.code, d.line) for d in survivors] == [
-            ("DET004", 4),
-            ("DET005", 3),
+        assert [(d.code, d.file, d.line) for d in survivors] == [
+            ("DET004", "mod.py", 4),
+            ("DET005", "mod.py", 3),
+            ("DET004", "other.py", 3),
         ]
 
 
@@ -58,12 +65,6 @@ class TestLinterIntegration:
 
     def test_pragma_suppresses_per_file_finding(self):
         assert lint_python_source(self.SOURCE, "gossip/views.py") == []
-
-    def test_strict_mode_ignores_pragmas(self):
-        diags = lint_python_source(
-            self.SOURCE, "gossip/views.py", respect_pragmas=False
-        )
-        assert [d.code for d in diags] == ["DET004"]
 
     def test_next_line_spelling_in_context(self):
         source = (

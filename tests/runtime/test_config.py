@@ -1,4 +1,4 @@
-"""RunnerConfig: validation and immutability."""
+"""RunnerConfig: validation, immutability, and the pinned config surface."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.api import RunnerConfig
+from repro.scale.engine import ShardPlan
+from repro.sim.config import GossipParams, TransportCosts
 
 
 class TestValidation:
@@ -59,3 +61,37 @@ class TestValidation:
         )
         assert config.node_index == 3
 
+
+def test_config_surfaces_are_pinned():
+    """New knobs belong on RunnerConfig; growing any of these records is a
+    deliberate API change that updates this pin in the same commit."""
+    surfaces = {
+        cls.__name__: tuple(field.name for field in dataclasses.fields(cls))
+        for cls in (GossipParams, TransportCosts, ShardPlan, RunnerConfig)
+    }
+    assert surfaces == {
+        "GossipParams": ("view_size", "gossip_size", "healer", "swapper"),
+        "TransportCosts": ("header_bytes", "descriptor_bytes"),
+        "ShardPlan": ("n_nodes", "n_shards"),
+        "RunnerConfig": (
+            "kind",
+            "n_nodes",
+            "seed",
+            "shape",
+            "workload",
+            "gossip",
+            "costs",
+            "loss_rate",
+            "max_rounds",
+            "backend",
+            "n_shards",
+            "mode",
+            "bind_host",
+            "port",
+            "node_index",
+            "rendezvous",
+            "round_interval",
+            "ttl",
+            "fanout",
+        ),
+    }
