@@ -13,9 +13,9 @@ sub-systems into one System of Systems:
 - ``gateway``      — a small clique of replicated API servers.
 
 Links wire the pipeline: sensors → tree root, tree sink → storage ingest,
-storage serve → gateway. The example then demonstrates the paper's
-"third-party relay" idea: after the gateway loses its direct view of
-storage, UO2's long-distance contacts still resolve a fresh route.
+storage serve → gateway. The example then shows the part of the paper's
+"third-party relay" idea that the runtime provides: a sensor holds UO2
+long-distance contacts in storage, a component it has no declared link to.
 
 Run:  python examples/iot_composition.py
 """
@@ -55,7 +55,7 @@ def main() -> None:
         connection = deployment.network.node(manager).protocol("port_connection")
         print(f"  {a} (node {manager})  ->  {b} (node {connection.binding_for(b)})")
 
-    # Opportunistic routing: ANY sensor can reach the storage component
+    # Opportunistic reach: ANY sensor can reach the storage component
     # through UO2's long-distance contacts, without a declared link.
     sensor = deployment.role_map.member_ids("sensors")[7]
     uo2 = deployment.network.node(sensor).protocol("uo2")

@@ -137,8 +137,8 @@ _RULES = [
         WARNING,
         "unreachable component island",
         "The component graph is not connected: some components can never "
-        "exchange members with the rest of the assembly, so cross-component "
-        "routing and broadcast silently lose them.",
+        "exchange members with the rest of the assembly: no link or UO2 "
+        "contact can reach them.",
     ),
     Rule(
         "RPR203",
@@ -153,8 +153,8 @@ _RULES = [
         WARNING,
         "selector rank unsatisfiable",
         "A ``rank(K)`` selector targets a rank outside the component's fixed "
-        "size; the port will never have a manager and links through it stay "
-        "down (the runtime degrades to second-opinion routing).",
+        "size; the port will never have a manager and links through it "
+        "stay down.",
     ),
     Rule(
         "RPR205",
