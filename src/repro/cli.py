@@ -170,38 +170,85 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults.scenarios import SCENARIOS, format_scenario, run_fault_matrix
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    """``repro faults`` and ``repro heal``: run scenario rows and report.
 
+    Exit 0 iff every fault run healed / every managed run recovered.
+    """
+    from repro.heal.scenarios import (
+        FAULT_ROWS,
+        format_heal_matrix,
+        format_scenario,
+        run_heal_matrix,
+        run_scenario,
+        write_heal_bench,
+    )
+
+    heal = args.command == "heal"
+    heal_matrix = heal and args.scenario == "matrix"
+    if heal_matrix and args.obs is not None:
+        print(
+            "warning: --obs is ignored for the matrix (each run has its "
+            "own collector)",
+            file=sys.stderr,
+        )
     collector = None
-    if args.obs is not None or args.alerts is not None:
+    alerts = getattr(args, "alerts", None)
+    if (args.obs is not None or alerts is not None) and not heal_matrix:
         from repro.obs.collector import Collector
 
         collector = Collector(gauge_every=args.gauge_every)
-    kwargs = {"n_nodes": args.nodes, "seed": args.seed, "collector": collector}
-    if args.scenario == "matrix":
-        results = run_fault_matrix(**kwargs)
+    results = []
+    if heal_matrix:
+        pairs = run_heal_matrix(
+            n_nodes=args.nodes, seed=args.seed, budget=args.budget,
+            degree=args.degree,
+        )
+        print(format_heal_matrix(pairs))
+        results = [managed for managed, _ in pairs]
+        print(f"wrote {write_heal_bench(pairs, json_path=args.output)}")
     else:
-        results = [SCENARIOS[args.scenario](**kwargs)]
-    for index, result in enumerate(results):
-        if index:
-            print()
-        print(format_scenario(result))
+        # (row, managed) runs; only managed heal runs decide the exit code.
+        if not heal:
+            names = FAULT_ROWS if args.scenario == "matrix" else (args.scenario,)
+            runs = [(name, False) for name in names]
+        elif args.scenario == "partition-churn":
+            runs = [(args.scenario, True)]
+        else:
+            flavors = (True, False) if args.compare else (not args.unmanaged,)
+            runs = [(args.scenario, managed) for managed in flavors]
+        options = {"budget": args.budget} if heal else {}
+        if heal and args.scenario != "partition-churn":
+            options["degree"] = args.degree  # a corruption severity
+        for index, (name, managed) in enumerate(runs):
+            if index:
+                print()
+            result = run_scenario(
+                name, n_nodes=args.nodes, seed=args.seed, managed=managed,
+                collector=collector if managed or not heal else None,
+                **options,
+            )
+            print(format_scenario(result))
+            if managed or not heal:
+                results.append(result)
+    if heal and args.timeline is not None:
+        count = _write_timeline(args.timeline, results)
+        print(f"wrote {args.timeline} ({count} timeline entr(y/ies))")
     if collector is not None:
         if args.obs is not None:
             for path in _write_obs_exports(args.obs, collector):
                 print(f"wrote {path}")
-        if args.alerts is not None:
+        if alerts is not None:
             from repro.obs.export import write_jsonl
 
-            alerts = [
+            fired = [
                 event
                 for event in collector.events
                 if event.kind in ("alert", "alert_cleared")
             ]
-            write_jsonl(args.alerts, alerts)
-            print(f"wrote {args.alerts} ({len(alerts)} alert event(s))")
-    return 0 if all(result.healed for result in results) else 1
+            write_jsonl(alerts, fired)
+            print(f"wrote {alerts} ({len(fired)} alert event(s))")
+    return 0 if all(result.verdict == "recovered" for result in results) else 1
 
 
 def _write_timeline(path: str, results) -> int:
@@ -214,86 +261,13 @@ def _write_timeline(path: str, results) -> int:
             for entry in result.timeline:
                 handle.write(
                     json.dumps(
-                        {"mode": result.mode, "seed": result.seed, **entry},
+                        {"mode": result.name, "seed": result.seed, **entry},
                         sort_keys=True,
                     )
                     + "\n"
                 )
                 count += 1
     return count
-
-
-def _cmd_heal(args: argparse.Namespace) -> int:
-    from repro.heal.scenarios import (
-        format_heal_matrix,
-        format_heal_scenario,
-        run_heal_matrix,
-        run_heal_scenario,
-        run_partition_churn,
-        write_heal_bench,
-    )
-
-    collector = None
-    if args.obs is not None and args.scenario != "matrix":
-        from repro.obs.collector import Collector
-
-        collector = Collector(gauge_every=args.gauge_every)
-    results = []
-    if args.scenario == "matrix":
-        if args.obs is not None:
-            print(
-                "warning: --obs is ignored for the matrix (each run has its "
-                "own collector)",
-                file=sys.stderr,
-            )
-        from repro.heal.harness import corruption_modes
-
-        degrees = (
-            None
-            if args.degree is None
-            else {mode: args.degree for mode in corruption_modes()}
-        )
-        entries = run_heal_matrix(
-            n_nodes=args.nodes, seed=args.seed, budget=args.budget,
-            degrees=degrees,
-        )
-        print(format_heal_matrix(entries))
-        results = [entry["managed"] for entry in entries]
-        path = write_heal_bench(entries, json_path=args.output)
-        print(f"wrote {path}")
-    elif args.scenario == "partition-churn":
-        result = run_partition_churn(
-            n_nodes=args.nodes, seed=args.seed, budget=args.budget,
-            collector=collector,
-        )
-        print(format_heal_scenario(result))
-        results = [result]
-    else:
-        flavors = (
-            (True, False) if args.compare else ((not args.unmanaged),)
-        )
-        for index, managed in enumerate(flavors):
-            if index:
-                print()
-            result = run_heal_scenario(
-                args.scenario,
-                n_nodes=args.nodes,
-                seed=args.seed,
-                degree=args.degree,
-                budget=args.budget,
-                managed=managed,
-                collector=collector if managed else None,
-            )
-            print(format_heal_scenario(result))
-            if managed:
-                results.append(result)
-    if args.timeline is not None:
-        count = _write_timeline(args.timeline, results)
-        print(f"wrote {args.timeline} ({count} timeline entr(y/ies))")
-    if collector is not None and args.obs is not None:
-        for path in _write_obs_exports(args.obs, collector):
-            print(f"wrote {path}")
-    return 0 if all(result.verdict == "recovered" for result in results) else 1
 
 
 def _write_obs_exports(jsonl_path: str, collector) -> List[str]:
@@ -731,14 +705,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("target", choices=tuple(_BENCH_DRIVERS))
     bench.set_defaults(func=_cmd_bench)
 
-    from repro.faults.scenarios import SCENARIOS
+    from repro.heal.scenarios import FAULT_ROWS
 
     faults = subparsers.add_parser(
         "faults", help="run a fault-injection scenario and report recovery"
     )
     faults.add_argument(
         "--scenario",
-        choices=tuple(SCENARIOS) + ("matrix",),
+        choices=FAULT_ROWS + ("matrix",),
         default="partition",
         help="which fault to inject ('matrix' runs the whole suite)",
     )
@@ -765,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write just the alert/alert_cleared events (JSONL) to PATH "
         "(attaches the health monitor even without --obs)",
     )
-    faults.set_defaults(func=_cmd_faults)
+    faults.set_defaults(func=_cmd_scenario)
 
     from repro.heal.harness import corruption_modes
 
@@ -833,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="structural gauge sampling period in rounds, 0 disables "
         "(default: 5)",
     )
-    heal.set_defaults(func=_cmd_heal)
+    heal.set_defaults(func=_cmd_scenario)
 
     report = subparsers.add_parser(
         "report",

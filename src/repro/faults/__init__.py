@@ -1,6 +1,6 @@
-"""Fault injection and self-healing verification.
+"""Fault injection: partitions, correlated outages, degraded links.
 
-The subsystem has four planes, mirroring how real deployments fail:
+The subsystem has three planes, mirroring how real deployments fail:
 
 - **topology** (:mod:`~repro.faults.plane`): a :class:`FaultPlane` that
   :class:`~repro.faults.transports.FaultTransport` consults on every
@@ -10,11 +10,13 @@ The subsystem has four planes, mirroring how real deployments fail:
   nodes into availability zones so failures can be *correlated*;
 - **schedule** (:mod:`~repro.faults.controls`): engine controls that fire
   and heal faults at round boundaries — :class:`Partition`,
-  :class:`ZoneOutage`, :class:`PauseResume`, :class:`LinkDegradation`;
-- **verification**: :class:`repro.obs.recovery.RecoveryObserver` measures
-  per-layer time-to-repair against the plane's event log, and
-  :mod:`~repro.faults.scenarios` is the standard fault-matrix suite behind
-  ``python -m repro faults``.
+  :class:`ZoneOutage`, :class:`PauseResume`, :class:`LinkDegradation`.
+
+The package is injection only. Measuring recovery lives elsewhere:
+:class:`repro.obs.recovery.RecoveryObserver` times each layer's repair
+against the plane's event log, and :mod:`repro.heal.scenarios` holds the
+scenario rows behind ``python -m repro faults`` and ``python -m repro
+heal``.
 """
 
 from repro.faults.controls import (
@@ -32,17 +34,10 @@ from repro.faults.plane import (
     split_by_zone,
     split_islands,
 )
-from repro.faults.scenarios import (
-    SCENARIOS,
-    ScenarioResult,
-    format_scenario,
-    run_fault_matrix,
-)
 from repro.faults.zones import ZoneMap
 
 __all__ = [
     "PERFECT_LINK",
-    "SCENARIOS",
     "FaultEvent",
     "FaultPlane",
     "LinkDegradation",
@@ -50,11 +45,8 @@ __all__ = [
     "LinkQuality",
     "Partition",
     "PauseResume",
-    "ScenarioResult",
     "ZoneMap",
     "ZoneOutage",
-    "format_scenario",
-    "run_fault_matrix",
     "split_by_zone",
     "split_islands",
 ]

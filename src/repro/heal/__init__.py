@@ -5,9 +5,10 @@ The observability subsystem watches (collector, health rules); this package
 health-alert transitions, maps each typed alert to a remediation action
 under a bounded, deterministic retry policy, and escalates — local action →
 component re-seed → ``unrecoverable`` — when local repair cannot close the
-incident. The adversarial harness and scenario matrix quantify the loop:
-corrupted-state starts, managed vs unmanaged, time-to-stabilize vs
-corruption degree.
+incident. The adversarial harness and the scenario catalogue quantify the
+loop: corrupted-state starts, managed vs unmanaged, time-to-stabilize. The
+catalogue (:mod:`~repro.heal.scenarios`) also holds the fault rows behind
+``python -m repro faults``: every scenario is one row of one table.
 
 Everything here obeys the determinism discipline (the DET linter covers
 ``heal/``): no wall clock, no module-level RNG — every draw flows from the
@@ -38,13 +39,12 @@ _EXPORTS = {
     "corrupt_segregated": "repro.heal.harness",
     "corrupt_poisoned": "repro.heal.harness",
     "corrupt_stale": "repro.heal.harness",
-    "HealScenarioResult": "repro.heal.scenarios",
-    "run_heal_scenario": "repro.heal.scenarios",
+    "SCENARIOS": "repro.heal.scenarios",
+    "ScenarioResult": "repro.heal.scenarios",
+    "run_scenario": "repro.heal.scenarios",
     "run_heal_matrix": "repro.heal.scenarios",
-    "run_partition_churn": "repro.heal.scenarios",
-    "run_degree_sweep": "repro.heal.scenarios",
     "write_heal_bench": "repro.heal.scenarios",
-    "format_heal_scenario": "repro.heal.scenarios",
+    "format_scenario": "repro.heal.scenarios",
     "format_heal_matrix": "repro.heal.scenarios",
 }
 
@@ -73,13 +73,12 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     )
     from repro.heal.policy import BackoffPolicy, DEFAULT_POLICY  # noqa: F401
     from repro.heal.scenarios import (  # noqa: F401
-        HealScenarioResult,
+        SCENARIOS,
+        ScenarioResult,
         format_heal_matrix,
-        format_heal_scenario,
-        run_degree_sweep,
+        format_scenario,
         run_heal_matrix,
-        run_heal_scenario,
-        run_partition_churn,
+        run_scenario,
         write_heal_bench,
     )
 

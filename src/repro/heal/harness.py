@@ -1,6 +1,6 @@
 """Adversarial-state generators: start the overlay from corrupted views.
 
-The fault matrix (:mod:`repro.faults.scenarios`) injects *environmental*
+The fault rows of :mod:`repro.heal.scenarios` inject *environmental*
 failures — cuts, kills, pauses — and the self-organizing layers absorb
 those well: gossip hygiene (tombstones, oldest-first purging, oracle
 re-bootstrap on empty views) flushes localized damage in a handful of
@@ -32,8 +32,7 @@ Each generator mutates a converged deployment in place, drawing only from
 the passed-in seeded stream (iteration is in sorted id order, so the
 corruption is a pure function of (deployment, seed, degree)), and returns
 a JSON-able description of what it injected. ``degree`` scales corruption
-severity in ``[0, 1]``; the scenario runner sweeps it to chart
-time-to-stabilize against corruption severity.
+severity in ``[0, 1]``.
 """
 
 from __future__ import annotations

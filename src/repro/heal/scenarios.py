@@ -1,27 +1,33 @@
-"""Closed-loop recovery scenarios: managed vs unmanaged, by corruption mode.
+"""The scenario catalogue: every fault and corruption run as one table row.
 
-Each scenario deploys the shared ring-of-rings substrate
-(:func:`~repro.faults.scenarios.standard_deployment`), converges it
-cleanly, injects one corruption mode from :mod:`repro.heal.harness`, and
-measures **time-to-stabilize**: the convergence tracker is reset at the
-moment of corruption, so the report's slowest layer round is exactly the
-rounds the system needed to fully re-converge (``None`` when the budget
-ran out first).
+Every scenario follows one protocol — deploy the shared ring-of-rings
+substrate (:func:`standard_deployment`), converge it cleanly, arm a
+:class:`~repro.obs.recovery.RecoveryObserver` (plus the health monitor when
+telemetry is on, plus a :class:`~repro.heal.engine.RemediationEngine` when
+managed), inject one fault, and run. A row of :data:`SCENARIOS` says only
+what it injects and how long the run lasts; :func:`run_scenario` does the
+rest and returns one :class:`ScenarioResult`.
 
-Every scenario runs in two flavors:
+The fault rows (``python -m repro faults``) run a fixed window plus
+recovery rounds and are judged on per-layer time-to-repair:
 
-- **managed** — a :class:`~repro.heal.engine.RemediationEngine` closes the
-  observe → decide → act loop; the result embeds its remediation timeline
-  and verdict next to the health summary;
-- **unmanaged** — same telemetry, no actuator: the differential baseline
-  showing what the self-organizing layers can (and cannot) repair alone.
+- ``partition`` — split the population into islands, heal after a window;
+- ``zone-outage`` — pause one availability zone, restore it (zombies);
+- ``zone-kill`` — kill one zone for good and rebalance survivors;
+- ``catastrophe`` — kill a random 30% at once and rebalance;
+- ``flaky-links`` — degrade one zone pair (loss + latency), then repair;
+- ``pause-resume`` — freeze a random quarter of the nodes, thaw later.
 
-``run_heal_matrix`` pairs both flavors across every corruption mode;
-``run_partition_churn`` is the compound end-to-end scenario (a real cut
-plus a kill wave, with the built-in rendezvous disabled so only the
-remediation engine can re-join the overlays); ``write_heal_bench`` lands
-the stabilization numbers in ``BENCH_heal.json`` alongside the gossip
-trajectory.
+The stabilization rows (``python -m repro heal``) start from corrupted
+state (:mod:`repro.heal.harness`: ``poisoned``, ``segregated``, ``stale``)
+or from the compound ``partition-churn`` fault (a real cut with the
+built-in rendezvous disabled, plus a kill wave), then run until every layer
+re-converges within a budget, plus :data:`GRACE_ROUNDS`. The convergence
+tracker is reset at injection, so ``stabilize_rounds`` is exactly the
+rounds the system needed. Managed runs close the observe → decide → act
+loop; unmanaged runs keep the telemetry and drop the actuator — the
+differential baseline :func:`run_heal_matrix` pairs across every corruption
+mode and :func:`write_heal_bench` lands in ``BENCH_heal.json``.
 """
 
 from __future__ import annotations
@@ -29,70 +35,97 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.runtime import Deployment, Runtime, RuntimeConfig
 from repro.errors import ConfigurationError
-from repro.faults.controls import Partition
-from repro.faults.scenarios import standard_deployment
+from repro.experiments.topologies import ring_of_rings
+from repro.faults.controls import LinkDegradation, Partition, PauseResume, ZoneOutage
+from repro.faults.plane import FaultPlane, LinkQuality
+from repro.faults.zones import ZoneMap
 from repro.heal.engine import RemediationEngine
 from repro.heal.harness import CORRUPTIONS, corruption_modes
 from repro.obs import events as _events
 from repro.obs.collector import Collector
-from repro.obs.hooks import attach_health
-from repro.obs.recovery import RecoveryObserver
+from repro.obs.hooks import attach_collector, attach_health
+from repro.obs.recovery import RecoveryObserver, RecoveryReport
 
-#: Default corruption severity per mode (tuned so the unmanaged baseline
+#: Default zone layout of every zone-aware scenario.
+DEFAULT_ZONES = ("zone-a", "zone-b", "zone-c", "zone-d")
+
+#: Corruption severity when none is given (tuned so the unmanaged baseline
 #: visibly fails or lags while staying within CI budgets).
-DEFAULT_DEGREES: Dict[str, float] = {
-    "segregated": 1.0,
-    "poisoned": 1.0,
-    "stale": 1.0,
-}
+DEFAULT_DEGREE = 1.0
 
 #: Extra rounds run after re-convergence so firing alerts can clear and
 #: open incidents can close before the verdict is read.
 GRACE_ROUNDS = 6
 
+#: An injection: mutate the armed deployment at the start of the fault
+#: (``window`` and ``degree`` are the row's and the run's) and return a
+#: JSON-able description of what it injected (empty for the fault rows).
+Inject = Callable[[Deployment, FaultPlane, int, float], Dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One row of the catalogue: what it injects and how long it runs.
+
+    The run lasts ``window + recovery`` rounds counted from injection;
+    a row with a ``budget`` then runs until every layer re-converges (at
+    most ``budget`` rounds), plus :data:`GRACE_ROUNDS` when it does.
+    """
+
+    inject: Inject
+    window: int = 0
+    recovery: int = 0
+    budget: Optional[int] = None
+    zones: bool = False
+
 
 @dataclass
-class HealScenarioResult:
-    """Outcome of one corruption scenario run (one flavor)."""
+class ScenarioResult:
+    """Outcome of one scenario run."""
 
-    mode: str
-    degree: float
-    managed: bool
+    name: str
     n_nodes: int
     seed: int
     deploy_rounds: Optional[int]
-    corruption: Dict[str, Any]
-    #: Rounds from corruption to full re-convergence (None: never, within
-    #: the budget).
-    stabilize_rounds: Optional[int]
-    budget: int
-    health: Dict[str, Any]
-    #: Remediation engine summary (managed runs only).
+    report: RecoveryReport
+    drop_reasons: Dict[str, int]
+    delayed_exchanges: int
+    #: HealthMonitor summary (runs with telemetry), incl. the alert history.
+    health: Optional[Dict[str, Any]] = None
+    managed: bool = False
+    degree: float = DEFAULT_DEGREE
+    #: What the injection reported (stabilization rows).
+    corruption: Dict[str, Any] = field(default_factory=dict)
+    #: Rounds from injection to full re-convergence (None: never within the
+    #: budget, or a fault row, which has no budget).
+    stabilize_rounds: Optional[int] = None
+    budget: Optional[int] = None
+    #: Remediation engine summary and timeline (managed runs only).
     remediation: Optional[Dict[str, Any]] = None
-    #: Remediation timeline, JSONL-ready (empty on unmanaged runs).
     timeline: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
-    def converged(self) -> bool:
-        return self.stabilize_rounds is not None
-
-    @property
     def verdict(self) -> str:
-        """``recovered``, ``degraded`` (budget ran out), or
+        """``recovered``, ``degraded`` (not healed / budget ran out), or
         ``unrecoverable`` (the engine exhausted its escalation ladder)."""
         if (
             self.remediation is not None
             and self.remediation["verdict"] == "unrecoverable"
         ):
             return "unrecoverable"
-        return "recovered" if self.converged else "degraded"
+        if self.budget is None:
+            healed = self.report.healed
+        else:
+            healed = self.stabilize_rounds is not None
+        return "recovered" if healed else "degraded"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "mode": self.mode,
+            "mode": self.name,
             "degree": self.degree,
             "managed": self.managed,
             "nodes": self.n_nodes,
@@ -102,109 +135,70 @@ class HealScenarioResult:
             "stabilize_rounds": self.stabilize_rounds,
             "budget": self.budget,
             "verdict": self.verdict,
-            "alerts_fired": self.health.get("alerts_total", 0),
+            "alerts_fired": (self.health or {}).get("alerts_total", 0),
             "remediation": self.remediation,
         }
 
 
-def _arm(deployment, collector: Collector):
-    """Recovery observer + health monitor over an (inactive) fault plane.
-
-    The plane stays fault-free unless the scenario installs controls, so
-    arming it never perturbs the run; the recovery observer is what feeds
-    the ``layers_converged`` and ``dead_descriptor_fraction`` gauges the
-    health rules (and therefore the remediation engine) decide on.
-    """
-    plane = deployment.faults or deployment.install_faults()
-    observer = RecoveryObserver.for_deployment(
-        deployment, plane, instrument=collector
-    )
-    deployment.engine.add_observer(observer)
-    deployment.recovery = observer  # type: ignore[attr-defined]
-    monitor = attach_health(deployment, collector)
-    return plane, observer, monitor
-
-
-def run_heal_scenario(
-    mode: str,
-    n_nodes: int = 64,
-    seed: int = 7,
-    degree: Optional[float] = None,
-    budget: int = 80,
-    managed: bool = True,
-    converge_rounds: int = 120,
+def standard_deployment(
+    n_nodes: int,
+    seed: int,
+    config: Optional[RuntimeConfig] = None,
     collector: Optional[Collector] = None,
-) -> HealScenarioResult:
-    """Converge, corrupt with ``mode``, and measure time-to-stabilize."""
-    if mode not in CORRUPTIONS:
+) -> Deployment:
+    """A ring-of-rings deployment sized to ``n_nodes`` (extras are spares).
+
+    The shared substrate of every scenario row, so their numbers are
+    comparable.
+    """
+    if n_nodes < 32:
         raise ConfigurationError(
-            f"unknown corruption mode {mode!r}; pick one of "
-            f"{', '.join(corruption_modes())}"
+            f"fault scenarios need >= 32 nodes, got {n_nodes}"
         )
-    if degree is None:
-        degree = DEFAULT_DEGREES[mode]
-    if collector is None:
-        collector = Collector()
-    deployment = standard_deployment(n_nodes, seed, collector=collector)
-    deploy_rounds = deployment.run_until_converged(converge_rounds).slowest
-    plane, _, monitor = _arm(deployment, collector)
-    engine = (
-        RemediationEngine.for_deployment(deployment, monitor) if managed else None
-    )
-    rng = deployment.streams.fork("heal").stream("corruption", mode)
-    info = CORRUPTIONS[mode](deployment, rng, degree)
-    plane.record_event(
-        deployment.engine.round, "corruption", f"mode={mode} degree={degree}"
-    )
-    collector.emit(
-        _events.EVENT_CORRUPTION,
-        **{key: value for key, value in info.items() if key != "mode"},
-        mode=mode,
-        flavor="managed" if managed else "unmanaged",
-    )
-    deployment.tracker.reset()
-    report = deployment.run_until_converged(budget)
-    if report.converged:
-        deployment.run(GRACE_ROUNDS)
-    return HealScenarioResult(
-        mode=mode,
-        degree=degree,
-        managed=managed,
-        n_nodes=n_nodes,
-        seed=seed,
-        deploy_rounds=deploy_rounds,
-        corruption=info,
-        stabilize_rounds=report.slowest,
-        budget=budget,
-        health=monitor.summary(),
-        remediation=engine.summary() if engine is not None else None,
-        timeline=engine.timeline() if engine is not None else [],
-    )
+    ring_size = 16 if n_nodes >= 64 else 8
+    n_rings = max(2, n_nodes // ring_size)
+    assembly = ring_of_rings(n_rings=n_rings, ring_size=ring_size)
+    deployment = Runtime(assembly, config=config, seed=seed).deploy(n_nodes)
+    if collector is not None:
+        attach_collector(deployment, collector)
+    return deployment
 
 
-def run_partition_churn(
-    n_nodes: int = 64,
-    seed: int = 7,
-    window: int = 12,
-    kills: int = 8,
-    budget: int = 100,
-    collector: Optional[Collector] = None,
-) -> HealScenarioResult:
-    """The compound end-to-end scenario: a real cut plus a kill wave.
+def _arm(deployment: Deployment, plane: FaultPlane, collector: Optional[Collector]):
+    """Attach the recovery observer and, with telemetry, the health monitor.
 
-    The partition control runs with ``rendezvous=0`` — the built-in heal
-    path clears the cut but deliberately re-seeds nothing, so the two
-    segregated overlays can only be re-joined by the remediation engine
-    (whose rendezvous re-seed *defers* while the cut is active, then
-    applies once it clears). The mid-cut kill wave adds a churn spike and
-    dead-descriptor debris on top. Always managed.
+    Order matters: the recovery observer refreshes the ``layers_converged``
+    and ``dead_descriptor_fraction`` gauges each round, and the health
+    monitor — added last — evaluates its rules (and so the remediation
+    engine decides) on those fresh values. Returns ``(observer, monitor)``.
     """
-    if collector is None:
-        collector = Collector()
-    deployment = standard_deployment(n_nodes, seed, collector=collector)
-    deploy_rounds = deployment.run_until_converged(120).slowest
-    plane, _, monitor = _arm(deployment, collector)
-    engine = RemediationEngine.for_deployment(deployment, monitor)
+    observer = RecoveryObserver.for_deployment(deployment, plane, instrument=collector)
+    deployment.engine.add_observer(observer)
+    monitor = None if collector is None else attach_health(deployment, collector)
+    return observer, monitor
+
+
+# -- injections -----------------------------------------------------------------
+
+
+def _stream(deployment: Deployment, space: str, *names):
+    return deployment.streams.fork(space).stream(*names)
+
+
+def _record_kill(deployment: Deployment, plane: FaultPlane, victims) -> None:
+    for node_id in victims:
+        deployment.network.kill(node_id)
+    plane.record_event(deployment.engine.round, "catastrophe", f"killed={len(victims)}")
+
+
+def _rebalance(deployment: Deployment, plane: FaultPlane) -> None:
+    """Re-run the assignment rule so survivors and spares absorb the vacated
+    roles (the self-healing reaction to a crash-stop fault)."""
+    deployment.rebalance()
+    plane.record_event(deployment.engine.round, "rebalance", "roles reassigned")
+
+
+def _partition(deployment, plane, window, degree, **options):
     start = deployment.engine.round
     deployment.engine.add_control(
         Partition(
@@ -212,97 +206,232 @@ def run_partition_churn(
             at_round=start,
             heal_round=start + window,
             islands=2,
-            rng=deployment.streams.fork("faults").stream("partition"),
-            rendezvous=0,
+            rng=_stream(deployment, "faults", "partition"),
+            **options,
         )
     )
-    deployment.tracker.reset()
-    deployment.run(2)
-    rng = deployment.streams.fork("heal").stream("churn-wave")
-    alive = deployment.network.alive_ids()
-    victims = sorted(rng.sample(alive, min(kills, max(0, len(alive) - 8))))
-    for victim in victims:
-        deployment.network.kill(victim)
-    plane.record_event(
-        deployment.engine.round, "catastrophe", f"killed={len(victims)}"
+    return {}
+
+
+def _zone_outage(deployment, plane, window, degree):
+    start = deployment.engine.round
+    deployment.engine.add_control(
+        ZoneOutage(
+            plane,
+            zone=DEFAULT_ZONES[0],
+            at_round=start,
+            mode="pause",
+            restore_round=start + window,
+        )
     )
-    deployment.run(max(0, window - 2))
-    report = deployment.run_until_converged(budget)
-    if report.converged:
-        deployment.run(GRACE_ROUNDS)
-    return HealScenarioResult(
-        mode="partition-churn",
-        degree=1.0,
-        managed=True,
+    return {}
+
+
+def _zone_kill(deployment, plane, window, degree):
+    deployment.engine.add_control(
+        ZoneOutage(plane, zone=DEFAULT_ZONES[0], at_round=deployment.engine.round)
+    )
+    deployment.run(1)
+    _rebalance(deployment, plane)
+    return {}
+
+
+def _catastrophe(deployment, plane, window, degree):
+    alive = list(deployment.network.alive_ids())
+    rng = _stream(deployment, "faults", "catastrophe")
+    _record_kill(deployment, plane, rng.sample(alive, int(len(alive) * 0.3)))
+    _rebalance(deployment, plane)
+    return {}
+
+
+def _flaky_links(deployment, plane, window, degree):
+    start = deployment.engine.round
+    deployment.engine.add_control(
+        LinkDegradation(
+            plane,
+            at_round=start,
+            quality=LinkQuality(loss=0.6, latency=0.5),
+            zone_pairs=[(DEFAULT_ZONES[0], DEFAULT_ZONES[1])],
+            restore_round=start + window,
+        )
+    )
+    return {}
+
+
+def _pause_resume(deployment, plane, window, degree):
+    start = deployment.engine.round
+    deployment.engine.add_control(
+        PauseResume(
+            plane,
+            rng=_stream(deployment, "faults", "pause"),
+            at_round=start,
+            resume_round=start + window,
+            fraction=0.25,
+        )
+    )
+    return {}
+
+
+def _corrupt(mode: str) -> Inject:
+    def inject(deployment, plane, window, degree):
+        rng = _stream(deployment, "heal", "corruption", mode)
+        info = CORRUPTIONS[mode](deployment, rng, degree)
+        plane.record_event(
+            deployment.engine.round, "corruption", f"mode={mode} degree={degree}"
+        )
+        return info
+
+    return inject
+
+
+def _partition_churn(deployment, plane, window, degree):
+    """A real cut whose heal re-seeds nothing (``rendezvous=0``), so the two
+    overlays can only be re-joined by the remediation engine — its
+    rendezvous re-seed defers while the cut is active, then applies once it
+    clears — plus a kill wave two rounds in: a churn spike and
+    dead-descriptor debris on top."""
+    _partition(deployment, plane, window, degree, rendezvous=0)
+    deployment.run(2)
+    alive = deployment.network.alive_ids()
+    rng = _stream(deployment, "heal", "churn-wave")
+    victims = sorted(rng.sample(alive, min(8, max(0, len(alive) - 8))))
+    _record_kill(deployment, plane, victims)
+    return {"mode": "partition-churn", "window": window, "killed": len(victims)}
+
+
+#: The catalogue: row name -> what it injects and how long it runs.
+SCENARIOS: Dict[str, Scenario] = {
+    "partition": Scenario(_partition, window=20, recovery=60),
+    "zone-outage": Scenario(_zone_outage, window=15, recovery=60, zones=True),
+    "zone-kill": Scenario(_zone_kill, window=15, recovery=60, zones=True),
+    "catastrophe": Scenario(_catastrophe, recovery=80),
+    "flaky-links": Scenario(_flaky_links, window=25, recovery=40, zones=True),
+    "pause-resume": Scenario(_pause_resume, window=20, recovery=60),
+    **{mode: Scenario(_corrupt(mode), budget=80) for mode in corruption_modes()},
+    "partition-churn": Scenario(_partition_churn, window=12, budget=100),
+}
+
+#: The rows ``repro faults`` runs (fixed length, judged on time-to-repair).
+FAULT_ROWS = tuple(name for name, row in SCENARIOS.items() if row.budget is None)
+
+
+def run_scenario(
+    name: str,
+    n_nodes: int = 128,
+    seed: int = 1,
+    collector: Optional[Collector] = None,
+    managed: bool = False,
+    degree: Optional[float] = None,
+    budget: Optional[int] = None,
+    converge_rounds: int = 120,
+) -> ScenarioResult:
+    """Deploy, converge, arm, inject row ``name``'s fault and run it.
+
+    ``budget`` overrides the row's re-convergence budget. A row with a
+    budget always runs with telemetry (its own collector when none is
+    given): the health rules are what a managed run acts on.
+    """
+    row = SCENARIOS.get(name)
+    if row is None:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; pick one of {', '.join(SCENARIOS)}"
+        )
+    degree = DEFAULT_DEGREE if degree is None else degree
+    budget = row.budget if budget is None else budget
+    if collector is None and budget is not None:
+        collector = Collector()
+    deployment = standard_deployment(n_nodes, seed, collector=collector)
+    deploy_rounds = deployment.run_until_converged(converge_rounds).slowest
+    plane = None
+    if row.zones:
+        zone_map = ZoneMap.round_robin(deployment.network.node_ids(), DEFAULT_ZONES)
+        zone_map.annotate(deployment.network)
+        plane = FaultPlane(zones=zone_map)
+    plane = deployment.install_faults(plane)
+    observer, monitor = _arm(deployment, plane, collector)
+    engine = RemediationEngine.for_deployment(deployment, monitor) if managed else None
+    start = deployment.engine.round
+    if budget is not None:
+        deployment.tracker.reset()
+    corruption = row.inject(deployment, plane, row.window, degree)
+    if name in CORRUPTIONS:
+        collector.emit(
+            _events.EVENT_CORRUPTION,
+            **{key: value for key, value in corruption.items() if key != "mode"},
+            mode=name,
+            flavor="managed" if managed else "unmanaged",
+        )
+    deployment.run(row.window + row.recovery - (deployment.engine.round - start))
+    stabilize_rounds = None
+    if budget is not None:
+        converged = deployment.run_until_converged(budget)
+        if converged.converged:
+            deployment.run(GRACE_ROUNDS)
+        stabilize_rounds = converged.slowest
+    report = observer.report()
+    if collector is not None and budget is None:
+        _emit_fault_run(collector, name, n_nodes, seed, deploy_rounds, plane, report)
+    return ScenarioResult(
+        name=name,
         n_nodes=n_nodes,
         seed=seed,
         deploy_rounds=deploy_rounds,
-        corruption={
-            "mode": "partition-churn",
-            "window": window,
-            "killed": len(victims),
-        },
-        stabilize_rounds=report.slowest,
+        report=report,
+        drop_reasons=deployment.transport.drop_reasons(),
+        delayed_exchanges=deployment.transport.total_delayed(),
+        health=None if monitor is None else monitor.summary(),
+        managed=managed,
+        degree=degree,
+        corruption=corruption,
+        stabilize_rounds=stabilize_rounds,
         budget=budget,
-        health=monitor.summary(),
-        remediation=engine.summary(),
-        timeline=engine.timeline(),
+        remediation=None if engine is None else engine.summary(),
+        timeline=[] if engine is None else engine.timeline(),
+    )
+
+
+def _emit_fault_run(collector, name, n_nodes, seed, deploy_rounds, plane, report):
+    """Delimit a fault run in the telemetry stream and mirror the plane's
+    event log into it (replayed here, off the hot path)."""
+    collector.emit(
+        "scenario", scenario=name, nodes=n_nodes, seed=seed, deploy_rounds=deploy_rounds
+    )
+    for event in plane.events:
+        collector.emit(event.kind, at=event.round, detail=str(event.detail))
+    collector.emit(
+        "scenario_result",
+        scenario=name,
+        healed=report.healed,
+        residual_dead_fraction=report.residual_dead_fraction,
     )
 
 
 def run_heal_matrix(
     n_nodes: int = 64,
     seed: int = 7,
-    budget: int = 80,
-    degrees: Optional[Dict[str, float]] = None,
-) -> List[Dict[str, Any]]:
-    """Managed vs unmanaged across every corruption mode.
+    budget: Optional[int] = None,
+    degree: Optional[float] = None,
+) -> List[Tuple[ScenarioResult, ScenarioResult]]:
+    """``(managed, unmanaged)`` runs of every corruption row.
 
-    Returns one entry per mode: ``{"mode", "degree", "managed",
-    "unmanaged"}`` with both :class:`HealScenarioResult` flavors. Each run
-    gets a fresh collector — health-rule state is windowed and must not
-    leak across runs.
+    Each run gets a fresh collector — health-rule state is windowed and
+    must not leak across runs.
     """
-    entries: List[Dict[str, Any]] = []
-    for mode in corruption_modes():
-        degree = (degrees or {}).get(mode, DEFAULT_DEGREES[mode])
-        entries.append(
-            {
-                "mode": mode,
-                "degree": degree,
-                "managed": run_heal_scenario(
-                    mode, n_nodes=n_nodes, seed=seed, degree=degree,
-                    budget=budget, managed=True,
-                ),
-                "unmanaged": run_heal_scenario(
-                    mode, n_nodes=n_nodes, seed=seed, degree=degree,
-                    budget=budget, managed=False,
-                ),
-            }
-        )
-    return entries
-
-
-def run_degree_sweep(
-    mode: str,
-    degrees: Optional[List[float]] = None,
-    n_nodes: int = 64,
-    seed: int = 7,
-    budget: int = 80,
-) -> List[HealScenarioResult]:
-    """Time-to-stabilize vs corruption degree (managed runs)."""
-    if degrees is None:
-        degrees = [0.25, 0.5, 0.75, 1.0]
     return [
-        run_heal_scenario(
-            mode, n_nodes=n_nodes, seed=seed, degree=degree, budget=budget
+        tuple(
+            run_scenario(
+                mode, n_nodes=n_nodes, seed=seed, managed=managed,
+                degree=degree, budget=budget,
+            )
+            for managed in (True, False)
         )
-        for degree in degrees
+        for mode in corruption_modes()
     ]
 
 
 def write_heal_bench(
-    entries: List[Dict[str, Any]], json_path: str = "BENCH_heal.json"
+    pairs: List[Tuple[ScenarioResult, ScenarioResult]],
+    json_path: str = "BENCH_heal.json",
 ) -> str:
     """Write the matrix stabilization numbers as JSON; returns the path.
 
@@ -314,15 +443,15 @@ def write_heal_bench(
         "benchmark": "heal",
         "entries": [
             {
-                "mode": entry["mode"],
-                "degree": entry["degree"],
-                "nodes": entry["managed"].n_nodes,
-                "seed": entry["managed"].seed,
-                "budget": entry["managed"].budget,
-                "managed": entry["managed"].to_dict(),
-                "unmanaged": entry["unmanaged"].to_dict(),
+                "mode": managed.name,
+                "degree": managed.degree,
+                "nodes": managed.n_nodes,
+                "seed": managed.seed,
+                "budget": managed.budget,
+                "managed": managed.to_dict(),
+                "unmanaged": unmanaged.to_dict(),
             }
-            for entry in entries
+            for managed, unmanaged in pairs
         ],
     }
     path = pathlib.Path(json_path)
@@ -332,11 +461,49 @@ def write_heal_bench(
     return str(path)
 
 
-def format_heal_scenario(result: HealScenarioResult) -> str:
-    """Human-readable report for one scenario run."""
+def _alert_history(alerts: List[Dict[str, Any]]) -> str:
+    """``rule@rN (cleared rM), …`` — which rules fired and whether they
+    cleared."""
+    return ", ".join(
+        f"{alert['rule']}@r{alert['round_fired']}"
+        + (
+            ""
+            if alert["round_cleared"] is None
+            else f" (cleared r{alert['round_cleared']})"
+        )
+        for alert in alerts
+    )
+
+
+def format_scenario(result: ScenarioResult) -> str:
+    """Human-readable report for one scenario run: the time-to-repair
+    report of a fault row, the time-to-stabilize of a row with a budget."""
+    health = result.health
+    if result.budget is None:
+        out = [
+            f"scenario {result.name}: nodes={result.n_nodes} seed={result.seed} "
+            f"(deployed in {result.deploy_rounds} rounds)",
+            result.report.render(),
+        ]
+        if result.drop_reasons:
+            drops = ", ".join(
+                f"{reason}={count}"
+                for reason, count in sorted(result.drop_reasons.items())
+            )
+            out.append(f"dropped exchanges: {drops}")
+        if result.delayed_exchanges:
+            out.append(f"delayed exchanges: {result.delayed_exchanges}")
+        if health is not None:
+            fired = _alert_history(health["alerts"])
+            out.append(
+                f"health: {health['verdict']} ({health['alerts_active']} active / "
+                f"{health['alerts_total']} fired" + (f": {fired}" if fired else "") + ")"
+            )
+        out.append(f"healed: {'yes' if result.verdict == 'recovered' else 'NO'}")
+        return "\n".join(out)
     flavor = "managed" if result.managed else "unmanaged"
     out = [
-        f"heal {result.mode} ({flavor}): nodes={result.n_nodes} "
+        f"heal {result.name} ({flavor}): nodes={result.n_nodes} "
         f"seed={result.seed} degree={result.degree} "
         f"(deployed in {result.deploy_rounds} rounds)",
         "time-to-stabilize: "
@@ -346,17 +513,8 @@ def format_heal_scenario(result: HealScenarioResult) -> str:
             else f"NOT STABILIZED within {result.budget} rounds"
         ),
     ]
-    alerts = result.health.get("alerts", [])
-    if alerts:
-        fired = ", ".join(
-            f"{alert['rule']}@r{alert['round_fired']}"
-            + (
-                ""
-                if alert["round_cleared"] is None
-                else f" (cleared r{alert['round_cleared']})"
-            )
-            for alert in alerts
-        )
+    fired = _alert_history(health.get("alerts", []))
+    if fired:
         out.append(f"alerts: {fired}")
     if result.remediation is not None:
         summary = result.remediation
@@ -370,9 +528,7 @@ def format_heal_scenario(result: HealScenarioResult) -> str:
             if entry["kind"] != "remediation":
                 continue
             detail = entry.get("detail", {})
-            rendered = " ".join(
-                f"{key}={detail[key]}" for key in sorted(detail)
-            )
+            rendered = " ".join(f"{key}={detail[key]}" for key in sorted(detail))
             out.append(
                 f"  r{entry['round']}: {entry['rule']} -> {entry['action']} "
                 f"[L{entry['level']} a{entry['attempt']}] {entry['outcome']}"
@@ -382,18 +538,16 @@ def format_heal_scenario(result: HealScenarioResult) -> str:
     return "\n".join(out)
 
 
-def format_heal_matrix(entries: List[Dict[str, Any]]) -> str:
+def format_heal_matrix(pairs: List[Tuple[ScenarioResult, ScenarioResult]]) -> str:
     """Side-by-side managed/unmanaged stabilization table."""
+
+    def cell(result: ScenarioResult) -> str:
+        if result.stabilize_rounds is None:
+            return f">{result.budget}"
+        return str(result.stabilize_rounds)
+
     out = ["mode        degree  managed     unmanaged   speedup"]
-    for entry in entries:
-        managed = entry["managed"]
-        unmanaged = entry["unmanaged"]
-
-        def cell(result: HealScenarioResult) -> str:
-            if result.stabilize_rounds is None:
-                return f">{result.budget}"
-            return str(result.stabilize_rounds)
-
+    for managed, unmanaged in pairs:
         if managed.stabilize_rounds is None:
             speedup = "-"
         elif unmanaged.stabilize_rounds is None:
@@ -403,7 +557,7 @@ def format_heal_matrix(entries: List[Dict[str, Any]]) -> str:
                 f"{unmanaged.stabilize_rounds / max(1, managed.stabilize_rounds):.1f}x"
             )
         out.append(
-            f"{entry['mode']:<11} {entry['degree']:<7} "
+            f"{managed.name:<11} {managed.degree:<7} "
             f"{cell(managed):<11} {cell(unmanaged):<11} {speedup}"
         )
     return "\n".join(out)

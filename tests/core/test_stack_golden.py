@@ -87,7 +87,7 @@ from repro.core.layers import (
 )
 from repro.core.layers.port_connection import DEFAULT_BINDING_TTL
 from repro.experiments.topologies import ring_of_rings
-from repro.faults.scenarios import standard_deployment
+from repro.heal.scenarios import standard_deployment
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
 from repro.perf.digest import overlay_digest

@@ -11,12 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.faults.scenarios import (
-    SCENARIOS,
-    format_scenario,
-    run_catastrophe,
-    run_partition,
-)
+from repro.heal.scenarios import FAULT_ROWS, format_scenario, run_scenario
 
 #: Documented budget: rounds from partition heal until UO1 *and* the core
 #: overlay span the former cut again (observed: ~4 at 64 nodes, ~15 at 256).
@@ -29,13 +24,13 @@ CATASTROPHE_REPAIR_BUDGET = 40
 
 @pytest.fixture(scope="module")
 def partition_result():
-    return run_partition(n_nodes=64, seed=1)
+    return run_scenario("partition", n_nodes=64, seed=1)
 
 
 @pytest.mark.slow
 class TestPartitionScenario:
     def test_every_layer_reconverges(self, partition_result):
-        assert partition_result.healed
+        assert partition_result.verdict == "recovered"
         assert all(partition_result.report.final_converged.values())
 
     def test_merge_within_documented_budget(self, partition_result):
@@ -60,8 +55,8 @@ class TestPartitionScenario:
 @pytest.mark.slow
 class TestCatastropheScenario:
     def test_thirty_percent_kill_reconverges(self):
-        result = run_catastrophe(n_nodes=64, seed=1)
-        assert result.healed
+        result = run_scenario("catastrophe", n_nodes=64, seed=1)
+        assert result.verdict == "recovered"
         rebalance = result.report.recovery_for("rebalance")
         assert rebalance is not None
         for layer, rounds in rebalance.repair_rounds.items():
@@ -72,10 +67,10 @@ class TestCatastropheScenario:
 class TestScenarioPlumbing:
     def test_population_floor(self):
         with pytest.raises(ConfigurationError):
-            run_partition(n_nodes=16)
+            run_scenario("partition", n_nodes=16)
 
     def test_registry_covers_the_matrix(self):
-        assert set(SCENARIOS) == {
+        assert set(FAULT_ROWS) == {
             "partition",
             "zone-outage",
             "zone-kill",

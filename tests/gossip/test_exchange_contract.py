@@ -27,12 +27,12 @@ from repro.core.layers import (
     PortSelection,
     SameComponentOverlay,
 )
-from repro.faults.scenarios import standard_deployment
 from repro.gossip.cyclon import Cyclon
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.peer_sampling import PeerSampling
 from repro.gossip.tman import TMan
 from repro.gossip.vicinity import Vicinity
+from repro.heal.scenarios import standard_deployment
 from repro.obs.instrument import Instrument
 from repro.sim.engine import RoundContext
 from repro.sim.transport import Transport

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.scenarios import standard_deployment
 from repro.heal.actions import overlay_components
 from repro.heal.harness import (
     CORRUPTIONS,
@@ -17,6 +16,7 @@ from repro.heal.harness import (
     corrupt_stale,
     corruption_modes,
 )
+from repro.heal.scenarios import standard_deployment
 
 
 def converged(n_nodes=48, seed=13):

@@ -10,9 +10,8 @@ digest.
 
 from __future__ import annotations
 
-from repro.faults.scenarios import standard_deployment
 from repro.heal.engine import RemediationEngine
-from repro.heal.scenarios import _arm
+from repro.heal.scenarios import _arm, standard_deployment
 from repro.obs.collector import Collector
 from repro.perf.digest import overlay_digest
 
@@ -36,7 +35,7 @@ def _managed_digest():
     collector = Collector()
     deployment = standard_deployment(N_NODES, SEED, collector=collector)
     deployment.run_until_converged(120)
-    _, _, monitor = _arm(deployment, collector)
+    _, monitor = _arm(deployment, deployment.install_faults(), collector)
     engine = RemediationEngine.for_deployment(deployment, monitor)
     deployment.run(EXTRA_ROUNDS)
     return overlay_digest(deployment.network, LAYERS), engine, monitor

@@ -17,10 +17,9 @@ from repro.errors import ConfigurationError
 from repro.heal.harness import corruption_modes
 from repro.heal.scenarios import (
     format_heal_matrix,
-    format_heal_scenario,
+    format_scenario,
     run_heal_matrix,
-    run_heal_scenario,
-    run_partition_churn,
+    run_scenario,
     write_heal_bench,
 )
 
@@ -34,43 +33,41 @@ def matrix():
 
 def test_unknown_mode_is_rejected():
     with pytest.raises(ConfigurationError):
-        run_heal_scenario("meteor-strike")
+        run_scenario("meteor-strike")
 
 
 @pytest.mark.slow
 def test_matrix_covers_every_mode(matrix):
-    assert [entry["mode"] for entry in matrix] == corruption_modes()
-    for entry in matrix:
-        assert entry["managed"].managed
-        assert not entry["unmanaged"].managed
-        assert entry["managed"].mode == entry["mode"]
+    assert [managed.name for managed, _ in matrix] == corruption_modes()
+    for managed, unmanaged in matrix:
+        assert managed.managed
+        assert not unmanaged.managed
+        assert unmanaged.name == managed.name
 
 
 @pytest.mark.slow
 def test_closed_loop_recovery_differential(matrix):
     """The acceptance criterion: for every corruption mode the managed run
     converges and the unmanaged baseline fails or is >= 2x slower."""
-    for entry in matrix:
-        managed, unmanaged = entry["managed"], entry["unmanaged"]
-        assert managed.verdict == "recovered", entry["mode"]
+    for managed, unmanaged in matrix:
+        assert managed.verdict == "recovered", managed.name
         assert managed.stabilize_rounds is not None
         assert managed.remediation["actions_run"] > 0
         if unmanaged.stabilize_rounds is not None:
             assert (
                 unmanaged.stabilize_rounds >= 2 * managed.stabilize_rounds
-            ), entry["mode"]
+            ), managed.name
 
 
 @pytest.mark.slow
 def test_managed_runs_record_remediation_timelines(matrix):
-    for entry in matrix:
-        timeline = entry["managed"].timeline
-        assert timeline, entry["mode"]
-        kinds = {item["kind"] for item in timeline}
+    for managed, unmanaged in matrix:
+        assert managed.timeline, managed.name
+        kinds = {item["kind"] for item in managed.timeline}
         assert "incident_opened" in kinds
         assert "remediation" in kinds
-        json.dumps(timeline)  # JSONL-ready
-        assert entry["unmanaged"].timeline == []
+        json.dumps(managed.timeline)  # JSONL-ready
+        assert unmanaged.timeline == []
 
 
 @pytest.mark.slow
@@ -90,13 +87,13 @@ def test_formatters_render_the_story(matrix):
     table = format_heal_matrix(matrix)
     for mode in corruption_modes():
         assert mode in table
-    report = format_heal_scenario(matrix[0]["managed"])
+    report = format_scenario(matrix[0][0])
     assert "time-to-stabilize" in report
     assert "verdict: recovered" in report
 
 
 def test_partition_churn_end_to_end():
-    result = run_partition_churn(n_nodes=64, seed=7)
+    result = run_scenario("partition-churn", n_nodes=64, seed=7, managed=True)
     assert result.verdict == "recovered"
     assert result.stabilize_rounds is not None
     assert result.stabilize_rounds <= result.budget
@@ -115,7 +112,9 @@ def test_partition_churn_end_to_end():
 
 def test_scenario_is_deterministic_per_seed():
     def once():
-        result = run_heal_scenario("stale", budget=BUDGET)
+        result = run_scenario(
+            "stale", n_nodes=64, seed=7, managed=True, budget=BUDGET
+        )
         return result.stabilize_rounds, result.corruption, result.timeline
 
     assert once() == once()

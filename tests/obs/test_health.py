@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.scenarios import run_partition
+from repro.heal.scenarios import run_scenario
 from repro.obs.collector import Collector
 from repro.obs.events import EVENT_ALERT, EVENT_ALERT_CLEARED
 from repro.obs.health import (
@@ -154,7 +154,7 @@ class TestMonitorLifecycle:
 class TestPartitionScenario:
     def test_stall_fires_during_partition_and_clears_after_heal(self):
         collector = Collector(gauge_every=1)
-        result = run_partition(n_nodes=48, seed=1, collector=collector)
+        result = run_scenario("partition", n_nodes=48, seed=1, collector=collector)
         health = result.health
         assert health is not None
         stalls = [

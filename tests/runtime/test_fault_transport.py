@@ -1,4 +1,4 @@
-"""Fault decorators: stacking semantics and the golden fault schedule.
+"""The fault decorator: accounting, stacking and the golden fault schedule.
 
 The headline regression: a mixed partition/loss/latency schedule driven
 through :class:`~repro.faults.transports.FaultTransport` must reproduce the
@@ -9,66 +9,56 @@ streams are drawn in the same order.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.layers import RUNTIME_LAYERS
-from repro.errors import ConfigurationError
 from repro.faults.plane import FaultPlane, LinkQuality
-from repro.faults.scenarios import standard_deployment
-from repro.faults.transports import FaultTransport, LatencyTransport, LossTransport
+from repro.faults.transports import FaultTransport
+from repro.heal.scenarios import standard_deployment
 from repro.perf.digest import overlay_digest
+from repro.runtime.loopback import LoopbackTransport
+from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport, TransportDecorator
 
 
-class TestDecoratorUnits:
-    def test_loss_rate_validated(self):
-        with pytest.raises(ConfigurationError):
-            LossTransport(Transport(), rate=1.0, rng=random.Random(1))
-        with pytest.raises(ConfigurationError):
-            LossTransport(Transport(), rate=-0.1, rng=random.Random(1))
+def node_rule(quality):
+    """A FaultTransport over a plain ledger whose plane degrades node 1."""
+    inner = Transport()
+    plane = FaultPlane()
+    plane.links.set_node(1, quality)
+    return inner, FaultTransport(inner, plane, RandomStreams(42))
 
+
+class TestDecoratorUnits:
     def test_loss_drops_and_accounts(self):
-        inner = Transport()
-        transport = LossTransport(inner, rate=0.5, rng=random.Random(42))
+        inner, transport = node_rule(LinkQuality(loss=0.5))
         outcomes = [transport.deliverable(None, dst=1, layer="x") for _ in range(200)]
         dropped = outcomes.count(False)
         assert 50 < dropped < 150  # memoryless coin at 0.5
         assert inner.drop_reasons() == {"loss": dropped}
 
     def test_zero_loss_draws_nothing(self):
-        class Exploding(random.Random):
-            def random(self):  # pragma: no cover - must not be called
-                raise AssertionError("rate=0 must not draw")
+        class Exploding(RandomStreams):
+            def stream(self, *names):  # pragma: no cover - must not be called
+                raise AssertionError("an idle plane must not draw")
 
-        transport = LossTransport(Transport(), rate=0.0, rng=Exploding(1))
+        transport = FaultTransport(Transport(), FaultPlane(), Exploding(1))
         assert transport.deliverable(None, dst=1) is True
 
-    def test_latency_validated(self):
-        with pytest.raises(ConfigurationError):
-            LatencyTransport(Transport(), latency=-1.0)
-        with pytest.raises(ConfigurationError):
-            LatencyTransport(Transport(), latency=0.1, timeout_latency=0.0)
-
     def test_latency_below_timeout_delays(self):
-        inner = Transport()
-        transport = LatencyTransport(inner, latency=0.4)
+        inner, transport = node_rule(LinkQuality(latency=0.4))
         assert transport.deliverable(None, dst=1, layer="x") is True
         assert inner.total_delayed("x") == 1
         assert inner.mean_extra_latency("x") == pytest.approx(0.4)
 
     def test_latency_at_timeout_drops(self):
-        inner = Transport()
-        transport = LatencyTransport(inner, latency=1.0)
+        inner, transport = node_rule(LinkQuality(latency=1.0))
         assert transport.deliverable(None, dst=1, layer="x") is False
         assert inner.drop_reasons() == {"timeout": 1}
 
     def test_decorators_stack_and_unwrap(self):
         inner = Transport()
-        stacked = LossTransport(
-            LatencyTransport(inner, latency=0.2), rate=0.0, rng=random.Random(1)
-        )
+        stacked = FaultTransport(LoopbackTransport(inner), FaultPlane(), RandomStreams(1))
         assert stacked.unwrap() is inner
         assert isinstance(stacked.inner, TransportDecorator)
         # accounting queries resolve through __getattr__ to the real ledger
@@ -77,9 +67,12 @@ class TestDecoratorUnits:
 
     def test_accounting_lands_on_shared_ledger(self):
         inner = Transport()
-        outer = LatencyTransport(inner, latency=1.5)
+        plane = FaultPlane()
+        plane.links.set_node(2, LinkQuality(latency=1.5))
+        outer = FaultTransport(LoopbackTransport(inner), plane, RandomStreams(1))
         outer.deliverable(None, dst=2, layer="uo1")
-        assert outer.total_dropped("uo1") == 1  # read through the decorator
+        assert outer.total_dropped("uo1") == 1  # read through the decorators
+        assert inner.drop_reasons() == {"timeout": 1}
 
     def test_install_faults_replaces_instead_of_stacking(self):
         deployment = standard_deployment(32, seed=1)

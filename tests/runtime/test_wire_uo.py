@@ -23,8 +23,8 @@ import pytest
 from repro.core.layers import LAYER_UO1, LAYER_UO2
 from repro.core.profiles import NodeProfile
 from repro.errors import WireError
-from repro.faults.scenarios import standard_deployment
 from repro.gossip.descriptors import Descriptor
+from repro.heal.scenarios import standard_deployment
 from repro.runtime import wire
 from repro.runtime.loopback import LoopbackTransport
 from repro.sim.engine import RoundContext
