@@ -59,7 +59,7 @@ from repro.faults.controls import rendezvous_reseed
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
 from repro.heal.policy import BackoffPolicy, DEFAULT_POLICY, ESCALATION_POLICY
-from repro.metrics.recovery import DEFAULT_VIEW_LAYERS, dead_view_ids
+from repro.obs.recovery import DEFAULT_VIEW_LAYERS, dead_view_ids
 from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -329,7 +329,7 @@ class ElasticAdjust(RemediationAction):
 class TombstonePurge(RemediationAction):
     """Flush dead knowledge in one act: purge offenders, re-seed survivors.
 
-    Uses :func:`~repro.metrics.recovery.dead_view_ids` as the targeting
+    Uses :func:`~repro.obs.recovery.dead_view_ids` as the targeting
     map — every live node's view entries pointing at dead (or unknown,
     i.e. forged) nodes — purges them with tombstones so stale third-party
     copies cannot resurrect them, then re-seeds any view the purge left

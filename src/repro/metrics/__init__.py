@@ -3,17 +3,15 @@
 The paper averages every measure over 25 runs and computes 90% confidence
 intervals; :mod:`~repro.metrics.stats` provides exactly that aggregation.
 :mod:`~repro.metrics.bandwidth` extracts the Fig. 4 byte series from a
-deployment's transport, :mod:`~repro.metrics.report` renders the ASCII
-tables the benchmark harness prints, and :mod:`~repro.metrics.recovery`
-measures fault-recovery hygiene (residual dead descriptors, partition
-locality) for the fault-injection subsystem.
+deployment's transport, and :mod:`~repro.metrics.report` renders the ASCII
+tables the benchmark harness prints (fault-recovery hygiene is measured in
+:mod:`repro.obs.recovery`).
 :class:`~repro.metrics.registry.MetricsRegistry` is the facade over all of
 them — the single aggregation path the CLI's ``report`` and ``obs``
 commands consume.
 """
 
 from repro.metrics.bandwidth import per_node_series, total_split
-from repro.metrics.recovery import cross_island_fraction, dead_descriptor_fraction
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.report import render_series, render_table
 from repro.metrics.stats import Stats, mean, std, summarize
@@ -21,8 +19,6 @@ from repro.metrics.stats import Stats, mean, std, summarize
 __all__ = [
     "MetricsRegistry",
     "Stats",
-    "cross_island_fraction",
-    "dead_descriptor_fraction",
     "mean",
     "per_node_series",
     "render_series",

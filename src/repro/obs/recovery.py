@@ -9,18 +9,22 @@ predicate again — plus the residual dead-descriptor fraction (how
 completely stale knowledge was flushed) and the partition-merge time
 (rounds from heal until UO1 and the core overlay span the former cut
 again).
+
+The hygiene measures the observer gauges live here too:
+:func:`dead_descriptor_fraction` (how much of the population's knowledge
+still points at dead nodes) and :func:`dead_view_ids` (which nodes hold
+it — the targeting map of the tombstone-purge remediation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.convergence import ConvergenceTracker, layer_converged
+from repro.core.convergence import ConvergenceTracker
 from repro.core.layers import LAYER_CORE, LAYER_UO1
 from repro.core.roles import RoleMap
 from repro.faults.plane import FaultEvent, FaultPlane
-from repro.metrics.recovery import dead_descriptor_fraction
 from repro.metrics.report import render_table
 from repro.obs.instrument import Instrument
 from repro.sim.network import Network
@@ -33,6 +37,51 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: repair clock starts here). Injection events (partition, pause, degrade)
 #: are also reported, but their repair times describe degradation windows.
 HEALING_KINDS = ("heal", "resume", "restore", "zone_restore")
+
+#: Layers whose views carry the overlay's membership knowledge.
+DEFAULT_VIEW_LAYERS: Tuple[str, ...] = ("peer_sampling", "uo1")
+
+
+def _view_entries(network: Network, layers: Sequence[str]):
+    """``(node_id, peer_id)`` of every view entry held by a live node."""
+    for node in network.alive_nodes():
+        for layer in layers:
+            if node.has_protocol(layer):
+                for peer_id in node.protocol(layer).neighbors():
+                    yield node.node_id, peer_id
+
+
+def dead_view_ids(
+    network: Network, layers: Sequence[str] = DEFAULT_VIEW_LAYERS
+) -> Dict[int, List[int]]:
+    """Per live node, the sorted dead ids its views still reference.
+
+    The targeting map of the tombstone-purge remediation: for every live
+    node holding at least one descriptor of a dead (or unknown — a poisoned
+    forgery) node, the distinct offending ids across ``layers``. Nodes with
+    clean views are omitted, so an empty dict means perfect hygiene.
+    """
+    stale: Dict[int, set] = {}
+    for node_id, peer_id in _view_entries(network, layers):
+        if not network.is_alive(peer_id):
+            stale.setdefault(node_id, set()).add(peer_id)
+    return {node_id: sorted(ids) for node_id, ids in stale.items()}
+
+
+def dead_descriptor_fraction(
+    network: Network, layers: Sequence[str] = DEFAULT_VIEW_LAYERS
+) -> float:
+    """Fraction of view entries (over live nodes) that point at dead nodes.
+
+    0.0 means every descriptor held anywhere references a live node — the
+    residual after a failure wave measures how completely the healer,
+    descriptor TTLs and tombstones have flushed the casualties.
+    """
+    total = dead = 0
+    for _, peer_id in _view_entries(network, layers):
+        total += 1
+        dead += not network.is_alive(peer_id)
+    return dead / total if total else 0.0
 
 
 @dataclass
@@ -130,21 +179,19 @@ class RecoveryReport:
         return "\n".join(out)
 
 
-class RecoveryObserver(Instrument):
+class RecoveryObserver(ConvergenceTracker):
     """Engine observer evaluating every layer's predicate every round.
 
-    Unlike :class:`~repro.core.convergence.ConvergenceTracker`, which
-    records only the *first* convergence round, this observer keeps the
-    full boolean series so repair times can be computed relative to any
-    fault event, and it never requests an early stop (a fault run must
-    outlive its injected faults).
+    A :class:`~repro.core.convergence.ConvergenceTracker` (same predicate,
+    same layers) that, instead of recording only the *first* convergence
+    round, keeps the full boolean series so repair times can be computed
+    relative to any fault event, and never requests an early stop (a fault
+    run must outlive its injected faults).
 
     An optional ``instrument`` mirrors each observation as telemetry: one
     ``layers_converged`` gauge and a ``dead_descriptor_fraction`` gauge per
     round (no-ops on anything but a collector).
     """
-
-    ALL_LAYERS = ConvergenceTracker.ALL_LAYERS
 
     def __init__(
         self,
@@ -156,12 +203,15 @@ class RecoveryObserver(Instrument):
         layers: Optional[List[str]] = None,
         instrument: Optional[Instrument] = None,
     ):
+        super().__init__(
+            assembly_provider,
+            role_map_provider,
+            uo1_view_size,
+            uo2_scope,
+            layers,
+            stop_when_converged=False,
+        )
         self.plane = plane
-        self._assembly = assembly_provider
-        self._role_map = role_map_provider
-        self.uo1_view_size = uo1_view_size
-        self.uo2_scope = uo2_scope
-        self.layers = list(layers) if layers is not None else list(self.ALL_LAYERS)
         self.instrument = instrument
         self.rounds: List[int] = []
         self.series: Dict[str, List[bool]] = {layer: [] for layer in self.layers}
@@ -187,16 +237,6 @@ class RecoveryObserver(Instrument):
         )
 
     # -- observation ----------------------------------------------------------
-
-    def _predicate(self, layer: str, network: Network) -> bool:
-        return layer_converged(
-            layer,
-            network,
-            self._role_map(),
-            self._assembly(),
-            self.uo1_view_size,
-            self.uo2_scope,
-        )
 
     def observe(self, network: Network, round_index: int) -> bool:
         self.rounds.append(round_index)

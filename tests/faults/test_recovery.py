@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.faults.plane import FaultEvent, FaultPlane
-from repro.obs.recovery import EventRecovery, RecoveryObserver
 from repro.gossip.views import PartialView
-from repro.metrics.recovery import cross_island_fraction, dead_descriptor_fraction
+from repro.obs.recovery import EventRecovery, RecoveryObserver, dead_descriptor_fraction
 from repro.sim.network import Network
 
 
@@ -129,11 +128,3 @@ class TestHygieneMetrics:
     def test_dead_fraction_empty_network(self):
         assert dead_descriptor_fraction(Network()) == 0.0
 
-    def test_cross_island_fraction(self):
-        net = Network()
-        net.create_nodes(4)
-        net.node(0).attach("uo1", FakeViewProtocol([1, 2]))
-        net.node(2).attach("uo1", FakeViewProtocol([3]))
-        island_of = {0: 0, 1: 0, 2: 1, 3: 1}
-        # Entries: 0->1 (intra), 0->2 (cross), 2->3 (intra).
-        assert cross_island_fraction(net, island_of) == 1 / 3
