@@ -1,12 +1,13 @@
-"""Fault injection as stackable Transport decorators.
+"""Fault injection as a stackable Transport decorator.
 
-Each decorator wraps an inner :class:`~repro.sim.transport.Transport` and
-vetoes (or delays) exchanges in :meth:`deliverable`, chaining to the inner
-transport otherwise. Decorators compose —
-``LossTransport(LatencyTransport(base))`` — and work identically over the
-round engine, the wire-codec loopback, and the UDP runtime's local
-transport. This is the only fault path: protocol code never consults a
-fault plane, it asks the transport.
+:class:`FaultTransport` wraps an inner :class:`~repro.sim.transport.Transport`
+and vetoes (or delays) exchanges in :meth:`deliverable` as the
+:class:`~repro.faults.plane.FaultPlane` dictates — partitions, and per-link
+loss, latency and timeouts with per-layer accounting — chaining to the inner
+transport otherwise. It stacks over the round engine's ledger, the
+wire-codec loopback, and the UDP runtime's local transport alike. This is
+the only fault path: protocol code never consults a fault plane, it asks
+the transport.
 
 ``tests/runtime/test_fault_transport.py`` pins a mixed
 partition/loss/latency schedule through :class:`FaultTransport` to golden
@@ -16,10 +17,8 @@ digests and drop/delay counts: every link-fault coin comes from the
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
 from repro.faults.plane import FaultPlane
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport, TransportDecorator
@@ -30,8 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TransportDecorator",
     "FaultTransport",
-    "LossTransport",
-    "LatencyTransport",
 ]
 
 
@@ -67,57 +64,3 @@ class FaultTransport(TransportDecorator):
             if not self.plane.reachable(src, dst):
                 return False
         return self.inner.reachable(ctx, dst)
-
-
-class LossTransport(TransportDecorator):
-    """Memoryless per-exchange loss as a decorator.
-
-    Every delivery attempt independently fails with probability ``rate``;
-    failures are accounted as ``"loss"`` drops on the inner ledger. The
-    caller supplies the RNG (typically a named stream) so seeded runs are
-    reproducible.
-    """
-
-    def __init__(self, inner: Transport, rate: float, rng: random.Random):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigurationError(f"loss rate must be in [0, 1), got {rate}")
-        super().__init__(inner)
-        self.rate = rate
-        self.rng = rng
-
-    def deliverable(self, ctx: "RoundContext", dst: int, layer: str = "") -> bool:
-        if self.rate > 0.0 and self.rng.random() < self.rate:
-            self.inner.record_dropped(layer, reason="loss")
-            return False
-        return self.inner.deliverable(ctx, dst, layer)
-
-
-class LatencyTransport(TransportDecorator):
-    """Constant extra latency as a decorator.
-
-    Latency at or beyond ``timeout_latency`` turns the exchange into a
-    ``"timeout"`` drop (the synchronous round model cannot wait past a
-    round boundary — same rule as the fault plane); anything less is
-    accounted as a delayed-but-completed exchange.
-    """
-
-    def __init__(
-        self, inner: Transport, latency: float, timeout_latency: float = 1.0
-    ):
-        if latency < 0.0:
-            raise ConfigurationError(f"latency must be >= 0, got {latency}")
-        if timeout_latency <= 0.0:
-            raise ConfigurationError(
-                f"timeout_latency must be > 0, got {timeout_latency}"
-            )
-        super().__init__(inner)
-        self.latency = latency
-        self.timeout_latency = timeout_latency
-
-    def deliverable(self, ctx: "RoundContext", dst: int, layer: str = "") -> bool:
-        if self.latency >= self.timeout_latency:
-            self.inner.record_dropped(layer, reason="timeout")
-            return False
-        if self.latency > 0.0:
-            self.inner.record_delayed(layer, self.latency)
-        return self.inner.deliverable(ctx, dst, layer)
