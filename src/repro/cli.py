@@ -770,12 +770,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=80,
         help="re-convergence round budget after corruption (default: 80)",
     )
-    heal.add_argument(
+    flavor = heal.add_mutually_exclusive_group()
+    flavor.add_argument(
         "--compare",
         action="store_true",
         help="also run the unmanaged baseline (single-mode scenarios)",
     )
-    heal.add_argument(
+    flavor.add_argument(
         "--unmanaged",
         action="store_true",
         help="run only the unmanaged baseline (single-mode scenarios)",

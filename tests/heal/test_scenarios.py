@@ -146,6 +146,16 @@ def test_cli_heal_scenario(tmp_path, capsys):
     assert all(entry["mode"] == "stale" for entry in entries)
 
 
+def test_cli_heal_rejects_compare_with_unmanaged(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["heal", "--scenario", "stale", "--compare", "--unmanaged"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not allowed with argument" in err
+
+
 @pytest.mark.slow
 def test_cli_heal_unmanaged_flavor(capsys):
     from repro.cli import main
