@@ -29,7 +29,8 @@ EVENT_PAUSE = "pause"
 EVENT_RESUME = "resume"
 EVENT_DEGRADE = "degrade"
 EVENT_RESTORE = "restore"
-EVENT_ZONE_OUTAGE = "zone_outage"
+EVENT_ZONE_KILL = "zone_kill"
+EVENT_ZONE_PAUSE = "zone_pause"
 EVENT_ZONE_RESTORE = "zone_restore"
 EVENT_CATASTROPHE = "catastrophe"
 EVENT_REBALANCE = "rebalance"
@@ -65,7 +66,8 @@ TAXONOMY: Dict[str, str] = {
     EVENT_RESUME: "paused nodes were thawed with stale state",
     EVENT_DEGRADE: "per-link quality overrides were installed (loss/latency)",
     EVENT_RESTORE: "degraded links were restored to perfect quality",
-    EVENT_ZONE_OUTAGE: "one availability zone went dark",
+    EVENT_ZONE_KILL: "one availability zone went dark for good (crash-stop)",
+    EVENT_ZONE_PAUSE: "one availability zone went dark with its state (pause)",
     EVENT_ZONE_RESTORE: "a dark availability zone came back",
     EVENT_CATASTROPHE: "a correlated kill wave removed part of the population",
     EVENT_REBALANCE: "the role assignment was re-run over the live population",

@@ -12,6 +12,9 @@ the printed report, so the record pins what an operator sees:
   delayed-exchange count;
 - corruption rows and ``partition-churn``: rounds to re-stabilize, the
   verdict, and the remediation summary with its action lines.
+
+Every collector a row runs with must end with no event kind outside the
+taxonomy.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.obs.collector import Collector
 
 N_NODES = "32"
 SEED = "1"
@@ -30,6 +34,20 @@ LAYERS = ("core", "uo1", "uo2", "port_selection", "port_connection")
 
 #: Every layer converged at the end of the run.
 ALL_OK = "core=ok, port_connection=ok, port_selection=ok, uo1=ok, uo2=ok"
+
+
+@pytest.fixture
+def collectors(monkeypatch):
+    """Every Collector constructed while the test runs."""
+    made = []
+    init = Collector.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Collector, "__init__", recording_init)
+    return made
 
 
 def run(argv, tmp_path, capsys):
@@ -245,16 +263,20 @@ HEAL_GOLDEN = {
 
 @pytest.mark.slow
 @pytest.mark.parametrize("row", sorted(FAULT_GOLDEN))
-def test_fault_row_reproduces_golden(row, tmp_path, capsys):
+def test_fault_row_reproduces_golden(row, tmp_path, capsys, collectors):
     text = run(["faults", "--scenario", row], tmp_path, capsys)
     assert fault_record(text) == FAULT_GOLDEN[row]
+    assert collectors
+    assert [collector.unknown_kinds for collector in collectors] == [{}] * len(collectors)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("row", sorted(HEAL_GOLDEN))
-def test_heal_row_reproduces_golden(row, tmp_path, capsys):
+def test_heal_row_reproduces_golden(row, tmp_path, capsys, collectors):
     argv = ["heal", "--scenario", row]
     if row != "partition-churn":
         argv.append("--compare")
     text = run(argv, tmp_path, capsys)
     assert heal_records(text) == HEAL_GOLDEN[row]
+    assert collectors
+    assert [collector.unknown_kinds for collector in collectors] == [{}] * len(collectors)

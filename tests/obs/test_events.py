@@ -26,6 +26,6 @@ class TestTaxonomy:
         # The fault plane's recorded kinds replay into collectors verbatim;
         # every one of them must be a known kind, not an "unknown" tally.
         for kind in ("partition", "heal", "pause", "resume", "degrade",
-                     "restore", "zone_outage", "zone_restore", "catastrophe",
-                     "rebalance"):
+                     "restore", "zone_kill", "zone_pause", "zone_restore",
+                     "catastrophe", "rebalance"):
             assert events.is_known(kind), kind
