@@ -33,11 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.assembly import Assembly
     from repro.core.runtime import Deployment
 
-#: Event kinds after which the system is expected to *re*-converge (the
-#: repair clock starts here). Injection events (partition, pause, degrade)
-#: are also reported, but their repair times describe degradation windows.
-HEALING_KINDS = ("heal", "resume", "restore", "zone_restore")
-
 #: Layers whose views carry the overlay's membership knowledge.
 DEFAULT_VIEW_LAYERS: Tuple[str, ...] = ("peer_sampling", "uo1")
 
@@ -90,13 +85,11 @@ class EventRecovery:
 
     ``repair_rounds[layer]`` is the number of rounds from the event to the
     first subsequent observation at which the layer's predicate held
-    (``None`` if it never did within the observed window); ``dipped``
-    names the layers seen unconverged at least once from the event onward.
+    (``None`` if it never did within the observed window).
     """
 
     event: FaultEvent
     repair_rounds: Dict[str, Optional[int]] = field(default_factory=dict)
-    dipped: List[str] = field(default_factory=list)
 
     @property
     def repaired(self) -> bool:
@@ -117,7 +110,6 @@ class RecoveryReport:
     layers: List[str]
     final_converged: Dict[str, bool]
     residual_dead_fraction: float
-    observed_rounds: int
 
     def recovery_for(self, kind: str) -> Optional[EventRecovery]:
         """The first recovery record whose event matches ``kind``."""
@@ -215,7 +207,7 @@ class RecoveryObserver(ConvergenceTracker):
         self.instrument = instrument
         self.rounds: List[int] = []
         self.series: Dict[str, List[bool]] = {layer: [] for layer in self.layers}
-        self.dead_fraction_series: List[float] = []
+        self.residual_dead_fraction = 0.0
 
     @classmethod
     def for_deployment(
@@ -245,11 +237,10 @@ class RecoveryObserver(ConvergenceTracker):
             held = self._predicate(layer, network)
             self.series[layer].append(held)
             converged += held
-        dead_fraction = dead_descriptor_fraction(network)
-        self.dead_fraction_series.append(dead_fraction)
+        self.residual_dead_fraction = dead_descriptor_fraction(network)
         if self.instrument is not None:
             self.instrument.gauge("layers_converged", converged)
-            self.instrument.gauge("dead_descriptor_fraction", dead_fraction)
+            self.instrument.gauge("dead_descriptor_fraction", self.residual_dead_fraction)
         return False
 
     # -- reporting ------------------------------------------------------------
@@ -263,36 +254,24 @@ class RecoveryObserver(ConvergenceTracker):
                 return observed_round - event_round
         return None
 
-    def _dipped_after(self, layer: str, event_round: int) -> bool:
-        for index, observed_round in enumerate(self.rounds):
-            if observed_round < event_round:
-                continue
-            if not self.series[layer][index]:
-                return True
-        return False
-
     def report(self) -> RecoveryReport:
-        recoveries = []
-        for event in self.plane.events:
-            recovery = EventRecovery(event=event)
-            for layer in self.layers:
-                recovery.repair_rounds[layer] = self._repair_after(
-                    layer, event.round
-                )
-                if self._dipped_after(layer, event.round):
-                    recovery.dipped.append(layer)
-            recoveries.append(recovery)
+        recoveries = [
+            EventRecovery(
+                event=event,
+                repair_rounds={
+                    layer: self._repair_after(layer, event.round)
+                    for layer in self.layers
+                },
+            )
+            for event in self.plane.events
+        ]
         final = {
             layer: bool(self.series[layer]) and self.series[layer][-1]
             for layer in self.layers
         }
-        residual = (
-            self.dead_fraction_series[-1] if self.dead_fraction_series else 0.0
-        )
         return RecoveryReport(
             recoveries=recoveries,
             layers=list(self.layers),
             final_converged=final,
-            residual_dead_fraction=residual,
-            observed_rounds=len(self.rounds),
+            residual_dead_fraction=self.residual_dead_fraction,
         )
