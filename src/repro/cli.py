@@ -208,7 +208,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         results = [managed for managed, _ in pairs]
         print(f"wrote {write_heal_bench(pairs, json_path=args.output)}")
     else:
-        # (row, managed) runs; only managed heal runs decide the exit code.
         if not heal:
             names = FAULT_ROWS if args.scenario == "matrix" else (args.scenario,)
             runs = [(name, False) for name in names]
@@ -221,15 +220,17 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         if heal and args.scenario != "partition-churn":
             options["degree"] = args.degree  # a corruption severity
         for index, (name, managed) in enumerate(runs):
+            # An unmanaged heal run is the baseline: no telemetry export, no
+            # say in the exit code.
+            counted = managed or not heal
             if index:
                 print()
             result = run_scenario(
                 name, n_nodes=args.nodes, seed=args.seed, managed=managed,
-                collector=collector if managed or not heal else None,
-                **options,
+                collector=collector if counted else None, **options,
             )
             print(format_scenario(result))
-            if managed or not heal:
+            if counted:
                 results.append(result)
     if heal and args.timeline is not None:
         count = _write_timeline(args.timeline, results)

@@ -323,7 +323,6 @@ def run_scenario(
     managed: bool = False,
     degree: Optional[float] = None,
     budget: Optional[int] = None,
-    converge_rounds: int = 120,
 ) -> ScenarioResult:
     """Deploy, converge, arm, inject row ``name``'s fault and run it.
 
@@ -341,7 +340,7 @@ def run_scenario(
     if collector is None and budget is not None:
         collector = Collector()
     deployment = standard_deployment(n_nodes, seed, collector=collector)
-    deploy_rounds = deployment.run_until_converged(converge_rounds).slowest
+    deploy_rounds = deployment.run_until_converged(120).slowest
     plane = None
     if row.zones:
         zone_map = ZoneMap.round_robin(deployment.network.node_ids(), DEFAULT_ZONES)
@@ -370,7 +369,20 @@ def run_scenario(
         stabilize_rounds = converged.slowest
     report = observer.report()
     if collector is not None and budget is None:
-        _emit_fault_run(collector, name, n_nodes, seed, deploy_rounds, plane, report)
+        # Delimit the fault run in the telemetry stream and mirror the
+        # plane's event log into it (replayed here, off the hot path).
+        collector.emit(
+            "scenario", scenario=name, nodes=n_nodes, seed=seed,
+            deploy_rounds=deploy_rounds,
+        )
+        for event in plane.events:
+            collector.emit(event.kind, at=event.round, detail=str(event.detail))
+        collector.emit(
+            "scenario_result",
+            scenario=name,
+            healed=report.healed,
+            residual_dead_fraction=report.residual_dead_fraction,
+        )
     return ScenarioResult(
         name=name,
         n_nodes=n_nodes,
@@ -387,22 +399,6 @@ def run_scenario(
         budget=budget,
         remediation=None if engine is None else engine.summary(),
         timeline=[] if engine is None else engine.timeline(),
-    )
-
-
-def _emit_fault_run(collector, name, n_nodes, seed, deploy_rounds, plane, report):
-    """Delimit a fault run in the telemetry stream and mirror the plane's
-    event log into it (replayed here, off the hot path)."""
-    collector.emit(
-        "scenario", scenario=name, nodes=n_nodes, seed=seed, deploy_rounds=deploy_rounds
-    )
-    for event in plane.events:
-        collector.emit(event.kind, at=event.round, detail=str(event.detail))
-    collector.emit(
-        "scenario_result",
-        scenario=name,
-        healed=report.healed,
-        residual_dead_fraction=report.residual_dead_fraction,
     )
 
 
