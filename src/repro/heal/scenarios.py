@@ -326,6 +326,7 @@ def run_scenario(
 ) -> ScenarioResult:
     """Deploy, converge, arm, inject row ``name``'s fault and run it.
 
+    ``degree`` is the corruption severity handed to the injection;
     ``budget`` overrides the row's re-convergence budget. A row with a
     budget always runs with telemetry (its own collector when none is
     given): the health rules are what a managed run acts on.
