@@ -7,28 +7,15 @@ fewer rounds but cost proportionally more memory and bandwidth.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import view_size_sweep
-from repro.experiments.harness import current_scale
-from repro.metrics.report import render_table
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_a1_view_size_sweep(benchmark, record_result):
-    scale = current_scale()
-    rows = benchmark.pedantic(
-        lambda: view_size_sweep(
-            view_sizes=(4, 8, 12, 16, 24), n_nodes=256, scale=scale
-        ),
-        rounds=1,
-        iterations=1,
+    result = benchmark.pedantic(
+        lambda: run_experiment(EXPERIMENTS["a1"]), rounds=1, iterations=1
     )
-    record_result(
-        "a1_view_size",
-        render_table(
-            ("View size", "Rounds to converge"),
-            [(size, str(stats)) for size, stats in rows],
-            title="A1: elementary ring (256 nodes) vs Vicinity view size",
-        ),
-    )
+    record_result("a1_view_size", format_result(result))
+    rows = [(point.label, summary["rounds"]) for point, summary in result.points]
     converged = [(size, stats) for size, stats in rows if stats.n > 0]
     assert converged, "no view size converged at all"
     # Bigger views never hurt by much: the largest view is at least as fast

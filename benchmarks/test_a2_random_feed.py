@@ -7,28 +7,16 @@ converges from a cold start. This ablation measures exactly that.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import random_feed_ablation
-from repro.experiments.harness import current_scale
-from repro.metrics.report import render_table
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_a2_random_feed(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: random_feed_ablation(n_nodes=256, max_rounds=40, scale=scale),
-        rounds=1,
-        iterations=1,
+        lambda: run_experiment(EXPERIMENTS["a2"]), rounds=1, iterations=1
     )
-    record_result(
-        "a2_random_feed",
-        render_table(
-            ("Configuration", "Rounds to converge"),
-            [(name, str(stats)) for name, stats in result.items()],
-            title="A2: elementary ring (256 nodes) with/without the "
-            "peer-sampling candidate feed",
-        ),
-    )
-    assert result["with_random_feed"].failures == 0
-    assert result["without_random_feed"].n == 0, (
+    record_result("a2_random_feed", format_result(result))
+    stats = {point.label: summary["rounds"] for point, summary in result.points}
+    assert stats["with_random_feed"].failures == 0
+    assert stats["without_random_feed"].n == 0, (
         "the no-feed configuration should starve from a cold start"
     )

@@ -8,46 +8,14 @@ realized (shrunken) shape.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import churn_study
-from repro.experiments.harness import current_scale
-from repro.metrics.report import render_table
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_a3_churn_and_catastrophe(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: churn_study(
-            crash_rate=0.01,
-            catastrophe_fraction=0.5,
-            n_nodes=192,
-            scale=scale,
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: run_experiment(EXPERIMENTS["a3"]), rounds=1, iterations=1
     )
-    record_result(
-        "a3_churn",
-        render_table(
-            ("Metric", "Value"),
-            [
-                ("crash rate / round", f"{result.crash_rate:.0%}"),
-                (
-                    "runs converged under churn",
-                    f"{result.converged_runs}/{result.total_runs}",
-                ),
-                ("rounds to converge (churn)", str(result.rounds)),
-                (
-                    "core health right after 50% loss + rebalance",
-                    f"{result.health_after_catastrophe:.2f}",
-                ),
-                (
-                    "core health after 30 recovery rounds",
-                    f"{result.health_after_recovery:.2f}",
-                ),
-            ],
-            title="A3: churn resilience and catastrophic-failure recovery "
-            "(ring-of-rings, 192 nodes)",
-        ),
-    )
-    assert result.converged_runs == result.total_runs
-    assert result.health_after_recovery >= 0.99
+    record_result("a3_churn", format_result(result))
+    summary = result.points[0][1]
+    assert summary["rounds"].failures == 0
+    assert summary["health_recovered"].mean >= 0.99

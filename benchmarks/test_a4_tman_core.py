@@ -8,30 +8,13 @@ convergence.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import core_flavor_comparison
-from repro.experiments.harness import current_scale
-from repro.metrics.report import render_table
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_a4_core_flavor(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: core_flavor_comparison(n_nodes=128, scale=scale),
-        rounds=1,
-        iterations=1,
+        lambda: run_experiment(EXPERIMENTS["a4"]), rounds=1, iterations=1
     )
-    layers = sorted(result["vicinity"])
-    record_result(
-        "a4_tman_core",
-        render_table(
-            ("Layer",) + tuple(sorted(result)),
-            [
-                (layer,) + tuple(str(result[flavor][layer]) for flavor in sorted(result))
-                for layer in layers
-            ],
-            title="A4: full runtime with Vicinity vs T-Man core protocols "
-            "(ring-of-rings, 128 nodes; rounds to converge)",
-        ),
-    )
-    for flavor in ("vicinity", "tman"):
-        assert result[flavor]["core"].failures == 0, f"{flavor} core failed"
+    record_result("a4_tman_core", format_result(result))
+    for point, summary in result.points:
+        assert summary["core"].failures == 0, f"{point.label} core failed"

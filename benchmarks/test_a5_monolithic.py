@@ -9,29 +9,17 @@ versus the layered runtime.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import monolithic_comparison
-from repro.experiments.harness import current_scale
-from repro.metrics.report import render_table
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_a5_monolithic_vs_layered(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: monolithic_comparison(n_nodes=104, scale=scale),
-        rounds=1,
-        iterations=1,
+        lambda: run_experiment(EXPERIMENTS["a5"]), rounds=1, iterations=1
     )
-    record_result(
-        "a5_monolithic",
-        render_table(
-            ("Design", "Rounds to realize all component shapes"),
-            [(name, str(stats)) for name, stats in result.items()],
-            title="A5: star-of-cliques (104 nodes) — layered runtime vs "
-            "one monolithic overlay",
-        ),
-    )
-    layered = result["layered_runtime_core"]
-    monolithic = result["monolithic_overlay"]
+    record_result("a5_monolithic", format_result(result))
+    summary = result.points[0][1]
+    layered = summary["layered_runtime_core"]
+    monolithic = summary["monolithic_overlay"]
     assert layered.failures == 0
     # The monolithic design loses: slower when it converges at all (and it
     # cannot express the links between components in any case).

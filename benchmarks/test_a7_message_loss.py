@@ -9,49 +9,21 @@ exchanges is dropped every round, and the full runtime must still converge
 
 from __future__ import annotations
 
-from repro.experiments.ablations import loss_tolerance_sweep
-from repro.experiments.harness import current_scale
-from repro.metrics.report import render_table
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_a7_message_loss(benchmark, record_result):
-    scale = current_scale()
-    rows = benchmark.pedantic(
-        lambda: loss_tolerance_sweep(
-            loss_rates=(0.0, 0.1, 0.2, 0.4), n_nodes=128, scale=scale
-        ),
-        rounds=1,
-        iterations=1,
+    result = benchmark.pedantic(
+        lambda: run_experiment(EXPERIMENTS["a7"]), rounds=1, iterations=1
     )
-    table = []
-    for loss_rate, stats in rows:
-        slowest = max(
-            stats.values(), key=lambda s: (s.failures, s.mean if s.n else 0)
-        )
-        table.append(
-            (
-                f"{loss_rate:.0%}",
-                str(stats["core"]),
-                str(stats["port_connection"]),
-                str(slowest),
-            )
-        )
-    record_result(
-        "a7_message_loss",
-        render_table(
-            ("Loss rate", "Core", "Port connection", "Slowest layer"),
-            table,
-            title="A7: full-runtime convergence under message loss "
-            "(ring-of-rings, 128 nodes; rounds, mean ±90% CI)",
-        ),
-    )
+    record_result("a7_message_loss", format_result(result))
     # Resilience: every layer still converges in every seed up to 40% loss.
-    for loss_rate, stats in rows:
+    for point, stats in result.points:
         for layer, layer_stats in stats.items():
             assert layer_stats.failures == 0, (
-                f"{layer} failed at {loss_rate:.0%} loss"
+                f"{layer} failed at {point.label:.0%} loss"
             )
     # Degradation is graceful: 40% loss costs at most ~3x the lossless rounds.
-    lossless = rows[0][1]["core"].mean
-    lossy = rows[-1][1]["core"].mean
+    lossless = result.points[0][1]["core"].mean
+    lossy = result.points[-1][1]["core"].mean
     assert lossy <= max(3.0 * lossless, lossless + 12)

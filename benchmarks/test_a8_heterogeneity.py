@@ -8,41 +8,21 @@ skewed one (one component holding half the population) at equal node count.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import heterogeneity_study
-from repro.experiments.harness import current_scale
-from repro.metrics.report import render_table
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_a8_heterogeneity(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: heterogeneity_study(n_nodes=160, scale=scale),
-        rounds=1,
-        iterations=1,
+        lambda: run_experiment(EXPERIMENTS["a8"]), rounds=1, iterations=1
     )
-    layers = sorted(result["balanced"])
-    record_result(
-        "a8_heterogeneity",
-        render_table(
-            ("Layer", "Balanced (8 equal rings)", "Skewed (1 giant + 7 small)"),
-            [
-                (
-                    layer,
-                    str(result["balanced"][layer]),
-                    str(result["skewed"][layer]),
-                )
-                for layer in layers
-            ],
-            title="A8: convergence with uniform vs skewed component sizes "
-            "(160 nodes; rounds, mean ±90% CI)",
-        ),
-    )
-    for variant in ("balanced", "skewed"):
-        for layer, stats in result[variant].items():
+    record_result("a8_heterogeneity", format_result(result))
+    variants = {point.label: summary for point, summary in result.points}
+    for variant, summary in variants.items():
+        for layer, stats in summary.items():
             assert stats.failures == 0, f"{variant}/{layer} failed"
     # Skew costs something (the giant ring converges slower than small
     # ones) but stays within a small multiple of the balanced case.
     assert (
-        result["skewed"]["core"].mean
-        <= max(3.0 * result["balanced"]["core"].mean, result["balanced"]["core"].mean + 15)
+        variants["skewed"]["core"].mean
+        <= max(3.0 * variants["balanced"]["core"].mean, variants["balanced"]["core"].mean + 15)
     )

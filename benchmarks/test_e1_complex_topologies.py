@@ -10,59 +10,22 @@ IoT composite) and reports rounds-to-converge per topology.
 from __future__ import annotations
 
 from repro.core import Runtime
-from repro.experiments.harness import current_scale, measure_convergence
-from repro.experiments.topologies import (
-    grid_of_rings,
-    iot_composite,
-    line_of_stars,
-    ring_of_rings,
-    star_of_cliques,
+from repro.experiments.catalogue import (
+    EXPERIMENTS,
+    current_scale,
+    format_result,
+    run_experiment,
 )
-from repro.metrics.report import render_table
-
-TOPOLOGIES = [
-    ("star_of_cliques (MongoDB)", lambda: star_of_cliques(4, 18, 8)),
-    ("ring_of_rings", lambda: ring_of_rings(8, 16)),
-    ("grid_of_rings", lambda: grid_of_rings(3, 3, 12)),
-    ("line_of_stars", lambda: line_of_stars(4, 12)),
-    ("iot_composite", lambda: iot_composite(32, 15, 12, 5)),
-]
-
-
-def run_experiment():
-    scale = current_scale()
-    rows = []
-    for name, factory in TOPOLOGIES:
-        assembly = factory()
-        stats = measure_convergence(
-            assembly, assembly.total_nodes, scale.seeds, scale.max_rounds
-        )
-        slowest = max(stats.values(), key=lambda s: (s.failures, s.mean))
-        rows.append(
-            (
-                name,
-                assembly.total_nodes,
-                len(assembly.components),
-                len(assembly.links),
-                str(stats["core"]),
-                str(stats["port_connection"]),
-                str(slowest),
-            )
-        )
-    return rows
+from repro.experiments.topologies import star_of_cliques
 
 
 def test_e1_complex_topologies(benchmark, record_result):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    text = render_table(
-        ("Topology", "Nodes", "Comps", "Links", "Core", "PortConn", "Slowest layer"),
-        rows,
-        title="E1: convergence of complex real-world-like topologies "
-        "(rounds, mean ±90% CI)",
+    result = benchmark.pedantic(
+        lambda: run_experiment(EXPERIMENTS["e1"]), rounds=1, iterations=1
     )
-    record_result("e1_complex_topologies", text)
+    record_result("e1_complex_topologies", format_result(result))
     # Every topology must have converged in every seed (no failures).
-    for row in rows:
+    for row in result.rows:
         assert "failed" not in row[6], row
 
 

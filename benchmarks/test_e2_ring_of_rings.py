@@ -7,23 +7,21 @@ paper's Ring-of-Rings topology.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ALL_SERIES, current_scale
-from repro.experiments.ring_of_rings import (
-    format_ring_of_rings,
-    run_ring_of_rings,
+from repro.experiments.catalogue import (
+    EXPERIMENTS,
+    SERIES_TO_LAYER,
+    format_result,
+    run_experiment,
 )
 
 
 def test_e2_ring_of_rings(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: run_ring_of_rings(n_rings=8, ring_size=16, scale=scale),
-        rounds=1,
-        iterations=1,
+        lambda: run_experiment(EXPERIMENTS["e2"]), rounds=1, iterations=1
     )
-    record_result("e2_ring_of_rings", format_ring_of_rings(result))
-    for series in ALL_SERIES:
-        stats = result.series[series]
+    record_result("e2_ring_of_rings", format_result(result))
+    for series, layer in SERIES_TO_LAYER.items():
+        stats = result.points[0][1][layer]
         assert stats.failures == 0, f"{series} failed to converge"
         # Paper's qualitative claim: every sub-procedure converges fast
         # (all series sit well under ~30 rounds at these scales).

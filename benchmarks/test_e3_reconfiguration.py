@@ -7,23 +7,19 @@ the target topology for comparison.
 
 from __future__ import annotations
 
-from repro.experiments.harness import current_scale
-from repro.experiments.reconfiguration import (
-    format_reconfiguration,
-    run_reconfiguration,
-)
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_e3_reconfiguration(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: run_reconfiguration(n_nodes=128, scale=scale),
-        rounds=1,
-        iterations=1,
+        lambda: run_experiment(EXPERIMENTS["e3"]), rounds=1, iterations=1
     )
-    record_result("e3_reconfiguration", format_reconfiguration(result))
+    record_result("e3_reconfiguration", format_result(result))
+    summary = result.points[0][1]
+    reconfigured = summary["reconfigure A -> B (star-of-cliques)"]
+    cold_start = summary["cold start of topology B"]
     # The headline claim: re-convergence always completes.
-    assert result.reconfigured.failures == 0
+    assert reconfigured.failures == 0
     # And it is not meaningfully worse than a cold start of the new
     # topology (the surviving substrate pays for itself).
-    assert result.reconfigured.mean <= result.cold_start.mean * 1.75
+    assert reconfigured.mean <= cold_start.mean * 1.75

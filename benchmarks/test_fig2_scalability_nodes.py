@@ -13,33 +13,35 @@ This bench regenerates the series and checks the *shape*:
 
 from __future__ import annotations
 
-import math
-
-from repro.experiments.fig2 import format_fig2, run_fig2
-from repro.experiments.harness import ALL_SERIES, current_scale
+from repro.experiments.catalogue import (
+    EXPERIMENTS,
+    SERIES_TO_LAYER,
+    current_scale,
+    format_result,
+    run_experiment,
+)
 
 
 def test_fig2_convergence_vs_nodes(benchmark, record_result):
     scale = current_scale()
-    rows = benchmark.pedantic(
-        lambda: run_fig2(scale=scale), rounds=1, iterations=1
+    result = benchmark.pedantic(
+        lambda: run_experiment(EXPERIMENTS["fig2"]), rounds=1, iterations=1
     )
-    record_result("fig2_scalability_nodes", format_fig2(rows))
+    record_result("fig2_scalability_nodes", format_result(result))
 
-    for row in rows:
-        for series in ALL_SERIES:
-            stats = row.series[series]
-            assert stats.failures == 0, (
-                f"{series} failed at {row.n_nodes} nodes"
+    for point, stats in result.points:
+        for series, layer in SERIES_TO_LAYER.items():
+            assert stats[layer].failures == 0, (
+                f"{series} failed at {point.nodes} nodes"
             )
 
     # Shape check: sub-logarithmic-ish growth. Compare the largest and
     # smallest population: rounds must grow far slower than node count.
-    smallest, largest = rows[0], rows[-1]
-    population_ratio = largest.n_nodes / smallest.n_nodes
-    for series in ALL_SERIES:
-        first = max(1.0, smallest.series[series].mean)
-        last = max(1.0, largest.series[series].mean)
+    (smallest, _), (largest, _) = result.points[0], result.points[-1]
+    population_ratio = largest.nodes / smallest.nodes
+    for series, means in result.series.items():
+        first = max(1.0, means[0])
+        last = max(1.0, means[-1])
         growth = last / first
         assert growth <= population_ratio / 2, (
             f"{series}: rounds grew {growth:.1f}x over a "
@@ -53,7 +55,7 @@ def test_fig2_convergence_vs_nodes(benchmark, record_result):
     # rounds rather than doubling them (checked on the steadiest series;
     # the small-seed CI of the others is too wide for a per-step check).
     series = "Same-component (UO1)"
-    means = [row.series[series].mean for row in rows]
+    means = result.series[series]
     increments = [b - a for a, b in zip(means, means[1:])]
     assert max(increments) <= max(8.0, means[0] * 1.5), (
         f"{series}: a single doubling added {max(increments):.1f} rounds"

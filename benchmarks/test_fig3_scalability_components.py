@@ -15,28 +15,32 @@ This bench regenerates the sweep at the current scale and checks:
 
 from __future__ import annotations
 
-from repro.experiments.fig3 import format_fig3, run_fig3
-from repro.experiments.harness import ALL_SERIES, SERIES_UO1, SERIES_UO2, current_scale
+from repro.experiments.catalogue import (
+    EXPERIMENTS,
+    SERIES_TO_LAYER,
+    current_scale,
+    format_result,
+    run_experiment,
+)
 
 
 def test_fig3_convergence_vs_components(benchmark, record_result):
     scale = current_scale()
-    rows = benchmark.pedantic(
-        lambda: run_fig3(scale=scale), rounds=1, iterations=1
+    result = benchmark.pedantic(
+        lambda: run_experiment(EXPERIMENTS["fig3"]), rounds=1, iterations=1
     )
-    record_result("fig3_scalability_components", format_fig3(rows))
+    record_result("fig3_scalability_components", format_result(result))
 
-    for row in rows:
-        for series in ALL_SERIES:
-            assert row.series[series].failures == 0, (
-                f"{series} failed at {row.n_components} components"
+    for point, stats in result.points:
+        for series, layer in SERIES_TO_LAYER.items():
+            assert stats[layer].failures == 0, (
+                f"{series} failed at {point.label} components"
             )
 
-    first, last = rows[0], rows[-1]
-    component_span = last.n_components - first.n_components
-    for series in ALL_SERIES:
-        start = first.series[series].mean
-        end = last.series[series].mean
+    component_span = result.points[-1][0].label - result.points[0][0].label
+    for series, means in result.series.items():
+        start = means[0]
+        end = means[-1]
         # "Increases slowly": bounded absolute slope — each extra component
         # costs around a round at most, never a multiplicative blow-up.
         # (A ratio test would be meaningless for series whose small-x
@@ -57,11 +61,12 @@ def test_fig3_convergence_vs_components(benchmark, record_result):
     # reply spends its slots on what the requester lacks: 1 / 2 / 2 / 3 / 3 /
     # 3, flat from 12 components on. Both bounds are absolute — every other
     # series is flat too, so "some other series climbs faster" says nothing.
-    uo2_end = last.series[SERIES_UO2].mean
-    uo2_climb = uo2_end - first.series[SERIES_UO2].mean
+    uo2 = result.series["Distant-component (UO2)"]
+    uo2_end = uo2[-1]
+    uo2_climb = uo2_end - uo2[0]
     assert uo2_end <= 4, f"UO2 scales with the component count again ({uo2_end:.1f} rounds)"
     assert uo2_climb <= 3.0, f"UO2 climbs {uo2_climb:.1f} rounds over the sweep"
     # UO1 gets the own-component descriptors UO2 receives: without that
     # handover it was the steepest series (2.5 -> 12.5).
-    uo1_end = last.series[SERIES_UO1].mean
+    uo1_end = result.series["Same-component (UO1)"][-1]
     assert uo1_end <= 8, f"UO1 is starved again ({uo1_end:.1f} rounds)"

@@ -15,18 +15,18 @@ Checks on the regenerated series:
 
 from __future__ import annotations
 
-from repro.experiments.fig4 import format_fig4, run_fig4
-from repro.experiments.harness import current_scale
+import dataclasses
+
+from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
 
 
 def test_fig4_bandwidth_split(benchmark, record_result):
-    scale = current_scale()
     result = benchmark.pedantic(
-        lambda: run_fig4(scale=scale), rounds=1, iterations=1
+        lambda: run_experiment(EXPERIMENTS["fig4"]), rounds=1, iterations=1
     )
-    record_result("fig4_bandwidth", format_fig4(result))
+    record_result("fig4_bandwidth", format_result(result))
 
-    baseline, overhead = result.baseline, result.overhead
+    baseline, overhead = result.series["Baseline"], result.series["Overhead"]
     # Both series are "very small": a few hundred bytes per node per round
     # at steady state (the paper plots both under ~1000 B; our documented
     # cost model lands in the same band).
@@ -50,12 +50,12 @@ def test_fig4_bandwidth_split(benchmark, record_result):
 def test_fig4_overhead_is_bounded_multiple_of_baseline(benchmark):
     """The runtime's five sub-procedures cost a small constant factor of the
     single core protocol — the 'low-overhead' claim quantified."""
-    scale = current_scale()
+    twelve_rounds = dataclasses.replace(EXPERIMENTS["fig4"], max_rounds=12)
     result = benchmark.pedantic(
-        lambda: run_fig4(rounds=12, scale=scale), rounds=1, iterations=1
+        lambda: run_experiment(twelve_rounds), rounds=1, iterations=1
     )
-    steady_baseline = result.baseline[-1]
-    steady_overhead = result.overhead[-1]
+    steady_baseline = result.series["Baseline"][-1]
+    steady_overhead = result.series["Overhead"][-1]
     # Paper: "Both follow the same pattern, and both are very small" —
     # overhead sits in the same band as the baseline, not a multiple of it.
     assert steady_overhead <= 2.5 * steady_baseline

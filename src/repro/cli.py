@@ -22,10 +22,11 @@ Commands
 ``export FILE``
     Converge the topology and dump the realized overlay as Graphviz DOT or
     an edge list.
-``bench {fig2|fig3|fig4|e2|e3}``
-    Regenerate a paper figure / experiment at the current ``REPRO_SCALE``
-    and print its table. (Performance is measured by the repository
-    benchmark, ``python3 -m bench``.)
+``bench TARGET``
+    Regenerate a paper figure, experiment or ablation (``e1``-``e3``,
+    ``fig2``-``fig4``, ``a1``-``a8``) at the current ``REPRO_SCALE`` and
+    print its table. (Performance is measured by the repository benchmark,
+    ``python3 -m bench``.)
 ``faults --scenario NAME``
     Run one scenario of the fault-injection suite (or the whole matrix)
     and print its self-healing report: per-layer time-to-repair, residual
@@ -42,7 +43,7 @@ Commands
 ``report FILE``
     Deploy, converge, and print the consolidated metrics report —
     convergence rounds, bandwidth split, and live telemetry — through the
-    :class:`~repro.metrics.registry.MetricsRegistry` facade. With
+    :class:`~repro.obs.registry.MetricsRegistry` facade. With
     ``--profile``, time every layer's protocol steps and append the
     sorted self-time span table.
 ``obs TARGET``
@@ -63,7 +64,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -153,20 +153,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro bench`` target → (``repro.experiments`` module, runner, renderer).
-_BENCH_DRIVERS = {
-    "fig2": ("fig2", "run_fig2", "format_fig2"),
-    "fig3": ("fig3", "run_fig3", "format_fig3"),
-    "fig4": ("fig4", "run_fig4", "format_fig4"),
-    "e2": ("ring_of_rings", "run_ring_of_rings", "format_ring_of_rings"),
-    "e3": ("reconfiguration", "run_reconfiguration", "format_reconfiguration"),
-}
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    module, run, render = _BENCH_DRIVERS[args.target]
-    driver = importlib.import_module(f"repro.experiments.{module}")
-    print(getattr(driver, render)(getattr(driver, run)()))
+    from repro.experiments.catalogue import EXPERIMENTS, format_result, run_experiment
+
+    print(format_result(run_experiment(EXPERIMENTS[args.target])))
     return 0
 
 
@@ -314,7 +304,7 @@ def _instrumented_run(args: argparse.Namespace):
 def _cmd_report(args: argparse.Namespace) -> int:
     import os as _os
 
-    from repro.metrics.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry
 
     if _os.path.isdir(args.file):
         return _report_swarm_dir(args.file)
@@ -342,7 +332,7 @@ def _report_swarm_dir(status_dir: str) -> int:
     """
     import pathlib as _pathlib
 
-    from repro.metrics.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry
     from repro.obs.collector import Collector
     from repro.runtime.swarm import merge_node_events, merge_telemetry, read_statuses
 
@@ -380,7 +370,7 @@ def _report_swarm_dir(status_dir: str) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.metrics.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry
 
     if args.target.endswith(".jsonl"):
         from repro.obs.export import read_jsonl
@@ -701,9 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(func=_cmd_export)
 
     bench = subparsers.add_parser(
-        "bench", help="regenerate a paper figure or experiment table"
+        "bench", help="regenerate a paper figure, experiment or ablation table"
     )
-    bench.add_argument("target", choices=tuple(_BENCH_DRIVERS))
+    from repro.experiments.catalogue import EXPERIMENTS
+
+    bench.add_argument("target", choices=tuple(EXPERIMENTS))
     bench.set_defaults(func=_cmd_bench)
 
     from repro.heal.scenarios import FAULT_ROWS

@@ -1,46 +1,13 @@
-"""Experiment drivers reproducing the paper's evaluation (§4).
-
-One module per experiment / figure (see DESIGN.md §4 for the full index):
+"""The paper's evaluation (§4) and our ablations (see DESIGN.md §4).
 
 - :mod:`~repro.experiments.topologies` — the complex real-world-like
   assemblies of experiment (i): star-of-cliques (MongoDB), ring-of-rings,
-  grid-of-rings, an IoT composite;
-- :mod:`~repro.experiments.ring_of_rings` — experiment (ii), per-layer
-  convergence on the Ring-of-Rings topology;
-- :mod:`~repro.experiments.reconfiguration` — experiment (iii), dynamic
-  reconfiguration;
-- :mod:`~repro.experiments.fig2` — Figure 2, convergence vs node count;
-- :mod:`~repro.experiments.fig3` — Figure 3, convergence vs component count;
-- :mod:`~repro.experiments.fig4` — Figure 4, bandwidth baseline vs overhead;
-- :mod:`~repro.experiments.ablations` — the A1-A4 design-choice studies.
-
-Scales are environment-controlled (``REPRO_SCALE=ci|full``, see
-:mod:`~repro.experiments.harness`); the full scale matches the paper's
-25 600 nodes / 25 seeds.
+  grid-of-rings, line-of-stars, an IoT composite;
+- :mod:`~repro.experiments.catalogue` — every experiment, figure and
+  ablation as one row of ``EXPERIMENTS``, with one runner, one result type
+  and one formatter; scales are environment-controlled
+  (``REPRO_SCALE=ci|full``, the full scale matching the paper's 25 600
+  nodes / 25 seeds);
+- :mod:`~repro.experiments.stats` and :mod:`~repro.experiments.plot` — the
+  multi-seed statistics and ASCII charts the rows report with.
 """
-
-from repro.experiments.harness import (
-    ExperimentScale,
-    current_scale,
-    measure_convergence,
-    measure_elementary,
-)
-from repro.experiments.topologies import (
-    grid_of_rings,
-    iot_composite,
-    line_of_stars,
-    ring_of_rings,
-    star_of_cliques,
-)
-
-__all__ = [
-    "ExperimentScale",
-    "current_scale",
-    "grid_of_rings",
-    "iot_composite",
-    "line_of_stars",
-    "measure_convergence",
-    "measure_elementary",
-    "ring_of_rings",
-    "star_of_cliques",
-]

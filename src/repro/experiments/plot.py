@@ -60,14 +60,3 @@ def ascii_chart(
         lines.insert(0, f"{y_label}")
     return "\n".join(lines)
 
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line bar sketch of a series (eight levels)."""
-    blocks = "▁▂▃▄▅▆▇█"
-    values = list(values)
-    if not values:
-        return ""
-    top = max(values) or 1.0
-    return "".join(
-        blocks[min(7, int((value / top) * 7.999))] for value in values
-    )

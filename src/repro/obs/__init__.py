@@ -33,88 +33,3 @@ Collectors are wired in through :func:`~repro.obs.hooks.attach_collector`
 deliberately excluded from overlay digests, so the committed digests are
 byte-identical with and without a collector.
 """
-
-import importlib
-
-#: public name -> defining submodule. Resolution is lazy (PEP 562): eager
-#: imports here would cycle — obs.recovery imports core.convergence and
-#: faults.plane, both of which import obs.instrument through their own
-#: package fronts — and in-repo call sites import the submodules directly
-#: anyway (the package front door is for interactive and downstream use).
-_EXPORTS = {
-    "Collector": "repro.obs.collector",
-    "TAXONOMY": "repro.obs.events",
-    "known_kinds": "repro.obs.events",
-    "read_jsonl": "repro.obs.export",
-    "to_jsonl": "repro.obs.export",
-    "to_prometheus": "repro.obs.export",
-    "write_jsonl": "repro.obs.export",
-    "write_prometheus": "repro.obs.export",
-    "CriticalPath": "repro.obs.flow",
-    "Delivery": "repro.obs.flow",
-    "FlowTracer": "repro.obs.flow",
-    "Alert": "repro.obs.health",
-    "HealthMonitor": "repro.obs.health",
-    "HealthRule": "repro.obs.health",
-    "default_rules": "repro.obs.health",
-    "attach_collector": "repro.obs.hooks",
-    "attach_collector_to_engine": "repro.obs.hooks",
-    "attach_health": "repro.obs.hooks",
-    "profile_rows": "repro.obs.watch",
-    "render_dashboard": "repro.obs.watch",
-    "NULL_INSTRUMENT": "repro.obs.instrument",
-    "Instrument": "repro.obs.instrument",
-    "NullInstrument": "repro.obs.instrument",
-    "EventRecovery": "repro.obs.recovery",
-    "RecoveryObserver": "repro.obs.recovery",
-    "RecoveryReport": "repro.obs.recovery",
-    "ConvergenceTracer": "repro.obs.trace",
-    "PopulationTracer": "repro.obs.trace",
-    "TraceEvent": "repro.obs.trace",
-}
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: resolve each name at most once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
-__all__ = [
-    "NULL_INSTRUMENT",
-    "TAXONOMY",
-    "Alert",
-    "Collector",
-    "ConvergenceTracer",
-    "CriticalPath",
-    "Delivery",
-    "EventRecovery",
-    "FlowTracer",
-    "HealthMonitor",
-    "HealthRule",
-    "Instrument",
-    "NullInstrument",
-    "PopulationTracer",
-    "RecoveryObserver",
-    "RecoveryReport",
-    "TraceEvent",
-    "attach_collector",
-    "attach_collector_to_engine",
-    "attach_health",
-    "default_rules",
-    "known_kinds",
-    "profile_rows",
-    "read_jsonl",
-    "render_dashboard",
-    "to_jsonl",
-    "to_prometheus",
-    "write_jsonl",
-    "write_prometheus",
-]

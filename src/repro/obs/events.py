@@ -35,8 +35,7 @@ EVENT_ZONE_RESTORE = "zone_restore"
 EVENT_CATASTROPHE = "catastrophe"
 EVENT_REBALANCE = "rebalance"
 
-# -- harness / scenarios ------------------------------------------------------
-EVENT_SEED_MEASURED = "seed_measured"
+# -- scenarios ----------------------------------------------------------------
 EVENT_SCENARIO = "scenario"
 EVENT_SCENARIO_RESULT = "scenario_result"
 
@@ -71,7 +70,6 @@ TAXONOMY: Dict[str, str] = {
     EVENT_ZONE_RESTORE: "a dark availability zone came back",
     EVENT_CATASTROPHE: "a correlated kill wave removed part of the population",
     EVENT_REBALANCE: "the role assignment was re-run over the live population",
-    EVENT_SEED_MEASURED: "one seed of a multi-seed measurement completed",
     EVENT_SCENARIO: "a fault scenario run started",
     EVENT_SCENARIO_RESULT: "a fault scenario run finished with a verdict",
     EVENT_ALERT: "a health rule turned unhealthy (typed, with evidence)",

@@ -1,6 +1,7 @@
-"""Exporters: JSONL event streams and Prometheus-style text snapshots.
+"""Exporters: JSONL event streams, Prometheus-style snapshots, ASCII tables.
 
-Two complementary shapes of the same telemetry:
+Two complementary shapes of the same telemetry, plus the one table renderer
+every report, dashboard and experiment table goes through:
 
 - **JSONL** — the event stream, one JSON object per line in the namespaced
   :meth:`~repro.obs.trace.TraceEvent.to_dict` layout. Line-oriented so
@@ -10,13 +11,14 @@ Two complementary shapes of the same telemetry:
   counters, gauges, and span totals in the exposition format, so the
   output can be diffed, scraped, or pasted into dashboards without any
   client library.
+- **Tables** — :func:`render_table`, aligned plain text that diffs cleanly.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING, Iterable, List, Union
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Union
 
 from repro.errors import ReproError
 
@@ -177,3 +179,25 @@ def to_prometheus(collector: "Collector", prefix: str = "repro") -> str:
 def write_prometheus(path: str, collector: "Collector", prefix: str = "repro") -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(to_prometheus(collector, prefix=prefix))
+
+
+def render_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
+) -> str:
+    """Render an aligned ASCII table."""
+    materialized: List[List[str]] = [[str(cell) for cell in row] for row in rows]
+    widths = [len(header) for header in headers]
+    for row in materialized:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(cell.rjust(widths[index]) for index, cell in enumerate(cells))
+
+    out: List[str] = []
+    if title:
+        out.append(title)
+    out.append(line(list(headers)))
+    out.append(line(["-" * width for width in widths]))
+    out.extend(line(row) for row in materialized)
+    return "\n".join(out)

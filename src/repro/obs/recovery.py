@@ -25,7 +25,7 @@ from repro.core.convergence import ConvergenceTracker
 from repro.core.layers import LAYER_CORE, LAYER_UO1
 from repro.core.roles import RoleMap
 from repro.faults.plane import FaultEvent, FaultPlane
-from repro.metrics.report import render_table
+from repro.obs.export import render_table
 from repro.obs.instrument import Instrument
 from repro.sim.network import Network
 

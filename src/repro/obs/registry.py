@@ -1,21 +1,18 @@
 """MetricsRegistry — the one aggregation path behind the CLI reports.
 
-Before this facade existed, every command assembled its own ad-hoc mix of
-:mod:`~repro.metrics.stats`, :mod:`~repro.metrics.bandwidth`, and
-:mod:`~repro.metrics.report` calls. The registry consolidates them: feeders
-turn a convergence report, a deployment's transport, a telemetry
-:class:`~repro.obs.collector.Collector`, or a JSONL event stream into named
-table *sections*, and one renderer prints them all. ``repro report`` and
-``repro obs`` differ only in which feeders they call — the aggregation and
-formatting are shared, so the two commands can never drift apart.
+Feeders turn a convergence report, a deployment's bandwidth split, a
+telemetry :class:`~repro.obs.collector.Collector`, or a JSONL event stream
+into named table *sections*, and one renderer
+(:func:`~repro.obs.export.render_table`) prints them all. ``repro report``
+and ``repro obs`` differ only in which feeders they call — the aggregation
+and formatting are shared, so the two commands can never drift apart.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.metrics.bandwidth import total_split
-from repro.metrics.report import render_table
+from repro.obs.export import render_table
 
 #: One section: (title, headers, rows of primitives).
 Section = Tuple[str, Tuple[str, ...], List[Tuple[Any, ...]]]
@@ -79,11 +76,10 @@ class MetricsRegistry:
         """The Fig. 4 baseline/overhead split, per node per round."""
         if not rounds:
             return
-        split = total_split(
-            deployment.transport, rounds, max(1, deployment.network.alive_count())
-        )
+        split = deployment.bandwidth_split(rounds)
+        population = max(1, deployment.network.alive_count())
         rows = [
-            (label, f"{sum(series) / rounds:.0f}")
+            (label, f"{sum(series) / rounds / population:.0f}")
             for label, series in sorted(split.items())
         ]
         self.add_section(

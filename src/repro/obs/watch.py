@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.metrics.report import render_table
+from repro.obs.export import render_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.heal.engine import RemediationEngine

@@ -1,23 +1,28 @@
-"""Tests for the experiment harness and scale control."""
+"""Tests for the catalogue's scale control and per-seed measurements."""
 
 from __future__ import annotations
 
-import os
+import dataclasses
 
-import pytest
-
-from repro.experiments import harness
-from repro.experiments.harness import (
+from repro.experiments import catalogue
+from repro.experiments.catalogue import (
     ALL_SERIES,
+    EXPERIMENTS,
     SERIES_TO_LAYER,
+    Point,
     current_scale,
-    measure_convergence,
     measure_elementary,
-    series_table,
+    run_experiment,
 )
-from repro.experiments.topologies import ring_of_rings
-from repro.metrics.stats import Stats
+from repro.experiments.stats import Stats
 from repro.shapes import make_shape
+
+
+def _layers_row(max_rounds, seeds):
+    """E2 shrunk to a ring of 4 rings of 8 nodes."""
+    return dataclasses.replace(
+        EXPERIMENTS["e2"], sweep=(4,), nodes=32, max_rounds=max_rounds, seeds=seeds
+    )
 
 
 class TestScale:
@@ -29,7 +34,8 @@ class TestScale:
         monkeypatch.setenv("REPRO_SCALE", "full")
         scale = current_scale()
         assert scale.name == "full"
-        assert scale.fig3_node_count == 25600
+        assert EXPERIMENTS["fig3"].full_nodes == 25600
+        assert EXPERIMENTS["fig2"].full_sweep[-1] == 25600
         assert len(scale.seeds) == 25
 
     def test_unknown_value_falls_back_to_ci(self, monkeypatch):
@@ -37,21 +43,17 @@ class TestScale:
         assert current_scale().name == "ci"
 
     def test_ci_scale_matches_paper_shape(self):
-        scale = harness._CI_SCALE
-        assert scale.fig2_components == 20
-        assert scale.fig2_node_counts[0] == 100
+        fig2 = EXPERIMENTS["fig2"]
+        assert fig2.points(catalogue._CI_SCALE)[0].label == 20
+        assert fig2.sweep[0] == 100
         # x-axis doubles, like the paper's log axis.
-        ratios = [
-            b / a
-            for a, b in zip(scale.fig2_node_counts, scale.fig2_node_counts[1:])
-        ]
+        ratios = [b / a for a, b in zip(fig2.sweep, fig2.sweep[1:])]
         assert all(ratio == 2 for ratio in ratios)
 
 
 class TestMeasurement:
     def test_measure_convergence_aggregates_layers(self):
-        assembly = ring_of_rings(n_rings=4, ring_size=8)
-        stats = measure_convergence(assembly, 32, seeds=(1, 2), max_rounds=60)
+        stats = run_experiment(_layers_row(60, (1, 2))).points[0][1]
         assert set(stats) == {
             "core",
             "uo1",
@@ -63,24 +65,13 @@ class TestMeasurement:
         assert all(value.n == 2 for value in stats.values())
 
     def test_measure_elementary(self):
-        stats = measure_elementary(make_shape("ring"), 48, seeds=(1, 2), max_rounds=60)
-        assert stats.n == 2
-        assert stats.mean > 0
+        point = Point(None, 48, make_shape("ring"))
+        rounds = [measure_elementary((point, seed, 60))["rounds"] for seed in (1, 2)]
+        assert all(value is not None and value > 0 for value in rounds)
 
     def test_timeout_counts_as_failure(self):
-        assembly = ring_of_rings(n_rings=4, ring_size=8)
-        stats = measure_convergence(assembly, 32, seeds=(1,), max_rounds=1)
+        stats = run_experiment(_layers_row(1, (1,))).points[0][1]
         assert any(value.failures == 1 for value in stats.values())
-
-    def test_series_table_layout(self):
-        cells = {
-            name: Stats(mean=5.0, std=0.0, ci90=0.0, n=1)
-            for name in ALL_SERIES
-        }
-        headers, rows = series_table([(100, cells)], x_label="# nodes")
-        assert headers[0] == "# nodes"
-        assert len(headers) == 1 + len(ALL_SERIES)
-        assert rows[0][0] == 100
 
     def test_series_to_layer_consistent(self):
         assert set(SERIES_TO_LAYER.values()) == {

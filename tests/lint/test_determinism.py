@@ -213,7 +213,7 @@ class TestDet003WallClock:
             def stamp():
                 return time.time()
             """,
-            rel_path="metrics/report.py",
+            rel_path="experiments/stats.py",
         )
         assert diags == []
 

@@ -1,9 +1,11 @@
-"""Tests for bandwidth extraction and table rendering."""
+"""Tests for the Fig. 4 bandwidth split and table rendering."""
 
 from __future__ import annotations
 
-from repro.metrics.bandwidth import layer_breakdown, per_node_series, total_split
-from repro.metrics.report import render_series, render_table
+from types import SimpleNamespace
+
+from repro.core.runtime import Deployment
+from repro.obs.export import render_table
 from repro.sim.config import TransportCosts
 from repro.sim.transport import Transport
 
@@ -20,26 +22,13 @@ def loaded_transport():
 
 
 class TestBandwidth:
-    def test_per_node_series(self):
-        transport = loaded_transport()
-        assert per_node_series(transport, "core", 2, 10) == [1.0, 2.0]
-
-    def test_per_node_zero_population(self):
-        assert per_node_series(loaded_transport(), "core", 2, 0) == [0.0, 0.0]
-
     def test_total_split(self):
-        split = total_split(loaded_transport(), 2, 1)
+        deployment = SimpleNamespace(transport=loaded_transport())
+        split = Deployment.bandwidth_split(deployment, 2)
         # Baseline = core + peer sampling; overhead = the four assembly
         # sub-procedures (here only uo1 carries traffic).
-        assert split["baseline"] == [20.0, 20.0]
-        assert split["overhead"] == [0.0, 10.0]
-
-    def test_layer_breakdown_contains_all_layers(self):
-        breakdown = layer_breakdown(loaded_transport(), 2, 1)
-        assert "core" in breakdown
-        assert "peer_sampling" in breakdown
-        assert "port_connection" in breakdown  # zero series still present
-        assert breakdown["port_connection"] == [0.0, 0.0]
+        assert split["baseline"] == [20, 20]
+        assert split["overhead"] == [0, 10]
 
 
 class TestReport:
@@ -53,12 +42,6 @@ class TestReport:
     def test_render_table_title(self):
         text = render_table(["a"], [(1,)], title="My Table")
         assert text.splitlines()[0] == "My Table"
-
-    def test_render_series(self):
-        text = render_series("rounds", [100, 200], [5, 6], x_label="nodes")
-        assert "nodes" in text
-        assert "rounds" in text
-        assert "200" in text
 
     def test_empty_rows(self):
         text = render_table(["a", "b"], [])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.metrics.plot import ascii_chart, sparkline
+from repro.experiments.plot import ascii_chart
 
 
 class TestAsciiChart:
@@ -50,16 +50,3 @@ class TestAsciiChart:
         assert chart.splitlines()[0] == "rounds"
         assert "nodes" in chart
 
-
-class TestSparkline:
-    def test_levels(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-        assert len(line) == 8
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_flat(self):
-        assert sparkline([5, 5, 5]) == "███"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.core import Runtime
-from repro.metrics.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.collector import Collector
 from repro.obs.hooks import attach_collector
 from repro.obs.trace import TraceEvent

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.metrics.stats import (
+from repro.experiments.stats import (
     Stats,
     confidence_half_width,
     mean,
@@ -83,3 +86,17 @@ class TestSummarize:
         stats = Stats(mean=1.0, std=0.0, ci90=0.0, n=1)
         with pytest.raises(AttributeError):
             stats.mean = 2.0  # type: ignore[misc]
+
+
+def test_interval_does_not_depend_on_scipy():
+    """The committed ± columns must print the same with or without scipy."""
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from repro.experiments.stats import summarize\n"
+        "print(str(summarize([3, 4])))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "3.5 ±3.2"

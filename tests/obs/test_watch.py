@@ -13,7 +13,7 @@ import pytest
 
 from repro.gossip.descriptors import Descriptor
 from repro.heal.engine import RemediationEngine
-from repro.metrics.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
 from repro.obs.health import Alert, HealthMonitor, StalledConvergence

@@ -8,7 +8,7 @@ byte-identical result digests per seed.
 
 from __future__ import annotations
 
-from repro.experiments.harness import run_parallel_seeds
+from repro.experiments.catalogue import run_parallel_seeds
 from repro.perf.digest import result_digest
 from repro.perf.workloads import Workload, run_cell
 from repro.sim.rng import derive_seed, spawn_seeds

@@ -1,54 +1,34 @@
-"""Tests for the CLI's bench dispatch (drivers monkeypatched for speed)."""
+"""Tests for the CLI's bench dispatch (the one runner stubbed for speed)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cli import main
+from repro.experiments import catalogue
+from repro.experiments.catalogue import EXPERIMENTS, ExperimentResult
 
 
 @pytest.fixture
-def fast_drivers(monkeypatch):
-    """Replace every experiment driver with an instant stub."""
+def fast_runner(monkeypatch):
+    """Replace the catalogue's runner with an instant stub."""
     calls = []
 
-    def stub_runner(name):
-        def run(*args, **kwargs):
-            calls.append(name)
-            return f"<{name} result>"
+    def run(experiment):
+        calls.append(experiment)
+        return ExperimentResult(
+            experiment=experiment, title=f"TABLE[{experiment.title}]", rows=[], points=[]
+        )
 
-        return run
-
-    def stub_formatter(name):
-        def fmt(result):
-            return f"TABLE[{name}]"
-
-        return fmt
-
-    import repro.experiments.fig2 as fig2
-    import repro.experiments.fig3 as fig3
-    import repro.experiments.fig4 as fig4
-    import repro.experiments.reconfiguration as reconf
-    import repro.experiments.ring_of_rings as rings
-
-    monkeypatch.setattr(fig2, "run_fig2", stub_runner("fig2"))
-    monkeypatch.setattr(fig2, "format_fig2", stub_formatter("fig2"))
-    monkeypatch.setattr(fig3, "run_fig3", stub_runner("fig3"))
-    monkeypatch.setattr(fig3, "format_fig3", stub_formatter("fig3"))
-    monkeypatch.setattr(fig4, "run_fig4", stub_runner("fig4"))
-    monkeypatch.setattr(fig4, "format_fig4", stub_formatter("fig4"))
-    monkeypatch.setattr(rings, "run_ring_of_rings", stub_runner("e2"))
-    monkeypatch.setattr(rings, "format_ring_of_rings", stub_formatter("e2"))
-    monkeypatch.setattr(reconf, "run_reconfiguration", stub_runner("e3"))
-    monkeypatch.setattr(reconf, "format_reconfiguration", stub_formatter("e3"))
+    monkeypatch.setattr(catalogue, "run_experiment", run)
     return calls
 
 
-@pytest.mark.parametrize("target", ["fig2", "fig3", "fig4", "e2", "e3"])
-def test_bench_dispatch(fast_drivers, capsys, target):
+@pytest.mark.parametrize("target", sorted(EXPERIMENTS))
+def test_bench_dispatch(fast_runner, capsys, target):
     assert main(["bench", target]) == 0
-    out = capsys.readouterr().out
-    assert "TABLE[" in out
+    assert fast_runner == [EXPERIMENTS[target]]
+    assert f"TABLE[{EXPERIMENTS[target].title}]" in capsys.readouterr().out
 
 
 def test_bench_rejects_unknown_target(capsys):
