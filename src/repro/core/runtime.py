@@ -361,13 +361,18 @@ class Deployment:
         *assembly* changed around them (``old_assembly`` given), their
         component's declaration may differ even though the role tuple does
         not — a changed shape rebuilds the core protocol, changed ports or
-        links refresh just the port layers.
+        links refresh just the port layers. A node without a new role (dead)
+        keeps its stack across a rebalance; across an assembly change it is
+        demoted to a spare, so a later revival rejoins the new assembly
+        instead of gossiping the old one's shape at it.
         """
         old_map = self.role_map
         self.role_map = new_map
         for node in self.network.nodes():
             if not new_map.has_role(node.node_id):
-                continue  # dead node dropped from the live assignment
+                if old_assembly is not None:
+                    self._adopt_role(node, Role(SPARE_COMPONENT, 0, 1))
+                continue
             role = new_map.role(node.node_id)
             if fresh_node is not None and node.node_id == fresh_node.node_id:
                 self._install_stack(node, role)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Runtime
 from repro.core.reconfigure import reconfigure, reconfigure_and_measure
+from repro.core.roles import SPARE_COMPONENT
 from repro.dsl import TopologyBuilder
 
 
@@ -147,3 +148,30 @@ class TestReconfigure:
             builder.component(f"c{index}", "ring", size=1)
         with pytest.raises(Exception):
             reconfigure(deployment, builder.build())
+
+    def test_node_dead_across_a_reconfiguration_rejoins_as_a_spare(self):
+        """Regression: a node dead during the switch has no role in the new
+        map. It used to keep the old assembly's stack, and once revived its
+        core shipped ring coordinates to the new star cores, which crashed
+        the star's distance function."""
+        pair = TopologyBuilder("Fuzz")
+        pair.component("ring", "ring", size=12).port("gate", "lowest_id")
+        pair.component("cell", "clique", size=6).port("gate", "lowest_id")
+        pair.link(("ring", "gate"), ("cell", "gate"))
+        star = TopologyBuilder("Fuzz")
+        star.component("hub_comp", "star", size=8).port("hub", "hub")
+        star.component("pool", "random", size=10, min_degree=2).port(
+            "up", "lowest_id"
+        )
+        star.link(("hub_comp", "hub"), ("pool", "up"))
+
+        deployment = Runtime(pair.build(), seed=0).deploy(22)
+        deployment.run(1)
+        victim = deployment.network.alive_ids()[0]
+        deployment.network.kill(victim)
+        reconfigure(deployment, star.build())
+        deployment.network.revive(victim)
+        deployment.run(1)
+        node = deployment.network.node(victim)
+        assert node.attributes["role"].component == SPARE_COMPONENT
+        assert not deployment.role_map.has_role(victim)
