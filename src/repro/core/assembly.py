@@ -126,9 +126,15 @@ class Assembly:
 
     # -- deployment helpers ----------------------------------------------------------
 
-    def assign_roles(self, node_ids: Sequence[int]) -> RoleMap:
-        """Run the assignment rule over a concrete population."""
-        return self.assignment.assign(node_ids, self)
+    def assign_roles(
+        self, node_ids: Sequence[int], previous: Optional[RoleMap] = None
+    ) -> RoleMap:
+        """Run the assignment rule over a concrete population.
+
+        With ``previous``, its members keep their component where they can
+        (see :func:`repro.core.roles.cut`).
+        """
+        return self.assignment.assign(node_ids, self, previous)
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,9 @@ the system runs, and the self-organizing layers converge to the new target
 without restarting any node.
 
 Mechanics: the new assembly's assignment rule is run over the live
-population; every node whose role changes adopts a new profile — UO1/UO2
+population with no previous map — a fresh cut, exactly what a deploy of the
+new assembly would deal (a rebalance, by contrast, keeps survivors in their
+component); every node whose role changes adopts a new profile — UO1/UO2
 flush entries the new role invalidates, the core protocol is rebuilt for the
 (possibly different) shape, ports re-propose and links re-bind. Global state
 that stays valid (the peer-sampling views, same-component contacts that
@@ -15,8 +17,6 @@ a cold start.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.core.assembly import Assembly
 from repro.core.convergence import ConvergenceReport
@@ -49,31 +49,3 @@ def reconfigure_and_measure(
     """Apply :func:`reconfigure` and run until the new target is reached."""
     reconfigure(deployment, new_assembly)
     return deployment.run_until_converged(max_rounds)
-
-
-def elastic_rebalance(deployment: Deployment) -> Dict[str, int]:
-    """Re-run the role assignment over the live population, reporting moves.
-
-    The elastic replica adjustment behind the churn-spike remediation: the
-    same reaction as :meth:`~repro.core.runtime.Deployment.rebalance`
-    (crashed nodes lose their roles; survivors and spares absorb the
-    vacated ranks), but instrumentable — it returns how much of the
-    assignment actually moved, so a remediation engine can tell a
-    no-op rebalance (assignment already matches the live population)
-    from a real elastic adjustment. Safe under repeated invocation: a
-    second call over an unchanged population moves zero roles.
-    """
-    old_map = deployment.role_map
-    live = deployment.network.alive_ids()
-    new_map = deployment.assembly.assign_roles(live)
-    moved = sum(
-        1
-        for node_id in live
-        if new_map.has_role(node_id)
-        and (
-            not old_map.has_role(node_id)
-            or old_map.role(node_id) != new_map.role(node_id)
-        )
-    )
-    deployment._apply_role_changes(new_map)
-    return {"population": len(live), "roles_moved": moved}

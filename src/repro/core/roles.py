@@ -6,17 +6,32 @@ rules to decide which node will be assigned to which component". An
 assembly's component declarations, it produces a :class:`RoleMap` giving each
 node a component and a rank within it.
 
-Rules are deterministic functions of the node-id set, so every node could
-recompute its own role locally from the membership information the gossip
-layers give it — the property that keeps the mapping "transparent to
-developers" as the paper demands.
+Roles are a deterministic function of the previous role map and the live
+id set, so every node could recompute its own role locally from the
+membership information the gossip layers give it — the property that keeps
+the mapping "transparent to developers" as the paper demands. With no
+previous map (deploy, reconfiguration) a rule deals consecutive slices of its
+own ordering of the ids to the components; with one (a rebalance after
+failures) every component first keeps its live members, so a failure wave
+moves only the overflow of shrunken components and refills the others from
+the rest of the population (see :func:`cut`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import AssemblyError, TopologyError
 
@@ -92,8 +107,21 @@ class AssignmentRule(ABC):
     name: str = ""
 
     @abstractmethod
-    def assign(self, node_ids: Sequence[int], assembly: "Assembly") -> RoleMap:
-        """Compute the role map for ``node_ids`` under ``assembly``."""
+    def order(self, node_ids: Iterable[int]) -> List[int]:
+        """The distinct ``node_ids`` in the order this rule deals them."""
+
+    def assign(
+        self,
+        node_ids: Iterable[int],
+        assembly: "Assembly",
+        previous: Optional[RoleMap] = None,
+    ) -> RoleMap:
+        """Compute the role map for ``node_ids`` under ``assembly``.
+
+        ``previous`` is the map being replaced: its live members keep their
+        component where the new quotas allow (see :func:`cut`).
+        """
+        return cut(self.order(node_ids), assembly, previous)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -180,44 +208,66 @@ def _component_quotas(
     return quotas
 
 
-def _assign_spares(roles: Dict[int, Role], leftover: Sequence[int]) -> None:
-    """Give every unassigned node a spare role (see :data:`SPARE_COMPONENT`)."""
-    for index, node_id in enumerate(leftover):
-        roles[node_id] = Role(SPARE_COMPONENT, index, len(leftover))
+def cut(
+    ordered: Sequence[int], assembly: "Assembly", previous: Optional[RoleMap] = None
+) -> RoleMap:
+    """Deal the population ``ordered`` (a rule's order) to the components.
+
+    1. Quotas come from :func:`_component_quotas` over the whole population.
+    2. Each component keeps its members under ``previous`` that are still in
+       the population, in their old rank order, up to its quota.
+    3. Everyone else — overflow of shrunken components, spares, joiners,
+       members of components the assembly no longer declares — fills the
+       remaining places in declaration order, taken in ``ordered`` order.
+    4. Ranks are the kept members, then the newcomers; whoever is left over
+       becomes a spare (see :data:`SPARE_COMPONENT`).
+
+    Without ``previous`` this is the plain contiguous cut of ``ordered``.
+    """
+    quotas = _component_quotas(len(ordered), assembly)
+    population = set(ordered)
+    dealt: Dict[str, List[int]] = {}
+    for name in assembly.components:
+        former = [] if previous is None else previous.member_ids(name)
+        kept = [node_id for node_id in former if node_id in population]
+        dealt[name] = kept[: quotas[name]]
+    placed = {node_id for members in dealt.values() for node_id in members}
+    pool = iter([node_id for node_id in ordered if node_id not in placed])
+    roles: Dict[int, Role] = {}
+    for name, members in dealt.items():
+        quota = quotas[name]
+        members.extend(islice(pool, quota - len(members)))
+        for rank, node_id in enumerate(members):
+            roles[node_id] = Role(name, rank, quota)
+    leftover = list(pool)
+    for rank, node_id in enumerate(leftover):
+        roles[node_id] = Role(SPARE_COMPONENT, rank, len(leftover))
+    return RoleMap(roles)
 
 
 class ProportionalAssignment(AssignmentRule):
     """Contiguous split of the sorted node ids, proportional to weights.
 
     The simplest deterministic rule: sort the population by id and deal
-    consecutive slices to components (fixed-size components first, in
-    declaration order). Ranks follow id order within each slice.
+    consecutive slices to components in declaration order. Ranks follow id
+    order within each slice.
     """
 
     name = "proportional"
 
-    def assign(self, node_ids: Sequence[int], assembly: "Assembly") -> RoleMap:
-        ordered = sorted(set(node_ids))
-        quotas = _component_quotas(len(ordered), assembly)
-        roles: Dict[int, Role] = {}
-        cursor = 0
-        for spec in assembly.components.values():
-            quota = quotas[spec.name]
-            for rank in range(quota):
-                roles[ordered[cursor]] = Role(spec.name, rank, quota)
-                cursor += 1
-        _assign_spares(roles, ordered[cursor:])
-        return RoleMap(roles)
+    def order(self, node_ids: Iterable[int]) -> List[int]:
+        return sorted(set(node_ids))
 
 
 class HashAssignment(AssignmentRule):
     """Pseudo-random assignment by hashing node ids into weighted buckets.
 
-    More realistic under churn than the contiguous split: a joining node
-    lands in a component independent of its id's position in the global
-    order, so existing ranks are not reshuffled. Quotas are still respected
-    exactly — the hash orders the population, then quotas cut it — and ranks
-    follow the hash order.
+    The hash orders the population, then the same cut as the contiguous
+    split deals it, so quotas are respected exactly and ranks follow the hash
+    order; a component's members are a pseudo-random sample of the ids, not
+    an id range. A cut without a previous map still shifts every later
+    component boundary when a node joins or leaves; a rebalance keeps
+    survivors in place whatever the order (see :func:`cut`).
     """
 
     name = "hash"
@@ -229,18 +279,8 @@ class HashAssignment(AssignmentRule):
         material = f"{self.salt}:{node_id}".encode("utf-8")
         return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
-    def assign(self, node_ids: Sequence[int], assembly: "Assembly") -> RoleMap:
-        ordered = sorted(set(node_ids), key=lambda nid: (self._key(nid), nid))
-        quotas = _component_quotas(len(ordered), assembly)
-        roles: Dict[int, Role] = {}
-        cursor = 0
-        for spec in assembly.components.values():
-            quota = quotas[spec.name]
-            for rank in range(quota):
-                roles[ordered[cursor]] = Role(spec.name, rank, quota)
-                cursor += 1
-        _assign_spares(roles, ordered[cursor:])
-        return RoleMap(roles)
+    def order(self, node_ids: Iterable[int]) -> List[int]:
+        return sorted(set(node_ids), key=lambda nid: (self._key(nid), nid))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HashAssignment):

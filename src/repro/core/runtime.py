@@ -341,18 +341,32 @@ class Deployment:
 
         return provision
 
-    def rebalance(self) -> None:
+    def rebalance(self) -> Dict[str, int]:
         """Re-run the assignment rule over the *live* population.
 
-        Crashed nodes lose their roles, so survivors (and spares) take over
-        the vacated ranks — the self-healing reaction to a failure wave.
+        Crashed nodes lose their roles. Every component keeps its live
+        members (up to its new quota, in their old rank order); spares and
+        the overflow of shrunken components fill the vacated places — the
+        self-healing reaction to a failure wave. Returns how much moved:
+        ``population`` (live nodes) and ``roles_moved`` (live nodes whose
+        role differs), so a caller can tell a no-op from a real adjustment;
+        a second call over an unchanged population moves nothing.
         """
-        self._apply_role_changes(self.assembly.assign_roles(self.network.alive_ids()))
+        old_map = self.role_map
+        live = self.network.alive_ids()
+        new_map = self.assembly.assign_roles(live, previous=old_map)
+        moved = sum(
+            1
+            for node_id in live
+            if not old_map.has_role(node_id)
+            or old_map.role(node_id) != new_map.role(node_id)
+        )
+        self._apply_role_changes(new_map)
+        return {"population": len(live), "roles_moved": moved}
 
     def _apply_role_changes(
         self,
         new_map: RoleMap,
-        fresh_node: Optional[Node] = None,
         old_assembly: Optional[Assembly] = None,
     ) -> None:
         """Point every node at its role under the (possibly new) assembly.
@@ -374,9 +388,6 @@ class Deployment:
                     self._adopt_role(node, Role(SPARE_COMPONENT, 0, 1))
                 continue
             role = new_map.role(node.node_id)
-            if fresh_node is not None and node.node_id == fresh_node.node_id:
-                self._install_stack(node, role)
-                continue
             role_changed = (
                 not old_map.has_role(node.node_id)
                 or old_map.role(node.node_id) != role

@@ -54,7 +54,6 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.reconfigure import elastic_rebalance
 from repro.faults.controls import rendezvous_reseed
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
@@ -294,7 +293,7 @@ class ElasticAdjust(RemediationAction):
 
     Re-runs the assignment rule over the live population (crashed nodes
     lose their roles; survivors and spares absorb the vacated ranks) via
-    :func:`~repro.core.reconfigure.elastic_rebalance`, then re-bootstraps
+    :meth:`~repro.core.runtime.Deployment.rebalance`, then re-bootstraps
     any peer-sampling view the failure wave left starved below half
     capacity.
     """
@@ -305,7 +304,7 @@ class ElasticAdjust(RemediationAction):
     )
 
     def apply(self, deployment, alert, round_index, rng):
-        moves = elastic_rebalance(deployment)
+        moves = deployment.rebalance()
         network = deployment.network
         reseeded = 0
         for node_id in network.alive_ids():
@@ -403,7 +402,7 @@ class ComponentReseed(RemediationAction):
                 continue
             node.protocol("peer_sampling").bootstrap(rng, network)
             bootstrapped += 1
-        moves = elastic_rebalance(deployment)
+        moves = deployment.rebalance()
         return {
             "outcome": "applied",
             "entries_purged": purged,

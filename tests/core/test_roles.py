@@ -14,6 +14,7 @@ from repro.core.roles import (
     Role,
     RoleMap,
     SPARE_COMPONENT,
+    _component_quotas,
     make_assignment,
 )
 from repro.shapes import make_shape
@@ -195,6 +196,133 @@ class TestHashAssignment:
     def test_equality_by_salt(self):
         assert HashAssignment(1) == HashAssignment(1)
         assert HashAssignment(1) != HashAssignment(2)
+
+
+RULES = [ProportionalAssignment(), HashAssignment(), HashAssignment(salt=3)]
+
+
+def mixed_assembly():
+    return Assembly(
+        "S",
+        [
+            ComponentSpec(name="fixed", shape=make_shape("ring"), size=7),
+            ComponentSpec(name="big", shape=make_shape("ring"), weight=2),
+            ComponentSpec(name="small", shape=make_shape("ring"), weight=1),
+        ],
+    )
+
+
+def component_moves(previous, current, assembly):
+    """Live nodes that left a component the assembly still declares."""
+    return sum(
+        1
+        for node_id in current.node_ids()
+        if previous.has_role(node_id)
+        and previous.role(node_id).component in assembly.components
+        and previous.role(node_id).component != current.role(node_id).component
+    )
+
+
+def check_sticky(rule, assembly, previous, live):
+    """Every property the sticky cut promises, for one (previous, live)."""
+    current = rule.assign(live, assembly, previous)
+    population = set(live)
+    assert current.node_ids() == sorted(population)
+    quotas = _component_quotas(len(population), assembly)
+    overflow = 0
+    for name, quota in quotas.items():
+        assert current.component_size(name) == quota
+        kept = [n for n in previous.member_ids(name) if n in population]
+        overflow += max(0, len(kept) - quota)
+        members = current.members(name)
+        assert [rank for _, rank in members] == list(range(quota))
+        assert all(current.role(n) == Role(name, rank, quota) for n, rank in members)
+        # Kept members lead, in their old rank order; newcomers follow.
+        assert current.member_ids(name)[: len(kept)] == kept[:quota]
+    assert component_moves(previous, current, assembly) == overflow
+    spares = [rank for _, rank in current.members(SPARE_COMPONENT)]
+    assert spares == list(range(len(spares)))
+    return current
+
+
+class TestStickyAssignment:
+    @pytest.mark.parametrize("rule", RULES, ids=repr)
+    def test_no_previous_map_is_the_plain_cut(self, rule):
+        assembly = mixed_assembly()
+        for population in (range(10), range(30), range(5, 64, 2)):
+            plain = rule.assign(population, assembly)
+            for previous in (None, RoleMap({})):
+                again = rule.assign(population, assembly, previous)
+                assert {n: again.role(n) for n in population} == {
+                    n: plain.role(n) for n in population
+                }
+
+    @pytest.mark.parametrize("rule", RULES, ids=repr)
+    def test_quotas_match_assign(self, rule):
+        assembly = mixed_assembly()
+        previous = rule.assign(range(40), assembly)
+        current = rule.assign(range(3, 40, 2), assembly, previous)
+        quotas = _component_quotas(len(range(3, 40, 2)), assembly)
+        for name in assembly.components:
+            assert current.component_size(name) == quotas[name]
+
+    @pytest.mark.parametrize("rule", RULES, ids=repr)
+    def test_unchanged_population_moves_nothing(self, rule):
+        assembly = mixed_assembly()
+        previous = rule.assign(range(40), assembly)
+        current = rule.assign(range(40), assembly, previous)
+        assert all(current.role(n) == previous.role(n) for n in range(40))
+
+    def test_survivors_keep_their_component(self):
+        """The failure-wave case: only the overflow of the components that
+        lost fewer members than the average moves."""
+        assembly = weighted_assembly({"a": 1, "b": 1, "c": 1})
+        rule = ProportionalAssignment()
+        previous = rule.assign(range(30), assembly)  # a: 0-9, b: 10-19, c: 20-29
+        live = [n for n in range(30) if n not in {10, 11, 12, 13, 14, 15}]
+        current = check_sticky(rule, assembly, previous, live)
+        assert current.member_ids("a") == list(range(8))
+        assert current.member_ids("b") == [16, 17, 18, 19, 8, 9, 28, 29]
+        assert current.member_ids("c") == list(range(20, 28))
+        assert component_moves(previous, current, assembly) == 4
+
+    def test_spares_and_joiners_fill_deficits_in_rule_order(self):
+        assembly = fixed_assembly({"a": 4, "b": 4})
+        rule = ProportionalAssignment()
+        previous = rule.assign(range(10), assembly)  # spares 8, 9
+        current = check_sticky(rule, assembly, previous, [0, 1, 2, 4, 5, 8, 9, 10])
+        assert current.member_ids("a") == [0, 1, 2, 8]
+        assert current.member_ids("b") == [4, 5, 9, 10]
+        assert current.component_size(SPARE_COMPONENT) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rule_index=st.integers(0, len(RULES) - 1),
+        population=st.integers(12, 60),
+        components=st.lists(
+            st.sampled_from(["fixed", "big", "small", "gone", SPARE_COMPONENT]),
+            min_size=70,
+            max_size=70,
+        ),
+        ranks=st.permutations(range(70)),
+        kills=st.sets(st.integers(0, 69), max_size=40),
+        joiners=st.integers(0, 10),
+    )
+    def test_sticky_properties(self, rule_index, population, components, ranks, kills, joiners):
+        """Over random previous maps (any components, any ranks, gaps and
+        all) and random kill sets plus joiners."""
+        assembly = mixed_assembly()
+        previous = RoleMap(
+            {
+                node_id: Role(components[node_id], ranks[node_id], 1)
+                for node_id in range(population)
+            }
+        )
+        live = [n for n in range(population) if n not in kills]
+        live += range(100, 100 + joiners)
+        if len(live) < len(assembly.components):
+            return
+        check_sticky(RULES[rule_index], assembly, previous, live)
 
 
 class TestMakeAssignment:

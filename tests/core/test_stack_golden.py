@@ -69,6 +69,23 @@ and feeds none, and what UO2 adds (+576 B) changes no UO1 view. Slowest
 layer summed over the eight cases 24 -> 23. The traced counters follow the
 shorter run (168 -> 112 exchanges a layer, 2 254 -> 1 306 deliveries). The
 sampler-regime cases below were pinned on the parent and did not move.
+
+Re-pinned a sixth time, the two repair cases only: a rebalance keeps every
+survivor in its component where the new quota allows (``roles.cut``), so the
+re-converging stack starts from whole components instead of a fresh
+contiguous cut. The six other cases never rebalance and did not move.
+``("repair", 7)`` keeps every round count. ``("repair", 1)`` moves two
+layers: the core 2 -> 1, and port selection 1 -> 2, because ring3's east
+port (rank 4 of 6) is now held by node 15, a newcomer from ring1 dealt to
+the tail ranks behind the four kept members, whom ring3's views do not list
+yet. The
+slowest layer of each case is unchanged (2 and 2). Bytes: ``("repair", 1)``
+core 32 408 -> 32 192, UO1 23 896 -> 23 780, UO2 38 816 -> 38 912, port
+selection 13 328 -> 13 064, port connection 16 568 -> 16 424;
+``("repair", 7)`` core 32 384 -> 32 432, UO1 23 824 -> 23 724, port
+connection 16 544 -> 16 424. Traced counters of ``("repair", 7)``: UO2
+purges 5 -> 3 dead contacts, UO1 receives 734 -> 728 descriptors, the core
+1 200 -> 1 202, port connection 540 -> 535; deliveries 1 306 -> 1 313.
 """
 
 from __future__ import annotations
@@ -213,27 +230,27 @@ GOLDEN = {
         },
     ),
     ("repair", 1): (
-        "2cf206d671235f7e2ad8501a69b643ae7dc63f763098bba55d67cce17bc669f8",
-        {"core": 2, "uo1": 2, "uo2": 1, "port_selection": 1, "port_connection": 2},
+        "5eca723dcb2aeba8e049d5f24e4c0060fb46f0210c1a1f1d15d973485bad08ff",
+        {"core": 1, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
             "peer_sampling": (224, 46592),
-            "uo1": (224, 23896),
-            "uo2": (224, 38816),
-            "core": (224, 32408),
-            "port_selection": (224, 13328),
-            "port_connection": (224, 16568),
+            "uo1": (224, 23780),
+            "uo2": (224, 38912),
+            "core": (224, 32192),
+            "port_selection": (224, 13064),
+            "port_connection": (224, 16424),
         },
     ),
     ("repair", 7): (
-        "8781f8a03b07a40ef8decc96c931671843b306c6f8ff059659e697a5c3d0eb0f",
+        "6c6ce005e5258a9b149cf93ff54b04e35b36382d4c218021eacf851bf7a20bad",
         {"core": 1, "uo1": 1, "uo2": 1, "port_selection": 1, "port_connection": 2},
         {
             "peer_sampling": (224, 46592),
-            "uo1": (224, 23824),
+            "uo1": (224, 23724),
             "uo2": (224, 38528),
-            "core": (224, 32384),
+            "core": (224, 32432),
             "port_selection": (224, 12992),
-            "port_connection": (224, 16544),
+            "port_connection": (224, 16424),
         },
     ),
 }
@@ -393,24 +410,24 @@ def test_uo1_is_closed(scenario, seed):
 TRACED_COUNTERS = {
     ("dead_purged", "peer_sampling"): 12,
     ("dead_purged", "uo1"): 32,
-    ("dead_purged", "uo2"): 5,
+    ("dead_purged", "uo2"): 3,
     ("descriptor_churn", "core"): 344,
     ("descriptor_churn", "peer_sampling"): 703,
-    ("descriptor_churn", "port_connection"): 165,
+    ("descriptor_churn", "port_connection"): 163,
     ("descriptor_churn", "port_selection"): 44,
-    ("descriptor_churn", "uo1"): 139,
-    ("descriptor_churn", "uo2"): 153,
-    ("descriptors_received", "core"): 1200,
+    ("descriptor_churn", "uo1"): 134,
+    ("descriptor_churn", "uo2"): 152,
+    ("descriptors_received", "core"): 1202,
     ("descriptors_received", "peer_sampling"): 1792,
-    ("descriptors_received", "port_connection"): 540,
+    ("descriptors_received", "port_connection"): 535,
     ("descriptors_received", "port_selection"): 392,
-    ("descriptors_received", "uo1"): 734,
+    ("descriptors_received", "uo1"): 728,
     ("descriptors_received", "uo2"): 1400,
-    ("descriptors_sent", "core"): 1200,
+    ("descriptors_sent", "core"): 1202,
     ("descriptors_sent", "peer_sampling"): 1792,
-    ("descriptors_sent", "port_connection"): 540,
+    ("descriptors_sent", "port_connection"): 535,
     ("descriptors_sent", "port_selection"): 392,
-    ("descriptors_sent", "uo1"): 734,
+    ("descriptors_sent", "uo1"): 728,
     ("descriptors_sent", "uo2"): 1400,
     ("exchanges", "core"): 112,
     ("exchanges", "peer_sampling"): 112,
@@ -423,7 +440,7 @@ TRACED_COUNTERS = {
     ("view_replacements", "peer_sampling"): 224,
     ("view_replacements", "uo1"): 224,
 }
-TRACED_DELIVERIES = 1306
+TRACED_DELIVERIES = 1313
 
 
 def test_traced_repair_reproduces_golden_telemetry():

@@ -15,6 +15,17 @@ the printed report, so the record pins what an operator sees:
 
 Every collector a row runs with must end with no event kind outside the
 taxonomy.
+
+``catastrophe`` moved from ``(0, 0, 0, 0, 0)`` to ``(1, 0, 0, 0, 1)`` when a
+rebalance began to keep survivors in their component. The kill leaves ring1
+with two members. It is now refilled from the overflow tails of three other
+rings (7 from ring0, 22 and 23 from ring2, 31 from ring3), who never shared a
+view, where the contiguous cut had handed it 7, 12, 14, 16, 17, 18 — mostly
+old ring neighbours. So 22 needs a second core round to reach its new
+neighbour 7. And ring3's kept rank 0 (node 24, where the cut had made 25 the
+manager) drew the one of its two ring2 contacts that did not yet hold the
+binding for ring2's east port. Each layer is one round later, and the row
+still heals.
 """
 
 from __future__ import annotations
@@ -147,8 +158,8 @@ FAULT_GOLDEN = {
     },
     "catastrophe": {
         "repair": [
-            ("r2 catastrophe (killed=9)", (0, 0, 0, 0, 0)),
-            ("r2 rebalance (roles reassigned)", (0, 0, 0, 0, 0)),
+            ("r2 catastrophe (killed=9)", (1, 0, 0, 0, 1)),
+            ("r2 rebalance (roles reassigned)", (1, 0, 0, 0, 1)),
         ],
         "final": ALL_OK,
         "residual": "0.0000",

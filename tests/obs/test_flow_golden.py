@@ -11,6 +11,12 @@ same-component sighting to a UO1 whose view can list its component, these
 rings of 8 converge a round earlier, and a shorter run is fewer deliveries
 and other first receipts. The tracer and the tag are what they were — a
 handover is no delivery on ``uo1`` (docs/observability.md).
+
+Re-pinned a second time, the two repair cases only, with the stack goldens:
+a rebalance now keeps survivors in their component, a different start state
+for the re-convergence. ``("repair", 7)`` keeps every critical path;
+``("repair", 1)`` changes the core's (29, 22) -> (29, 26) and UO1's
+(30, 26, 29) -> (30, 15).
 """
 
 from __future__ import annotations
@@ -52,16 +58,16 @@ GOLDEN = {
         {"core": (31, 29), "peer_sampling": (31, 2, 19, 28), "uo1": (31, 25), "uo2": (31, 12)},
     ),
     ("repair", 1): (
-        "b7317ca1a8d592467d73461143202128c95734e96bc57cf0e5ba039dd8f2e94d",
+        "30c5566ff2e1207412a786c89aec8e2553caceda5803029ffd98be6948e24b6d",
         {
-            "core": (29, 22),
+            "core": (29, 26),
             "peer_sampling": (31, 9, 20, 23),
-            "uo1": (30, 26, 29),
+            "uo1": (30, 15),
             "uo2": (30, 10),
         },
     ),
     ("repair", 7): (
-        "2c13fa3383d40cb89c19510e3945b2526d04fe1164bdeedcdfdb894417939448",
+        "5911b4fdb8a5d3bb90ea01f729db66368e44bdf5e60a6cff63ab0e8d0461a11e",
         {
             "core": (28, 24),
             "peer_sampling": (31, 14, 29),
