@@ -5,8 +5,6 @@ This package implements the published protocols the paper builds on:
 - :mod:`~repro.gossip.peer_sampling` — the gossip-based peer-sampling
   framework of Jelasity et al. (ACM TOCS 2007), the bottom layer of the
   runtime (Figure 1's "Global peer sampling");
-- :mod:`~repro.gossip.cyclon` — the Cyclon shuffle, an alternative
-  random-overlay protocol used for ablations;
 - :mod:`~repro.gossip.vicinity` — Vicinity (Voulgaris & van Steen,
   Middleware 2013), the topology-construction protocol the paper uses for
   its shape components: a greedy gossip optimizer over a user-supplied

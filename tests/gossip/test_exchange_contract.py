@@ -27,8 +27,6 @@ from repro.core.layers import (
     PortSelection,
     SameComponentOverlay,
 )
-from repro.gossip.cyclon import Cyclon
-from repro.gossip.descriptors import Descriptor
 from repro.gossip.peer_sampling import PeerSampling
 from repro.gossip.tman import TMan
 from repro.gossip.vicinity import Vicinity
@@ -46,7 +44,6 @@ CASES = {
     TMan: ("core", RuntimeConfig(core_flavor="tman")),
     PortSelection: ("port_selection", None),
     PortConnection: ("port_connection", None),
-    Cyclon: ("cyclon", None),
 }
 
 
@@ -103,14 +100,6 @@ def one_step(cls, transport):
     layer, config = CASES[cls]
     deployment = standard_deployment(32, 5, config=config)
     network = deployment.network
-    if cls is Cyclon:
-        ids = network.alive_ids()
-        for node_id in ids:
-            shuffle = Cyclon(node_id)
-            for other in ids[:6]:
-                if other != node_id:
-                    shuffle.view.insert(Descriptor(other, age=0))
-            network.node(node_id).attach(layer, shuffle)
     deployment.run(1)
     node = network.node(0)
     protocol = node.protocol(layer)
