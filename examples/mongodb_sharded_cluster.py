@@ -18,7 +18,7 @@ Run:  python examples/mongodb_sharded_cluster.py
 
 from __future__ import annotations
 
-from repro import Runtime, compile_source, reconfigure
+from repro import Runtime, compile_source
 
 CLUSTER = """
 # A 4-shard sharded cluster: star of cliques.
@@ -90,7 +90,7 @@ def main() -> None:
         "    component shard5 : clique(size = 12) { port head : lowest_id }",
     )
     print("\nreconfiguring to 6 shards (no node restarts) ...")
-    reconfigure(deployment, compile_source(scaled_source))
+    deployment.rebalance(compile_source(scaled_source))
     rescaled = deployment.run_until_converged(max_rounds=100)
     print(f"re-converged in {rescaled.slowest} rounds; shards now: "
           + ", ".join(

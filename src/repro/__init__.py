@@ -50,7 +50,6 @@ from repro.core import (
     RuntimeConfig,
     make_selector,
 )
-from repro.core.reconfigure import reconfigure, reconfigure_and_measure
 from repro.dsl import TopologyBuilder, compile_source, parse_source, to_source
 from repro.shapes import Shape, available_shapes, make_shape
 from repro.sim import GossipParams, TransportCosts
@@ -82,8 +81,6 @@ __all__ = [
     "Runtime",
     "RuntimeConfig",
     "make_selector",
-    "reconfigure",
-    "reconfigure_and_measure",
     # DSL
     "TopologyBuilder",
     "compile_source",

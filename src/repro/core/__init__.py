@@ -11,10 +11,11 @@ layered self-organizing runtime.
   paper's Figure 1: UO1 (same-component), UO2 (distant-component), port
   selection, port connection, and the per-component core protocol;
 - :mod:`~repro.core.runtime` — wires the layers into per-node protocol
-  stacks and drives deployments;
+  stacks and drives deployments; ``Deployment.rebalance(assembly)`` is the
+  one lifecycle call, for failure waves and for dynamic reconfiguration
+  (paper §4.iii) alike;
 - :mod:`~repro.core.convergence` — the per-layer structural convergence
-  detectors behind the paper's figures;
-- :mod:`~repro.core.reconfigure` — dynamic reconfiguration (paper §4.iii).
+  detectors behind the paper's figures.
 """
 
 from repro.core.assembly import Assembly

@@ -310,7 +310,7 @@ class ConvergenceTracker(Instrument):
         self.observed_rounds = 0
 
     def reset(self) -> None:
-        """Restart tracking (called on reconfiguration)."""
+        """Restart tracking (called when a rebalance switches assemblies)."""
         self.first_converged = {layer: None for layer in self.layers}
         self.core_scores = []
         self.observed_rounds = 0

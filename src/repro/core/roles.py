@@ -10,11 +10,12 @@ Roles are a deterministic function of the previous role map and the live
 id set, so every node could recompute its own role locally from the
 membership information the gossip layers give it — the property that keeps
 the mapping "transparent to developers" as the paper demands. With no
-previous map (deploy, reconfiguration) a rule deals consecutive slices of its
-own ordering of the ids to the components; with one (a rebalance after
-failures) every component first keeps its live members, so a failure wave
-moves only the overflow of shrunken components and refills the others from
-the rest of the population (see :func:`cut`).
+previous map (deploy) a rule deals consecutive slices of its own ordering of
+the ids to the components; with one (every rebalance, after failures or onto
+a new assembly) every component first keeps its live members, so a failure
+wave or a resize moves only the overflow of shrunken components and refills
+the others from the rest of the population (see :func:`cut`). A new
+assembly that shares no component name with the old one gets the fresh cut.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ This module wires the paper's Figure 1 into per-node protocol stacks:
 :class:`Runtime` is the factory (assembly + configuration + seed);
 :class:`Deployment` is one live system: a network, an engine, and the
 convergence tracker producing the paper's per-layer metrics. Deployments
-support churn provisioning (joining nodes receive full stacks and roles) and
-in-place reconfiguration (see :mod:`repro.core.reconfigure`).
+support churn provisioning (joining nodes enter as spares) and one
+lifecycle call, :meth:`Deployment.rebalance`, which re-deals roles over the
+live population — after failures, or onto a new assembly in place
+(dynamic reconfiguration).
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ class Deployment:
     network, engine, transport, streams:
         The simulation substrate.
     role_map:
-        The oracle node → role assignment (kept current across churn
-        rebalancing and reconfigurations).
+        The oracle node → role assignment (kept current by
+        :meth:`rebalance`).
     tracker:
         The per-layer convergence tracker attached as an engine observer.
     """
@@ -341,27 +343,49 @@ class Deployment:
 
         return provision
 
-    def rebalance(self) -> Dict[str, int]:
+    def rebalance(self, assembly: Optional[Assembly] = None) -> Dict[str, int]:
         """Re-run the assignment rule over the *live* population.
 
-        Crashed nodes lose their roles. Every component keeps its live
-        members (up to its new quota, in their old rank order); spares and
-        the overflow of shrunken components fill the vacated places — the
-        self-healing reaction to a failure wave. Returns how much moved:
-        ``population`` (live nodes) and ``roles_moved`` (live nodes whose
-        role differs), so a caller can tell a no-op from a real adjustment;
-        a second call over an unchanged population moves nothing.
+        The one way roles change after deploy. Crashed nodes lose their
+        roles. Every component keeps its live members (up to its new quota,
+        in their old rank order); spares, the overflow of shrunken
+        components and the members of components that are gone fill the
+        vacated places — the self-healing reaction to a failure wave.
+
+        Given an ``assembly`` (dynamic reconfiguration, paper §4.iii), the
+        deployment switches to it in place under that same rule: a
+        component the new assembly still declares keeps its members, so an
+        incremental change moves only what the new quotas force, and a
+        total swap deals the fresh cut a deploy would. The new roles are
+        computed before anything is touched, so a rejected assembly leaves
+        the deployment intact. Nodes dead across the switch are demoted to
+        spares, and the convergence tracker is reset so
+        :meth:`run_until_converged` measures re-convergence from the switch.
+
+        Returns how much moved: ``population`` (live nodes) and
+        ``roles_moved`` (live nodes whose role differs), so a caller can
+        tell a no-op from a real adjustment; a second call over an
+        unchanged population moves nothing.
         """
+        old_assembly = self.assembly
+        changed = assembly is not None and assembly is not old_assembly
+        if changed:
+            assembly.validate()
+        else:
+            assembly = old_assembly
         old_map = self.role_map
         live = self.network.alive_ids()
-        new_map = self.assembly.assign_roles(live, previous=old_map)
+        new_map = assembly.assign_roles(live, previous=old_map)
         moved = sum(
             1
             for node_id in live
             if not old_map.has_role(node_id)
             or old_map.role(node_id) != new_map.role(node_id)
         )
-        self._apply_role_changes(new_map)
+        self.assembly = self.runtime.assembly = assembly
+        self._apply_role_changes(new_map, old_assembly if changed else None)
+        if changed:
+            self.tracker.reset()
         return {"population": len(live), "roles_moved": moved}
 
     def _apply_role_changes(

@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.baselines.monolithic import MonolithicComposite, elementary_convergence
 from repro.core.convergence import ConvergenceTracker, core_score
-from repro.core.reconfigure import reconfigure
 from repro.core.runtime import Runtime, RuntimeConfig
 from repro.dsl import TopologyBuilder
 from repro.experiments.plot import ascii_chart
@@ -207,21 +206,55 @@ def measure_bandwidth(task) -> Dict[str, List[float]]:
     }
 
 
+def _shards(n_shards: int, total: int):
+    """A star of ``n_shards`` cliques over ``total`` nodes, ~1/5 routers."""
+    shard_size = max(3, (total - total // 5) // n_shards)
+    return star_of_cliques(
+        n_shards=n_shards,
+        shard_size=shard_size,
+        router_size=total - n_shards * shard_size,
+    )
+
+
+def _grow(
+    deployment, target, max_rounds: int, base: str, change: str
+) -> Dict[str, Optional[int]]:
+    """Rebalance onto ``target`` and re-converge: rounds, and what moved.
+
+    ``roles_moved`` counts every role that differs, a rank or a component
+    size included; a component move is a node leaving its component.
+    """
+    before = deployment.role_map
+    moved = deployment.rebalance(target)["roles_moved"]
+    after = deployment.role_map
+    switched = sum(
+        1
+        for node_id in after.node_ids()
+        if before.has_role(node_id)
+        and before.role(node_id).component != after.role(node_id).component
+    )
+    return {
+        f"grow {base}: {change}": deployment.run_until_converged(max_rounds).slowest,
+        f"  {change}: roles moved": moved,
+        f"  {change}: component moves": switched,
+    }
+
+
 def measure_reconfiguration(task) -> Dict[str, Optional[int]]:
-    """E3, one seed: converge A, rewrite it live to B, and cold-start B.
+    """E3, one seed: converge A, rewrite it live to B, and cold-start B;
+    then grow B from 4 to 6 shards, and a fresh A by two rings.
 
     Topology B is the MongoDB-style star of cliques over the same nodes; the
-    cold start draws seed + 1000 so it is an independent run.
+    cold start draws seed + 1000 so it is an independent run. A and B share
+    no component name, so the switch deals B's fresh cut; the two growths
+    keep every surviving component's members up to its new quota.
     """
     point, seed, max_rounds = task
     total = point.nodes
-    shard_size = max(3, (total - total // 5) // 4)
-    target = star_of_cliques(
-        n_shards=4, shard_size=shard_size, router_size=total - 4 * shard_size
-    )
+    target = _shards(4, total)
     deployment = _deploy(point, seed)
     initial = deployment.run_until_converged(max_rounds).slowest
-    reconfigure(deployment, target)
+    deployment.rebalance(target)
     report = deployment.run_until_converged(max_rounds)
     cold = Runtime(target, config=point.config, seed=seed + 1000).deploy(total)
     samples = {
@@ -231,6 +264,19 @@ def measure_reconfiguration(task) -> Dict[str, Optional[int]]:
     }
     for layer, rounds in sorted(report.rounds.items()):
         samples[f"  B per-layer: {layer}"] = rounds
+    samples.update(_grow(deployment, _shards(6, total), max_rounds, "B", "4 -> 6 shards"))
+    rings = _deploy(point, seed)
+    rings.run_until_converged(max_rounds)
+    grown = point.label + 2
+    samples.update(
+        _grow(
+            rings,
+            ring_of_rings(grown, total // grown),
+            max_rounds,
+            "A",
+            f"{point.label} -> {grown} rings",
+        )
+    )
     return samples
 
 

@@ -36,7 +36,7 @@ class Vicinity(GossipProtocol):
     profile:
         This node's coordinate in the layer's profile space (e.g. its rank
         on a ring). May be updated at runtime via :meth:`set_profile` when
-        the assembly is reconfigured.
+        a rebalance changes the node's role.
     proximity:
         Distance + eligibility over profiles; *the* parameter that selects
         which topology this instance builds.

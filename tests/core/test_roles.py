@@ -212,6 +212,20 @@ def mixed_assembly():
     )
 
 
+def spec_assembly(specs):
+    """Rings named by ``specs``' keys: a value below 5 is a weight (+1),
+    otherwise a fixed size."""
+    return Assembly(
+        "X",
+        [
+            ComponentSpec(name=name, shape=make_shape("ring"), weight=spec + 1)
+            if spec < 5
+            else ComponentSpec(name=name, shape=make_shape("ring"), size=spec)
+            for name, spec in specs.items()
+        ],
+    )
+
+
 def component_moves(previous, current, assembly):
     """Live nodes that left a component the assembly still declares."""
     return sum(
@@ -323,6 +337,36 @@ class TestStickyAssignment:
         if len(live) < len(assembly.components):
             return
         check_sticky(RULES[rule_index], assembly, previous, live)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rule_index=st.integers(0, len(RULES) - 1),
+        population=st.integers(12, 60),
+        old=st.dictionaries(st.sampled_from("abcde"), st.integers(0, 9), min_size=1, max_size=4),
+        new=st.dictionaries(st.sampled_from("abcde"), st.integers(0, 9), min_size=1, max_size=4),
+        disjoint=st.booleans(),
+        kills=st.sets(st.integers(0, 59), max_size=30),
+        joiners=st.integers(0, 10),
+    )
+    def test_changed_assembly_properties(
+        self, rule_index, population, old, new, disjoint, kills, joiners
+    ):
+        """A rebalance onto another assembly: survivors of a component both
+        declare keep it up to the new quota; with no shared name the
+        result is the fresh cut a deploy of the new assembly would deal."""
+        rule = RULES[rule_index]
+        if disjoint:
+            new = {name.upper(): spec for name, spec in new.items()}
+        old_assembly, new_assembly = spec_assembly(old), spec_assembly(new)
+        previous = rule.assign(range(population), old_assembly)
+        live = [n for n in range(population) if n not in kills]
+        live += range(100, 100 + joiners)
+        if len(live) < len(new_assembly.components):
+            return
+        current = check_sticky(rule, new_assembly, previous, live)
+        if not set(old) & set(new):
+            fresh = rule.assign(live, new_assembly)
+            assert all(current.role(n) == fresh.role(n) for n in live)
 
 
 class TestMakeAssignment:

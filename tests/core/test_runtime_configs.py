@@ -25,14 +25,13 @@ class TestTManCore:
         assert report.converged, report.rounds
 
     def test_tman_reconfigures(self):
-        from repro.core.reconfigure import reconfigure_and_measure
-
         config = RuntimeConfig(core_flavor="tman")
         deployment = Runtime(pair_assembly(), config=config, seed=92).deploy()
         deployment.run_until_converged(80)
         builder = TopologyBuilder("Cfg2")
         builder.component("star_c", "star", size=24)
-        report = reconfigure_and_measure(deployment, builder.build(), 80)
+        deployment.rebalance(builder.build())
+        report = deployment.run_until_converged(80)
         assert report.converged
         # The replacement core protocols keep the configured flavor.
         from repro.gossip.tman import TMan

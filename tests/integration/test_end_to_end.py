@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Runtime, RuntimeConfig, compile_source, reconfigure, to_source
+from repro import Runtime, RuntimeConfig, compile_source, to_source
 from repro.core.convergence import core_score
 from repro.sim.churn import CatastrophicFailure, RandomChurn
 
@@ -148,7 +148,7 @@ class TestScaleUpDownIntegration:
                 "link router.hub -- shard3.head\n    link router.hub -- shard4.head",
             )
         )
-        reconfigure(deployment, bigger)
+        deployment.rebalance(bigger)
         report = deployment.run_until_converged(100)
         assert report.converged, report.rounds
         assert deployment.role_map.component_size("shard4") == 6

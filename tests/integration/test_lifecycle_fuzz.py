@@ -2,7 +2,8 @@
 
 A hypothesis rule-based state machine drives a live deployment through
 arbitrary interleavings of the operations a real operator would perform —
-run rounds, crash nodes, revive them, add spares, rebalance, reconfigure —
+run rounds, crash nodes, revive them, add spares, rebalance, rebalance onto
+another assembly (some sharing component names, some not) —
 and checks the framework's global invariants after every step:
 
 - the role map always covers exactly the assigned population, with
@@ -26,9 +27,11 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.core import Runtime
-from repro.core.reconfigure import reconfigure
 from repro.core.roles import SPARE_COMPONENT
 from repro.dsl import TopologyBuilder
+
+
+FLAVORS = ("pair", "trio", "star")
 
 
 def build_assembly(flavor: str):
@@ -37,6 +40,13 @@ def build_assembly(flavor: str):
         builder.component("ring", "ring", size=12).port("gate", "lowest_id")
         builder.component("cell", "clique", size=6).port("gate", "lowest_id")
         builder.link(("ring", "gate"), ("cell", "gate"))
+    elif flavor == "trio":
+        # Shares "ring" and "cell" with "pair": their survivors stay put.
+        builder.component("ring", "ring", size=8).port("gate", "lowest_id")
+        builder.component("cell", "clique", size=6).port("gate", "lowest_id")
+        builder.component("cell2", "clique", size=4).port("gate", "lowest_id")
+        builder.link(("ring", "gate"), ("cell", "gate"))
+        builder.link(("ring", "gate"), ("cell2", "gate"))
     else:
         builder.component("hub_comp", "star", size=8).port("hub", "hub")
         builder.component("pool", "random", size=10, min_degree=2).port(
@@ -86,10 +96,10 @@ class DeploymentLifecycle(RuleBasedStateMachine):
     def rebalance(self):
         self.deployment.rebalance()
 
-    @rule()
-    def reconfigure_to_other_flavor(self):
-        self.flavor = "star" if self.flavor == "pair" else "pair"
-        reconfigure(self.deployment, build_assembly(self.flavor))
+    @rule(flavor=st.sampled_from(FLAVORS))
+    def rebalance_onto_a_flavor(self, flavor):
+        self.flavor = flavor
+        self.deployment.rebalance(build_assembly(flavor))
 
     # -- invariants -----------------------------------------------------------------
 
