@@ -58,7 +58,7 @@ Commands
     re-rendered every ``--interval`` rounds (``--once`` renders a single
     snapshot after the run; ``--alerts PATH`` writes the alert stream;
     ``--heal`` attaches the remediation engine and adds its panel —
-    verdict, active incidents, escalation state).
+    verdict, active incidents, their attempts and next retry round).
 """
 
 from __future__ import annotations
@@ -965,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heal",
         action="store_true",
         help="attach the remediation engine and show its panel (verdict, "
-        "active incidents, escalation state)",
+        "active incidents, their attempts and next retry round)",
     )
     watch.set_defaults(func=_cmd_watch)
 

@@ -153,18 +153,6 @@ class SameComponentOverlay(GossipProtocol):
         :meth:`_offer`)."""
         return tuple(self.view.ids())
 
-    def reweight(
-        self, healer: Optional[int] = None, swapper: Optional[int] = None
-    ) -> GossipParams:
-        """Adjust the healer/swapper split of the merge policy in place.
-
-        Same contract as :meth:`repro.gossip.peer_sampling.PeerSampling.reweight`:
-        values are clamped so ``healer + swapper <= view_size`` holds and
-        the adjusted parameters re-validate on construction.
-        """
-        self.params = self.params.reweighted(healer, swapper)
-        return self.params
-
     # -- internals -------------------------------------------------------------------
 
     def _begin_round(self, ctx: RoundContext) -> bool:

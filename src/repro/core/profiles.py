@@ -26,6 +26,3 @@ class NodeProfile(NamedTuple):
     rank: int
     comp_size: int
     coord: Any
-
-    def same_component(self, other: "NodeProfile") -> bool:
-        return self.component == other.component

@@ -23,7 +23,7 @@ when the program is too broken to produce an assembly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.diagnostics import ERROR, Diagnostic
 from repro.errors import AssemblyError, ConfigurationError, DslSemanticError, TopologyError
@@ -73,10 +73,6 @@ class DiagnosticSink:
                 column=column,
             )
         )
-
-
-def _located(message: str, line: int, column: int, code: str = GENERIC_CODE) -> DslSemanticError:
-    return DslSemanticError(message, line, column, code=code)
 
 
 def _expand_name(base: str, index: int) -> str:

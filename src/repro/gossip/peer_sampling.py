@@ -66,21 +66,6 @@ class PeerSampling(GossipProtocol):
     def forget(self, node_id: int) -> None:
         self.view.remove(node_id)
 
-    def reweight(
-        self, healer: Optional[int] = None, swapper: Optional[int] = None
-    ) -> GossipParams:
-        """Adjust the healer/swapper split of the selection policy in place.
-
-        The selector re-weighting knob of the self-healing loop: raising
-        *H* makes the select step discard old (hub-concentrating, possibly
-        dead) entries more aggressively; raising *S* increases view mixing.
-        Values are clamped so ``healer + swapper <= view_size`` always
-        holds — the adjusted parameters re-validate on construction.
-        Returns the new parameters.
-        """
-        self.params = self.params.reweighted(healer, swapper)
-        return self.params
-
     # -- bootstrap -----------------------------------------------------------------
 
     def bootstrap(self, rng: random.Random, network: Network, count: int = 0) -> None:

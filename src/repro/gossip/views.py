@@ -311,24 +311,6 @@ class PartialView:
         keep = self.closest(k, key)
         self._entries = {descriptor.node_id: descriptor for descriptor in keep}
 
-    def drop_oldest(self, count: int) -> None:
-        """Remove the ``count`` oldest entries (peer-sampling healer step)."""
-        if count <= 0:
-            return
-        self._settle()
-        ranked = heapq.nsmallest(
-            count, self._entries.values(), key=lambda d: (-d.age, d.node_id)
-        )
-        for descriptor in ranked:
-            del self._entries[descriptor.node_id]
-
-    def drop_random(self, rng: random.Random, count: int) -> None:
-        """Remove ``count`` uniformly random entries."""
-        self._settle()
-        count = min(count, len(self._entries))
-        for descriptor in rng.sample(list(self._entries.values()), count):
-            del self._entries[descriptor.node_id]
-
     def __repr__(self) -> str:
         return f"PartialView(capacity={self.capacity}, size={len(self)})"
 

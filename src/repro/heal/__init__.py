@@ -2,11 +2,11 @@
 
 The observability subsystem watches (collector, health rules); this package
 *acts*: a :class:`~repro.heal.engine.RemediationEngine` subscribes to
-health-alert transitions, maps each typed alert to a remediation action
-under a bounded, deterministic retry policy, and escalates — local action →
-component re-seed → ``unrecoverable`` — when local repair cannot close the
-incident. The adversarial harness and the scenario catalogue quantify the
-loop: corrupted-state starts, managed vs unmanaged, time-to-stabilize. The
+health-alert transitions and runs the one action mapped to each typed
+alert, with deterministic backoff between attempts; an incident its action
+cannot close in three attempts is marked ``unrecoverable``. The
+adversarial harness and the scenario catalogue quantify the loop:
+corrupted-state starts, managed vs unmanaged, time-to-stabilize. The
 catalogue (:mod:`~repro.heal.scenarios`) also holds the fault rows behind
 ``python -m repro faults``: every scenario is one row of one table.
 

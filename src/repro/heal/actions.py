@@ -11,10 +11,6 @@ action                      repairs
                             and injects cross-group rendezvous contacts
                             (the same primitive :class:`~repro.faults.controls.
                             Partition` uses at heal time)
-:class:`SelectorReweight`   degree skew — raises the healer share of the
-                            gossip selection policy and runs one targeted
-                            healer wave (drop the oldest entry) on the
-                            skewed layer
 :class:`ElasticAdjust`      churn spikes — re-runs the role assignment over
                             the live population (elastic replica adjustment)
                             and re-bootstraps starved peer-sampling views
@@ -22,21 +18,21 @@ action                      repairs
                             pointing at a dead or forged node (leaving
                             tombstones against resurrection), then re-seeds
                             the views it starved
-:class:`ComponentReseed`    everything else — the escalation rung: global
-                            peer-sampling re-bootstrap plus a purge and an
-                            elastic rebalance (component-level re-seed)
 ==========================  ===================================================
 
 Every action returns a JSON-able result dict whose ``outcome`` obeys a
 three-way protocol the engine's retry accounting relies on:
 
-- ``"applied"`` — state was changed; burns a retry attempt and counts
-  against the incident's action budget;
+- ``"applied"`` — state was changed; burns a retry attempt;
 - ``"noop"`` — the action found nothing to repair (e.g. the overlay graph
-  is already connected); burns an attempt (so an incident whose mapped
-  action cannot help still escalates in bounded time) but not budget;
+  is already connected); burns an attempt too, so an incident whose
+  mapped action cannot help still ends ``unrecoverable`` in bounded time;
 - ``"deferred"`` — repairing now is futile (e.g. re-seeding across a still
   active partition cut); free — the engine retries next round.
+
+Each action also declares the engine's backoff between its attempts:
+``base_delay`` rounds after the first, doubling per attempt up to
+``max_delay`` (see :func:`repro.heal.engine.delay`).
 
 Actions draw randomness only from the rng handed in by the engine (a
 ``streams.fork("heal")`` stream), never from module state, and iterate in
@@ -57,7 +53,6 @@ from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 from repro.faults.controls import rendezvous_reseed
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
-from repro.heal.policy import BackoffPolicy, DEFAULT_POLICY, ESCALATION_POLICY
 from repro.obs.recovery import DEFAULT_VIEW_LAYERS, dead_view_ids
 from repro.sim.network import Network
 
@@ -178,12 +173,14 @@ class RemediationAction:
 
     Subclasses implement :meth:`apply`, mutating the deployment and
     returning a result dict with an ``outcome`` key (see the module
-    docstring for the protocol). ``policy`` governs the engine's retry
-    accounting for incidents this action serves.
+    docstring for the protocol). Every subclass sets ``base_delay`` and
+    ``max_delay``, which bound the engine's wait, in rounds, between
+    attempts on incidents this action serves.
     """
 
     name = "remediation_action"
-    policy: BackoffPolicy = DEFAULT_POLICY
+    base_delay: int
+    max_delay: int
 
     def apply(
         self,
@@ -208,9 +205,8 @@ class RendezvousReseed(RemediationAction):
     """
 
     name = "rendezvous_reseed"
-    policy = BackoffPolicy(
-        max_attempts=3, base_delay=4, factor=2.0, max_delay=16, cooldown=8, budget=8
-    )
+    base_delay = 4
+    max_delay = 16
 
     def __init__(self, per_group: int = 4, layer: str = "peer_sampling"):
         self.per_group = per_group
@@ -237,57 +233,6 @@ class RendezvousReseed(RemediationAction):
         }
 
 
-class SelectorReweight(RemediationAction):
-    """Counter degree skew: raise the healer share, run one healer wave.
-
-    A larger healer *H* makes every select step discard its oldest entries
-    first — old entries are both the likely-dead ones and the ones that
-    concentrate onto hubs. The one-shot healer wave (drop the oldest entry
-    of the skewed layer's view on every node) gives the re-weighted policy
-    a head start.
-    """
-
-    name = "selector_reweight"
-    policy = BackoffPolicy(
-        max_attempts=2, base_delay=6, factor=2.0, max_delay=16, cooldown=10, budget=4
-    )
-
-    def __init__(self, healer_bump: int = 3):
-        self.healer_bump = healer_bump
-
-    def apply(self, deployment, alert, round_index, rng):
-        skewed_layer = ""
-        if alert is not None:
-            skewed_layer = str(alert.evidence.get("layer", ""))
-        network = deployment.network
-        adjusted = 0
-        waved = 0
-        for node_id in network.alive_ids():
-            node = network.node(node_id)
-            for layer in ("peer_sampling", "uo1"):
-                if not node.has_protocol(layer):
-                    continue
-                protocol = node.protocol(layer)
-                reweight = getattr(protocol, "reweight", None)
-                if reweight is None:
-                    continue
-                before = protocol.params
-                after = reweight(healer=before.healer + self.healer_bump)
-                if after != before:
-                    adjusted += 1
-            view = _view_of(node, skewed_layer)
-            if view is not None and len(view) > 1:
-                view.drop_oldest(1)
-                waved += 1
-        if adjusted == 0 and waved == 0:
-            return {"outcome": "noop"}
-        return {
-            "outcome": "applied",
-            "protocols_reweighted": adjusted,
-            "healer_wave": waved,
-        }
-
-
 class ElasticAdjust(RemediationAction):
     """Absorb a churn spike: elastic role rebalance + view re-bootstrap.
 
@@ -299,9 +244,8 @@ class ElasticAdjust(RemediationAction):
     """
 
     name = "elastic_adjust"
-    policy = BackoffPolicy(
-        max_attempts=3, base_delay=3, factor=2.0, max_delay=12, cooldown=8, budget=6
-    )
+    base_delay = 3
+    max_delay = 12
 
     def apply(self, deployment, alert, round_index, rng):
         moves = deployment.rebalance()
@@ -336,9 +280,8 @@ class TombstonePurge(RemediationAction):
     """
 
     name = "tombstone_purge"
-    policy = BackoffPolicy(
-        max_attempts=3, base_delay=3, factor=2.0, max_delay=12, cooldown=6, budget=8
-    )
+    base_delay = 3
+    max_delay = 12
 
     def __init__(self, layers: Sequence[str] = DEFAULT_VIEW_LAYERS):
         self.layers = tuple(layers)
@@ -372,58 +315,19 @@ class TombstonePurge(RemediationAction):
         }
 
 
-class ComponentReseed(RemediationAction):
-    """The escalation rung: component-level re-seed of the whole substrate.
-
-    When a local action cannot close its incident, re-seed globally:
-    purge every dead view entry, re-bootstrap every live node's
-    peer-sampling view through the membership oracle, and re-run the role
-    assignment. Expensive and disruptive by design — the engine only
-    reaches for it after a local action exhausts its retry policy.
-    """
-
-    name = "component_reseed"
-    policy = ESCALATION_POLICY
-
-    def apply(self, deployment, alert, round_index, rng):
-        network = deployment.network
-        stale = dead_view_ids(network)
-        purged = 0
-        for node_id in sorted(stale):
-            node = network.node(node_id)
-            for layer in DEFAULT_VIEW_LAYERS:
-                view = _view_of(node, layer)
-                if view is not None:
-                    purged += purge_dead(view, stale[node_id])
-        bootstrapped = 0
-        for node_id in network.alive_ids():
-            node = network.node(node_id)
-            if not node.has_protocol("peer_sampling"):
-                continue
-            node.protocol("peer_sampling").bootstrap(rng, network)
-            bootstrapped += 1
-        moves = deployment.rebalance()
-        return {
-            "outcome": "applied",
-            "entries_purged": purged,
-            "views_bootstrapped": bootstrapped,
-            "roles_moved": moves["roles_moved"],
-        }
-
-
 def default_actions() -> Dict[str, RemediationAction]:
     """The standard alert-rule → action mapping of the remediation engine.
 
     Both partition suspicion and stalled convergence map to the rendezvous
     re-seed: a pure view segregation (no physical cut) starves convergence
     without starving UO2's buckets, so the stall rule is the detector that
-    actually fires on corrupted-state starts.
+    actually fires on corrupted-state starts. ``degree_skew`` maps to
+    nothing: its incident stays open, unacted, until the alert clears.
     """
     reseed = RendezvousReseed()
     return {
         "partition_suspicion": reseed,
         "stalled_convergence": reseed,
-        "degree_skew": SelectorReweight(),
         "churn_spike": ElasticAdjust(),
         "dead_descriptor_buildup": TombstonePurge(),
     }

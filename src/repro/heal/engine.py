@@ -9,34 +9,28 @@ monitor (observe/decide) with the action library (act):
 - it **acts** in the engine's act phase (it is a
   :class:`~repro.sim.controls.Actuator`, running after every observer of
   the same round), applying the action mapped to each open incident's rule
-  under that action's :class:`~repro.heal.policy.BackoffPolicy` — bounded
-  attempts, deterministic jittered backoff, per-incident budget;
-- it **escalates** when a level's policy is exhausted: local action
-  (level 0) → component re-seed (level 1) → ``unrecoverable`` verdict
-  (level 2), the ladder's terminal rung.
+  with deterministic jittered backoff between attempts (:func:`delay`);
+- it gives up after :data:`MAX_ATTEMPTS` non-deferred attempts: the
+  incident is marked ``unrecoverable`` and its action never runs again.
 
 Every decision lands in three places: typed events on the collector
-(``remediation`` / ``remediation_escalated`` / ``incident_recovered`` /
-``incident_unrecoverable``), a JSONL-able :meth:`timeline`, and the
-:meth:`summary`/:meth:`verdict` the heal scenarios embed in their results.
+(``remediation`` / ``incident_recovered`` / ``incident_unrecoverable``), a
+JSONL-able :meth:`timeline`, and the :meth:`summary`/:meth:`verdict` the
+heal scenarios embed in their results.
 
 Determinism: the engine draws only from one ``streams.fork("heal")``
-stream handed in at construction; with the monitor evaluating rules over
-deterministic telemetry, a managed run is a pure function of its seed.
+stream handed in at construction — one jitter draw per non-deferred
+attempt; with the monitor evaluating rules over deterministic telemetry, a
+managed run is a pure function of its seed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.heal.actions import (
-    ComponentReseed,
-    RemediationAction,
-    default_actions,
-)
-from repro.heal.policy import DEFAULT_POLICY
+from repro.heal.actions import RemediationAction, default_actions
 from repro.obs import events as _events
 from repro.sim.controls import Actuator
 from repro.sim.network import Network
@@ -45,24 +39,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import Deployment
     from repro.obs.health import Alert, HealthMonitor
 
-#: The terminal escalation level: an incident reaching it is unrecoverable.
-UNRECOVERABLE_LEVEL = 2
+#: Non-deferred attempts an incident gets before it is ``unrecoverable``.
+MAX_ATTEMPTS = 3
+#: Growth factor of the wait between attempts.
+BACKOFF_FACTOR = 2
+#: Upper bound (inclusive) of the uniform integer jitter added to each wait.
+JITTER = 1
+
+
+def delay(action: RemediationAction, attempt: int, rng: random.Random) -> int:
+    """Rounds to wait after the ``attempt``-th (1-based) attempt of ``action``.
+
+    ``min(max_delay, base_delay * BACKOFF_FACTOR**(attempt-1))`` plus one
+    jitter draw from the caller's seeded stream, so two runs with the same
+    seed retry at the same rounds.
+    """
+    base = min(action.max_delay, action.base_delay * BACKOFF_FACTOR ** (attempt - 1))
+    return base + rng.randint(0, JITTER)
 
 
 @dataclass
 class Incident:
-    """One alert's remediation lifecycle, across escalation levels."""
+    """One alert's remediation lifecycle."""
 
     rule: str
     severity: str
     opened_round: int
-    level: int = 0
     attempts: int = 0
     actions_applied: int = 0
     next_round: int = 0
     status: str = "open"  # open | recovered | unrecoverable
     closed_round: Optional[int] = None
-    reopened: bool = False
     alert: Optional["Alert"] = field(default=None, repr=False, compare=False)
 
     @property
@@ -76,10 +83,8 @@ class Incident:
             "opened_round": self.opened_round,
             "closed_round": self.closed_round,
             "status": self.status,
-            "level": self.level,
             "attempts": self.attempts,
             "actions_applied": self.actions_applied,
-            "reopened": self.reopened,
         }
 
 
@@ -100,10 +105,8 @@ class RemediationEngine(Actuator):
         :meth:`for_deployment` does).
     actions:
         Rule-name → action mapping (defaults to
-        :func:`~repro.heal.actions.default_actions`).
-    escalation:
-        The level-1 action (defaults to
-        :class:`~repro.heal.actions.ComponentReseed`).
+        :func:`~repro.heal.actions.default_actions`). An incident of an
+        unmapped rule stays open, unacted, until its alert clears.
     """
 
     def __init__(
@@ -112,22 +115,17 @@ class RemediationEngine(Actuator):
         monitor: "HealthMonitor",
         rng: random.Random,
         actions: Optional[Dict[str, RemediationAction]] = None,
-        escalation: Optional[RemediationAction] = None,
     ):
         self.deployment = deployment
         self.monitor = monitor
         self.collector = monitor.collector
         self.rng = rng
         self.actions = dict(actions) if actions is not None else default_actions()
-        self.escalation = escalation if escalation is not None else ComponentReseed()
         #: Full incident history, in opening order (closed ones stay).
         self.incidents: List[Incident] = []
         self._active: Dict[str, Incident] = {}
-        #: rule -> (closed_round, level) for cooldown hysteresis on re-fire.
-        self._last_closed: Dict[str, Tuple[int, int]] = {}
         self._timeline: List[Dict[str, Any]] = []
         self.actions_run = 0
-        self.escalations = 0
         monitor.subscribe(self._on_alert)
 
     @classmethod
@@ -136,7 +134,6 @@ class RemediationEngine(Actuator):
         deployment: "Deployment",
         monitor: "HealthMonitor",
         actions: Optional[Dict[str, RemediationAction]] = None,
-        escalation: Optional[RemediationAction] = None,
     ) -> "RemediationEngine":
         """Build, wire, and register an engine on ``deployment``.
 
@@ -146,63 +143,37 @@ class RemediationEngine(Actuator):
         the engine as ``deployment.heal``.
         """
         rng = deployment.streams.fork("heal").stream("engine")
-        engine = cls(
-            deployment, monitor, rng, actions=actions, escalation=escalation
-        )
+        engine = cls(deployment, monitor, rng, actions=actions)
         deployment.engine.add_actuator(engine)
         deployment.heal = engine  # type: ignore[attr-defined]
         return engine
 
     # -- decide: alert transitions --------------------------------------------
 
-    def _policy_for(self, rule: str):
-        action = self.actions.get(rule)
-        return action.policy if action is not None else DEFAULT_POLICY
-
     def _on_alert(self, alert: "Alert", fired: bool, round_index: int) -> None:
         if fired:
             if alert.rule in self._active:
                 return  # already tracked (monitor alerts are edge-triggered)
-            level = 0
-            reopened = False
-            last = self._last_closed.get(alert.rule)
-            if (
-                last is not None
-                and round_index - last[0] <= self._policy_for(alert.rule).cooldown
-            ):
-                # Hysteresis: a flap within the cooldown resumes the old
-                # incident's escalation level instead of restarting at 0.
-                level = last[1]
-                reopened = True
             incident = Incident(
                 rule=alert.rule,
                 severity=alert.severity,
                 opened_round=round_index,
-                level=level,
                 next_round=round_index,
-                reopened=reopened,
                 alert=alert,
             )
             self._active[alert.rule] = incident
             self.incidents.append(incident)
-            self._record(
-                round_index,
-                "incident_opened",
-                incident,
-                detail={"reopened": reopened},
-            )
+            self._record(round_index, "incident_opened", incident)
             return
         incident = self._active.pop(alert.rule, None)
         if incident is None:
             return
         incident.closed_round = round_index
-        self._last_closed[alert.rule] = (round_index, incident.level)
         if incident.status == "open":
             incident.status = "recovered"
             self.collector.emit(
                 _events.EVENT_INCIDENT_RECOVERED,
                 rule=incident.rule,
-                level=incident.level,
                 actions_applied=incident.actions_applied,
                 rounds_open=round_index - incident.opened_round,
             )
@@ -210,23 +181,11 @@ class RemediationEngine(Actuator):
 
     # -- act: the engine's act phase ------------------------------------------
 
-    def _action_for(self, incident: Incident) -> Optional[RemediationAction]:
-        if incident.level == 0:
-            return self.actions.get(incident.rule)
-        if incident.level == 1:
-            return self.escalation
-        return None
-
     def act(self, network: Network, round_index: int) -> None:
         for rule in sorted(self._active):
             incident = self._active[rule]
-            if not incident.open or round_index < incident.next_round:
-                continue
-            action = self._action_for(incident)
-            if action is None:
-                # No mapping for this rule: nothing to do but wait for the
-                # alert to clear on its own.
-                incident.next_round = round_index + DEFAULT_POLICY.cooldown
+            action = self.actions.get(rule)
+            if action is None or not incident.open or round_index < incident.next_round:
                 continue
             result = action.apply(
                 self.deployment, incident.alert, round_index, self.rng
@@ -240,7 +199,6 @@ class RemediationEngine(Actuator):
                 _events.EVENT_REMEDIATION,
                 rule=rule,
                 action=action.name,
-                level=incident.level,
                 outcome=outcome,
             )
             self._record(
@@ -259,34 +217,18 @@ class RemediationEngine(Actuator):
             incident.attempts += 1
             if outcome == "applied":
                 incident.actions_applied += 1
-            incident.next_round = round_index + action.policy.delay(
-                incident.attempts, self.rng
+            incident.next_round = round_index + delay(
+                action, incident.attempts, self.rng
             )
-            if action.policy.exhausted(incident.attempts) or (
-                incident.actions_applied >= action.policy.budget
-            ):
-                self._escalate(incident, round_index)
-
-    def _escalate(self, incident: Incident, round_index: int) -> None:
-        incident.level += 1
-        incident.attempts = 0
-        self.escalations += 1
-        if incident.level >= UNRECOVERABLE_LEVEL:
-            incident.status = "unrecoverable"
-            self.collector.emit(
-                _events.EVENT_INCIDENT_UNRECOVERABLE,
-                rule=incident.rule,
-                actions_applied=incident.actions_applied,
-                rounds_open=round_index - incident.opened_round,
-            )
-            self._record(round_index, "incident_unrecoverable", incident)
-            return
-        self.collector.emit(
-            _events.EVENT_REMEDIATION_ESCALATED,
-            rule=incident.rule,
-            level=incident.level,
-        )
-        self._record(round_index, "escalated", incident)
+            if incident.attempts >= MAX_ATTEMPTS:
+                incident.status = "unrecoverable"
+                self.collector.emit(
+                    _events.EVENT_INCIDENT_UNRECOVERABLE,
+                    rule=incident.rule,
+                    actions_applied=incident.actions_applied,
+                    rounds_open=round_index - incident.opened_round,
+                )
+                self._record(round_index, "incident_unrecoverable", incident)
 
     # -- reporting -------------------------------------------------------------
 
@@ -303,7 +245,6 @@ class RemediationEngine(Actuator):
             "round": round_index,
             "kind": kind,
             "rule": incident.rule,
-            "level": incident.level,
             "attempt": incident.attempts,
             "status": incident.status,
         }
@@ -325,7 +266,7 @@ class RemediationEngine(Actuator):
 
     def verdict(self) -> str:
         """``idle`` (nothing ever fired), ``active``, ``recovered``, or
-        ``unrecoverable`` (some incident exhausted the ladder)."""
+        ``unrecoverable`` (some incident used up its attempts)."""
         if any(i.status == "unrecoverable" for i in self.incidents):
             return "unrecoverable"
         if self._active:
@@ -341,6 +282,5 @@ class RemediationEngine(Actuator):
             "incidents_total": len(self.incidents),
             "incidents_active": len(self._active),
             "actions_run": self.actions_run,
-            "escalations": self.escalations,
             "incidents": [incident.to_dict() for incident in self.incidents],
         }

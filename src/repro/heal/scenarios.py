@@ -111,7 +111,7 @@ class ScenarioResult:
     @property
     def verdict(self) -> str:
         """``recovered``, ``degraded`` (not healed / budget ran out), or
-        ``unrecoverable`` (the engine exhausted its escalation ladder)."""
+        ``unrecoverable`` (an incident used up its remediation attempts)."""
         if (
             self.remediation is not None
             and self.remediation["verdict"] == "unrecoverable"
@@ -518,8 +518,7 @@ def format_scenario(result: ScenarioResult) -> str:
         out.append(
             f"remediation: {summary['verdict']} "
             f"({summary['incidents_total']} incident(s), "
-            f"{summary['actions_run']} action(s), "
-            f"{summary['escalations']} escalation(s))"
+            f"{summary['actions_run']} action(s))"
         )
         for entry in result.timeline:
             if entry["kind"] != "remediation":
@@ -528,7 +527,7 @@ def format_scenario(result: ScenarioResult) -> str:
             rendered = " ".join(f"{key}={detail[key]}" for key in sorted(detail))
             out.append(
                 f"  r{entry['round']}: {entry['rule']} -> {entry['action']} "
-                f"[L{entry['level']} a{entry['attempt']}] {entry['outcome']}"
+                f"[a{entry['attempt']}] {entry['outcome']}"
                 + (f" ({rendered})" if rendered else "")
             )
     out.append(f"verdict: {result.verdict}")

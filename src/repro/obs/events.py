@@ -46,7 +46,6 @@ EVENT_ALERT_CLEARED = "alert_cleared"
 # -- self-healing (repro.heal) -------------------------------------------------
 EVENT_CORRUPTION = "corruption"
 EVENT_REMEDIATION = "remediation"
-EVENT_REMEDIATION_ESCALATED = "remediation_escalated"
 EVENT_INCIDENT_RECOVERED = "incident_recovered"
 EVENT_INCIDENT_UNRECOVERABLE = "incident_unrecoverable"
 
@@ -76,9 +75,8 @@ TAXONOMY: Dict[str, str] = {
     EVENT_ALERT_CLEARED: "a previously firing health rule turned healthy again",
     EVENT_CORRUPTION: "the adversarial harness seeded corrupted overlay state",
     EVENT_REMEDIATION: "a remediation action ran against an open incident",
-    EVENT_REMEDIATION_ESCALATED: "an incident climbed one escalation rung",
     EVENT_INCIDENT_RECOVERED: "a remediation incident closed (alert cleared)",
-    EVENT_INCIDENT_UNRECOVERABLE: "an incident exhausted the escalation ladder",
+    EVENT_INCIDENT_UNRECOVERABLE: "an incident used up its remediation attempts",
 }
 
 

@@ -46,8 +46,8 @@ def render_dashboard(
     """One frame of the live view: population, layers, flow, alerts.
 
     With ``heal`` (a remediation engine), a remediation panel follows the
-    alerts: the loop's verdict and, per active incident, its escalation
-    level, attempts at that level, and the next scheduled retry round.
+    alerts: the loop's verdict and, per active incident, its attempts so
+    far and the next scheduled retry round.
 
     With ``nodes`` (swarm status records keyed by node index, as read by
     :func:`repro.runtime.swarm.read_statuses`), a per-node panel follows
@@ -163,17 +163,14 @@ def render_dashboard(
         status = [
             f"remediation: {heal.verdict()}",
             f"actions run: {heal.actions_run}",
-            f"escalations: {heal.escalations}",
         ]
         out.append("  ".join(status))
         if active:
-            headers = ["rule", "severity", "level", "attempts", "next retry"]
+            headers = ["rule", "severity", "attempts", "next retry"]
             rows = [
                 [
                     incident.rule,
                     incident.severity,
-                    f"L{incident.level}"
-                    + (" (reopened)" if incident.reopened else ""),
                     incident.attempts,
                     f"r{incident.next_round}",
                 ]

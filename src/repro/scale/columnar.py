@@ -372,23 +372,5 @@ class ColumnarView(PartialView):
             self._write(slot, descriptor)
             slot_of[descriptor.node_id] = slot
 
-    def drop_oldest(self, count: int) -> None:
-        if count <= 0:
-            return
-        self._settle()
-        ages = self._ages
-        ranked = heapq.nsmallest(
-            count,
-            ((-ages[slot], node_id) for node_id, slot in self._slot_of.items()),
-        )
-        for _, node_id in ranked:
-            self._release(self._slot_of.pop(node_id))
-
-    def drop_random(self, rng, count: int) -> None:
-        self._settle()
-        count = min(count, len(self._slot_of))
-        for descriptor in rng.sample(self.descriptors(), count):
-            self._release(self._slot_of.pop(descriptor.node_id))
-
     def __repr__(self) -> str:
         return f"ColumnarView(capacity={self.capacity}, size={len(self)})"

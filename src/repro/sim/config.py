@@ -8,8 +8,7 @@ spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -53,23 +52,6 @@ class GossipParams:
                 "healer + swapper must not exceed view_size "
                 f"({self.healer} + {self.swapper} > {self.view_size})"
             )
-
-    def reweighted(
-        self, healer: Optional[int] = None, swapper: Optional[int] = None
-    ) -> "GossipParams":
-        """These parameters with a new healer/swapper split.
-
-        ``None`` keeps the current value; both are clamped so
-        ``healer + swapper <= view_size`` always holds.
-        """
-        healer = self.healer if healer is None else healer
-        healer = min(max(0, healer), self.view_size)
-        swapper = self.swapper if swapper is None else swapper
-        return replace(
-            self,
-            healer=healer,
-            swapper=min(max(0, swapper), self.view_size - healer),
-        )
 
     def resized(self, view_size: int) -> "GossipParams":
         """These parameters fitted to a view of ``view_size`` entries.

@@ -175,9 +175,6 @@ class Transport:
         per_round = self._bytes.get(layer, {})
         return [per_round.get(r, 0) for r in range(rounds)]
 
-    def dropped_for(self, layer: str, round_index: int) -> int:
-        return self._dropped.get(layer, {}).get(round_index, 0)
-
     def total_dropped(self, layer: Optional[str] = None) -> int:
         if layer is not None:
             return sum(self._dropped.get(layer, {}).values())

@@ -131,20 +131,6 @@ class TestSelection:
         view.truncate_closest(2, key=lambda d: d.node_id)
         assert set(view.ids()) == {0, 1}
 
-    def test_drop_oldest(self):
-        view = make_view(8, [(1, 9), (2, 5), (3, 1)])
-        view.drop_oldest(2)
-        assert view.ids() == [3]
-        view.drop_oldest(0)
-        assert view.ids() == [3]
-
-    def test_drop_random(self):
-        view = make_view(8, [(i, 0) for i in range(6)])
-        view.drop_random(random.Random(0), 4)
-        assert len(view) == 2
-        view.drop_random(random.Random(0), 99)
-        assert len(view) == 0
-
 
 class TestTombstones:
     def test_purge_removes_and_blocks_stale_reinsertion(self):
@@ -204,7 +190,7 @@ class TestTombstones:
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "remove", "age", "drop_oldest"]),
+        st.sampled_from(["insert", "remove", "age"]),
         st.integers(min_value=0, max_value=15),
         st.integers(min_value=0, max_value=30),
     ),
@@ -225,8 +211,6 @@ def test_view_invariants_hold_under_any_operation_sequence(capacity, ops):
             view.remove(node_id)
         elif op == "age":
             view.increase_age()
-        elif op == "drop_oldest":
-            view.drop_oldest(1)
         # Invariant 1: never exceeds capacity.
         assert len(view) <= capacity
         # Invariant 2: one entry per node id.

@@ -35,7 +35,6 @@ operations = st.one_of(
     st.tuples(st.just("age"), st.just(None)),
     st.tuples(st.just("merge"), st.lists(descriptors, max_size=6)),
     st.tuples(st.just("replace"), st.lists(descriptors, max_size=6)),
-    st.tuples(st.just("drop_oldest"), st.integers(min_value=0, max_value=3)),
     st.tuples(st.just("discard_old"), st.integers(min_value=0, max_value=8)),
 )
 
@@ -53,8 +52,6 @@ def apply(view: PartialView, op, payload) -> None:
         view.merge(payload)
     elif op == "replace":
         view.replace(payload)
-    elif op == "drop_oldest":
-        view.drop_oldest(payload)
     elif op == "discard_old":
         view.discard_where(lambda d: d.age > payload)
 
@@ -202,15 +199,3 @@ def test_closest_equals_sorted_prefix(entries, k, rounds):
     key = lambda d: abs(d.node_id - 5)  # noqa: E731 — produces ties on purpose
     expected = sorted(view.descriptors(), key=lambda d: (key(d), d.node_id))[:k]
     assert view.closest(k, key) == expected
-
-
-@given(entries=st.lists(descriptors, max_size=12), count=st.integers(min_value=0, max_value=12))
-@settings(deadline=None)
-def test_drop_oldest_removes_exactly_the_age_ranking_head(entries, count):
-    view = PartialView(12)
-    view.merge(entries)
-    survivors = sorted(
-        view.descriptors(), key=lambda d: (-d.age, d.node_id)
-    )[count:]
-    view.drop_oldest(count)
-    assert sorted(view.descriptors(), key=lambda d: (-d.age, d.node_id)) == survivors

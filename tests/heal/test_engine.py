@@ -1,10 +1,10 @@
-"""RemediationEngine decision logic: lifecycle, retries, escalation.
+"""RemediationEngine decision logic: lifecycle, retries, backoff.
 
 Driven with scripted actions and a fake monitor so every branch of the
 retry accounting is pinned without simulating an overlay: outcomes burn
-attempts/budget per the three-way protocol, exhaustion climbs the
-escalation ladder to ``unrecoverable``, and cooldown hysteresis resumes a
-reopened incident at its old level.
+attempts per the three-way protocol, the wait between attempts is the
+deterministic jittered backoff of :func:`~repro.heal.engine.delay`, and the
+last attempt marks the incident ``unrecoverable``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.heal.actions import RemediationAction
-from repro.heal.engine import UNRECOVERABLE_LEVEL, RemediationEngine
-from repro.heal.policy import BackoffPolicy
+from repro.heal.engine import MAX_ATTEMPTS, RemediationEngine, delay
 from repro.obs import events as _events
 from repro.obs.collector import Collector
 from repro.obs.health import Alert
@@ -22,9 +21,11 @@ from repro.obs.health import Alert
 class ScriptedAction(RemediationAction):
     """Returns a scripted outcome per call (then keeps applying)."""
 
-    def __init__(self, name, policy, outcomes=()):
+    base_delay = 2
+    max_delay = 8
+
+    def __init__(self, name, outcomes=()):
         self.name = name
-        self.policy = policy
         self.outcomes = list(outcomes)
         self.calls = 0
 
@@ -56,18 +57,10 @@ class FakeMonitor:
             listener(alert, False, round_index)
 
 
-def make_engine(actions, escalation=None):
+def make_engine(actions):
     monitor = FakeMonitor()
     engine = RemediationEngine(
-        deployment=None,
-        monitor=monitor,
-        rng=random.Random(42),
-        actions=actions,
-        escalation=escalation
-        or ScriptedAction(
-            "escalate",
-            BackoffPolicy(max_attempts=2, jitter=0, base_delay=2, budget=8),
-        ),
+        deployment=None, monitor=monitor, rng=random.Random(42), actions=actions
     )
     return engine, monitor
 
@@ -77,13 +70,35 @@ def drain(engine, start, stop):
         engine.act(None, round_index)
 
 
-NO_JITTER = BackoffPolicy(
-    max_attempts=3, base_delay=2, factor=2.0, max_delay=8, jitter=0, budget=8
-)
+def test_delay_grows_geometrically_and_caps():
+    class Stub:
+        base_delay = 2
+        max_delay = 10
+
+    class NoJitter:
+        def randint(self, low, high):
+            return low
+
+    delays = [delay(Stub, attempt, NoJitter()) for attempt in (1, 2, 3, 4, 5)]
+    assert delays == [2, 4, 8, 10, 10]  # capped at max_delay
+
+
+def test_jitter_is_bounded_and_seed_deterministic():
+    action = ScriptedAction("fix")
+    for _ in range(50):
+        value = delay(action, 1, random.Random(123))
+        assert value == delay(action, 1, random.Random(123))  # same seed, same wait
+    draws = {delay(action, 1, random.Random(seed)) for seed in range(40)}
+    assert draws == {2, 3}  # base_delay plus a jitter of 0 or 1
+    rng = random.Random(9)
+    reference = random.Random(9)
+    delay(action, 1, rng)
+    reference.randint(0, 1)
+    assert rng.getstate() == reference.getstate()  # exactly one draw
 
 
 def test_lifecycle_open_act_recover():
-    action = ScriptedAction("fix", NO_JITTER)
+    action = ScriptedAction("fix")
     engine, monitor = make_engine({"rule_a": action})
     assert engine.verdict() == "idle"
     alert = monitor.fire("rule_a", 5)
@@ -93,7 +108,7 @@ def test_lifecycle_open_act_recover():
     incident = engine.active_incidents()[0]
     assert incident.attempts == 1
     assert incident.actions_applied == 1
-    assert incident.next_round == 5 + NO_JITTER.delay(1, random.Random(0))
+    assert incident.next_round in (5 + 2, 5 + 3)  # base_delay plus jitter
     engine.act(None, 6)  # inside the backoff window: no call
     assert action.calls == 1
     monitor.clear(alert, 7)
@@ -106,44 +121,55 @@ def test_lifecycle_open_act_recover():
 
 
 def test_refire_while_active_is_ignored():
-    action = ScriptedAction("fix", NO_JITTER)
+    action = ScriptedAction("fix")
     engine, monitor = make_engine({"rule_a": action})
     monitor.fire("rule_a", 5)
     monitor.fire("rule_a", 6)
     assert len(engine.incidents) == 1
 
 
-def test_noop_burns_attempts_and_escalates_to_unrecoverable():
-    # Every local attempt noops: the incident must still climb the ladder
-    # in bounded time and terminate as unrecoverable.
-    policy = BackoffPolicy(max_attempts=2, base_delay=1, jitter=0, budget=8)
-    action = ScriptedAction("fix", policy, outcomes=["noop"] * 10)
-    escalation = ScriptedAction(
-        "escalate",
-        BackoffPolicy(max_attempts=1, base_delay=1, jitter=0, budget=8),
-        outcomes=["noop"] * 10,
-    )
-    engine, monitor = make_engine({"rule_a": action}, escalation=escalation)
+def test_noop_burns_attempts_until_unrecoverable():
+    # Every attempt noops: the incident must still terminate, in bounded
+    # time, as unrecoverable.
+    action = ScriptedAction("fix", outcomes=["noop"] * 10)
+    engine, monitor = make_engine({"rule_a": action})
     monitor.fire("rule_a", 0)
-    drain(engine, 0, 30)
+    drain(engine, 0, 60)
     assert engine.verdict() == "unrecoverable"
     incident = engine.incidents[0]
-    assert incident.level == UNRECOVERABLE_LEVEL
-    assert incident.actions_applied == 0  # noops never burned budget
-    assert escalation.calls == 1
+    assert incident.attempts == MAX_ATTEMPTS
+    assert incident.actions_applied == 0  # noops never count as applied
     kinds = [event.kind for event in monitor.collector.events]
-    assert _events.EVENT_REMEDIATION_ESCALATED in kinds
     assert _events.EVENT_INCIDENT_UNRECOVERABLE in kinds
-    # A terminal incident acts no further.
-    calls = action.calls + escalation.calls
-    drain(engine, 30, 40)
-    assert action.calls + escalation.calls == calls
+
+
+def test_third_attempt_marks_unrecoverable_and_nothing_runs_after():
+    # A deferral in between is free: only non-deferred attempts count.
+    action = ScriptedAction("fix", outcomes=["applied", "deferred", "noop", "applied"])
+    engine, monitor = make_engine({"rule_a": action})
+    monitor.fire("rule_a", 0)
+    incident = engine.active_incidents()[0]
+    round_index = 0
+    while incident.open:
+        assert round_index < 60
+        engine.act(None, round_index)
+        round_index += 1
+    assert action.calls == 4
+    assert incident.attempts == 3
+    assert incident.actions_applied == 2
+    assert incident.status == "unrecoverable"
+    assert [entry["kind"] for entry in engine.timeline()][-2:] == [
+        "remediation",
+        "incident_unrecoverable",
+    ]
+    # A fourth round — and every later one — never calls the action again.
+    drain(engine, round_index, round_index + 40)
+    assert action.calls == 4
+    assert engine.verdict() == "unrecoverable"
 
 
 def test_deferred_retries_next_round_for_free():
-    action = ScriptedAction(
-        "fix", NO_JITTER, outcomes=["deferred", "deferred", "applied"]
-    )
+    action = ScriptedAction("fix", outcomes=["deferred", "deferred", "applied"])
     engine, monitor = make_engine({"rule_a": action})
     monitor.fire("rule_a", 3)
     engine.act(None, 3)
@@ -158,57 +184,13 @@ def test_deferred_retries_next_round_for_free():
     assert incident.actions_applied == 1
 
 
-def test_budget_exhaustion_escalates_before_attempts_do():
-    # Level 0 applies twice (its max), escalating with actions_applied=2;
-    # the level-1 policy's budget of 3 then trips after a single applied
-    # escalation action, even though its attempt count is far from maxed.
-    local = ScriptedAction(
-        "fix", BackoffPolicy(max_attempts=2, base_delay=1, jitter=0, budget=8)
-    )
-    escalation = ScriptedAction(
-        "escalate",
-        BackoffPolicy(max_attempts=3, base_delay=1, jitter=0, budget=3),
-    )
-    engine, monitor = make_engine({"rule_a": local}, escalation=escalation)
-    monitor.fire("rule_a", 0)
-    drain(engine, 0, 20)
-    assert escalation.calls == 1
-    incident = engine.incidents[0]
-    assert incident.status == "unrecoverable"
-    assert incident.actions_applied == 3
-
-
-def test_cooldown_hysteresis_resumes_escalation_level():
-    policy = BackoffPolicy(
-        max_attempts=1, base_delay=1, jitter=0, cooldown=5, budget=8
-    )
-    action = ScriptedAction("fix", policy)
-    engine, monitor = make_engine({"rule_a": action})
-    alert = monitor.fire("rule_a", 0)
-    engine.act(None, 0)  # one applied attempt exhausts level 0
-    drain(engine, 1, 3)
-    assert engine.active_incidents()[0].level == 1
-    monitor.clear(alert, 4)
-    # Re-fire inside the cooldown window: same degradation, resume at L1.
-    monitor.fire("rule_a", 7)
-    reopened = engine.active_incidents()[0]
-    assert reopened.reopened
-    assert reopened.level == 1
-    # Re-fire past the window starts a fresh incident at level 0.
-    monitor.clear(reopened.alert, 8)
-    engine._last_closed["rule_a"] = (8, 1)
-    monitor.fire("rule_a", 20)
-    assert not engine.active_incidents()[0].reopened
-    assert engine.active_incidents()[0].level == 0
-
-
 def test_unmapped_rule_waits_without_crashing():
     engine, monitor = make_engine({})
     alert = monitor.fire("mystery_rule", 2)
-    engine.act(None, 2)
+    drain(engine, 2, 9)
     incident = engine.active_incidents()[0]
     assert incident.attempts == 0
-    assert incident.next_round > 2
+    assert engine.timeline()[-1]["kind"] == "incident_opened"  # never acted
     monitor.clear(alert, 9)
     assert engine.verdict() == "recovered"
 
@@ -216,7 +198,7 @@ def test_unmapped_rule_waits_without_crashing():
 def test_timeline_and_summary_are_jsonable():
     import json
 
-    action = ScriptedAction("fix", NO_JITTER)
+    action = ScriptedAction("fix")
     engine, monitor = make_engine({"rule_a": action})
     alert = monitor.fire("rule_a", 1)
     engine.act(None, 1)

@@ -50,7 +50,6 @@ def test_armed_engine_is_invisible_on_a_healthy_run():
     assert monitor.active_alerts() == []
     remediation_kinds = {
         "remediation",
-        "remediation_escalated",
         "incident_recovered",
         "incident_unrecoverable",
     }

@@ -198,10 +198,10 @@ HEAL_GOLDEN = {
             "stabilize_rounds": 14,
             "verdict": "recovered",
             "remediation": (
-                "recovered (1 incident(s), 1 action(s), 0 escalation(s))"
+                "recovered (1 incident(s), 1 action(s))"
             ),
             "actions": [
-                "r11: stalled_convergence -> rendezvous_reseed [L0 a0] applied "
+                "r11: stalled_convergence -> rendezvous_reseed [a0] applied "
                 "(components=2 seeded=8)",
             ],
         },
@@ -217,10 +217,10 @@ HEAL_GOLDEN = {
             "stabilize_rounds": 7,
             "verdict": "recovered",
             "remediation": (
-                "recovered (1 incident(s), 1 action(s), 0 escalation(s))"
+                "recovered (1 incident(s), 1 action(s))"
             ),
             "actions": [
-                "r6: dead_descriptor_buildup -> tombstone_purge [L0 a0] applied "
+                "r6: dead_descriptor_buildup -> tombstone_purge [a0] applied "
                 "(entries_purged=195 nodes_affected=32 views_reseeded=7)",
             ],
         },
@@ -236,10 +236,10 @@ HEAL_GOLDEN = {
             "stabilize_rounds": 3,
             "verdict": "recovered",
             "remediation": (
-                "recovered (1 incident(s), 1 action(s), 0 escalation(s))"
+                "recovered (1 incident(s), 1 action(s))"
             ),
             "actions": [
-                "r2: churn_spike -> elastic_adjust [L0 a0] applied (population=23 "
+                "r2: churn_spike -> elastic_adjust [a0] applied (population=23 "
                 "roles_moved=23 views_reseeded=6)",
             ],
         },
@@ -255,16 +255,16 @@ HEAL_GOLDEN = {
             "stabilize_rounds": 14,
             "verdict": "recovered",
             "remediation": (
-                "recovered (2 incident(s), 4 action(s), 0 escalation(s))"
+                "recovered (2 incident(s), 4 action(s))"
             ),
             "actions": [
-                "r4: churn_spike -> elastic_adjust [L0 a0] applied (population=24 "
+                "r4: churn_spike -> elastic_adjust [a0] applied (population=24 "
                 "roles_moved=24 views_reseeded=0)",
-                "r11: stalled_convergence -> rendezvous_reseed [L0 a0] deferred "
+                "r11: stalled_convergence -> rendezvous_reseed [a0] deferred "
                 "(reason=partition cut still active)",
-                "r12: stalled_convergence -> rendezvous_reseed [L0 a0] deferred "
+                "r12: stalled_convergence -> rendezvous_reseed [a0] deferred "
                 "(reason=partition cut still active)",
-                "r13: stalled_convergence -> rendezvous_reseed [L0 a0] deferred "
+                "r13: stalled_convergence -> rendezvous_reseed [a0] deferred "
                 "(reason=partition cut still active)",
             ],
         },

@@ -174,7 +174,7 @@ class TestDet003WallClock:
             def backoff():
                 return time.monotonic()
             """
-        for rel_path in ("heal/engine.py", "heal/policy.py", "heal/harness.py"):
+        for rel_path in ("heal/engine.py", "heal/harness.py"):
             assert codes(lint_snippet(snippet, rel_path=rel_path)) == ["DET003"]
 
     def test_heal_subsystem_forbids_set_iteration(self):

@@ -103,7 +103,7 @@ class TestDashboard:
         frame = render_dashboard(monitor.collector, heal=engine)
         assert "remediation: idle" in frame
         assert "actions run: 0" in frame
-        assert "escalations: 0" in frame
+        assert "escalations" not in frame
         assert "active remediations" not in frame
 
     def test_remediation_panel_lists_active_incidents(self):
@@ -117,7 +117,8 @@ class TestDashboard:
         assert "active remediations" in frame
         assert "degree_skew" in frame
         assert "warning" in frame
-        assert "L0" in frame  # escalation level column
+        assert "attempts" in frame
+        assert "L0" not in frame  # no escalation level column
 
 
 class TestProfile:

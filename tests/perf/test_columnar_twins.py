@@ -2,7 +2,7 @@
 
 The columnar store's contract is *observable identity* with the boxed view —
 including iteration order, because order decides RNG draws (``random``,
-``sample``, ``drop_random``), overflow-eviction tie-breaks, and replace
+``sample``), overflow-eviction tie-breaks, and replace
 semantics. Extending the lazy-vs-eager twin pattern of
 tests/gossip/test_views_properties.py: one view of each representation is
 driven through the same random operation sequence and every observable is
@@ -34,8 +34,7 @@ descriptors = st.builds(
 )
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
-# One step of a view's life. RNG-driven ops carry their own seed so both
-# twins draw from identically-seeded generators.
+# One step of a view's life.
 operations = st.one_of(
     st.tuples(st.just("insert"), descriptors),
     st.tuples(st.just("remove"), node_ids),
@@ -43,13 +42,8 @@ operations = st.one_of(
     st.tuples(st.just("age"), st.just(None)),
     st.tuples(st.just("merge"), st.lists(descriptors, max_size=6)),
     st.tuples(st.just("replace"), st.lists(descriptors, max_size=6)),
-    st.tuples(st.just("drop_oldest"), st.integers(min_value=0, max_value=3)),
     st.tuples(st.just("discard_old"), st.integers(min_value=0, max_value=8)),
     st.tuples(st.just("truncate_closest"), st.integers(min_value=0, max_value=6)),
-    st.tuples(
-        st.just("drop_random"),
-        st.tuples(st.integers(min_value=0, max_value=3), seeds),
-    ),
 )
 
 
@@ -67,15 +61,10 @@ def apply(view: PartialView, op: str, payload) -> object:
         return view.merge(payload)
     elif op == "replace":
         view.replace(payload)
-    elif op == "drop_oldest":
-        view.drop_oldest(payload)
     elif op == "discard_old":
         view.discard_where(lambda d: d.age > payload)
     elif op == "truncate_closest":
         view.truncate_closest(payload, lambda d: abs((d.profile or 0) - 5))
-    elif op == "drop_random":
-        count, seed = payload
-        view.drop_random(random.Random(seed), count)
     return None
 
 
