@@ -40,18 +40,16 @@ Commands
     end-to-end scenario (cut + kill wave); ``--compare`` adds the
     unmanaged baseline to a single mode; ``--timeline PATH`` exports the
     remediation timeline as JSONL.
-``report FILE``
-    Deploy, converge, and print the consolidated metrics report —
-    convergence rounds, bandwidth split, and live telemetry — through the
-    :class:`~repro.obs.registry.MetricsRegistry` facade. With
-    ``--profile``, time every layer's protocol steps and append the
-    sorted self-time span table.
-``obs TARGET``
-    The observability window. With a ``.topo`` file: run it instrumented
-    and print/export the telemetry (``--jsonl``, ``--prom``; ``--flow``
-    adds causal propagation tracing). With a ``.jsonl`` event stream:
-    summarize it post-mortem. ``faults`` and ``heal`` take ``--obs PATH``
-    to capture telemetry as they run.
+``report TARGET``
+    The observability window, through the
+    :class:`~repro.obs.registry.MetricsRegistry` facade. With a ``.topo``
+    file: deploy, converge, and print convergence rounds, bandwidth split,
+    and live telemetry; ``--flow`` adds causal propagation tracing,
+    ``--profile`` the sorted per-layer self-time span table, and
+    ``--jsonl`` / ``--prom`` export the telemetry. With a ``.jsonl`` event
+    stream: summarize it post-mortem. With a swarm status directory: the
+    merged cross-node view. ``faults`` and ``heal`` take ``--obs PATH`` to
+    capture telemetry as they run.
 ``watch FILE``
     Live terminal view of a converging run: population, per-layer
     counters and degrees, information flow, and active health alerts,
@@ -76,6 +74,35 @@ from repro.shapes import available_shapes
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return compile_source(handle.read())
+
+
+def _deploy(args: argparse.Namespace, **collect):
+    """Compile and deploy ``args.file`` (``--nodes`` / ``--seed``).
+
+    With collector options (``flow=``, ``health=``; see
+    :func:`~repro.obs.hooks.attach_collector`) a collector sampling every
+    ``--gauge-every`` rounds is attached before any round runs. Returns
+    ``(deployment, collector or None)``.
+    """
+    deployment = Runtime(_load(args.file), seed=args.seed).deploy(args.nodes)
+    if not collect:
+        return deployment, None
+    from repro.obs.hooks import attach_collector
+
+    return deployment, attach_collector(
+        deployment, gauge_every=args.gauge_every, **collect
+    )
+
+
+def _write_alerts(path: str, collector) -> None:
+    """Write just the alert/alert_cleared events of ``collector`` (JSONL)."""
+    from repro.obs.export import write_jsonl
+
+    fired = [
+        event for event in collector.events if event.kind in ("alert", "alert_cleared")
+    ]
+    write_jsonl(path, fired)
+    print(f"wrote {path} ({len(fired)} alert event(s))")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -114,8 +141,7 @@ def _cmd_shapes(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    assembly = _load(args.file)
-    deployment = Runtime(assembly, seed=args.seed).deploy(args.nodes)
+    deployment, _ = _deploy(args)
     report = deployment.run_until_converged(args.max_rounds)
     print(f"converged: {report.converged} (executed {report.executed} rounds)")
     for layer, rounds in sorted(report.rounds.items()):
@@ -136,8 +162,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    assembly = _load(args.file)
-    deployment = Runtime(assembly, seed=args.seed).deploy(args.nodes)
+    deployment, _ = _deploy(args)
     report = deployment.run_until_converged(args.max_rounds)
     if not report.converged:
         print(f"warning: not converged within {args.max_rounds} rounds", file=sys.stderr)
@@ -227,18 +252,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(f"wrote {args.timeline} ({count} timeline entr(y/ies))")
     if collector is not None:
         if args.obs is not None:
-            for path in _write_obs_exports(args.obs, collector):
-                print(f"wrote {path}")
+            _export(collector, args.obs, args.obs + ".prom")
         if alerts is not None:
-            from repro.obs.export import write_jsonl
-
-            fired = [
-                event
-                for event in collector.events
-                if event.kind in ("alert", "alert_cleared")
-            ]
-            write_jsonl(alerts, fired)
-            print(f"wrote {alerts} ({len(fired)} alert event(s))")
+            _write_alerts(alerts, collector)
     return 0 if all(result.verdict == "recovered" for result in results) else 1
 
 
@@ -261,44 +277,15 @@ def _write_timeline(path: str, results) -> int:
     return count
 
 
-def _write_obs_exports(jsonl_path: str, collector) -> List[str]:
-    """Write the JSONL stream at ``jsonl_path`` and a Prometheus snapshot
-    next to it (same path + ``.prom``); returns the written paths."""
+def _export(collector, jsonl: Optional[str], prom: Optional[str]) -> None:
+    """Write the collector's event stream (JSONL) and Prometheus snapshot,
+    each when its path is given."""
     from repro.obs.export import write_jsonl, write_prometheus
 
-    written = [jsonl_path]
-    write_jsonl(jsonl_path, collector)
-    prom_path = jsonl_path + ".prom"
-    write_prometheus(prom_path, collector)
-    written.append(prom_path)
-    return written
-
-
-def _instrumented_run(args: argparse.Namespace):
-    """Deploy + converge ``args.file`` with a collector attached.
-
-    Honors the optional ``profile`` (per-layer step spans), ``flow``
-    (provenance tracing), and ``health`` (alert rules) attributes when the
-    calling command defines them.
-    """
-    from repro.obs.hooks import attach_collector
-
-    flow = None
-    if getattr(args, "flow", False):
-        from repro.obs.flow import FlowTracer
-
-        flow = FlowTracer()
-    assembly = _load(args.file)
-    deployment = Runtime(assembly, seed=args.seed).deploy(args.nodes)
-    collector = attach_collector(
-        deployment,
-        gauge_every=args.gauge_every,
-        flow=flow,
-        health=getattr(args, "health", False),
-    )
-    collector.profile_layers = bool(getattr(args, "profile", False))
-    report = deployment.run_until_converged(args.max_rounds)
-    return deployment, report, collector
+    for path, write in ((jsonl, write_jsonl), (prom, write_prometheus)):
+        if path:
+            write(path, collector)
+            print(f"wrote {path}")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -314,11 +301,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
         registry = MetricsRegistry.from_events(read_jsonl(args.file))
         print(registry.render())
         return 0
-    deployment, report, collector = _instrumented_run(args)
+    flow = None
+    if args.flow:
+        from repro.obs.flow import FlowTracer
+
+        flow = FlowTracer()
+    deployment, collector = _deploy(args, flow=flow)
+    collector.profile_layers = args.profile
+    report = deployment.run_until_converged(args.max_rounds)
     registry = MetricsRegistry.for_deployment(deployment, report, collector)
     if args.profile:
         registry.add_profile(collector)
     print(registry.render())
+    _export(collector, args.jsonl, args.prom)
     return 0 if report.converged else 1
 
 
@@ -369,61 +364,16 @@ def _report_swarm_dir(status_dir: str) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs.registry import MetricsRegistry
-
-    if args.target.endswith(".jsonl"):
-        from repro.obs.export import read_jsonl
-
-        registry = MetricsRegistry.from_events(read_jsonl(args.target))
-        print(registry.render())
-        return 0
-    deployment, report, collector = _instrumented_run(
-        argparse.Namespace(
-            file=args.target,
-            nodes=args.nodes,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            gauge_every=args.gauge_every,
-            flow=args.flow,
-        )
-    )
-    registry = MetricsRegistry.from_collector(collector)
-    print(registry.render())
-    written = []
-    if args.jsonl:
-        from repro.obs.export import write_jsonl
-
-        write_jsonl(args.jsonl, collector)
-        written.append(args.jsonl)
-    if args.prom:
-        from repro.obs.export import write_prometheus
-
-        write_prometheus(args.prom, collector)
-        written.append(args.prom)
-    for path in written:
-        print(f"wrote {path}")
-    return 0 if report.converged else 1
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.obs.flow import FlowTracer
-    from repro.obs.hooks import attach_collector
     from repro.obs.watch import render_dashboard
 
-    if getattr(args, "swarm", None):
+    if args.swarm:
         return _watch_swarm(args)
     if args.file is None:
         print("error: a topology file (or --swarm DIR) is required", file=sys.stderr)
         return 2
-    assembly = _load(args.file)
-    deployment = Runtime(assembly, seed=args.seed).deploy(args.nodes)
-    collector = attach_collector(
-        deployment,
-        gauge_every=args.gauge_every,
-        flow=FlowTracer(),
-        health=True,
-    )
+    deployment, collector = _deploy(args, flow=FlowTracer(), health=True)
     health = collector.health
     engine = None
     if args.heal:
@@ -458,15 +408,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             if ran < chunk:
                 break  # an observer (convergence) requested a stop
     if args.alerts:
-        from repro.obs.export import write_jsonl
-
-        alerts = [
-            event
-            for event in collector.events
-            if event.kind in ("alert", "alert_cleared")
-        ]
-        write_jsonl(args.alerts, alerts)
-        print(f"wrote {args.alerts} ({len(alerts)} alert event(s))")
+        _write_alerts(args.alerts, collector)
     return 0 if deployment.tracker.report().converged else 1
 
 
@@ -611,26 +553,49 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
         )
     for alert in report.alerts:
         print(f"  alert: {alert['rule']} ({alert['severity']}) {alert['evidence']}")
-    written = []
     if args.bench:
         report.write(args.bench)
-        written.append(args.bench)
-    if args.prom:
-        from repro.obs.export import write_prometheus
-
-        write_prometheus(args.prom, collector)
-        written.append(args.prom)
+        print(f"wrote {args.bench}")
+    _export(collector, None, args.prom)
     if args.jsonl:
         from repro.obs.export import write_jsonl
         from repro.runtime.swarm import merge_node_events
 
         events = merge_node_events(report.status_dir)
         write_jsonl(args.jsonl, events)
-        written.append(f"{args.jsonl} ({len(events)} event(s))")
-    for path in written:
-        print(f"wrote {path}")
+        print(f"wrote {args.jsonl} ({len(events)} event(s))")
     print(f"status dir: {report.status_dir}")
     return 0 if report.converged and verdict == "healthy" else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_run_options(
+    parser: argparse.ArgumentParser,
+    nodes: Optional[int] = None,
+    seed: int = 1,
+    max_rounds: Optional[int] = 120,
+    gauge_every: Optional[int] = None,
+) -> None:
+    """``--nodes`` / ``--seed`` and, unless their default is ``None``,
+    ``--max-rounds`` / ``--gauge-every``, with this command's defaults."""
+    parser.add_argument("--nodes", type=int, default=nodes)
+    parser.add_argument("--seed", type=int, default=seed)
+    if max_rounds is not None:
+        parser.add_argument("--max-rounds", type=int, default=max_rounds)
+    if gauge_every is not None:
+        parser.add_argument(
+            "--gauge-every",
+            type=int,
+            default=gauge_every,
+            help="structural gauge sampling period in rounds, 0 disables "
+            f"(default: {gauge_every})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -675,9 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="deploy a topology and converge it")
     run.add_argument("file")
-    run.add_argument("--nodes", type=int, default=None)
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--max-rounds", type=int, default=120)
+    _add_run_options(run)
     run.add_argument("--summary", action="store_true", help="print graph metrics")
     run.set_defaults(func=_cmd_run)
 
@@ -685,9 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("file")
     export.add_argument("--format", choices=("dot", "edges"), default="dot")
     export.add_argument("--output", default=None)
-    export.add_argument("--nodes", type=int, default=None)
-    export.add_argument("--seed", type=int, default=1)
-    export.add_argument("--max-rounds", type=int, default=120)
+    _add_run_options(export)
     export.set_defaults(func=_cmd_export)
 
     bench = subparsers.add_parser(
@@ -709,21 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="partition",
         help="which fault to inject ('matrix' runs the whole suite)",
     )
-    faults.add_argument("--nodes", type=int, default=128)
-    faults.add_argument("--seed", type=int, default=1)
+    _add_run_options(faults, nodes=128, max_rounds=None, gauge_every=5)
     faults.add_argument(
         "--obs",
         default=None,
         metavar="PATH",
         help="capture telemetry and write the event stream to PATH (JSONL; "
         "a Prometheus snapshot lands at PATH.prom)",
-    )
-    faults.add_argument(
-        "--gauge-every",
-        type=int,
-        default=5,
-        help="structural gauge sampling period in rounds, 0 disables "
-        "(default: 5)",
     )
     faults.add_argument(
         "--alerts",
@@ -749,8 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         "unmanaged across all modes, 'partition-churn' runs the compound "
         "end-to-end scenario (default: matrix)",
     )
-    heal.add_argument("--nodes", type=int, default=64)
-    heal.add_argument("--seed", type=int, default=7)
+    _add_run_options(heal, nodes=64, seed=7, max_rounds=None, gauge_every=5)
     heal.add_argument(
         "--degree",
         type=float,
@@ -794,34 +746,25 @@ def build_parser() -> argparse.ArgumentParser:
         "event stream to PATH (JSONL; a Prometheus snapshot lands at "
         "PATH.prom)",
     )
-    heal.add_argument(
-        "--gauge-every",
-        type=int,
-        default=5,
-        help="structural gauge sampling period in rounds, 0 disables "
-        "(default: 5)",
-    )
     heal.set_defaults(func=_cmd_scenario)
 
     report = subparsers.add_parser(
         "report",
         help="converge a topology and print the consolidated metrics "
-        "(also accepts a swarm status dir or a .jsonl event stream)",
+        "(also accepts a .jsonl event stream or a swarm status dir)",
     )
     report.add_argument(
         "file",
-        help="a .topo file to converge, a swarm status directory to "
-        "post-mortem (merged node-*.jsonl + flow/RTT), or a .jsonl stream",
+        help="a .topo file to converge, a .jsonl stream to summarize, or a "
+        "swarm status directory to post-mortem (merged node-*.jsonl + "
+        "flow/RTT)",
     )
-    report.add_argument("--nodes", type=int, default=None)
-    report.add_argument("--seed", type=int, default=1)
-    report.add_argument("--max-rounds", type=int, default=120)
+    _add_run_options(report, gauge_every=1)
     report.add_argument(
-        "--gauge-every",
-        type=int,
-        default=1,
-        help="structural gauge sampling period in rounds, 0 disables "
-        "(default: 1)",
+        "--flow",
+        action="store_true",
+        help="trace causal propagation (per-layer latency distributions, "
+        "information-flow graph, convergence critical path)",
     )
     report.add_argument(
         "--profile",
@@ -829,62 +772,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="time each layer's protocol steps and append the sorted "
         "self-time span table",
     )
-    report.set_defaults(func=_cmd_report)
-
-    obs = subparsers.add_parser(
-        "obs",
-        help="run a topology instrumented, or summarize a .jsonl event stream",
-    )
-    obs.add_argument(
-        "target",
-        help="a .topo file to run instrumented, or a .jsonl stream to summarize",
-    )
-    obs.add_argument("--nodes", type=int, default=None)
-    obs.add_argument("--seed", type=int, default=1)
-    obs.add_argument("--max-rounds", type=int, default=120)
-    obs.add_argument(
-        "--gauge-every",
-        type=int,
-        default=1,
-        help="structural gauge sampling period in rounds, 0 disables "
-        "(default: 1)",
-    )
-    obs.add_argument(
+    report.add_argument(
         "--jsonl", default=None, metavar="PATH", help="write the event stream"
     )
-    obs.add_argument(
+    report.add_argument(
         "--prom",
         default=None,
         metavar="PATH",
         help="write a Prometheus-style text snapshot",
     )
-    obs.add_argument(
-        "--flow",
-        action="store_true",
-        help="trace causal propagation (per-layer latency distributions, "
-        "information-flow graph, convergence critical path)",
-    )
-    obs.set_defaults(func=_cmd_obs)
+    report.set_defaults(func=_cmd_report)
 
     swarm = subparsers.add_parser(
         "swarm",
         help="launch a local UDP swarm (one process per node) and supervise "
         "it to convergence",
     )
-    swarm.add_argument("--nodes", type=int, default=8)
+    _add_run_options(swarm, nodes=8)
     swarm.add_argument(
         "--shape",
         default="ring",
         help="target overlay shape the swarm must converge to (default: ring)",
     )
-    swarm.add_argument("--seed", type=int, default=1)
     swarm.add_argument(
         "--round-interval",
         type=float,
         default=0.2,
         help="seconds between gossip rounds on each node (default: 0.2)",
     )
-    swarm.add_argument("--max-rounds", type=int, default=120)
     swarm.add_argument(
         "--status-dir",
         default=None,
@@ -934,26 +849,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach to a running UDP swarm's status directory instead of "
         "simulating a topology",
     )
-    watch.add_argument("--nodes", type=int, default=None)
-    watch.add_argument("--seed", type=int, default=1)
-    watch.add_argument("--max-rounds", type=int, default=120)
+    _add_run_options(watch, gauge_every=1)
     watch.add_argument(
         "--interval",
-        type=int,
+        type=_positive_int,
         default=5,
-        help="rounds between dashboard refreshes (default: 5)",
+        help="rounds between dashboard refreshes, >= 1 (default: 5)",
     )
     watch.add_argument(
         "--once",
         action="store_true",
         help="render a single snapshot after the run instead of live frames",
-    )
-    watch.add_argument(
-        "--gauge-every",
-        type=int,
-        default=1,
-        help="structural gauge sampling period in rounds, 0 disables "
-        "(default: 1)",
     )
     watch.add_argument(
         "--alerts",

@@ -150,6 +150,9 @@ class Deployment:
         :meth:`rebalance`).
     tracker:
         The per-layer convergence tracker attached as an engine observer.
+    faults:
+        The :class:`~repro.faults.transports.FaultTransport` once
+        :meth:`install_faults` ran, else ``None``.
     """
 
     def __init__(self, runtime: Runtime, n_nodes: int):
@@ -179,32 +182,32 @@ class Deployment:
             observers=(self.tracker,),
         )
         self.faults = None
-        self._fault_transport = None
 
-    def install_faults(self, plane=None):
-        """Arm the deployment with a fault plane (partitions, degraded links).
+    def install_faults(self, zones=None):
+        """Arm the deployment with faults (partitions, degraded links).
 
-        Stacks one :class:`~repro.faults.transports.FaultTransport` on the
-        engine's transport; a later call swaps the plane inside that same
-        decorator, so exchanges are never vetoed (or RNG-drawn) twice.
-        Returns the installed :class:`~repro.faults.plane.FaultPlane` so
-        callers can attach controls to it. While the plane has no active
-        fault, exchanges take the fast path and runs stay bit-identical to
-        a fault-free deployment.
+        The first call stacks one
+        :class:`~repro.faults.transports.FaultTransport` on the engine's
+        transport, with ``zones`` (a :class:`~repro.faults.zones.ZoneMap`)
+        as the map its zone-pair link rules and zone outages resolve
+        through. Every later call returns that same decorator, so exchanges
+        are never vetoed (or RNG-drawn) twice; it may not bring another
+        zone map. Callers attach controls to the returned decorator. While
+        it holds no active fault, exchanges take the fast path and runs stay
+        bit-identical to a fault-free deployment.
         """
-        from repro.faults.plane import FaultPlane
-        from repro.faults.transports import FaultTransport
+        if self.faults is None:
+            from repro.faults.transports import FaultTransport
 
-        if plane is None:
-            plane = FaultPlane()
-        if self._fault_transport is None:
-            self._fault_transport = self.engine.transport = FaultTransport(
-                self.engine.transport, plane, self.streams
+            self.faults = self.engine.transport = FaultTransport(
+                self.engine.transport, self.streams, zones
             )
-        else:
-            self._fault_transport.plane = plane
-        self.faults = plane
-        return plane
+        elif zones is not None and zones is not self.faults.zones:
+            raise ConfigurationError(
+                "faults are already installed; pass the zone map on the first "
+                "install_faults call"
+            )
+        return self.faults
 
     # -- stack installation ------------------------------------------------------
 

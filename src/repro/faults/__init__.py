@@ -1,11 +1,12 @@
 """Fault injection: partitions, correlated outages, degraded links.
 
-The subsystem has three planes, mirroring how real deployments fail:
+The subsystem has three parts, mirroring how real deployments fail:
 
-- **topology** (:mod:`~repro.faults.plane`): a :class:`FaultPlane` that
-  :class:`~repro.faults.transports.FaultTransport` consults on every
-  peer-addressed exchange — network partitions (reachability) and
-  per-link quality overrides (loss, latency);
+- **the fault plane** (:mod:`~repro.faults.transports`): one
+  :class:`FaultTransport` decorator per deployment
+  (``Deployment.install_faults``) owns the partition map, one zone-pair
+  link-quality table (loss, latency) and the fault event log, and vetoes or
+  delays every peer-addressed exchange accordingly;
 - **placement** (:mod:`~repro.faults.zones`): a :class:`ZoneMap` grouping
   nodes into availability zones so failures can be *correlated*;
 - **schedule** (:mod:`~repro.faults.controls`): engine controls that fire
@@ -14,8 +15,8 @@ The subsystem has three planes, mirroring how real deployments fail:
 
 The package is injection only. Measuring recovery lives elsewhere:
 :class:`repro.obs.recovery.RecoveryObserver` times each layer's repair
-against the plane's event log, and :mod:`repro.heal.scenarios` holds the
-scenario rows behind ``python -m repro faults`` and ``python -m repro
+against the decorator's event log, and :mod:`repro.heal.scenarios` holds
+the scenario rows behind ``python -m repro faults`` and ``python -m repro
 heal``.
 """
 
@@ -24,29 +25,25 @@ from repro.faults.controls import (
     Partition,
     PauseResume,
     ZoneOutage,
-)
-from repro.faults.plane import (
-    PERFECT_LINK,
-    FaultEvent,
-    FaultPlane,
-    LinkFaults,
-    LinkQuality,
-    split_by_zone,
     split_islands,
+)
+from repro.faults.transports import (
+    TIMEOUT_ROUNDS,
+    FaultEvent,
+    FaultTransport,
+    LinkQuality,
 )
 from repro.faults.zones import ZoneMap
 
 __all__ = [
-    "PERFECT_LINK",
+    "TIMEOUT_ROUNDS",
     "FaultEvent",
-    "FaultPlane",
+    "FaultTransport",
     "LinkDegradation",
-    "LinkFaults",
     "LinkQuality",
     "Partition",
     "PauseResume",
     "ZoneMap",
     "ZoneOutage",
-    "split_by_zone",
     "split_islands",
 ]

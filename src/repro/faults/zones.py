@@ -4,13 +4,13 @@ Correlated failures are the cloud's signature failure mode: machines share
 racks, racks share power feeds, zones share control planes. A
 :class:`ZoneMap` assigns every node to a named zone so fault controls can
 kill or degrade *whole zones at once* (see
-:class:`~repro.faults.controls.ZoneOutage` and zone-pair rules in
-:class:`~repro.faults.plane.LinkFaults`).
+:class:`~repro.faults.controls.ZoneOutage` and the zone-pair link table of
+:class:`~repro.faults.transports.FaultTransport`). A node that must fail
+alone is a one-node zone.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -45,19 +45,6 @@ class ZoneMap:
             zone_map._zone_of[node_id] = zone_map.zone_names[
                 index % len(zone_map.zone_names)
             ]
-        return zone_map
-
-    @classmethod
-    def random_placement(
-        cls,
-        node_ids: Iterable[int],
-        zone_names: Sequence[str],
-        rng: random.Random,
-    ) -> "ZoneMap":
-        """Independent uniform placement (models unaware scheduling)."""
-        zone_map = cls(zone_names)
-        for node_id in sorted(node_ids):
-            zone_map._zone_of[node_id] = rng.choice(zone_map.zone_names)
         return zone_map
 
     def annotate(self, network: Network) -> None:

@@ -201,7 +201,7 @@ class RendezvousReseed(RemediationAction):
     :func:`~repro.faults.controls.rendezvous_reseed` primitive (the same
     heal path the partition control uses, so repeated invocation is safe).
     Defers while a partition cut is still active — seeding across a cut is
-    futile because the plane drops the resulting exchanges.
+    futile because the fault transport drops the resulting exchanges.
     """
 
     name = "rendezvous_reseed"
@@ -213,8 +213,8 @@ class RendezvousReseed(RemediationAction):
         self.layer = layer
 
     def apply(self, deployment, alert, round_index, rng):
-        plane = deployment.faults
-        if plane is not None and plane.partition_active:
+        faults = deployment.faults
+        if faults is not None and faults.partition_active:
             return {"outcome": "deferred", "reason": "partition cut still active"}
         groups = overlay_components(deployment.network, self.layer)
         if len(groups) < 2:

@@ -41,7 +41,7 @@ from repro.core.runtime import Deployment, Runtime, RuntimeConfig
 from repro.errors import ConfigurationError
 from repro.experiments.topologies import ring_of_rings
 from repro.faults.controls import LinkDegradation, Partition, PauseResume, ZoneOutage
-from repro.faults.plane import FaultPlane, LinkQuality
+from repro.faults.transports import FaultTransport, LinkQuality
 from repro.faults.zones import ZoneMap
 from repro.heal.engine import RemediationEngine
 from repro.heal.harness import CORRUPTIONS, corruption_modes
@@ -64,7 +64,7 @@ GRACE_ROUNDS = 6
 #: An injection: mutate the armed deployment at the start of the fault
 #: (``window`` and ``degree`` are the row's and the run's) and return a
 #: JSON-able description of what it injected (empty for the fault rows).
-Inject = Callable[[Deployment, FaultPlane, int, float], Dict[str, Any]]
+Inject = Callable[[Deployment, FaultTransport, int, float], Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def standard_deployment(
     return deployment
 
 
-def _arm(deployment: Deployment, plane: FaultPlane, collector: Optional[Collector]):
+def _arm(deployment: Deployment, faults: FaultTransport, collector: Optional[Collector]):
     """Attach the recovery observer and, with telemetry, the health monitor.
 
     Order matters: the recovery observer refreshes the ``layers_converged``
@@ -172,7 +172,7 @@ def _arm(deployment: Deployment, plane: FaultPlane, collector: Optional[Collecto
     monitor — added last — evaluates its rules (and so the remediation
     engine decides) on those fresh values. Returns ``(observer, monitor)``.
     """
-    observer = RecoveryObserver.for_deployment(deployment, plane, instrument=collector)
+    observer = RecoveryObserver.for_deployment(deployment, faults, instrument=collector)
     deployment.engine.add_observer(observer)
     monitor = None if collector is None else attach_health(deployment, collector)
     return observer, monitor
@@ -185,27 +185,26 @@ def _stream(deployment: Deployment, space: str, *names):
     return deployment.streams.fork(space).stream(*names)
 
 
-def _record_kill(deployment: Deployment, plane: FaultPlane, victims) -> None:
+def _record_kill(deployment: Deployment, faults: FaultTransport, victims) -> None:
     for node_id in victims:
         deployment.network.kill(node_id)
-    plane.record_event(deployment.engine.round, "catastrophe", f"killed={len(victims)}")
+    faults.record_event(deployment.engine.round, "catastrophe", f"killed={len(victims)}")
 
 
-def _rebalance(deployment: Deployment, plane: FaultPlane) -> None:
+def _rebalance(deployment: Deployment, faults: FaultTransport) -> None:
     """Re-run the assignment rule so survivors and spares absorb the vacated
     roles (the self-healing reaction to a crash-stop fault)."""
     deployment.rebalance()
-    plane.record_event(deployment.engine.round, "rebalance", "roles reassigned")
+    faults.record_event(deployment.engine.round, "rebalance", "roles reassigned")
 
 
-def _partition(deployment, plane, window, degree, **options):
+def _partition(deployment, faults, window, degree, **options):
     start = deployment.engine.round
     deployment.engine.add_control(
         Partition(
-            plane,
+            faults,
             at_round=start,
             heal_round=start + window,
-            islands=2,
             rng=_stream(deployment, "faults", "partition"),
             **options,
         )
@@ -213,11 +212,11 @@ def _partition(deployment, plane, window, degree, **options):
     return {}
 
 
-def _zone_outage(deployment, plane, window, degree):
+def _zone_outage(deployment, faults, window, degree):
     start = deployment.engine.round
     deployment.engine.add_control(
         ZoneOutage(
-            plane,
+            faults,
             zone=DEFAULT_ZONES[0],
             at_round=start,
             mode="pause",
@@ -227,28 +226,28 @@ def _zone_outage(deployment, plane, window, degree):
     return {}
 
 
-def _zone_kill(deployment, plane, window, degree):
+def _zone_kill(deployment, faults, window, degree):
     deployment.engine.add_control(
-        ZoneOutage(plane, zone=DEFAULT_ZONES[0], at_round=deployment.engine.round)
+        ZoneOutage(faults, zone=DEFAULT_ZONES[0], at_round=deployment.engine.round)
     )
     deployment.run(1)
-    _rebalance(deployment, plane)
+    _rebalance(deployment, faults)
     return {}
 
 
-def _catastrophe(deployment, plane, window, degree):
+def _catastrophe(deployment, faults, window, degree):
     alive = list(deployment.network.alive_ids())
     rng = _stream(deployment, "faults", "catastrophe")
-    _record_kill(deployment, plane, rng.sample(alive, int(len(alive) * 0.3)))
-    _rebalance(deployment, plane)
+    _record_kill(deployment, faults, rng.sample(alive, int(len(alive) * 0.3)))
+    _rebalance(deployment, faults)
     return {}
 
 
-def _flaky_links(deployment, plane, window, degree):
+def _flaky_links(deployment, faults, window, degree):
     start = deployment.engine.round
     deployment.engine.add_control(
         LinkDegradation(
-            plane,
+            faults,
             at_round=start,
             quality=LinkQuality(loss=0.6, latency=0.5),
             zone_pairs=[(DEFAULT_ZONES[0], DEFAULT_ZONES[1])],
@@ -258,11 +257,11 @@ def _flaky_links(deployment, plane, window, degree):
     return {}
 
 
-def _pause_resume(deployment, plane, window, degree):
+def _pause_resume(deployment, faults, window, degree):
     start = deployment.engine.round
     deployment.engine.add_control(
         PauseResume(
-            plane,
+            faults,
             rng=_stream(deployment, "faults", "pause"),
             at_round=start,
             resume_round=start + window,
@@ -273,10 +272,10 @@ def _pause_resume(deployment, plane, window, degree):
 
 
 def _corrupt(mode: str) -> Inject:
-    def inject(deployment, plane, window, degree):
+    def inject(deployment, faults, window, degree):
         rng = _stream(deployment, "heal", "corruption", mode)
         info = CORRUPTIONS[mode](deployment, rng, degree)
-        plane.record_event(
+        faults.record_event(
             deployment.engine.round, "corruption", f"mode={mode} degree={degree}"
         )
         return info
@@ -284,18 +283,18 @@ def _corrupt(mode: str) -> Inject:
     return inject
 
 
-def _partition_churn(deployment, plane, window, degree):
+def _partition_churn(deployment, faults, window, degree):
     """A real cut whose heal re-seeds nothing (``rendezvous=0``), so the two
     overlays can only be re-joined by the remediation engine — its
     rendezvous re-seed defers while the cut is active, then applies once it
     clears — plus a kill wave two rounds in: a churn spike and
     dead-descriptor debris on top."""
-    _partition(deployment, plane, window, degree, rendezvous=0)
+    _partition(deployment, faults, window, degree, rendezvous=0)
     deployment.run(2)
     alive = deployment.network.alive_ids()
     rng = _stream(deployment, "heal", "churn-wave")
     victims = sorted(rng.sample(alive, min(8, max(0, len(alive) - 8))))
-    _record_kill(deployment, plane, victims)
+    _record_kill(deployment, faults, victims)
     return {"mode": "partition-churn", "window": window, "killed": len(victims)}
 
 
@@ -342,18 +341,17 @@ def run_scenario(
         collector = Collector()
     deployment = standard_deployment(n_nodes, seed, collector=collector)
     deploy_rounds = deployment.run_until_converged(120).slowest
-    plane = None
+    zone_map = None
     if row.zones:
         zone_map = ZoneMap.round_robin(deployment.network.node_ids(), DEFAULT_ZONES)
         zone_map.annotate(deployment.network)
-        plane = FaultPlane(zones=zone_map)
-    plane = deployment.install_faults(plane)
-    observer, monitor = _arm(deployment, plane, collector)
+    faults = deployment.install_faults(zone_map)
+    observer, monitor = _arm(deployment, faults, collector)
     engine = RemediationEngine.for_deployment(deployment, monitor) if managed else None
     start = deployment.engine.round
     if budget is not None:
         deployment.tracker.reset()
-    corruption = row.inject(deployment, plane, row.window, degree)
+    corruption = row.inject(deployment, faults, row.window, degree)
     if name in CORRUPTIONS:
         collector.emit(
             _events.EVENT_CORRUPTION,
@@ -371,12 +369,12 @@ def run_scenario(
     report = observer.report()
     if collector is not None and budget is None:
         # Delimit the fault run in the telemetry stream and mirror the
-        # plane's event log into it (replayed here, off the hot path).
+        # fault event log into it (replayed here, off the hot path).
         collector.emit(
             "scenario", scenario=name, nodes=n_nodes, seed=seed,
             deploy_rounds=deploy_rounds,
         )
-        for event in plane.events:
+        for event in faults.events:
             collector.emit(event.kind, at=event.round, detail=str(event.detail))
         collector.emit(
             "scenario_result",

@@ -15,12 +15,12 @@ structural gauges all go through a single layered telemetry pipeline:
   :mod:`repro.obs.events`, and wall-clock spans timed through the single
   sanctioned clock site :mod:`repro.obs.spans` (DET003-exempt).
 - :mod:`~repro.obs.export` — JSONL event streams and a Prometheus-style
-  text snapshot, surfaced via ``repro obs`` and the ``--obs`` flag on
-  ``repro faults`` / ``repro heal``.
+  text snapshot, surfaced via ``repro report --jsonl/--prom`` and the
+  ``--obs`` flag on ``repro faults`` / ``repro heal``.
 - :class:`~repro.obs.flow.FlowTracer` — causal propagation tracing:
   provenance-tagged self-advertisements yield per-layer propagation-latency
   distributions, the information-flow graph, and the convergence critical
-  path (``repro obs --flow``).
+  path (``repro report --flow``).
 - :class:`~repro.obs.health.HealthMonitor` — typed online alert rules
   (stalled convergence, partition suspicion, degree skew, churn spikes,
   dead-descriptor buildup) emitting ``alert``/``alert_cleared`` events.

@@ -22,7 +22,7 @@ EVENT_NODE_UP = "node_up"
 EVENT_NODE_ROUND = "node_round"
 EVENT_LAYER_CONVERGED = "layer_converged"
 
-# -- faults (mirrors repro.faults.plane.FaultEvent kinds) ---------------------
+# -- faults (mirrors repro.faults.transports.FaultEvent kinds) ----------------
 EVENT_PARTITION = "partition"
 EVENT_HEAL = "heal"
 EVENT_PAUSE = "pause"
@@ -62,7 +62,7 @@ TAXONOMY: Dict[str, str] = {
     EVENT_HEAL: "an active partition was healed",
     EVENT_PAUSE: "a set of nodes was frozen (zombie churn)",
     EVENT_RESUME: "paused nodes were thawed with stale state",
-    EVENT_DEGRADE: "per-link quality overrides were installed (loss/latency)",
+    EVENT_DEGRADE: "zone-pair link quality rules were installed (loss/latency)",
     EVENT_RESTORE: "degraded links were restored to perfect quality",
     EVENT_ZONE_KILL: "one availability zone went dark for good (crash-stop)",
     EVENT_ZONE_PAUSE: "one availability zone went dark with its state (pause)",

@@ -3,7 +3,7 @@
 The paper claims the layered runtime "self-stabilizes under churn". The
 :class:`RecoveryObserver` turns that claim into numbers:
 it re-evaluates every layer's structural convergence predicate each round,
-reads the fault plane's event log, and reports **time-to-repair** — for
+reads the fault transport's event log, and reports **time-to-repair** — for
 each injected fault, how many rounds each layer needed to satisfy its
 predicate again — plus the residual dead-descriptor fraction (how
 completely stale knowledge was flushed) and the partition-merge time
@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 from repro.core.convergence import ConvergenceTracker
 from repro.core.layers import LAYER_CORE, LAYER_UO1
 from repro.core.roles import RoleMap
-from repro.faults.plane import FaultEvent, FaultPlane
+from repro.faults.transports import FaultEvent, FaultTransport
 from repro.obs.export import render_table
 from repro.obs.instrument import Instrument
 from repro.sim.network import Network
@@ -187,7 +187,7 @@ class RecoveryObserver(ConvergenceTracker):
 
     def __init__(
         self,
-        plane: FaultPlane,
+        faults: FaultTransport,
         assembly_provider: Callable[[], "Assembly"],
         role_map_provider: Callable[[], RoleMap],
         uo1_view_size: int,
@@ -203,7 +203,7 @@ class RecoveryObserver(ConvergenceTracker):
             layers,
             stop_when_converged=False,
         )
-        self.plane = plane
+        self.faults = faults
         self.instrument = instrument
         self.rounds: List[int] = []
         self.series: Dict[str, List[bool]] = {layer: [] for layer in self.layers}
@@ -213,13 +213,13 @@ class RecoveryObserver(ConvergenceTracker):
     def for_deployment(
         cls,
         deployment: "Deployment",
-        plane: FaultPlane,
+        faults: FaultTransport,
         layers: Optional[List[str]] = None,
         instrument: Optional[Instrument] = None,
     ) -> "RecoveryObserver":
         """Build an observer wired to a deployment's oracle state."""
         return cls(
-            plane,
+            faults,
             assembly_provider=lambda: deployment.assembly,
             role_map_provider=lambda: deployment.role_map,
             uo1_view_size=deployment.config.uo1.view_size,
@@ -263,7 +263,7 @@ class RecoveryObserver(ConvergenceTracker):
                     for layer in self.layers
                 },
             )
-            for event in self.plane.events
+            for event in self.faults.events
         ]
         final = {
             layer: bool(self.series[layer]) and self.series[layer][-1]

@@ -3,9 +3,11 @@
 Feeders turn a convergence report, a deployment's bandwidth split, a
 telemetry :class:`~repro.obs.collector.Collector`, or a JSONL event stream
 into named table *sections*, and one renderer
-(:func:`~repro.obs.export.render_table`) prints them all. ``repro report``
-and ``repro obs`` differ only in which feeders they call — the aggregation
-and formatting are shared, so the two commands can never drift apart.
+(:func:`~repro.obs.export.render_table`) prints them all. Every view of
+``repro report`` — a converged topology (:meth:`MetricsRegistry.for_deployment`),
+a JSONL stream (:meth:`MetricsRegistry.from_events`), a swarm status
+directory — differs only in which feeders it calls; the aggregation and
+formatting are shared, so the views can never drift apart.
 """
 
 from __future__ import annotations
@@ -241,15 +243,8 @@ class MetricsRegistry:
         return registry
 
     @classmethod
-    def from_collector(cls, collector) -> "MetricsRegistry":
-        """The ``repro obs`` live view: telemetry sections only."""
-        registry = cls()
-        registry.add_collector(collector)
-        return registry
-
-    @classmethod
     def from_events(cls, events: Iterable[Any]) -> "MetricsRegistry":
-        """The ``repro obs`` post-mortem view over a JSONL stream."""
+        """The ``repro report`` post-mortem view over a JSONL stream."""
         registry = cls()
         registry.add_events(events)
         return registry

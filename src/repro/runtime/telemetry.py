@@ -131,8 +131,7 @@ class TelemetryStream:
     ``flush(collector)`` appends every event recorded since the previous
     flush and returns how many were written.  The on-disk stream is the
     same namespaced JSONL layout as :func:`repro.obs.export.write_jsonl`,
-    so ``read_jsonl`` / ``repro obs`` / ``repro report`` consume it
-    directly.
+    so ``read_jsonl`` and ``repro report`` consume it directly.
     """
 
     def __init__(self, path: str) -> None:

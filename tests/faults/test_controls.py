@@ -13,10 +13,12 @@ from repro.faults.controls import (
     PauseResume,
     ZoneOutage,
 )
-from repro.faults.plane import FaultPlane, LinkQuality
+from repro.faults.transports import FaultTransport, LinkQuality
 from repro.faults.zones import ZoneMap
 from repro.gossip.views import PartialView
 from repro.sim.network import Network
+from repro.sim.rng import RandomStreams
+from repro.sim.transport import Transport
 
 
 class FakeGossip:
@@ -24,6 +26,11 @@ class FakeGossip:
 
     def __init__(self, capacity=8):
         self.view = PartialView(capacity)
+
+
+def make_faults(zones=None):
+    """The fault state the controls drive: a decorator over a plain ledger."""
+    return FaultTransport(Transport(), RandomStreams(0), zones)
 
 
 def make_network(count, with_views=False):
@@ -34,87 +41,56 @@ def make_network(count, with_views=False):
     return net
 
 
+def heal_events(faults):
+    return [event for event in faults.events if event.kind == "heal"]
+
+
 class TestPartitionValidation:
     def test_window(self):
-        plane = FaultPlane()
+        faults = make_faults()
         with pytest.raises(ConfigurationError):
-            Partition(plane, at_round=-1, heal_round=5, rng=random.Random(0))
+            Partition(faults, at_round=-1, heal_round=5, rng=random.Random(0))
         with pytest.raises(ConfigurationError):
-            Partition(plane, at_round=5, heal_round=5, rng=random.Random(0))
-
-    def test_needs_rng_or_custom_split(self):
-        with pytest.raises(ConfigurationError):
-            Partition(FaultPlane(), at_round=0, heal_round=5)
-
-    def test_islands_floor(self):
-        with pytest.raises(ConfigurationError):
-            Partition(
-                FaultPlane(), at_round=0, heal_round=5,
-                islands=1, rng=random.Random(0),
-            )
+            Partition(faults, at_round=5, heal_round=5, rng=random.Random(0))
 
     def test_rendezvous_validation(self):
         with pytest.raises(ConfigurationError):
             Partition(
-                FaultPlane(), at_round=0, heal_round=5,
+                make_faults(), at_round=0, heal_round=5,
                 rng=random.Random(0), rendezvous=-1,
-            )
-        # A custom split without an rng cannot re-seed at heal time.
-        with pytest.raises(ConfigurationError):
-            Partition(
-                FaultPlane(), at_round=0, heal_round=5,
-                island_of=lambda ids: {nid: nid % 2 for nid in ids},
             )
 
 
 class TestPartitionLifecycle:
     def test_fires_and_heals_on_schedule(self):
-        plane = FaultPlane()
+        faults = make_faults()
         net = make_network(8)
         control = Partition(
-            plane, at_round=1, heal_round=3, rng=random.Random(0), rendezvous=0
+            faults, at_round=1, heal_round=3, rng=random.Random(0), rendezvous=0
         )
         control.before_round(net, 0)
-        assert not control.fired and not plane.partition_active
+        assert not control.fired and not faults.partition_active
         control.before_round(net, 1)
-        assert control.fired and control.active
-        assert plane.partition_active
-        islands = plane.islands()
-        assert len(islands) == 2
-        assert sum(len(island) for island in islands) == 8
+        assert control.fired and not control.healed
+        assert faults.partition_active
+        assert faults.events[0].detail == "islands=[4, 4]"
+        assert sum(faults.partitioned(0, other) for other in range(8)) == 4
         control.before_round(net, 2)
-        assert plane.partition_active
+        assert faults.partition_active
         control.before_round(net, 3)
-        assert control.healed and not control.active
-        assert not plane.partition_active
-        assert [event.kind for event in plane.events] == ["partition", "heal"]
-
-    def test_custom_split(self):
-        plane = FaultPlane()
-        net = make_network(6)
-        control = Partition(
-            plane,
-            at_round=0,
-            heal_round=9,
-            island_of=lambda ids: {nid: nid % 3 for nid in ids},
-            rendezvous=0,
-        )
-        control.before_round(net, 0)
-        assert len(plane.islands()) == 3
-        assert not plane.reachable(0, 1)
-        assert plane.reachable(0, 3)
+        assert control.healed
+        assert not faults.partition_active
+        assert [event.kind for event in faults.events] == ["partition", "heal"]
 
     def test_rendezvous_seeds_cross_island_contacts(self):
-        plane = FaultPlane()
+        faults = make_faults()
         net = make_network(10, with_views=True)
         control = Partition(
-            plane, at_round=0, heal_round=2, rng=random.Random(3), rendezvous=2
+            faults, at_round=0, heal_round=2, rng=random.Random(3), rendezvous=2
         )
         control.before_round(net, 0)
-        island_of = {
-            node_id: index
-            for index, members in enumerate(plane.islands())
-            for node_id in members
+        cut = {
+            (a, b) for a in range(10) for b in range(10) if faults.partitioned(a, b)
         }
         control.before_round(net, 2)
         seeded = [
@@ -125,30 +101,30 @@ class TestPartitionLifecycle:
         # Two seeds per island, each pointing across the former cut.
         assert len(seeded) == 4
         for node_id, descriptor in seeded:
-            assert island_of[node_id] != island_of[descriptor.node_id]
+            assert (node_id, descriptor.node_id) in cut
             assert descriptor.age == 0
-        assert "rendezvous=4" in plane.events_of("heal")[0].detail
+        assert "rendezvous=4" in heal_events(faults)[0].detail
 
     def test_rendezvous_zero_leaves_views_untouched(self):
-        plane = FaultPlane()
+        faults = make_faults()
         net = make_network(6, with_views=True)
         control = Partition(
-            plane, at_round=0, heal_round=1, rng=random.Random(0), rendezvous=0
+            faults, at_round=0, heal_round=1, rng=random.Random(0), rendezvous=0
         )
         control.before_round(net, 0)
         control.before_round(net, 1)
         assert all(
             len(node.protocol("peer_sampling").view) == 0 for node in net.nodes()
         )
-        assert "rendezvous=0" in plane.events_of("heal")[0].detail
+        assert "rendezvous=0" in heal_events(faults)[0].detail
 
     def test_heal_is_idempotent_under_double_fire(self):
         # A remediation engine may drive the heal path again after the
         # scheduled heal already ran; the second call must change nothing.
-        plane = FaultPlane()
+        faults = make_faults()
         net = make_network(10, with_views=True)
         control = Partition(
-            plane, at_round=0, heal_round=2, rng=random.Random(3), rendezvous=2
+            faults, at_round=0, heal_round=2, rng=random.Random(3), rendezvous=2
         )
         control.before_round(net, 0)
         control.before_round(net, 2)
@@ -163,90 +139,88 @@ class TestPartitionLifecycle:
             for node in net.nodes()
         }
         assert after == seeded  # no double re-seed
-        assert len(plane.events_of("heal")) == 1
-        assert not plane.partition_active
+        assert len(heal_events(faults)) == 1
+        assert not faults.partition_active
 
     def test_heal_before_fire_is_a_no_op(self):
-        plane = FaultPlane()
+        faults = make_faults()
         net = make_network(6, with_views=True)
         control = Partition(
-            plane, at_round=5, heal_round=8, rng=random.Random(0), rendezvous=2
+            faults, at_round=5, heal_round=8, rng=random.Random(0), rendezvous=2
         )
         assert control.heal(net, 0) == 0  # nothing fired yet
-        assert plane.events == []
+        assert faults.events == []
 
 
 class TestZoneOutage:
-    def make_zone_plane(self, count=8):
+    def make_zone_faults(self, count=8):
         net = make_network(count)
         zones = ZoneMap.round_robin(net.node_ids(), ["za", "zb"])
-        return net, FaultPlane(zones=zones)
+        return net, make_faults(zones=zones)
 
     def test_needs_zone_map(self):
         with pytest.raises(ConfigurationError):
-            ZoneOutage(FaultPlane(), zone="za", at_round=0)
+            ZoneOutage(make_faults(), zone="za", at_round=0)
 
     def test_mode_validation(self):
-        _, plane = self.make_zone_plane()
+        _, faults = self.make_zone_faults()
         with pytest.raises(ConfigurationError):
-            ZoneOutage(plane, zone="za", at_round=0, mode="explode")
+            ZoneOutage(faults, zone="za", at_round=0, mode="explode")
         with pytest.raises(ConfigurationError):
-            ZoneOutage(plane, zone="za", at_round=0, mode="pause")
+            ZoneOutage(faults, zone="za", at_round=0, mode="pause")
         with pytest.raises(ConfigurationError):
-            ZoneOutage(plane, zone="za", at_round=0, mode="kill", restore_round=5)
+            ZoneOutage(faults, zone="za", at_round=0, mode="kill", restore_round=5)
 
     def test_kill_takes_whole_zone_down(self):
-        net, plane = self.make_zone_plane(8)
-        control = ZoneOutage(plane, zone="za", at_round=2, mode="kill")
+        net, faults = self.make_zone_faults(8)
+        control = ZoneOutage(faults, zone="za", at_round=2, mode="kill")
         control.before_round(net, 0)
         assert net.alive_count() == 8
         control.before_round(net, 2)
         assert control.victims == [0, 2, 4, 6]
         assert net.alive_count() == 4
         assert all(net.is_alive(node_id) for node_id in (1, 3, 5, 7))
-        assert plane.events_of("zone_kill")
+        assert [event.kind for event in faults.events] == ["zone_kill"]
 
     def test_pause_revives_zombies(self):
-        net, plane = self.make_zone_plane(8)
+        net, faults = self.make_zone_faults(8)
         control = ZoneOutage(
-            plane, zone="zb", at_round=0, mode="pause", restore_round=3
+            faults, zone="zb", at_round=0, mode="pause", restore_round=3
         )
         control.before_round(net, 0)
         assert net.alive_count() == 4
         control.before_round(net, 3)
         assert net.alive_count() == 8
-        assert plane.events_of("zone_restore")[0].detail.endswith("revived=4")
+        assert faults.events[-1].kind == "zone_restore"
+        assert faults.events[-1].detail.endswith("revived=4")
 
 
 class TestPauseResume:
     def test_fraction_validation(self):
         with pytest.raises(ConfigurationError):
             PauseResume(
-                FaultPlane(), random.Random(0),
+                make_faults(), random.Random(0),
                 at_round=0, resume_round=5, fraction=0.0,
             )
 
     def test_pause_then_resume(self):
-        plane = FaultPlane()
+        faults = make_faults()
         net = make_network(20)
         control = PauseResume(
-            plane, random.Random(1),
-            at_round=1, resume_round=4, fraction=0.5, min_population=4,
+            faults, random.Random(1),
+            at_round=1, resume_round=4, fraction=0.5,
         )
         control.before_round(net, 1)
         assert len(control.paused) == 10
         assert net.alive_count() == 10
-        assert all(net.node(nid).attributes.get("paused") for nid in control.paused)
         control.before_round(net, 4)
         assert net.alive_count() == 20
-        assert all(
-            "paused" not in net.node(nid).attributes for nid in control.paused
-        )
 
     def test_min_population_caps_pause(self):
+        # At least PauseResume.MIN_UNPAUSED (8) nodes stay up.
         control = PauseResume(
-            FaultPlane(), random.Random(1),
-            at_round=0, resume_round=5, fraction=0.9, min_population=8,
+            make_faults(), random.Random(1),
+            at_round=0, resume_round=5, fraction=0.9,
         )
         net = make_network(10)
         control.before_round(net, 0)
@@ -256,29 +230,32 @@ class TestPauseResume:
 class TestLinkDegradation:
     def test_needs_a_scope(self):
         with pytest.raises(ConfigurationError):
-            LinkDegradation(FaultPlane(), at_round=0, quality=LinkQuality(loss=0.5))
+            LinkDegradation(
+                make_faults(), at_round=0, quality=LinkQuality(loss=0.5),
+                zone_pairs=[],
+            )
 
     def test_installs_and_restores_rules(self):
         zones = ZoneMap.round_robin(range(8), ["za", "zb"])
-        plane = FaultPlane(zones=zones)
+        faults = make_faults(zones=zones)
         net = make_network(8)
         control = LinkDegradation(
-            plane,
+            faults,
             at_round=1,
             quality=LinkQuality(loss=0.5, latency=0.2),
-            pairs=[(0, 1)],
-            nodes=[2],
             zone_pairs=[("za", "zb")],
             restore_round=4,
         )
         control.before_round(net, 0)
-        assert not plane.links.active
+        assert not faults.active
         control.before_round(net, 1)
-        assert plane.quality(0, 1).loss == 0.5
-        assert plane.quality(2, 7).loss == 0.5
-        assert plane.quality(1, 4).loss == 0.5  # za <-> zb
+        assert faults.quality(0, 1).loss == 0.5  # za <-> zb
+        assert faults.quality(7, 2).loss == 0.5
+        assert faults.quality(0, 2) is None  # within za
         control.before_round(net, 4)
-        assert not plane.links.active
-        assert plane.quality(0, 1).loss == 0.0
-        kinds = [event.kind for event in plane.events]
-        assert kinds == ["degrade", "restore"]
+        assert not faults.active
+        assert faults.quality(0, 1) is None
+        assert [str(event) for event in faults.events] == [
+            "r1 degrade (zone_pairs=[('za', 'zb')] loss=0.5 latency=0.2)",
+            "r4 restore (zone_pairs=[('za', 'zb')])",
+        ]

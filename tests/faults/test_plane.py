@@ -1,22 +1,29 @@
-"""Tests for the fault plane: link quality, partitions, exchange accounting."""
+"""Tests for the fault plane the FaultTransport decorator owns: link rules,
+partitions, exchange accounting and the event log."""
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.plane import (
-    PERFECT_LINK,
-    FaultPlane,
-    LinkFaults,
-    LinkQuality,
-    split_by_zone,
-    split_islands,
-)
+from repro.faults.controls import LinkDegradation, split_islands
+from repro.faults.transports import FaultTransport, LinkQuality
 from repro.faults.zones import ZoneMap
+from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
+
+
+def make_faults(zones=None):
+    """A fault transport over a plain ledger; returns ``(ledger, faults)``."""
+    ledger = Transport()
+    return ledger, FaultTransport(ledger, RandomStreams(0), zones)
+
+
+def one_zone_per_node(ids):
+    return ZoneMap.round_robin(ids, [f"n{nid}" for nid in sorted(ids)])
 
 
 class TestLinkQuality:
@@ -28,167 +35,160 @@ class TestLinkQuality:
         with pytest.raises(ConfigurationError):
             LinkQuality(latency=-1.0)
 
-    def test_degraded(self):
-        assert not PERFECT_LINK.degraded
-        assert LinkQuality(loss=0.1).degraded
-        assert LinkQuality(latency=0.5).degraded
 
-
-class TestLinkFaultsPrecedence:
-    def test_default_applies_when_no_rule(self):
-        faults = LinkFaults()
-        assert faults.quality(1, 2) == PERFECT_LINK
+class TestLinkRules:
+    def test_no_rule_is_a_perfect_link(self):
+        _, faults = make_faults(ZoneMap.round_robin(range(4), ["za", "zb"]))
+        assert faults.quality(1, 2) is None
         assert not faults.active
 
-    def test_pair_beats_node_and_zone(self):
+    def test_zone_pair_rule_is_symmetric_and_zone_wide(self):
         zones = ZoneMap.round_robin(range(4), ["za", "zb"])
-        faults = LinkFaults()
-        faults.set_zone_pair("za", "zb", LinkQuality(loss=0.3))
-        faults.set_node(1, LinkQuality(loss=0.5))
-        faults.set_pair(0, 1, LinkQuality(loss=0.9))
-        assert faults.quality(1, 0, zones).loss == 0.9
-        # Pair rules are symmetric.
-        assert faults.quality(0, 1, zones).loss == 0.9
-
-    def test_node_rule_takes_worst_of_endpoints(self):
-        faults = LinkFaults()
-        faults.set_node(1, LinkQuality(loss=0.5, latency=0.1))
-        faults.set_node(2, LinkQuality(loss=0.2, latency=0.8))
-        quality = faults.quality(1, 2)
-        assert quality.loss == 0.5
-        assert quality.latency == 0.8
-        # A single-ended node rule applies alone.
-        assert faults.quality(1, 7).loss == 0.5
-
-    def test_node_beats_zone(self):
-        zones = ZoneMap.round_robin(range(4), ["za", "zb"])
-        faults = LinkFaults()
-        faults.set_zone_pair("za", "zb", LinkQuality(loss=0.3))
-        faults.set_node(0, LinkQuality(loss=0.7))
-        assert faults.quality(0, 1, zones).loss == 0.7
-        assert faults.quality(2, 1, zones).loss == 0.3
+        _, faults = make_faults(zones)
+        faults.set_link("za", "zb", LinkQuality(loss=0.3))
+        assert faults.active
+        assert faults.quality(0, 1).loss == 0.3
+        assert faults.quality(3, 2).loss == 0.3  # zb -> za
+        assert faults.quality(0, 2) is None  # within za: no rule
+        faults.set_link("za", "za", LinkQuality(latency=0.2))
+        assert faults.quality(0, 2).latency == 0.2
 
     def test_zone_rule_needs_zone_map(self):
-        faults = LinkFaults()
-        faults.set_zone_pair("za", "zb", LinkQuality(loss=0.3))
-        # Without a zone map the rule cannot match.
-        assert faults.quality(0, 1) == PERFECT_LINK
+        # Without a zone map the rule could match nothing: rejected.
+        _, faults = make_faults()
+        with pytest.raises(ConfigurationError, match="ZoneMap"):
+            faults.set_link("za", "zb", LinkQuality(loss=0.3))
+        with pytest.raises(ConfigurationError, match="ZoneMap"):
+            LinkDegradation(
+                faults, at_round=0, quality=LinkQuality(loss=1.0),
+                zone_pairs=[("za", "zb")],
+            )
+        assert not faults.active and faults.events == []
 
-    def test_self_pair_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LinkFaults().set_pair(3, 3, LinkQuality(loss=0.5))
+    def test_unknown_zone_rejected(self):
+        # A rule naming a zone the map lacks would degrade 0 links.
+        _, faults = make_faults(ZoneMap.round_robin(range(8), ["za", "zb"]))
+        with pytest.raises(ConfigurationError, match="zq"):
+            faults.set_link("za", "zq", LinkQuality(loss=1.0))
+        with pytest.raises(ConfigurationError, match="zq"):
+            LinkDegradation(
+                faults, at_round=0, quality=LinkQuality(loss=1.0),
+                zone_pairs=[("za", "zq")],
+            )
+        assert not faults.active and faults.events == []
+
+    def test_one_node_zone_degrades_one_node(self):
+        _, faults = make_faults(one_zone_per_node(range(4)))
+        for other in range(4):
+            faults.set_link("n1", f"n{other}", LinkQuality(loss=0.5))
+        assert faults.quality(1, 3).loss == 0.5
+        assert faults.quality(2, 1).loss == 0.5
+        assert faults.quality(2, 3) is None
 
     def test_clear_rules(self):
-        faults = LinkFaults()
-        faults.set_pair(0, 1, LinkQuality(loss=0.9))
-        faults.set_node(2, LinkQuality(loss=0.9))
-        faults.set_zone_pair("za", "zb", LinkQuality(loss=0.9))
+        _, faults = make_faults(ZoneMap.round_robin(range(4), ["za", "zb"]))
+        faults.set_link("za", "zb", LinkQuality(loss=0.9))
+        faults.set_link("zb", "zb", LinkQuality(loss=0.9))
         assert faults.active
-        faults.clear()
+        faults.clear_link("zb", "za")
+        faults.clear_link("zb", "zb")
         assert not faults.active
-        assert faults.quality(0, 1) == PERFECT_LINK
+        assert faults.quality(0, 1) is None
 
 
 class TestPartition:
     def test_set_and_clear(self):
-        plane = FaultPlane()
-        assert plane.reachable(1, 2)
-        plane.set_partition({1: 0, 2: 1, 3: 0})
-        assert plane.partition_active
-        assert not plane.reachable(1, 2)
-        assert plane.reachable(1, 3)
-        assert plane.islands() == [[1, 3], [2]]
-        plane.clear_partition()
-        assert plane.reachable(1, 2)
-        assert plane.islands() == []
+        _, faults = make_faults()
+        assert not faults.partitioned(1, 2)
+        faults.set_partition({1: 0, 2: 1, 3: 0})
+        assert faults.partition_active
+        assert faults.partitioned(1, 2)
+        assert not faults.partitioned(1, 3)
+        faults.clear_partition()
+        assert not faults.partition_active
+        assert not faults.partitioned(1, 2)
 
     def test_unmapped_nodes_are_unrestricted(self):
-        plane = FaultPlane()
-        plane.set_partition({1: 0, 2: 1})
+        _, faults = make_faults()
+        faults.set_partition({1: 0, 2: 1})
         # Node 9 joined mid-partition: it can talk to both islands.
-        assert plane.reachable(9, 1)
-        assert plane.reachable(2, 9)
+        assert not faults.partitioned(9, 1)
+        assert not faults.partitioned(2, 9)
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultPlane().set_partition({})
+            make_faults()[1].set_partition({})
 
     def test_active_short_circuit(self):
-        plane = FaultPlane()
-        assert not plane.active
-        plane.set_partition({1: 0, 2: 1})
-        assert plane.active
-        plane.clear_partition()
-        plane.links.set_node(1, LinkQuality(loss=0.5))
-        assert plane.active
+        _, faults = make_faults(ZoneMap.round_robin(range(4), ["za", "zb"]))
+        assert not faults.active
+        faults.set_partition({1: 0, 2: 1})
+        assert faults.active
+        faults.clear_partition()
+        assert not faults.active
+        faults.set_link("za", "zb", LinkQuality(loss=0.5))
+        assert faults.active
+
+
+def context(node_id, layer=""):
+    """The two fields the decorator reads off a round context."""
+    return SimpleNamespace(node=SimpleNamespace(node_id=node_id), layer=layer)
 
 
 class TestExchangeOk:
     def test_partition_drop_is_accounted(self):
-        plane = FaultPlane()
-        plane.set_partition({1: 0, 2: 1})
-        transport = Transport()
-        rng = random.Random(0)
-        assert not plane.exchange_ok(rng, 1, 2, transport, layer="uo1")
-        assert plane.exchange_ok(rng, 1, 1, transport, layer="uo1")
-        assert transport.drop_reasons() == {"partition": 1}
-        assert transport.total_dropped("uo1") == 1
+        ledger, faults = make_faults()
+        faults.set_partition({1: 0, 2: 1})
+        assert not faults.deliverable(context(1), 2, layer="uo1")
+        assert not faults.reachable(context(1), 2)
+        assert faults.deliverable(context(1), 1, layer="uo1")
+        assert ledger.drop_reasons() == {"partition": 1}
+        assert ledger.total_dropped("uo1") == 1
 
     def test_total_loss_always_drops(self):
-        plane = FaultPlane()
-        plane.links.set_pair(1, 2, LinkQuality(loss=1.0))
-        transport = Transport()
+        ledger, faults = make_faults(one_zone_per_node(range(4)))
+        faults.set_link("n1", "n2", LinkQuality(loss=1.0))
         for _ in range(20):
-            assert not plane.exchange_ok(random.Random(0), 1, 2, transport, "core")
-        assert transport.drop_reasons() == {"loss": 20}
+            assert not faults.deliverable(context(1, "core"), 2)
+        assert ledger.drop_reasons() == {"loss": 20}
+        assert faults.reachable(context(1), 2)  # loss is not a cut
 
     def test_latency_beyond_timeout_drops(self):
-        plane = FaultPlane(timeout_latency=1.0)
-        plane.links.set_pair(1, 2, LinkQuality(latency=1.0))
-        transport = Transport()
-        assert not plane.exchange_ok(random.Random(0), 1, 2, transport, "core")
-        assert transport.drop_reasons() == {"timeout": 1}
+        ledger, faults = make_faults(one_zone_per_node(range(4)))
+        faults.set_link("n1", "n2", LinkQuality(latency=1.0))
+        assert not faults.deliverable(context(1), 2, layer="core")
+        assert ledger.drop_reasons() == {"timeout": 1}
 
     def test_sub_timeout_latency_delays_but_delivers(self):
-        plane = FaultPlane()
-        plane.links.set_pair(1, 2, LinkQuality(latency=0.4))
-        transport = Transport()
-        assert plane.exchange_ok(random.Random(0), 1, 2, transport, "core")
-        assert transport.total_delayed("core") == 1
-        assert transport.mean_extra_latency("core") == pytest.approx(0.4)
-        assert transport.drop_reasons() == {}
-
-    def test_timeout_latency_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlane(timeout_latency=0.0)
+        ledger, faults = make_faults(one_zone_per_node(range(4)))
+        faults.set_link("n1", "n2", LinkQuality(latency=0.4))
+        assert faults.deliverable(context(1), 2, layer="core")
+        assert ledger.total_delayed("core") == 1
+        assert ledger.mean_extra_latency("core") == pytest.approx(0.4)
+        assert ledger.drop_reasons() == {}
 
 
 class TestEventLog:
     def test_record_and_filter(self):
-        plane = FaultPlane()
-        plane.record_event(3, "partition", "islands=[2, 2]")
-        plane.record_event(9, "heal")
-        assert [event.kind for event in plane.events] == ["partition", "heal"]
-        assert plane.events_of("heal")[0].round == 9
-        assert "r3 partition" in str(plane.events[0])
+        _, faults = make_faults()
+        faults.record_event(3, "partition", "islands=[2, 2]")
+        faults.record_event(9, "heal")
+        assert [event.kind for event in faults.events] == ["partition", "heal"]
+        assert faults.events[1].round == 9
+        assert "r3 partition" in str(faults.events[0])
 
 
 class TestSplits:
     def test_split_islands_near_equal(self):
-        mapping = split_islands(list(range(10)), 3, random.Random(1))
+        mapping = split_islands(list(range(11)), random.Random(1))
         sizes = sorted(
-            sum(1 for island in mapping.values() if island == k) for k in range(3)
+            sum(1 for island in mapping.values() if island == k) for k in range(2)
         )
-        assert sizes == [3, 3, 4]
-        assert set(mapping) == set(range(10))
+        assert sizes == [5, 6]
+        assert set(mapping) == set(range(11))
 
     def test_split_islands_validation(self):
         with pytest.raises(ConfigurationError):
-            split_islands([1, 2, 3], 1, random.Random(0))
+            split_islands([1], random.Random(0))
         with pytest.raises(ConfigurationError):
-            split_islands([1], 2, random.Random(0))
-
-    def test_split_by_zone(self):
-        zones = ZoneMap.round_robin(range(6), ["za", "zb", "zc"])
-        mapping = split_by_zone(zones, list(range(6)))
-        assert mapping == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
+            split_islands([], random.Random(0))

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from repro.faults.plane import FaultEvent, FaultPlane
+from repro.faults.transports import FaultEvent, FaultTransport
 from repro.gossip.views import PartialView
 from repro.obs.recovery import EventRecovery, RecoveryObserver, dead_descriptor_fraction
 from repro.sim.network import Network
+from repro.sim.rng import RandomStreams
+from repro.sim.transport import Transport
 
 
 class ScriptedObserver(RecoveryObserver):
     """Observer with a scripted predicate series (no real deployment)."""
 
-    def __init__(self, plane, script):
+    def __init__(self, faults, script):
         super().__init__(
-            plane,
+            faults,
             assembly_provider=lambda: None,
             role_map_provider=lambda: None,
             uo1_view_size=8,
@@ -25,8 +27,12 @@ class ScriptedObserver(RecoveryObserver):
         return self.script[layer][len(self.rounds) - 1]
 
 
-def run_script(plane, script):
-    observer = ScriptedObserver(plane, script)
+def make_faults():
+    return FaultTransport(Transport(), RandomStreams(0))
+
+
+def run_script(faults, script):
+    observer = ScriptedObserver(faults, script)
     network = Network()
     n_rounds = len(next(iter(script.values())))
     for round_index in range(n_rounds):
@@ -54,15 +60,15 @@ class TestEventRecovery:
 
 class TestRecoveryReport:
     def make_report(self):
-        plane = FaultPlane()
-        plane.record_event(2, "partition")
-        plane.record_event(5, "heal")
+        faults = make_faults()
+        faults.record_event(2, "partition")
+        faults.record_event(5, "heal")
         #          round:  0     1     2      3      4     5      6     7
         script = {
             "core": [True, True, False, False, True, False, False, True],
             "uo1":  [True, True, False, True,  True, False, True,  True],
         }
-        return run_script(plane, script)
+        return run_script(faults, script)
 
     def test_time_to_repair_relative_to_event(self):
         report = self.make_report()
@@ -84,10 +90,10 @@ class TestRecoveryReport:
         assert report.final_converged == {"core": True, "uo1": True}
 
     def test_never_repaired_layer(self):
-        plane = FaultPlane()
-        plane.record_event(0, "heal")
+        faults = make_faults()
+        faults.record_event(0, "heal")
         report = run_script(
-            plane, {"core": [False, False, False], "uo1": [True, True, True]}
+            faults, {"core": [False, False, False], "uo1": [True, True, True]}
         )
         assert report.time_to_repair("heal", "core") is None
         assert report.partition_merge_rounds is None
@@ -101,7 +107,7 @@ class TestRecoveryReport:
         assert "core=ok" in rendered
         assert "partition merge" in rendered
         unhealed = run_script(
-            FaultPlane(), {"core": [False], "uo1": [False]}
+            make_faults(), {"core": [False], "uo1": [False]}
         ).render()
         assert "NOT CONVERGED" in unhealed
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -24,11 +22,6 @@ class TestZoneMap:
         assert zones.zone_of(1) == "zb"
         assert zones.zone_of(2) == "za"
         assert zones.zone_of(3) == "zb"
-
-    def test_random_placement_is_seeded(self):
-        a = ZoneMap.random_placement(range(20), ["za", "zb"], random.Random(5))
-        b = ZoneMap.random_placement(range(20), ["za", "zb"], random.Random(5))
-        assert all(a.zone_of(i) == b.zone_of(i) for i in range(20))
 
     def test_unseen_node_gets_deterministic_fallback(self):
         zones = ZoneMap.round_robin([0, 1], ["za", "zb", "zc"])

@@ -130,7 +130,7 @@ class TestDet003WallClock:
             def stamp():
                 return datetime.now()
             """,
-            rel_path="faults/plane.py",
+            rel_path="faults/transports.py",
         )
         assert codes(diags) == ["DET003"]
 

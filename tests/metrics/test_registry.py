@@ -1,4 +1,4 @@
-"""MetricsRegistry — the shared aggregation path of report/obs."""
+"""MetricsRegistry — the shared aggregation path of every repro report view."""
 
 from __future__ import annotations
 
@@ -46,14 +46,22 @@ class TestFeeders:
         assert ("node_crash", 2, 2, 5) in rows
         assert ("deploy", 1, 0, 0) in rows
 
-    def test_from_collector_has_all_telemetry_sections(self):
+    def test_for_deployment_has_all_telemetry_sections(
+        self, two_component_assembly, fast_config
+    ):
+        deployment = Runtime(
+            two_component_assembly, config=fast_config, seed=11
+        ).deploy(24)
+        report = deployment.run_until_converged(max_rounds=80)
         collector = Collector(gauge_every=0)
         collector.count("exchanges", 3, layer="uo1")
         collector.gauge("population", 24)
         collector.emit("deploy")
         collector.emit("mystery")
-        registry = MetricsRegistry.from_collector(collector)
+        registry = MetricsRegistry.for_deployment(deployment, report, collector)
         assert registry.titles() == [
+            "convergence (rounds)",
+            "bandwidth (bytes/node/round)",
             "counters",
             "gauges",
             "spans",
@@ -73,8 +81,9 @@ class TestFeeders:
         titles = registry.titles()
         assert titles[0] == "convergence (rounds)"
         assert "bandwidth (bytes/node/round)" in titles
-        # Identical section shapes to the obs-only view: one code path.
-        obs_only = MetricsRegistry.from_collector(collector)
-        assert registry.section("counters") == obs_only.section("counters")
+        # Identical section shapes to the telemetry-only view: one code path.
+        telemetry_only = MetricsRegistry()
+        telemetry_only.add_collector(collector)
+        assert registry.section("counters") == telemetry_only.section("counters")
         _t, _h, rows = registry.section("convergence (rounds)")
         assert ("(executed)", report.executed) in rows

@@ -1,4 +1,4 @@
-"""CLI surface of the observability subsystem: repro obs / report / --obs."""
+"""CLI surface of the observability subsystem: repro report / watch / --obs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 TOPOLOGY = """
 topology ObsDemo {
@@ -26,9 +26,12 @@ def topology_file(tmp_path):
 
 
 class TestObsCommand:
+    """The instrumented run and its exports, through ``repro report``."""
+
     def test_instrumented_run_prints_telemetry(self, topology_file, capsys):
-        assert main(["obs", topology_file, "--gauge-every", "2"]) == 0
+        assert main(["report", topology_file, "--gauge-every", "2"]) == 0
         out = capsys.readouterr().out
+        assert "convergence (rounds)" in out
         assert "counters" in out
         assert "exchanges" in out
         assert "peer_sampling" in out
@@ -40,7 +43,7 @@ class TestObsCommand:
         assert (
             main(
                 [
-                    "obs",
+                    "report",
                     topology_file,
                     "--jsonl",
                     str(jsonl),
@@ -50,15 +53,18 @@ class TestObsCommand:
             )
             == 0
         )
+        out = capsys.readouterr().out
+        assert "convergence (rounds)" in out
+        assert f"wrote {jsonl}" in out and f"wrote {prom}" in out
         first = json.loads(jsonl.read_text(encoding="utf-8").splitlines()[0])
         assert first["kind"] == "deploy"
         assert "repro_exchanges_total" in prom.read_text(encoding="utf-8")
 
     def test_summarizes_jsonl_post_mortem(self, topology_file, tmp_path, capsys):
         jsonl = tmp_path / "events.jsonl"
-        assert main(["obs", topology_file, "--jsonl", str(jsonl)]) == 0
-        capsys.readouterr()
-        assert main(["obs", str(jsonl)]) == 0
+        assert main(["report", topology_file, "--jsonl", str(jsonl)]) == 0
+        assert "convergence (rounds)" in capsys.readouterr().out
+        assert main(["report", str(jsonl)]) == 0
         out = capsys.readouterr().out
         assert "events" in out
         assert "deploy" in out
@@ -85,8 +91,9 @@ class TestReportCommand:
 
 class TestFlowFlag:
     def test_obs_flow_prints_information_flow_section(self, topology_file, capsys):
-        assert main(["obs", topology_file, "--flow"]) == 0
+        assert main(["report", topology_file, "--flow"]) == 0
         out = capsys.readouterr().out
+        assert "convergence (rounds)" in out
         assert "information flow" in out
         assert "critical path" in out
         assert "->" in out
@@ -121,10 +128,16 @@ class TestWatchCommand:
         for line in alerts.read_text(encoding="utf-8").splitlines():
             assert json.loads(line)["kind"] in ("alert", "alert_cleared")
 
+    def test_interval_below_one_is_rejected_at_parse_time(self, topology_file):
+        # --interval 0 would run zero-round chunks and never advance.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["watch", topology_file, "--interval", "0"])
+        assert exc.value.code == 2
+
 
 class TestErrorExits:
     def test_missing_input_file_exits_2_with_message(self, capsys):
-        assert main(["obs", "/nonexistent/stream.jsonl"]) == 2
+        assert main(["report", "/nonexistent/stream.jsonl"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "stream.jsonl" in err
@@ -132,7 +145,7 @@ class TestErrorExits:
     def test_corrupt_jsonl_exits_2_with_line_number(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
         path.write_text("{not json\n", encoding="utf-8")
-        assert main(["obs", str(path)]) == 2
+        assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}:1" in err
         assert "JSONL" in err

@@ -4,7 +4,9 @@ The headline regression: a mixed partition/loss/latency schedule driven
 through :class:`~repro.faults.transports.FaultTransport` must reproduce the
 overlay digests and drop/delay accounting recorded from the engine-side
 fault plane this decorator replaced — the ``("linkfaults", layer, node)``
-streams are drawn in the same order.
+streams are drawn in the same order. The schedule's per-node and per-pair
+faults are zone-pair rules over one zone per node, the only link rule the
+decorator has.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.layers import RUNTIME_LAYERS
-from repro.faults.plane import FaultPlane, LinkQuality
-from repro.faults.transports import FaultTransport
+from repro.errors import ConfigurationError
+from repro.faults.transports import FaultTransport, LinkQuality
+from repro.faults.zones import ZoneMap
 from repro.heal.scenarios import standard_deployment
 from repro.perf.digest import overlay_digest
 from repro.runtime.loopback import LoopbackTransport
@@ -21,16 +24,25 @@ from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport, TransportDecorator
 
 
-def node_rule(quality):
-    """A FaultTransport over a plain ledger whose plane degrades node 1."""
+def one_zone_per_node(ids):
+    """A zone map giving every id its own zone, ``n<id>``."""
+    return ZoneMap.round_robin(ids, [f"n{nid}" for nid in sorted(ids)])
+
+
+def node_rule(quality, node=1, ids=range(4)):
+    """A FaultTransport over a plain ledger degrading every link of
+    ``node`` (a one-node zone)."""
     inner = Transport()
-    plane = FaultPlane()
-    plane.links.set_node(1, quality)
-    return inner, FaultTransport(inner, plane, RandomStreams(42))
+    transport = FaultTransport(inner, RandomStreams(42), one_zone_per_node(ids))
+    for other in ids:
+        transport.set_link(f"n{node}", f"n{other}", quality)
+    return inner, transport
 
 
 class TestDecoratorUnits:
     def test_loss_drops_and_accounts(self):
+        # The unit calls pass no context: the source id is -1, whose zone
+        # (-1 % 4 -> "n3") the rule of node 1 covers.
         inner, transport = node_rule(LinkQuality(loss=0.5))
         outcomes = [transport.deliverable(None, dst=1, layer="x") for _ in range(200)]
         dropped = outcomes.count(False)
@@ -40,9 +52,13 @@ class TestDecoratorUnits:
     def test_zero_loss_draws_nothing(self):
         class Exploding(RandomStreams):
             def stream(self, *names):  # pragma: no cover - must not be called
-                raise AssertionError("an idle plane must not draw")
+                raise AssertionError("an idle fault transport must not draw")
 
-        transport = FaultTransport(Transport(), FaultPlane(), Exploding(1))
+        transport = FaultTransport(Transport(), Exploding(1))
+        assert transport.deliverable(None, dst=1) is True
+        # A latency-only rule draws nothing either.
+        transport.zones = one_zone_per_node(range(4))
+        transport.set_link("n1", "n3", LinkQuality(latency=0.4))
         assert transport.deliverable(None, dst=1) is True
 
     def test_latency_below_timeout_delays(self):
@@ -58,7 +74,7 @@ class TestDecoratorUnits:
 
     def test_decorators_stack_and_unwrap(self):
         inner = Transport()
-        stacked = FaultTransport(LoopbackTransport(inner), FaultPlane(), RandomStreams(1))
+        stacked = FaultTransport(LoopbackTransport(inner), RandomStreams(1))
         assert stacked.unwrap() is inner
         assert isinstance(stacked.inner, TransportDecorator)
         # accounting queries resolve through __getattr__ to the real ledger
@@ -67,41 +83,56 @@ class TestDecoratorUnits:
 
     def test_accounting_lands_on_shared_ledger(self):
         inner = Transport()
-        plane = FaultPlane()
-        plane.links.set_node(2, LinkQuality(latency=1.5))
-        outer = FaultTransport(LoopbackTransport(inner), plane, RandomStreams(1))
+        outer = FaultTransport(
+            LoopbackTransport(inner), RandomStreams(1), one_zone_per_node(range(4))
+        )
+        outer.set_link("n2", "n3", LinkQuality(latency=1.5))
         outer.deliverable(None, dst=2, layer="uo1")
         assert outer.total_dropped("uo1") == 1  # read through the decorators
         assert inner.drop_reasons() == {"timeout": 1}
 
-    def test_install_faults_replaces_instead_of_stacking(self):
+    def test_install_faults_one_decorator_ever(self):
         deployment = standard_deployment(32, seed=1)
         first = deployment.install_faults()
-        decorator = deployment.engine.transport
-        assert isinstance(decorator, FaultTransport) and decorator.plane is first
-        second = deployment.install_faults(FaultPlane())
-        assert deployment.engine.transport is decorator  # one decorator, ever
-        assert decorator.plane is second is deployment.faults
-        assert not isinstance(decorator.inner, FaultTransport)
+        assert isinstance(first, FaultTransport)
+        assert deployment.engine.transport is first is deployment.faults
+        assert not isinstance(first.inner, FaultTransport)
+        assert deployment.install_faults() is first  # one decorator, ever
+        assert deployment.engine.transport is first
+
+    def test_install_faults_rejects_a_second_zone_map(self):
+        deployment = standard_deployment(32, seed=1)
+        zones = one_zone_per_node(deployment.network.node_ids())
+        faults = deployment.install_faults(zones)
+        assert faults.zones is zones
+        assert deployment.install_faults(zones) is faults
+        with pytest.raises(ConfigurationError):
+            deployment.install_faults(one_zone_per_node(range(4)))
 
 
 def run_fault_schedule(seed: int):
-    """The mixed partition→links schedule through ``install_faults``."""
+    """The mixed partition→links schedule through ``install_faults``.
+
+    Every node is a one-node zone, so "every link of node a" is the zone
+    pairs ``(a, x)`` for every x, and "the link a -- b" is one zone pair.
+    """
     deployment = standard_deployment(32, seed)
     deployment.run_until_converged(120)
-    plane = deployment.install_faults()
     ids = sorted(deployment.network.alive_ids())
+    faults = deployment.install_faults(one_zone_per_node(ids))
     half = len(ids) // 2
-    plane.set_partition(
+    faults.set_partition(
         {nid: (0 if i < half else 1) for i, nid in enumerate(ids)}
     )
     deployment.run(8)
-    plane.clear_partition()
-    plane.links.set_node(ids[0], LinkQuality(loss=0.5, latency=0.0))
-    plane.links.set_pair(ids[1], ids[2], LinkQuality(loss=0.0, latency=1.5))
-    plane.links.set_pair(ids[3], ids[4], LinkQuality(loss=0.0, latency=0.4))
+    faults.clear_partition()
+    zone = {nid: f"n{nid}" for nid in ids}
+    for other in ids:
+        faults.set_link(zone[ids[0]], zone[other], LinkQuality(loss=0.5, latency=0.0))
+    faults.set_link(zone[ids[1]], zone[ids[2]], LinkQuality(loss=0.0, latency=1.5))
+    faults.set_link(zone[ids[3]], zone[ids[4]], LinkQuality(loss=0.0, latency=0.4))
     deployment.run(8)
-    plane.links.clear()
+    faults.links.clear()
     deployment.run(8)
     return {
         "digest": overlay_digest(deployment.network, RUNTIME_LAYERS),
