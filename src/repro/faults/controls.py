@@ -23,7 +23,6 @@ repair times against.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -191,11 +190,11 @@ class Partition(Control):
         return seeded
 
     def _islands(self) -> List[List[int]]:
-        """The split's islands as id lists, island 0 first."""
-        by_island: Dict[int, List[int]] = defaultdict(list)
-        for node_id, island in self._mapping.items():
-            by_island[island].append(node_id)
-        return [by_island[island] for island in sorted(by_island)]
+        """The split's two islands as id lists, island 0 first."""
+        return [
+            [node_id for node_id, island in self._mapping.items() if island == side]
+            for side in (0, 1)
+        ]
 
 
 class ZoneOutage(Control):
