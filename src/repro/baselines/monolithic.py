@@ -181,7 +181,8 @@ class MonolithicComposite:
             shape = assembly.components[role.component].shape
             peer_sampling = PeerSampling(node.node_id, self.params, layer=PS_LAYER)
             peer_sampling.bootstrap(
-                self.streams.stream("bootstrap", node.node_id), self.network
+                self.streams.stream("bootstrap", node.node_id),
+                self.network.rendezvous,
             )
             node.attach(PS_LAYER, peer_sampling)
             node.attach(

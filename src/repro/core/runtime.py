@@ -248,7 +248,8 @@ class Deployment:
             node.node_id, config.peer_sampling, layer=LAYER_PEER_SAMPLING
         )
         peer_sampling.bootstrap(
-            self.streams.stream("bootstrap", node.node_id), self.network
+            self.streams.stream("bootstrap", node.node_id),
+            self.network.rendezvous,
         )
         node.attach(LAYER_PEER_SAMPLING, peer_sampling)
         node.attach(

@@ -23,11 +23,10 @@ repair times against.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.transports import FaultTransport, LinkQuality
-from repro.gossip.descriptors import Descriptor
 from repro.sim.controls import Control
 from repro.sim.network import Network
 
@@ -53,56 +52,6 @@ def split_islands(node_ids: List[int], rng: random.Random) -> Dict[int, int]:
     return {node_id: index % 2 for index, node_id in enumerate(shuffled)}
 
 
-def rendezvous_reseed(
-    network: Network,
-    groups: Sequence[Sequence[int]],
-    rng: random.Random,
-    per_group: int = 4,
-    layer: str = "peer_sampling",
-) -> int:
-    """Give up to ``per_group`` nodes of each group one cross-group contact.
-
-    The out-of-band rendezvous (bootstrap-service re-contact) that lets
-    segregated gossip overlays merge again: fully disjoint overlays have no
-    epidemic path back to each other, so somebody must inject the first
-    cross-group descriptor. Used by :class:`Partition` at heal time and by
-    the remediation engine (:mod:`repro.heal`) whenever it detects overlay
-    segregation.
-
-    Idempotent and safe under repeated invocation: each call inserts age-0
-    descriptors (which the youngest-kept view rule and the tombstone-lifting
-    rule both accept cleanly), dead or departed nodes are skipped, and a
-    group that has lost every member simply seeds nothing. Returns the
-    number of contacts seeded.
-    """
-    alive_groups = [
-        sorted(node_id for node_id in group if network.is_alive(node_id))
-        for group in groups
-    ]
-    alive_groups = [group for group in alive_groups if group]
-    if len(alive_groups) < 2:
-        return 0
-    seeded = 0
-    for index, members in enumerate(alive_groups):
-        foreign = [
-            node_id
-            for other, group in enumerate(alive_groups)
-            if other != index
-            for node_id in group
-        ]
-        seeds = rng.sample(members, min(per_group, len(members)))
-        for node_id in seeds:
-            node = network.node(node_id)
-            if not node.has_protocol(layer):
-                continue
-            contact = rng.choice(foreign)
-            node.protocol(layer).view.insert(
-                Descriptor(contact, age=0, profile=None)
-            )
-            seeded += 1
-    return seeded
-
-
 class Partition(Control):
     """Split the live population into two random islands at ``at_round``;
     heal at ``heal_round``.
@@ -116,14 +65,15 @@ class Partition(Control):
     rng:
         Random stream for the split and the rendezvous re-seed.
     rendezvous:
-        Number of nodes per island re-seeded with one cross-island
-        peer-sampling contact when the partition heals. A long cut fully
-        segregates the gossip substrate (every cross-island descriptor is
-        timed out or aged out), and two disjoint overlays can never
-        rediscover each other epidemically — exactly as in a real
+        Number of live nodes per island that re-contact the rendezvous
+        (:class:`~repro.sim.network.Rendezvous`, the bootstrap / seed
+        service) when the partition heals, each drawing ``gossip_size``
+        peer-sampling contacts from the whole registered population. A long
+        cut fully segregates the gossip substrate (every cross-island
+        descriptor is timed out or aged out), and two disjoint overlays can
+        never rediscover each other epidemically — exactly as in a real
         deployment, where merging a healed WAN partition requires an
-        out-of-band rendezvous (the bootstrap / seed service). The re-seed
-        models that re-contact; the epidemic merge that follows is what the
+        out-of-band re-contact. The epidemic merge that follows is what the
         recovery observer times. Set to 0 to model a system without a
         rendezvous service (the overlays then stay segregated — a
         measurable negative result).
@@ -164,26 +114,29 @@ class Partition(Control):
             self.heal(network, round_index)
 
     def heal(self, network: Network, round_index: int) -> int:
-        """Heal the cut now: clear the partition, rendezvous-reseed the
-        islands.
+        """Heal the cut now: clear the partition, and let ``rendezvous``
+        live nodes of each island re-bootstrap from the rendezvous.
 
-        Idempotent: the first call clears the partition, re-seeds, and
+        Idempotent: the first call clears the partition, re-contacts, and
         records the ``heal`` event; every later call (a remediation engine
         may fire the heal path more than once per incident) is a no-op
-        returning 0. Returns the number of rendezvous contacts seeded.
+        returning 0. Returns the number of nodes that re-contacted.
         """
         if not self.fired or self.healed:
             return 0
         self.healed = True
         self.faults.clear_partition()
         seeded = 0
-        if self.rendezvous:
-            # The bootstrap-service re-contact that lets a real system merge
-            # after a cut: without it two fully segregated gossip overlays
-            # have no epidemic path back to each other.
-            seeded = rendezvous_reseed(
-                network, self._islands(), self.rng, per_group=self.rendezvous
-            )
+        for island in self._islands():
+            live = sorted(node_id for node_id in island if network.is_alive(node_id))
+            for node_id in self.rng.sample(live, min(self.rendezvous, len(live))):
+                node = network.node(node_id)
+                if node.has_protocol("peer_sampling"):
+                    protocol = node.protocol("peer_sampling")
+                    protocol.bootstrap(
+                        self.rng, network.rendezvous, protocol.params.gossip_size
+                    )
+                    seeded += 1
         self.faults.record_event(
             round_index, "heal", f"partition merged (rendezvous={seeded})"
         )

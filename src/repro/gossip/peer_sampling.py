@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from functools import partial
 from typing import Dict, List, Optional
 
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
-from repro.sim.network import Network
+from repro.sim.network import Rendezvous
 from repro.sim.protocol import GossipProtocol
 
 
@@ -35,9 +34,6 @@ class PeerSampling(GossipProtocol):
     layer:
         Transport accounting label; also the name under which the protocol is
         attached, so that upper layers can find it via ``node.protocol``.
-    select_tail:
-        If true (default), gossip with the oldest view entry; otherwise with
-        a uniformly random one.
     """
 
     def __init__(
@@ -45,11 +41,9 @@ class PeerSampling(GossipProtocol):
         node_id: int,
         params: Optional[GossipParams] = None,
         layer: str = "peer_sampling",
-        select_tail: bool = True,
     ):
         super().__init__(node_id, layer)
         self.params = params or GossipParams()
-        self.select_tail = select_tail
         self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=None)
 
@@ -68,38 +62,35 @@ class PeerSampling(GossipProtocol):
 
     # -- bootstrap -----------------------------------------------------------------
 
-    def bootstrap(self, rng: random.Random, network: Network, count: int = 0) -> None:
-        """Fill the view with up to ``count`` random live peers.
+    def bootstrap(
+        self, rng: random.Random, rendezvous: Rendezvous, count: int = 0
+    ) -> None:
+        """Insert up to ``count`` (default: view size) contacts from the
+        rendezvous.
 
         The equivalent of PeerSim's ``WireKOut`` initializer: without it the
         initial knowledge graph can partition into isolated islands that
         gossip can never bridge. The runtime calls this at deployment and
-        for every joining node.
+        for every joining node; a node re-contacts the rendezvous the same
+        way whenever its view runs dry or a heal re-joins its overlay.
         """
-        count = count or self.params.view_size
-        candidates = [nid for nid in network.alive_ids() if nid != self.node_id]
-        if not candidates:
-            return
-        for node_id in rng.sample(candidates, min(count, len(candidates))):
+        for node_id in rendezvous.sample(
+            rng, count or self.params.view_size, exclude=self.node_id
+        ):
             self.view.insert(Descriptor(node_id, age=0, profile=None))
 
     # -- internals -----------------------------------------------------------------
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
-        """Tail (or uniform) selection with dead-peer healing and oracle bootstrap."""
-        pick = None if self.select_tail else partial(self.view.random, ctx.rng())
-        candidate = self._oldest_live(ctx, pick=pick)
-        if candidate is not None:
-            return candidate.node_id
-        # Empty view: re-bootstrap through the membership oracle (models a
-        # node rejoining via the bootstrap service after losing all links).
-        self.bootstrap(ctx.rng(), ctx.network, self.params.gossip_size)
-        candidate = self.view.random(ctx.rng())
-        if candidate is not None and ctx.network.node(candidate.node_id).has_protocol(
-            self.layer
-        ):
-            return candidate.node_id
-        return None
+        """Tail selection with dead-peer healing and rendezvous re-bootstrap."""
+        candidate = self._oldest_live(ctx)
+        if candidate is None:
+            # Empty view: re-contact the rendezvous (a node rejoining via the
+            # bootstrap service after losing all links). Its sample may name
+            # dead nodes; the second probe purges them like any dead entry.
+            self.bootstrap(ctx.rng(), ctx.network.rendezvous, self.params.gossip_size)
+            candidate = self._oldest_live(ctx)
+        return None if candidate is None else candidate.node_id
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """Own fresh descriptor plus a random slice of the view."""

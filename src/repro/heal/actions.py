@@ -6,11 +6,10 @@ repair over a live :class:`~repro.core.runtime.Deployment`:
 ==========================  ===================================================
 action                      repairs
 ==========================  ===================================================
-:class:`RendezvousReseed`   overlay segregation — detects the weakly-connected
-                            components of the peer-sampling knowledge graph
-                            and injects cross-group rendezvous contacts
-                            (the same primitive :class:`~repro.faults.controls.
-                            Partition` uses at heal time)
+:class:`RendezvousReseed`   overlay segregation — nodes drawn from the
+                            rendezvous re-bootstrap their peer-sampling views
+                            from it (the re-contact :class:`~repro.faults.
+                            controls.Partition` applies at heal time)
 :class:`ElasticAdjust`      churn spikes — re-runs the role assignment over
                             the live population (elastic replica adjustment)
                             and re-bootstraps starved peer-sampling views
@@ -38,23 +37,24 @@ Actions draw randomness only from the rng handed in by the engine (a
 ``streams.fork("heal")`` stream), never from module state, and iterate in
 sorted id order — this package is under the DET linter's ordering rules.
 
+Every re-contact is one rule: ``bootstrap(rng, rendezvous, gossip_size)``
+on the node's :class:`~repro.gossip.peer_sampling.PeerSampling`, drawing
+from the deployment's :class:`~repro.sim.network.Rendezvous`.
+
 The module also exposes the pure view-level primitives the actions are
-built from (:func:`purge_dead`, :func:`seed_view`,
-:func:`overlay_components`); the property-based tests drive these directly
-to show every remediation preserves the :class:`~repro.gossip.views.
-PartialView` invariants.
+built from (:func:`purge_dead`, :func:`seed_view`); the property-based
+tests drive these directly to show every remediation preserves the
+:class:`~repro.gossip.views.PartialView` invariants.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Optional, Sequence, TYPE_CHECKING
 
-from repro.faults.controls import rendezvous_reseed
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
 from repro.obs.recovery import DEFAULT_VIEW_LAYERS, dead_view_ids
-from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import Deployment
@@ -115,48 +115,6 @@ def seed_view(view: PartialView, contact_ids: Sequence[int]) -> int:
     return seeded
 
 
-def overlay_components(
-    network: Network, layer: str = "peer_sampling"
-) -> List[List[int]]:
-    """Weakly-connected components of ``layer``'s union knowledge graph.
-
-    Nodes are the live population running ``layer``; an (undirected) edge
-    joins a node to every live peer its view references. More than one
-    component means the overlay is segregated: gossip alone can never
-    bridge disjoint knowledge graphs, which is exactly the condition
-    :class:`RendezvousReseed` repairs. Traversal is over sorted ids, so
-    the component list is deterministic.
-    """
-    adjacency: Dict[int, set] = {}
-    for node_id in network.alive_ids():
-        node = network.node(node_id)
-        if not node.has_protocol(layer):
-            continue
-        adjacency.setdefault(node_id, set())
-        for peer_id in node.protocol(layer).neighbors():
-            if peer_id == node_id or not network.is_alive(peer_id):
-                continue
-            adjacency[node_id].add(peer_id)
-            adjacency.setdefault(peer_id, set()).add(node_id)
-    components: List[List[int]] = []
-    visited: set = set()
-    for start in sorted(adjacency):
-        if start in visited:
-            continue
-        stack = [start]
-        visited.add(start)
-        members: List[int] = []
-        while stack:
-            current = stack.pop()
-            members.append(current)
-            for neighbor in sorted(adjacency[current]):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    stack.append(neighbor)
-        components.append(sorted(members))
-    return components
-
-
 def _view_of(node, layer: str) -> Optional[PartialView]:
     """The protocol's PartialView when it has one (UO2 keeps buckets)."""
     if not node.has_protocol(layer):
@@ -193,44 +151,42 @@ class RemediationAction:
 
 
 class RendezvousReseed(RemediationAction):
-    """Re-join a segregated overlay via cross-group rendezvous contacts.
+    """Re-join a segregated overlay through the rendezvous.
 
-    Detects the weakly-connected components of the peer-sampling knowledge
-    graph; with two or more, injects ``per_group`` fresh cross-group
-    contacts per component through the shared
-    :func:`~repro.faults.controls.rendezvous_reseed` primitive (the same
-    heal path the partition control uses, so repeated invocation is safe).
-    Defers while a partition cut is still active — seeding across a cut is
-    futile because the fault transport drops the resulting exchanges.
+    Draws :attr:`CONTACTS` ids from the deployment's rendezvous; each live
+    one re-bootstraps its peer-sampling view from the rendezvous, whose
+    sample spans the whole registered population, so contacts land across
+    whatever knowledge split the overlay is in. Repeated invocation only
+    adds fresh age-0 contacts. Defers while a partition cut is still
+    active — seeding across a cut is futile because the fault transport
+    drops the resulting exchanges.
     """
 
     name = "rendezvous_reseed"
     base_delay = 4
     max_delay = 16
-
-    def __init__(self, per_group: int = 4, layer: str = "peer_sampling"):
-        self.per_group = per_group
-        self.layer = layer
+    #: Ids drawn from the rendezvous per attempt.
+    CONTACTS = 8
 
     def apply(self, deployment, alert, round_index, rng):
         faults = deployment.faults
         if faults is not None and faults.partition_active:
             return {"outcome": "deferred", "reason": "partition cut still active"}
-        groups = overlay_components(deployment.network, self.layer)
-        if len(groups) < 2:
-            return {"outcome": "noop", "components": len(groups)}
-        seeded = rendezvous_reseed(
-            deployment.network,
-            groups,
-            rng,
-            per_group=self.per_group,
-            layer=self.layer,
-        )
-        return {
-            "outcome": "applied",
-            "components": len(groups),
-            "seeded": seeded,
-        }
+        network = deployment.network
+        seeded = 0
+        for node_id in network.rendezvous.sample(rng, self.CONTACTS):
+            if not network.is_alive(node_id):
+                continue
+            node = network.node(node_id)
+            if node.has_protocol("peer_sampling"):
+                protocol = node.protocol("peer_sampling")
+                protocol.bootstrap(
+                    rng, network.rendezvous, protocol.params.gossip_size
+                )
+                seeded += 1
+        if seeded == 0:
+            return {"outcome": "noop"}
+        return {"outcome": "applied", "seeded": seeded}
 
 
 class ElasticAdjust(RemediationAction):
@@ -257,7 +213,9 @@ class ElasticAdjust(RemediationAction):
                 continue
             protocol = node.protocol("peer_sampling")
             if len(protocol.view) < protocol.params.view_size // 2:
-                protocol.bootstrap(rng, network, protocol.params.gossip_size)
+                protocol.bootstrap(
+                    rng, network.rendezvous, protocol.params.gossip_size
+                )
                 reseeded += 1
         if moves["roles_moved"] == 0 and reseeded == 0:
             return {"outcome": "noop", "population": moves["population"]}
@@ -276,7 +234,7 @@ class TombstonePurge(RemediationAction):
     map — every live node's view entries pointing at dead (or unknown,
     i.e. forged) nodes — purges them with tombstones so stale third-party
     copies cannot resurrect them, then re-seeds any view the purge left
-    starved below half capacity with fresh live contacts.
+    starved below half capacity with fresh contacts from the rendezvous.
     """
 
     name = "tombstone_purge"
@@ -303,7 +261,9 @@ class TombstonePurge(RemediationAction):
                     getattr(protocol, "params", None), "view_size", view.capacity
                 )
                 if layer == "peer_sampling" and len(view) < capacity // 2:
-                    protocol.bootstrap(rng, network, protocol.params.gossip_size)
+                    protocol.bootstrap(
+                        rng, network.rendezvous, protocol.params.gossip_size
+                    )
                     reseeded += 1
         if purged == 0:
             return {"outcome": "noop"}

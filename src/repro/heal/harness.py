@@ -2,7 +2,7 @@
 
 The fault rows of :mod:`repro.heal.scenarios` inject *environmental*
 failures — cuts, kills, pauses — and the self-organizing layers absorb
-those well: gossip hygiene (tombstones, oldest-first purging, oracle
+those well: gossip hygiene (tombstones, oldest-first purging, rendezvous
 re-bootstrap on empty views) flushes localized damage in a handful of
 rounds without help. What unmanaged gossip **cannot** repair is damage to
 the knowledge graph's connectivity: two overlays whose views reference
@@ -117,7 +117,7 @@ def corrupt_segregated(
     UO2 bucket entry) crossing the halves is dropped with probability
     ``degree``. At 1.0 the two knowledge graphs are fully disjoint: no
     discovery channel (gossip, harvesting) can cross, and — because every
-    node still holds live same-group entries — the empty-view oracle
+    node still holds live same-group entries — the empty-view rendezvous
     re-bootstrap never triggers either. An unmanaged overlay stays
     segregated forever; re-joining requires the rendezvous re-seed of the
     remediation engine.
@@ -145,8 +145,8 @@ def corrupt_poisoned(
     hygiene flushes it last. The structural layers (core, UO2) lose their
     cross-group entries outright. Only cross entries are touched: each
     view keeps its live in-group stock, so no view ever purges down to
-    empty and the membership-oracle re-bootstrap (a node's last-resort
-    rejoin path) never fires — which is exactly what makes the eclipse
+    empty and the rendezvous re-bootstrap (a node's last-resort rejoin
+    path) never fires — which is exactly what makes the eclipse
     stick. Views stay full — of poison: at 1.0 every real path between
     the halves is gone and roughly half of each gossip view points at
     phantoms.
@@ -232,7 +232,7 @@ def corrupt_stale(
     dropped = _drop_cross(deployment, survivors, group_a, rng, degree)
     # A survivor whose restored view holds no live entry at all would,
     # once hygiene purges the corpses, empty out and be rescued for free
-    # by the membership oracle's re-bootstrap. A real stale backup still
+    # by the rendezvous re-bootstrap. A real stale backup still
     # knows *some* live same-side peer; anchor one so the islands stay
     # islands and the re-join is the engine's to make.
     anchors = 0

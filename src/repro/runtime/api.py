@@ -260,7 +260,7 @@ def build_elementary(
     for rank, node in enumerate(network.create_nodes(config.n_nodes)):
         rank_of[node.node_id] = rank
         stack.attach(node, rank, random_feed).bootstrap(
-            streams.stream("bootstrap", node.node_id), network
+            streams.stream("bootstrap", node.node_id), network.rendezvous
         )
     return ElementaryDeployment(
         network=network,

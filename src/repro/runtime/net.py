@@ -46,6 +46,7 @@ from repro.runtime import wire
 from repro.runtime.api import OVERLAY_LAYER, ElementaryStack, RunnerConfig
 from repro.runtime.lamport import LamportClock
 from repro.sim.engine import RoundContext
+from repro.sim.network import Rendezvous
 from repro.sim.node import Node
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import ExchangeRequest, Transport, TransportDecorator
@@ -114,18 +115,21 @@ class NetDirectory:
     """A :class:`~repro.sim.network.Network` view of one node plus its peers.
 
     The gossip layers interrogate their network through a narrow surface —
-    ``node`` / ``has_node`` / ``is_alive`` / ``alive_ids`` — and this class
-    answers it from the membership table the wire protocol maintains.
-    Remote nodes are materialized lazily as facade :class:`Node` instances
-    (real protocol objects, empty views) so layer-side ``isinstance``
-    checks and ``self_descriptor()`` reads behave exactly as in the
-    simulator.
+    ``node`` / ``has_node`` / ``is_alive`` / ``alive_ids`` and the
+    :attr:`rendezvous` an empty peer-sampling view re-bootstraps from — and
+    this class answers it from the membership table the wire protocol
+    maintains. Every peer :meth:`add_peer` learns of registers with the
+    rendezvous and never leaves it, as in the simulator. Remote nodes are
+    materialized lazily as facade :class:`Node` instances (real protocol
+    objects, empty views) so layer-side ``isinstance`` checks and
+    ``self_descriptor()`` reads behave exactly as in the simulator.
     """
 
     def __init__(self, local: Node, make_facade: Callable[[int], Node]):
         self.local = local
         self._make_facade = make_facade
         self.peers: Dict[int, PeerInfo] = {}
+        self.rendezvous = Rendezvous()
         self._facades: Dict[int, Node] = {}
         self.round = 0
 
@@ -141,6 +145,7 @@ class NetDirectory:
             known.last_seen_round = self.round
             return False
         self.peers[node_id] = PeerInfo(node_id, host, port, self.round)
+        self.rendezvous.register(node_id)
         return True
 
     def touch(self, node_id: int) -> None:

@@ -3,10 +3,33 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.node import Node
+
+
+class Rendezvous:
+    """The bootstrap / seed service: every id that ever registered.
+
+    The one out-of-band channel a node has when gossip cannot help (an
+    empty view, a healed cut, a segregated overlay). Nodes register when
+    they join and nobody deregisters, so a sample may name dead or removed
+    nodes; the asker's gossip hygiene flushes those like any dead entry.
+    """
+
+    def __init__(self) -> None:
+        self._ids: List[int] = []
+
+    def register(self, node_id: int) -> None:
+        self._ids.append(node_id)
+
+    def sample(
+        self, rng: random.Random, count: int, exclude: Optional[int] = None
+    ) -> List[int]:
+        """Up to ``count`` distinct registered ids other than ``exclude``."""
+        ids = [node_id for node_id in self._ids if node_id != exclude]
+        return rng.sample(ids, min(count, len(ids)))
 
 
 class Network:
@@ -16,16 +39,18 @@ class Network:
     leaving or joining the system"): node creation, crash-stop kills,
     revivals, and permanent removals. Node ids are allocated monotonically
     and never reused, so a descriptor can always be resolved unambiguously.
+    Every created node registers with :attr:`rendezvous`.
 
     The list of live node ids is cached and invalidated on population or
-    liveness changes: uniform random draws (:meth:`random_alive`) are on the
-    hot path of every gossip round and must not rescan the population.
+    liveness changes, so the engine's per-round schedule and the observers
+    do not rescan the population.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, Node] = {}
         self._next_id = 0
         self._alive_cache: Optional[List[int]] = None
+        self.rendezvous = Rendezvous()
 
     def _invalidate(self) -> None:
         self._alive_cache = None
@@ -37,6 +62,7 @@ class Network:
         node = Node(self._next_id)
         self._next_id += 1
         self._nodes[node.node_id] = node
+        self.rendezvous.register(node.node_id)
         self._invalidate()
         return node
 
@@ -96,34 +122,6 @@ class Network:
             )
         return self._alive_cache
 
-    def random_alive(
-        self, rng: random.Random, exclude: Optional[int] = None
-    ) -> Optional[Node]:
-        """A uniformly random live node, or ``None`` if none qualifies.
-
-        ``exclude`` removes one id from the draw (a node never gossips with
-        itself). This is the oracle used to bootstrap peer-sampling views,
-        mirroring PeerSim's ``WireKOut`` initializers.
-        """
-        alive = self.alive_ids()
-        if not alive:
-            return None
-        if exclude is None:
-            return self._nodes[rng.choice(alive)]
-        if len(alive) == 1 and alive[0] == exclude:
-            return None
-        # Bounded rejection sampling: with >= 2 live candidates the excluded
-        # id is hit with p <= 1/2 per draw, so 8 draws fail with p <= 2^-8.
-        # The deterministic fallback keeps the method total (no unbounded
-        # retry loop on adversarial rng streams) at the cost of one filtered
-        # copy in the rare miss case.
-        for _ in range(8):
-            node_id = rng.choice(alive)
-            if node_id != exclude:
-                return self._nodes[node_id]
-        candidates = [node_id for node_id in alive if node_id != exclude]
-        return self._nodes[rng.choice(candidates)]
-
     # -- sizes ------------------------------------------------------------------
 
     def size(self) -> int:
@@ -131,9 +129,6 @@ class Network:
 
     def alive_count(self) -> int:
         return len(self.alive_ids())
-
-    def count_where(self, predicate: Callable[[Node], bool]) -> int:
-        return sum(1 for node in self._nodes.values() if predicate(node))
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -221,7 +221,6 @@ class GossipProtocol(Protocol):
         self,
         ctx: "RoundContext",
         valid: Optional[Callable[[Any, int], bool]] = None,
-        pick: Optional[Callable[[], Any]] = None,
     ) -> Any:
         """The oldest view entry that is alive (and ``valid``), healing as it goes.
 
@@ -229,14 +228,13 @@ class GossipProtocol(Protocol):
         with a tombstone, so stale copies gossiped back by third parties
         cannot resurrect it, and counted as ``dead_purged``. A live entry
         failing ``valid(network, node_id)`` is merely dropped — it is not
-        dead and may qualify again later. ``pick`` replaces oldest-first
-        selection. Returns the descriptor, or ``None`` once the view is empty.
+        dead and may qualify again later. Returns the descriptor, or
+        ``None`` once the view is empty.
         """
         view = self.view
         network = ctx.network
-        pick = pick or view.oldest
         while len(view):
-            candidate = pick()
+            candidate = view.oldest()
             node_id = candidate.node_id
             if not network.is_alive(node_id):
                 view.purge(node_id)

@@ -15,17 +15,16 @@ from repro.faults.controls import (
 )
 from repro.faults.transports import FaultTransport, LinkQuality
 from repro.faults.zones import ZoneMap
-from repro.gossip.views import PartialView
+from repro.gossip.peer_sampling import PeerSampling
+from repro.sim.config import GossipParams
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
 
 
-class FakeGossip:
-    """Just enough protocol surface for rendezvous re-seeding."""
-
-    def __init__(self, capacity=8):
-        self.view = PartialView(capacity)
+#: Peer-sampling parameters of the rendezvous tests: each re-contact
+#: draws ``gossip_size`` contacts.
+PARAMS = GossipParams(view_size=8, gossip_size=3, healer=1, swapper=3)
 
 
 def make_faults(zones=None):
@@ -37,7 +36,7 @@ def make_network(count, with_views=False):
     net = Network()
     for node in net.create_nodes(count):
         if with_views:
-            node.attach("peer_sampling", FakeGossip())
+            node.attach("peer_sampling", PeerSampling(node.node_id, PARAMS))
     return net
 
 
@@ -83,6 +82,10 @@ class TestPartitionLifecycle:
         assert [event.kind for event in faults.events] == ["partition", "heal"]
 
     def test_rendezvous_seeds_cross_island_contacts(self):
+        # Two live nodes per island re-bootstrap from the rendezvous: each
+        # draws gossip_size fresh contacts from the whole registered
+        # population, so contacts can land across the former cut (and do
+        # for this seed), but no cross-island contact is guaranteed.
         faults = make_faults()
         net = make_network(10, with_views=True)
         control = Partition(
@@ -92,17 +95,27 @@ class TestPartitionLifecycle:
         cut = {
             (a, b) for a in range(10) for b in range(10) if faults.partitioned(a, b)
         }
+        net.kill(9)
         control.before_round(net, 2)
-        seeded = [
-            (node.node_id, descriptor)
+        views = {
+            node.node_id: list(node.protocol("peer_sampling").view)
             for node in net.nodes()
-            for descriptor in node.protocol("peer_sampling").view
+            if len(node.protocol("peer_sampling").view)
+        }
+        assert 9 not in views  # only live members re-contact
+        # Two re-contacting nodes per island (island = "cut off from node 0").
+        assert sorted((0, node_id) in cut for node_id in views) == [
+            False, False, True, True,
         ]
-        # Two seeds per island, each pointing across the former cut.
-        assert len(seeded) == 4
-        for node_id, descriptor in seeded:
-            assert (node_id, descriptor.node_id) in cut
-            assert descriptor.age == 0
+        for node_id, contacts in views.items():
+            assert len(contacts) == PARAMS.gossip_size
+            assert node_id not in {d.node_id for d in contacts}
+            assert all(descriptor.age == 0 for descriptor in contacts)
+        assert any(
+            (node_id, descriptor.node_id) in cut
+            for node_id, contacts in views.items()
+            for descriptor in contacts
+        )
         assert "rendezvous=4" in heal_events(faults)[0].detail
 
     def test_rendezvous_zero_leaves_views_untouched(self):
@@ -132,13 +145,14 @@ class TestPartitionLifecycle:
             node.node_id: sorted(node.protocol("peer_sampling").view.ids())
             for node in net.nodes()
         }
+        assert sum(1 for ids in seeded.values() if ids) == 4  # 2 per island
         assert control.heal(net, 5) == 0  # direct re-invocation: no-op
         control.before_round(net, 6)  # schedule path re-entered: still no-op
         after = {
             node.node_id: sorted(node.protocol("peer_sampling").view.ids())
             for node in net.nodes()
         }
-        assert after == seeded  # no double re-seed
+        assert after == seeded  # no second re-contact
         assert len(heal_events(faults)) == 1
         assert not faults.partition_active
 

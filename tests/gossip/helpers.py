@@ -34,7 +34,8 @@ class GossipWorld:
             peer_sampling = PeerSampling(node.node_id, self.params)
             if bootstrap:
                 peer_sampling.bootstrap(
-                    self.streams.stream("bootstrap", node.node_id), self.network
+                    self.streams.stream("bootstrap", node.node_id),
+                    self.network.rendezvous,
                 )
             node.attach("peer_sampling", peer_sampling)
             if extra is not None:

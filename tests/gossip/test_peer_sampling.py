@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from repro.gossip.descriptors import Descriptor
 from tests.gossip.helpers import GossipWorld
+
+#: Rounds a node whose view holds only dead ids needs to hold only live ones.
+DEAD_ONLY_ROUNDS = 3
 
 
 class TestBootstrap:
@@ -85,12 +89,46 @@ class TestFailureHealing:
             assert not leaked, f"node {index} still references dead peers {leaked}"
 
     def test_rejoin_after_total_isolation(self):
-        """A node whose view is wiped re-bootstraps through the oracle."""
+        """A node whose view is wiped re-bootstraps from the rendezvous."""
         world = GossipWorld(12, seed=4)
         world.run(3)
         world.ps(0).view.clear()
         world.run(2)
         assert len(world.ps(0).view) > 0
+
+    def test_dead_only_view_rebootstraps_from_the_rendezvous(self, monkeypatch):
+        """A view holding only dead ids purges them, refills from the
+        rendezvous (which may hand out dead ids too) and holds only live
+        ids within DEAD_ONLY_ROUNDS rounds. Nobody else knows node 0, so
+        no passive exchange can refill its view first."""
+        world = GossipWorld(24, seed=6)
+        world.run(3)
+        dead = [1, 2, 3, 4]
+        for victim in dead:
+            world.network.kill(victim)
+        for index in range(1, 24):
+            world.ps(index).forget(0)
+        view = world.ps(0).view
+        view.clear()
+        for victim in dead:
+            view.insert(Descriptor(victim, age=0, profile=None))
+        rendezvous = world.network.rendezvous
+        asked = []
+        sample = rendezvous.sample
+
+        def recording_sample(rng, count, exclude=None):
+            asked.append(exclude)
+            return sample(rng, count, exclude)
+
+        monkeypatch.setattr(rendezvous, "sample", recording_sample)
+        world.run(1)
+        assert 0 in asked
+        for _ in range(DEAD_ONLY_ROUNDS - 1):
+            if all(world.network.is_alive(peer) for peer in view.ids()):
+                break
+            world.run(1)
+        assert len(view) > 0
+        assert all(world.network.is_alive(peer) for peer in view.ids())
 
     def test_forget_removes_entry(self):
         world = GossipWorld(6, seed=1)
@@ -98,30 +136,6 @@ class TestFailureHealing:
         target = world.ps(0).view.ids()[0]
         world.ps(0).forget(target)
         assert target not in world.ps(0).view.ids()
-
-
-class TestRandomSelection:
-    def test_random_peer_selection_also_converges(self):
-        """The framework's 'rand' peer-selection policy (select_tail=False)
-        must keep the overlay mixing and connected too."""
-        from repro.gossip.peer_sampling import PeerSampling
-        from repro.sim.engine import Engine
-        from repro.sim.network import Network
-        from repro.sim.rng import RandomStreams
-        from repro.sim.transport import Transport
-
-        network = Network()
-        streams = RandomStreams(13)
-        nodes = network.create_nodes(24)
-        for node in nodes:
-            protocol = PeerSampling(node.node_id, select_tail=False)
-            protocol.bootstrap(streams.stream("boot", node.node_id), network)
-            node.attach("peer_sampling", protocol)
-        Engine(network, Transport(), streams).run(10)
-        for node in nodes:
-            view = node.protocol("peer_sampling").view
-            assert len(view) >= view.capacity - 2
-            assert node.node_id not in view.ids()
 
 
 class TestDeterminism:

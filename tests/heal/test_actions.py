@@ -1,10 +1,8 @@
-"""Action primitives: view invariants under remediation, component detection.
+"""Action primitives: view invariants under remediation.
 
-The property-based half drives :func:`purge_dead` / :func:`seed_view` over
-arbitrary view states and shows every remediation primitive preserves the
-:class:`PartialView` invariants (capacity, uniqueness, tombstone
-semantics); the unit half pins :func:`overlay_components` on hand-built
-knowledge graphs.
+Drives :func:`purge_dead` / :func:`seed_view` over arbitrary view states
+and shows every remediation primitive preserves the :class:`PartialView`
+invariants (capacity, uniqueness, tombstone semantics).
 """
 
 from __future__ import annotations
@@ -17,11 +15,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.gossip.descriptors import Descriptor  # noqa: E402
 from repro.gossip.views import PartialView  # noqa: E402
-from repro.heal.actions import (  # noqa: E402
-    overlay_components,
-    purge_dead,
-    seed_view,
-)
+from repro.heal.actions import purge_dead, seed_view  # noqa: E402
 
 node_ids = st.integers(min_value=0, max_value=15)
 ages = st.integers(min_value=0, max_value=8)
@@ -93,67 +87,3 @@ def test_seed_view_lifts_tombstones(contents, contacts):
     if len(set(contacts)) <= view.capacity:
         for contact in contacts:
             assert contact in view
-
-
-# -- overlay_components on hand-built knowledge graphs -------------------------
-
-
-class _FakeProtocol:
-    def __init__(self, neighbor_ids):
-        self._neighbors = list(neighbor_ids)
-
-    def neighbors(self):
-        return list(self._neighbors)
-
-
-class _FakeNode:
-    def __init__(self, node_id, neighbor_ids):
-        self.node_id = node_id
-        self._protocol = _FakeProtocol(neighbor_ids)
-
-    def has_protocol(self, layer):
-        return True
-
-    def protocol(self, layer):
-        return self._protocol
-
-
-class _FakeNetwork:
-    def __init__(self, adjacency, dead=()):
-        self._nodes = {
-            node_id: _FakeNode(node_id, neighbors)
-            for node_id, neighbors in adjacency.items()
-        }
-        self._dead = set(dead)
-
-    def alive_ids(self):
-        return sorted(set(self._nodes) - self._dead)
-
-    def node(self, node_id):
-        return self._nodes[node_id]
-
-    def is_alive(self, node_id):
-        return node_id in self._nodes and node_id not in self._dead
-
-
-def test_overlay_components_detects_segregation():
-    network = _FakeNetwork(
-        {0: [1], 1: [0], 2: [3], 3: [2]},
-    )
-    assert overlay_components(network) == [[0, 1], [2, 3]]
-
-
-def test_overlay_components_unions_directed_edges():
-    # 2 references 1 but not vice versa: knowledge is undirected (either
-    # end can initiate an exchange), so all four form one component.
-    network = _FakeNetwork({0: [1], 1: [0], 2: [1], 3: [2]})
-    assert overlay_components(network) == [[0, 1, 2, 3]]
-
-
-def test_overlay_components_ignores_dead_and_forged_references():
-    network = _FakeNetwork(
-        {0: [1, 99, 10_000_000], 1: [0], 2: [99]},
-        dead=[99],
-    )
-    # 99 is dead and 10_000_000 unknown: neither bridges 2 to the others.
-    assert overlay_components(network) == [[0, 1], [2]]

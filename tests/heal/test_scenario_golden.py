@@ -128,8 +128,8 @@ def heal_records(text):
 FAULT_GOLDEN = {
     "partition": {
         "repair": [
-            ("r2 partition (islands=[16, 16])", (21, 22, 0, 0, 0)),
-            ("r22 heal (partition merged (rendezvous=8))", (1, 2, 0, 0, 0)),
+            ("r2 partition (islands=[16, 16])", (21, 21, 0, 0, 0)),
+            ("r22 heal (partition merged (rendezvous=8))", (1, 1, 0, 0, 0)),
         ],
         "final": ALL_OK,
         "residual": "0.0000",
@@ -195,14 +195,14 @@ FAULT_GOLDEN = {
 HEAL_GOLDEN = {
     "segregated": {
         "managed": {
-            "stabilize_rounds": 14,
+            "stabilize_rounds": 12,
             "verdict": "recovered",
             "remediation": (
                 "recovered (1 incident(s), 1 action(s))"
             ),
             "actions": [
                 "r11: stalled_convergence -> rendezvous_reseed [a0] applied "
-                "(components=2 seeded=8)",
+                "(seeded=8)",
             ],
         },
         "unmanaged": {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import socket
 import threading
 
@@ -80,6 +81,16 @@ class TestNetDirectory:
         directory.touch(1)
         assert directory.is_alive(1)
         assert directory.alive_ids() == [0, 1]
+
+    def test_every_new_peer_registers_with_the_rendezvous(self):
+        directory, _ = make_directory()
+        directory.add_peer(2, "127.0.0.1", 9002)
+        directory.add_peer(1, "127.0.0.1", 9001)
+        directory.add_peer(2, "127.0.0.1", 9012)  # not news: no second entry
+        directory.add_peer(0, "127.0.0.1", 9000)  # self is never a peer
+        directory.round += LIVENESS_WINDOW + 1  # silence does not deregister
+        assert not directory.is_alive(1)
+        assert directory.rendezvous.sample(random.Random(0), 5) in ([1, 2], [2, 1])
 
     def test_touch_unknown_peer_is_noop(self):
         directory, _ = make_directory()

@@ -1,4 +1,4 @@
-"""Tests for the node population (churn, lookup, random draws)."""
+"""Tests for the node population (churn, lookup) and its rendezvous."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.network import Network
+from repro.sim.network import Network, Rendezvous
 
 
 class TestPopulation:
@@ -74,55 +74,48 @@ class TestLiveness:
         assert [n.node_id for n in net.alive_nodes()] == [0, 1, 3]
 
 
-class TestRandomAlive:
-    def test_uniform_over_alive(self):
+class TestRendezvous:
+    def test_every_created_node_registers(self):
         net = Network()
-        net.create_nodes(10)
-        net.kill(0)
-        rng = random.Random(1)
-        seen = {net.random_alive(rng).node_id for _ in range(200)}
-        assert 0 not in seen
-        assert seen <= set(range(1, 10))
-        assert len(seen) == 9
+        net.create_nodes(4)
+        assert sorted(net.rendezvous.sample(random.Random(0), 10)) == [0, 1, 2, 3]
 
-    def test_exclude(self):
-        net = Network()
-        net.create_nodes(3)
-        rng = random.Random(2)
-        for _ in range(50):
-            assert net.random_alive(rng, exclude=1).node_id != 1
-
-    def test_none_when_empty(self):
-        assert Network().random_alive(random.Random(0)) is None
-
-    def test_none_when_only_excluded_remains(self):
-        net = Network()
-        net.create_nodes(2)
-        net.kill(0)
-        assert net.random_alive(random.Random(0), exclude=1) is None
-
-    def test_count_where(self):
+    def test_self_is_excluded(self):
         net = Network()
         net.create_nodes(5)
-        assert net.count_where(lambda n: n.node_id % 2 == 0) == 3
+        rng = random.Random(2)
+        for _ in range(50):
+            assert 1 not in net.rendezvous.sample(rng, 3, exclude=1)
 
-    def test_bounded_retry_falls_back_deterministically(self):
-        """An adversarial rng that always draws the excluded id must not
-        loop forever: after the bounded retries the draw is made over the
-        explicitly filtered candidate list."""
-
-        class AlwaysFirst:
-            def __init__(self):
-                self.calls = 0
-
-            def choice(self, seq):
-                self.calls += 1
-                return seq[0]
-
+    def test_killed_and_removed_ids_are_included(self):
+        # Nobody deregisters: the rendezvous knows who joined, not who lives.
         net = Network()
-        net.create_nodes(3)
-        rng = AlwaysFirst()
-        node = net.random_alive(rng, exclude=0)
-        assert node is not None and node.node_id == 1
-        # 8 rejected draws plus the single fallback draw.
-        assert rng.calls == 9
+        net.create_nodes(4)
+        net.kill(1)
+        net.remove_node(2)
+        assert sorted(net.rendezvous.sample(random.Random(0), 10)) == [0, 1, 2, 3]
+
+    def test_sample_is_bounded_by_count(self):
+        net = Network()
+        net.create_nodes(10)
+        rng = random.Random(3)
+        for count in (0, 1, 4, 9):
+            drawn = net.rendezvous.sample(rng, count, exclude=0)
+            assert len(drawn) == count == len(set(drawn))
+        assert Rendezvous().sample(rng, 4) == []
+        lone = Rendezvous()
+        lone.register(7)
+        assert lone.sample(rng, 4, exclude=7) == []
+
+    def test_all_alive_draw_equals_the_sorted_live_draw(self):
+        # While nobody is dead the rendezvous draw is the old bootstrap draw
+        # over the sorted live population, so deployments do not move.
+        net = Network()
+        net.create_nodes(30)
+        for node_id in (0, 11, 29):
+            old = random.Random(node_id)
+            expected = old.sample(
+                [other for other in net.alive_ids() if other != node_id], 8
+            )
+            drawn = net.rendezvous.sample(random.Random(node_id), 8, exclude=node_id)
+            assert drawn == expected
