@@ -24,21 +24,13 @@ from repro.sim.network import Network
 #: counter/gauge key: (metric name, layer label; "" = global).
 MetricKey = Tuple[str, str]
 
-#: Default bucket upper bounds: second-denominated round-trip times from
-#: sub-millisecond loopback to multi-second stalls (Prometheus ``le``
-#: semantics — each bound is inclusive, with an implicit +Inf bucket).
+#: Bucket upper bounds of every collector histogram: second-denominated
+#: round-trip times from sub-millisecond loopback to multi-second stalls
+#: (Prometheus ``le`` semantics — each bound is inclusive, with an implicit
+#: +Inf bucket).
 RTT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
-
-#: Relay hop counts (bounded by MAX_TTL = 16 on the wire).
-HOP_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 8.0, 16.0)
-
-#: Per-metric bucket bounds; anything unlisted uses :data:`RTT_BUCKETS`.
-HISTOGRAM_BUCKETS: Dict[str, Tuple[float, ...]] = {
-    "gossip_rtt": RTT_BUCKETS,
-    "announce_hops": HOP_BUCKETS,
-}
 
 
 class Histogram:
@@ -209,7 +201,7 @@ class Collector(Instrument):
         key = (name, layer)
         histogram = self.histograms.get(key)
         if histogram is None:
-            histogram = Histogram(HISTOGRAM_BUCKETS.get(name, RTT_BUCKETS))
+            histogram = Histogram(RTT_BUCKETS)
             self.histograms[key] = histogram
         histogram.record(value)
 

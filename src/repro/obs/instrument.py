@@ -11,7 +11,7 @@ method                    role
 ``emit``                  typed lifecycle events (:mod:`repro.obs.events`)
 ``count``                 monotonic per-layer counters (messages, churn)
 ``gauge``                 last-value per-layer gauges (degrees, occupancy)
-``histogram``             bucketed per-layer distributions (RTT, hop counts)
+``histogram``             bucketed per-layer distributions (gossip RTT)
 ``span_begin``/``span_end``  wall-clock spans (round timing)
 ========================  =====================================================
 
@@ -83,9 +83,9 @@ class Instrument:
         """Record ``value`` into the bucketed distribution ``name``.
 
         Used for wire-level measurements whose *shape* matters — gossip
-        round-trip times, ANNOUNCE relay hop counts — where a counter
-        would lose the tail and a gauge the history. Bucket bounds are
-        chosen per metric name by the collector.
+        round-trip times — where a counter would lose the tail and a gauge
+        the history. The collector buckets every histogram on
+        :data:`~repro.obs.collector.RTT_BUCKETS`.
         """
 
     def span_begin(self, name: str) -> None:

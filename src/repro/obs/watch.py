@@ -52,8 +52,8 @@ def render_dashboard(
     With ``nodes`` (swarm status records keyed by node index, as read by
     :func:`repro.runtime.swarm.read_statuses`), a per-node panel follows
     the flow table: each live node's round, gossip RTT (mean/p95 over its
-    own histograms), wire bytes in/out, reply drops, relay hop count, and
-    Lamport clock — the ``repro watch --swarm`` view.
+    own histograms), wire bytes in/out, reply drops and Lamport clock —
+    the ``repro watch --swarm`` view.
     """
     out: List[str] = []
     header = title
@@ -116,7 +116,7 @@ def render_dashboard(
     if nodes:
         headers = [
             "node", "round", "peers", "rtt ms", "p95 ms",
-            "B out", "B in", "drops", "hops", "lamport",
+            "B out", "B in", "drops", "lamport",
         ]
         rows = []
         for node in sorted(nodes):
@@ -133,7 +133,6 @@ def render_dashboard(
                     wire.get("bytes_sent", 0),
                     wire.get("bytes_received", 0),
                     sum(((record.get("peer") or {}).get("drops") or {}).values()),
-                    _fmt(_node_hops(record), ".1f"),
                     record.get("lamport", 0),
                 ]
             )
@@ -198,20 +197,6 @@ def _node_rtt(record: Dict[str, Any]) -> Tuple[Optional[float], Optional[float]]
     if merged is None or not merged.count:
         return None, None
     return merged.mean() * 1000.0, merged.percentile(0.95) * 1000.0
-
-
-def _node_hops(record: Dict[str, Any]) -> Optional[float]:
-    """Mean ANNOUNCE relay hop count of one node, or ``None``."""
-    from repro.obs.collector import Histogram
-
-    dump = record.get("hops")
-    if not dump:
-        return None
-    try:
-        histogram = Histogram.from_dict(dump)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return histogram.mean() if histogram.count else None
 
 
 def _render_path(path) -> str:

@@ -96,9 +96,6 @@ class RunnerConfig:
     rendezvous: str = ""
     #: Seconds between gossip rounds on the wall-clock ticker.
     round_interval: float = 0.2
-    #: TTL for flooded ANNOUNCE frames and relay fanout per hop.
-    ttl: int = 4
-    fanout: int = 3
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -141,10 +138,6 @@ class RunnerConfig:
             raise ConfigurationError(
                 f"round_interval must be > 0, got {self.round_interval}"
             )
-        if not 1 <= self.ttl <= 16:
-            raise ConfigurationError(f"ttl must be in [1, 16], got {self.ttl}")
-        if self.fanout < 1:
-            raise ConfigurationError(f"fanout must be >= 1, got {self.fanout}")
 
 
 #: Layer labels of the elementary two-layer stack: global peer sampling

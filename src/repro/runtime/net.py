@@ -16,13 +16,15 @@ asyncio UDP endpoint. The layers never learn they left the simulator:
   timeout) on the matching ``GOSSIP_RESP``. A timeout returns ``None`` —
   the outcome every layer already treats as a failed exchange.
 
-Membership is bootstrap-rendezvous: a joining node ``HELLO``\\ s the
-rendezvous node, receives a ``PEERS_LIST`` roster, and keeps issuing
-``GET_PEERS`` until the roster is complete; the rendezvous floods each
-newcomer as a TTL-bounded ``ANNOUNCE`` with bounded fanout and message-id
-deduplication. Liveness is ``PING``/``PONG`` on the round ticker: a peer
-that stays silent for :data:`LIVENESS_WINDOW` rounds is considered dead
-until heard from again.
+Membership has one path, the bootstrap rendezvous: a node that is not the
+rendezvous ``HELLO``\\ s it every round until it knows ``n_nodes - 1``
+peers, and the rendezvous answers every ``HELLO`` with its full
+``PEERS_LIST`` roster. ``HELLO`` is idempotent, so the poll needs no
+state; a late joiner reaches the others through their next poll. Every
+address row from the wire passes one check (:meth:`NetEndpoint._add_peer`)
+before it enters the directory. Liveness is ``PING``/``PONG`` on the round
+ticker: a peer that stays silent for :data:`LIVENESS_WINDOW` rounds is
+considered dead until heard from again.
 
 This module is the *only* wall-clock-driven engine in the repo. Real time
 enters through exactly two helpers (:func:`_now`, :func:`_sleep`), each
@@ -61,11 +63,9 @@ REPLY_TIMEOUT_FRACTION = 0.8
 HELLO_RETRY_INTERVAL = 0.05
 
 #: Frame types that carry trace context when tracing is enabled — the
-#: information-bearing traffic (gossip exchanges and membership floods);
-#: liveness and bootstrap frames stay minimal.
-TRACED_FRAME_TYPES = frozenset(
-    (wire.GOSSIP_REQ, wire.GOSSIP_RESP, wire.ANNOUNCE)
-)
+#: information-bearing traffic (gossip exchanges); liveness and bootstrap
+#: frames stay minimal.
+TRACED_FRAME_TYPES = frozenset((wire.GOSSIP_REQ, wire.GOSSIP_RESP))
 
 
 def _now() -> float:
@@ -252,9 +252,6 @@ class NetEndpoint:
         self._thread: Optional[threading.Thread] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._started = threading.Event()
-        # Seeded per-node stream for relay-fanout sampling: deterministic
-        # given (seed, node), independent of the layer streams.
-        self._relay_rng = runner.streams.stream("relay", runner.node_id)
         # Wire-level accounting (actual datagram traffic, not modelled costs).
         self.datagrams_sent = 0
         self.datagrams_received = 0
@@ -332,7 +329,7 @@ class NetEndpoint:
             and wire.TRACE_KEY not in frame
         ):
             # Tracing on: attach the trace context without mutating the
-            # caller's frame (relayed floods reuse the original dict).
+            # caller's frame.
             frame = dict(frame)
             frame[wire.TRACE_KEY] = wire.make_trace(clock)
         data = wire.encode(frame)
@@ -433,28 +430,19 @@ class NetEndpoint:
                 self.malformed += 1
 
     def _on_hello(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
-        node_id = frame["src"]
         host = frame.get("host", addr[0])
         port = frame.get("port", addr[1])
-        if not isinstance(host, str) or not isinstance(port, int):
-            raise WireError("malformed HELLO address")
-        fresh = self.directory.add_peer(node_id, host, port)
+        self._add_peer(frame["src"], host, port)
         self.send_frame(self._peers_list_frame(), (host, port))
-        if fresh:
-            self._flood_announce(node_id, host, port, exclude=node_id)
-
-    def _on_get_peers(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
-        self.send_frame(self._peers_list_frame(), addr)
 
     def _on_peers_list(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
         rows = frame.get("peers", [])
         if not isinstance(rows, list):
             raise WireError("malformed PEERS_LIST")
         for row in rows:
-            node_id, host, port = row
-            if not isinstance(node_id, int) or not isinstance(host, str):
-                raise WireError("malformed PEERS_LIST row")
-            self.directory.add_peer(node_id, host, int(port))
+            if not isinstance(row, list) or len(row) != 3:
+                raise WireError(f"malformed PEERS_LIST row {row!r}")
+            self._add_peer(*row)
 
     def _on_ping(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
         self.send_frame(
@@ -464,22 +452,6 @@ class NetEndpoint:
 
     def _on_pong(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
         pass  # liveness already refreshed by the common touch() above
-
-    def _on_announce(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
-        node_id, host, port = frame["node"], frame["host"], frame["port"]
-        if not isinstance(node_id, int) or not isinstance(host, str):
-            raise WireError("malformed ANNOUNCE")
-        self.directory.add_peer(node_id, host, int(port))
-        obs = self.runner.obs
-        if obs is not None:
-            # How far this flood travelled: the swarm shares one config,
-            # so the TTL budget spent is the relay hop count.
-            hops = self.runner.config.ttl - frame["ttl"]
-            if 0 <= hops <= wire.MAX_TTL:
-                obs.histogram("announce_hops", hops)
-        relayed = wire.relay_frame(frame)
-        if relayed is not None:
-            self._relay(relayed, exclude=node_id)
 
     def _on_gossip_req(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
         request = ExchangeRequest(
@@ -514,16 +486,33 @@ class NetEndpoint:
 
     _HANDLERS: Dict[str, Callable[..., None]] = {
         wire.HELLO: _on_hello,
-        wire.GET_PEERS: _on_get_peers,
         wire.PEERS_LIST: _on_peers_list,
         wire.PING: _on_ping,
         wire.PONG: _on_pong,
-        wire.ANNOUNCE: _on_announce,
         wire.GOSSIP_REQ: _on_gossip_req,
         wire.GOSSIP_RESP: _on_gossip_resp,
     }
 
     # -- membership helpers ----------------------------------------------------
+
+    def _add_peer(self, node_id: Any, host: Any, port: Any) -> None:
+        """Check one ``(id, host, port)`` row from the wire, then record it.
+
+        A bad row raises :class:`WireError` (counted as malformed) and never
+        reaches the directory: it would overwrite a real peer's address or
+        count toward the full roster that ends the ``HELLO`` poll. The exact
+        ``type`` checks refuse ``bool``: JSON ``true`` decodes to ``True``,
+        which Python counts as ``1``.
+        """
+        if (
+            type(node_id) is not int
+            or not 0 <= node_id < self.runner.config.n_nodes
+            or type(port) is not int
+            or not 1 <= port <= 65535
+            or not isinstance(host, str)
+        ):
+            raise WireError(f"bad peer row {[node_id, host, port]!r}")
+        self.directory.add_peer(node_id, host, port)
 
     def _peers_list_frame(self) -> Dict[str, Any]:
         rows = [list(row) for row in self.directory.roster()]
@@ -531,33 +520,6 @@ class NetEndpoint:
         return wire.make_frame(
             wire.PEERS_LIST, self.runner.node_id, self.next_id(), peers=rows
         )
-
-    def _flood_announce(
-        self, node_id: int, host: str, port: int, exclude: int
-    ) -> None:
-        frame = wire.make_frame(
-            wire.ANNOUNCE,
-            self.runner.node_id,
-            self.next_id(),
-            ttl=self.runner.config.ttl,
-            node=node_id,
-            host=host,
-            port=port,
-        )
-        self.seen.add(frame["id"])  # never re-process our own flood
-        self._relay(frame, exclude=exclude)
-
-    def _relay(self, frame: Dict[str, Any], exclude: int) -> None:
-        targets = [
-            nid
-            for nid in self.directory.peers
-            if nid != exclude and nid != frame["src"]
-        ]
-        fanout = self.runner.config.fanout
-        if len(targets) > fanout:
-            targets = self._relay_rng.sample(targets, fanout)
-        for nid in targets:
-            self.send_to_peer(nid, frame)
 
     def wire_stats(self) -> Dict[str, int]:
         return {
@@ -720,16 +682,13 @@ class NetRunner:
             obs.span_begin("round")
         self.directory.round = self.round
         self.transport.begin_round(self.round)
-        # Keep chasing the full roster until everyone is known.
+        # The membership poll: HELLO the rendezvous until the roster is full.
         if (
             self.config.rendezvous
             and len(self.directory.peers) < self.config.n_nodes - 1
         ):
             self.endpoint.send_frame(
-                wire.make_frame(
-                    wire.GET_PEERS, self.node_id, self.endpoint.next_id()
-                ),
-                parse_rendezvous(self.config.rendezvous),
+                self._hello_frame(), parse_rendezvous(self.config.rendezvous)
             )
         with self.endpoint.step_lock:
             ctx = self.make_context()

@@ -173,12 +173,6 @@ def _swarm_node(argv: Optional[List[str]] = None) -> int:
                     for (name, layer), histogram in collector.histograms.items()
                     if name == "gossip_rtt"
                 },
-                "hops": (
-                    hops.to_dict()
-                    if (hops := collector.histogram_of("announce_hops"))
-                    is not None
-                    else None
-                ),
                 "done": done,
             },
         )
@@ -322,9 +316,9 @@ def merge_telemetry(
     """Merge per-node flow state and wire histograms into the collector.
 
     Each node publishes its own :class:`~repro.obs.flow.FlowTracer` dump
-    and RTT/hop histograms; the supervisor rebuilds the swarm-wide view on
-    every poll (statuses are cumulative, so rebuild-from-scratch is the
-    merge that cannot double-count).
+    and per-layer RTT histograms; the supervisor rebuilds the swarm-wide
+    view on every poll (statuses are cumulative, so rebuild-from-scratch
+    is the merge that cannot double-count).
     """
     from repro.obs.collector import Histogram
     from repro.obs.flow import merge_flow_states
@@ -336,27 +330,19 @@ def merge_telemetry(
         except (KeyError, TypeError, ValueError):
             pass  # a malformed dump degrades to no flow report, not a crash
 
-    def _merged_histograms(key: str) -> Dict[str, Histogram]:
-        merged: Dict[str, Histogram] = {}
-        for record in statuses.values():
-            data = record.get(key)
-            if key == "hops":
-                data = {"": data} if data else {}
-            for layer, dump in (data or {}).items():
-                try:
-                    existing = merged.get(layer)
-                    if existing is None:
-                        merged[layer] = Histogram.from_dict(dump)
-                    else:
-                        existing.merge_dict(dump)
-                except (AttributeError, KeyError, TypeError, ValueError):
-                    continue  # skip one node's bad dump, keep the rest
-        return merged
-
-    for layer, histogram in _merged_histograms("rtt").items():
+    merged: Dict[str, Histogram] = {}
+    for record in statuses.values():
+        for layer, dump in (record.get("rtt") or {}).items():
+            try:
+                existing = merged.get(layer)
+                if existing is None:
+                    merged[layer] = Histogram.from_dict(dump)
+                else:
+                    existing.merge_dict(dump)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # skip one node's bad dump, keep the rest
+    for layer, histogram in merged.items():
         collector.histograms[("gossip_rtt", layer)] = histogram
-    for layer, histogram in _merged_histograms("hops").items():
-        collector.histograms[("announce_hops", layer)] = histogram
 
 
 def run_swarm(

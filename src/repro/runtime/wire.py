@@ -1,10 +1,10 @@
 """Versioned JSON wire codec for the UDP runtime.
 
-The normative shape follows the gossip-network protocol family: every
-datagram is one JSON frame carrying a protocol version, a frame type, a
-per-sender message id, and a TTL; receivers deduplicate on message id with
-a bounded seen-set and decrement TTL before any relay. The codec is the
-*only* place bytes are interpreted — layers above see Python values
+Every datagram is one JSON frame carrying a protocol version, a frame
+type, a per-sender message id and the sender's node id; receivers
+deduplicate on message id with a bounded seen-set. Nothing is relayed:
+each frame travels one hop, from its sender to its addressee. The codec is
+the *only* place bytes are interpreted — layers above see Python values
 (descriptors, profiles) and layers below see ``bytes``.
 
 Design rules, enforced by tests:
@@ -12,8 +12,8 @@ Design rules, enforced by tests:
 - **Hostile input never crashes.** :func:`decode` raises
   :class:`~repro.errors.WireError` (and nothing else) for truncated
   frames, non-UTF-8 bytes, non-JSON text, wrong top-level type, missing
-  or ill-typed header fields, unknown frame types, out-of-range TTLs,
-  oversized datagrams, malformed tags, and protocol-version skew.
+  or ill-typed header fields, unknown frame types, oversized datagrams,
+  malformed tags, and protocol-version skew.
 - **Values round-trip exactly.** JSON alone collapses tuples to lists,
   which would corrupt shape-coordinate profiles crossing the wire. A
   tagged encoding (:func:`pack_value`, undone inside the parse by
@@ -25,47 +25,40 @@ Design rules, enforced by tests:
   seeded swarm emits a reproducible id stream.
 - **Optional trace context.** A frame may carry a ``tr`` field — a
   Lamport logical clock (:func:`make_trace`), validated by
-  :func:`check_trace` on decode. The field is strictly additive:
-  ``WIRE_VERSION`` stays 1, frames without it decode exactly as before,
-  and decoders that predate the field interoperate because they never
-  look for the key.
+  :func:`check_trace` on decode. The field is strictly additive: frames
+  without it decode exactly as before, and decoders that predate the
+  field interoperate because they never look for the key.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.profiles import NodeProfile
 from repro.errors import WireError
 from repro.gossip.descriptors import Descriptor
 
 #: Protocol version spoken by this build. Frames carrying any other value
-#: are rejected with a typed error (version-skew test).
-WIRE_VERSION = 1
+#: are rejected with a typed error (version-skew test). Version 2 dropped
+#: the ``ttl`` header key, which every version-1 decoder requires.
+WIRE_VERSION = 2
 
 #: Hard ceiling on a decoded datagram; larger input is hostile by fiat.
 MAX_FRAME_BYTES = 64 * 1024
 
-#: Highest TTL a frame may carry; bounds relay storms from hostile peers.
-MAX_TTL = 16
-
-# Frame types. HELLO/GET_PEERS/PEERS_LIST implement bootstrap rendezvous,
-# PING/PONG liveness, GOSSIP_REQ/GOSSIP_RESP the layer exchanges, and
-# ANNOUNCE the TTL-bounded flood (membership news).
+# Frame types. HELLO/PEERS_LIST implement the bootstrap rendezvous (the
+# one membership path), PING/PONG liveness, GOSSIP_REQ/GOSSIP_RESP the
+# layer exchanges.
 HELLO = "HELLO"
-GET_PEERS = "GET_PEERS"
 PEERS_LIST = "PEERS_LIST"
 PING = "PING"
 PONG = "PONG"
 GOSSIP_REQ = "GOSSIP_REQ"
 GOSSIP_RESP = "GOSSIP_RESP"
-ANNOUNCE = "ANNOUNCE"
 
-FRAME_TYPES = frozenset(
-    (HELLO, GET_PEERS, PEERS_LIST, PING, PONG, GOSSIP_REQ, GOSSIP_RESP, ANNOUNCE)
-)
+FRAME_TYPES = frozenset((HELLO, PEERS_LIST, PING, PONG, GOSSIP_REQ, GOSSIP_RESP))
 
 # Tagged-value markers. A plain dict from application code could collide
 # with a marker only by carrying these exact keys; encode() guards that.
@@ -82,9 +75,9 @@ _TAGS = {
 }
 
 #: Optional trace-context field: the sender's Lamport clock.
-#: Version-tolerant by construction — WIRE_VERSION stays 1, decoders that
-#: predate the field simply never look for the key, and encoders attach it
-#: only when tracing is enabled (zero wire-format change otherwise).
+#: Version-tolerant by construction — decoders that predate the field
+#: simply never look for the key, and encoders attach it only when tracing
+#: is enabled (zero wire-format change otherwise).
 TRACE_KEY = "tr"
 
 
@@ -116,7 +109,7 @@ def check_trace(value: Any) -> Dict[str, Any]:
 
 
 _SCALARS = frozenset((type(None), bool, int, float, str))
-_HEADER = frozenset(("v", "t", "id", "ttl", "src"))
+_HEADER = frozenset(("v", "t", "id", "src"))
 _new = tuple.__new__
 
 
@@ -231,22 +224,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circula
 _DECODER = json.JSONDecoder(object_hook=_rebuild)
 
 
-def make_frame(
-    frame_type: str,
-    src: int,
-    msg_id: str,
-    ttl: int = 0,
-    **fields: Any,
-) -> Dict[str, Any]:
+def make_frame(frame_type: str, src: int, msg_id: str, **fields: Any) -> Dict[str, Any]:
     """A well-formed frame dict ready for :func:`encode`."""
-    return {
-        "v": WIRE_VERSION,
-        "t": frame_type,
-        "id": msg_id,
-        "ttl": ttl,
-        "src": src,
-        **fields,
-    }
+    return {"v": WIRE_VERSION, "t": frame_type, "id": msg_id, "src": src, **fields}
 
 
 def encode(frame: Dict[str, Any]) -> bytes:
@@ -270,7 +250,7 @@ def decode(data: bytes) -> Dict[str, Any]:
 
     The single funnel for untrusted input: every malformation — truncation,
     bad UTF-8, bad JSON, a malformed tag, wrong version, unknown type,
-    hostile ids, TTL out of range — surfaces as a typed error, never as a
+    hostile ids — surfaces as a typed error, never as a
     stray ``KeyError`` or ``UnicodeDecodeError`` escaping into a receive
     loop. One pass: tags are rebuilt while the text is parsed
     (:func:`_rebuild`).
@@ -308,9 +288,6 @@ def _check_header(frame: Dict[str, Any]) -> None:
     msg_id = frame.get("id")
     if not isinstance(msg_id, str) or not msg_id or len(msg_id) > 128:
         raise WireError(f"bad message id {msg_id!r}")
-    ttl = frame.get("ttl")
-    if not isinstance(ttl, int) or isinstance(ttl, bool) or not (0 <= ttl <= MAX_TTL):
-        raise WireError(f"ttl out of range: {ttl!r}")
     src = frame.get("src")
     if not isinstance(src, int) or isinstance(src, bool) or src < 0:
         raise WireError(f"bad source id {src!r}")
@@ -334,10 +311,14 @@ class SeenSet:
     """Bounded message-id dedup set with FIFO eviction.
 
     ``add`` returns ``True`` for a fresh id (caller should process the
-    frame) and ``False`` for a duplicate. Capacity bounds memory against
-    hostile id floods; the oldest entries are evicted first, which is the
-    correct bias — replays of ancient ids are harmless once their TTL
-    window has passed.
+    frame) and ``False`` for a duplicate. Its reason is the one frame type
+    that is not idempotent: a replayed or duplicated ``GOSSIP_REQ`` would
+    run the layer's ``on_request`` twice and merge the same view twice.
+    Every other frame is safe to repeat (``HELLO`` re-registers a known
+    peer, ``PEERS_LIST`` re-adds known rows). Capacity bounds memory
+    against hostile id floods; the oldest entries are evicted first, which
+    is the correct bias — a replay that old re-runs one stale passive
+    exchange, which every layer already tolerates.
     """
 
     __slots__ = ("_capacity", "_seen")
@@ -366,15 +347,3 @@ class SeenSet:
     def capacity(self) -> int:
         return self._capacity
 
-
-def relay_frame(frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """The frame to forward for a TTL-bounded flood, or ``None`` to stop.
-
-    Decrements TTL; a frame received at TTL 0 has exhausted its budget.
-    """
-    ttl = frame.get("ttl", 0)
-    if ttl <= 0:
-        return None
-    relayed = dict(frame)
-    relayed["ttl"] = ttl - 1
-    return relayed

@@ -6,12 +6,7 @@ import math
 
 import pytest
 
-from repro.obs.collector import (
-    HOP_BUCKETS,
-    RTT_BUCKETS,
-    Collector,
-    Histogram,
-)
+from repro.obs.collector import RTT_BUCKETS, Collector, Histogram
 from repro.obs.export import to_prometheus
 
 
@@ -95,13 +90,11 @@ class TestCollectorHistograms:
         assert collector.histogram_of("gossip_rtt", layer="peer_sampling").count == 1
         assert collector.histogram_of("gossip_rtt", layer="nope") is None
 
-    def test_bucket_bounds_selected_per_metric(self):
+    def test_every_metric_buckets_on_rtt_bounds(self):
         collector = Collector(gauge_every=0)
         collector.histogram("gossip_rtt", 0.004)
-        collector.histogram("announce_hops", 2)
         collector.histogram("custom_metric", 1.0)
         assert collector.histogram_of("gossip_rtt").bounds == tuple(RTT_BUCKETS)
-        assert collector.histogram_of("announce_hops").bounds == tuple(HOP_BUCKETS)
         assert collector.histogram_of("custom_metric").bounds == tuple(RTT_BUCKETS)
 
     def test_snapshot_includes_histograms(self):
@@ -145,6 +138,6 @@ class TestPrometheusHistogramExposition:
 
     def test_unlabeled_histogram_has_no_layer_label(self):
         collector = Collector(gauge_every=0)
-        collector.histogram("announce_hops", 2)
+        collector.histogram("gossip_rtt", 0.004)
         text = to_prometheus(collector)
-        assert 'repro_announce_hops_bucket{le="2"} 1' in text
+        assert 'repro_gossip_rtt_bucket{le="0.005"} 1' in text

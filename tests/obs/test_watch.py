@@ -206,8 +206,6 @@ class TestSwarmNodesPanel:
         rtt = Histogram()
         rtt.record(0.004)
         rtt.record(0.012)
-        hops = Histogram(bounds=(1.0, 2.0, 4.0))
-        hops.record(2)
         return {
             "node": node,
             "round": 9,
@@ -215,7 +213,6 @@ class TestSwarmNodesPanel:
             "wire": {"bytes_sent": 1200, "bytes_received": 900},
             "peer": {"drops": {"1": 2, "2": 1}},
             "rtt": {"overlay": rtt.to_dict()},
-            "hops": hops.to_dict(),
             "lamport": 41,
         }
 
@@ -235,7 +232,7 @@ class TestSwarmNodesPanel:
         collector = Collector(gauge_every=0)
         frame = render_dashboard(collector, nodes={3: {"round": 1}})
         assert "swarm nodes" in frame
-        assert "-" in frame  # missing rtt/hops render as dashes
+        assert "-" in frame  # missing rtt renders as dashes
 
     def test_no_nodes_no_panel(self):
         collector = Collector(gauge_every=0)

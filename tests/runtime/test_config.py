@@ -42,9 +42,6 @@ class TestValidation:
             {"port": -1},
             {"port": 70_000},
             {"round_interval": 0.0},
-            {"ttl": 0},
-            {"ttl": 17},
-            {"fanout": 0},
         ],
     )
     def test_rejects(self, kwargs):
@@ -91,7 +88,5 @@ def test_config_surfaces_are_pinned():
             "node_index",
             "rendezvous",
             "round_interval",
-            "ttl",
-            "fanout",
         ),
     }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -104,7 +105,7 @@ def test_hostile_map_datagram_is_counted_and_the_node_keeps_answering():
     loop. It is one more malformed datagram, and the next PING gets its PONG."""
     hostile = (
         b'{"id":"1:1","payload":{"__m":[[[1],2]]},"src":1,'
-        b'"t":"GOSSIP_REQ","ttl":0,"v":1}'
+        b'"t":"GOSSIP_REQ","v":2}'
     )
     ping = wire.encode(wire.make_frame(wire.PING, src=1, msg_id="1:2"))
     config = RunnerConfig(kind="net", n_nodes=2, shape="ring", seed=11, node_index=0)
@@ -120,6 +121,95 @@ def test_hostile_map_datagram_is_counted_and_the_node_keeps_answering():
         # One socket to one socket on loopback: the PING was read second.
         stats = runner.wire_stats()
         assert (stats["datagrams_received"], stats["malformed"]) == (2, 1)
+
+
+#: Address rows the membership handlers must refuse on a 4-node runner.
+BAD_PEER_ROWS = [
+    [99, "127.0.0.1", 9000],  # id past n_nodes
+    [-1, "127.0.0.1", 9002],  # negative id
+    [True, "127.0.0.1", 9001],  # JSON true is 1: it would overwrite peer 1
+    [2, "127.0.0.1", 70000],  # port past 65535
+    [3, "127.0.0.1", True],  # a bool is not a port
+]
+
+
+def test_bad_address_rows_are_malformed_and_never_added():
+    """``PEERS_LIST`` rows and a ``HELLO`` address pass one check: a bad row
+    is a counted malformed frame, and reaches neither the directory nor the
+    rendezvous, so it can neither hijack a peer nor end the roster poll."""
+    config = RunnerConfig(kind="net", n_nodes=4, shape="ring", seed=11, node_index=0)
+    frames = [
+        wire.make_frame(wire.PEERS_LIST, 1, f"1:{i}", peers=[row])
+        for i, row in enumerate(BAD_PEER_ROWS)
+    ]
+    frames.append(wire.make_frame(wire.HELLO, 50, "50:1", host="127.0.0.1", port=0))
+    good = wire.make_frame(
+        wire.PEERS_LIST, 1, "1:9", peers=[[1, "127.0.0.1", 9001], [3, "::1", 9003]]
+    )
+    with make_runner(config) as runner:
+        endpoint = runner.endpoint
+        for frame in frames:
+            endpoint._handle_frame(wire.decode(wire.encode(frame)), ("127.0.0.1", 9001))
+        assert endpoint.malformed == len(frames)
+        assert runner.directory.peers == {}
+        assert runner.directory.rendezvous.sample(random.Random(0), 8) == []
+        endpoint._handle_frame(wire.decode(wire.encode(good)), ("127.0.0.1", 9001))
+        assert endpoint.malformed == len(frames)
+        assert runner.directory.roster() == [(1, "127.0.0.1", 9001), (3, "::1", 9003)]
+
+
+#: Rounds within which a running node learns a late joiner from its poll:
+#: measured 1 (its next HELLO is answered with the new roster), plus one
+#: round of slack for a loaded scheduler.
+LATE_JOIN_ROUNDS = 2
+
+
+@pytest.mark.slow
+def test_late_joiner_is_learned_through_the_hello_poll(monkeypatch):
+    """Node 1 runs knowing only the rendezvous; node 2 joins later, and node
+    1's next ``HELLO`` poll brings it the roster that names node 2. No frame
+    on the wire is anything but one of the six types."""
+    decoded = []
+    plain_decode = wire.decode
+
+    def recording_decode(data):
+        frame = plain_decode(data)
+        decoded.append(frame["t"])
+        return frame
+
+    monkeypatch.setattr(wire, "decode", recording_decode)
+    interval = 0.05
+    base = dict(kind="net", n_nodes=3, shape="ring", seed=11, round_interval=interval)
+    runners = [make_runner(RunnerConfig(node_index=0, **base))]
+
+    def tick():
+        for runner in runners:
+            runner.run_round()
+        time.sleep(interval)
+
+    try:
+        runners[0].start()
+        rendezvous = f"127.0.0.1:{runners[0].port}"
+        early = make_runner(RunnerConfig(node_index=1, rendezvous=rendezvous, **base))
+        runners.append(early)
+        for _ in range(3):
+            tick()
+        assert sorted(early.directory.peers) == [0]
+        late = make_runner(RunnerConfig(node_index=2, rendezvous=rendezvous, **base))
+        runners.append(late)
+        late.start()  # HELLOs until the rendezvous has answered
+        for rounds in range(1, LATE_JOIN_ROUNDS + 1):
+            tick()
+            if 2 in early.directory.peers:
+                break
+        assert sorted(early.directory.peers) == [0, 2], rounds
+        for runner in runners:
+            assert sorted(runner.directory.node_ids()) == [0, 1, 2]
+            assert runner.wire_stats()["malformed"] == 0
+        assert {wire.HELLO, wire.PEERS_LIST} <= set(decoded) <= wire.FRAME_TYPES
+    finally:
+        for runner in runners:
+            runner.close()
 
 
 @pytest.mark.slow

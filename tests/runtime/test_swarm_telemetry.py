@@ -9,7 +9,7 @@ from repro.runtime.swarm import SwarmReport, merge_node_events, merge_telemetry
 from repro.runtime.telemetry import TelemetryStream
 
 
-def node_status(node, *, with_flow=True, with_rtt=True, with_hops=True):
+def node_status(node, *, with_flow=True, with_rtt=True):
     """A synthetic status record shaped like _swarm_node's publish()."""
     record = {"node": node, "round": 3, "neighbors": [node + 1], "wire": {}}
     if with_flow:
@@ -21,10 +21,6 @@ def node_status(node, *, with_flow=True, with_rtt=True, with_hops=True):
         histogram = Histogram()
         histogram.record(0.002 * (node + 1))
         record["rtt"] = {"overlay": histogram.to_dict()}
-    if with_hops:
-        histogram = Histogram(bounds=(1.0, 2.0, 4.0))
-        histogram.record(node + 1)
-        record["hops"] = histogram.to_dict()
     return record
 
 
@@ -43,12 +39,6 @@ class TestMergeTelemetry:
         merged = collector.histogram_of("gossip_rtt", layer="overlay")
         assert merged is not None and merged.count == 3
         assert merged.vmax == 0.006
-
-    def test_hops_merge_under_empty_layer(self):
-        collector = Collector(gauge_every=0)
-        merge_telemetry(collector, {node: node_status(node) for node in range(2)})
-        hops = collector.histogram_of("announce_hops")
-        assert hops is not None and hops.count == 2
 
     def test_rebuild_from_scratch_never_double_counts(self):
         collector = Collector(gauge_every=0)

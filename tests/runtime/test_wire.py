@@ -49,15 +49,11 @@ def corpus_frames():
     ring = lambda name, rank: NodeProfile(name, rank, 8, rank)  # noqa: E731
     frames = {
         "hello": wire.make_frame(wire.HELLO, 4, "4:1", host="127.0.0.1", port=9004),
-        "get_peers": wire.make_frame(wire.GET_PEERS, 4, "4:2"),
         "peers_list": wire.make_frame(
             wire.PEERS_LIST, 0, "0:7", peers=[[1, "127.0.0.1", 9001], [0, "::1", 9000]]
         ),
         "ping": wire.make_frame(wire.PING, 2, "2:40"),
         "pong": wire.make_frame(wire.PONG, 3, "3:41"),
-        "announce": wire.make_frame(
-            wire.ANNOUNCE, 0, "0:9", ttl=wire.MAX_TTL, node=5, host="10.0.0.5", port=9005
-        ),
         "peer_sampling_req": wire.make_frame(
             wire.GOSSIP_REQ, 72, "72:1", layer="peer_sampling", profile=None,
             payload=[Descriptor(72), Descriptor(86, 1), Descriptor(8, 12)],
@@ -124,10 +120,16 @@ class TestPinnedBytes:
     :func:`corpus_frames`: the codec may get faster, the wire may not move.
     Two frames were re-pinned since, when the flow tag became one integer
     (``provenance_tagged``) and the trace field stopped repeating the payload's
-    tags (``traced``); an untraced frame is byte for byte what it was."""
+    tags (``traced``). Wire version 2 then re-pinned every frame: each lost its
+    ``"ttl":0,`` bytes, and ``ANNOUNCE`` / ``GET_PEERS`` left the corpus with
+    their frame types."""
 
     def test_corpus_covers_every_frame_type_and_tag(self):
         assert sorted(CORPUS) == sorted(corpus_frames())
+        assert wire.WIRE_VERSION == 2
+        assert wire.FRAME_TYPES == {
+            "HELLO", "PEERS_LIST", "PING", "PONG", "GOSSIP_REQ", "GOSSIP_RESP"
+        }
         assert {frame["t"] for frame in corpus_frames().values()} == wire.FRAME_TYPES
         for marker in ("__d", "__t", "__n", "__m", '"tr"'):
             assert any(marker in text for text in CORPUS.values()), marker
@@ -203,7 +205,7 @@ class TestValueRoundTrip:
         frame = wire.make_frame(wire.PING, 1, "1:1", payload=payload)
         assert wire.encode(frame) == (
             b'{"id":"1:1","payload":[3,"x",{"__t":[1,{"__t":[2]}]},{"a":1}],'
-            b'"src":1,"t":"PING","ttl":0,"v":1}'
+            b'"src":1,"t":"PING","v":2}'
         )
         assert same(roundtrip(payload), [3, "x", (1, (2,)), {"a": 1}])
 
@@ -216,7 +218,7 @@ class TestValueRoundTrip:
             roundtrip({1, 2})
 
 
-HEADER = {"v": wire.WIRE_VERSION, "t": wire.GOSSIP_REQ, "id": "1:1", "ttl": 0, "src": 1}
+HEADER = {"v": wire.WIRE_VERSION, "t": wire.GOSSIP_REQ, "id": "1:1", "src": 1}
 
 if HAVE_HYPOTHESIS:
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -305,7 +307,7 @@ if HAVE_HYPOTHESIS:
 
 class TestHostileDecode:
     def ok_frame(self, **overrides):
-        frame = {"v": wire.WIRE_VERSION, "t": wire.PING, "id": "1:1", "ttl": 0, "src": 1}
+        frame = {"v": wire.WIRE_VERSION, "t": wire.PING, "id": "1:1", "src": 1}
         frame.update(overrides)
         return json.dumps(frame).encode("utf-8")
 
@@ -326,8 +328,10 @@ class TestHostileDecode:
             wire.decode(b"[1, 2, 3]")
 
     def test_version_skew(self):
-        with pytest.raises(WireError, match="version skew"):
-            wire.decode(self.ok_frame(v=wire.WIRE_VERSION + 1))
+        # 1 is the version that still carried a ``ttl`` header key.
+        for version in (1, wire.WIRE_VERSION + 1):
+            with pytest.raises(WireError, match="version skew"):
+                wire.decode(self.ok_frame(v=version))
 
     def test_missing_version(self):
         frame = json.loads(self.ok_frame())
@@ -336,18 +340,15 @@ class TestHostileDecode:
             wire.decode(json.dumps(frame).encode("utf-8"))
 
     def test_unknown_type(self):
-        with pytest.raises(WireError, match="unknown frame type"):
-            wire.decode(self.ok_frame(t="EVIL"))
+        # ANNOUNCE and GET_PEERS were frame types of wire version 1.
+        for frame_type in ("EVIL", "ANNOUNCE", "GET_PEERS"):
+            with pytest.raises(WireError, match="unknown frame type"):
+                wire.decode(self.ok_frame(t=frame_type))
 
     def test_bad_msg_id(self):
         for bad in ("", 7, None, "x" * 200):
             with pytest.raises(WireError, match="message id"):
                 wire.decode(self.ok_frame(id=bad))
-
-    def test_ttl_out_of_range(self):
-        for bad in (-1, wire.MAX_TTL + 1, "4", True, None):
-            with pytest.raises(WireError, match="ttl"):
-                wire.decode(self.ok_frame(ttl=bad))
 
     def test_bad_src(self):
         for bad in (-1, "3", None, True):
@@ -377,7 +378,7 @@ class TestHostileDecode:
         with pytest.raises(WireError, match="malformed map tag"):
             wire.decode(
                 b'{"id":"1:1","payload":{"__m":[[[1],2]]},"src":1,'
-                b'"t":"GOSSIP_REQ","ttl":0,"v":1}'
+                b'"t":"GOSSIP_REQ","v":2}'
             )
         for key in ([1], {"a": 1}, {"__m": []}, [[]]):
             with pytest.raises(WireError, match="malformed map tag"):
@@ -450,9 +451,10 @@ class TestTraceField:
     def test_traced_frame_decodes_on_trace_unaware_peer(self):
         """A decoder that ignores the field still gets an intact frame.
 
-        The forward-compat contract: WIRE_VERSION stays 1, so a build
-        without the trace feature sees ``tr`` as just another extra key —
-        stripping it must leave a frame the same decoder accepts.
+        The forward-compat contract: the field never moved WIRE_VERSION,
+        so a build without the trace feature sees ``tr`` as just another
+        extra key — stripping it must leave a frame the same decoder
+        accepts.
         """
         data = self.encode_with_trace(wire.make_trace(5))
         frame = json.loads(data.decode("utf-8"))
@@ -543,7 +545,6 @@ if HAVE_HYPOTHESIS:
             "v": wire.WIRE_VERSION,
             "t": wire.PING,
             "id": "1:1",
-            "ttl": 0,
             "src": 1,
             wire.TRACE_KEY: trace,
         }
@@ -587,21 +588,3 @@ class TestMsgIdsAndRelay:
         a, b = wire.MsgIdSource(5), wire.MsgIdSource(5)
         assert [a.next() for _ in range(3)] == [b.next() for _ in range(3)]
         assert a.next() == "5:4"
-
-    def test_relay_decrements_ttl(self):
-        frame = wire.make_frame(wire.ANNOUNCE, src=1, msg_id="1:1", ttl=3)
-        relayed = wire.relay_frame(frame)
-        assert relayed["ttl"] == 2
-        assert frame["ttl"] == 3  # original untouched
-
-    def test_relay_stops_at_zero(self):
-        frame = wire.make_frame(wire.ANNOUNCE, src=1, msg_id="1:1", ttl=0)
-        assert wire.relay_frame(frame) is None
-
-    def test_flood_exhausts_in_max_ttl_hops(self):
-        frame = wire.make_frame(wire.ANNOUNCE, src=1, msg_id="1:1", ttl=wire.MAX_TTL)
-        hops = 0
-        while frame is not None:
-            frame = wire.relay_frame(frame)
-            hops += 1
-        assert hops == wire.MAX_TTL + 1

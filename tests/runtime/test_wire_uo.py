@@ -146,7 +146,6 @@ def test_hostile_node_profile_tags_raise(fields):
         "v": wire.WIRE_VERSION,
         "t": wire.GOSSIP_REQ,
         "id": "1:1",
-        "ttl": 0,
         "src": 1,
         "payload": {"__n": fields},
     }
