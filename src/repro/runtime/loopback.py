@@ -5,12 +5,14 @@ runtime. It routes exchanges exactly like the sim transport — same partner
 dispatch, same accounting ledger — but first serializes the request and the
 reply through :mod:`repro.runtime.wire` (encode → bytes → decode), so every
 payload a layer sends experiences the full codec round-trip a real datagram
-would. Because the round schedule and the RNG streams are untouched, a
-round run over this decorator must produce a **byte-identical overlay
-digest** to the plain transport for the same config — the digest gate in
-``tests/runtime/test_loopback.py``. Any codec lossiness (a tuple collapsed
-to a list, a descriptor field dropped, provenance corrupted) surfaces there
-as a digest mismatch instead of a subtle overlay deformity in a live swarm.
+would: a gossip buffer crosses as one ``{"__D":[row, …]}`` table, one
+``[id, age, profile, minted_round]`` row per descriptor. Because the round
+schedule and the RNG streams are untouched, a round run over this decorator
+must produce a **byte-identical overlay digest** to the plain transport for
+the same config — the digest gate in ``tests/runtime/test_loopback.py``.
+Any codec lossiness (a tuple profile come back a list, a row field dropped
+or shifted, provenance corrupted) surfaces there as a digest mismatch
+instead of a subtle overlay deformity in a live swarm.
 """
 
 from __future__ import annotations

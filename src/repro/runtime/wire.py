@@ -17,9 +17,13 @@ Design rules, enforced by tests:
 - **Values round-trip exactly.** JSON alone collapses tuples to lists,
   which would corrupt shape-coordinate profiles crossing the wire. A
   tagged encoding (:func:`pack_value`, undone inside the parse by
-  :func:`decode`) preserves tuples, descriptors (their flow tag, a round
-  number, rides as a bare integer) and node profiles bit-for-bit — the
-  loopback digest gate rests on this.
+  :func:`decode`) preserves tuples, descriptors and node profiles
+  bit-for-bit — the loopback digest gate rests on this.
+- **A descriptor is one row.** ``[id, age, profile, minted_round]`` with
+  trailing nulls dropped (``[72,0]``, ``[72,0,[7,2]]``); in the profile
+  slot a bare array is a tuple, so a list-valued profile is refused at
+  encode. A list made only of descriptors — every gossip buffer — ships
+  as one table, ``{"__D":[row, …]}``; a lone descriptor as ``{"__d":row}``.
 - **Determinism.** Message ids are ``"<src>:<seq>"`` from a per-node
   monotonic counter (:class:`MsgIdSource`), not random UUIDs, so a
   seeded swarm emits a reproducible id stream.
@@ -42,8 +46,10 @@ from repro.gossip.descriptors import Descriptor
 
 #: Protocol version spoken by this build. Frames carrying any other value
 #: are rejected with a typed error (version-skew test). Version 2 dropped
-#: the ``ttl`` header key, which every version-1 decoder requires.
-WIRE_VERSION = 2
+#: the ``ttl`` header key, which every version-1 decoder requires; version
+#: 3 made descriptors rows and added the ``__D`` table, which a version-2
+#: decoder would take for a plain map.
+WIRE_VERSION = 3
 
 #: Hard ceiling on a decoded datagram; larger input is hostile by fiat.
 MAX_FRAME_BYTES = 64 * 1024
@@ -64,12 +70,14 @@ FRAME_TYPES = frozenset((HELLO, PEERS_LIST, PING, PONG, GOSSIP_REQ, GOSSIP_RESP)
 # with a marker only by carrying these exact keys; encode() guards that.
 _TAG_TUPLE = "__t"
 _TAG_DESCRIPTOR = "__d"
+_TAG_TABLE = "__D"
 _TAG_MAP = "__m"
 _TAG_NODE_PROFILE = "__n"
 #: Marker -> what a decode error calls it.
 _TAGS = {
     _TAG_TUPLE: "tuple",
     _TAG_DESCRIPTOR: "descriptor",
+    _TAG_TABLE: "descriptor-table",
     _TAG_MAP: "map",
     _TAG_NODE_PROFILE: "node-profile",
 }
@@ -113,27 +121,31 @@ _HEADER = frozenset(("v", "t", "id", "src"))
 _new = tuple.__new__
 
 
-def _pack_descriptor(value: Descriptor) -> Any:
+def _pack_row(value: Descriptor) -> list:
+    """``[id, age, profile, minted_round]`` with trailing nulls dropped."""
     node_id, age, profile, minted_round = value
     kind = type(profile)
-    if kind is tuple:  # a coordinate: the common case, one call less
-        profile = {_TAG_TUPLE: _pack_items(profile)}
+    if kind is tuple:  # a coordinate: the common case, a bare array
+        profile = _pack_items(profile)
     elif kind not in _SCALARS:
+        if isinstance(profile, list):  # a bare array already means a tuple
+            raise WireError("a descriptor profile cannot be a list")
         profile = pack_value(profile)
-    if minted_round is not None and (type(minted_round) is not int or minted_round < 0):
+    if minted_round is None:
+        return [node_id, age] if profile is None else [node_id, age, profile]
+    if type(minted_round) is not int or minted_round < 0:
         raise WireError(f"descriptor tag must be a round, got {minted_round!r}")
-    return {_TAG_DESCRIPTOR: [node_id, age, profile, minted_round]}
+    return [node_id, age, profile, minted_round]
 
 
 def _pack_items(items: Any) -> list:
-    return [
-        item
-        if type(item) in _SCALARS
-        else _pack_descriptor(item)
-        if type(item) is Descriptor
-        else pack_value(item)
-        for item in items
-    ]
+    return [item if type(item) in _SCALARS else pack_value(item) for item in items]
+
+
+def _pack_list(value: list) -> Any:
+    if value and all(type(item) is Descriptor for item in value):
+        return {_TAG_TABLE: [_pack_row(item) for item in value]}
+    return _pack_items(value)
 
 
 def _pack_dict(value: dict) -> Any:
@@ -143,10 +155,10 @@ def _pack_dict(value: dict) -> Any:
 
 
 _PACKERS = {
-    Descriptor: _pack_descriptor,
+    Descriptor: lambda value: {_TAG_DESCRIPTOR: _pack_row(value)},
     NodeProfile: lambda value: {_TAG_NODE_PROFILE: _pack_items(value)},
     tuple: lambda value: {_TAG_TUPLE: _pack_items(value)},
-    list: _pack_items,
+    list: _pack_list,
     dict: _pack_dict,
 }
 
@@ -156,11 +168,11 @@ def pack_value(value: Any) -> Any:
 
     Supports the payload vocabulary of the gossip layers: scalars, strings,
     lists, tuples, string-keyed dicts, arbitrary-keyed dicts (as tagged
-    pair lists), :class:`Descriptor`, and
-    :class:`~repro.core.profiles.NodeProfile` (a named tuple the UO layers
-    test with ``isinstance``: as a plain tuple it would be dropped). Anything
-    else is a programming error on the *sending* side and raises
-    :class:`WireError` immediately rather than emitting garbage.
+    pair lists), :class:`Descriptor` (a list of nothing else packs as one
+    table), and :class:`~repro.core.profiles.NodeProfile` (a named tuple
+    the UO layers test with ``isinstance``: as a plain tuple it would be
+    dropped). Anything else is a programming error on the *sending* side
+    and raises :class:`WireError` immediately rather than emitting garbage.
     """
     kind = type(value)
     if kind in _SCALARS:
@@ -174,14 +186,41 @@ def pack_value(value: Any) -> Any:
     raise WireError(f"cannot encode value of type {kind.__name__!r}")
 
 
+def _unpack_row(row: Any) -> Descriptor:
+    """One descriptor row, checked: the inverse of :func:`_pack_row`."""
+    if type(row) is list:
+        size = len(row)
+        if size == 2:
+            node_id, age = row
+            profile = minted_round = None
+        elif size == 3:
+            node_id, age, profile = row
+            minted_round = None
+        elif size == 4:
+            node_id, age, profile, minted_round = row
+        else:
+            raise WireError("malformed descriptor tag")
+        if (
+            type(node_id) is int
+            and type(age) is int
+            and node_id >= 0
+            and age >= 0
+            and (minted_round is None or (type(minted_round) is int and minted_round >= 0))
+        ):
+            if type(profile) is list:  # a bare array in the profile slot
+                profile = tuple(profile)
+            return _new(Descriptor, (node_id, age, profile, minted_round))
+    raise WireError("malformed descriptor tag")
+
+
 def _rebuild(obj: Dict[str, Any]) -> Any:
     """The parser's ``object_hook``: every JSON object, innermost first.
 
     By the time an object arrives its members are already rebuilt, so a
     tagged object is checked and replaced on the spot — exact types (a bool
-    is neither an id nor a round), no negative id, age or minted round, and a
-    tag is its object's only key — and :func:`decode` never walks the parsed
-    tree again.
+    is neither an id nor a round), no negative id, age or minted round, a
+    row of two to four fields, a non-empty table, and a tag is its object's
+    only key — and :func:`decode` never walks the parsed tree again.
     """
     if len(obj) != 1:
         if _TAGS.keys().isdisjoint(obj):
@@ -192,20 +231,11 @@ def _rebuild(obj: Dict[str, Any]) -> Any:
         return obj
     fields = obj[tag]
     if type(fields) is list:
-        if tag == _TAG_DESCRIPTOR:
-            if len(fields) == 4:
-                node_id, age, _, minted_round = fields
-                if (
-                    type(node_id) is int
-                    and type(age) is int
-                    and node_id >= 0
-                    and age >= 0
-                    and (
-                        minted_round is None
-                        or (type(minted_round) is int and minted_round >= 0)
-                    )
-                ):
-                    return _new(Descriptor, fields)
+        if tag == _TAG_TABLE:
+            if fields:
+                return [_unpack_row(row) for row in fields]
+        elif tag == _TAG_DESCRIPTOR:
+            return _unpack_row(fields)
         elif tag == _TAG_TUPLE:
             return tuple(fields)
         elif tag == _TAG_NODE_PROFILE:

@@ -106,9 +106,9 @@ class TestTupleBackedRecord:
 
     def test_the_codec_tags_it_as_a_descriptor_not_a_tuple(self):
         packed = wire.pack_value([Descriptor(4, 9, (1, 2), self.TAG)])
-        assert packed == [{"__d": [4, 9, {"__t": [1, 2]}, 3]}]
-        assert wire.pack_value(Descriptor(4)) == {"__d": [4, 0, None, None]}
-        assert wire.pack_value((Descriptor(4),)) == {"__t": [{"__d": [4, 0, None, None]}]}
+        assert packed == {"__D": [[4, 9, [1, 2], 3]]}
+        assert wire.pack_value(Descriptor(4)) == {"__d": [4, 0]}
+        assert wire.pack_value((Descriptor(4),)) == {"__t": [{"__d": [4, 0]}]}
 
     def test_copies_keep_type_fields_and_the_tag_object(self):
         tagged = Descriptor(1, 2, "p", self.TAG)

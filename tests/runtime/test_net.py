@@ -105,7 +105,7 @@ def test_hostile_map_datagram_is_counted_and_the_node_keeps_answering():
     loop. It is one more malformed datagram, and the next PING gets its PONG."""
     hostile = (
         b'{"id":"1:1","payload":{"__m":[[[1],2]]},"src":1,'
-        b'"t":"GOSSIP_REQ","v":2}'
+        b'"t":"GOSSIP_REQ","v":3}'
     )
     ping = wire.encode(wire.make_frame(wire.PING, src=1, msg_id="1:2"))
     config = RunnerConfig(kind="net", n_nodes=2, shape="ring", seed=11, node_index=0)

@@ -101,6 +101,7 @@ def corpus_frames():
             payload={
                 "nested": (1, (2.5, ("x", ())), [None, True, (False,)]),
                 "map": {(0, 1): "a", 7: [Descriptor(1, 1)], "k": -3},
+                "mixed": [Descriptor(2, 0, (1, 2), 4), "x"],
                 "tag_named_key": {"__t": [1], "plain": 2},
                 "text": "caf\u00e9 \u2603 \"quoted\" \\ \n",
                 "numbers": [0, -7, 2**40, 3.5, -0.0, 1e-07, 1e22],
@@ -122,16 +123,18 @@ class TestPinnedBytes:
     (``provenance_tagged``) and the trace field stopped repeating the payload's
     tags (``traced``). Wire version 2 then re-pinned every frame: each lost its
     ``"ttl":0,`` bytes, and ``ANNOUNCE`` / ``GET_PEERS`` left the corpus with
-    their frame types."""
+    their frame types. Wire version 3 re-pinned every frame once more: a
+    descriptor became one row and a list of them one ``__D`` table, and the
+    ``values`` frame gained a mixed list so the lone ``__d`` tag stays pinned."""
 
     def test_corpus_covers_every_frame_type_and_tag(self):
         assert sorted(CORPUS) == sorted(corpus_frames())
-        assert wire.WIRE_VERSION == 2
+        assert wire.WIRE_VERSION == 3
         assert wire.FRAME_TYPES == {
             "HELLO", "PEERS_LIST", "PING", "PONG", "GOSSIP_REQ", "GOSSIP_RESP"
         }
         assert {frame["t"] for frame in corpus_frames().values()} == wire.FRAME_TYPES
-        for marker in ("__d", "__t", "__n", "__m", '"tr"'):
+        for marker in ('"__d"', '"__D"', '"__t"', '"__n"', '"__m"', '"tr"'):
             assert any(marker in text for text in CORPUS.values()), marker
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -205,9 +208,37 @@ class TestValueRoundTrip:
         frame = wire.make_frame(wire.PING, 1, "1:1", payload=payload)
         assert wire.encode(frame) == (
             b'{"id":"1:1","payload":[3,"x",{"__t":[1,{"__t":[2]}]},{"a":1}],'
-            b'"src":1,"t":"PING","v":2}'
+            b'"src":1,"t":"PING","v":3}'
         )
         assert same(roundtrip(payload), [3, "x", (1, (2,)), {"a": 1}])
+
+    def test_descriptor_lists_pack_as_one_table(self):
+        """Rows drop trailing nulls; a bare array in the profile slot is a
+        tuple; a list of nothing but descriptors is one ``__D`` table."""
+        rows = [Descriptor(72), Descriptor(83, 3, (8, 3)), Descriptor(5, 1, None, 0)]
+        assert wire.pack_value(rows) == {"__D": [[72, 0], [83, 3, [8, 3]], [5, 1, None, 0]]}
+        assert same(roundtrip(rows), rows)
+        assert wire.pack_value([]) == []
+
+    def test_mixed_list_keeps_per_item_tags(self):
+        payload = [Descriptor(1), 2, [Descriptor(3, 0, 0.5)], (Descriptor(4),)]
+        assert wire.pack_value(payload) == [
+            {"__d": [1, 0]},
+            2,
+            {"__D": [[3, 0, 0.5]]},
+            {"__t": [{"__d": [4, 0]}]},
+        ]
+        assert same(roundtrip(payload), payload)
+
+    def test_list_profile_is_refused_on_send(self):
+        """In a row, a bare array is a tuple: a list would come back as one."""
+        for payload in (
+            [Descriptor(1, 0, [1, 2])],
+            Descriptor(1, 0, []),
+            [Descriptor(1), 2, Descriptor(3, 0, [0])],
+        ):
+            with pytest.raises(WireError, match="profile cannot be a list"):
+                roundtrip(payload)
 
     def test_unencodable_value_raises_on_send(self):
         with pytest.raises(WireError):
@@ -273,8 +304,9 @@ if HAVE_HYPOTHESIS:
     # the tags (alone, together, beside plain keys) over field lists of every
     # arity and maps of near-pairs, holding scalars of every type and, by
     # recursion, other tagged objects where a scalar belongs — the flow-tag
-    # slot of an otherwise well-formed descriptor included.
-    soup_keys = st.sampled_from(["__d", "__t", "__n", "__m", "x"])
+    # slot of an otherwise well-formed descriptor included — and descriptor
+    # tables of empty, short, long and non-list rows.
+    soup_keys = st.sampled_from(["__d", "__D", "__t", "__n", "__m", "x"])
     soup = st.recursive(
         st.none()
         | st.booleans()
@@ -289,6 +321,9 @@ if HAVE_HYPOTHESIS:
         )
         | st.fixed_dictionaries(
             {"__d": st.tuples(st.integers(0, 9), st.integers(0, 9), st.none(), children).map(list)}
+        )
+        | st.fixed_dictionaries(
+            {"__D": st.lists(st.lists(children, max_size=5), max_size=3)}
         ),
         max_leaves=14,
     )
@@ -328,10 +363,20 @@ class TestHostileDecode:
             wire.decode(b"[1, 2, 3]")
 
     def test_version_skew(self):
-        # 1 is the version that still carried a ``ttl`` header key.
-        for version in (1, wire.WIRE_VERSION + 1):
+        # 1 is the version that still carried a ``ttl`` header key, 2 the one
+        # whose descriptors were objects and that had no ``__D`` table.
+        for version in (1, 2, wire.WIRE_VERSION + 1):
             with pytest.raises(WireError, match="version skew"):
                 wire.decode(self.ok_frame(v=version))
+
+    def test_version_2_frame_is_skew(self):
+        """A version-2 peer's gossip request, byte for byte: refused whole, never
+        half-read."""
+        with pytest.raises(WireError, match="version skew"):
+            wire.decode(
+                b'{"id":"72:1","layer":"peer_sampling","payload":[{"__d":[72,0,null,null]},'
+                b'{"__d":[86,1,null,null]}],"profile":null,"src":72,"t":"GOSSIP_REQ","v":2}'
+            )
 
     def test_missing_version(self):
         frame = json.loads(self.ok_frame())
@@ -378,7 +423,7 @@ class TestHostileDecode:
         with pytest.raises(WireError, match="malformed map tag"):
             wire.decode(
                 b'{"id":"1:1","payload":{"__m":[[[1],2]]},"src":1,'
-                b'"t":"GOSSIP_REQ","v":2}'
+                b'"t":"GOSSIP_REQ","v":3}'
             )
         for key in ([1], {"a": 1}, {"__m": []}, [[]]):
             with pytest.raises(WireError, match="malformed map tag"):
@@ -398,7 +443,7 @@ class TestHostileDecode:
             {"__d": [1, 0, None, [1, 2, 3]]},  # the flow tag is one bare round
             {"__d": [1, 0, None, {"__t": [1, 2, 3]}]},
             {"__d": {"__t": [1, 0, None, None]}},  # fields come as a list
-            {"__d": [1, 0, None]},  # arity
+            {"__d": []},  # arity: a row has two to four fields
             {"__d": [1, 0, None, None, None]},
             {"__n": ["ring", 0, 8]},
             {"__n": ["ring", 0, True, 0]},
@@ -409,6 +454,16 @@ class TestHostileDecode:
             {"__t": [1], "__m": []},
             {"x": 1, "__n": ["ring", 0, 8, 0]},
             {"__m": [{"__t": [1, 2]}]},  # a pair is a list, not a tuple
+            {"__D": [[]]},  # a table row has two to four fields too
+            {"__D": [[1]]},
+            {"__D": [[1, 0, None, None, None]]},
+            {"__D": [[1, 0], [True, 0]]},  # one bad row spoils the table
+            {"__D": [[1, -1]]},
+            {"__D": [[1, 0], 7]},  # a row is a list
+            {"__D": [{"__t": [1, 0]}]},
+            {"__D": []},  # a table is non-empty
+            {"__D": 3},  # and a list
+            {"__D": [[1, 0]], "x": 1},  # a tag is the only key
         ],
     )
     def test_strict_tags(self, hostile):
