@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from collections import defaultdict
 
 from repro.errors import ConfigurationError, SimulationError, WireError
+from repro.gossip.descriptors import Descriptor
 from repro.runtime import wire
 from repro.runtime.api import OVERLAY_LAYER, ElementaryStack, RunnerConfig
 from repro.runtime.lamport import LamportClock
@@ -209,11 +210,13 @@ class NetDirectory:
 
 
 class _Pending:
-    """One in-flight request awaiting its GOSSIP_RESP."""
+    """One in-flight request awaiting its GOSSIP_RESP from ``peer``."""
 
-    __slots__ = ("event", "payload", "started")
+    __slots__ = ("peer", "event", "payload", "started")
 
-    def __init__(self) -> None:
+    def __init__(self, peer: int) -> None:
+        #: The node asked: a reply from any other ``src`` is not its answer.
+        self.peer = peer
         self.event = threading.Event()
         self.payload: Any = None
         #: Wall-clock send time, set only when tracing is on (RTT spans).
@@ -358,7 +361,7 @@ class NetEndpoint:
     ) -> Optional[Any]:
         """Send ``frame`` to ``dst`` and wait for its GOSSIP_RESP payload."""
         obs = self.runner.obs
-        pending = _Pending()
+        pending = _Pending(dst)
         if obs is not None:
             pending.started = _now()
         self._pending[frame["id"]] = pending
@@ -479,10 +482,25 @@ class NetEndpoint:
         )
 
     def _on_gossip_resp(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
+        """Resolve the request this answers, if it is an answer at all.
+
+        Message ids are guessable, so a reply must also come from the node
+        asked, and carry what every layer this runner runs replies with: a
+        list of descriptors. Anything else is malformed (counted by
+        :meth:`_handle_frame`) and leaves the exchange to time out.
+        """
         pending = self._pending.get(frame.get("re"))
-        if pending is not None:
-            pending.payload = frame.get("payload")
-            pending.event.set()
+        if pending is None:
+            return
+        if frame["src"] != pending.peer:
+            raise WireError(f"GOSSIP_RESP from {frame['src']}, not the node asked")
+        payload = frame.get("payload")
+        if type(payload) is not list or any(
+            type(item) is not Descriptor for item in payload
+        ):
+            raise WireError("GOSSIP_RESP payload is not a descriptor list")
+        pending.payload = payload
+        pending.event.set()
 
     _HANDLERS: Dict[str, Callable[..., None]] = {
         wire.HELLO: _on_hello,

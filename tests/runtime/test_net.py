@@ -12,7 +12,8 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import wire
 from repro.runtime.api import RunnerConfig, make_runner
-from repro.runtime.net import LIVENESS_WINDOW, NetDirectory, parse_rendezvous
+from repro.gossip.descriptors import Descriptor
+from repro.runtime.net import LIVENESS_WINDOW, NetDirectory, _Pending, parse_rendezvous
 from repro.sim.node import Node
 
 
@@ -156,6 +157,58 @@ def test_bad_address_rows_are_malformed_and_never_added():
         endpoint._handle_frame(wire.decode(wire.encode(good)), ("127.0.0.1", 9001))
         assert endpoint.malformed == len(frames)
         assert runner.directory.roster() == [(1, "127.0.0.1", 9001), (3, "::1", 9003)]
+
+
+#: ``(src, payload)`` of replies to a request node 0 sent node 2: none is its
+#: answer. The first comes from a node that was not asked; the rest carry
+#: what no layer of the runner replies with (``[1, 2, 3]`` used to raise
+#: ``AttributeError`` out of ``run_round``).
+HOSTILE_REPLIES = [
+    (3, [Descriptor(3)]),
+    (2, [1, 2, 3]),
+    (2, [Descriptor(2), 7]),
+    (2, None),
+    (2, {"node": 2}),
+    (2, (Descriptor(2),)),
+]
+
+
+def test_wrong_sender_or_payload_replies_are_malformed_and_resolve_nothing():
+    """A ``GOSSIP_RESP`` resolves its request only if it comes from the node
+    asked and carries a descriptor list; every other one is counted
+    malformed and the exchange is left to time out to ``None``."""
+    config = RunnerConfig(kind="net", n_nodes=4, shape="ring", seed=11, node_index=0)
+    with make_runner(config) as runner:
+        endpoint = runner.endpoint
+        pending = endpoint._pending["0:1"] = _Pending(2)
+        for seq, (src, payload) in enumerate(HOSTILE_REPLIES):
+            reply = wire.make_frame(
+                wire.GOSSIP_RESP, src, f"{src}:{seq}", re="0:1",
+                layer="peer_sampling", payload=payload,
+            )
+            endpoint._handle_frame(wire.decode(wire.encode(reply)), ("127.0.0.1", 9002))
+        assert endpoint.malformed == len(HOSTILE_REPLIES)
+        assert not pending.event.is_set() and pending.payload is None
+        answer = wire.make_frame(
+            wire.GOSSIP_RESP, 2, "2:9", re="0:1", layer="peer_sampling",
+            payload=[Descriptor(2), Descriptor(1, 3)],
+        )
+        endpoint._handle_frame(wire.decode(wire.encode(answer)), ("127.0.0.1", 9002))
+        assert endpoint.malformed == len(HOSTILE_REPLIES)
+        assert pending.event.is_set()
+        assert pending.payload == [Descriptor(2), Descriptor(1, 3)]
+
+
+def test_unanswered_exchange_times_out_to_none():
+    """What a malformed reply leaves behind: the layer sees a timeout."""
+    config = RunnerConfig(kind="net", n_nodes=4, shape="ring", seed=11, node_index=0)
+    with make_runner(config) as runner:
+        runner.directory.add_peer(2, "127.0.0.1", 9002)
+        request = wire.make_frame(
+            wire.GOSSIP_REQ, 0, "0:1", layer="peer_sampling", payload=[], profile=None
+        )
+        assert runner.endpoint.request(2, request, timeout=0.01) is None
+        assert runner.endpoint.peer_drops[2] == 1 and runner.endpoint._pending == {}
 
 
 #: Rounds within which a running node learns a late joiner from its poll:
