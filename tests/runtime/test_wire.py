@@ -369,15 +369,6 @@ class TestHostileDecode:
             with pytest.raises(WireError, match="version skew"):
                 wire.decode(self.ok_frame(v=version))
 
-    def test_version_2_frame_is_skew(self):
-        """A version-2 peer's gossip request, byte for byte: refused whole, never
-        half-read."""
-        with pytest.raises(WireError, match="version skew"):
-            wire.decode(
-                b'{"id":"72:1","layer":"peer_sampling","payload":[{"__d":[72,0,null,null]},'
-                b'{"__d":[86,1,null,null]}],"profile":null,"src":72,"t":"GOSSIP_REQ","v":2}'
-            )
-
     def test_missing_version(self):
         frame = json.loads(self.ok_frame())
         del frame["v"]

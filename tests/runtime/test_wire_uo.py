@@ -11,7 +11,7 @@ halves do with it, to be what the in-memory transport gives.
 
 Out of scope: the port layers' payloads (belief and binding tables keyed by
 :class:`~repro.core.link.PortRef`), which the codec still refuses — the full
-six-layer stack over a wire transport is ROADMAP item 1(b).
+six-layer stack over a wire transport is ROADMAP item 5(b).
 """
 
 from __future__ import annotations
