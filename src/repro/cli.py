@@ -48,8 +48,9 @@ Commands
     ``--profile`` the sorted per-layer self-time span table, and
     ``--jsonl`` / ``--prom`` export the telemetry. With a ``.jsonl`` event
     stream: summarize it post-mortem. With a swarm status directory: the
-    merged cross-node view. ``faults`` and ``heal`` take ``--obs PATH`` to
-    capture telemetry as they run.
+    view ``swarm`` prints, from one observer poll and the merged node
+    streams. ``faults`` and ``heal`` take ``--obs PATH`` to capture
+    telemetry as they run.
 ``watch FILE``
     Live terminal view of a converging run: population, per-layer
     counters and degrees, information flow, and active health alerts,
@@ -57,13 +58,18 @@ Commands
     snapshot after the run; ``--alerts PATH`` writes the alert stream;
     ``--heal`` attaches the remediation engine and adds its panel —
     verdict, active incidents, their attempts and next retry round).
+    ``--swarm DIR`` (not with ``--heal``) watches a swarm status directory
+    through the supervisor's observer instead, and exits 2 if it stalls.
+``swarm``
+    Launch a local UDP swarm, one process per node, supervise it to
+    convergence, and print its view.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.core.runtime import Runtime
@@ -318,50 +324,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _report_swarm_dir(status_dir: str) -> int:
-    """``repro report <swarm-dir>``: the post-mortem cross-node view.
+    """``repro report <swarm-dir>``: the post-mortem view of a swarm, from
+    one observer poll of its statuses and its merged node streams."""
+    from repro.runtime.swarm import SwarmObserver, merge_node_events, swarm_view
 
-    Merges every node's incremental JSONL stream into one chronological
-    event table, rebuilds the swarm-wide flow tracer and wire histograms
-    from the final status files, and renders through the same registry the
-    simulator reports use.
-    """
-    import pathlib as _pathlib
-
-    from repro.obs.registry import MetricsRegistry
-    from repro.obs.collector import Collector
-    from repro.runtime.swarm import merge_node_events, merge_telemetry, read_statuses
-
-    directory = _pathlib.Path(status_dir)
-    statuses = read_statuses(directory)
+    observer = SwarmObserver.attach(status_dir)
+    observer.poll()
     events = merge_node_events(status_dir)
-    if not statuses and not events:
-        print(f"error: no swarm telemetry under {status_dir}", file=sys.stderr)
-        return 2
-    collector = Collector(gauge_every=0)
-    merge_telemetry(collector, statuses)
-    registry = MetricsRegistry.from_events(events) if events else MetricsRegistry()
-    flow = collector.flow
-    if flow is not None and flow.layers():
-        registry.add_flow(flow)
-    rtt_rows = [
-        (
-            layer or "-",
-            histogram.count,
-            f"{histogram.mean() * 1000:.2f}",
-            f"{histogram.percentile(0.95) * 1000:.2f}",
-            f"{histogram.vmax * 1000:.2f}",
-        )
-        for (name, layer), histogram in sorted(collector.histograms.items())
-        if name == "gossip_rtt" and histogram.count
-    ]
-    if rtt_rows:
-        registry.add_section(
-            "gossip rtt (wire spans)",
-            ("layer", "count", "mean ms", "p95 ms", "max ms"),
-            rtt_rows,
-        )
-    print(registry.render())
-    return 0
+    print(swarm_view(observer.report(), observer.collector, events).render())
+    return 0 if observer.converged else 1
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
@@ -414,85 +385,34 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _watch_swarm(args: argparse.Namespace) -> int:
     """Attach the watch dashboard to a running (or finished) swarm directory."""
-    import json as _json
-    import pathlib
-
-    from repro.obs.collector import Collector
-    from repro.obs.health import HealthMonitor
     from repro.obs.watch import render_dashboard
-    from repro.runtime.net import _now, _sleep
-    from repro.runtime.swarm import (
-        STOP_FLAG,
-        SWARM_LAYERS,
-        feed_collector,
-        read_statuses,
-    )
-    from repro.shapes import make_shape
+    from repro.runtime.swarm import SwarmObserver
 
-    directory = pathlib.Path(args.swarm)
-    meta_path = directory / "swarm.json"
-    deadline = _now() + 10.0
-    while not meta_path.exists():
-        if _now() > deadline:
-            print(f"error: no swarm metadata at {meta_path}", file=sys.stderr)
-            return 2
-        _sleep(0.1)
-    meta = _json.loads(meta_path.read_text(encoding="utf-8"))
-    n_nodes, shape = meta["n_nodes"], meta["shape"]
-    interval = float(meta.get("round_interval", 0.2))
-    shape_obj = make_shape(shape)
-    collector = Collector(gauge_every=1)
-    monitor = HealthMonitor(collector, expected_layers=SWARM_LAYERS)
-    title = f"repro watch --swarm {directory} ({shape}-{n_nodes})"
-    statuses: Dict[int, Dict[str, Any]] = {}
-
-    def frame(round_index: int) -> str:
-        return render_dashboard(
-            collector,
-            monitor,
-            round_index=round_index,
-            title=title,
-            nodes=statuses,
-        )
-
-    observed_round = -1
-    converged = False
+    observer = SwarmObserver.attach(args.swarm, wait=10.0)
+    title = f"repro watch --swarm {args.swarm} ({observer.shape}-{observer.n_nodes})"
     clear = sys.stdout.isatty() and not args.once
-    polls = 0
-    max_polls = max(4, int(2 * args.max_rounds))
-    while polls < max_polls:
-        statuses = read_statuses(directory)
-        seen_round = max(
-            (record.get("round", 0) for record in statuses.values()), default=0
-        )
-        # Sticky: the swarm "reached the shape" even if the overlay churns
-        # an edge during wind-down after the supervisor raises STOP.
-        converged = feed_collector(collector, statuses, shape_obj, n_nodes) or converged
-        if statuses and seen_round > observed_round:
-            observed_round = seen_round
-            monitor.observe(None, seen_round)
-        if args.once:
-            print(frame(seen_round), end="")
-            return 0 if converged else 1
+    for statuses in [observer.poll()] if args.once else observer.follow():
         if clear:
             sys.stdout.write("\x1b[2J\x1b[H")
-        print(frame(seen_round))
-        finished = statuses and all(
-            record.get("done") for record in statuses.values()
+        print(
+            render_dashboard(
+                observer.collector,
+                observer.monitor,
+                round_index=observer.round,
+                title=title,
+                nodes=statuses,
+            ),
+            end="",
         )
-        if converged or finished or (directory / STOP_FLAG).exists():
-            break
-        _sleep(interval)
-        polls += 1
-    return 0 if converged else 1
+    if args.alerts:
+        _write_alerts(args.alerts, observer.collector)
+    return 0 if observer.converged else 1
 
 
 def _cmd_swarm(args: argparse.Namespace) -> int:
-    from repro.runtime.swarm import run_swarm
+    from repro.runtime.swarm import merge_node_events, run_swarm, swarm_view
 
     def progress(poll: int, statuses, verdict: str) -> None:
-        if args.quiet:
-            return
         seen = max((r.get("round", 0) for r in statuses.values()), default=0)
         sys.stdout.write(
             f"\rround {seen:>3}  nodes {len(statuses)}/{args.nodes}  "
@@ -507,65 +427,23 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
         round_interval=args.round_interval,
         max_rounds=args.max_rounds,
         status_dir=args.status_dir,
-        progress=progress if not args.quiet else None,
+        progress=None if args.quiet else progress,
     )
     if not args.quiet:
         sys.stdout.write("\n")
-    verdict = report.verdict
-    print(
-        f"swarm {args.shape}-{args.nodes} seed={args.seed}: "
-        f"{'converged' if report.converged else 'NOT converged'} "
-        f"in {report.rounds} round(s), verdict {verdict}"
-    )
-    bandwidth = report.bandwidth()
-    print(
-        f"  wire: {bandwidth['datagrams_sent']} datagrams / "
-        f"{bandwidth['bytes_sent']} bytes sent, "
-        f"{bandwidth['malformed']} malformed, "
-        f"{bandwidth['duplicates']} duplicates"
-    )
-    for node in sorted(report.nodes):
-        record = report.nodes[node]
-        wire = record.get("wire", {})
-        print(
-            f"  node {node}: round {record.get('round', 0)}, "
-            f"neighbors {record.get('neighbors', [])}, "
-            f"{wire.get('bytes_sent', 0)} B out / "
-            f"{wire.get('bytes_received', 0)} B in"
-        )
-    for layer, data in sorted((report.flow or {}).items()):
-        latency = data.get("latency") or {}
-        line = (
-            f"  flow {layer}: {data['deliveries']} deliveries over "
-            f"{data['flow_edges']} edge(s), {data['known_pairs']} pair(s)"
-        )
-        if latency:
-            line += (
-                f", latency mean {latency['mean']:.1f} / "
-                f"p95 {latency['p95']} round(s)"
-            )
-        print(line)
-    for layer, stats in sorted(report.rtt.items()):
-        print(
-            f"  rtt {layer}: {stats['count']} exchange(s), "
-            f"mean {stats['mean_seconds'] * 1000:.2f} ms, "
-            f"p95 {stats['p95_seconds'] * 1000:.2f} ms"
-        )
-    for alert in report.alerts:
-        print(f"  alert: {alert['rule']} ({alert['severity']}) {alert['evidence']}")
+    events = merge_node_events(report.status_dir)
+    print(swarm_view(report, collector, events).render())
     if args.bench:
         report.write(args.bench)
         print(f"wrote {args.bench}")
     _export(collector, None, args.prom)
     if args.jsonl:
         from repro.obs.export import write_jsonl
-        from repro.runtime.swarm import merge_node_events
 
-        events = merge_node_events(report.status_dir)
         write_jsonl(args.jsonl, events)
         print(f"wrote {args.jsonl} ({len(events)} event(s))")
     print(f"status dir: {report.status_dir}")
-    return 0 if report.converged and verdict == "healthy" else 1
+    return 0 if report.converged and report.verdict == "healthy" else 1
 
 
 def _positive_int(text: str) -> int:
@@ -842,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="topology file to run (omit when attaching with --swarm)",
     )
-    watch.add_argument(
+    source = watch.add_mutually_exclusive_group()
+    source.add_argument(
         "--swarm",
         default=None,
         metavar="DIR",
@@ -867,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the alert/alert_cleared event stream (JSONL) to PATH",
     )
-    watch.add_argument(
+    source.add_argument(
         "--heal",
         action="store_true",
         help="attach the remediation engine and show its panel (verdict, "

@@ -10,7 +10,7 @@ PeerSim observer does — against the oracle role map:
 - **uo1** — every node's UO1 view holds as many live same-component peers as
   it can (``min(view_size, |component| - 1)``);
 - **uo2** — every node has at least one live contact in every other
-  component (or every *linked* component, when scoped);
+  component;
 - **port_selection** — all members of each component agree on the oracle
   manager for each of its ports;
 - **port_connection** — for every link, the two oracle port managers hold
@@ -126,12 +126,9 @@ def uo1_converged(
 
 
 def uo2_converged(
-    network: Network,
-    role_map: RoleMap,
-    assembly: "Assembly",
-    scope: str = "all",
+    network: Network, role_map: RoleMap, assembly: "Assembly"
 ) -> bool:
-    """Every live node has a live contact in every other (or linked) component."""
+    """Every live node has a live contact in every other component."""
     populated = {
         name
         for name in assembly.components
@@ -140,10 +137,7 @@ def uo2_converged(
     # Order-insensitive all-quantifier: every component must pass, and no
     # state is touched, so hash order cannot leak into a decision.
     for name in populated:  # repro-lint: disable=DET004
-        if scope == "linked":
-            wanted = assembly.linked_components(name) & populated
-        else:
-            wanted = populated - {name}
+        wanted = populated - {name}
         if not wanted:
             continue
         for node_id, _ in _live_members(network, role_map, name):
@@ -212,7 +206,6 @@ def layer_converged(
     role_map: RoleMap,
     assembly: "Assembly",
     uo1_view_size: int,
-    uo2_scope: str = "all",
 ) -> bool:
     """The legality predicate of ``layer`` — the one dispatcher.
 
@@ -225,7 +218,7 @@ def layer_converged(
     if layer == LAYER_UO1:
         return uo1_converged(network, role_map, assembly, uo1_view_size)
     if layer == LAYER_UO2:
-        return uo2_converged(network, role_map, assembly, uo2_scope)
+        return uo2_converged(network, role_map, assembly)
     if layer == LAYER_PORT_SELECTION:
         return port_selection_converged(network, role_map, assembly)
     if layer == LAYER_PORT_CONNECTION:
@@ -271,9 +264,6 @@ class ConvergenceTracker(Instrument):
         on reconfiguration and churn rebalancing).
     uo1_view_size:
         The deployed UO1 view capacity (saturation threshold).
-    uo2_scope:
-        ``"all"`` (paper default — contacts in every component) or
-        ``"linked"`` (only components connected by links).
     layers:
         Which layers to track; defaults to all five.
     stop_when_converged:
@@ -293,14 +283,12 @@ class ConvergenceTracker(Instrument):
         assembly_provider: Callable[[], "Assembly"],
         role_map_provider: Callable[[], RoleMap],
         uo1_view_size: int,
-        uo2_scope: str = "all",
         layers: Optional[List[str]] = None,
         stop_when_converged: bool = True,
     ):
         self._assembly = assembly_provider
         self._role_map = role_map_provider
         self.uo1_view_size = uo1_view_size
-        self.uo2_scope = uo2_scope
         self.layers = list(layers) if layers is not None else list(self.ALL_LAYERS)
         self.stop_when_converged = stop_when_converged
         self.first_converged: Dict[str, Optional[int]] = {
@@ -322,7 +310,6 @@ class ConvergenceTracker(Instrument):
             self._role_map(),
             self._assembly(),
             self.uo1_view_size,
-            self.uo2_scope,
         )
 
     def observe(self, network: Network, round_index: int) -> bool:

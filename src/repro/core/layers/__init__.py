@@ -10,12 +10,6 @@ Layer names used for protocol attachment and bandwidth accounting:
 - ``core`` — the component's shape-building core protocol (:func:`~repro.core.layers.core_protocol.make_core_protocol`).
 """
 
-from repro.core.layers.core_protocol import ComponentShapeProximity, make_core_protocol
-from repro.core.layers.port_connection import PortConnection
-from repro.core.layers.port_selection import PortSelection
-from repro.core.layers.uo1 import SameComponentOverlay
-from repro.core.layers.uo2 import DistantComponentOverlay
-
 LAYER_PEER_SAMPLING = "peer_sampling"
 LAYER_UO1 = "uo1"
 LAYER_UO2 = "uo2"
@@ -32,6 +26,16 @@ RUNTIME_LAYERS = (
     LAYER_PORT_SELECTION,
     LAYER_PORT_CONNECTION,
 )
+
+# The layer modules read the names above, so they are imported after them.
+from repro.core.layers.core_protocol import (  # noqa: E402
+    ComponentShapeProximity,
+    make_core_protocol,
+)
+from repro.core.layers.port_connection import PortConnection  # noqa: E402
+from repro.core.layers.port_selection import PortSelection  # noqa: E402
+from repro.core.layers.uo1 import SameComponentOverlay  # noqa: E402
+from repro.core.layers.uo2 import DistantComponentOverlay  # noqa: E402
 
 __all__ = [
     "ComponentShapeProximity",

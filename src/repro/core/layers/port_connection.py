@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.layers import LAYER_PORT_SELECTION, LAYER_UO1, LAYER_UO2
 from repro.core.link import LinkSpec, PortRef
 from repro.core.profiles import NodeProfile
 from repro.sim.engine import RoundContext
@@ -49,8 +50,8 @@ class PortConnection(GossipProtocol):
         Identity and current role of the hosting node.
     links:
         Every link of the assembly that touches the node's component.
-    layer, selection_layer, uo1_layer, uo2_layer:
-        Attachment labels of this protocol and its helper layers.
+    layer:
+        Attachment/accounting label (``port_connection``).
     binding_ttl:
         Rounds before an unrefreshed binding is dropped.
     """
@@ -64,15 +65,9 @@ class PortConnection(GossipProtocol):
         profile: NodeProfile,
         links: Tuple[LinkSpec, ...],
         layer: str = "port_connection",
-        selection_layer: str = "port_selection",
-        uo1_layer: str = "uo1",
-        uo2_layer: str = "uo2",
         binding_ttl: int = DEFAULT_BINDING_TTL,
     ):
         super().__init__(node_id, layer)
-        self.selection_layer = selection_layer
-        self.uo1_layer = uo1_layer
-        self.uo2_layer = uo2_layer
         self.binding_ttl = binding_ttl
         self.set_profile(profile, links)
 
@@ -170,9 +165,9 @@ class PortConnection(GossipProtocol):
     def _refresh_local_bindings(self, ctx: RoundContext) -> None:
         """Re-publish the managers of this component's ports from the local
         port-selection beliefs (age 0: authoritative at the source)."""
-        if not ctx.node.has_protocol(self.selection_layer):
+        if not ctx.node.has_protocol(LAYER_PORT_SELECTION):
             return
-        selection = ctx.node.protocol(self.selection_layer)
+        selection = ctx.node.protocol(LAYER_PORT_SELECTION)
         for _link, local_ref, _remote_ref in self._oriented:
             manager_id = selection.manager_of(local_ref.port)
             if manager_id is not None:
@@ -200,9 +195,9 @@ class PortConnection(GossipProtocol):
         """The components across the links of the ports this node believes
         it manages itself, in link order."""
         node = ctx.node
-        if not node.has_protocol(self.selection_layer):
+        if not node.has_protocol(LAYER_PORT_SELECTION):
             return ()
-        selection = node.protocol(self.selection_layer)
+        selection = node.protocol(LAYER_PORT_SELECTION)
         across: List[str] = []
         for _link, local_ref, remote_ref in self._oriented:
             if (
@@ -219,11 +214,11 @@ class PortConnection(GossipProtocol):
         ``components`` — among UO1's neighbours for ``None``."""
         node = ctx.node
         if components is None:
-            if not node.has_protocol(self.uo1_layer):
+            if not node.has_protocol(LAYER_UO1):
                 return []
-            pool = node.protocol(self.uo1_layer).neighbors()
-        elif components and node.has_protocol(self.uo2_layer):
-            uo2 = node.protocol(self.uo2_layer)
+            pool = node.protocol(LAYER_UO1).neighbors()
+        elif components and node.has_protocol(LAYER_UO2):
+            uo2 = node.protocol(LAYER_UO2)
             pool = [
                 descriptor.node_id
                 for component in components

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.layers import LAYER_CORE, LAYER_UO1
 from repro.core.port import PortSpec
 from repro.core.profiles import NodeProfile
 from repro.sim.engine import RoundContext
@@ -30,6 +31,10 @@ from repro.sim.protocol import GossipProtocol
 
 #: A belief: the (node_id, rank) currently thought to manage a port.
 Belief = Tuple[int, int]
+
+#: Same-node layers whose views supply same-component gossip partners and
+#: election candidates (UO1 first, then the core protocol).
+_PARTNER_LAYERS = (LAYER_UO1, LAYER_CORE)
 
 
 class PortSelection(GossipProtocol):
@@ -43,9 +48,6 @@ class PortSelection(GossipProtocol):
         The port declarations of the node's component.
     layer:
         Attachment/accounting label (``port_selection``).
-    partner_layers:
-        Same-node layers whose views supply same-component gossip partners
-        and election candidates (UO1 first, then the core protocol).
     """
 
     #: The payload is a belief table, not a descriptor list.
@@ -57,10 +59,8 @@ class PortSelection(GossipProtocol):
         profile: NodeProfile,
         ports: Tuple[PortSpec, ...],
         layer: str = "port_selection",
-        partner_layers: Tuple[str, ...] = ("uo1", "core"),
     ):
         super().__init__(node_id, layer)
-        self.partner_layers = tuple(partner_layers)
         self.set_profile(profile, ports)
 
     # -- identity -----------------------------------------------------------------
@@ -173,7 +173,7 @@ class PortSelection(GossipProtocol):
         """
         component = self.profile.component
         ports = self.ports
-        for layer in self.partner_layers:
+        for layer in _PARTNER_LAYERS:
             if not ctx.node.has_protocol(layer):
                 continue
             for node_id, profile in ctx.node.protocol(layer).view.profiles():
@@ -202,7 +202,7 @@ class PortSelection(GossipProtocol):
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
         """A random live same-component node drawn from the helper layers."""
         candidates: List[int] = []
-        for layer in self.partner_layers:
+        for layer in _PARTNER_LAYERS:
             if not ctx.node.has_protocol(layer):
                 continue
             for node_id in ctx.node.protocol(layer).neighbors():

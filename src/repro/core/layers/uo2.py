@@ -21,6 +21,7 @@ from itertools import zip_longest
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.layers import LAYER_UO1
 from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import PartialView
@@ -43,9 +44,9 @@ class DistantComponentOverlay(GossipProtocol):
         Bucket capacity per foreign component.
     gossip_contacts:
         Maximum descriptors shipped per gossip message.
-    layer, random_layer, uo1_layer:
-        Attachment labels of this protocol, the global peer sampling, and
-        the same-component overlay used to pick intra-component partners.
+    layer, random_layer:
+        Attachment labels of this protocol and the global peer sampling
+        (intra-component partners come from the node's UO1 layer).
     """
 
     def __init__(
@@ -56,14 +57,12 @@ class DistantComponentOverlay(GossipProtocol):
         gossip_contacts: int = 8,
         layer: str = "uo2",
         random_layer: str = "peer_sampling",
-        uo1_layer: str = "uo1",
     ):
         super().__init__(node_id, layer)
         self.profile = profile
         self.capacity = max(1, contacts_per_component)
         self.gossip_contacts = max(1, gossip_contacts)
         self.random_layer = random_layer
-        self.uo1_layer = uo1_layer
         self.buckets: Dict[str, PartialView] = {}
         # The bucket this round's partner was drawn from (None: a member of
         # the node's own component), noted by the partner rule for the offer.
@@ -130,7 +129,7 @@ class DistantComponentOverlay(GossipProtocol):
         Looked up by id: the passive half runs under the requester's context.
         """
         own = ctx.network.node(self.node_id)
-        return own.protocol(self.uo1_layer) if own.has_protocol(self.uo1_layer) else None
+        return own.protocol(LAYER_UO1) if own.has_protocol(LAYER_UO1) else None
 
     def _begin_round(self, ctx: RoundContext) -> bool:
         """Age every bucket, then adopt the peers seen in the global random
@@ -180,10 +179,10 @@ class DistantComponentOverlay(GossipProtocol):
                         ctx.obs.count_key(self._k_dead)
         candidates: List[int] = []
         drawn_from: Dict[int, str] = {}
-        if ctx.round % 2 == 0 and ctx.node.has_protocol(self.uo1_layer):
+        if ctx.round % 2 == 0 and ctx.node.has_protocol(LAYER_UO1):
             candidates = [
                 node_id
-                for node_id in ctx.node.protocol(self.uo1_layer).neighbors()
+                for node_id in ctx.node.protocol(LAYER_UO1).neighbors()
                 if network.is_alive(node_id)
             ]
         if not candidates:

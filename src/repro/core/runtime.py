@@ -66,10 +66,8 @@ class RuntimeConfig:
         default_factory=lambda: GossipParams(view_size=12, gossip_size=6, healer=1, swapper=4)
     )
     uo2_contacts_per_component: int = 2
-    uo2_gossip_contacts: int = 8
     binding_ttl: int = 16
     core_flavor: str = "vicinity"
-    uo2_scope: str = "all"
     loss_rate: float = 0.0
     costs: TransportCosts = field(default_factory=TransportCosts)
 
@@ -81,10 +79,6 @@ class RuntimeConfig:
         if self.core_flavor not in ("vicinity", "tman"):
             raise ConfigurationError(
                 f"core_flavor must be 'vicinity' or 'tman', got {self.core_flavor!r}"
-            )
-        if self.uo2_scope not in ("all", "linked"):
-            raise ConfigurationError(
-                f"uo2_scope must be 'all' or 'linked', got {self.uo2_scope!r}"
             )
         if self.uo2_contacts_per_component < 1:
             raise ConfigurationError("uo2_contacts_per_component must be >= 1")
@@ -170,7 +164,6 @@ class Deployment:
             assembly_provider=lambda: self.assembly,
             role_map_provider=lambda: self.role_map,
             uo1_view_size=self.config.uo1.view_size,
-            uo2_scope=self.config.uo2_scope,
         )
         # Through the unified factory; the hand-built substrate
         # (network/transport/streams) is passed through unchanged.
@@ -262,7 +255,6 @@ class Deployment:
                 node.node_id,
                 profile,
                 contacts_per_component=config.uo2_contacts_per_component,
-                gossip_contacts=config.uo2_gossip_contacts,
                 layer=LAYER_UO2,
             ),
         )

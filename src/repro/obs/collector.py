@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import is_known
 from repro.obs.instrument import Instrument
@@ -107,6 +107,22 @@ class Histogram:
         histogram = cls(data.get("bounds") or RTT_BUCKETS)
         histogram.merge_dict(data)
         return histogram
+
+    @classmethod
+    def merged(cls, dumps: Iterable[Any]) -> Optional["Histogram"]:
+        """One histogram from several ``to_dict()`` dumps (a layer's across
+        nodes, or a node's across layers), skipping any malformed dump;
+        ``None`` when none is usable. The one merge of published dumps."""
+        merged: Optional[Histogram] = None
+        for dump in dumps:
+            try:
+                if merged is None:
+                    merged = cls.from_dict(dump)
+                else:
+                    merged.merge_dict(dump)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue
+        return merged
 
     def merge_dict(self, data: Dict[str, Any]) -> None:
         """Add another histogram's ``to_dict()`` dump into this one.

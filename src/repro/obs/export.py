@@ -5,8 +5,8 @@ every report, dashboard and experiment table goes through:
 
 - **JSONL** — the event stream, one JSON object per line in the namespaced
   :meth:`~repro.obs.trace.TraceEvent.to_dict` layout. Line-oriented so
-  streams from multiple runs concatenate, and :func:`read_jsonl` also
-  accepts the legacy flat layout (details splatted at the top level).
+  streams from multiple runs concatenate; :func:`read_jsonl` rejects a
+  line without a ``details`` map, naming its line number.
 - **Prometheus text** — a point-in-time snapshot of the collector's
   counters, gauges, and span totals in the exposition format, so the
   output can be diffed, scraped, or pasted into dashboards without any
@@ -51,7 +51,7 @@ def write_jsonl(path: str, source: EventSource) -> int:
 
 
 def read_jsonl(path: str) -> List["TraceEvent"]:
-    """Parse a JSONL event stream (namespaced or legacy flat layout).
+    """Parse a JSONL event stream in the namespaced layout.
 
     Raises :class:`~repro.errors.ReproError` — with the offending line
     number — on malformed JSON or on records missing the event fields, so

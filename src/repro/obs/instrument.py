@@ -41,8 +41,8 @@ class Instrument:
     calls from inside the protocol layers.
     """
 
-    # Stateless by construction (and lets NullInstrument stay dict-less);
-    # stateful subclasses simply don't declare __slots__ and get a __dict__.
+    # Stateless by construction; stateful subclasses simply don't declare
+    # __slots__ and get a __dict__.
     __slots__ = ()
 
     #: Causal propagation tracer (:class:`~repro.obs.flow.FlowTracer`), or
@@ -94,17 +94,3 @@ class Instrument:
     def span_end(self, name: str) -> None:
         """Close the wall-clock span ``name``."""
 
-
-class NullInstrument(Instrument):
-    """An explicit do-nothing instrument.
-
-    The runtime's disabled path is ``obs is None`` (cheaper than a method
-    call); this class exists for call sites that want an always-valid
-    instrument reference instead of an optional one.
-    """
-
-    __slots__ = ()
-
-
-#: Shared no-op instance for optional-instrument call sites.
-NULL_INSTRUMENT = NullInstrument()

@@ -191,7 +191,6 @@ class RecoveryObserver(ConvergenceTracker):
         assembly_provider: Callable[[], "Assembly"],
         role_map_provider: Callable[[], RoleMap],
         uo1_view_size: int,
-        uo2_scope: str = "all",
         layers: Optional[List[str]] = None,
         instrument: Optional[Instrument] = None,
     ):
@@ -199,7 +198,6 @@ class RecoveryObserver(ConvergenceTracker):
             assembly_provider,
             role_map_provider,
             uo1_view_size,
-            uo2_scope,
             layers,
             stop_when_converged=False,
         )
@@ -223,7 +221,6 @@ class RecoveryObserver(ConvergenceTracker):
             assembly_provider=lambda: deployment.assembly,
             role_map_provider=lambda: deployment.role_map,
             uo1_view_size=deployment.config.uo1.view_size,
-            uo2_scope=deployment.config.uo2_scope,
             layers=layers,
             instrument=instrument,
         )

@@ -28,33 +28,18 @@ class TraceEvent:
     details: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Serialize with details namespaced under ``"details"``.
-
-        Details used to be splatted into the top level, where a ``round`` or
-        ``kind`` detail key silently shadowed the event's own fields; the
-        namespaced form is unambiguous. :meth:`from_dict` still reads the
-        legacy flat layout.
-        """
+        """Serialize with details namespaced under ``"details"``, so a
+        ``round`` or ``kind`` detail key cannot shadow the event's own fields."""
         return {"round": self.round, "kind": self.kind, "details": dict(self.details)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TraceEvent":
-        """Parse either the namespaced layout or the legacy flat layout."""
-        details = data.get("details")
-        if isinstance(details, dict):
-            extra = {
-                key: value
-                for key, value in data.items()
-                if key not in ("round", "kind", "details")
-            }
-            details = {**details, **extra}
-        else:  # legacy: details splatted at the top level
-            details = {
-                key: value
-                for key, value in data.items()
-                if key not in ("round", "kind")
-            }
-        return cls(round=int(data["round"]), kind=str(data["kind"]), details=details)
+        """Parse the :meth:`to_dict` layout; a record without a ``details``
+        map raises ``KeyError`` / ``TypeError``."""
+        details = data["details"]
+        if not isinstance(details, dict):
+            raise TypeError(f"details must be a map, got {type(details).__name__}")
+        return cls(round=int(data["round"]), kind=str(data["kind"]), details=dict(details))
 
     def __str__(self) -> str:
         details = " ".join(f"{k}={v}" for k, v in sorted(self.details.items()))

@@ -185,15 +185,7 @@ def _node_rtt(record: Dict[str, Any]) -> Tuple[Optional[float], Optional[float]]
     """(mean, p95) gossip RTT in milliseconds across one node's layers."""
     from repro.obs.collector import Histogram
 
-    merged: Optional[Histogram] = None
-    for dump in (record.get("rtt") or {}).values():
-        try:
-            if merged is None:
-                merged = Histogram.from_dict(dump)
-            else:
-                merged.merge_dict(dump)
-        except (KeyError, TypeError, ValueError):
-            continue
+    merged = Histogram.merged((record.get("rtt") or {}).values())
     if merged is None or not merged.count:
         return None, None
     return merged.mean() * 1000.0, merged.percentile(0.95) * 1000.0

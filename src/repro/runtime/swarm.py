@@ -5,14 +5,15 @@
 --node ...``), wires node 0 as the bootstrap rendezvous, and supervises
 the run through *status files*: every child atomically rewrites
 ``status_dir/node-<i>.json`` after each round with its overlay
-neighbourhood and wire-level traffic counters. The supervisor polls the
-directory, assembles the swarm-wide adjacency, and feeds the same
+neighbourhood and wire-level traffic counters. One
+:class:`SwarmObserver` reads that directory for every caller (the
+supervisor, ``repro watch --swarm``, ``repro report <dir>``): it
+assembles the swarm-wide adjacency and feeds the same
 :class:`~repro.obs.collector.Collector` + :class:`~repro.obs.health.HealthMonitor`
-pair the simulator uses — so ``repro watch --swarm`` renders a live swarm
-with the exact dashboard, alert rules, and Prometheus exporter that watch
-simulated runs. Convergence is declared by the shape's own
-:meth:`~repro.shapes.base.Shape.converged` test, after which a ``STOP``
-flag file winds the children down cleanly.
+pair the simulator uses, so a live swarm gets the exact dashboard, alert
+rules, and Prometheus exporter of simulated runs. Convergence is declared
+by the shape's own :meth:`~repro.shapes.base.Shape.converged` test, after
+which a ``STOP`` flag file winds the children down cleanly.
 
 The supervisor process is wall-clock-driven by nature (it paces polls and
 enforces deadlines); like :mod:`repro.runtime.net` it confines clock reads
@@ -29,11 +30,14 @@ import socket
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.runtime.net import _now, _sleep
 from repro.shapes import make_shape
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.registry import MetricsRegistry
 
 #: Name of the wind-down flag file inside the status directory.
 STOP_FLAG = "STOP"
@@ -153,9 +157,10 @@ def _swarm_node(argv: Optional[List[str]] = None) -> int:
     server.start()
     stream = TelemetryStream(str(status_dir / f"node-{args.node_index}.jsonl"))
 
-    def publish(done: bool) -> None:
-        _write_status(
-            status_path,
+    status: Dict[str, Any] = {}
+
+    def publish() -> None:
+        status.update(
             {
                 "node": runner.node_id,
                 "round": runner.round,
@@ -173,11 +178,17 @@ def _swarm_node(argv: Optional[List[str]] = None) -> int:
                     for (name, layer), histogram in collector.histograms.items()
                     if name == "gossip_rtt"
                 },
-                "done": done,
-            },
+                "done": False,
+            }
         )
+        _write_status(status_path, status)
 
     def on_round(_runner: Any, round_index: int) -> bool:
+        if stop_flag.exists():
+            # Winding down: peers are exiting, and a request to one that has
+            # closed times out and drops a live edge. The status of the last
+            # round that ended before the flag stands; only `done` changes.
+            return True
         wire_stats = runner.wire_stats()
         collector.emit(
             "node_round",
@@ -189,15 +200,18 @@ def _swarm_node(argv: Optional[List[str]] = None) -> int:
             bytes_received=wire_stats["bytes_received"],
             lamport=runner.endpoint.lamport.read(),
         )
-        publish(done=False)
+        publish()
         stream.flush(collector)
-        return stop_flag.exists()
+        return False
 
     runner.on_round = on_round
     collector.emit("node_up", node=args.node_index)
     try:
         runner.run(args.max_rounds)
-        publish(done=True)
+        if not status:
+            publish()  # stopped before its first round ended
+        status["done"] = True
+        _write_status(status_path, status)
         stream.flush(collector)
     finally:
         server.close()
@@ -277,48 +291,15 @@ class SwarmReport:
         _write_status(pathlib.Path(json_path), self.to_dict())
 
 
-def feed_collector(
-    collector: Any,
-    statuses: Dict[int, Dict[str, Any]],
-    shape: Any,
-    n_nodes: int,
-) -> bool:
-    """Refresh the collector's gauges from the latest statuses.
-
-    Returns whether the shape's convergence criterion holds. The
-    ``layers_converged`` gauge is scaled to the swarm's two-layer stack by
-    the fraction of target edges realized, so
-    :class:`~repro.obs.health.StalledConvergence` sees monotone progress
-    while the overlay forms and only trips on a genuine stall.
-    """
-    adjacency = swarm_adjacency(statuses)
-    total_edges = sum(
-        len(shape.target_neighbors(rank, n_nodes)) for rank in range(n_nodes)
-    )
-    missing = len(shape.missing_edges(adjacency, n_nodes)) if total_edges else 0
-    satisfied = (total_edges - missing) / total_edges if total_edges else 1.0
-    converged = len(statuses) == n_nodes and shape.converged(adjacency, n_nodes)
-    collector.gauge("layers_converged", SWARM_LAYERS * satisfied)
-    degrees = [len(record.get("neighbors", ())) for record in statuses.values()]
-    if degrees:
-        collector.gauge(
-            "out_degree_mean", sum(degrees) / len(degrees), layer="overlay"
-        )
-        collector.gauge("out_degree_max", float(max(degrees)), layer="overlay")
-    collector.gauge("swarm_nodes_reporting", float(len(statuses)))
-    merge_telemetry(collector, statuses)
-    return converged
-
-
 def merge_telemetry(
     collector: Any, statuses: Dict[int, Dict[str, Any]]
 ) -> None:
     """Merge per-node flow state and wire histograms into the collector.
 
     Each node publishes its own :class:`~repro.obs.flow.FlowTracer` dump
-    and per-layer RTT histograms; the supervisor rebuilds the swarm-wide
-    view on every poll (statuses are cumulative, so rebuild-from-scratch
-    is the merge that cannot double-count).
+    and per-layer RTT histograms; :meth:`SwarmObserver.poll` rebuilds the
+    swarm-wide view every time (statuses are cumulative, so
+    rebuild-from-scratch is the merge that cannot double-count).
     """
     from repro.obs.collector import Histogram
     from repro.obs.flow import merge_flow_states
@@ -330,19 +311,232 @@ def merge_telemetry(
         except (KeyError, TypeError, ValueError):
             pass  # a malformed dump degrades to no flow report, not a crash
 
-    merged: Dict[str, Histogram] = {}
+    dumps: Dict[str, List[Any]] = {}
     for record in statuses.values():
         for layer, dump in (record.get("rtt") or {}).items():
-            try:
-                existing = merged.get(layer)
-                if existing is None:
-                    merged[layer] = Histogram.from_dict(dump)
-                else:
-                    existing.merge_dict(dump)
-            except (AttributeError, KeyError, TypeError, ValueError):
-                continue  # skip one node's bad dump, keep the rest
-    for layer, histogram in merged.items():
-        collector.histograms[("gossip_rtt", layer)] = histogram
+            dumps.setdefault(layer, []).append(dump)
+    for layer, layer_dumps in dumps.items():
+        histogram = Histogram.merged(layer_dumps)
+        if histogram is not None:
+            collector.histograms[("gossip_rtt", layer)] = histogram
+
+
+class SwarmObserver:
+    """The one reader of a swarm status directory.
+
+    The supervisor (:func:`run_swarm`), ``repro watch --swarm`` and
+    ``repro report <dir>`` all observe a swarm through this class. It owns
+    a :class:`~repro.obs.collector.Collector` and a
+    :class:`~repro.obs.health.HealthMonitor` (also ``collector.health``).
+    Each :meth:`poll` reads the statuses, refreshes the gauges and the
+    merged flow / RTT telemetry, and observes the monitor once per new
+    swarm round. ``converged`` is sticky: the swarm reached the shape even
+    if an edge churns later. ``finished`` holds once all ``n_nodes``
+    report and all are done. A poll raises
+    :class:`~repro.errors.SimulationError` after
+    :data:`CHILD_STALL_TIMEOUT` seconds without a new round or node.
+    """
+
+    def __init__(
+        self,
+        directory: Any,
+        shape: str,
+        n_nodes: int,
+        seed: int = 1,
+        round_interval: float = 0.2,
+    ):
+        from repro.obs.collector import Collector
+        from repro.obs.health import HealthMonitor
+
+        self.directory = pathlib.Path(directory)
+        self.shape = shape
+        self.n_nodes = n_nodes
+        self.seed = seed
+        self.round_interval = round_interval
+        self._shape = make_shape(shape)
+        self.collector = Collector(gauge_every=1)
+        self.monitor = HealthMonitor(self.collector, expected_layers=SWARM_LAYERS)
+        self.collector.health = self.monitor
+        self.statuses: Dict[int, Dict[str, Any]] = {}
+        #: The highest round any node has reported.
+        self.round = 0
+        self.converged = False
+        self.finished = False
+        self._observed_round = -1
+        self._last_progress = _now()
+
+    @classmethod
+    def attach(cls, directory: Any, wait: float = 0.0) -> "SwarmObserver":
+        """The observer of the swarm that ``directory/swarm.json`` describes,
+        waiting up to ``wait`` seconds for a just-launched swarm to write it."""
+        meta_path = pathlib.Path(directory) / "swarm.json"
+        deadline = _now() + wait
+        while not meta_path.exists():
+            if _now() >= deadline:
+                raise SimulationError(f"no swarm metadata at {meta_path}")
+            _sleep(0.1)
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            fields = [meta[key] for key in ("shape", "n_nodes", "seed", "round_interval")]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SimulationError(f"unreadable swarm metadata at {meta_path}: {exc!r}") from exc
+        return cls(directory, *fields)
+
+    def poll(self) -> Dict[int, Dict[str, Any]]:
+        """Read the statuses and refresh everything derived from them.
+
+        The ``layers_converged`` gauge is scaled to the swarm's two-layer
+        stack by the fraction of target edges realized, so
+        :class:`~repro.obs.health.StalledConvergence` sees monotone
+        progress while the overlay forms and only trips on a genuine stall.
+        """
+        statuses = read_statuses(self.directory)
+        seen_round = max(
+            (record.get("round", 0) for record in statuses.values()), default=0
+        )
+        if seen_round > self.round or len(statuses) > len(self.statuses):
+            self._last_progress = _now()
+        self.round = max(self.round, seen_round)
+        self.statuses = statuses
+
+        shape, n_nodes, collector = self._shape, self.n_nodes, self.collector
+        adjacency = swarm_adjacency(statuses)
+        total_edges = sum(
+            len(shape.target_neighbors(rank, n_nodes)) for rank in range(n_nodes)
+        )
+        missing = len(shape.missing_edges(adjacency, n_nodes)) if total_edges else 0
+        satisfied = (total_edges - missing) / total_edges if total_edges else 1.0
+        collector.gauge("layers_converged", SWARM_LAYERS * satisfied)
+        degrees = [len(record.get("neighbors", ())) for record in statuses.values()]
+        if degrees:
+            collector.gauge(
+                "out_degree_mean", sum(degrees) / len(degrees), layer="overlay"
+            )
+            collector.gauge("out_degree_max", float(max(degrees)), layer="overlay")
+        collector.gauge("swarm_nodes_reporting", float(len(statuses)))
+        merge_telemetry(collector, statuses)
+        if len(statuses) == n_nodes and shape.converged(adjacency, n_nodes):
+            self.converged = True
+
+        # One health observation per *swarm* round (not per poll), and none
+        # before the children start reporting: process startup is not a
+        # health signal, and the alert windows keep their rounds-denominated
+        # meaning.
+        if statuses and seen_round > self._observed_round:
+            self._observed_round = seen_round
+            self.monitor.observe(None, seen_round)
+        self.finished = len(statuses) == n_nodes and all(
+            record.get("done") for record in statuses.values()
+        )
+        if self.converged or self.finished:
+            return statuses
+        if _now() - self._last_progress > CHILD_STALL_TIMEOUT:
+            raise SimulationError(
+                f"swarm made no progress for {CHILD_STALL_TIMEOUT:.0f}s "
+                f"({len(statuses)}/{n_nodes} nodes reporting, "
+                f"round {self.round})"
+            )
+        return statuses
+
+    def follow(self) -> Iterator[Dict[int, Dict[str, Any]]]:
+        """Poll every half round, yielding each poll's statuses, until the
+        swarm converged or finished (a stall raises from :meth:`poll`)."""
+        while True:
+            yield self.poll()
+            if self.converged or self.finished:
+                return
+            _sleep(self.round_interval / 2)
+
+    def report(self) -> SwarmReport:
+        """The run's record as of the latest poll."""
+        flow = self.collector.flow
+        return SwarmReport(
+            n_nodes=self.n_nodes,
+            shape=self.shape,
+            seed=self.seed,
+            round_interval=self.round_interval,
+            converged=self.converged,
+            rounds=self.round,
+            verdict=self.monitor.verdict(),
+            alerts=[alert.to_dict() for alert in self.monitor.alerts],
+            nodes=self.statuses,
+            status_dir=str(self.directory),
+            flow=flow.summary() if flow is not None else None,
+            rtt={
+                layer: {
+                    "count": histogram.count,
+                    "mean_seconds": histogram.mean(),
+                    "p95_seconds": histogram.percentile(0.95),
+                    "max_seconds": histogram.vmax,
+                }
+                for (name, layer), histogram in sorted(self.collector.histograms.items())
+                if name == "gossip_rtt" and histogram.count
+            },
+        )
+
+
+def swarm_view(
+    report: SwarmReport, collector: Any, events: List[Any]
+) -> "MetricsRegistry":
+    """The one printed view of a swarm (``repro swarm``, ``repro report <dir>``).
+
+    Built from a :class:`SwarmObserver`'s final poll (its :meth:`report
+    <SwarmObserver.report>` and collector) and the merged node events, as a
+    :class:`~repro.obs.registry.MetricsRegistry`: the verdict, each node's
+    neighbourhood and wire bytes, the swarm's wire totals, the information
+    flow, gossip RTT, the alert history and the event summary.
+    """
+    from repro.obs.registry import MetricsRegistry
+
+    registry = MetricsRegistry()
+    registry.add_section(
+        "swarm",
+        ("shape", "nodes", "converged", "rounds", "verdict"),
+        [
+            (
+                report.shape,
+                f"{len(report.nodes)}/{report.n_nodes}",
+                "yes" if report.converged else "NO",
+                report.rounds,
+                report.verdict,
+            )
+        ],
+    )
+    registry.add_section(
+        "nodes",
+        ("node", "round", "neighbors", "B out", "B in"),
+        [
+            (
+                node,
+                record.get("round", 0),
+                " ".join(str(peer) for peer in record.get("neighbors", ())),
+                (record.get("wire") or {}).get("bytes_sent", 0),
+                (record.get("wire") or {}).get("bytes_received", 0),
+            )
+            for node, record in sorted(report.nodes.items())
+        ],
+    )
+    bandwidth = report.bandwidth()
+    registry.add_section("wire totals", tuple(bandwidth), [tuple(bandwidth.values())])
+    if collector.flow is not None:
+        registry.add_flow(collector.flow)
+    registry.add_section(
+        "gossip rtt (wire spans)",
+        ("layer", "count", "mean ms", "p95 ms", "max ms"),
+        [
+            (
+                layer,
+                stats["count"],
+                f"{stats['mean_seconds'] * 1000:.2f}",
+                f"{stats['p95_seconds'] * 1000:.2f}",
+                f"{stats['max_seconds'] * 1000:.2f}",
+            )
+            for layer, stats in sorted(report.rtt.items())
+        ],
+    )
+    registry.add_health(collector.health)
+    registry.add_events(events)
+    return registry
 
 
 def run_swarm(
@@ -356,28 +550,27 @@ def run_swarm(
 ) -> Tuple[SwarmReport, Any]:
     """Launch and supervise a local UDP swarm; returns (report, collector).
 
-    ``progress``, when given, is invoked after every supervisor poll with
-    ``(poll_round, statuses, verdict)`` — the hook ``repro watch --swarm``
-    renders from. The collector is returned alongside the report so
-    callers can export the telemetry (Prometheus snapshot, JSONL stream).
+    The supervisor is a :class:`SwarmObserver` of the status directory
+    (the same reader ``repro watch --swarm`` and ``repro report <dir>``
+    use) plus a check that no child died. ``progress``, when given, is
+    invoked after every poll with ``(poll_round, statuses, verdict)``. The
+    observer's collector is returned alongside the report so callers can
+    export the telemetry (Prometheus snapshot, JSONL stream).
     """
-    from repro.obs.collector import Collector
-    from repro.obs.health import HealthMonitor
-
     if n_nodes < 2:
         raise SimulationError(f"a swarm needs >= 2 nodes, got {n_nodes}")
-    shape_obj = make_shape(shape)
     directory = pathlib.Path(status_dir) if status_dir else None
     if directory is None:
         import tempfile
 
         directory = pathlib.Path(tempfile.mkdtemp(prefix="repro-swarm-"))
     directory.mkdir(parents=True, exist_ok=True)
+    observer = SwarmObserver(directory, shape, n_nodes, seed, round_interval)
     stop_flag = directory / STOP_FLAG
     if stop_flag.exists():
         stop_flag.unlink()
-    # Swarm metadata: lets `repro watch --swarm DIR` attach without being
-    # told the shape or size.
+    # Swarm metadata: lets `repro watch --swarm DIR` and `repro report DIR`
+    # attach without being told the shape or size.
     _write_status(
         directory / "swarm.json",
         {
@@ -398,11 +591,6 @@ def run_swarm(
     ).rstrip(os.pathsep)
 
     children: List[subprocess.Popen] = []
-    collector = Collector(gauge_every=1)
-    monitor = HealthMonitor(collector, expected_layers=SWARM_LAYERS)
-    converged = False
-    statuses: Dict[int, Dict[str, Any]] = {}
-    poll_round = 0
     try:
         for index in range(n_nodes):
             command = [
@@ -439,57 +627,20 @@ def run_swarm(
             )
 
         deadline = _now() + max_rounds * round_interval + 30.0
-        last_progress = _now()
-        max_seen_round = 0
-        max_seen_nodes = 0
-        observed_round = -1
-        while _now() < deadline:
-            _sleep(round_interval / 2)
-            statuses = read_statuses(directory)
-            seen_round = max(
-                (record.get("round", 0) for record in statuses.values()), default=0
-            )
-            if seen_round > max_seen_round or len(statuses) > max_seen_nodes:
-                last_progress = _now()
-            max_seen_round = max(max_seen_round, seen_round)
-            max_seen_nodes = max(max_seen_nodes, len(statuses))
-            converged = feed_collector(collector, statuses, shape_obj, n_nodes)
-            # One health observation per *swarm* round (not per poll), and
-            # none before the children start reporting — process startup is
-            # not a health signal, and the alert windows keep their
-            # rounds-denominated meaning.
-            if statuses and seen_round > observed_round:
-                observed_round = seen_round
-                monitor.observe(None, seen_round)
+        for poll_round, statuses in enumerate(observer.follow()):
             if progress is not None:
-                progress(poll_round, statuses, monitor.verdict())
-            poll_round += 1
-            dead = [
-                (index, child)
-                for index, child in enumerate(children)
-                if child.poll() not in (None, 0)
-            ]
-            if dead:
-                index, child = dead[0]
-                stderr = (child.stderr.read() if child.stderr else b"").decode(
-                    "utf-8", "replace"
-                )
-                raise SimulationError(
-                    f"swarm node {index} died (exit {child.returncode}): "
-                    f"{stderr.strip()[-500:]}"
-                )
-            if converged:
+                progress(poll_round, statuses, observer.monitor.verdict())
+            for index, child in enumerate(children):
+                if child.poll() not in (None, 0):
+                    stderr = (child.stderr.read() if child.stderr else b"").decode(
+                        "utf-8", "replace"
+                    )
+                    raise SimulationError(
+                        f"swarm node {index} died (exit {child.returncode}): "
+                        f"{stderr.strip()[-500:]}"
+                    )
+            if _now() >= deadline:
                 break
-            if all(record.get("done") for record in statuses.values()) and (
-                len(statuses) == n_nodes
-            ):
-                break  # every child exhausted max_rounds without converging
-            if _now() - last_progress > CHILD_STALL_TIMEOUT:
-                raise SimulationError(
-                    f"swarm made no progress for {CHILD_STALL_TIMEOUT:.0f}s "
-                    f"({len(statuses)}/{n_nodes} nodes reporting, "
-                    f"round {max_seen_round})"
-                )
     finally:
         stop_flag.touch()
         grace = _now() + max(2.0, 4 * round_interval)
@@ -506,39 +657,9 @@ def run_swarm(
             if child.stderr:
                 child.stderr.close()
 
-    statuses = read_statuses(directory)
-    # Refresh the gauges from the final statuses, but keep the loop's
-    # convergence verdict: the overlay may churn an edge during the last
-    # wind-down rounds, and "the swarm reached the target shape" is the
-    # claim being made. (A final snapshot can still upgrade it.)
-    converged = feed_collector(collector, statuses, shape_obj, n_nodes) or converged
-    rtt_summary = {
-        layer: {
-            "count": histogram.count,
-            "mean_seconds": histogram.mean(),
-            "p95_seconds": histogram.percentile(0.95),
-            "max_seconds": histogram.vmax,
-        }
-        for (name, layer), histogram in sorted(collector.histograms.items())
-        if name == "gossip_rtt" and histogram.count
-    }
-    report = SwarmReport(
-        n_nodes=n_nodes,
-        shape=shape,
-        seed=seed,
-        round_interval=round_interval,
-        converged=converged,
-        rounds=max(
-            (record.get("round", 0) for record in statuses.values()), default=0
-        ),
-        verdict=monitor.verdict(),
-        alerts=[alert.to_dict() for alert in monitor.alerts],
-        nodes=statuses,
-        status_dir=str(directory),
-        flow=collector.flow.summary() if collector.flow is not None else None,
-        rtt=rtt_summary,
-    )
-    return report, collector
+    # One last poll of the wound-down statuses; `converged` stays sticky.
+    observer.poll()
+    return observer.report(), observer.collector
 
 
 def merge_node_events(status_dir: str) -> List[Any]:

@@ -83,11 +83,6 @@ class TestPredicatesBeforeAndAfter:
         deployment.run(12)
         assert port_selection_converged(*args)
 
-    def test_uo2_linked_scope_less_strict(self, converged_deployment):
-        deployment = converged_deployment
-        args = (deployment.network, deployment.role_map, deployment.assembly)
-        assert uo2_converged(*args, scope="linked")
-
 
 class TestTracker:
     def test_records_first_convergence_rounds(self):

@@ -381,7 +381,7 @@ def draw_foreign_partner(protocol, partner_id):
 def own_node_ctx(uo2, uo1, round_number=0):
     """The passive half's view of a node running ``uo2`` and, unless
     ``None``, the sibling ``uo1``."""
-    siblings = {} if uo1 is None else {uo2.uo1_layer: uo1}
+    siblings = {} if uo1 is None else {LAYER_UO1: uo1}
     return own_stack_ctx(uo2.node_id, round_number, **siblings)
 
 

@@ -27,10 +27,6 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError):
             RuntimeConfig(core_flavor="chord")
 
-    def test_bad_scope(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(uo2_scope="everything")
-
     def test_bad_uo2_contacts(self):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(uo2_contacts_per_component=0)

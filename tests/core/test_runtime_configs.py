@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import Runtime, RuntimeConfig
 from repro.dsl import TopologyBuilder
 from repro.sim.config import GossipParams
@@ -37,35 +35,6 @@ class TestTManCore:
         from repro.gossip.tman import TMan
 
         assert isinstance(deployment.network.node(0).protocol("core"), TMan)
-
-
-class TestLinkedScope:
-    def test_linked_uo2_scope_converges(self):
-        config = RuntimeConfig(uo2_scope="linked")
-        deployment = Runtime(pair_assembly(), config=config, seed=93).deploy()
-        report = deployment.run_until_converged(80)
-        assert report.converged
-
-    def test_linked_scope_faster_or_equal_with_many_components(self):
-        """With 10 components in a chain, covering only linked neighbours
-        is a strictly easier predicate than covering all 9 others."""
-        builder = TopologyBuilder("Chain")
-        for index in range(10):
-            builder.component(f"seg{index}", "ring", size=8).port(
-                "west", "rank(0)"
-            ).port("east", "rank(4)")
-        for index in range(9):
-            builder.link((f"seg{index}", "east"), (f"seg{index + 1}", "west"))
-        assembly = builder.nodes(80).build()
-
-        def uo2_rounds(scope):
-            config = RuntimeConfig(uo2_scope=scope)
-            deployment = Runtime(assembly, config=config, seed=94).deploy()
-            report = deployment.run_until_converged(120)
-            assert report.converged, report.rounds
-            return report.round_of("uo2")
-
-        assert uo2_rounds("linked") <= uo2_rounds("all")
 
 
 class TestCustomGossipParams:

@@ -1,4 +1,4 @@
-"""Exporters: JSONL streams (including the legacy layout) and Prometheus."""
+"""Exporters: JSONL streams and Prometheus."""
 
 from __future__ import annotations
 
@@ -43,16 +43,17 @@ class TestJsonl:
         first = json.loads(lines[0])
         assert set(first) == {"round", "kind", "details"}
 
-    def test_reads_legacy_flat_layout(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
+    def test_rejects_flat_layout_line(self, tmp_path):
+        from repro.errors import ReproError
+
+        path = tmp_path / "flat.jsonl"
         path.write_text(
-            json.dumps({"round": 4, "kind": "node_crash", "node": 9}) + "\n",
+            json.dumps({"round": 0, "kind": "deploy", "details": {}}) + "\n"
+            + json.dumps({"round": 4, "kind": "node_crash", "node": 9}) + "\n",
             encoding="utf-8",
         )
-        (event,) = read_jsonl(str(path))
-        assert event.round == 4
-        assert event.kind == "node_crash"
-        assert event.details == {"node": 9}
+        with pytest.raises(ReproError, match=r"flat\.jsonl:2: not an event record"):
+            read_jsonl(str(path))
 
     def test_accepts_bare_event_iterables(self):
         events = [TraceEvent(round=1, kind="heal", details={})]

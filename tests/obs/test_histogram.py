@@ -78,6 +78,19 @@ class TestHistogram:
         with pytest.raises(ValueError):
             a.merge_dict(Histogram(bounds=(1.0, 3.0)).to_dict())
 
+    def test_merged_skips_unusable_dumps(self):
+        a, b = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
+        a.record(0.5)
+        b.record(1.5)
+        odd = Histogram(bounds=(1.0, 3.0)).to_dict()
+        merged = Histogram.merged([7, a.to_dict(), odd, b.to_dict()])
+        assert merged.count == 2
+        assert merged.vmax == 1.5
+
+    def test_merged_of_nothing_usable_is_none(self):
+        assert Histogram.merged([]) is None
+        assert Histogram.merged(["garbage", {"counts": "x"}]) is None
+
 
 class TestCollectorHistograms:
     def test_histogram_method_upserts_per_layer(self):

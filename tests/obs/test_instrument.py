@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.obs.instrument import NULL_INSTRUMENT, Instrument, NullInstrument
+from repro.obs.instrument import Instrument
 from repro.sim.network import Network
 
 
@@ -32,12 +32,3 @@ class TestInstrumentDefaults:
         counting.count("exchanges", 4, layer="uo1")
         counting.emit("ignored")  # still the base no-op
         assert counting.total == 5
-
-
-class TestNullInstrument:
-    def test_is_an_instrument(self):
-        assert isinstance(NULL_INSTRUMENT, Instrument)
-        assert isinstance(NULL_INSTRUMENT, NullInstrument)
-
-    def test_slots_keep_it_stateless(self):
-        assert not hasattr(NULL_INSTRUMENT, "__dict__")

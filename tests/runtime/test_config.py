@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.runtime import RuntimeConfig
 from repro.errors import ConfigurationError
 from repro.runtime.api import RunnerConfig
 from repro.scale.engine import ShardPlan
@@ -64,7 +65,7 @@ def test_config_surfaces_are_pinned():
     deliberate API change that updates this pin in the same commit."""
     surfaces = {
         cls.__name__: tuple(field.name for field in dataclasses.fields(cls))
-        for cls in (GossipParams, TransportCosts, ShardPlan, RunnerConfig)
+        for cls in (GossipParams, TransportCosts, ShardPlan, RunnerConfig, RuntimeConfig)
     }
     assert surfaces == {
         "GossipParams": ("view_size", "gossip_size", "healer", "swapper"),
@@ -88,5 +89,15 @@ def test_config_surfaces_are_pinned():
             "node_index",
             "rendezvous",
             "round_interval",
+        ),
+        "RuntimeConfig": (
+            "peer_sampling",
+            "uo1",
+            "core",
+            "uo2_contacts_per_component",
+            "binding_ttl",
+            "core_flavor",
+            "loss_rate",
+            "costs",
         ),
     }

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.obs.collector import Collector
+from repro.cli import main
+from repro.errors import SimulationError
 from repro.runtime import swarm
-from repro.shapes import make_shape
 
 
 class TestPorts:
@@ -47,48 +47,241 @@ class TestStatusFiles:
         assert swarm.swarm_adjacency(statuses) == {0: [1, 3], 1: []}
 
 
-def ring_statuses(n):
+def ring_statuses(n, round_index=5, done=False):
     """Fabricated statuses of a perfectly-converged ring-n overlay."""
     return {
-        i: {"node": i, "round": 5, "neighbors": sorted({(i - 1) % n, (i + 1) % n})}
+        i: {
+            "node": i,
+            "round": round_index,
+            "neighbors": sorted({(i - 1) % n, (i + 1) % n}),
+            "done": done,
+        }
         for i in range(n)
     }
 
 
+def write_swarm(directory, statuses, n_nodes=4, shape="ring"):
+    """A synthetic status directory: ``swarm.json`` plus one file per node."""
+    swarm._write_status(
+        directory / "swarm.json",
+        {
+            "n_nodes": n_nodes,
+            "shape": shape,
+            "seed": 1,
+            "round_interval": 0.2,
+            "max_rounds": 120,
+        },
+    )
+    for node, record in statuses.items():
+        swarm._write_status(swarm._status_path(directory, node), record)
+    return directory
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The supervisor's clock, frozen; ``_sleep`` advances it instantly."""
+    now = [0.0]
+    monkeypatch.setattr(swarm, "_now", lambda: now[0])
+
+    def sleep(seconds):
+        now[0] += seconds
+
+    monkeypatch.setattr(swarm, "_sleep", sleep)
+    return now
+
+
+def polled(directory, statuses, n_nodes):
+    """An observer of ``statuses`` after its first poll."""
+    observer = swarm.SwarmObserver(write_swarm(directory, statuses, n_nodes), "ring", n_nodes)
+    observer.poll()
+    return observer
+
+
 class TestFeedCollector:
-    def test_converged_ring(self):
-        collector = Collector(gauge_every=1)
-        shape = make_shape("ring")
-        assert swarm.feed_collector(collector, ring_statuses(6), shape, 6) is True
+    """SwarmObserver.poll feeds its collector's gauges from the statuses."""
+
+    def test_converged_ring(self, tmp_path):
+        observer = polled(tmp_path, ring_statuses(6), 6)
+        collector = observer.collector
+        assert observer.converged is True
         assert collector.gauge_value("layers_converged") == pytest.approx(
             swarm.SWARM_LAYERS
         )
         assert collector.gauge_value("out_degree_mean", layer="overlay") == 2.0
         assert collector.gauge_value("swarm_nodes_reporting") == 6.0
 
-    def test_partial_overlay_scales_gauge(self):
-        collector = Collector(gauge_every=1)
-        shape = make_shape("ring")
+    def test_partial_overlay_scales_gauge(self, tmp_path):
         statuses = ring_statuses(6)
         statuses[0]["neighbors"] = []  # node 0 lost both its edges
-        assert swarm.feed_collector(collector, statuses, shape, 6) is False
-        gauge = collector.gauge_value("layers_converged")
+        observer = polled(tmp_path, statuses, 6)
+        assert observer.converged is False
+        gauge = observer.collector.gauge_value("layers_converged")
         assert 0.0 < gauge < swarm.SWARM_LAYERS
 
-    def test_missing_node_blocks_convergence(self):
-        collector = Collector(gauge_every=1)
-        shape = make_shape("ring")
+    def test_missing_node_blocks_convergence(self, tmp_path):
         statuses = ring_statuses(6)
         del statuses[3]
-        assert swarm.feed_collector(collector, statuses, shape, 6) is False
-        assert collector.gauge_value("swarm_nodes_reporting") == 5.0
+        observer = polled(tmp_path, statuses, 6)
+        assert observer.converged is False
+        assert observer.collector.gauge_value("swarm_nodes_reporting") == 5.0
 
-    def test_empty_statuses(self):
-        collector = Collector(gauge_every=1)
-        assert (
-            swarm.feed_collector(collector, {}, make_shape("ring"), 4) is False
-        )
-        assert collector.gauge_value("layers_converged") == 0.0
+    def test_empty_statuses(self, tmp_path):
+        observer = polled(tmp_path, {}, 4)
+        assert observer.converged is False
+        assert observer.collector.gauge_value("layers_converged") == 0.0
+
+
+class TestSwarmObserver:
+    def test_converged_is_sticky(self, tmp_path):
+        observer = polled(tmp_path, ring_statuses(4), 4)
+        broken = ring_statuses(4, round_index=6)
+        broken[0]["neighbors"] = [1]
+        write_swarm(tmp_path, broken)
+        observer.poll()
+        assert observer.converged is True
+
+    def test_finished_needs_all_nodes_done(self, tmp_path):
+        statuses = ring_statuses(4, done=True)
+        del statuses[2]
+        observer = polled(tmp_path, statuses, 4)
+        assert observer.finished is False  # three reporting nodes are not the swarm
+        write_swarm(tmp_path, ring_statuses(4, done=True))
+        observer.poll()
+        assert observer.finished is True
+
+    def test_monitor_observes_once_per_swarm_round(self, tmp_path):
+        observer = polled(tmp_path, ring_statuses(4), 4)
+        observer.poll()
+        observer.poll()
+        assert observer.monitor.rounds_checked == 1
+        write_swarm(tmp_path, ring_statuses(4, round_index=6))
+        observer.poll()
+        assert observer.monitor.rounds_checked == 2
+        assert observer.round == 6
+
+    def test_no_observation_before_any_node_reports(self, tmp_path):
+        observer = polled(tmp_path, {}, 4)
+        assert observer.monitor.rounds_checked == 0
+
+    def test_stall_raises_after_timeout(self, tmp_path, clock):
+        statuses = ring_statuses(4)
+        statuses[0]["neighbors"] = [1]
+        observer = polled(tmp_path, statuses, 4)
+        clock[0] += swarm.CHILD_STALL_TIMEOUT - 1
+        observer.poll()
+        clock[0] += 2
+        with pytest.raises(SimulationError, match="no progress for 15s .4/4 nodes"):
+            observer.poll()
+
+    def test_progress_resets_the_stall_clock(self, tmp_path, clock):
+        statuses = ring_statuses(4)
+        statuses[0]["neighbors"] = [1]
+        observer = polled(tmp_path, statuses, 4)
+        for round_index in (6, 7, 8):
+            clock[0] += swarm.CHILD_STALL_TIMEOUT - 1
+            for record in statuses.values():
+                record["round"] = round_index
+            write_swarm(tmp_path, statuses)
+            observer.poll()
+        assert observer.round == 8
+
+    def test_a_converged_swarm_never_stalls(self, tmp_path, clock):
+        observer = polled(tmp_path, ring_statuses(4), 4)
+        clock[0] += 10 * swarm.CHILD_STALL_TIMEOUT
+        observer.poll()
+        assert observer.converged
+
+    def test_follow_stops_once_finished(self, tmp_path, clock):
+        statuses = ring_statuses(4, done=True)
+        statuses[0]["neighbors"] = [1]
+        observer = swarm.SwarmObserver(write_swarm(tmp_path, statuses), "ring", 4)
+        assert len(list(observer.follow())) == 1
+        assert observer.finished and not observer.converged
+
+    def test_attach_reads_the_metadata(self, tmp_path):
+        observer = swarm.SwarmObserver.attach(write_swarm(tmp_path, {}, 6, "star"))
+        assert (observer.shape, observer.n_nodes) == ("star", 6)
+        assert observer.round_interval == 0.2
+
+    def test_attach_without_metadata_fails_after_the_wait(self, tmp_path, clock):
+        with pytest.raises(SimulationError, match="no swarm metadata"):
+            swarm.SwarmObserver.attach(tmp_path, wait=1.0)
+        assert clock[0] >= 1.0
+
+    def test_attach_rejects_unreadable_metadata(self, tmp_path):
+        (tmp_path / "swarm.json").write_text('{"shape": "ring"}', encoding="utf-8")
+        with pytest.raises(SimulationError, match="unreadable swarm metadata"):
+            swarm.SwarmObserver.attach(tmp_path)
+
+    def test_report_carries_the_poll(self, tmp_path):
+        report = polled(tmp_path, ring_statuses(4), 4).report()
+        assert report.converged and report.rounds == 5
+        assert report.verdict == "healthy"
+        assert set(report.nodes) == {0, 1, 2, 3}
+        assert report.status_dir == str(tmp_path)
+
+
+class TestSwarmCli:
+    """``watch --swarm``, ``report <dir>`` and ``swarm`` over synthetic
+    status directories (no UDP)."""
+
+    def test_watch_once_converged_exits_0(self, tmp_path, capsys):
+        write_swarm(tmp_path, ring_statuses(4))
+        assert main(["watch", "--swarm", str(tmp_path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "(ring-4)" in out and "swarm nodes" in out
+
+    def test_watch_once_not_converged_exits_1(self, tmp_path):
+        statuses = ring_statuses(4)
+        statuses[0]["neighbors"] = [1]
+        write_swarm(tmp_path, statuses)
+        assert main(["watch", "--swarm", str(tmp_path), "--once"]) == 1
+
+    def test_watch_stalled_swarm_exits_2(self, tmp_path, clock, capsys):
+        statuses = ring_statuses(4)
+        statuses[0]["neighbors"] = [1]
+        write_swarm(tmp_path, statuses)
+        assert main(["watch", "--swarm", str(tmp_path)]) == 2
+        assert "error: swarm made no progress" in capsys.readouterr().err
+        assert clock[0] > swarm.CHILD_STALL_TIMEOUT
+
+    def test_watch_alerts_writes_the_stream(self, tmp_path):
+        write_swarm(tmp_path, ring_statuses(4))
+        alerts = tmp_path / "alerts.jsonl"
+        argv = ["watch", "--swarm", str(tmp_path), "--once", "--alerts", str(alerts)]
+        assert main(argv) == 0
+        assert alerts.exists()
+
+    def test_watch_swarm_and_heal_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["watch", "--swarm", str(tmp_path), "--heal"])
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_report_converged_dir(self, tmp_path, capsys):
+        write_swarm(tmp_path, ring_statuses(4))
+        assert main(["report", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "ring    4/4        yes" in out
+        assert "healthy" in out
+
+    def test_report_without_metadata_exits_2(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        assert "no swarm metadata" in capsys.readouterr().err
+
+    def test_swarm_prints_the_same_view(self, tmp_path, monkeypatch, capsys):
+        def fake_run_swarm(**kwargs):
+            observer = polled(tmp_path, ring_statuses(4), 4)
+            return observer.report(), observer.collector
+
+        monkeypatch.setattr(swarm, "run_swarm", fake_run_swarm)
+        bench = tmp_path / "out.json"
+        assert main(["swarm", "--nodes", "4", "--quiet", "--bench", str(bench)]) == 0
+        swarm_out = capsys.readouterr().out
+        assert main(["report", str(tmp_path)]) == 0
+        report_out = capsys.readouterr().out
+        assert report_out.strip() in swarm_out
+        assert json.loads(bench.read_text(encoding="utf-8"))["converged"] is True
 
 
 def make_report(**overrides):
@@ -138,8 +331,6 @@ class TestBenchMerge:
 
 class TestGuards:
     def test_swarm_needs_two_nodes(self):
-        from repro.errors import SimulationError
-
         with pytest.raises(SimulationError, match=">= 2 nodes"):
             swarm.run_swarm(n_nodes=1)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core import Runtime
 from repro.dsl import TopologyBuilder
 from repro.obs.hooks import attach_collector
@@ -34,10 +36,11 @@ class TestTracer:
         assert data["details"] == {"round": "shadow", "kind": "shadow"}
         assert TraceEvent.from_dict(data) == event
 
-    def test_from_dict_reads_legacy_flat_layout(self):
-        legacy = {"round": 4, "kind": "deploy", "nodes": 18}
-        event = TraceEvent.from_dict(legacy)
-        assert event == TraceEvent(4, "deploy", {"nodes": 18})
+    def test_from_dict_rejects_flat_layout(self):
+        with pytest.raises(KeyError):
+            TraceEvent.from_dict({"round": 4, "kind": "deploy", "nodes": 18})
+        with pytest.raises(TypeError):
+            TraceEvent.from_dict({"round": 4, "kind": "deploy", "details": 18})
 
     def test_event_str(self):
         assert str(TraceEvent(3, "x")) == "[   3] x"
