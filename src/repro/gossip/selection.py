@@ -9,7 +9,7 @@ protocols.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.gossip.descriptors import Descriptor, youngest
 
@@ -17,7 +17,7 @@ from repro.gossip.descriptors import Descriptor, youngest
 Profile = Any
 
 
-def _top_k(decorated: List[tuple], k: int) -> List[tuple]:
+def top_k(decorated: List[tuple], k: int) -> List[tuple]:
     """The ``k`` smallest decorated tuples, in ascending order.
 
     Exactly ``sorted(decorated)[:k]`` either way (the tuples embed unique
@@ -127,19 +127,23 @@ def select_closest(
     proximity: Proximity,
     k: int,
     exclude_id: int = -1,
+    max_age: Optional[int] = None,
 ) -> List[Descriptor]:
     """The ``k`` eligible descriptors closest to ``reference``.
 
     Deduplicates by node id (youngest wins), applies the proximity's
     eligibility filter, and never returns ``exclude_id`` (a node must not
-    select itself as its own neighbour).
+    select itself as its own neighbour). With ``max_age`` set, descriptors
+    older than it are skipped inside the dedupe loop — exactly selecting
+    from ``[d for d in descriptors if d.age <= max_age]`` (the overlay TTL,
+    without the copy).
 
     This is *the* hot loop of every gossip round (see docs/performance.md),
     so it is written for per-descriptor cost: dedupe inlined (no helper
     call per item), the eligibility call skipped when the proximity uses
     the vacuous default, distances pulled from the proximity's memo dict at
     C speed when one is bound to ``reference``, and the ranking done over
-    pre-decorated ``(distance, node_id, ...)`` tuples by :func:`_top_k`
+    pre-decorated ``(distance, node_id, ...)`` tuples by :func:`top_k`
     (``heapq.nsmallest`` in O(n log k) once the pool outgrows ``k``, a C
     sort below that). Node ids are unique after deduplication, so the
     (distance, id) prefix is a total order and ties cannot reorder between
@@ -147,10 +151,14 @@ def select_closest(
     tests/gossip/test_selection_properties.py).
     """
     best: Dict[int, Descriptor] = {}
+    get = best.get
     for descriptor in descriptors:
+        age = descriptor.age
+        if max_age is not None and age > max_age:
+            continue
         node_id = descriptor.node_id
-        current = best.get(node_id)
-        if current is None or descriptor.age < current.age:
+        current = get(node_id)
+        if current is None or age < current.age:
             best[node_id] = descriptor
     best.pop(exclude_id, None)
 
@@ -187,4 +195,4 @@ def select_closest(
             decorated.append(
                 (distance_fn(reference, descriptor.profile), descriptor.node_id, descriptor)
             )
-    return [item[2] for item in _top_k(decorated, k)]
+    return [item[2] for item in top_k(decorated, k)]

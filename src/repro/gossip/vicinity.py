@@ -170,12 +170,11 @@ class Vicinity(GossipProtocol):
             pool.extend(self._peer_adverts(ctx, layer))
         return pool
 
-    def _fresh(self, descriptors: List[Descriptor]) -> List[Descriptor]:
-        """Drop entries past the TTL (their owner stopped refreshing them)."""
-        return [d for d in descriptors if d.age <= self.descriptor_ttl]
-
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """The ``gossip_size`` fresh candidates most useful *to the peer*.
+
+        Entries past the TTL (their owner stopped refreshing them) are
+        neither offered nor merged: ``select_closest`` skips them.
 
         The candidate pool is computed once per exchange and kept for the
         merge. The reference the buffer is ranked on is the coordinate the
@@ -197,11 +196,12 @@ class Vicinity(GossipProtocol):
         if flow is not None:
             advert = advert.tagged(ctx.round)
         buffer = select_closest(
-            self._fresh(pool) + [advert],
+            pool + [advert],
             reference,
             self._distances,
             self.params.gossip_size,
             exclude_id=peer_id,
+            max_age=self.descriptor_ttl,
         )
         return buffer, pool
 
@@ -226,11 +226,12 @@ class Vicinity(GossipProtocol):
         """
         arrived = [d.aged() for d in received]
         best = select_closest(
-            self._fresh(pool + arrived),
+            pool + arrived,
             self.profile,
             self._distances,
             self.params.view_size,
             exclude_id=self.node_id,
+            max_age=self.descriptor_ttl,
         )
         if ctx.obs is not None:
             ids = self.view.id_set()

@@ -14,6 +14,27 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from repro.errors import ConfigurationError
 from repro.gossip.descriptors import Descriptor
+from repro.gossip.selection import top_k
+
+_new = tuple.__new__
+
+
+def oldest_of(entries: Dict[int, Descriptor]) -> Optional[Descriptor]:
+    """The highest-age descriptor of an id-keyed table (ties: lowest id).
+
+    Exactly ``max(entries.values(), key=lambda d: (d.age, -d.node_id))``,
+    as one loop with no call per entry; ``None`` for an empty table.
+    """
+    if not entries:
+        return None
+    items = iter(entries.items())
+    best_id, best = next(items)
+    best_age = best.age
+    for node_id, descriptor in items:
+        age = descriptor.age
+        if age > best_age or (age == best_age and node_id < best_id):
+            best_id, best, best_age = node_id, descriptor, age
+    return best
 
 
 class PartialView:
@@ -86,8 +107,8 @@ class PartialView:
             return
         self._age_debt = 0
         entries = self._entries
-        for node_id in entries:
-            entries[node_id] = entries[node_id].aged(debt)
+        for node_id, (_, age, profile, tag) in entries.items():
+            entries[node_id] = _new(Descriptor, (node_id, age + debt, profile, tag))
         if self._tombstones:
             self._tombstones = {
                 node_id: remaining - debt
@@ -252,9 +273,7 @@ class PartialView:
     def oldest(self) -> Optional[Descriptor]:
         """The entry with the highest age (ties broken by lowest node id)."""
         self._settle()
-        if not self._entries:
-            return None
-        return max(self._entries.values(), key=lambda d: (d.age, -d.node_id))
+        return oldest_of(self._entries)
 
     def youngest(self) -> Optional[Descriptor]:
         self._settle()
@@ -283,10 +302,28 @@ class PartialView:
         (a :class:`~repro.perf.cache.DistanceCache` in practice). The
         columnar backend overrides this with a batch evaluation over its
         profile column; here it is exactly :meth:`closest` on the profile
-        distance, so the two backends return identical rankings.
+        distance, so the two backends return identical rankings. Warm
+        distances are read straight out of the cache's memo, as
+        :func:`~repro.gossip.selection.select_closest` reads them.
         """
-        to = distances.to
-        return self.closest(k, lambda d: to(d.profile))
+        self._settle()
+        lookup = getattr(distances, "lookup_for", None)
+        memo = lookup(distances.reference) if lookup is not None else None
+        decorated = []
+        append = decorated.append
+        if memo is not None:
+            memo_get, compute = memo
+            for node_id, descriptor in self._entries.items():
+                profile = descriptor.profile
+                distance = memo_get(profile)
+                if distance is None:
+                    distance = compute(profile)
+                append((distance, node_id, descriptor))
+        else:
+            to = distances.to
+            for node_id, descriptor in self._entries.items():
+                append((to(descriptor.profile), node_id, descriptor))
+        return [item[2] for item in top_k(decorated, k)]
 
     def closest(
         self, k: int, key: Callable[[Descriptor], float]
@@ -296,7 +333,7 @@ class PartialView:
         Ranks over the (key, id) total order, so the result is exactly
         ``sorted(...)[:k]`` — via ``heapq.nsmallest`` in O(n log k) when
         the view is several times larger than ``k``, via a C sort below
-        that (see :func:`repro.gossip.selection._top_k`).
+        that (see :func:`repro.gossip.selection.top_k`).
         """
         self._settle()
         entries = self._entries.values()

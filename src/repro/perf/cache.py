@@ -46,8 +46,6 @@ class DistanceCache(Proximity):
         self.reference = reference
         self._cache: dict = {}
         self._cacheable = True
-        self.hits = 0
-        self.misses = 0
         # Bind the base's eligibility directly on the instance: eligibility
         # is evaluated once per candidate on the hot path, and a delegating
         # method would add a Python frame per call for nothing.
@@ -100,13 +98,4 @@ class DistanceCache(Proximity):
             if len(self._cache) >= _MAX_ENTRIES:
                 self._cache.clear()
             self._cache[profile] = value
-            self.misses += 1
-        else:
-            self.hits += 1
         return value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DistanceCache(entries={len(self._cache)}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

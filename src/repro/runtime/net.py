@@ -46,7 +46,7 @@ from collections import defaultdict
 from repro.errors import ConfigurationError, SimulationError, WireError
 from repro.gossip.descriptors import Descriptor
 from repro.runtime import wire
-from repro.runtime.api import OVERLAY_LAYER, ElementaryStack, RunnerConfig
+from repro.runtime.api import OVERLAY_LAYER, PS_LAYER, ElementaryStack, RunnerConfig
 from repro.runtime.lamport import LamportClock
 from repro.sim.engine import RoundContext
 from repro.sim.network import Rendezvous
@@ -212,11 +212,13 @@ class NetDirectory:
 class _Pending:
     """One in-flight request awaiting its GOSSIP_RESP from ``peer``."""
 
-    __slots__ = ("peer", "event", "payload", "started")
+    __slots__ = ("peer", "layer", "event", "payload", "started")
 
-    def __init__(self, peer: int) -> None:
+    def __init__(self, peer: int, layer: str) -> None:
         #: The node asked: a reply from any other ``src`` is not its answer.
         self.peer = peer
+        #: The layer asked: the reply must carry what that layer ships.
+        self.layer = layer
         self.event = threading.Event()
         self.payload: Any = None
         #: Wall-clock send time, set only when tracing is on (RTT spans).
@@ -361,7 +363,7 @@ class NetEndpoint:
     ) -> Optional[Any]:
         """Send ``frame`` to ``dst`` and wait for its GOSSIP_RESP payload."""
         obs = self.runner.obs
-        pending = _Pending(dst)
+        pending = _Pending(dst, frame["layer"])
         if obs is not None:
             pending.started = _now()
         self._pending[frame["id"]] = pending
@@ -466,6 +468,7 @@ class NetEndpoint:
         local = self.directory.local
         if not local.has_protocol(request.layer):
             raise WireError(f"GOSSIP_REQ for unknown layer {request.layer!r}")
+        self._check_gossip(request.layer, request.payload, (request.profile,))
         with self.step_lock:
             ctx = self.runner.make_context()
             reply = local.protocol(request.layer).on_request(ctx, request)
@@ -485,8 +488,8 @@ class NetEndpoint:
         """Resolve the request this answers, if it is an answer at all.
 
         Message ids are guessable, so a reply must also come from the node
-        asked, and carry what every layer this runner runs replies with: a
-        list of descriptors. Anything else is malformed (counted by
+        asked, and carry what the layer asked replies with (see
+        :meth:`_check_gossip`). Anything else is malformed (counted by
         :meth:`_handle_frame`) and leaves the exchange to time out.
         """
         pending = self._pending.get(frame.get("re"))
@@ -495,12 +498,32 @@ class NetEndpoint:
         if frame["src"] != pending.peer:
             raise WireError(f"GOSSIP_RESP from {frame['src']}, not the node asked")
         payload = frame.get("payload")
+        self._check_gossip(pending.layer, payload)
+        pending.payload = payload
+        pending.event.set()
+
+    def _check_gossip(self, layer: str, payload: Any, profiles: Tuple = ()) -> None:
+        """Refuse a gossip payload ``layer`` could not absorb.
+
+        It must be a list of descriptors, and each descriptor's profile, and
+        each of ``profiles`` (a request's), one this stack ships on
+        ``layer`` (:attr:`NetRunner.shipped_profiles`). A wire-valid map or
+        a one-element coordinate would otherwise crash the ranking of the
+        node that absorbs it, past every handler.
+        """
         if type(payload) is not list or any(
             type(item) is not Descriptor for item in payload
         ):
-            raise WireError("GOSSIP_RESP payload is not a descriptor list")
-        pending.payload = payload
-        pending.event.set()
+            raise WireError(f"{layer} payload is not a descriptor list")
+        shipped = self.runner.shipped_profiles[layer]
+        try:
+            known = all(profile in shipped for profile in profiles) and all(
+                item.profile in shipped for item in payload
+            )
+        except TypeError:  # an unhashable profile: no coordinate is one
+            known = False
+        if not known:
+            raise WireError(f"{layer} frame carries a profile this stack never ships")
 
     _HANDLERS: Dict[str, Callable[..., None]] = {
         wire.HELLO: _on_hello,
@@ -612,6 +635,12 @@ class NetRunner:
         self.bind_host = config.bind_host
         self.streams = RandomStreams(config.seed)
         self.stack = ElementaryStack(config.shape, config.n_nodes, config.gossip)
+        #: Every profile a layer of this stack ships, in a descriptor or a
+        #: request: none on peer sampling, a shape coordinate on the overlay.
+        self.shipped_profiles = {
+            PS_LAYER: frozenset((None,)),
+            OVERLAY_LAYER: frozenset(map(self.stack.profile, range(config.n_nodes))),
+        }
         self.node = self._build_node(self.node_id)
         self.directory = NetDirectory(self.node, self._build_node)
         self.endpoint = NetEndpoint(self)

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Any, Dict
+from json.decoder import WHITESPACE
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Dict, List, Optional
 
 from repro.core.profiles import NodeProfile
 from repro.errors import WireError
@@ -121,21 +123,39 @@ _HEADER = frozenset(("v", "t", "id", "src"))
 _new = tuple.__new__
 
 
-def _pack_row(value: Descriptor) -> list:
-    """``[id, age, profile, minted_round]`` with trailing nulls dropped."""
-    node_id, age, profile, minted_round = value
-    kind = type(profile)
-    if kind is tuple:  # a coordinate: the common case, a bare array
-        profile = _pack_items(profile)
-    elif kind not in _SCALARS:
-        if isinstance(profile, list):  # a bare array already means a tuple
-            raise WireError("a descriptor profile cannot be a list")
-        profile = pack_value(profile)
-    if minted_round is None:
-        return [node_id, age] if profile is None else [node_id, age, profile]
-    if type(minted_round) is not int or minted_round < 0:
-        raise WireError(f"descriptor tag must be a round, got {minted_round!r}")
-    return [node_id, age, profile, minted_round]
+def _pack_rows(items: Any) -> Optional[List[list]]:
+    """One ``[id, age, profile, minted_round]`` row per descriptor, in one loop.
+
+    Trailing nulls are dropped; a tuple of scalars (a coordinate, the
+    common profile) becomes a bare array with one ``list`` call, and only a
+    nested value goes through :func:`pack_value`. Returns ``None`` at the
+    first item that is not exactly a :class:`Descriptor`.
+    """
+    rows = []
+    append = rows.append
+    for item in items:
+        if type(item) is not Descriptor:
+            return None
+        node_id, age, profile, minted_round = item
+        kind = type(profile)
+        if kind is tuple:
+            for field in profile:
+                if type(field) not in _SCALARS:
+                    profile = _pack_items(profile)
+                    break
+            else:
+                profile = list(profile)
+        elif kind not in _SCALARS:
+            if isinstance(profile, list):  # a bare array already means a tuple
+                raise WireError("a descriptor profile cannot be a list")
+            profile = pack_value(profile)
+        if minted_round is None:
+            append([node_id, age] if profile is None else [node_id, age, profile])
+        elif type(minted_round) is int and minted_round >= 0:
+            append([node_id, age, profile, minted_round])
+        else:
+            raise WireError(f"descriptor tag must be a round, got {minted_round!r}")
+    return rows
 
 
 def _pack_items(items: Any) -> list:
@@ -143,9 +163,11 @@ def _pack_items(items: Any) -> list:
 
 
 def _pack_list(value: list) -> Any:
-    if value and all(type(item) is Descriptor for item in value):
-        return {_TAG_TABLE: [_pack_row(item) for item in value]}
-    return _pack_items(value)
+    """A list of nothing but descriptors is one table; any other, item by item."""
+    rows = _pack_rows(value)
+    if rows is None:
+        return _pack_items(value)
+    return {_TAG_TABLE: rows} if rows else rows
 
 
 def _pack_dict(value: dict) -> Any:
@@ -155,7 +177,8 @@ def _pack_dict(value: dict) -> Any:
 
 
 _PACKERS = {
-    Descriptor: lambda value: {_TAG_DESCRIPTOR: _pack_row(value)},
+    # A subclass reaches this packer too, and the row loop takes exact types.
+    Descriptor: lambda value: {_TAG_DESCRIPTOR: _pack_rows([_new(Descriptor, value)])[0]},
     NodeProfile: lambda value: {_TAG_NODE_PROFILE: _pack_items(value)},
     tuple: lambda value: {_TAG_TUPLE: _pack_items(value)},
     list: _pack_list,
@@ -187,7 +210,7 @@ def pack_value(value: Any) -> Any:
 
 
 def _unpack_row(row: Any) -> Descriptor:
-    """One descriptor row, checked: the inverse of :func:`_pack_row`."""
+    """One descriptor row, checked: the inverse of :func:`_pack_rows`."""
     if type(row) is list:
         size = len(row)
         if size == 2:
@@ -251,7 +274,27 @@ def _rebuild(obj: Dict[str, Any]) -> Any:
 
 # ``pack_value`` builds a fresh tree, so the encoder's cycle check is dead work.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+#: The C encoder ``_ENCODER.encode`` builds on every call (same arguments, as
+#: ``JSONEncoder.iterencode`` passes them), built once; ``None`` on an
+#: interpreter without the ``_json`` accelerator, which keeps ``_ENCODER``.
+_C_ENCODE = (
+    None
+    if c_make_encoder is None
+    else c_make_encoder(
+        None,  # no cycle markers: check_circular=False
+        _ENCODER.default,
+        encode_basestring_ascii,
+        _ENCODER.indent,
+        _ENCODER.key_separator,
+        _ENCODER.item_separator,
+        _ENCODER.sort_keys,
+        _ENCODER.skipkeys,
+        _ENCODER.allow_nan,
+    )
+)
 _DECODER = json.JSONDecoder(object_hook=_rebuild)
+_SCAN = _DECODER.scan_once
+_SKIP_SPACE = WHITESPACE.match
 
 
 def make_frame(frame_type: str, src: int, msg_id: str, **fields: Any) -> Dict[str, Any]:
@@ -267,9 +310,13 @@ def encode(frame: Dict[str, Any]) -> bytes:
         for key, value in frame.items()
     }
     try:
-        data = _ENCODER.encode(payload).encode("utf-8")
+        if _C_ENCODE is None:
+            text = _ENCODER.encode(payload)
+        else:
+            text = "".join(_C_ENCODE(payload, 0))
     except (TypeError, ValueError) as exc:
         raise WireError(f"unencodable frame: {exc}") from exc
+    data = text.encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
         raise WireError(f"frame exceeds {MAX_FRAME_BYTES} bytes ({len(data)})")
     return data
@@ -293,10 +340,16 @@ def decode(data: bytes) -> Dict[str, Any]:
         text = str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise WireError(f"frame is not valid UTF-8: {exc}") from exc
+    # ``_DECODER.decode`` without its two Python frames: skip leading
+    # space, scan one value, refuse anything but space after it.
     try:
-        frame = _DECODER.decode(text)
+        frame, end = _SCAN(text, _SKIP_SPACE(text, 0).end())
+    except StopIteration as exc:  # no value where one must start
+        raise WireError(f"frame is not valid JSON: expecting value at {exc.value}") from None
     except (ValueError, RecursionError) as exc:  # the latter: hostile nesting
         raise WireError(f"frame is not valid JSON: {exc}") from exc
+    if _SKIP_SPACE(text, end).end() != len(text):
+        raise WireError(f"frame is not valid JSON: extra data at {end}")
     if type(frame) is not dict:
         raise WireError(f"frame must be a JSON object, got {type(frame).__name__!r}")
     _check_header(frame)

@@ -240,11 +240,12 @@ class _ScaleNode:
             partner_id = self.rng_ov.choice(candidates)
         pool = self._ov_pool(age0)
         buffer = select_closest(
-            self._fresh(pool) + [self._advert_ov],
+            pool + [self._advert_ov],
             profiles[partner_id],
             self.distances,
             self.ov_params.gossip_size,
             exclude_id=partner_id,
+            max_age=self.descriptor_ttl,
         )
         self._pending_ov = pool
         return partner_id, buffer
@@ -258,11 +259,12 @@ class _ScaleNode:
     ) -> List[Descriptor]:
         pool = self._ov_pool(age0)
         reply = select_closest(
-            self._fresh(pool) + [self._advert_ov],
+            pool + [self._advert_ov],
             profiles[requester_id],
             self.distances,
             self.ov_params.gossip_size,
             exclude_id=requester_id,
+            max_age=self.descriptor_ttl,
         )
         self._ov_merge(pool, received)
         return reply
@@ -288,17 +290,14 @@ class _ScaleNode:
 
     def _ov_merge(self, pool: List[Descriptor], received: List[Descriptor]) -> None:
         best = select_closest(
-            self._fresh(pool + [d.aged() for d in received]),
+            pool + [d.aged() for d in received],
             self.profile,
             self.distances,
             self.ov_params.view_size,
             exclude_id=self.node_id,
+            max_age=self.descriptor_ttl,
         )
         self.ov_view.replace(best)
-
-    def _fresh(self, descriptors: List[Descriptor]) -> List[Descriptor]:
-        ttl = self.descriptor_ttl
-        return [d for d in descriptors if d.age <= ttl]
 
     # -- exposure ----------------------------------------------------------------
 

@@ -213,7 +213,9 @@ class TransportDecorator:
     :mod:`repro.runtime.loopback`); everything else — the accounting calls,
     ``begin_round``, the query surface — resolves through ``__getattr__``
     to the wrapped transport, so readers of ``deployment.transport`` see
-    one unified ledger no matter how many decorators are stacked.
+    one unified ledger no matter how many decorators are stacked. The one
+    accounting call made on every exchange, :meth:`record_exchange`, is
+    forwarded explicitly instead of missing the attribute lookup first.
     """
 
     def __init__(self, inner: Transport):
@@ -225,6 +227,17 @@ class TransportDecorator:
 
     def deliverable(self, ctx: "RoundContext", dst: int, layer: str = "") -> bool:
         return self.inner.deliverable(ctx, dst, layer)
+
+    def record_exchange(
+        self,
+        layer: str,
+        request_descriptors: int,
+        response_descriptors: int,
+        request_digest_entries: int = 0,
+    ) -> int:
+        return self.inner.record_exchange(
+            layer, request_descriptors, response_descriptors, request_digest_entries
+        )
 
     def exchange(
         self, ctx: "RoundContext", dst: int, request: ExchangeRequest

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.gossip.selection import FilteredProximity, Proximity
 from repro.perf.cache import _MAX_ENTRIES, DistanceCache
 
@@ -19,14 +21,21 @@ class CountingProximity(Proximity):
 
 
 def test_memoizes_self_referenced_distances():
-    base = CountingProximity()
-    cache = DistanceCache(base, reference=10)
+    computed = Counter()
+
+    def metric(a, b):
+        computed[a, b] += 1
+        return abs(a - b)
+
+    cache = DistanceCache(Proximity(metric), reference=10)
     assert cache.to(3) == 7
     assert cache.to(3) == 7
     assert cache.to(3) == 7
-    assert base.calls == 1
-    assert cache.hits == 2
-    assert cache.misses == 1
+    assert computed == Counter({(10, 3): 1})
+    assert cache.to(4) == 6
+    assert cache.to(3) == 7 and cache.to(4) == 6
+    # One computation per profile per reference, however often it is asked.
+    assert computed == Counter({(10, 3): 1, (10, 4): 1})
 
 
 def test_distance_passes_through_for_foreign_reference():

@@ -180,7 +180,7 @@ def test_wrong_sender_or_payload_replies_are_malformed_and_resolve_nothing():
     config = RunnerConfig(kind="net", n_nodes=4, shape="ring", seed=11, node_index=0)
     with make_runner(config) as runner:
         endpoint = runner.endpoint
-        pending = endpoint._pending["0:1"] = _Pending(2)
+        pending = endpoint._pending["0:1"] = _Pending(2, "peer_sampling")
         for seq, (src, payload) in enumerate(HOSTILE_REPLIES):
             reply = wire.make_frame(
                 wire.GOSSIP_RESP, src, f"{src}:{seq}", re="0:1",
@@ -209,6 +209,92 @@ def test_unanswered_exchange_times_out_to_none():
         )
         assert runner.endpoint.request(2, request, timeout=0.01) is None
         assert runner.endpoint.peer_drops[2] == 1 and runner.endpoint._pending == {}
+
+
+#: Wire-valid overlay profiles a grid cannot rank: ``{"__m":[[1,2]]}`` decodes
+#: to a map (the memo read raised ``TypeError: unhashable``), a one-element
+#: array to ``(5,)`` (``manhattan`` raised ``IndexError``).
+UNRANKABLE_PROFILES = [{1: 2}, (5,)]
+
+
+@pytest.mark.parametrize("hostile", UNRANKABLE_PROFILES, ids=["map", "short_tuple"])
+def test_unrankable_profiles_are_malformed_on_either_half(hostile):
+    """A request whose payload or ``profile`` carries a profile the overlay
+    never ships, and a reply whose payload does, are counted malformed: the
+    request is not absorbed, the reply resolves nothing. So is a coordinate
+    on peer sampling, which ships none."""
+    config = RunnerConfig(kind="net", n_nodes=4, shape="grid", seed=11, node_index=0)
+    good = [Descriptor(2, 0, (1, 0))]
+    requests = [
+        {"layer": "overlay", "payload": [Descriptor(3, 0, hostile)], "profile": (1, 0)},
+        {"layer": "overlay", "payload": good, "profile": hostile},
+        {"layer": "peer_sampling", "payload": good, "profile": None},
+    ]
+    with make_runner(config) as runner:
+        endpoint = runner.endpoint
+        view = runner.node.protocol("overlay").view
+        for seq, fields in enumerate(requests):
+            frame = wire.make_frame(wire.GOSSIP_REQ, 2, f"2:{seq}", **fields)
+            endpoint._handle_frame(wire.decode(wire.encode(frame)), ("127.0.0.1", 9002))
+        assert endpoint.malformed == len(requests)
+        assert len(view) == 0
+        pending = endpoint._pending["0:1"] = _Pending(2, "overlay")
+        reply = wire.make_frame(
+            wire.GOSSIP_RESP, 2, "2:9", re="0:1", layer="overlay",
+            payload=[Descriptor(3, 0, hostile)],
+        )
+        endpoint._handle_frame(wire.decode(wire.encode(reply)), ("127.0.0.1", 9002))
+        assert endpoint.malformed == len(requests) + 1
+        assert not pending.event.is_set() and pending.payload is None
+
+
+@pytest.mark.parametrize("hostile", UNRANKABLE_PROFILES, ids=["map", "short_tuple"])
+def test_unrankable_reply_is_malformed_and_the_node_keeps_stepping(hostile):
+    """A peer answers the overlay exchange with an unrankable profile for a
+    node the overlay has no other copy of (a copy of the peer's own would
+    lose the dedupe to its age-0 advert). The reply used to reach the
+    overlay's merge and raise out of ``run_round``; now it is one malformed
+    datagram, the exchange times out, and the node goes on stepping."""
+    config = RunnerConfig(
+        kind="net", n_nodes=4, shape="grid", seed=11, node_index=0, round_interval=0.2
+    )
+    answers = {
+        "peer_sampling": [Descriptor(2)],
+        "overlay": [Descriptor(3, 0, hostile)],
+    }
+    with make_runner(config) as runner, socket.socket(
+        socket.AF_INET, socket.SOCK_DGRAM
+    ) as peer:
+        peer.bind(("127.0.0.1", 0))
+        peer.settimeout(10.0)
+        runner.start()
+        runner.directory.add_peer(2, "127.0.0.1", peer.getsockname()[1])
+        served = []
+
+        def serve():
+            # Answer the first request of each layer; then stop.
+            while len(served) < len(answers):
+                data, addr = peer.recvfrom(wire.MAX_FRAME_BYTES)
+                frame = wire.decode(data)
+                if frame["t"] != wire.GOSSIP_REQ or frame["layer"] in served:
+                    continue
+                served.append(frame["layer"])
+                reply = wire.make_frame(
+                    wire.GOSSIP_RESP, 2, f"2:{len(served)}", re=frame["id"],
+                    layer=frame["layer"], payload=answers[frame["layer"]],
+                )
+                peer.sendto(wire.encode(reply), addr)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        runner.run_round()  # peer sampling bootstraps to 2, the overlay follows
+        server.join(timeout=10.0)
+        assert not server.is_alive()
+        assert served == ["peer_sampling", "overlay"]
+        assert runner.wire_stats()["malformed"] == 1
+        assert runner.node.protocol("overlay").view.ids() == []
+        runner.run_round()
+        assert runner.round == 2
 
 
 #: Rounds within which a running node learns a late joiner from its poll:

@@ -139,13 +139,25 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_encode_reproduces_the_pinned_bytes(self, name):
+        """Through the cached C encoder (every CI interpreter has ``_json``)."""
+        assert wire._C_ENCODE is not None
+        assert wire.encode(corpus_frames()[name]) == CORPUS[name].encode("utf-8")
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_stdlib_encoder_reproduces_the_pinned_bytes(self, name, monkeypatch):
+        """Through the stdlib ``JSONEncoder``, the path of an interpreter
+        without the ``_json`` accelerator: the same bytes."""
+        monkeypatch.setattr(wire, "_C_ENCODE", None)
         assert wire.encode(corpus_frames()[name]) == CORPUS[name].encode("utf-8")
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_decode_restores_values_and_types(self, name):
+        """The direct ``scan_once`` call restores the frame, and parses it
+        exactly as the stdlib ``JSONDecoder.decode`` it replaces."""
         frame = corpus_frames()[name]
         decoded = wire.decode(CORPUS[name].encode("utf-8"))
         assert same(decoded, frame)
+        assert same(decoded, wire._DECODER.decode(CORPUS[name]))
 
 
 class TestValueRoundTrip:
