@@ -38,7 +38,7 @@ class Descriptor(tuple):
     Immutability keeps views safe to share between protocol buffers: aging a
     descriptor produces a new record (:meth:`aged`) rather than mutating one
     that may sit in a peer's in-flight message. The record is a tuple, so
-    every copy below — and the wire codec's, the columnar view's and
+    every copy below — and the wire codec's, the view's lazy aging and
     pickle's rebuild — is one ``tuple.__new__`` with no Python-level
     constructor; only this public constructor coerces its arguments.
     """

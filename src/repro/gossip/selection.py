@@ -78,37 +78,6 @@ def dedupe_youngest(descriptors: Iterable[Descriptor]) -> List[Descriptor]:
     return list(best.values())
 
 
-def batch_distances(
-    reference: Profile,
-    profiles: List[Profile],
-    proximity: Proximity,
-) -> List[float]:
-    """Distances from ``reference`` to each profile, in one tight pass.
-
-    The batch companion of :func:`select_closest`'s inner loop, shared with
-    the columnar view's ranking path: the memo of a bound
-    :class:`~repro.perf.cache.DistanceCache` is read at C speed
-    (``dict.get`` per profile), and without a memo the metric callable is
-    unwrapped once so the loop pays exactly one call per distance instead
-    of two or three delegation frames per pair.
-    """
-    lookup = getattr(proximity, "lookup_for", None)
-    memo = lookup(reference) if lookup is not None else None
-    if memo is not None:
-        memo_get, compute = memo
-        out = []
-        for profile in profiles:
-            distance = memo_get(profile)
-            out.append(compute(profile) if distance is None else distance)
-        return out
-    source = getattr(proximity, "base", proximity)
-    if type(source).distance is Proximity.distance:
-        distance_fn = source._distance
-    else:
-        distance_fn = source.distance
-    return [distance_fn(reference, profile) for profile in profiles]
-
-
 def rank_by_distance(
     descriptors: Iterable[Descriptor],
     reference: Profile,
@@ -171,14 +140,24 @@ def select_closest(
     decorated = []
     if memo is not None:
         memo_get, compute = memo
-        for descriptor in best.values():
-            if eligible is not None and not eligible(reference, descriptor.profile):
-                continue
-            profile = descriptor.profile
-            distance = memo_get(profile)
-            if distance is None:
-                distance = compute(profile)
-            decorated.append((distance, descriptor.node_id, descriptor))
+        try:
+            for descriptor in best.values():
+                if eligible is not None and not eligible(reference, descriptor.profile):
+                    continue
+                profile = descriptor.profile
+                distance = memo_get(profile)
+                if distance is None:
+                    distance = compute(profile)
+                decorated.append((distance, descriptor.node_id, descriptor))
+        except TypeError:
+            # An unhashable profile: the memo cannot key it, but ``compute``
+            # (DistanceCache.to) turns memoization off and stays correct, so
+            # the whole call is re-ranked through it.
+            decorated = [
+                (compute(descriptor.profile), descriptor.node_id, descriptor)
+                for descriptor in best.values()
+                if eligible is None or eligible(reference, descriptor.profile)
+            ]
     else:
         # Unwrap delegation layers so the loop pays one call per distance:
         # a DistanceCache computes exactly base.distance(a, b) for every

@@ -119,9 +119,7 @@ class Vicinity(GossipProtocol):
     # -- protocol interface --------------------------------------------------------
 
     def neighbors(self) -> List[int]:
-        # closest_to batches the per-entry distance evaluation on columnar
-        # views (one pass over the profile column, no materialization for
-        # entries below the cut); identical ranking on either backend.
+        # closest_to reads warm distances straight out of the memo.
         best = self.view.closest_to(self.target_degree, self._distances)
         return [descriptor.node_id for descriptor in best]
 

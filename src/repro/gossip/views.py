@@ -299,12 +299,11 @@ class PartialView:
         """The ``k`` entries nearest the reference bound in ``distances``.
 
         ``distances`` is anything with a ``to(profile) -> float`` method
-        (a :class:`~repro.perf.cache.DistanceCache` in practice). The
-        columnar backend overrides this with a batch evaluation over its
-        profile column; here it is exactly :meth:`closest` on the profile
-        distance, so the two backends return identical rankings. Warm
-        distances are read straight out of the cache's memo, as
-        :func:`~repro.gossip.selection.select_closest` reads them.
+        (a :class:`~repro.perf.cache.DistanceCache` in practice). Exactly
+        :meth:`closest` on the profile distance. Warm distances are read
+        straight out of the cache's memo, as
+        :func:`~repro.gossip.selection.select_closest` reads them; an
+        unhashable profile re-ranks the call through ``to``.
         """
         self._settle()
         lookup = getattr(distances, "lookup_for", None)
@@ -313,13 +312,19 @@ class PartialView:
         append = decorated.append
         if memo is not None:
             memo_get, compute = memo
-            for node_id, descriptor in self._entries.items():
-                profile = descriptor.profile
-                distance = memo_get(profile)
-                if distance is None:
-                    distance = compute(profile)
-                append((distance, node_id, descriptor))
-        else:
+            try:
+                for node_id, descriptor in self._entries.items():
+                    profile = descriptor.profile
+                    distance = memo_get(profile)
+                    if distance is None:
+                        distance = compute(profile)
+                    append((distance, node_id, descriptor))
+            except TypeError:
+                # An unhashable profile: re-rank through ``to``, which turns
+                # the memo off and stays correct.
+                decorated.clear()
+                memo = None
+        if memo is None:
             to = distances.to
             for node_id, descriptor in self._entries.items():
                 append((to(descriptor.profile), node_id, descriptor))

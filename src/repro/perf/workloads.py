@@ -7,7 +7,7 @@ runner a :class:`~repro.runtime.api.RunnerConfig` selects: the round
 engine (the ``gossip`` suite — the per-round view ranking and merging hot
 path, with none of the assembly runtime's upper layers diluting it) or the
 barrier-synchronous sharded engine (the ``scale`` suite, whose digests are
-invariant to backend, shard count and process placement).
+invariant to shard count and process placement).
 
 Simulation-side module: everything here is driven by seeds and round
 counters (the determinism linter forbids clock reads under ``perf/``,
@@ -83,8 +83,8 @@ class CellResult:
 #: every cell converges within a couple of simulated seconds.
 #:
 #: ``scale`` — the sharded engine. ``ci`` stays small enough for the
-#: default test lane; ``1k`` is the slow lane's backend / sharding
-#: equivalence gate.
+#: default test lane; ``1k`` is the slow lane's sharding equivalence
+#: gate.
 _MATRICES: Dict[Tuple[str, str], Tuple[Workload, ...]] = {
     ("gossip", "ci"): (
         Workload("ring-64", "ring", 64),
@@ -125,8 +125,8 @@ def run_cell(
 
     Deterministic: the result (digest included) is a pure function of
     ``(config.workload, shape, n_nodes, seed)`` and the runner kind —
-    backend, shard count and execution mode only select a representation
-    and a schedule of the *same* computation. An attached ``collector``
+    shard count and execution mode only select a schedule of the *same*
+    computation. An attached ``collector``
     only reads simulation state — it never touches the per-node RNG
     streams — so the digest is identical with or without it (pinned by
     tests/obs/test_disabled_path.py).

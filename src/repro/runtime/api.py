@@ -82,6 +82,9 @@ class RunnerConfig:
     loss_rate: float = 0.0
     max_rounds: int = 120
     # -- sharded knobs (see repro.scale.engine) --------------------------------
+    #: Validated to ``"object"`` or ``"columnar"`` and read by nothing: the
+    #: sharded engine runs ``PartialView`` either way. It stays only while
+    #: the benchmark's ``scale_ring`` passes ``"columnar"``.
     backend: str = "object"
     n_shards: int = 1
     mode: str = "inline"

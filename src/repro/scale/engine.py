@@ -62,15 +62,13 @@ from repro.runtime.api import (
     RunnerConfig,
     run_until,
 )
-from repro.scale.columnar import ColumnarView, NodeInterner
 from repro.sim.rng import RandomStreams, spawn_seeds
 
 LAYERS = (PS_LAYER, OVERLAY_LAYER)
 
-#: Partial-view representation per ``RunnerConfig.backend``. The two are
-#: observably identical (pinned by the Hypothesis twin suite), so the choice
-#: never changes a digest — it is purely a memory/speed trade.
-_VIEW_CLASSES = {"object": PartialView, "columnar": ColumnarView}
+#: Seconds the parent waits for one shard worker's answer, at start-up and
+#: at every barrier, before it gives the run up as hung.
+BARRIER_TIMEOUT_S = 60.0
 
 #: A routed message: (source node id, destination node id, descriptor buffer).
 Message = Tuple[int, int, List[Descriptor]]
@@ -150,9 +148,7 @@ class _ScaleNode:
         "_pending_ov",
     )
 
-    def __init__(
-        self, node_id: int, stack: ElementaryStack, node_seed: int, view_cls: type
-    ):
+    def __init__(self, node_id: int, stack: ElementaryStack, node_seed: int):
         self.node_id = node_id
         self.profile = profile = stack.profile(node_id)
         self.target_degree = stack.target_degree(node_id)
@@ -160,8 +156,8 @@ class _ScaleNode:
         self.ov_params = stack.sized
         # Vicinity's default: live neighbours refresh far faster than this.
         self.descriptor_ttl = max(24, 2 * stack.sized.view_size)
-        self.ps_view = view_cls(stack.params.view_size)
-        self.ov_view = view_cls(stack.sized.view_size)
+        self.ps_view = PartialView(stack.params.view_size)
+        self.ov_view = PartialView(stack.sized.view_size)
         self.distances = DistanceCache(stack.proximity, profile)
         streams = RandomStreams(node_seed)
         self.rng_boot = streams.stream("bootstrap")
@@ -321,9 +317,6 @@ class ShardState:
         n = config.n_nodes
         stack = ElementaryStack(config.shape, n, config.gossip)
         shape = stack.shape
-        # Interned identity: ranks are the dense ids, and the interner keeps
-        # the rank <-> node-id bijection explicit for adjacency collection.
-        self.interner = NodeInterner(range(n))
         self.profiles = [stack.profile(rank) for rank in range(n)]
         # One immutable age-0 descriptor per node, shared by every harvest
         # pool this shard builds (descriptors are immutable, so sharing is
@@ -336,10 +329,9 @@ class ShardState:
             rank: shape.target_neighbors(rank, n) for rank in plan.members(shard_index)
         }
         node_seeds = spawn_seeds(config.seed, n, "scale", config.workload)
-        view_cls = _VIEW_CLASSES[config.backend]
         self.nodes: Dict[int, _ScaleNode] = {}
         for rank in plan.members(shard_index):
-            node = _ScaleNode(rank, stack, node_seeds[rank], view_cls)
+            node = _ScaleNode(rank, stack, node_seeds[rank])
             node.bootstrap(n)
             self.nodes[rank] = node
 
@@ -398,12 +390,10 @@ class ShardState:
 
     def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
         """The (node -> layer -> neighbour ids) record of this shard."""
-        record: Dict[int, Dict[str, List[int]]] = {}
-        for rank, node in self.nodes.items():
-            record[self.interner.resolve(rank)] = {
-                layer: node.neighbors(layer) for layer in LAYERS
-            }
-        return record
+        return {
+            rank: {layer: node.neighbors(layer) for layer in LAYERS}
+            for rank, node in self.nodes.items()
+        }
 
 
 def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
@@ -512,7 +502,7 @@ class _ProcessShards:
                 self._futures.append(future)
                 child_ends.append(child_end)
             for conn in self._conns:
-                if not conn.poll(60):
+                if not conn.poll(BARRIER_TIMEOUT_S):
                     raise RuntimeError("shard worker failed to report ready")
                 status, _ = conn.recv()
                 if status != "ready":
@@ -535,12 +525,25 @@ class _ProcessShards:
         for conn, payload in zip(self._conns, payloads):
             conn.send((command, payload))
         results = []
-        for conn in self._conns:
+        for index, conn in enumerate(self._conns):
+            if not conn.poll(BARRIER_TIMEOUT_S):
+                self._terminate()
+                self.close()
+                raise SimulationError(
+                    f"shard worker {index} did not answer {command!r} "
+                    f"within {BARRIER_TIMEOUT_S:g} s"
+                )
             status, value = conn.recv()
             if status != "ok":
                 raise RuntimeError(f"shard worker failed: {value}")
             results.append(value)
         return results
+
+    def _terminate(self) -> None:
+        """Kill every pool process: a hung worker never reads ``stop``, and
+        ``ProcessPoolExecutor`` has no public way to kill its workers."""
+        for process in list((self._executor._processes or {}).values()):
+            process.terminate()
 
     def request(self, layer: str) -> List[List[Message]]:
         return self._broadcast("request", [layer] * len(self._conns))
@@ -573,6 +576,7 @@ class _ProcessShards:
             except (OSError, EOFError):
                 pass
             conn.close()
+        self._conns = []
         self._executor.shutdown(wait=False, cancel_futures=True)
 
 
@@ -586,8 +590,6 @@ class ShardedEngine:
         The deployed cell — same vocabulary as the perf workload matrix.
     ``seed``
         Master seed; per-node streams derive from it via ``spawn_seeds``.
-    ``backend``
-        Partial-view representation (``"object"`` or ``"columnar"``).
     ``n_shards``
         How many contiguous rank blocks the population splits into.
     ``mode``
@@ -595,9 +597,13 @@ class ShardedEngine:
         ``"mp"`` hosts one worker per shard on a process pool, degrading to
         inline if the pool cannot start. ``mode_used`` records the outcome.
 
+    Every node's views are :class:`~repro.gossip.views.PartialView`s,
+    whatever ``backend`` says (the field is still validated, and read by
+    nothing here).
+
     Digest invariant (pinned by tests/scale/test_digests.py): for a fixed
     ``(workload, seed)``, :meth:`digest` is byte-identical across every
-    combination of ``backend``, ``n_shards``, and ``mode``.
+    combination of ``n_shards`` and ``mode``.
     """
 
     def __init__(self, config: RunnerConfig):

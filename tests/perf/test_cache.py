@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.gossip.selection import FilteredProximity, Proximity
+import pytest
+
+from repro.gossip.descriptors import Descriptor
+from repro.gossip.selection import FilteredProximity, Proximity, select_closest
+from repro.gossip.views import PartialView
 from repro.perf.cache import _MAX_ENTRIES, DistanceCache
 
 
@@ -76,6 +80,62 @@ def test_unhashable_profiles_disable_caching_without_changing_results():
     assert cache.to([3]) == 7
     assert cache.to([3]) == 7
     assert base.calls == 2  # every call hits the base: no memo, same values
+
+
+def first_coordinate_distance(a, b):
+    return abs(a[0] - b[0])
+
+
+#: A mixed pool: tuple profiles hash, list profiles do not. The unhashable
+#: one sits mid-pool, so the memo loop has already read some hits when it
+#: meets it.
+MIXED_POOL = [
+    Descriptor(1, 0, (5,)),
+    Descriptor(2, 0, (1,)),
+    Descriptor(3, 0, [3]),
+    Descriptor(4, 0, (2,)),
+    Descriptor(5, 0, [7]),
+]
+
+
+def reference_ranking(pool, reference, k):
+    ranked = sorted(
+        pool, key=lambda d: (first_coordinate_distance(reference, d.profile), d.node_id)
+    )
+    return [d.node_id for d in ranked[:k]]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_select_closest_ranks_unhashable_profiles_through_the_cache(k):
+    reference = (0,)
+    cache = DistanceCache(Proximity(first_coordinate_distance), reference)
+    cache.to((5,))  # warm: the memo path is the one taken
+    picked = select_closest(MIXED_POOL, reference, cache, k)
+    assert [d.node_id for d in picked] == reference_ranking(MIXED_POOL, reference, k)
+    # Memoization is off from here on, and the answer does not change.
+    assert cache.lookup_for(reference) is None
+    again = select_closest(MIXED_POOL, reference, cache, k)
+    assert again == picked
+
+
+def test_select_closest_with_a_lone_unhashable_candidate():
+    reference = (0,)
+    cache = DistanceCache(Proximity(first_coordinate_distance), reference)
+    pool = [Descriptor(1, 0, [3]), Descriptor(2, 0, [1])]
+    picked = select_closest(pool, reference, cache, 1)
+    assert [d.node_id for d in picked] == [2]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_closest_to_ranks_unhashable_profiles_through_the_cache(k):
+    reference = (0,)
+    cache = DistanceCache(Proximity(first_coordinate_distance), reference)
+    cache.to((5,))
+    view = PartialView(8, MIXED_POOL)
+    picked = view.closest_to(k, cache)
+    assert [d.node_id for d in picked] == reference_ranking(MIXED_POOL, reference, k)
+    assert cache.lookup_for(reference) is None
+    assert view.closest_to(k, cache) == picked
 
 
 def test_cache_bounded_by_max_entries():

@@ -1,11 +1,10 @@
-"""Unit tests for the shard partition and the node-id interner."""
+"""Unit tests for the shard partition."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scale.columnar import NodeInterner
 from repro.scale.engine import ShardPlan
 
 
@@ -51,22 +50,3 @@ class TestShardPlan:
         with pytest.raises(ConfigurationError):
             ShardPlan(4, 2).shard_of(4)
 
-
-class TestNodeInterner:
-    def test_round_trip(self):
-        interner = NodeInterner()
-        assert interner.intern("alpha") == 0
-        assert interner.intern("beta") == 1
-        assert interner.intern("alpha") == 0  # idempotent
-        assert interner.index_of("beta") == 1
-        assert interner.resolve(0) == "alpha"
-        assert len(interner) == 2
-        assert "alpha" in interner and "gamma" not in interner
-
-    def test_seeded_from_iterable(self):
-        interner = NodeInterner(range(5))
-        assert [interner.index_of(node_id) for node_id in range(5)] == list(range(5))
-
-    def test_unknown_id_raises(self):
-        with pytest.raises(KeyError):
-            NodeInterner().index_of("missing")
