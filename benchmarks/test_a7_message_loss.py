@@ -2,9 +2,10 @@
 
 Paper §3.3: "Gossip algorithms are probabilistic, naturally resilient and
 offer good convergence times in most practical situations." This bench
-quantifies the resilience half of the claim: a fraction of all active gossip
-exchanges is dropped every round, and the full runtime must still converge
-— degrading in speed, not in outcome.
+quantifies the resilience half of the claim: one all-pairs
+``LinkQuality(loss=p)`` rule on the fault plane drops that fraction of every
+link's exchanges, and the full runtime must still converge — degrading in
+speed, not in outcome.
 """
 
 from __future__ import annotations

@@ -68,14 +68,9 @@ class RuntimeConfig:
     uo2_contacts_per_component: int = 2
     binding_ttl: int = 16
     core_flavor: str = "vicinity"
-    loss_rate: float = 0.0
     costs: TransportCosts = field(default_factory=TransportCosts)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ConfigurationError(
-                f"loss_rate must be in [0, 1), got {self.loss_rate}"
-            )
         if self.core_flavor not in ("vicinity", "tman"):
             raise ConfigurationError(
                 f"core_flavor must be 'vicinity' or 'tman', got {self.core_flavor!r}"
@@ -168,7 +163,7 @@ class Deployment:
         # Through the unified factory; the hand-built substrate
         # (network/transport/streams) is passed through unchanged.
         self.engine = make_runner(
-            RunnerConfig(n_nodes=n_nodes, loss_rate=self.config.loss_rate),
+            RunnerConfig(n_nodes=n_nodes),
             network=self.network,
             transport=self.transport,
             streams=self.streams,

@@ -9,7 +9,8 @@ bench`` target (``e1``-``e3``, ``fig2``-``fig4``, ``a1``-``a8``). A row holds
 - what one seed measures — :func:`measure_layers` (the runtime's per-layer
   rounds to converge), :func:`measure_elementary` (one monolithic Vicinity
   building a ring), or a short per-seed procedure where the table needs one
-  (Fig. 4's byte split, E3's reconfiguration, A3's churn, A5's baseline);
+  (Fig. 4's byte split, E3's reconfiguration, A3's churn, A5's baseline,
+  A7's lossy links);
 - how its table and, for the figures, its chart are laid out.
 
 :func:`run_experiment` fans every point's seeds out through
@@ -44,6 +45,8 @@ from repro.experiments.topologies import (
     ring_of_rings,
     star_of_cliques,
 )
+from repro.faults.transports import LinkQuality
+from repro.faults.zones import ZoneMap
 from repro.obs.export import render_table
 from repro.shapes.ring import Ring
 from repro.sim.churn import CatastrophicFailure, RandomChurn
@@ -172,6 +175,17 @@ def measure_layers(task) -> Dict[str, Optional[int]]:
     """One seed: the full runtime's rounds to converge, per layer."""
     point, seed, max_rounds = task
     report = _deploy(point, seed).run_until_converged(max_rounds)
+    return {layer: report.round_of(layer) for layer in LAYERS}
+
+
+def measure_loss(task) -> Dict[str, Optional[int]]:
+    """A7, one seed: :func:`measure_layers` with every link losing ``label``
+    of its exchanges — one all-pairs rule on the fault plane."""
+    point, seed, max_rounds = task
+    deployment = _deploy(point, seed)
+    faults = deployment.install_faults(ZoneMap(["all"]))
+    faults.set_link("all", "all", LinkQuality(loss=point.label))
+    report = deployment.run_until_converged(max_rounds)
     return {layer: report.round_of(layer) for layer in LAYERS}
 
 
@@ -702,11 +716,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
         title="A7: full-runtime convergence under message loss "
         "(ring-of-rings, 128 nodes; rounds, mean ±90% CI)",
         columns=("Loss rate", "Core", "Port connection", "Slowest layer"),
-        point=lambda loss_rate, n_nodes: _rings(
-            8, n_nodes, label=loss_rate, config=RuntimeConfig(loss_rate=loss_rate)
-        ),
+        point=lambda loss, n_nodes: _rings(8, n_nodes, label=loss),
         sweep=(0.0, 0.1, 0.2, 0.4),
         nodes=128,
+        measure=measure_loss,
         table=lambda measured: [
             (
                 f"{point.label:.0%}",

@@ -187,7 +187,7 @@ class FaultTransport(TransportDecorator):
             if not layer and ctx is not None:
                 layer = ctx.layer
             src = ctx.node.node_id if ctx is not None else -1
-            if not self._exchange_ok(src, dst, layer):
+            if not self._passes(src, dst, layer):
                 return False
         return self.inner.deliverable(ctx, dst, layer)
 
@@ -198,7 +198,7 @@ class FaultTransport(TransportDecorator):
                 return False
         return self.inner.reachable(ctx, dst)
 
-    def _exchange_ok(self, src: int, dst: int, layer: str) -> bool:
+    def _passes(self, src: int, dst: int, layer: str) -> bool:
         """Whether one synchronous exchange ``src -> dst`` goes through.
 
         A push-pull exchange is atomic in the cycle model: if either

@@ -16,8 +16,8 @@ This package implements the published protocols the paper builds on:
 All protocols exchange :class:`~repro.gossip.descriptors.Descriptor` records
 through bounded :class:`~repro.gossip.views.PartialView` instances. None of
 them owns a ``step``: each is a :class:`~repro.sim.protocol.GossipProtocol`
-— a partner rule, an offer and an absorb rule — and inherits the loss coin,
-the transport seam, the bandwidth accounting, the counters and the flow
+— a partner rule, an offer and an absorb rule — and inherits the transport
+seam, the refusal rule, the bandwidth accounting, the counters and the flow
 tagging from that one exchange.
 """
 

@@ -64,8 +64,7 @@ class RunnerConfig:
 
     One record covers all three kinds; knobs irrelevant to a kind are
     simply unused (a ``net`` runner ignores ``n_shards``, a ``round``
-    runner ignores ``port``) — except ``loss_rate``, which only the round
-    engine models and the other kinds reject rather than silently ignore.
+    runner ignores ``port``).
     """
 
     kind: str = "round"
@@ -79,7 +78,6 @@ class RunnerConfig:
     workload: str = "elementary"
     gossip: GossipParams = field(default_factory=GossipParams)
     costs: TransportCosts = field(default_factory=TransportCosts)
-    loss_rate: float = 0.0
     max_rounds: int = 120
     # -- sharded knobs (see repro.scale.engine) --------------------------------
     #: Validated to ``"object"`` or ``"columnar"`` and read by nothing: the
@@ -107,14 +105,6 @@ class RunnerConfig:
             )
         if self.n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {self.n_nodes}")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ConfigurationError(
-                f"loss_rate must be in [0, 1), got {self.loss_rate}"
-            )
-        if self.loss_rate > 0.0 and self.kind != "round":
-            raise ConfigurationError(
-                f"loss_rate is only modelled by kind='round', not {self.kind!r}"
-            )
         if self.max_rounds < 0:
             raise ConfigurationError(
                 f"max_rounds must be >= 0, got {self.max_rounds}"
@@ -322,7 +312,6 @@ def make_runner(
             streams,
             controls=controls,
             observers=observers,
-            loss_rate=config.loss_rate,
             obs=obs,
             actuators=actuators,
         )

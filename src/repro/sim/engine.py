@@ -37,7 +37,6 @@ class RoundContext:
     streams: RandomStreams
     round: int
     layer: str = ""
-    loss_rate: float = 0.0
     #: Telemetry sink (see :mod:`repro.obs`); ``None`` means disabled, and
     #: protocol hot paths guard every call with ``if ctx.obs is not None``
     #: so uninstrumented runs do zero observability work.
@@ -46,25 +45,6 @@ class RoundContext:
     def rng(self):
         """The random stream for the current (layer, node) pair."""
         return self.streams.stream(self.layer, self.node.node_id)
-
-    def exchange_ok(self) -> bool:
-        """Whether this (node, layer, round) gets its gossip turn at all.
-
-        Called *before* partner selection, this models global memoryless
-        message loss: with probability ``loss_rate`` the active exchange is
-        dropped and the protocol skips its turn — exactly what a lost
-        request or reply causes in a real deployment. Gossip protocols are
-        designed to tolerate this (they merely converge more slowly), which
-        ablation A7 quantifies. Whether a *chosen* partner can be reached
-        (partitions, degraded links) is the transport's question:
-        :meth:`~repro.sim.transport.Transport.deliverable`.
-        """
-        if self.loss_rate <= 0.0:
-            return True
-        return (
-            self.streams.stream("loss", self.layer, self.node.node_id).random()
-            >= self.loss_rate
-        )
 
 
 class Engine:
@@ -108,19 +88,15 @@ class Engine:
         streams: Optional[RandomStreams] = None,
         controls: Iterable["Control"] = (),
         observers: Iterable["Instrument"] = (),
-        loss_rate: float = 0.0,
         obs: Optional["Instrument"] = None,
         actuators: Iterable["Actuator"] = (),
     ):
-        if not 0.0 <= loss_rate < 1.0:
-            raise SimulationError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.network = network
         self.transport = transport or Transport()
         self.streams = streams or RandomStreams(0)
         self.controls: List["Control"] = list(controls)
         self.observers: List["Instrument"] = list(observers)
         self.actuators: List["Actuator"] = list(actuators)
-        self.loss_rate = loss_rate
         self.obs = obs
         self.round = 0
 
@@ -195,7 +171,6 @@ class Engine:
                 transport=self.transport,
                 streams=self.streams,
                 round=self.round,
-                loss_rate=self.loss_rate,
                 obs=obs,
             )
             if profile:

@@ -3,7 +3,7 @@
 :class:`Protocol` is what the engines step; :class:`GossipProtocol` is the
 push-pull gossip exchange every layer of the paper's Figure 1 is an
 instance of, written once: a layer supplies a partner rule, an offer and an
-absorb rule, and inherits the loss coin, the transport seam, the byte
+absorb rule, and inherits the transport seam, the refusal rule, the byte
 ledger, the counters and the flow tagging.
 """
 
@@ -73,12 +73,15 @@ class GossipProtocol(Protocol):
       wants to remember of the offer (the shipped buffer for the swapper
       layers, the shared candidate pool for the ranking layers);
     - :meth:`_absorb` — its merge rule;
-    - :meth:`_unreachable` — what a refused or timed-out partner means.
+    - :meth:`_unreachable` — what a partner the transport calls
+      unreachable means.
 
     The order of the active half is a contract the committed digests depend
-    on: nothing is drawn from the layer's stream between the loss coin and
-    the ``deliverable`` gate except by the partner rule, and a refused gate
-    or a ``None`` reply leaves no trace in the ledger or the counters.
+    on: nothing is drawn from the layer's stream between :meth:`_begin_round`
+    and the ``deliverable`` gate except by the partner rule. A refused gate
+    and a ``None`` reply are one refusal: the layer loses its turn, leaves
+    no trace in the ledger or the counters, and calls :meth:`_unreachable`
+    only when ``transport.reachable`` is ``False`` for the partner.
 
     The defaults of :meth:`_begin_round` and :meth:`_oldest_live` serve
     layers whose state is one :class:`~repro.gossip.views.PartialView` at
@@ -115,23 +118,27 @@ class GossipProtocol(Protocol):
 
     def step(self, ctx: "RoundContext") -> None:
         """The active half: pick a partner, push-pull buffers, absorb the reply."""
-        if not self._begin_round(ctx) or not ctx.exchange_ok():
-            return  # nothing to say, or this round's exchange was lost
+        if not self._begin_round(ctx):
+            return  # nothing to gossip about this round
         partner_id = self._choose_partner(ctx)
         if partner_id is None:
             return
-        if not ctx.transport.deliverable(ctx, partner_id, self.layer):
-            self._unreachable(partner_id)
-            return
         obs = ctx.obs
         flow = obs.flow if obs is not None and self.traces_flow else None
-        buffer, kept = self._offer(ctx, flow, partner_id, None)
-        request = ExchangeRequest(self.layer, self.node_id, buffer, self.wire_profile)
-        reply = ctx.transport.exchange(ctx, partner_id, request)
+        reply = None
+        if ctx.transport.deliverable(ctx, partner_id, self.layer):
+            buffer, kept = self._offer(ctx, flow, partner_id, None)
+            request = ExchangeRequest(
+                self.layer, self.node_id, buffer, self.wire_profile
+            )
+            reply = ctx.transport.exchange(ctx, partner_id, request)
         if reply is None:
-            # Sent but never answered (a real-network timeout): same
-            # treatment as a link the fault gate refused.
-            self._unreachable(partner_id)
+            # Refused at the gate, or sent and never answered: either way
+            # the layer loses its turn. A lost exchange says nothing about
+            # the partner, so only one the transport calls unreachable (a
+            # partition cut, a peer the liveness belief has lost) is let go.
+            if not ctx.transport.reachable(ctx, partner_id):
+                self._unreachable(partner_id)
             return
         ctx.transport.record_exchange(
             self.layer,
@@ -176,8 +183,8 @@ class GossipProtocol(Protocol):
     def _begin_round(self, ctx: "RoundContext") -> bool:
         """Age (and harvest) at the start of the turn; ``False`` sits it out.
 
-        Runs before the loss coin, so a layer with nothing to gossip about
-        draws nothing from its loss stream.
+        Runs before the partner rule, so a layer with nothing to gossip
+        about draws nothing from its stream.
         """
         self.view.increase_age()
         return True
@@ -208,7 +215,7 @@ class GossipProtocol(Protocol):
         """Merge the partner's buffer into this node's state."""
 
     def _unreachable(self, partner_id: int) -> None:
-        """The partner was cut off or timed out — unreachable, not dead.
+        """The transport calls the partner unreachable — cut off, not dead.
 
         Drop it so the partner rule does not retry it forever, but leave no
         tombstone: it may legitimately return once the link heals.

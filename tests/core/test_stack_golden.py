@@ -5,8 +5,9 @@ were folded onto the one ``GossipProtocol`` skeleton; they pin everything
 that refactor must not move: the overlay digest, per-layer rounds to
 converge, per-layer message and byte counts, and — on the traced case —
 the full counter table and the flow-delivery count. The four scenarios
-cover the plain path, the ``loss_rate`` coin and its stream, T-Man as the
-core protocol, and purge/tombstone/adopt after a failure wave.
+cover the plain path, an all-pairs ``LinkQuality(loss=0.2)`` rule on the
+fault plane, T-Man as the core protocol, and purge/tombstone/adopt after a
+failure wave.
 
 Re-pinned once since: UO2's offer now starts its round-robin at
 ``(round * slots + node_id) % K`` instead of always at the alphabetically
@@ -86,6 +87,19 @@ selection 13 328 -> 13 064, port connection 16 568 -> 16 424;
 connection 16 544 -> 16 424. Traced counters of ``("repair", 7)``: UO2
 purges 5 -> 3 dead contacts, UO1 receives 734 -> 728 descriptors, the core
 1 200 -> 1 202, port connection 540 -> 535; deliveries 1 306 -> 1 313.
+
+Re-pinned a seventh time, the two ``loss`` cases only: the engine's loss
+coin (a lost turn drawn from a ``("loss", layer, node)`` stream before the
+partner rule) is gone, and the case is now one all-pairs
+``LinkQuality(loss=0.2)`` rule whose coin is drawn at the ``deliverable``
+gate, after the partner rule. A refused exchange costs the turn and forgets
+the partner only if the transport calls it unreachable, which a lossy link
+never does. Different coins, so every literal of both cases moved; the
+slowest layer went 6 -> 3 (``("loss", 1)``: core 6 -> 2, UO1 3 -> 2, port
+connection 2 -> 3) and 3 -> 3 (``("loss", 7)``: core 3 -> 2, port
+connection 3 -> 2), and the shorter ``("loss", 1)`` run halves its traffic
+(peer sampling 63 232 -> 30 784 B). The six other cases draw no loss coin
+and did not move.
 """
 
 from __future__ import annotations
@@ -104,6 +118,8 @@ from repro.core.layers import (
 )
 from repro.core.layers.port_connection import DEFAULT_BINDING_TTL
 from repro.experiments.topologies import ring_of_rings
+from repro.faults.transports import LinkQuality
+from repro.faults.zones import ZoneMap
 from repro.heal.scenarios import standard_deployment
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
@@ -114,10 +130,12 @@ MAX_ROUNDS = 120
 
 CONFIGS = {
     "plain": None,
-    "loss": RuntimeConfig(loss_rate=0.2),
+    "loss": None,
     "tman": RuntimeConfig(core_flavor="tman"),
     "repair": None,
 }
+#: What the ``loss`` case loses: a fifth of the exchanges of every link.
+LOSS = LinkQuality(loss=0.2)
 
 
 def converge(scenario: str, seed: int, collector=None):
@@ -126,6 +144,8 @@ def converge(scenario: str, seed: int, collector=None):
     deployment = standard_deployment(
         N_NODES, seed, config=CONFIGS[scenario], collector=collector
     )
+    if scenario == "loss":
+        deployment.install_faults(ZoneMap(["all"])).set_link("all", "all", LOSS)
     report = deployment.run_until_converged(MAX_ROUNDS)
     executed = report.executed
     if scenario == "repair":
@@ -182,27 +202,27 @@ GOLDEN = {
         },
     ),
     ("loss", 1): (
-        "5843ab3f3c30f43a3e715adbfcaad862fd5a15ec9b2a4ccd78509460efb9cecf",
-        {"core": 6, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
+        "75cfeaa71cc8d9bc7c68ab23285997e5b4e8cee90ec21ac93ca613a708ff11ed",
+        {"core": 2, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 3},
         {
-            "peer_sampling": (304, 63232),
-            "uo1": (306, 31532),
-            "uo2": (322, 57196),
-            "core": (290, 45152),
-            "port_selection": (304, 18928),
-            "port_connection": (320, 30704),
+            "peer_sampling": (148, 30784),
+            "uo1": (156, 16196),
+            "uo2": (160, 27976),
+            "core": (156, 23808),
+            "port_selection": (154, 9184),
+            "port_connection": (146, 11024),
         },
     ),
     ("loss", 7): (
-        "1af57b45999ed6708687b849e9478ab4a7951689f9f0c329f9d60482a6a30978",
-        {"core": 3, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 3},
+        "4aa380d7fed5468e1c951f055be4bb087eebca9d3194ad15da657eab14527da4",
+        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
-            "peer_sampling": (158, 32864),
-            "uo1": (156, 15996),
-            "uo2": (162, 27924),
-            "core": (156, 23640),
-            "port_selection": (152, 8696),
-            "port_connection": (154, 12232),
+            "peer_sampling": (152, 31616),
+            "uo1": (152, 15512),
+            "uo2": (162, 28092),
+            "core": (166, 25312),
+            "port_selection": (150, 8568),
+            "port_connection": (146, 11720),
         },
     ),
     ("tman", 1): (

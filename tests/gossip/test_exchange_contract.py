@@ -4,10 +4,12 @@ Every layer inherits its active and passive halves from
 :class:`~repro.sim.protocol.GossipProtocol`; these tests drive one active
 step of each through a recording transport and pin what the committed
 digests depend on: a refused gate draws nothing and leaves no trace, a
-timed-out reply is treated exactly like a refused gate, and a completed
-exchange is ledgered and counted once. The second half pins the have-digest
-of the two utility overlays: what a request says the requester holds, what
-the ledger charges for it, and what the passive half does with it.
+timed-out reply is treated exactly like a refused gate, either refusal lets
+the partner go only when the transport calls it unreachable (and the port
+layers never), and a completed exchange is ledgered and counted once. The
+second half pins the have-digest of the two utility overlays: what a request
+says the requester holds, what the ledger charges for it, and what the
+passive half does with it.
 """
 
 from __future__ import annotations
@@ -46,24 +48,47 @@ CASES = {
     PortConnection: ("port_connection", None),
 }
 
+#: Layers whose refusals cost the turn and nothing else, reachable or not.
+PORT_LAYERS = (PortSelection, PortConnection)
+
+#: Every layer, with a refused partner the transport still calls reachable
+#: (the plain id) and one it calls unreachable.
+REFUSALS = [pytest.param(cls, True, id=cls.__name__) for cls in CASES] + [
+    pytest.param(cls, False, id=f"{cls.__name__}-unreachable") for cls in CASES
+]
+
 
 class RecordingTransport(Transport):
     """Scripts the seam's two answers and records what the layer did with it."""
 
-    def __init__(self, deliverable=True, answers=True):
+    def __init__(self, deliverable=True, answers=True, reachable=True):
         super().__init__()
         self._deliverable = deliverable
         self._answers = answers
+        self._reachable = reachable
         self.stream_at_gate = None
         self.requests = []
         self.replies = []
         self.recorded = []
+        #: The partner and the layer's neighbours as the last request left
+        #: (or was refused at the gate).
+        self.partner = None
+        self.held = None
+
+    def _note(self, ctx, dst):
+        self.partner = dst
+        self.held = list(ctx.node.protocol(ctx.layer).neighbors())
 
     def deliverable(self, ctx, dst, layer=""):
         self.stream_at_gate = ctx.rng().getstate()
+        self._note(ctx, dst)
         return self._deliverable
 
+    def reachable(self, ctx, dst):
+        return self._reachable
+
     def exchange(self, ctx, dst, request):
+        self._note(ctx, dst)
         self.requests.append(request)
         if not self._answers:
             return None
@@ -125,25 +150,39 @@ def exchange_counts(obs, layer):
     return [(key[0], value) for key, value in obs.keyed if key[0] in watched and key[1] == layer]
 
 
-@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
-def test_refused_gate_draws_nothing_and_records_nothing(cls):
-    transport = RecordingTransport(deliverable=False)
+def assert_refusal_rule(cls, protocol, transport, reachable):
+    """A refusal lets the partner go only when the transport calls it
+    unreachable, and a port layer never lets it go."""
+    held, partner = transport.held, transport.partner
+    if reachable or cls in PORT_LAYERS:
+        assert protocol.neighbors() == held
+    else:
+        assert partner in held and partner not in protocol.neighbors()
+
+
+@pytest.mark.parametrize("cls,reachable", REFUSALS)
+def test_refused_gate_draws_nothing_and_records_nothing(cls, reachable):
+    transport = RecordingTransport(deliverable=False, reachable=reachable)
     protocol, ctx, obs = one_step(cls, transport)
     assert ctx.rng().getstate() == transport.stream_at_gate
     assert transport.requests == [] and transport.recorded == []
     assert transport.total_messages() == 0
     assert exchange_counts(obs, protocol.layer) == []
+    assert_refusal_rule(cls, protocol, transport, reachable)
 
 
-@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
-def test_unanswered_request_is_handled_like_a_refused_gate(cls):
-    refused, _, _ = one_step(cls, RecordingTransport(deliverable=False))
-    transport = RecordingTransport(answers=False)
+@pytest.mark.parametrize("cls,reachable", REFUSALS)
+def test_unanswered_request_is_handled_like_a_refused_gate(cls, reachable):
+    refused, _, _ = one_step(
+        cls, RecordingTransport(deliverable=False, reachable=reachable)
+    )
+    transport = RecordingTransport(answers=False, reachable=reachable)
     protocol, _, obs = one_step(cls, transport)
     assert len(transport.requests) == 1
     assert transport.recorded == [] and transport.total_messages() == 0
     assert exchange_counts(obs, protocol.layer) == []
     assert protocol.neighbors() == refused.neighbors()
+    assert_refusal_rule(cls, protocol, transport, reachable)
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)

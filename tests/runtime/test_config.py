@@ -29,10 +29,6 @@ class TestValidation:
             {"kind": "steam"},
             {"kind": "loopback"},
             {"n_nodes": 0},
-            {"loss_rate": 1.0},
-            {"loss_rate": -0.2},
-            {"kind": "sharded", "loss_rate": 0.1},
-            {"kind": "net", "loss_rate": 0.1},
             {"max_rounds": -1},
             {"n_shards": 0},
             {"n_shards": 65},
@@ -79,7 +75,6 @@ def test_config_surfaces_are_pinned():
             "workload",
             "gossip",
             "costs",
-            "loss_rate",
             "max_rounds",
             "backend",
             "n_shards",
@@ -97,7 +92,6 @@ def test_config_surfaces_are_pinned():
             "uo2_contacts_per_component",
             "binding_ttl",
             "core_flavor",
-            "loss_rate",
             "costs",
         ),
     }

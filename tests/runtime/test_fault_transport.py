@@ -160,19 +160,25 @@ def run_fault_schedule(seed: int):
 #: list its component (these rings of 8 fit): the preceding run is a round
 #: shorter and UO1 views fill earlier, so the partner draws that meet the cut
 #: and the degraded links differ (405 / 389 dropped before, of which
-#: partition 329 / 326).
+#: partition 329 / 326). Re-pinned a fifth time when a refused exchange
+#: stopped forgetting a partner the transport still calls reachable: the
+#: partition phase is unchanged (a cut partner is unreachable and still
+#: forgotten, 318 / 334), but in the link phase a node keeps the partner a
+#: lossy or timed-out link refused and retries it, so it meets the degraded
+#: links more often (397 / 398 dropped before, of which loss 67 / 59 and
+#: timeout 12 / 5; delayed 2 / 10).
 GOLDEN = {
     1: {
-        "digest": "6d6b62448e82bd099a6de4fa8852c9de1c82f7b35ff4967a0d6d5a3cde172d90",
-        "drop_reasons": {"loss": 67, "partition": 318, "timeout": 12},
-        "total_dropped": 397,
-        "total_delayed": 2,
+        "digest": "6a99f5e33762942bcedf2325346e01cf41cd9285837dafcb969398ed29ebdc7b",
+        "drop_reasons": {"loss": 77, "partition": 318, "timeout": 14},
+        "total_dropped": 409,
+        "total_delayed": 7,
     },
     7: {
-        "digest": "177ad6ddea6dfef29aafa76c39bff4181e2d8e269dc572bd7bdb7705899833c0",
-        "drop_reasons": {"loss": 59, "partition": 334, "timeout": 5},
-        "total_dropped": 398,
-        "total_delayed": 10,
+        "digest": "bf197fed08a796eaf27487f7ef9846b794fec4209bb708d81bcd56c5a01aab30",
+        "drop_reasons": {"loss": 65, "partition": 334, "timeout": 10},
+        "total_dropped": 409,
+        "total_delayed": 9,
     },
 }
 
