@@ -25,6 +25,7 @@ from repro.perf.digest import adjacency_digest, result_digest
 from repro.perf.workloads import run_cell, workload_matrix
 from repro.runtime.api import RunnerConfig
 from repro.scale.engine import ShardedEngine
+from repro.shapes import available_shapes
 from repro.sim.rng import spawn_seeds
 
 COMMITTED = json.loads(
@@ -55,11 +56,68 @@ def digest_after(
         return engine.digest()
 
 
-@pytest.mark.parametrize("shape,n_nodes", [("ring", 64), ("grid", 64)])
+#: shape -> (digest, messages, bytes) after 8 BSP rounds at seed 7 on 64
+#: nodes (tree: 63), recorded on the hand-written shard nodes the engine ran
+#: before it drove the stack's own layers; one golden for 1 and 3 shards.
+SHAPE_GOLDENS = {
+    "clique": (
+        "aeb95a04a8c974812b83a3b359bbeefdace491e5d10d938931908c5d12c6c43b", 2048, 327680
+    ),
+    "grid": (
+        "f89b5e3e2e2868473180e33cf66add0dee3be594a9a9abb7e3ae5cc423351528", 2048, 327680
+    ),
+    "hypercube": (
+        "d22fcb50b069f47acde8cffe71af8cee94851a68d4bc02983164da598005f6c8", 2048, 327680
+    ),
+    "kring": (
+        "edaafcfe9f5d3b0b42274c3a3e1791dd9029a8f8fa3c6ac861518264e5196bb9", 2048, 327680
+    ),
+    "line": (
+        "b24992e156c7f214bf08109fbeb8e4f770f801edf07447284497ea33c873d017", 2048, 327680
+    ),
+    "random": (
+        "ce71e5fa407e96a9e2953990e290fc70c4fe0b6c627e7c3b962db69158c1047d", 2048, 327680
+    ),
+    "ring": (
+        "8a390ac63b71ee8e7c486790a5bde6be58770b6e25e549951c349b05f3093067", 2048, 327680
+    ),
+    "star": (
+        "7ec2568d3c09f021189b1be204acded5a69c49cae757520668af88a76d511d17", 2048, 327680
+    ),
+    "torus": (
+        "4d5006f1853c262a3221873bccd0512b088d6b927c740478dc402d3585f1e3cd", 2048, 327680
+    ),
+    "tree": (
+        "a045f5d9c5392d8d4b129154d31ab5662a6970f1ce164e22c56f0359b730d6ec", 2016, 322560
+    ),
+    "wheel": (
+        "f9492f56e713da0381212a320547991a544cfba84ece239ac15fa8d139257fb8", 2048, 327680
+    ),
+}
+
+
+def test_every_shape_has_a_golden():
+    assert sorted(SHAPE_GOLDENS) == available_shapes()
+
+
+@pytest.mark.parametrize(
+    "shape,n_nodes",
+    [(shape, 63 if shape == "tree" else 64) for shape in sorted(SHAPE_GOLDENS)],
+    ids=lambda value: str(value),
+)
 def test_serial_and_sharded_digests_are_identical(shape, n_nodes):
-    serial = digest_after(shape, n_nodes, 5)
-    for n_shards in (2, 4):
-        assert digest_after(shape, n_nodes, 5, n_shards=n_shards) == serial
+    for n_shards in (1, 3):
+        with sharded(
+            workload=f"{shape}-{n_nodes}",
+            shape=shape,
+            n_nodes=n_nodes,
+            seed=7,
+            n_shards=n_shards,
+        ) as engine:
+            for _ in range(8):
+                engine.run_round()
+            observed = (engine.digest(), engine.messages, engine.bytes)
+        assert observed == SHAPE_GOLDENS[shape], n_shards
 
 
 def test_shard_count_invariance_with_uneven_partition():
