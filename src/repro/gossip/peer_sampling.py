@@ -138,9 +138,9 @@ def select_view(
     (healer), up to S of the entries just shipped in ``sent`` (swapper),
     then uniformly at random from ``rng``. Mutates and returns ``pool``.
 
-    Pure in everything but ``pool`` and ``rng``, so the round engine's
-    :class:`PeerSampling` and the BSP engine's shard nodes share it and
-    cannot drift apart on the rule their digests both depend on.
+    Pure in everything but ``pool`` and ``rng``, so :class:`PeerSampling`
+    and UO1 (:class:`~repro.core.layers.uo1.SameComponentOverlay`) share it
+    and cannot drift apart on the rule their digests both depend on.
     """
     for descriptor in received:
         if descriptor.node_id == node_id:

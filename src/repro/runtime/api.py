@@ -20,6 +20,7 @@ UDP runtime of :mod:`repro.runtime.net`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
@@ -127,9 +128,9 @@ class RunnerConfig:
             )
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(f"port must be a UDP port, got {self.port}")
-        if self.round_interval <= 0.0:
+        if not (math.isfinite(self.round_interval) and self.round_interval > 0.0):
             raise ConfigurationError(
-                f"round_interval must be > 0, got {self.round_interval}"
+                f"round_interval must be finite and > 0, got {self.round_interval}"
             )
 
 
@@ -144,9 +145,9 @@ class ElementaryStack:
 
     Every way of running the stack takes these decisions from here: the
     round engine's :func:`build_elementary`, the UDP runtime's local node
-    and remote facades, the monolithic baseline, and the sharded engine
-    (which re-expresses the two protocols as BSP halves but shares the
-    shape, the proximity, both parameter records and the target degrees).
+    and remote facades, the sharded engine's nodes and facades (the same
+    two layer objects, driven through BSP barriers), and the monolithic
+    baseline.
 
     ``shape`` is a registry name or a :class:`~repro.shapes.base.Shape`;
     ``params`` sizes peer sampling as given and the overlay by the shape.

@@ -559,6 +559,11 @@ def run_swarm(
     """
     if n_nodes < 2:
         raise SimulationError(f"a swarm needs >= 2 nodes, got {n_nodes}")
+    from repro.runtime.api import RunnerConfig
+
+    # Every child builds this record; build it first, so a bad knob fails
+    # before swarm.json is written or any child is spawned.
+    RunnerConfig(kind="net", n_nodes=n_nodes, round_interval=round_interval, max_rounds=max_rounds)
     directory = pathlib.Path(status_dir) if status_dir else None
     if directory is None:
         import tempfile

@@ -4,8 +4,8 @@
 streams derived by the ``spawn_seeds`` SHA-256 splitter, exchanging
 cross-shard descriptors only at round barriers, so the realized overlay is a
 pure function of ``(workload, seed)`` — independent of shard count and of
-process placement. Every node holds plain
-:class:`~repro.gossip.views.PartialView`s, the round engine's views.
+process placement. Every shard node runs the round engine's own
+``PeerSampling`` and ``Vicinity`` objects, one exchange half per phase.
 
 The gate is ``tests/scale/test_digests.py``: the ``scale`` rows of
 :mod:`repro.perf.workloads` must reproduce their committed digests, and at

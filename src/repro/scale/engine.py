@@ -1,36 +1,32 @@
-"""The barrier-synchronous sharded engine behind the scale tier.
+"""The barrier-synchronous (BSP) sharded engine: the stack's own layers, sharded.
 
 The serial :class:`~repro.sim.engine.Engine` runs exchanges *synchronously*
-inside a round: the active node calls straight into its partner, and the
-partner replies from whatever state it has at that instant. That semantics
-is inherently sequential — the outcome depends on the interleaving of every
-exchange in the round — so no shard partition of it can be digest-identical
-to the serial run.
+inside a round: the partner replies from whatever state it has at that
+instant, so the outcome depends on the interleaving of every exchange and
+no shard partition of it can be digest-identical to the serial run.
 
-The scale tier therefore defines its own round model, chosen so that the
-realized overlay is a pure function of ``(workload, seed)`` — independent of
-shard count, shard boundaries, and process placement. Each round runs the
-two layers in a fixed order (peer sampling, then the shape overlay), and
-each layer advances through three globally barriered sub-phases:
+This engine runs the very same :class:`~repro.gossip.peer_sampling.PeerSampling`
+and :class:`~repro.gossip.vicinity.Vicinity` objects under a round model
+whose overlay is a pure function of ``(workload, seed)`` — independent of
+shard count, boundaries and process placement. Each round runs the two
+layers in a fixed order (peer sampling, then the shape overlay); each
+layer's exchange is cut at the seams of
+:class:`~repro.sim.protocol.GossipProtocol` into three barriered phases:
 
-- **request** — every node ages its view, picks a gossip partner with its
-  *own* RNG stream, and builds its outgoing buffer from pre-round state;
-- **respond** — every node answers the requests addressed to it, in
-  ascending requester id, computing each reply from its current state and
-  merging the received buffer before the next requester is served;
-- **absorb** — every requester merges the reply it got with the candidate
-  pool it saved at request time.
+- **request** — every node runs the opening half (``open_exchange``) with
+  its *own* RNG stream, offering a buffer built from pre-round state;
+- **respond** — every node answers its requests through its own
+  ``on_request`` under its own context, in ascending requester id;
+- **absorb** — every requester runs the closing half (``close_exchange``)
+  on the reply it got.
 
-Within a phase a node touches only its own state, the static profile table,
-and the messages addressed to it — so shards can run phases concurrently
-and exchange descriptors only at the phase barriers. Determinism then rests
-on two invariants, both pinned by tests/scale/:
-
-1. every RNG draw comes from a per-node stream seeded by the
-   :func:`~repro.sim.rng.spawn_seeds` SHA-256 splitter (node rank is the
-   only key — shard layout never enters the derivation);
-2. all order-sensitive processing happens in ascending node id, which is a
-   global order no partition can perturb.
+Within a phase a node touches only its own state, the static adverts of the
+other ranks' facades, and the messages addressed to it, so shards run
+phases concurrently and exchange plain tuples only at the barriers.
+Determinism rests on two invariants, both pinned by tests/scale/: every RNG
+draw comes from a per-node stream seeded by the
+:func:`~repro.sim.rng.spawn_seeds` SHA-256 splitter (the rank is the only
+key), and all order-sensitive processing runs in ascending node id.
 
 Two execution backends share the same :class:`ShardState` logic:
 ``mode="inline"`` steps every shard in-process (the reference), and
@@ -46,14 +42,11 @@ Simulation-side module: no wall-clock reads (DET003).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.peer_sampling import select_view
-from repro.gossip.selection import select_closest
-from repro.gossip.views import PartialView
-from repro.perf.cache import DistanceCache
 from repro.perf.digest import adjacency_digest
 from repro.runtime.api import (
     OVERLAY_LAYER,
@@ -62,7 +55,12 @@ from repro.runtime.api import (
     RunnerConfig,
     run_until,
 )
+from repro.sim.engine import RoundContext
+from repro.sim.network import Network
+from repro.sim.node import Node
+from repro.sim.protocol import Opened
 from repro.sim.rng import RandomStreams, spawn_seeds
+from repro.sim.transport import ExchangeRequest, Transport
 
 LAYERS = (PS_LAYER, OVERLAY_LAYER)
 
@@ -70,8 +68,9 @@ LAYERS = (PS_LAYER, OVERLAY_LAYER)
 #: at every barrier, before it gives the run up as hung.
 BARRIER_TIMEOUT_S = 60.0
 
-#: A routed message: (source node id, destination node id, descriptor buffer).
-Message = Tuple[int, int, List[Descriptor]]
+#: A routed message: (source node id, destination node id, descriptor
+#: buffer, the request's wire profile — ``None`` on a reply).
+Message = Tuple[int, int, List[Descriptor], Any]
 
 
 @dataclass(frozen=True)
@@ -118,262 +117,104 @@ class ShardPlan:
         return remainder + (rank - pivot) // quotient
 
 
-class _ScaleNode:
-    """One node of the barrier-synchronous model.
+@dataclass
+class _ShardContext(RoundContext):
+    """One owned node's context for one layer, built once per run.
 
-    The gossip semantics mirror :class:`~repro.gossip.peer_sampling.PeerSampling`
-    (TOCS 2007 push-pull, oldest-first partner, and the very same
-    :func:`~repro.gossip.peer_sampling.select_view` healer/swapper step)
-    and :class:`~repro.gossip.vicinity.Vicinity` (greedy closest-``k`` merge
-    topped up from the random layer) — re-expressed as request/respond/absorb
-    halves so an exchange can cross a shard boundary.
+    ``streams`` is ``RandomStreams(node_seed)`` for the context's node, so
+    :meth:`rng` is the stream keyed by the layer name alone — the rank
+    enters through the node seed, never through the stream key.
     """
 
-    __slots__ = (
-        "node_id",
-        "profile",
-        "target_degree",
-        "ps_params",
-        "ov_params",
-        "descriptor_ttl",
-        "ps_view",
-        "ov_view",
-        "distances",
-        "rng_boot",
-        "rng_ps",
-        "rng_ov",
-        "_advert_ps",
-        "_advert_ov",
-        "_pending_ps",
-        "_pending_ov",
-    )
+    def __post_init__(self) -> None:
+        self._rng = self.streams.stream(self.layer)
 
-    def __init__(self, node_id: int, stack: ElementaryStack, node_seed: int):
-        self.node_id = node_id
-        self.profile = profile = stack.profile(node_id)
-        self.target_degree = stack.target_degree(node_id)
-        self.ps_params = stack.params
-        self.ov_params = stack.sized
-        # Vicinity's default: live neighbours refresh far faster than this.
-        self.descriptor_ttl = max(24, 2 * stack.sized.view_size)
-        self.ps_view = PartialView(stack.params.view_size)
-        self.ov_view = PartialView(stack.sized.view_size)
-        self.distances = DistanceCache(stack.proximity, profile)
-        streams = RandomStreams(node_seed)
-        self.rng_boot = streams.stream("bootstrap")
-        self.rng_ps = streams.stream(PS_LAYER)
-        self.rng_ov = streams.stream(OVERLAY_LAYER)
-        self._advert_ps = Descriptor(node_id, age=0, profile=None)
-        self._advert_ov = Descriptor(node_id, age=0, profile=profile)
-        self._pending_ps: Optional[List[Descriptor]] = None
-        self._pending_ov: Optional[List[Descriptor]] = None
-
-    # -- bootstrap --------------------------------------------------------------
-
-    def bootstrap(self, n_nodes: int) -> None:
-        """WireKOut over the full population, without materializing it.
-
-        Sampling indices from ``range(n_nodes - 1)`` and shifting past our
-        own id draws the same distribution as sampling an explicit
-        candidate list, at O(view_size) instead of O(n_nodes) per node.
-        """
-        count = min(self.ps_params.view_size, n_nodes - 1)
-        if count <= 0:
-            return
-        for pick in self.rng_boot.sample(range(n_nodes - 1), count):
-            node_id = pick if pick < self.node_id else pick + 1
-            self.ps_view.insert(Descriptor(node_id, age=0, profile=None))
-
-    # -- peer sampling ----------------------------------------------------------
-
-    def ps_request(self) -> Optional[Tuple[int, List[Descriptor]]]:
-        self.ps_view.increase_age()
-        partner = self.ps_view.oldest()
-        if partner is None:
-            return None
-        buffer = [self._advert_ps]
-        buffer.extend(self.ps_view.sample(self.rng_ps, self.ps_params.gossip_size - 1))
-        self._pending_ps = buffer
-        return partner.node_id, buffer
-
-    def ps_respond(self, received: List[Descriptor]) -> List[Descriptor]:
-        reply = [self._advert_ps]
-        reply.extend(self.ps_view.sample(self.rng_ps, self.ps_params.gossip_size - 1))
-        self._ps_apply(sent=reply, received=received)
-        return reply
-
-    def ps_absorb(self, reply: List[Descriptor]) -> None:
-        sent, self._pending_ps = self._pending_ps, None
-        self._ps_apply(sent=sent or [], received=reply)
-
-    def _ps_apply(self, sent: List[Descriptor], received: List[Descriptor]) -> None:
-        pool = select_view(
-            self.node_id,
-            {d.node_id: d for d in self.ps_view},
-            sent,
-            received,
-            self.ps_params,
-            self.rng_ps,
-        )
-        self.ps_view.replace(pool.values())
-
-    # -- shape overlay ----------------------------------------------------------
-
-    def ov_request(
-        self, profiles: List, age0: List[Descriptor]
-    ) -> Optional[Tuple[int, List[Descriptor]]]:
-        self.ov_view.increase_age()
-        partner = self.ov_view.oldest()
-        if partner is not None:
-            partner_id = partner.node_id
-        else:
-            # Empty overlay view (round 0): bootstrap from the random layer,
-            # exactly Vicinity's fallback.
-            candidates = [n for n in self.ps_view.ids() if n != self.node_id]
-            if not candidates:
-                self._pending_ov = None
-                return None
-            partner_id = self.rng_ov.choice(candidates)
-        pool = self._ov_pool(age0)
-        buffer = select_closest(
-            pool + [self._advert_ov],
-            profiles[partner_id],
-            self.distances,
-            self.ov_params.gossip_size,
-            exclude_id=partner_id,
-            max_age=self.descriptor_ttl,
-        )
-        self._pending_ov = pool
-        return partner_id, buffer
-
-    def ov_respond(
-        self,
-        requester_id: int,
-        received: List[Descriptor],
-        profiles: List,
-        age0: List[Descriptor],
-    ) -> List[Descriptor]:
-        pool = self._ov_pool(age0)
-        reply = select_closest(
-            pool + [self._advert_ov],
-            profiles[requester_id],
-            self.distances,
-            self.ov_params.gossip_size,
-            exclude_id=requester_id,
-            max_age=self.descriptor_ttl,
-        )
-        self._ov_merge(pool, received)
-        return reply
-
-    def ov_absorb(self, reply: List[Descriptor]) -> None:
-        pool, self._pending_ov = self._pending_ov, None
-        self._ov_merge(pool or [], reply)
-
-    def _ov_pool(self, age0: List[Descriptor]) -> List[Descriptor]:
-        """View entries plus fresh candidates harvested from peer sampling.
-
-        In the serial engine Vicinity peeks its peers' cached self
-        descriptors; here profiles are static per run, so the shard keeps
-        one immutable age-0 descriptor per node (``age0``) and every pool
-        shares those — no cross-shard read, no per-pool minting.
-        """
-        pool = self.ov_view.descriptors()
-        own = self.node_id
-        for node_id in self.ps_view.ids():
-            if node_id != own:
-                pool.append(age0[node_id])
-        return pool
-
-    def _ov_merge(self, pool: List[Descriptor], received: List[Descriptor]) -> None:
-        best = select_closest(
-            pool + [d.aged() for d in received],
-            self.profile,
-            self.distances,
-            self.ov_params.view_size,
-            exclude_id=self.node_id,
-            max_age=self.descriptor_ttl,
-        )
-        self.ov_view.replace(best)
-
-    # -- exposure ----------------------------------------------------------------
-
-    def neighbors(self, layer: str) -> List[int]:
-        if layer == PS_LAYER:
-            return self.ps_view.ids()
-        best = self.ov_view.closest_to(self.target_degree, self.distances)
-        return [descriptor.node_id for descriptor in best]
+    def rng(self):
+        return self._rng
 
 
 class ShardState:
-    """One shard's nodes plus the static tables shared by every shard.
+    """One shard of the population, as a plain :class:`~repro.sim.network.Network`.
 
-    The same class backs both execution modes: the inline engine holds a
-    list of these, the pool worker builds exactly one from the pickled
-    :class:`~repro.runtime.api.RunnerConfig` on its own stack.
+    Every rank is a node carrying the stack's own layers, attached by
+    :meth:`~repro.runtime.api.ElementaryStack.attach`. The ranks this shard
+    owns are bootstrapped and stepped; every other rank is a facade with
+    empty views, read for its ``self_descriptor()`` and ``profile`` only.
+    The inline engine holds one of these per shard; a pool worker builds
+    its one from the pickled :class:`~repro.runtime.api.RunnerConfig`.
     """
 
     def __init__(self, config: RunnerConfig, shard_index: int):
-        plan = ShardPlan(config.n_nodes, config.n_shards)
         n = config.n_nodes
         stack = ElementaryStack(config.shape, n, config.gossip)
-        shape = stack.shape
-        self.profiles = [stack.profile(rank) for rank in range(n)]
-        # One immutable age-0 descriptor per node, shared by every harvest
-        # pool this shard builds (descriptors are immutable, so sharing is
-        # free) — the static table the BSP model reads instead of peeking
-        # live peers.
-        self.age0 = [
-            Descriptor(rank, age=0, profile=self.profiles[rank]) for rank in range(n)
-        ]
-        self._targets = {
-            rank: shape.target_neighbors(rank, n) for rank in plan.members(shard_index)
-        }
+        owned = ShardPlan(n, config.n_shards).members(shard_index)
+        network = Network()
+        transport = Transport(config.costs)
         node_seeds = spawn_seeds(config.seed, n, "scale", config.workload)
-        self.nodes: Dict[int, _ScaleNode] = {}
-        for rank in plan.members(shard_index):
-            node = _ScaleNode(rank, stack, node_seeds[rank])
-            node.bootstrap(n)
+        self.nodes: Dict[int, Node] = {}
+        self._targets = {rank: stack.shape.target_neighbors(rank, n) for rank in owned}
+        #: layer -> {rank: (protocol, context)} of the owned ranks, ascending.
+        self._layers: Dict[str, Dict[int, Tuple]] = {layer: {} for layer in LAYERS}
+        #: requester rank -> what its opening half returned, this layer.
+        self._pending: Dict[int, Opened] = {}
+        for rank, node in enumerate(network.create_nodes(n)):
+            peer_sampling = stack.attach(node, rank)
+            if rank not in owned:
+                continue
+            streams = RandomStreams(node_seeds[rank])
+            # WireKOut without materializing the population: sampling
+            # range(n - 1) and shifting past our own rank draws what an
+            # explicit candidate list would, at O(view_size) per node.
+            boot = streams.stream("bootstrap")
+            for pick in boot.sample(range(n - 1), min(stack.params.view_size, n - 1)):
+                peer_sampling.view.insert(Descriptor(pick if pick < rank else pick + 1, age=0))
             self.nodes[rank] = node
+            for layer in LAYERS:
+                ctx = _ShardContext(node, network, transport, streams, 0, layer)
+                self._layers[layer][rank] = (node.protocol(layer), ctx)
 
     # -- the three phases ------------------------------------------------------
 
-    def request(self, layer: str) -> List[Message]:
-        """Phase A: every owned node builds its outgoing request."""
+    def request(self, layer: str, round_index: int) -> List[Message]:
+        """Phase A: every owned node opens its exchange (ascending rank)."""
         out: List[Message] = []
-        for rank, node in self.nodes.items():  # insertion order == ascending
-            if layer == PS_LAYER:
-                built = node.ps_request()
-            else:
-                built = node.ov_request(self.profiles, self.age0)
-            if built is not None:
-                partner_id, buffer = built
-                out.append((rank, partner_id, buffer))
+        pending = self._pending
+        for rank, (protocol, ctx) in self._layers[layer].items():
+            ctx.round = round_index
+            opened = protocol.open_exchange(ctx)
+            if opened is None:
+                continue
+            pending[rank] = opened
+            partner_id, buffer, _, profile = opened
+            if buffer is not None:
+                out.append((rank, partner_id, buffer, profile))
         return out
 
     def respond(self, layer: str, incoming: List[Message]) -> List[Message]:
-        """Phase B: owned nodes answer, ascending node then requester id."""
-        by_dst: Dict[int, List[Tuple[int, List[Descriptor]]]] = {}
-        for src, dst, buffer in incoming:
-            by_dst.setdefault(dst, []).append((src, buffer))
+        """Phase B: owned nodes answer, ascending node then requester id.
+
+        Each answer is the responder's ``on_request`` under its own context.
+        """
+        owned = self._layers[layer]
         replies: List[Message] = []
-        for dst in sorted(by_dst):
-            node = self.nodes[dst]
-            for src, buffer in sorted(by_dst[dst], key=lambda item: item[0]):
-                if layer == PS_LAYER:
-                    reply = node.ps_respond(buffer)
-                else:
-                    reply = node.ov_respond(src, buffer, self.profiles, self.age0)
-                replies.append((dst, src, reply))
+        for src, dst, buffer, profile in sorted(incoming, key=itemgetter(1, 0)):
+            protocol, ctx = owned[dst]
+            request = ExchangeRequest(layer, src, buffer, profile)
+            replies.append((dst, src, protocol.on_request(ctx, request), None))
         return replies
 
     def absorb(self, layer: str, replies: List[Message]) -> None:
-        """Phase C: owned requesters merge their replies, ascending id."""
-        for _, requester, reply in sorted(replies, key=lambda item: item[1]):
-            node = self.nodes[requester]
-            if layer == PS_LAYER:
-                node.ps_absorb(reply)
-            else:
-                node.ov_absorb(reply)
+        """Phase C: every owned requester closes its exchange, ascending id.
+
+        A requester whose request found no reply closes on ``None``: the
+        exchange's own refusal rule decides what that costs.
+        """
+        got = {requester: reply for _, requester, reply, _ in replies}
+        pending = self._pending
+        for rank, (protocol, ctx) in self._layers[layer].items():
+            opened = pending.pop(rank, None)
+            if opened is not None:
+                protocol.close_exchange(ctx, opened, got.get(rank))
 
     def converged(self) -> bool:
         """Whether every owned node covers its target neighbourhood.
@@ -384,14 +225,14 @@ class ShardState:
         """
         for rank, node in self.nodes.items():
             wanted = self._targets[rank]
-            if wanted and not wanted <= set(node.neighbors(OVERLAY_LAYER)):
+            if wanted and not wanted <= set(node.protocol(OVERLAY_LAYER).neighbors()):
                 return False
         return True
 
     def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
         """The (node -> layer -> neighbour ids) record of this shard."""
         return {
-            rank: {layer: node.neighbors(layer) for layer in LAYERS}
+            rank: {layer: node.protocol(layer).neighbors() for layer in LAYERS}
             for rank, node in self.nodes.items()
         }
 
@@ -409,7 +250,8 @@ def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
         while True:
             command, payload = conn.recv()
             if command == "request":
-                conn.send(("ok", shard.request(payload)))
+                layer, round_index = payload
+                conn.send(("ok", shard.request(layer, round_index)))
             elif command == "respond":
                 layer, routed = payload
                 conn.send(("ok", shard.respond(layer, routed)))
@@ -444,8 +286,8 @@ class _InlineShards:
             ShardState(config, index) for index in range(config.n_shards)
         ]
 
-    def request(self, layer: str) -> List[List[Message]]:
-        return [shard.request(layer) for shard in self._shards]
+    def request(self, layer: str, round_index: int) -> List[List[Message]]:
+        return [shard.request(layer, round_index) for shard in self._shards]
 
     def respond(self, layer: str, routed: List[List[Message]]) -> List[List[Message]]:
         return [
@@ -545,8 +387,8 @@ class _ProcessShards:
         for process in list((self._executor._processes or {}).values()):
             process.terminate()
 
-    def request(self, layer: str) -> List[List[Message]]:
-        return self._broadcast("request", [layer] * len(self._conns))
+    def request(self, layer: str, round_index: int) -> List[List[Message]]:
+        return self._broadcast("request", [(layer, round_index)] * len(self._conns))
 
     def respond(self, layer: str, routed: List[List[Message]]) -> List[List[Message]]:
         return self._broadcast("respond", [(layer, batch) for batch in routed])
@@ -581,7 +423,7 @@ class _ProcessShards:
 
 
 class ShardedEngine:
-    """The scale tier's engine: BSP rounds over a sharded node population.
+    """The scale tier's engine: BSP rounds of the elementary stack's own layers.
 
     Built from a :class:`~repro.runtime.api.RunnerConfig` like every other
     runner; the fields it reads:
@@ -597,9 +439,10 @@ class ShardedEngine:
         ``"mp"`` hosts one worker per shard on a process pool, degrading to
         inline if the pool cannot start. ``mode_used`` records the outcome.
 
-    Every node's views are :class:`~repro.gossip.views.PartialView`s,
-    whatever ``backend`` says (the field is still validated, and read by
-    nothing here).
+    Every shard node is the round engine's own ``PeerSampling`` +
+    ``Vicinity`` pair, built by :meth:`~repro.runtime.api.ElementaryStack.attach`;
+    a change to either layer moves this engine's digests with the round
+    engine's. ``backend`` is validated and read by nothing here.
 
     Digest invariant (pinned by tests/scale/test_digests.py): for a fixed
     ``(workload, seed)``, :meth:`digest` is byte-identical across every
@@ -647,46 +490,42 @@ class ShardedEngine:
         hand before the next phase can start.
         """
         obs = self.obs
-        shard_of = self.plan.shard_of
-        n_shards = self.config.n_shards
         if obs is not None:
             obs.span_begin("round")
+        shards, phase = self._shards, self._phase
         for layer in LAYERS:
-            if obs is not None:
-                obs.span_begin("shard:request")
-            requests = self._shards.request(layer)
-            if obs is not None:
-                obs.span_end("shard:request")
-                obs.span_begin("shard:barrier")
-            routed: List[List[Message]] = [[] for _ in range(n_shards)]
-            for batch in requests:
-                for message in batch:
-                    self._account(message)
-                    routed[shard_of(message[1])].append(message)
-            if obs is not None:
-                obs.span_end("shard:barrier")
-                obs.span_begin("shard:respond")
-            replies = self._shards.respond(layer, routed)
-            if obs is not None:
-                obs.span_end("shard:respond")
-                obs.span_begin("shard:barrier")
-            returned: List[List[Message]] = [[] for _ in range(n_shards)]
-            for batch in replies:
-                for message in batch:
-                    self._account(message)
-                    returned[shard_of(message[1])].append(message)
-            if obs is not None:
-                obs.span_end("shard:barrier")
-                obs.span_begin("shard:absorb")
-            self._shards.absorb(layer, returned)
-            if obs is not None:
-                obs.span_end("shard:absorb")
+            requests = phase("shard:request", shards.request, layer, self.round)
+            routed = phase("shard:barrier", self._route, requests)
+            replies = phase("shard:respond", shards.respond, layer, routed)
+            returned = phase("shard:barrier", self._route, replies)
+            phase("shard:absorb", shards.absorb, layer, returned)
         if obs is not None:
             obs.span_end("round")
             obs.gauge("shard_messages", self.messages)
             obs.gauge("shard_bytes", self.bytes)
         self.round += 1
         return False
+
+    def _phase(self, span: str, call: Callable, *args: Any) -> Any:
+        """``call(*args)``, timed as ``span`` when an ``obs`` sink is attached."""
+        obs = self.obs
+        if obs is None:
+            return call(*args)
+        obs.span_begin(span)
+        result = call(*args)
+        obs.span_end(span)
+        return result
+
+    def _route(self, batches: List[List[Message]]) -> List[List[Message]]:
+        """Account every message and bucket it by its destination's shard."""
+        shard_of, message_bytes = self.plan.shard_of, self.costs.message_bytes
+        routed: List[List[Message]] = [[] for _ in range(self.config.n_shards)]
+        for batch in batches:
+            for message in batch:
+                self.messages += 1
+                self.bytes += message_bytes(len(message[2]))
+                routed[shard_of(message[1])].append(message)
+        return routed
 
     def run(self, max_rounds: int) -> int:
         """Run up to ``max_rounds`` BSP rounds; stop early on convergence."""
@@ -695,10 +534,6 @@ class ShardedEngine:
         start = self.round
         run_until(self, self.converged, max_rounds)
         return self.round - start
-
-    def _account(self, message: Message) -> None:
-        self.messages += 1
-        self.bytes += self.costs.message_bytes(len(message[2]))
 
     # -- observation -------------------------------------------------------------
 

@@ -17,6 +17,11 @@ from repro.sim.transport import ExchangeRequest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import RoundContext
 
+#: What the opening half hands the closing half: ``(partner_id, buffer,
+#: kept, wire_profile)`` — the request's payload and profile, and what the
+#: absorb rule keeps; ``buffer`` is ``None`` when the gate refused.
+Opened = Tuple[int, Any, Any, Any]
+
 
 class Protocol(ABC):
     """One layer of a node's protocol stack.
@@ -64,7 +69,12 @@ class GossipProtocol(Protocol):
     """One push-pull gossip exchange, instantiated per layer by its hooks.
 
     The active half (:meth:`step`) and its passive mirror
-    (:meth:`on_request`) are the whole protocol; a layer only says
+    (:meth:`on_request`) are the whole protocol. ``step`` is the opening
+    half (:meth:`open_exchange`: begin the round, partner, gate, offer) and
+    the closing half (:meth:`close_exchange`: refusal rule, ledger,
+    counters, flow, absorb) composed around ``transport.exchange``; the
+    sharded BSP engine calls the two halves and the partner's
+    :meth:`on_request` in three barriered phases instead. A layer only says
 
     - :meth:`_begin_round` — what ages or is harvested when its turn starts,
       and whether it has anything to gossip about at all;
@@ -77,8 +87,10 @@ class GossipProtocol(Protocol):
       unreachable means.
 
     The order of the active half is a contract the committed digests depend
-    on: nothing is drawn from the layer's stream between :meth:`_begin_round`
-    and the ``deliverable`` gate except by the partner rule. A refused gate
+    on, and it holds across the cut between the halves: nothing is drawn
+    from the layer's stream between :meth:`_begin_round` and the
+    ``deliverable`` gate except by the partner rule, and nothing after the
+    offer until the closing half absorbs the reply. A refused gate
     and a ``None`` reply are one refusal: the layer loses its turn, leaves
     no trace in the ledger or the counters, and calls :meth:`_unreachable`
     only when ``transport.reachable`` is ``False`` for the partner.
@@ -117,21 +129,43 @@ class GossipProtocol(Protocol):
     # -- the exchange -------------------------------------------------------------
 
     def step(self, ctx: "RoundContext") -> None:
-        """The active half: pick a partner, push-pull buffers, absorb the reply."""
+        """The active half: open the exchange, send it, close it on the reply."""
+        opened = self.open_exchange(ctx)
+        if opened is not None:
+            partner_id, buffer, _, profile = opened
+            reply = None
+            if buffer is not None:
+                request = ExchangeRequest(self.layer, self.node_id, buffer, profile)
+                reply = ctx.transport.exchange(ctx, partner_id, request)
+            self.close_exchange(ctx, opened, reply)
+
+    def open_exchange(self, ctx: "RoundContext") -> Optional[Opened]:
+        """The opening half: begin the round, pick a partner, pass the gate, offer.
+
+        ``None`` when the layer sits the round out, else the
+        :data:`Opened` record for :meth:`close_exchange`, with
+        ``buffer=None`` when the ``deliverable`` gate refused (nothing was
+        offered then). ``wire_profile`` is read after the offer.
+        """
         if not self._begin_round(ctx):
-            return  # nothing to gossip about this round
+            return None
         partner_id = self._choose_partner(ctx)
         if partner_id is None:
-            return
+            return None
+        if not ctx.transport.deliverable(ctx, partner_id, self.layer):
+            return partner_id, None, None, None
         obs = ctx.obs
         flow = obs.flow if obs is not None and self.traces_flow else None
-        reply = None
-        if ctx.transport.deliverable(ctx, partner_id, self.layer):
-            buffer, kept = self._offer(ctx, flow, partner_id, None)
-            request = ExchangeRequest(
-                self.layer, self.node_id, buffer, self.wire_profile
-            )
-            reply = ctx.transport.exchange(ctx, partner_id, request)
+        buffer, kept = self._offer(ctx, flow, partner_id, None)
+        return partner_id, buffer, kept, self.wire_profile
+
+    def close_exchange(self, ctx: "RoundContext", opened: Opened, reply: Any) -> None:
+        """The closing half: the refusal rule, or ledger, counters, flow, absorb.
+
+        ``reply`` is the partner's answer to ``opened``, ``None`` for a
+        refused gate or an unanswered request.
+        """
+        partner_id, buffer, kept, profile = opened
         if reply is None:
             # Refused at the gate, or sent and never answered: either way
             # the layer loses its turn. A lost exchange says nothing about
@@ -144,14 +178,15 @@ class GossipProtocol(Protocol):
             self.layer,
             len(buffer),
             len(reply),
-            len(request.profile) if self.wire_profile_is_digest else 0,
+            len(profile) if self.wire_profile_is_digest else 0,
         )
+        obs = ctx.obs
         if obs is not None:
             obs.count_key(self._k_exchanges)
             obs.count_key(self._k_sent, len(buffer))
             obs.count_key(self._k_received, len(reply))
-            if flow is not None:
-                flow.on_received(
+            if self.traces_flow and obs.flow is not None:
+                obs.flow.on_received(
                     self.layer, ctx.round, self.node_id, partner_id, reply
                 )
         self._absorb(ctx, kept, reply)

@@ -7,9 +7,11 @@ digests depend on: a refused gate draws nothing and leaves no trace, a
 timed-out reply is treated exactly like a refused gate, either refusal lets
 the partner go only when the transport calls it unreachable (and the port
 layers never), and a completed exchange is ledgered and counted once. The
-second half pins the have-digest of the two utility overlays: what a request
-says the requester holds, what the ledger charges for it, and what the
-passive half does with it.
+next part pins that the opening half, the partner's passive half and the
+closing half — the exchange as the BSP engine schedules it — compose to
+exactly ``step()``. The last part pins the have-digest of the two utility
+overlays: what a request says the requester holds, what the ledger charges
+for it, and what the passive half does with it.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from repro.core.layers import (
 from repro.gossip.peer_sampling import PeerSampling
 from repro.gossip.tman import TMan
 from repro.gossip.vicinity import Vicinity
+from repro.gossip.views import PartialView
 from repro.heal.scenarios import standard_deployment
 from repro.obs.instrument import Instrument
 from repro.sim.engine import RoundContext
-from repro.sim.transport import Transport
+from repro.sim.transport import ExchangeRequest, Transport
 
 #: class -> (layer it is attached under, runtime config that deploys it).
 CASES = {
@@ -199,6 +202,81 @@ def test_completed_exchange_is_ledgered_and_counted_once(cls):
         ("descriptors_sent", sent),
         ("descriptors_received", received),
     ]
+
+
+# -- the two halves: what the BSP engine runs across its barriers ----------------------
+
+
+def _state(value):
+    """A comparable copy of one protocol attribute (views by their entries)."""
+    if isinstance(value, PartialView):
+        return value.descriptors()
+    if isinstance(value, dict):
+        return {key: _state(item) for key, item in value.items()}
+    return value
+
+
+def exchange_world(cls, split):
+    """Node 0's ``cls`` runs one exchange on the seeded warmed deployment of
+    :func:`one_step`, by ``step()`` or by its halves; returns everything the
+    exchange may touch: both nodes' layer state and streams, the ledger and
+    the counters."""
+    layer, config = CASES[cls]
+    deployment = standard_deployment(32, 5, config=config)
+    network = deployment.network
+    deployment.run(1)
+    transport, obs = RecordingTransport(), RecordingInstrument()
+    ctx = RoundContext(
+        node=network.node(0),
+        network=network,
+        transport=transport,
+        streams=deployment.streams,
+        round=1,
+        layer=layer,
+        obs=obs,
+    )
+    protocol = ctx.node.protocol(layer)
+    if split:
+        opened = protocol.open_exchange(ctx)
+        partner_id, buffer, _, profile = opened
+        # The partner answers as the in-memory transport has it answer:
+        # under the requester's context, unobserved.
+        partner = network.node(partner_id).protocol(layer)
+        request = ExchangeRequest(layer, protocol.node_id, buffer, profile)
+        reply = partner.on_request(dataclasses.replace(ctx, obs=None), request)
+        protocol.close_exchange(ctx, opened, reply)
+    else:
+        protocol.step(ctx)
+        partner_id = transport.partner
+    nodes = (0, partner_id)
+    return {
+        "layers": {
+            (node_id, name): {
+                key: _state(item)
+                for key, item in vars(instance).items()
+                if key not in ("proximity", "_distances")
+            }
+            for node_id in nodes
+            for name, instance in network.node(node_id).stack()
+        },
+        "streams": [deployment.streams.stream(layer, n).getstate() for n in nodes],
+        "ledger": (
+            transport.recorded,
+            transport.total_messages(layer),
+            transport.total_bytes(layer),
+        ),
+        "counters": (obs.keyed, obs.named),
+    }
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_the_halves_compose_to_step(cls):
+    """Opening half, the partner's ``on_request``, closing half: the BSP
+    schedule of one exchange leaves both nodes, the ledger and the counters
+    exactly where ``step()`` does."""
+    stepped = exchange_world(cls, split=False)
+    assert stepped["ledger"][0], "the exchange must complete"
+    assert exchange_world(cls, split=True) == stepped
 
 
 # -- the have-digest: UO1 and UO2 ask for what they lack ------------------------------

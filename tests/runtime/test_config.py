@@ -39,6 +39,8 @@ class TestValidation:
             {"port": -1},
             {"port": 70_000},
             {"round_interval": 0.0},
+            {"round_interval": float("nan")},
+            {"round_interval": float("inf")},
         ],
     )
     def test_rejects(self, kwargs):

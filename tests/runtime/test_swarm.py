@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import swarm
 
 
@@ -333,6 +333,15 @@ class TestGuards:
     def test_swarm_needs_two_nodes(self):
         with pytest.raises(SimulationError, match=">= 2 nodes"):
             swarm.run_swarm(n_nodes=1)
+
+    def test_non_finite_round_interval_fails_before_any_child(self, tmp_path, monkeypatch):
+        def no_child(*args, **kwargs):
+            raise AssertionError("a child was started")
+
+        monkeypatch.setattr(swarm.subprocess, "Popen", no_child)
+        with pytest.raises(ConfigurationError, match="round_interval"):
+            swarm.run_swarm(n_nodes=2, round_interval=float("nan"), status_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_main_rejects_supervisor_role(self):
         with pytest.raises(SystemExit, match="child entry point"):
