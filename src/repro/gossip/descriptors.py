@@ -59,8 +59,8 @@ class Descriptor(tuple):
         return _new(cls, (int(node_id), int(age), profile, provenance))
 
     def __reduce__(self):
-        # Descriptors cross process boundaries in the sharded engine's
-        # message batches and in parallel-runner results.
+        # One tuple.__new__ on unpickling, for any caller that pickles a
+        # descriptor. The sharded engine does not: its pipe carries rows.
         return (_new, (Descriptor, tuple(self)))
 
     def aged(self, increment: int = 1) -> "Descriptor":

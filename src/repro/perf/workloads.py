@@ -63,7 +63,7 @@ class CellResult:
     workload: str
     seed: int
     #: How the rounds were actually executed (``mp`` degrades to ``inline``
-    #: where no process pool is available).
+    #: where no worker process can start).
     mode: str
     rounds_to_converge: Optional[int]
     executed: int

@@ -46,7 +46,7 @@ class Runner(Protocol):
     ``run_round`` executes one logical round and returns ``True`` when the
     engine wants to stop (an observer's verdict); ``run`` executes up to
     ``max_rounds`` and returns the count actually executed; ``close``
-    releases any resources (process pools, sockets) and is idempotent.
+    releases any resources (worker processes, sockets) and is idempotent.
     The ``round`` attribute counts completed rounds.
     """
 

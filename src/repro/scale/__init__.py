@@ -9,7 +9,7 @@ process placement. Every shard node runs the round engine's own
 
 The gate is ``tests/scale/test_digests.py``: the ``scale`` rows of
 :mod:`repro.perf.workloads` must reproduce their committed digests, and at
-1 024 nodes serial and sharded (4 shards, process pool) must produce the
+1 024 nodes serial and sharded (4 shards, worker processes) must produce the
 same one. Timing is the repository benchmark's ``scale_ring`` workload
 (``python3 -m bench``).
 """

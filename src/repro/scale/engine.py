@@ -22,7 +22,7 @@ layer's exchange is cut at the seams of
 
 Within a phase a node touches only its own state, the static adverts of the
 other ranks' facades, and the messages addressed to it, so shards run
-phases concurrently and exchange plain tuples only at the barriers.
+phases concurrently and exchange messages only at the barriers.
 Determinism rests on two invariants, both pinned by tests/scale/: every RNG
 draw comes from a per-node stream seeded by the
 :func:`~repro.sim.rng.spawn_seeds` SHA-256 splitter (the rank is the only
@@ -30,11 +30,15 @@ key), and all order-sensitive processing runs in ascending node id.
 
 Two execution backends share the same :class:`ShardState` logic:
 ``mode="inline"`` steps every shard in-process (the reference), and
-``mode="mp"`` hosts one long-lived :func:`_shard_worker` per shard on a
-``ProcessPoolExecutor``, speaking length-delimited pickles over pipes. The
+``mode="mp"`` forks one long-lived :func:`_shard_worker` process per shard,
+driven over a pipe. On the pipe a descriptor buffer travels as plain tuple
+rows, which pickle writes in C (a ``Descriptor`` would go through its
+Python-level ``__reduce__``); the worker rebuilds each with one
+``tuple.__new__``, and the parent routes rows without building any. The
 worker keeps all mutable state on its stack — never in module globals
-(SHD001) — and the parent degrades to inline execution if the pool cannot
-start (sandboxes without working semaphores, platforms without fork).
+(SHD001). The parent degrades to inline execution if the workers cannot
+start (platforms without fork); a worker that dies, raises or falls silent
+fails the run with a :class:`~repro.errors.SimulationError`.
 
 Simulation-side module: no wall-clock reads (DET003).
 """
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.gossip.descriptors import Descriptor
@@ -69,8 +73,11 @@ LAYERS = (PS_LAYER, OVERLAY_LAYER)
 BARRIER_TIMEOUT_S = 60.0
 
 #: A routed message: (source node id, destination node id, descriptor
-#: buffer, the request's wire profile — ``None`` on a reply).
+#: buffer, the request's wire profile — ``None`` on a reply). Between a
+#: worker and the parent the buffer holds each descriptor as a plain tuple.
 Message = Tuple[int, int, List[Descriptor], Any]
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,8 @@ class ShardState:
     :meth:`~repro.runtime.api.ElementaryStack.attach`. The ranks this shard
     owns are bootstrapped and stepped; every other rank is a facade with
     empty views, read for its ``self_descriptor()`` and ``profile`` only.
-    The inline engine holds one of these per shard; a pool worker builds
-    its one from the pickled :class:`~repro.runtime.api.RunnerConfig`.
+    The inline engine holds one of these per shard; a worker process
+    builds its one from the forked :class:`~repro.runtime.api.RunnerConfig`.
     """
 
     def __init__(self, config: RunnerConfig, shard_index: int):
@@ -221,7 +228,7 @@ class ShardState:
 
         The shard-local half of ``Shape.converged``: the global check is
         exactly the conjunction over shards, and keeping it shard-side
-        avoids shipping the full adjacency across the pool every round.
+        avoids shipping the full adjacency across the pipes every round.
         """
         for rank, node in self.nodes.items():
             wanted = self._targets[rank]
@@ -237,34 +244,46 @@ class ShardState:
         }
 
 
+def _rows(batch: List[Message]) -> List[Message]:
+    """``batch`` with every buffer as plain tuples, for the pipe."""
+    return [(src, dst, list(map(tuple, buffer)), profile) for src, dst, buffer, profile in batch]
+
+
+def _descriptors(batch: List[Message]) -> List[Message]:
+    """``batch`` off the pipe, every row a ``Descriptor`` again."""
+    return [
+        (src, dst, [_new(Descriptor, row) for row in rows], profile)
+        for src, dst, rows, profile in batch
+    ]
+
+
 def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
-    """The long-lived pool task hosting one shard.
+    """The long-lived worker process hosting one shard.
 
     All mutable state — the shard, its views, its RNG streams — lives in
     this frame; the function never writes a module global (SHD001), so a
-    worker process can host shards of successive runs without bleed.
+    worker hosts its shard without bleed from whatever it was forked from.
     """
     try:
         shard = ShardState(config, shard_index)
-        conn.send(("ready", shard_index))
+        conn.send(("ok", None))
         while True:
             command, payload = conn.recv()
             if command == "request":
                 layer, round_index = payload
-                conn.send(("ok", shard.request(layer, round_index)))
+                conn.send(("ok", _rows(shard.request(layer, round_index))))
             elif command == "respond":
                 layer, routed = payload
-                conn.send(("ok", shard.respond(layer, routed)))
+                conn.send(("ok", _rows(shard.respond(layer, _descriptors(routed)))))
             elif command == "absorb":
                 layer, routed = payload
-                shard.absorb(layer, routed)
+                shard.absorb(layer, _descriptors(routed))
                 conn.send(("ok", None))
             elif command == "adjacency":
                 conn.send(("ok", shard.adjacency()))
             elif command == "converged":
                 conn.send(("ok", shard.converged()))
-            else:  # "stop" (or anything unknown): acknowledge and exit
-                conn.send(("ok", None))
+            else:  # "stop" (or anything unknown)
                 return
     except EOFError:  # parent went away: nothing to report to
         return
@@ -313,7 +332,7 @@ class _InlineShards:
 
 
 class _ProcessShards:
-    """Pool-backed execution: one pipe-driven worker per shard.
+    """Process-backed execution: one forked, pipe-driven worker per shard.
 
     The parent's side of the phase protocol. Every phase is one
     send/receive per shard — requests fan out before any reply is awaited,
@@ -322,70 +341,65 @@ class _ProcessShards:
 
     def __init__(self, config: RunnerConfig):
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            context = multiprocessing.get_context()
-        self._executor = ProcessPoolExecutor(
-            max_workers=config.n_shards, mp_context=context
-        )
-        self._conns = []
-        self._futures = []
-        child_ends = []
+        context = multiprocessing.get_context("fork")
+        self._conns: List[Any] = []
+        self._processes: List[Any] = []
         try:
             for index in range(config.n_shards):
                 parent_end, child_end = context.Pipe()
-                future = self._executor.submit(
-                    _shard_worker, child_end, config, index
-                )
                 self._conns.append(parent_end)
-                self._futures.append(future)
-                child_ends.append(child_end)
-            for conn in self._conns:
-                if not conn.poll(BARRIER_TIMEOUT_S):
-                    raise RuntimeError("shard worker failed to report ready")
-                status, _ = conn.recv()
-                if status != "ready":
-                    raise RuntimeError(f"shard worker failed to start: {status}")
-            # Only now is it safe to drop the child ends: "ready" proves the
-            # submission was pickled and delivered (the executor's feeder
-            # thread pickles asynchronously — closing earlier races it).
-            for child_end in child_ends:
-                child_end.close()
-        except BaseException:
-            for child_end in child_ends:
+                process = context.Process(
+                    target=_shard_worker, args=(child_end, config, index), daemon=True
+                )
                 try:
+                    process.start()
+                finally:
+                    # Once forked, the worker holds the only other copy, so
+                    # its death reads as end-of-file (or a broken pipe) here.
                     child_end.close()
-                except OSError:
-                    pass
+                self._processes.append(process)
+            self._gather("start")
+        except BaseException:
             self.close()
             raise
 
     def _broadcast(self, command: str, payloads) -> List:
-        for conn, payload in zip(self._conns, payloads):
-            conn.send((command, payload))
+        """Send each worker its payload, then gather every answer."""
+        for index, (conn, payload) in enumerate(zip(self._conns, payloads)):
+            try:
+                conn.send((command, payload))
+            except OSError:
+                self._fail(index, f"died before {command!r}")
+        return self._gather(command)
+
+    def _gather(self, command: str) -> List:
+        """Every worker's answer to ``command``, in shard order."""
         results = []
         for index, conn in enumerate(self._conns):
-            if not conn.poll(BARRIER_TIMEOUT_S):
-                self._terminate()
-                self.close()
-                raise SimulationError(
-                    f"shard worker {index} did not answer {command!r} "
-                    f"within {BARRIER_TIMEOUT_S:g} s"
-                )
-            status, value = conn.recv()
+            try:
+                if not conn.poll(BARRIER_TIMEOUT_S):
+                    self._fail(
+                        index,
+                        f"did not answer {command!r} within {BARRIER_TIMEOUT_S:g} s",
+                    )
+                status, value = conn.recv()
+            except (OSError, EOFError):
+                self._fail(index, f"died during {command!r}")
             if status != "ok":
-                raise RuntimeError(f"shard worker failed: {value}")
+                self._fail(index, f"failed on {command!r}: {value}")
             results.append(value)
         return results
 
-    def _terminate(self) -> None:
-        """Kill every pool process: a hung worker never reads ``stop``, and
-        ``ProcessPoolExecutor`` has no public way to kill its workers."""
-        for process in list((self._executor._processes or {}).values()):
-            process.terminate()
+    def _fail(self, index: int, why: str) -> NoReturn:
+        """Stop every worker and fail the run, naming shard ``index``."""
+        self._processes[index].join(1)  # a dead worker's exit code, once reaped
+        code = self._processes[index].exitcode
+        for process in self._processes:
+            process.terminate()  # a silent worker never reads "stop"
+        self.close()
+        exit_code = "" if code is None else f" (exit code {code})"
+        raise SimulationError(f"shard worker {index} {why}{exit_code}")
 
     def request(self, layer: str, round_index: int) -> List[List[Message]]:
         return self._broadcast("request", [(layer, round_index)] * len(self._conns))
@@ -411,15 +425,14 @@ class _ProcessShards:
                 conn.send(("stop", None))
             except OSError:
                 pass
+        for process in self._processes:
+            process.join(5)
+            if process.exitcode is None:
+                process.terminate()
+                process.join()
         for conn in self._conns:
-            try:
-                if conn.poll(5):
-                    conn.recv()
-            except (OSError, EOFError):
-                pass
             conn.close()
-        self._conns = []
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._conns, self._processes = [], []
 
 
 class ShardedEngine:
@@ -436,8 +449,8 @@ class ShardedEngine:
         How many contiguous rank blocks the population splits into.
     ``mode``
         ``"inline"`` steps shards sequentially in-process (the reference);
-        ``"mp"`` hosts one worker per shard on a process pool, degrading to
-        inline if the pool cannot start. ``mode_used`` records the outcome.
+        ``"mp"`` forks one worker process per shard, degrading to inline if
+        the workers cannot start. ``mode_used`` records the outcome.
 
     Every shard node is the round engine's own ``PeerSampling`` +
     ``Vicinity`` pair, built by :meth:`~repro.runtime.api.ElementaryStack.attach`;
@@ -466,8 +479,8 @@ class ShardedEngine:
             try:
                 self._shards = _ProcessShards(config)
             except Exception:
-                # No usable pool (sandboxed semaphores, missing fork):
-                # the inline backend computes the identical rounds.
+                # No usable workers (no fork on this platform): the
+                # inline backend computes the identical rounds.
                 self.mode_used = "inline"
                 self._shards = _InlineShards(config)
         else:

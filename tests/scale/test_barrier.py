@@ -1,7 +1,10 @@
-"""A shard worker that stops answering fails the run; it never hangs it."""
+"""A shard worker that stops answering, dies or raises fails the run with a
+:class:`SimulationError` naming its shard; it never hangs it."""
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
@@ -12,6 +15,23 @@ from repro.scale import engine as scale_engine
 from repro.scale.engine import ShardedEngine, ShardState
 
 
+def two_workers() -> ShardedEngine:
+    engine = ShardedEngine(
+        RunnerConfig(
+            kind="sharded", shape="ring", n_nodes=16, n_shards=2, mode="mp"
+        )
+    )
+    if engine.mode_used != "mp":
+        pytest.skip("worker processes unavailable in this environment")
+    return engine
+
+
+def closes_promptly(engine: ShardedEngine) -> None:
+    start = time.monotonic()
+    engine.close()
+    assert time.monotonic() - start < 10
+
+
 def test_a_silent_worker_raises_at_the_barrier_and_close_returns(monkeypatch):
     real_absorb = ShardState.absorb
 
@@ -20,22 +40,67 @@ def test_a_silent_worker_raises_at_the_barrier_and_close_returns(monkeypatch):
             time.sleep(600)
         real_absorb(self, layer, replies)
 
-    # The pool forks after this patch, so its workers inherit it.
-    monkeypatch.setattr(ShardState, "absorb", stalled_absorb)
-    engine = ShardedEngine(
-        RunnerConfig(
-            kind="sharded", shape="ring", n_nodes=16, n_shards=2, mode="mp"
-        )
-    )
+    monkeypatch.setattr(ShardState, "absorb", stalled_absorb)  # before the fork
+    engine = two_workers()
     try:
-        if engine.mode_used != "mp":
-            pytest.skip("process pool unavailable in this environment")
         monkeypatch.setattr(scale_engine, "BARRIER_TIMEOUT_S", 1.0)
         start = time.monotonic()
         with pytest.raises(SimulationError, match=r"shard worker 1 .*'absorb'"):
             engine.run_round()
         assert time.monotonic() - start < 10
     finally:
-        start = time.monotonic()
-        engine.close()
-        assert time.monotonic() - start < 10
+        closes_promptly(engine)
+
+
+def test_a_killed_worker_raises_simulation_error():
+    engine = two_workers()
+    try:
+        engine.run_round()
+        worker = engine._shards._processes[1]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(10)
+        assert not worker.is_alive()
+        with pytest.raises(
+            SimulationError, match=r"shard worker 1 died before 'request' \(exit code -9\)"
+        ):
+            engine.run_round()
+    finally:
+        closes_promptly(engine)
+
+
+def test_a_worker_killed_mid_phase_raises_simulation_error(monkeypatch):
+    real_absorb = ShardState.absorb
+
+    def dying_absorb(self, layer, replies):
+        if min(self.nodes) > 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_absorb(self, layer, replies)
+
+    monkeypatch.setattr(ShardState, "absorb", dying_absorb)  # before the fork
+    engine = two_workers()
+    try:
+        with pytest.raises(
+            SimulationError, match=r"shard worker 1 died during 'absorb' \(exit code -9\)"
+        ):
+            engine.run_round()
+    finally:
+        closes_promptly(engine)
+
+
+def test_a_worker_exception_raises_simulation_error(monkeypatch):
+    real_respond = ShardState.respond
+
+    def failing_respond(self, layer, incoming):
+        if min(self.nodes) > 0:
+            raise ValueError("boom")
+        return real_respond(self, layer, incoming)
+
+    monkeypatch.setattr(ShardState, "respond", failing_respond)  # before the fork
+    engine = two_workers()
+    try:
+        with pytest.raises(
+            SimulationError, match=r"shard worker 1 failed on 'respond': ValueError\('boom'\)"
+        ):
+            engine.run_round()
+    finally:
+        closes_promptly(engine)

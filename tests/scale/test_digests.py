@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import json
 import pathlib
+import pickle
 
 import pytest
 
+from repro.gossip.descriptors import Descriptor
 from repro.perf.digest import adjacency_digest, result_digest
 from repro.perf.workloads import run_cell, workload_matrix
 from repro.runtime.api import RunnerConfig
+from repro.scale import engine as scale_engine
 from repro.scale.engine import ShardedEngine
 from repro.shapes import available_shapes
 from repro.sim.rng import spawn_seeds
@@ -160,6 +163,58 @@ def test_process_pool_matches_inline():
             engine.run_round()
         assert engine.digest() == inline
 
+
+
+@pytest.mark.parametrize("n_shards", [2, 3])
+@pytest.mark.parametrize("shape", ["ring", "grid"])
+def test_the_pipe_carries_descriptor_rows(shape, n_shards, monkeypatch):
+    # What reaches the parent's router from a worker is plain tuple rows, so
+    # no Descriptor is pickled; rebuilt, they are the inline run's messages
+    # field by field; and mp equals inline in digest, messages and bytes.
+    # grid's profiles are tuples, ring's integers.
+    routed = {}
+    real_route = ShardedEngine._route
+
+    def spy(self, batches):
+        routed[self.mode_used].extend(m for batch in batches for m in batch)
+        return real_route(self, batches)
+
+    monkeypatch.setattr(ShardedEngine, "_route", spy)
+    runs = {}
+    for mode in ("inline", "mp"):
+        routed[mode] = []
+        with sharded(
+            workload=f"{shape}-64", shape=shape, n_nodes=64, seed=7,
+            n_shards=n_shards, mode=mode,
+        ) as engine:
+            if engine.mode_used != mode:
+                pytest.skip("worker processes unavailable in this environment")
+            for _ in range(4):
+                engine.run_round()
+            runs[mode] = (engine.digest(), engine.messages, engine.bytes)
+    assert runs["mp"] == runs["inline"]
+    rows = [entry for message in routed["mp"] for entry in message[2]]
+    assert rows and {type(entry) for entry in rows} == {tuple}
+    rebuilt = scale_engine._descriptors(routed["mp"])
+    assert len(rebuilt) == len(routed["inline"])
+    for got, want in zip(rebuilt, routed["inline"]):
+        assert got[:2] == want[:2] and got[3] == want[3]
+        assert all(type(d) is Descriptor for d in got[2])
+        assert [tuple(d) for d in got[2]] == [tuple(d) for d in want[2]]
+
+
+def test_rows_rebuild_descriptors_with_profile_and_provenance():
+    batch = [
+        (0, 5, [Descriptor(3, 2, (1, 4), 9), Descriptor(8, 0, 17)], ("grid", 0)),
+        (5, 0, [Descriptor(0, 1)], None),
+    ]
+    rows = pickle.loads(pickle.dumps(scale_engine._rows(batch)))
+    assert all(type(row) is tuple for message in rows for row in message[2])
+    rebuilt = scale_engine._descriptors(rows)
+    assert [m[:2] + m[3:] for m in rebuilt] == [m[:2] + m[3:] for m in batch]
+    for got, want in zip(rebuilt, batch):
+        assert all(type(d) is Descriptor for d in got[2])
+        assert [tuple(d) for d in got[2]] == [tuple(d) for d in want[2]]  # tag too
 
 def test_runs_are_reproducible_and_seed_sensitive():
     first = digest_after("ring", 48, 3)
