@@ -164,7 +164,6 @@ def test_process_pool_matches_inline():
         assert engine.digest() == inline
 
 
-
 @pytest.mark.parametrize("n_shards", [2, 3])
 @pytest.mark.parametrize("shape", ["ring", "grid"])
 def test_the_pipe_carries_descriptor_rows(shape, n_shards, monkeypatch):
@@ -215,6 +214,7 @@ def test_rows_rebuild_descriptors_with_profile_and_provenance():
     for got, want in zip(rebuilt, batch):
         assert all(type(d) is Descriptor for d in got[2])
         assert [tuple(d) for d in got[2]] == [tuple(d) for d in want[2]]  # tag too
+
 
 def test_runs_are_reproducible_and_seed_sensitive():
     first = digest_after("ring", 48, 3)
