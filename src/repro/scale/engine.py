@@ -22,30 +22,33 @@ layer's exchange is cut at the seams of
 
 Within a phase a node touches only its own state, the static adverts of the
 other ranks' facades, and the messages addressed to it, so shards run
-phases concurrently and exchange messages only at the barriers.
+phases concurrently. A shard keeps what it addresses to its own ranks; only
+one outbox per other shard crosses a barrier. A round is five steps:
+request, respond, absorb + the overlay's request, respond, absorb + the
+shard's convergence verdict and ledger.
 Determinism rests on two invariants, both pinned by tests/scale/: every RNG
 draw comes from a per-node stream seeded by the
 :func:`~repro.sim.rng.spawn_seeds` SHA-256 splitter (the rank is the only
 key), and all order-sensitive processing runs in ascending node id.
 
-Two execution backends share the same :class:`ShardState` logic:
-``mode="inline"`` steps every shard in-process (the reference), and
-``mode="mp"`` forks one long-lived :func:`_shard_worker` process per shard,
-driven over a pipe. On the pipe a descriptor buffer travels as plain tuple
-rows, which pickle writes in C (a ``Descriptor`` would go through its
-Python-level ``__reduce__``); the worker rebuilds each with one
-``tuple.__new__``, and the parent routes rows without building any. The
-worker keeps all mutable state on its stack — never in module globals
-(SHD001). The parent degrades to inline execution if the workers cannot
-start (platforms without fork); a worker that dies, raises or falls silent
-fails the run with a :class:`~repro.errors.SimulationError`.
+``mode="inline"`` steps every shard in-process on message lists (the
+reference); ``mode="mp"`` forks one long-lived :func:`_shard_worker`
+process per shard, driven over a pipe on the same schedule. A worker seals
+each outbox into one ``bytes`` value of plain tuple rows (pickled in C, not
+through ``Descriptor.__reduce__``); the parent forwards it unopened and the
+receiver rebuilds each row with one ``tuple.__new__``. The worker keeps all
+mutable state on its stack (SHD001). Only a platform without fork degrades
+to inline; a worker that dies, raises or falls silent, at start-up or
+later, fails the run with a :class:`~repro.errors.SimulationError`.
 
 Simulation-side module: no wall-clock reads (DET003).
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
@@ -73,9 +76,11 @@ LAYERS = (PS_LAYER, OVERLAY_LAYER)
 BARRIER_TIMEOUT_S = 60.0
 
 #: A routed message: (source node id, destination node id, descriptor
-#: buffer, the request's wire profile — ``None`` on a reply). Between a
-#: worker and the parent the buffer holds each descriptor as a plain tuple.
+#: buffer, the request's wire profile — ``None`` on a reply).
 Message = Tuple[int, int, List[Descriptor], Any]
+#: A shard's phase output: destination shard -> outbox, one per other
+#: shard. Inline an outbox is a message list; a worker seals it to bytes.
+Outboxes = Dict[int, Any]
 
 _new = tuple.__new__
 
@@ -149,14 +154,22 @@ class ShardState:
     empty views, read for its ``self_descriptor()`` and ``profile`` only.
     The inline engine holds one of these per shard; a worker process
     builds its one from the forked :class:`~repro.runtime.api.RunnerConfig`.
+    A phase keeps its messages to owned ranks and returns the rest as
+    :data:`Outboxes`; ``transport`` is the shard's ledger.
     """
 
     def __init__(self, config: RunnerConfig, shard_index: int):
         n = config.n_nodes
         stack = ElementaryStack(config.shape, n, config.gossip)
-        owned = ShardPlan(n, config.n_shards).members(shard_index)
+        plan = ShardPlan(n, config.n_shards)
+        owned = plan.members(shard_index)
         network = Network()
-        transport = Transport(config.costs)
+        self.transport = transport = Transport(config.costs)
+        self.index = shard_index
+        #: rank -> owning shard, so posting a message is one list read.
+        self._shard_of = [s for s in range(plan.n_shards) for _ in plan.members(s)]
+        #: The last phase's messages to owned ranks, for the next phase.
+        self._kept: List[Message] = []
         node_seeds = spawn_seeds(config.seed, n, "scale", config.workload)
         self.nodes: Dict[int, Node] = {}
         self._targets = {rank: stack.shape.target_neighbors(rank, n) for rank in owned}
@@ -182,7 +195,16 @@ class ShardState:
 
     # -- the three phases ------------------------------------------------------
 
-    def request(self, layer: str, round_index: int) -> List[Message]:
+    def _post(self, messages: List[Message]) -> Outboxes:
+        """Keep ``messages`` to owned ranks; bucket the rest by shard."""
+        boxes: List[List[Message]] = [[] for _ in range(self._shard_of[-1] + 1)]
+        shard_of = self._shard_of
+        for message in messages:
+            boxes[shard_of[message[1]]].append(message)
+        self._kept = boxes[self.index]
+        return {shard: box for shard, box in enumerate(boxes) if shard != self.index}
+
+    def request(self, layer: str, round_index: int) -> Outboxes:
         """Phase A: every owned node opens its exchange (ascending rank)."""
         out: List[Message] = []
         pending = self._pending
@@ -195,28 +217,33 @@ class ShardState:
             partner_id, buffer, _, profile = opened
             if buffer is not None:
                 out.append((rank, partner_id, buffer, profile))
-        return out
+        return self._post(out)
 
-    def respond(self, layer: str, incoming: List[Message]) -> List[Message]:
+    def respond(self, layer: str, inbound: List[List[Message]]) -> Outboxes:
         """Phase B: owned nodes answer, ascending node then requester id.
 
-        Each answer is the responder's ``on_request`` under its own context.
+        ``inbound`` holds the other shards' outboxes to this one; the kept
+        requests join them. Each answer is the responder's ``on_request``
+        under its own context.
         """
         owned = self._layers[layer]
         replies: List[Message] = []
-        for src, dst, buffer, profile in sorted(incoming, key=itemgetter(1, 0)):
+        incoming = sorted(chain(self._kept, *inbound), key=itemgetter(1, 0))
+        for src, dst, buffer, profile in incoming:
             protocol, ctx = owned[dst]
             request = ExchangeRequest(layer, src, buffer, profile)
             replies.append((dst, src, protocol.on_request(ctx, request), None))
-        return replies
+        return self._post(replies)
 
-    def absorb(self, layer: str, replies: List[Message]) -> None:
+    def absorb(self, layer: str, inbound: List[List[Message]]) -> None:
         """Phase C: every owned requester closes its exchange, ascending id.
 
-        A requester whose request found no reply closes on ``None``: the
-        exchange's own refusal rule decides what that costs.
+        Replies are keyed by requester, so kept and received ones merge
+        without an order. A requester whose request found no reply closes
+        on ``None``: the exchange's own refusal rule decides what that costs.
         """
-        got = {requester: reply for _, requester, reply, _ in replies}
+        got = {requester: reply for _, requester, reply, _ in chain(self._kept, *inbound)}
+        self._kept = []
         pending = self._pending
         for rank, (protocol, ctx) in self._layers[layer].items():
             opened = pending.pop(rank, None)
@@ -236,6 +263,10 @@ class ShardState:
                 return False
         return True
 
+    def verdict(self) -> Tuple[bool, int, int]:
+        """:meth:`converged`, and the ledger's messages and bytes so far."""
+        return self.converged(), self.transport.total_messages(), self.transport.total_bytes()
+
     def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
         """The (node -> layer -> neighbour ids) record of this shard."""
         return {
@@ -244,47 +275,53 @@ class ShardState:
         }
 
 
-def _rows(batch: List[Message]) -> List[Message]:
-    """``batch`` with every buffer as plain tuples, for the pipe."""
-    return [(src, dst, list(map(tuple, buffer)), profile) for src, dst, buffer, profile in batch]
+def _seal(outbox: List[Message]) -> bytes:
+    """One outbox as one ``bytes`` value, every descriptor a plain tuple row."""
+    rows = [(src, dst, list(map(tuple, buffer)), profile) for src, dst, buffer, profile in outbox]
+    return pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)
 
 
-def _descriptors(batch: List[Message]) -> List[Message]:
-    """``batch`` off the pipe, every row a ``Descriptor`` again."""
+def _unseal(sealed: bytes) -> List[Message]:
+    """A sealed outbox's messages, every row a ``Descriptor`` again."""
     return [
         (src, dst, [_new(Descriptor, row) for row in rows], profile)
-        for src, dst, rows, profile in batch
+        for src, dst, rows, profile in pickle.loads(sealed)
     ]
 
 
 def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
     """The long-lived worker process hosting one shard.
 
+    It answers each step with the shard's sealed outboxes, except the
+    round's last ``absorb`` (no layer follows): :meth:`ShardState.verdict`.
     All mutable state — the shard, its views, its RNG streams — lives in
     this frame; the function never writes a module global (SHD001), so a
     worker hosts its shard without bleed from whatever it was forked from.
     """
+    def seal(outboxes: Outboxes) -> Outboxes:
+        return {to: _seal(box) for to, box in outboxes.items()}
+
     try:
         shard = ShardState(config, shard_index)
         conn.send(("ok", None))
         while True:
             command, payload = conn.recv()
             if command == "request":
-                layer, round_index = payload
-                conn.send(("ok", _rows(shard.request(layer, round_index))))
+                answer = seal(shard.request(*payload))
             elif command == "respond":
-                layer, routed = payload
-                conn.send(("ok", _rows(shard.respond(layer, _descriptors(routed)))))
+                layer, inbound = payload
+                answer = seal(shard.respond(layer, [_unseal(box) for box in inbound]))
             elif command == "absorb":
-                layer, routed = payload
-                shard.absorb(layer, _descriptors(routed))
-                conn.send(("ok", None))
+                layer, inbound, following = payload
+                shard.absorb(layer, [_unseal(box) for box in inbound])
+                answer = shard.verdict() if following is None else seal(shard.request(*following))
             elif command == "adjacency":
-                conn.send(("ok", shard.adjacency()))
+                answer = shard.adjacency()
             elif command == "converged":
-                conn.send(("ok", shard.converged()))
+                answer = shard.converged()
             else:  # "stop" (or anything unknown)
                 return
+            conn.send(("ok", answer))
     except EOFError:  # parent went away: nothing to report to
         return
     except BaseException as error:  # surface the failure at the barrier
@@ -298,25 +335,23 @@ def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
 
 
 class _InlineShards:
-    """Reference execution backend: every shard stepped in this process."""
+    """Reference execution backend: the five steps, every shard in this process."""
 
     def __init__(self, config: RunnerConfig):
-        self._shards = [
-            ShardState(config, index) for index in range(config.n_shards)
-        ]
+        self._shards = [ShardState(config, index) for index in range(config.n_shards)]
 
-    def request(self, layer: str, round_index: int) -> List[List[Message]]:
+    def request(self, layer: str, round_index: int) -> List[Outboxes]:
         return [shard.request(layer, round_index) for shard in self._shards]
 
-    def respond(self, layer: str, routed: List[List[Message]]) -> List[List[Message]]:
-        return [
-            shard.respond(layer, batch)
-            for shard, batch in zip(self._shards, routed)
-        ]
+    def respond(self, layer: str, routed: List[List[Any]]) -> List[Outboxes]:
+        return [shard.respond(layer, inbound) for shard, inbound in zip(self._shards, routed)]
 
-    def absorb(self, layer: str, routed: List[List[Message]]) -> None:
-        for shard, batch in zip(self._shards, routed):
-            shard.absorb(layer, batch)
+    def absorb(self, layer: str, routed: List[List[Any]], following) -> List:
+        answers = []
+        for shard, inbound in zip(self._shards, routed):
+            shard.absorb(layer, inbound)
+            answers.append(shard.verdict() if following is None else shard.request(*following))
+        return answers
 
     def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
         record: Dict[int, Dict[str, List[int]]] = {}
@@ -334,15 +369,13 @@ class _InlineShards:
 class _ProcessShards:
     """Process-backed execution: one forked, pipe-driven worker per shard.
 
-    The parent's side of the phase protocol. Every phase is one
-    send/receive per shard — requests fan out before any reply is awaited,
-    so shards genuinely overlap between barriers.
+    The parent's side of the phase protocol. Every step is one
+    send/receive per shard — commands fan out before any answer is
+    awaited, so shards genuinely overlap between barriers. The parent
+    forwards sealed outboxes and never opens one.
     """
 
-    def __init__(self, config: RunnerConfig):
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
+    def __init__(self, config: RunnerConfig, context):
         self._conns: List[Any] = []
         self._processes: List[Any] = []
         try:
@@ -354,6 +387,9 @@ class _ProcessShards:
                 )
                 try:
                     process.start()
+                except OSError as error:
+                    why = f"shard worker {index} could not start: {error}"
+                    raise SimulationError(why) from error
                 finally:
                     # Once forked, the worker holds the only other copy, so
                     # its death reads as end-of-file (or a broken pipe) here.
@@ -401,14 +437,14 @@ class _ProcessShards:
         exit_code = "" if code is None else f" (exit code {code})"
         raise SimulationError(f"shard worker {index} {why}{exit_code}")
 
-    def request(self, layer: str, round_index: int) -> List[List[Message]]:
+    def request(self, layer: str, round_index: int) -> List[Outboxes]:
         return self._broadcast("request", [(layer, round_index)] * len(self._conns))
 
-    def respond(self, layer: str, routed: List[List[Message]]) -> List[List[Message]]:
-        return self._broadcast("respond", [(layer, batch) for batch in routed])
+    def respond(self, layer: str, routed: List[List[Any]]) -> List[Outboxes]:
+        return self._broadcast("respond", [(layer, inbound) for inbound in routed])
 
-    def absorb(self, layer: str, routed: List[List[Message]]) -> None:
-        self._broadcast("absorb", [(layer, batch) for batch in routed])
+    def absorb(self, layer: str, routed: List[List[Any]], following) -> List:
+        return self._broadcast("absorb", [(layer, inbound, following) for inbound in routed])
 
     def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
         record: Dict[int, Dict[str, List[int]]] = {}
@@ -449,8 +485,9 @@ class ShardedEngine:
         How many contiguous rank blocks the population splits into.
     ``mode``
         ``"inline"`` steps shards sequentially in-process (the reference);
-        ``"mp"`` forks one worker process per shard, degrading to inline if
-        the workers cannot start. ``mode_used`` records the outcome.
+        ``"mp"`` forks one worker process per shard, degrading to inline
+        only where the fork start method does not exist. ``mode_used``
+        records the outcome.
 
     Every shard node is the round engine's own ``PeerSampling`` +
     ``Vicinity`` pair, built by :meth:`~repro.runtime.api.ElementaryStack.attach`;
@@ -465,53 +502,59 @@ class ShardedEngine:
     def __init__(self, config: RunnerConfig):
         self.config = config
         self.plan = ShardPlan(config.n_nodes, config.n_shards)
-        self.costs = config.costs
         self.round = 0
+        #: The shard ledgers' totals, as of the last round's absorb.
         self.messages = 0
         self.bytes = 0
+        #: The last round's convergence verdict; ``None`` before any round.
+        self._verdict: Optional[bool] = None
         self.mode_used = config.mode
         #: Optional observability sink (:class:`~repro.obs.instrument.Instrument`).
         #: When set, :meth:`run_round` times each BSP phase as ``shard:*``
         #: spans. Pure observation: the digest invariant holds with or
         #: without a sink attached (pinned by tests/scale/test_spans.py).
         self.obs: Optional[Any] = None
+        fork = None
         if config.mode == "mp":
+            import multiprocessing
+
             try:
-                self._shards = _ProcessShards(config)
-            except Exception:
-                # No usable workers (no fork on this platform): the
-                # inline backend computes the identical rounds.
+                fork = multiprocessing.get_context("fork")
+            except ValueError:  # no fork here: inline computes the identical rounds
                 self.mode_used = "inline"
-                self._shards = _InlineShards(config)
-        else:
-            self._shards = _InlineShards(config)
+        self._shards = _InlineShards(config) if fork is None else _ProcessShards(config, fork)
 
     # -- rounds ------------------------------------------------------------------
 
     def run_round(self) -> bool:
-        """One BSP round: both layers, three barriered phases each.
+        """One BSP round: both layers' three phases, in five steps.
 
-        Returns ``False`` (the :class:`~repro.runtime.api.Runner` stop
-        verdict: a BSP round never asks to stop; :meth:`run` checks
-        convergence instead).
+        ``request`` (peer sampling), then ``respond`` and ``absorb`` per
+        layer: the first absorb also opens the overlay's exchanges, the last
+        returns every shard's verdict and ledger (:meth:`converged`,
+        ``messages``, ``bytes``). Returns ``False``: a BSP round never asks
+        to stop; :meth:`run` checks convergence instead.
 
-        With an ``obs`` sink attached, every phase is timed as a span:
-        ``shard:request`` / ``shard:respond`` / ``shard:absorb`` cover the
-        shard-side compute (including, in ``mp`` mode, the pipe round
-        trips), and ``shard:barrier`` covers the supervisor-side gather and
-        routing between phases — the time every shard's output must be in
-        hand before the next phase can start.
+        With an ``obs`` sink attached, every step is a span: ``shard:request``
+        / ``shard:respond`` / ``shard:absorb`` cover the shard-side compute
+        (in ``mp`` mode with the pipe round trips; the first ``shard:absorb``
+        covers the overlay request too), and ``shard:barrier`` the parent's
+        routing of outboxes between steps, four per round.
         """
         obs = self.obs
         if obs is not None:
             obs.span_begin("round")
-        shards, phase = self._shards, self._phase
-        for layer in LAYERS:
-            requests = phase("shard:request", shards.request, layer, self.round)
-            routed = phase("shard:barrier", self._route, requests)
+        shards, phase, route = self._shards, self._phase, self._route
+        following = [(layer, self.round) for layer in LAYERS[1:]] + [None]
+        answers = phase("shard:request", shards.request, LAYERS[0], self.round)
+        for layer, then in zip(LAYERS, following):
+            routed = phase("shard:barrier", route, answers)
             replies = phase("shard:respond", shards.respond, layer, routed)
-            returned = phase("shard:barrier", self._route, replies)
-            phase("shard:absorb", shards.absorb, layer, returned)
+            routed = phase("shard:barrier", route, replies)
+            answers = phase("shard:absorb", shards.absorb, layer, routed, then)
+        verdicts, messages, byte_counts = zip(*answers)
+        self._verdict = all(verdicts)
+        self.messages, self.bytes = sum(messages), sum(byte_counts)
         if obs is not None:
             obs.span_end("round")
             obs.gauge("shard_messages", self.messages)
@@ -529,15 +572,12 @@ class ShardedEngine:
         obs.span_end(span)
         return result
 
-    def _route(self, batches: List[List[Message]]) -> List[List[Message]]:
-        """Account every message and bucket it by its destination's shard."""
-        shard_of, message_bytes = self.plan.shard_of, self.costs.message_bytes
-        routed: List[List[Message]] = [[] for _ in range(self.config.n_shards)]
-        for batch in batches:
-            for message in batch:
-                self.messages += 1
-                self.bytes += message_bytes(len(message[2]))
-                routed[shard_of(message[1])].append(message)
+    def _route(self, outboxes: List[Outboxes]) -> List[List[Any]]:
+        """Hand every shard the outboxes addressed to it, in sender order."""
+        routed: List[List[Any]] = [[] for _ in range(self.config.n_shards)]
+        for boxes in outboxes:
+            for shard, box in boxes.items():
+                routed[shard].append(box)
         return routed
 
     def run(self, max_rounds: int) -> int:
@@ -555,8 +595,14 @@ class ShardedEngine:
         return self._shards.adjacency()
 
     def converged(self) -> bool:
-        """Whether the shape's every target edge is realized (all shards)."""
-        return self._shards.converged()
+        """Whether the shape's every target edge is realized (all shards).
+
+        The verdict of the round just run; only an engine that has run no
+        round yet asks the shards.
+        """
+        if self._verdict is None:
+            self._verdict = self._shards.converged()
+        return self._verdict
 
     def digest(self) -> str:
         """Canonical SHA-256 of the full adjacency (the determinism gate)."""

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -102,5 +103,71 @@ def test_a_worker_exception_raises_simulation_error(monkeypatch):
             SimulationError, match=r"shard worker 1 failed on 'respond': ValueError\('boom'\)"
         ):
             engine.run_round()
+    finally:
+        closes_promptly(engine)
+
+
+def test_a_worker_dead_at_start_up_raises_simulation_error(monkeypatch):
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        pytest.skip("no fork start method on this platform")
+    parent = os.getpid()
+    real_init = ShardState.__init__
+
+    def dying_init(self, config, shard_index):
+        if shard_index == 1 and os.getpid() != parent:
+            os._exit(3)
+        real_init(self, config, shard_index)
+
+    monkeypatch.setattr(ShardState, "__init__", dying_init)  # before the fork
+    with pytest.raises(
+        SimulationError, match=r"shard worker 1 died during 'start' \(exit code 3\)"
+    ):
+        ShardedEngine(
+            RunnerConfig(kind="sharded", shape="ring", n_nodes=16, n_shards=2, mode="mp")
+        )
+
+
+def test_a_worker_that_cannot_be_forked_raises_simulation_error(monkeypatch):
+    try:
+        fork = multiprocessing.get_context("fork")
+    except ValueError:
+        pytest.skip("no fork start method on this platform")
+
+    def failing_start(self):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(fork.Process, "start", failing_start)
+    with pytest.raises(SimulationError, match=r"shard worker 0 could not start: .*unavailable"):
+        ShardedEngine(
+            RunnerConfig(kind="sharded", shape="ring", n_nodes=16, n_shards=2, mode="mp")
+        )
+
+
+def test_a_round_is_five_steps_and_carries_the_verdict(monkeypatch):
+    sent = []
+    real_broadcast = scale_engine._ProcessShards._broadcast
+
+    def spy(self, command, payloads):
+        sent.append(command)
+        return real_broadcast(self, command, payloads)
+
+    monkeypatch.setattr(scale_engine._ProcessShards, "_broadcast", spy)
+    fresh = two_workers()
+    try:
+        assert fresh.converged() is False  # a fresh ring-16 asks its shards
+        assert sent == ["converged"]
+    finally:
+        closes_promptly(fresh)
+    engine = two_workers()
+    try:
+        for _ in range(3):
+            sent.clear()
+            engine.run_round()
+            assert sent == ["request", "respond", "absorb", "respond", "absorb"]
+            sent.clear()
+            engine.converged()
+            assert sent == []
     finally:
         closes_promptly(engine)

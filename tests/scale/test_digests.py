@@ -166,17 +166,18 @@ def test_process_pool_matches_inline():
 
 @pytest.mark.parametrize("n_shards", [2, 3])
 @pytest.mark.parametrize("shape", ["ring", "grid"])
-def test_the_pipe_carries_descriptor_rows(shape, n_shards, monkeypatch):
-    # What reaches the parent's router from a worker is plain tuple rows, so
-    # no Descriptor is pickled; rebuilt, they are the inline run's messages
-    # field by field; and mp equals inline in digest, messages and bytes.
-    # grid's profiles are tuples, ring's integers.
+def test_the_parent_forwards_sealed_outboxes(shape, n_shards, monkeypatch):
+    # What the parent routes from a worker is one bytes value per other
+    # shard, never a Descriptor nor a row it has to open; unsealed, every
+    # row is a plain tuple and the messages are the inline run's
+    # cross-shard messages field by field; and mp equals inline in digest,
+    # messages and bytes. grid's profiles are tuples, ring's integers.
     routed = {}
     real_route = ShardedEngine._route
 
-    def spy(self, batches):
-        routed[self.mode_used].extend(m for batch in batches for m in batch)
-        return real_route(self, batches)
+    def spy(self, outboxes):
+        routed[self.mode_used].append(outboxes)
+        return real_route(self, outboxes)
 
     monkeypatch.setattr(ShardedEngine, "_route", spy)
     runs = {}
@@ -192,14 +193,26 @@ def test_the_pipe_carries_descriptor_rows(shape, n_shards, monkeypatch):
                 engine.run_round()
             runs[mode] = (engine.digest(), engine.messages, engine.bytes)
     assert runs["mp"] == runs["inline"]
-    rows = [entry for message in routed["mp"] for entry in message[2]]
-    assert rows and {type(entry) for entry in rows} == {tuple}
-    rebuilt = scale_engine._descriptors(routed["mp"])
-    assert len(rebuilt) == len(routed["inline"])
-    for got, want in zip(rebuilt, routed["inline"]):
-        assert got[:2] == want[:2] and got[3] == want[3]
-        assert all(type(d) is Descriptor for d in got[2])
-        assert [tuple(d) for d in got[2]] == [tuple(d) for d in want[2]]
+    assert len(routed["mp"]) == len(routed["inline"]) == 4 * 4  # barriers
+    crossed = 0
+    for sealed_step, plain_step in zip(routed["mp"], routed["inline"]):
+        for sender, (sealed, plain) in enumerate(zip(sealed_step, plain_step)):
+            assert list(sealed) == list(plain) == [
+                shard for shard in range(n_shards) if shard != sender
+            ]
+            for to, blob in sealed.items():
+                assert type(blob) is bytes
+                rows = [row for message in pickle.loads(blob) for row in message[2]]
+                assert {type(row) for row in rows} <= {tuple}
+                got, want = scale_engine._unseal(blob), plain[to]
+                assert len(got) == len(want)
+                crossed += len(got)
+                for message, expected in zip(got, want):
+                    assert message[:2] == expected[:2] and message[3] == expected[3]
+                    assert engine.plan.shard_of(message[1]) == to
+                    assert all(type(d) is Descriptor for d in message[2])
+                    assert [tuple(d) for d in message[2]] == [tuple(d) for d in expected[2]]
+    assert crossed > 0
 
 
 def test_rows_rebuild_descriptors_with_profile_and_provenance():
@@ -207,9 +220,11 @@ def test_rows_rebuild_descriptors_with_profile_and_provenance():
         (0, 5, [Descriptor(3, 2, (1, 4), 9), Descriptor(8, 0, 17)], ("grid", 0)),
         (5, 0, [Descriptor(0, 1)], None),
     ]
-    rows = pickle.loads(pickle.dumps(scale_engine._rows(batch)))
+    sealed = scale_engine._seal(batch)
+    assert type(sealed) is bytes
+    rows = pickle.loads(sealed)
     assert all(type(row) is tuple for message in rows for row in message[2])
-    rebuilt = scale_engine._descriptors(rows)
+    rebuilt = scale_engine._unseal(sealed)
     assert [m[:2] + m[3:] for m in rebuilt] == [m[:2] + m[3:] for m in batch]
     for got, want in zip(rebuilt, batch):
         assert all(type(d) is Descriptor for d in got[2])

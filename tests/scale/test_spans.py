@@ -20,18 +20,24 @@ def build(obs=None, **overrides):
 
 
 def test_phase_spans_recorded_per_round():
-    collector = Collector(gauge_every=0)
-    with build(obs=collector) as runner:
-        runner.run(4)
-        executed = runner.round
-    names = collector.spans.names()
-    for name in ("round", "shard:request", "shard:respond", "shard:absorb",
-                 "shard:barrier"):
-        assert name in names
-    # Two layers per round; the barrier closes twice per layer.
-    assert collector.spans.counts["round"] == executed
-    assert collector.spans.counts["shard:request"] == 2 * executed
-    assert collector.spans.counts["shard:barrier"] == 4 * executed
+    # Five steps per round in both modes: request, then respond and absorb
+    # per layer (the first absorb also opens the overlay's exchanges), with
+    # a barrier before each respond and each absorb.
+    per_round = {
+        "round": 1, "shard:request": 1, "shard:respond": 2, "shard:absorb": 2,
+        "shard:barrier": 4,
+    }
+    for mode in ("inline", "mp"):
+        collector = Collector(gauge_every=0)
+        with build(obs=collector, mode=mode) as runner:
+            if runner.mode_used != mode:
+                continue  # no fork on this platform: inline is covered
+            runner.run(4)
+            executed = runner.round
+        assert executed > 0
+        assert {name: collector.spans.counts[name] for name in per_round} == {
+            name: count * executed for name, count in per_round.items()
+        }, mode
 
 
 def test_traffic_gauges_published():
