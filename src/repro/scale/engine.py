@@ -197,8 +197,8 @@ class ShardState:
 
     def _post(self, messages: List[Message]) -> Outboxes:
         """Keep ``messages`` to owned ranks; bucket the rest by shard."""
-        boxes: List[List[Message]] = [[] for _ in range(self._shard_of[-1] + 1)]
         shard_of = self._shard_of
+        boxes: List[List[Message]] = [[] for _ in range(shard_of[-1] + 1)]
         for message in messages:
             boxes[shard_of[message[1]]].append(message)
         self._kept = boxes[self.index]

@@ -124,9 +124,7 @@ def test_a_worker_dead_at_start_up_raises_simulation_error(monkeypatch):
     with pytest.raises(
         SimulationError, match=r"shard worker 1 died during 'start' \(exit code 3\)"
     ):
-        ShardedEngine(
-            RunnerConfig(kind="sharded", shape="ring", n_nodes=16, n_shards=2, mode="mp")
-        )
+        two_workers()
 
 
 def test_a_worker_that_cannot_be_forked_raises_simulation_error(monkeypatch):
@@ -140,9 +138,7 @@ def test_a_worker_that_cannot_be_forked_raises_simulation_error(monkeypatch):
 
     monkeypatch.setattr(fork.Process, "start", failing_start)
     with pytest.raises(SimulationError, match=r"shard worker 0 could not start: .*unavailable"):
-        ShardedEngine(
-            RunnerConfig(kind="sharded", shape="ring", n_nodes=16, n_shards=2, mode="mp")
-        )
+        two_workers()
 
 
 def test_a_round_is_five_steps_and_carries_the_verdict(monkeypatch):
