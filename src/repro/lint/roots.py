@@ -32,10 +32,10 @@ DEFAULT_ROOTS: Sequence[str] = (
     "sim/engine.py::Engine.run_round",
     "sim/engine.py::Engine.run",
     # The sharded scale engine: its round driver runs in the parent, the
-    # worker loop in pool processes — both sides of the barrier protocol
-    # are digest-critical, and the worker is additionally subject to the
-    # shard-safety (SHD) pass: mutating a module global there diverges
-    # from the inline backend, which shares one interpreter.
+    # worker loop in the forked shard processes — both sides of the
+    # barrier protocol are digest-critical, and the worker is additionally
+    # subject to the shard-safety (SHD) pass: mutating a module global
+    # there diverges from the inline backend, which shares one interpreter.
     "scale/engine.py::ShardedEngine.run_round",
     "scale/engine.py::_shard_worker",
     # The live UDP runtime: its active round driver and the receive loop

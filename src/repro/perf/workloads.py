@@ -63,7 +63,7 @@ class CellResult:
     workload: str
     seed: int
     #: How the rounds were actually executed (``mp`` degrades to ``inline``
-    #: where no worker process can start).
+    #: only where the fork start method is missing).
     mode: str
     rounds_to_converge: Optional[int]
     executed: int

@@ -31,15 +31,17 @@ draw comes from a per-node stream seeded by the
 :func:`~repro.sim.rng.spawn_seeds` SHA-256 splitter (the rank is the only
 key), and all order-sensitive processing runs in ascending node id.
 
-``mode="inline"`` steps every shard in-process on message lists (the
-reference); ``mode="mp"`` forks one long-lived :func:`_shard_worker`
-process per shard, driven over a pipe on the same schedule. A worker seals
-each outbox into one ``bytes`` value of plain tuple rows (pickled in C, not
-through ``Descriptor.__reduce__``); the parent forwards it unopened and the
-receiver rebuilds each row with one ``tuple.__new__``. The worker keeps all
-mutable state on its stack (SHD001). Only a platform without fork degrades
-to inline; a worker that dies, raises or falls silent, at start-up or
-later, fails the run with a :class:`~repro.errors.SimulationError`.
+Every step is one :meth:`ShardState.step`. A shard seals each outbox into
+one ``bytes`` value of plain tuple rows (pickled in C, not through
+``Descriptor.__reduce__``); the parent forwards it unopened and the
+receiver rebuilds each row with one ``tuple.__new__``. The two backends
+differ only in where a step runs: ``mode="inline"`` steps every shard in
+this process (the reference), ``mode="mp"`` forks one long-lived
+:func:`_shard_worker` process per shard and drives it over a pipe. The
+worker keeps all mutable state on its stack (SHD001). Only a platform
+without fork degrades to inline; a worker that dies, raises or falls
+silent, at start-up or later, fails the run with a
+:class:`~repro.errors.SimulationError`.
 
 Simulation-side module: no wall-clock reads (DET003).
 """
@@ -78,9 +80,9 @@ BARRIER_TIMEOUT_S = 60.0
 #: A routed message: (source node id, destination node id, descriptor
 #: buffer, the request's wire profile — ``None`` on a reply).
 Message = Tuple[int, int, List[Descriptor], Any]
-#: A shard's phase output: destination shard -> outbox, one per other
-#: shard. Inline an outbox is a message list; a worker seals it to bytes.
-Outboxes = Dict[int, Any]
+#: A shard's phase output: destination shard -> sealed outbox, one per
+#: other shard (:func:`_seal`).
+Outboxes = Dict[int, bytes]
 
 _new = tuple.__new__
 
@@ -155,7 +157,8 @@ class ShardState:
     The inline engine holds one of these per shard; a worker process
     builds its one from the forked :class:`~repro.runtime.api.RunnerConfig`.
     A phase keeps its messages to owned ranks and returns the rest as
-    :data:`Outboxes`; ``transport`` is the shard's ledger.
+    :data:`Outboxes`; ``transport`` is the shard's ledger. :meth:`step` is
+    the one entry both backends call.
     """
 
     def __init__(self, config: RunnerConfig, shard_index: int):
@@ -193,16 +196,30 @@ class ShardState:
                 ctx = _ShardContext(node, network, transport, streams, 0, layer)
                 self._layers[layer][rank] = (node.protocol(layer), ctx)
 
+    def step(self, command: str, args: Tuple) -> Any:
+        """One pipe step, ``command`` applied to ``args``: the one dispatch."""
+        if command == "request":
+            return self.request(*args)
+        if command == "respond":
+            return self.respond(*args)
+        if command == "absorb":
+            return self.absorb(*args)
+        if command == "verdict":
+            return self.verdict()
+        if command == "adjacency":
+            return self.adjacency()
+        raise SimulationError(f"unknown shard step {command!r}")
+
     # -- the three phases ------------------------------------------------------
 
     def _post(self, messages: List[Message]) -> Outboxes:
-        """Keep ``messages`` to owned ranks; bucket the rest by shard."""
+        """Keep ``messages`` to owned ranks; seal the rest, one outbox per shard."""
         shard_of = self._shard_of
         boxes: List[List[Message]] = [[] for _ in range(shard_of[-1] + 1)]
         for message in messages:
             boxes[shard_of[message[1]]].append(message)
         self._kept = boxes[self.index]
-        return {shard: box for shard, box in enumerate(boxes) if shard != self.index}
+        return {shard: _seal(box) for shard, box in enumerate(boxes) if shard != self.index}
 
     def request(self, layer: str, round_index: int) -> Outboxes:
         """Phase A: every owned node opens its exchange (ascending rank)."""
@@ -219,53 +236,55 @@ class ShardState:
                 out.append((rank, partner_id, buffer, profile))
         return self._post(out)
 
-    def respond(self, layer: str, inbound: List[List[Message]]) -> Outboxes:
+    def respond(self, layer: str, inbound: List[bytes]) -> Outboxes:
         """Phase B: owned nodes answer, ascending node then requester id.
 
-        ``inbound`` holds the other shards' outboxes to this one; the kept
-        requests join them. Each answer is the responder's ``on_request``
-        under its own context.
+        ``inbound`` holds the other shards' sealed outboxes to this one; the
+        kept requests join them. Each answer is the responder's
+        ``on_request`` under its own context.
         """
         owned = self._layers[layer]
         replies: List[Message] = []
-        incoming = sorted(chain(self._kept, *inbound), key=itemgetter(1, 0))
+        received = [_unseal(box) for box in inbound]
+        incoming = sorted(chain(self._kept, *received), key=itemgetter(1, 0))
         for src, dst, buffer, profile in incoming:
             protocol, ctx = owned[dst]
             request = ExchangeRequest(layer, src, buffer, profile)
             replies.append((dst, src, protocol.on_request(ctx, request), None))
         return self._post(replies)
 
-    def absorb(self, layer: str, inbound: List[List[Message]]) -> None:
+    def absorb(self, layer: str, inbound: List[bytes], following: Optional[Tuple]) -> Any:
         """Phase C: every owned requester closes its exchange, ascending id.
 
         Replies are keyed by requester, so kept and received ones merge
         without an order. A requester whose request found no reply closes
         on ``None``: the exchange's own refusal rule decides what that costs.
+        Then the next layer's :meth:`request` runs with ``following``, or,
+        when no layer follows, the answer is the :meth:`verdict`.
         """
-        got = {requester: reply for _, requester, reply, _ in chain(self._kept, *inbound)}
+        received = [_unseal(box) for box in inbound]
+        got = {requester: reply for _, requester, reply, _ in chain(self._kept, *received)}
         self._kept = []
         pending = self._pending
         for rank, (protocol, ctx) in self._layers[layer].items():
             opened = pending.pop(rank, None)
             if opened is not None:
                 protocol.close_exchange(ctx, opened, got.get(rank))
+        return self.verdict() if following is None else self.request(*following)
 
-    def converged(self) -> bool:
-        """Whether every owned node covers its target neighbourhood.
+    def verdict(self) -> Tuple[bool, int, int]:
+        """Whether every owned node covers its target neighbourhood, and the
+        ledger's messages and bytes so far.
 
         The shard-local half of ``Shape.converged``: the global check is
         exactly the conjunction over shards, and keeping it shard-side
         avoids shipping the full adjacency across the pipes every round.
         """
-        for rank, node in self.nodes.items():
-            wanted = self._targets[rank]
-            if wanted and not wanted <= set(node.protocol(OVERLAY_LAYER).neighbors()):
-                return False
-        return True
-
-    def verdict(self) -> Tuple[bool, int, int]:
-        """:meth:`converged`, and the ledger's messages and bytes so far."""
-        return self.converged(), self.transport.total_messages(), self.transport.total_bytes()
+        converged = all(
+            not wanted or wanted <= set(self.nodes[rank].protocol(OVERLAY_LAYER).neighbors())
+            for rank, wanted in self._targets.items()
+        )
+        return converged, self.transport.total_messages(), self.transport.total_bytes()
 
     def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
         """The (node -> layer -> neighbour ids) record of this shard."""
@@ -292,36 +311,19 @@ def _unseal(sealed: bytes) -> List[Message]:
 def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
     """The long-lived worker process hosting one shard.
 
-    It answers each step with the shard's sealed outboxes, except the
-    round's last ``absorb`` (no layer follows): :meth:`ShardState.verdict`.
+    It answers each command with :meth:`ShardState.step`, until ``stop``.
     All mutable state — the shard, its views, its RNG streams — lives in
     this frame; the function never writes a module global (SHD001), so a
     worker hosts its shard without bleed from whatever it was forked from.
     """
-    def seal(outboxes: Outboxes) -> Outboxes:
-        return {to: _seal(box) for to, box in outboxes.items()}
-
     try:
         shard = ShardState(config, shard_index)
         conn.send(("ok", None))
         while True:
-            command, payload = conn.recv()
-            if command == "request":
-                answer = seal(shard.request(*payload))
-            elif command == "respond":
-                layer, inbound = payload
-                answer = seal(shard.respond(layer, [_unseal(box) for box in inbound]))
-            elif command == "absorb":
-                layer, inbound, following = payload
-                shard.absorb(layer, [_unseal(box) for box in inbound])
-                answer = shard.verdict() if following is None else seal(shard.request(*following))
-            elif command == "adjacency":
-                answer = shard.adjacency()
-            elif command == "converged":
-                answer = shard.converged()
-            else:  # "stop" (or anything unknown)
+            command, args = conn.recv()
+            if command == "stop":
                 return
-            conn.send(("ok", answer))
+            conn.send(("ok", shard.step(command, args)))
     except EOFError:  # parent went away: nothing to report to
         return
     except BaseException as error:  # surface the failure at the barrier
@@ -335,32 +337,14 @@ def _shard_worker(conn, config: RunnerConfig, shard_index: int) -> None:
 
 
 class _InlineShards:
-    """Reference execution backend: the five steps, every shard in this process."""
+    """Reference execution backend: every shard steps in this process."""
 
     def __init__(self, config: RunnerConfig):
         self._shards = [ShardState(config, index) for index in range(config.n_shards)]
 
-    def request(self, layer: str, round_index: int) -> List[Outboxes]:
-        return [shard.request(layer, round_index) for shard in self._shards]
-
-    def respond(self, layer: str, routed: List[List[Any]]) -> List[Outboxes]:
-        return [shard.respond(layer, inbound) for shard, inbound in zip(self._shards, routed)]
-
-    def absorb(self, layer: str, routed: List[List[Any]], following) -> List:
-        answers = []
-        for shard, inbound in zip(self._shards, routed):
-            shard.absorb(layer, inbound)
-            answers.append(shard.verdict() if following is None else shard.request(*following))
-        return answers
-
-    def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
-        record: Dict[int, Dict[str, List[int]]] = {}
-        for shard in self._shards:
-            record.update(shard.adjacency())
-        return record
-
-    def converged(self) -> bool:
-        return all(shard.converged() for shard in self._shards)
+    def step(self, command: str, payloads: List[Tuple]) -> List:
+        """Every shard's answer to ``command``, one payload each, in shard order."""
+        return [shard.step(command, args) for shard, args in zip(self._shards, payloads)]
 
     def close(self) -> None:
         pass
@@ -400,7 +384,7 @@ class _ProcessShards:
             self.close()
             raise
 
-    def _broadcast(self, command: str, payloads) -> List:
+    def step(self, command: str, payloads: List[Tuple]) -> List:
         """Send each worker its payload, then gather every answer."""
         for index, (conn, payload) in enumerate(zip(self._conns, payloads)):
             try:
@@ -436,24 +420,6 @@ class _ProcessShards:
         self.close()
         exit_code = "" if code is None else f" (exit code {code})"
         raise SimulationError(f"shard worker {index} {why}{exit_code}")
-
-    def request(self, layer: str, round_index: int) -> List[Outboxes]:
-        return self._broadcast("request", [(layer, round_index)] * len(self._conns))
-
-    def respond(self, layer: str, routed: List[List[Any]]) -> List[Outboxes]:
-        return self._broadcast("respond", [(layer, inbound) for inbound in routed])
-
-    def absorb(self, layer: str, routed: List[List[Any]], following) -> List:
-        return self._broadcast("absorb", [(layer, inbound, following) for inbound in routed])
-
-    def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
-        record: Dict[int, Dict[str, List[int]]] = {}
-        for partial in self._broadcast("adjacency", [None] * len(self._conns)):
-            record.update(partial)
-        return record
-
-    def converged(self) -> bool:
-        return all(self._broadcast("converged", [None] * len(self._conns)))
 
     def close(self) -> None:
         for conn in self._conns:
@@ -503,11 +469,6 @@ class ShardedEngine:
         self.config = config
         self.plan = ShardPlan(config.n_nodes, config.n_shards)
         self.round = 0
-        #: The shard ledgers' totals, as of the last round's absorb.
-        self.messages = 0
-        self.bytes = 0
-        #: The last round's convergence verdict; ``None`` before any round.
-        self._verdict: Optional[bool] = None
         self.mode_used = config.mode
         #: Optional observability sink (:class:`~repro.obs.instrument.Instrument`).
         #: When set, :meth:`run_round` times each BSP phase as ``shard:*``
@@ -523,6 +484,7 @@ class ShardedEngine:
             except ValueError:  # no fork here: inline computes the identical rounds
                 self.mode_used = "inline"
         self._shards = _InlineShards(config) if fork is None else _ProcessShards(config, fork)
+        self._read(self._shards.step("verdict", [()] * config.n_shards))
 
     # -- rounds ------------------------------------------------------------------
 
@@ -544,17 +506,18 @@ class ShardedEngine:
         obs = self.obs
         if obs is not None:
             obs.span_begin("round")
-        shards, phase, route = self._shards, self._phase, self._route
+        step, phase, route = self._shards.step, self._phase, self._route
         following = [(layer, self.round) for layer in LAYERS[1:]] + [None]
-        answers = phase("shard:request", shards.request, LAYERS[0], self.round)
+        opening = [(LAYERS[0], self.round)] * self.config.n_shards
+        answers = phase("shard:request", step, "request", opening)
         for layer, then in zip(LAYERS, following):
             routed = phase("shard:barrier", route, answers)
-            replies = phase("shard:respond", shards.respond, layer, routed)
+            payloads = [(layer, inbound) for inbound in routed]
+            replies = phase("shard:respond", step, "respond", payloads)
             routed = phase("shard:barrier", route, replies)
-            answers = phase("shard:absorb", shards.absorb, layer, routed, then)
-        verdicts, messages, byte_counts = zip(*answers)
-        self._verdict = all(verdicts)
-        self.messages, self.bytes = sum(messages), sum(byte_counts)
+            payloads = [(layer, inbound, then) for inbound in routed]
+            answers = phase("shard:absorb", step, "absorb", payloads)
+        self._read(answers)
         if obs is not None:
             obs.span_end("round")
             obs.gauge("shard_messages", self.messages)
@@ -572,9 +535,17 @@ class ShardedEngine:
         obs.span_end(span)
         return result
 
-    def _route(self, outboxes: List[Outboxes]) -> List[List[Any]]:
+    def _read(self, verdicts: List[Tuple[bool, int, int]]) -> None:
+        """Take every shard's :meth:`ShardState.verdict` as the engine's."""
+        converged, messages, byte_counts = zip(*verdicts)
+        #: The convergence verdict and the ledgers' totals, as of the last
+        #: round (of start-up, before any round).
+        self._verdict = all(converged)
+        self.messages, self.bytes = sum(messages), sum(byte_counts)
+
+    def _route(self, outboxes: List[Outboxes]) -> List[List[bytes]]:
         """Hand every shard the outboxes addressed to it, in sender order."""
-        routed: List[List[Any]] = [[] for _ in range(self.config.n_shards)]
+        routed: List[List[bytes]] = [[] for _ in range(self.config.n_shards)]
         for boxes in outboxes:
             for shard, box in boxes.items():
                 routed[shard].append(box)
@@ -592,16 +563,17 @@ class ShardedEngine:
 
     def adjacency(self) -> Dict[int, Dict[str, List[int]]]:
         """The merged (node -> layer -> neighbours) record, all shards."""
-        return self._shards.adjacency()
+        record: Dict[int, Dict[str, List[int]]] = {}
+        for partial in self._shards.step("adjacency", [()] * self.config.n_shards):
+            record.update(partial)
+        return record
 
     def converged(self) -> bool:
         """Whether the shape's every target edge is realized (all shards).
 
-        The verdict of the round just run; only an engine that has run no
-        round yet asks the shards.
+        The verdict of the round just run, or of start-up before any round;
+        it sends the shards nothing.
         """
-        if self._verdict is None:
-            self._verdict = self._shards.converged()
         return self._verdict
 
     def digest(self) -> str:

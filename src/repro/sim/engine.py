@@ -10,7 +10,7 @@ may stop the run early (e.g. once every layer has converged).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.network import Network
@@ -211,14 +211,10 @@ class Engine:
         self.round += 1
         return stop
 
-    def run(
-        self,
-        max_rounds: int,
-        stop_when: Optional[Callable[[Network, int], bool]] = None,
-    ) -> int:
+    def run(self, max_rounds: int) -> int:
         """Run up to ``max_rounds`` rounds; return the number executed.
 
-        Stops early when an observer or the ``stop_when`` predicate asks to.
+        Stops early when an observer asks to.
         """
         if max_rounds < 0:
             raise SimulationError(f"max_rounds must be >= 0, got {max_rounds}")
@@ -227,7 +223,5 @@ class Engine:
             stop = self.run_round()
             executed += 1
             if stop:
-                break
-            if stop_when is not None and stop_when(self.network, self.round - 1):
                 break
         return executed

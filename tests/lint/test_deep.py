@@ -314,3 +314,12 @@ class TestRealTree:
         # methods dispatch to, which `self.` resolution alone cannot reach.
         assert "gossip.vicinity.Vicinity._offer" in model.hot
         assert "core.layers.uo2.DistantComponentOverlay._absorb" in model.hot
+
+    def test_the_shard_protocol_is_hot(self):
+        # Every step of the sharded engine runs through ShardState.step; a
+        # dynamic dispatch there would hide the phases from both passes.
+        hot = analyze_project().hot
+        shard_state = "scale.engine.ShardState."
+        for method in ("request", "respond", "absorb", "verdict", "adjacency"):
+            assert shard_state + method in hot
+        assert {"scale.engine._seal", "scale.engine._unseal"} <= hot

@@ -36,10 +36,10 @@ def closes_promptly(engine: ShardedEngine) -> None:
 def test_a_silent_worker_raises_at_the_barrier_and_close_returns(monkeypatch):
     real_absorb = ShardState.absorb
 
-    def stalled_absorb(self, layer, replies):
+    def stalled_absorb(self, layer, replies, following):
         if min(self.nodes) > 0:  # every shard but the first goes silent
             time.sleep(600)
-        real_absorb(self, layer, replies)
+        return real_absorb(self, layer, replies, following)
 
     monkeypatch.setattr(ShardState, "absorb", stalled_absorb)  # before the fork
     engine = two_workers()
@@ -72,10 +72,10 @@ def test_a_killed_worker_raises_simulation_error():
 def test_a_worker_killed_mid_phase_raises_simulation_error(monkeypatch):
     real_absorb = ShardState.absorb
 
-    def dying_absorb(self, layer, replies):
+    def dying_absorb(self, layer, replies, following):
         if min(self.nodes) > 0:
             os.kill(os.getpid(), signal.SIGKILL)
-        real_absorb(self, layer, replies)
+        return real_absorb(self, layer, replies, following)
 
     monkeypatch.setattr(ShardState, "absorb", dying_absorb)  # before the fork
     engine = two_workers()
@@ -143,17 +143,18 @@ def test_a_worker_that_cannot_be_forked_raises_simulation_error(monkeypatch):
 
 def test_a_round_is_five_steps_and_carries_the_verdict(monkeypatch):
     sent = []
-    real_broadcast = scale_engine._ProcessShards._broadcast
+    real_step = scale_engine._ProcessShards.step
 
     def spy(self, command, payloads):
         sent.append(command)
-        return real_broadcast(self, command, payloads)
+        return real_step(self, command, payloads)
 
-    monkeypatch.setattr(scale_engine._ProcessShards, "_broadcast", spy)
+    monkeypatch.setattr(scale_engine._ProcessShards, "step", spy)
     fresh = two_workers()
     try:
-        assert fresh.converged() is False  # a fresh ring-16 asks its shards
-        assert sent == ["converged"]
+        assert sent == ["verdict"]  # read once, at start-up
+        assert fresh.converged() is False  # a fresh ring-16 is not converged
+        assert sent == ["verdict"]
     finally:
         closes_promptly(fresh)
     engine = two_workers()

@@ -146,7 +146,7 @@ def test_sharded_columnar_matches_serial_object():
     assert serial_object == serial_columnar == sharded_columnar
 
 
-def test_process_pool_matches_inline():
+def test_worker_processes_match_inline():
     inline = digest_after("ring", 48, 4, backend="columnar", n_shards=2)
     with sharded(
         workload="ring-48",
@@ -168,10 +168,11 @@ def test_process_pool_matches_inline():
 @pytest.mark.parametrize("shape", ["ring", "grid"])
 def test_the_parent_forwards_sealed_outboxes(shape, n_shards, monkeypatch):
     # What the parent routes from a worker is one bytes value per other
-    # shard, never a Descriptor nor a row it has to open; unsealed, every
-    # row is a plain tuple and the messages are the inline run's
-    # cross-shard messages field by field; and mp equals inline in digest,
-    # messages and bytes. grid's profiles are tuples, ring's integers.
+    # shard, never a Descriptor nor a row it has to open; every routed step
+    # is the inline run's, byte for byte; unsealed, every row is a plain
+    # tuple and every message goes to a rank of its destination shard; and
+    # mp equals inline in digest, messages and bytes. grid's profiles are
+    # tuples, ring's integers.
     routed = {}
     real_route = ShardedEngine._route
 
@@ -194,24 +195,19 @@ def test_the_parent_forwards_sealed_outboxes(shape, n_shards, monkeypatch):
             runs[mode] = (engine.digest(), engine.messages, engine.bytes)
     assert runs["mp"] == runs["inline"]
     assert len(routed["mp"]) == len(routed["inline"]) == 4 * 4  # barriers
+    assert routed["mp"] == routed["inline"]
     crossed = 0
-    for sealed_step, plain_step in zip(routed["mp"], routed["inline"]):
-        for sender, (sealed, plain) in enumerate(zip(sealed_step, plain_step)):
-            assert list(sealed) == list(plain) == [
-                shard for shard in range(n_shards) if shard != sender
-            ]
+    for step in routed["mp"]:
+        for sender, sealed in enumerate(step):
+            assert list(sealed) == [shard for shard in range(n_shards) if shard != sender]
             for to, blob in sealed.items():
                 assert type(blob) is bytes
                 rows = [row for message in pickle.loads(blob) for row in message[2]]
                 assert {type(row) for row in rows} <= {tuple}
-                got, want = scale_engine._unseal(blob), plain[to]
-                assert len(got) == len(want)
-                crossed += len(got)
-                for message, expected in zip(got, want):
-                    assert message[:2] == expected[:2] and message[3] == expected[3]
+                for message in scale_engine._unseal(blob):
+                    crossed += 1
                     assert engine.plan.shard_of(message[1]) == to
                     assert all(type(d) is Descriptor for d in message[2])
-                    assert [tuple(d) for d in message[2]] == [tuple(d) for d in expected[2]]
     assert crossed > 0
 
 

@@ -127,12 +127,6 @@ class TestControlsAndObservers:
         engine = Engine(net, streams=RandomStreams(1), observers=[StopAtOne()])
         assert engine.run(10) == 2
 
-    def test_stop_when_predicate(self):
-        net, _ = build(n=1)
-        engine = Engine(net, streams=RandomStreams(1))
-        executed = engine.run(10, stop_when=lambda network, rnd: rnd >= 2)
-        assert executed == 3
-
     def test_add_control_and_observer(self):
         net, _ = build(n=1)
         engine = Engine(net, streams=RandomStreams(1))
