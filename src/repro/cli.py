@@ -9,8 +9,9 @@ Commands
     rule (``RPR…``) over the given ``.topo`` files/directories; with
     ``--self-check`` the source passes over ``repro``'s own code — the
     determinism rules (``DET…``: each nondeterminism source reported at its
-    site, or where an engine-round root reaches it) and shard safety
-    (``SHD…``). ``--format json`` for machines. Exits 1 when any
+    site, or where an engine-round root reaches it), shard safety
+    (``SHD…``) and the peer seam (``PEER…``: a gossip layer asks
+    ``ctx.peers``). ``--format json`` for machines. Exits 1 when any
     error-severity diagnostic is found.
 ``show FILE``
     Print the normalized (pretty-printed) form of a topology file.
@@ -498,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--self-check",
         action="store_true",
-        help="run the determinism (DET) and shard-safety (SHD) rules over "
-        "the repro package source",
+        help="run the determinism (DET), shard-safety (SHD) and peer-seam "
+        "(PEER) rules over the repro package source",
     )
     lint.add_argument(
         "--format",

@@ -226,12 +226,11 @@ class PortConnection(GossipProtocol):
             ]
         else:
             return []
-        network = ctx.network
+        peers = ctx.peers
         return [
             node_id
             for node_id in pool
-            if network.is_alive(node_id)
-            and network.node(node_id).has_protocol(self.layer)
+            if peers.is_alive(node_id) and peers.runs(node_id, self.layer)
         ]
 
     def _absorb(
@@ -250,7 +249,7 @@ class PortConnection(GossipProtocol):
                 continue
             if age > self.binding_ttl:
                 continue
-            if not ctx.network.is_alive(manager_id):
+            if not ctx.peers.is_alive(manager_id):
                 continue
             mine = self.bindings.get(ref)
             if mine is None or age < mine[1]:

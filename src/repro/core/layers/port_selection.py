@@ -131,21 +131,22 @@ class PortSelection(GossipProtocol):
         ``forget()`` here would drop beliefs."""
 
     def _valid_manager(self, ctx: RoundContext, node_id: int, rank: int) -> bool:
-        """Whether ``node_id`` is alive, runs this layer and holds ``rank``
-        in this node's component right now (failure detection).
+        """Whether ``ctx.peers`` says ``node_id`` is alive, runs this layer
+        and holds ``rank`` in this node's component right now (failure
+        detection).
 
         The one gate a belief passes on its way into the table, whatever
         brought it — gossip, a sibling view — and every round it stays.
         """
-        if not ctx.network.is_alive(node_id):
+        peers = ctx.peers
+        if not peers.is_alive(node_id):
             return False
-        peer = ctx.network.node(node_id)
-        if not peer.has_protocol(self.layer):
-            return False
-        peer_protocol = peer.protocol(self.layer)
-        assert isinstance(peer_protocol, PortSelection)
-        profile = peer_protocol.profile
-        return profile.component == self.profile.component and profile.rank == rank
+        profile = peers.profile(node_id, self.layer)
+        return (
+            profile is not None
+            and profile.component == self.profile.component
+            and profile.rank == rank
+        )
 
     def _adopt(self, ctx: RoundContext, port: PortSpec, candidate: Belief) -> bool:
         """Take ``candidate`` as ``port``'s manager if the selector prefers it
@@ -201,19 +202,16 @@ class PortSelection(GossipProtocol):
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
         """A random live same-component node drawn from the helper layers."""
+        peers, component = ctx.peers, self.profile.component
         candidates: List[int] = []
         for layer in _PARTNER_LAYERS:
             if not ctx.node.has_protocol(layer):
                 continue
             for node_id in ctx.node.protocol(layer).neighbors():
-                if node_id == self.node_id or not ctx.network.is_alive(node_id):
+                if node_id == self.node_id or not peers.is_alive(node_id):
                     continue
-                peer = ctx.network.node(node_id)
-                if not peer.has_protocol(self.layer):
-                    continue
-                peer_protocol = peer.protocol(self.layer)
-                assert isinstance(peer_protocol, PortSelection)
-                if peer_protocol.profile.component == self.profile.component:
+                profile = peers.profile(node_id, self.layer)
+                if profile is not None and profile.component == component:
                     candidates.append(node_id)
             if candidates:
                 break

@@ -25,7 +25,7 @@ empty, the partner source — of the component's core protocol.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.profiles import NodeProfile
 from repro.gossip.descriptors import Descriptor
@@ -33,7 +33,6 @@ from repro.gossip.peer_sampling import select_view
 from repro.gossip.views import PartialView
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
-from repro.sim.network import Network
 from repro.sim.protocol import GossipProtocol
 
 
@@ -169,15 +168,11 @@ class SameComponentOverlay(GossipProtocol):
         partner = self._oldest_live(ctx, valid=self._partner_valid)
         return partner.node_id if partner is not None else None
 
-    def _partner_valid(self, network: Network, node_id: int) -> bool:
+    def _partner_valid(self, peers: Any, node_id: int) -> bool:
         """A partner must still run UO1 *for the same component* (it may have
         been reassigned by a reconfiguration since we learned about it)."""
-        peer = network.node(node_id)
-        if not peer.has_protocol(self.layer):
-            return False
-        peer_protocol = peer.protocol(self.layer)
-        assert isinstance(peer_protocol, SameComponentOverlay)
-        return peer_protocol.profile.component == self.profile.component
+        profile = peers.profile(node_id, self.layer)
+        return profile is not None and profile.component == self.profile.component
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """Own fresh descriptor plus a random slice of the view — on a

@@ -123,20 +123,20 @@ class DistantComponentOverlay(GossipProtocol):
 
     # -- internals -----------------------------------------------------------------------
 
-    def _uo1(self, ctx: RoundContext):
+    def _uo1(self):
         """The same-component overlay on *this* node, if it runs one.
 
-        Looked up by id: the passive half runs under the requester's context.
+        Read on :attr:`node`: the passive half runs under the requester's
+        context.
         """
-        own = ctx.network.node(self.node_id)
-        return own.protocol(LAYER_UO1) if own.has_protocol(LAYER_UO1) else None
+        return self.node.find(LAYER_UO1)
 
     def _begin_round(self, ctx: RoundContext) -> bool:
         """Age every bucket, then adopt the peers seen in the global random
         view."""
         for bucket in self.buckets.values():
             bucket.increase_age()
-        uo1 = self._uo1(ctx)
+        uo1 = self._uo1()
         for advert in self._peer_adverts(ctx, self.random_layer):
             self._insert(advert, uo1)
         return True
@@ -163,7 +163,7 @@ class DistantComponentOverlay(GossipProtocol):
         knowledge inside the component) and a foreign contact (refresh and
         extend cross-component knowledge)."""
         rng = ctx.rng()
-        network = ctx.network
+        peers = ctx.peers
         # Every round, whichever turn it is: a failed probe purges the
         # contact (tombstoned and counted, as ``_oldest_live`` does), so a
         # bucket of corpses empties and its component leaves the digest. An
@@ -171,7 +171,7 @@ class DistantComponentOverlay(GossipProtocol):
         foreign: Dict[int, str] = {}
         for name, bucket in self.buckets.items():
             for node_id in bucket.ids():
-                if network.is_alive(node_id):
+                if peers.is_alive(node_id):
                     foreign[node_id] = name
                 else:
                     bucket.purge(node_id)
@@ -183,14 +183,12 @@ class DistantComponentOverlay(GossipProtocol):
             candidates = [
                 node_id
                 for node_id in ctx.node.protocol(LAYER_UO1).neighbors()
-                if network.is_alive(node_id)
+                if peers.is_alive(node_id)
             ]
         if not candidates:
             candidates, drawn_from = list(foreign), foreign
         candidates = [
-            node_id
-            for node_id in candidates
-            if network.node(node_id).has_protocol(self.layer)
+            node_id for node_id in candidates if peers.runs(node_id, self.layer)
         ]
         if not candidates:
             return None
@@ -243,7 +241,7 @@ class DistantComponentOverlay(GossipProtocol):
         if len(mates) > 1:
             # The sibling UO1 says what a view lists whole: the partner's
             # runs the same rule.
-            uo1 = self._uo1(ctx)
+            uo1 = self._uo1()
             if uo1 is None or not uo1.holds_whole(mates[0].profile):
                 del mates[1:]
         buffer = [advert, *mates[:slots]]
@@ -264,7 +262,7 @@ class DistantComponentOverlay(GossipProtocol):
         return [*buffer, *shipped[:slots]], None
 
     def _absorb(self, ctx: RoundContext, _kept, received: List[Descriptor]) -> None:
-        uo1 = self._uo1(ctx)
+        uo1 = self._uo1()
         adopted = 0
         for descriptor in received:
             # One hop in transit: stale contacts of dead nodes age out of

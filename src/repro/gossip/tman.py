@@ -61,7 +61,7 @@ class TMan(Vicinity):
         """Uniform draw from the ψ closest live view entries."""
         while len(self.view):
             ranked = self.view.closest_to(self.psi, self._distances)
-            live = [d for d in ranked if ctx.network.is_alive(d.node_id)]
+            live = [d for d in ranked if ctx.peers.is_alive(d.node_id)]
             if live:
                 return ctx.rng().choice(live).node_id
             for descriptor in ranked:

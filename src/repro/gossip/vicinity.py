@@ -178,7 +178,7 @@ class Vicinity(GossipProtocol):
         merge. The reference the buffer is ranked on is the coordinate the
         peer advertised: on the wire for a requester, in the view entry
         that made it this round's partner otherwise (a bootstrap partner is
-        in no view — the view was empty — so its own layer is asked).
+        in no view — the view was empty — so ``ctx.peers`` is asked).
         """
         if request is not None:
             reference = request.profile
@@ -187,7 +187,7 @@ class Vicinity(GossipProtocol):
             reference = (
                 known.profile
                 if known is not None
-                else ctx.network.node(peer_id).protocol(self.layer).profile
+                else ctx.peers.profile(peer_id, self.layer)
             )
         pool = self._candidate_pool(ctx)
         advert = self._self_descriptor
@@ -237,11 +237,10 @@ class Vicinity(GossipProtocol):
             ctx.obs.count_key(self._k_replacements)
             ctx.obs.count_key(self._k_churn, entering)
         self.view.replace(best)
-        if self.candidate_layers:
-            # By id: the passive half runs under the requester's context.
-            own = ctx.network.node(self.node_id)
-            for layer in self.candidate_layers:
-                if own.has_protocol(layer):
-                    own.protocol(layer).gather(arrived)
+        # Own node, not ctx.node: a passive half runs under the requester's.
+        for layer in self.candidate_layers:
+            sibling = self.node.find(layer)
+            if sibling is not None:
+                sibling.gather(arrived)
 
     _absorb = _merge_pool

@@ -15,8 +15,10 @@ Two prongs, one diagnostic currency (:class:`~repro.diagnostics.Diagnostic`):
   determinism pass (``DET…``, :mod:`repro.lint.determinism`) that reports
   a nondeterminism source at its site or, outside its site scope, where an
   engine-round root (:mod:`repro.lint.roots`) reaches it, and the
-  shard-safety pass (``SHD…``, :mod:`repro.lint.shard`).
-  :func:`lint_python_source` runs the determinism pass on one source text.
+  shard-safety pass (``SHD…``, :mod:`repro.lint.shard`), and the per-file
+  peer-seam rule (``PEER…``, :mod:`repro.lint.peers`).
+  :func:`lint_python_source` runs the determinism and peer-seam passes on
+  one source text.
   Findings are acknowledged inline (``# repro-lint: disable=CODE``).
 
 ``python -m repro lint [paths…] [--self-check] [--format text|json]`` is
@@ -35,7 +37,6 @@ from repro.diagnostics import (
 from repro.lint.assembly_rules import lint_assembly, lint_program
 from repro.lint.callgraph import CallGraph
 from repro.lint.catalog import CATALOG, Rule, severity_of
-from repro.lint.determinism import lint_python_source
 from repro.lint.pragmas import apply_pragmas, parse_pragmas
 from repro.lint.reporters import render_json, render_text
 from repro.lint.roots import DEFAULT_ROOTS, match_roots
@@ -43,6 +44,7 @@ from repro.lint.runner import (
     analyze_project,
     collect_topo_files,
     lint_paths,
+    lint_python_source,
     lint_topo_file,
     self_check,
 )

@@ -1,6 +1,6 @@
 """The rule catalog: every diagnostic code the static analyzers can emit.
 
-Three rule families, each naming what it guards:
+Four rule families, each naming what it guards:
 
 - ``RPR…`` — assembly-program rules, checked on a parsed ``.topo`` program
   or an :class:`~repro.core.Assembly` *before* anything is simulated.
@@ -18,6 +18,9 @@ Three rule families, each naming what it guards:
   detectable hazards that would break digest identity between the inline
   and the multi-process shard workers (shared module state mutated from
   round hot paths, RNGs cached outside the per-shard ``ctx`` discipline).
+- ``PEER…`` — the peer seam (also ``--self-check``): a per-file rule over
+  the gossip layers, which learn about other nodes through ``ctx.peers``
+  alone.
 
 ``docs/lint.md`` renders this catalog with rationale and examples; keep the
 two in sync when adding a rule.
@@ -254,6 +257,19 @@ _RULES = [
         "per-node/per-shard ``ctx`` threading discipline (the "
         "``spawn_seeds`` ownership rule): it is consumed in arrival order, "
         "which differs between serial and sharded schedules.",
+    ),
+    # -- peer seam (self-check) --------------------------------------------
+    Rule(
+        "PEER001",
+        ERROR,
+        "gossip layer reads past the peer seam",
+        "In ``sim/protocol.py``, ``gossip/`` and ``core/layers/``, a layer "
+        "learns about another node only by asking ``ctx.peers`` "
+        "(``is_alive``, ``runs``, ``profile``, ``advert``); of "
+        "``ctx.network``, the run's global oracle, it reads the "
+        "``rendezvous`` alone. Local aliases count the same. A read past the "
+        "seam is knowledge no real node has, and it would outlive every swap "
+        "of what ``ctx.peers`` is.",
     ),
 ]
 

@@ -38,10 +38,10 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.diagnostics import ERROR, Diagnostic, sort_diagnostics
-from repro.lint.pragmas import apply_pragmas, is_disabled, parse_pragmas
-from repro.lint.roots import ProjectModel, analyze
-from repro.lint.symbols import ModuleInfo, SymbolTable, target_names
+from repro.diagnostics import ERROR, Diagnostic
+from repro.lint.pragmas import is_disabled, parse_pragmas
+from repro.lint.roots import ProjectModel
+from repro.lint.symbols import ModuleInfo, target_names
 
 #: Packages whose results must be a pure function of (config, seed).
 SIM_PATHS = ("sim/", "core/", "gossip/", "faults/", "obs/", "heal/", "perf/", "scale/")
@@ -415,18 +415,3 @@ def _reach(
         f"{source.message}"
     )
     return message, functions[first.caller].file, first.line, first.column
-
-
-def lint_python_source(
-    source: str, rel_path: str, file: Optional[str] = None
-) -> List[Diagnostic]:
-    """Site findings (no roots) for one Python source text.
-
-    ``rel_path`` is the path relative to the ``repro`` package root (e.g.
-    ``gossip/views.py``) and selects which site scopes apply; ``file`` is the
-    on-disk path reported in diagnostics (defaults to ``rel_path``).
-    """
-    table = SymbolTable.from_source(source, rel_path, file or rel_path)
-    diagnostics = determinism_check(analyze(table, ()))
-    return sort_diagnostics(apply_pragmas(diagnostics, table.sources))
-

@@ -4,7 +4,8 @@
 ``.topo`` found under directory arguments, recursively) go through the
 assembly verifier; ``--self-check`` adds the source passes over the
 ``repro`` package itself — the determinism pass (``DET…``) and shard
-safety (``SHD…``) over one project model.
+safety (``SHD…``) over one project model, and the per-file peer-seam rule
+(``PEER…``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.lint.assembly_rules import lint_program
 from repro.lint.determinism import determinism_check
 from repro.lint.pragmas import apply_pragmas
 from repro.lint.roots import DEFAULT_ROOTS, ProjectModel, analyze
+from repro.lint.peers import peer_check
 from repro.lint.shard import shard_check
 from repro.lint.symbols import SymbolTable
 
@@ -82,10 +84,26 @@ def self_check(
     package: Tuple[str, ...] = ("repro",),
     roots: Sequence[str] = DEFAULT_ROOTS,
 ) -> List[Diagnostic]:
-    """DET and SHD diagnostics for the project under ``root``."""
+    """DET, SHD and PEER diagnostics for the project under ``root``."""
     model = analyze_project(root, package, roots)
-    diagnostics = determinism_check(model) + shard_check(model)
+    diagnostics = (
+        determinism_check(model) + shard_check(model) + peer_check(model.table)
+    )
     return sort_diagnostics(apply_pragmas(diagnostics, model.table.sources))
+
+
+def lint_python_source(
+    source: str, rel_path: str, file: Optional[str] = None
+) -> List[Diagnostic]:
+    """Site findings (no roots) and PEER findings for one Python source text.
+
+    ``rel_path`` is the path relative to the ``repro`` package root (e.g.
+    ``gossip/views.py``) and selects which site scopes apply; ``file`` is the
+    on-disk path reported in diagnostics (defaults to ``rel_path``).
+    """
+    table = SymbolTable.from_source(source, rel_path, file or rel_path)
+    diagnostics = determinism_check(analyze(table, ())) + peer_check(table)
+    return sort_diagnostics(apply_pragmas(diagnostics, table.sources))
 
 
 def lint_paths(paths: Sequence[str], with_self_check: bool = False) -> List[Diagnostic]:

@@ -145,9 +145,9 @@ class ElementaryStack:
 
     Every way of running the stack takes these decisions from here: the
     round engine's :func:`build_elementary`, the UDP runtime's local node
-    and remote facades, the sharded engine's nodes and facades (the same
-    two layer objects, driven through BSP barriers), and the monolithic
-    baseline.
+    (and its ``NetDirectory``'s answers for a peer, by :meth:`profile`),
+    the sharded engine's nodes and facades (the same two layer objects,
+    driven through BSP barriers), and the monolithic baseline.
 
     ``shape`` is a registry name or a :class:`~repro.shapes.base.Shape`;
     ``params`` sizes peer sampling as given and the overlay by the shape.
@@ -172,7 +172,8 @@ class ElementaryStack:
         """Attach both layers to ``node`` as shape rank ``rank``.
 
         Returns the peer-sampling instance so the caller can bootstrap it
-        (or not: a remote facade keeps its empty view). ``random_feed=False``
+        (or not: the sharded engine's facade of another shard's rank keeps
+        its empty view). ``random_feed=False``
         cuts the overlay off from peer sampling — ablation A2.
         """
         peer_sampling = PeerSampling(node.node_id, self.params, layer=PS_LAYER)

@@ -6,11 +6,13 @@ the same, unmodified :class:`~repro.gossip.peer_sampling.PeerSampling` and
 speaks the versioned JSON wire codec (:mod:`repro.runtime.wire`) over an
 asyncio UDP endpoint. The layers never learn they left the simulator:
 
-- :class:`NetDirectory` duck-types :class:`~repro.sim.network.Network`.
-  The local node is real; every remote peer appears as a *facade* node
-  whose protocol instances carry only the advertised identity (node id →
-  shape coordinate). Reading a facade's ``self_descriptor()`` models the
-  piggybacked knowledge a real datagram carries — nothing more.
+- :class:`NetDirectory` is the layers' ``ctx.peers`` (and ``ctx.network``,
+  for the rendezvous). It answers the peer questions — alive? runs a
+  layer? under which profile? what does it advertise? — from the
+  membership table alone: a swarm member's id is its shape rank, so a
+  known peer's advertisement is its rank's coordinate, the piggybacked
+  knowledge a real datagram carries and nothing more. Only the local node
+  holds protocol objects.
 - :class:`NetTransport` implements the transport seam: ``exchange``
   serializes the request into a ``GOSSIP_REQ`` datagram and blocks (with a
   timeout) on the matching ``GOSSIP_RESP``. A timeout returns ``None`` —
@@ -39,7 +41,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from collections import defaultdict
 
@@ -113,26 +115,33 @@ class PeerInfo:
 
 
 class NetDirectory:
-    """A :class:`~repro.sim.network.Network` view of one node plus its peers.
+    """What one swarm node knows of its peers: the layers' ``ctx.peers``.
 
-    The gossip layers interrogate their network through a narrow surface —
-    ``node`` / ``has_node`` / ``is_alive`` / ``alive_ids`` and the
-    :attr:`rendezvous` an empty peer-sampling view re-bootstraps from — and
-    this class answers it from the membership table the wire protocol
-    maintains. Every peer :meth:`add_peer` learns of registers with the
-    rendezvous and never leaves it, as in the simulator. Remote nodes are
-    materialized lazily as facade :class:`Node` instances (real protocol
-    objects, empty views) so layer-side ``isinstance`` checks and
-    ``self_descriptor()`` reads behave exactly as in the simulator.
+    It answers the peer seam the round engine's
+    :class:`~repro.sim.network.Network` answers — :meth:`is_alive`,
+    :meth:`runs`, :meth:`profile`, :meth:`advert` — plus the
+    :attr:`rendezvous` an empty peer-sampling view re-bootstraps from, all
+    from the membership table the wire protocol maintains. Every peer
+    :meth:`add_peer` learns of registers with the rendezvous and never
+    leaves it, as in the simulator. Every member runs ``stack`` as the
+    shape rank equal to its id, so what a known peer advertises on a layer
+    is read off ``stack``, not off a protocol object of its own: only the
+    local node has those.
     """
 
-    def __init__(self, local: Node, make_facade: Callable[[int], Node]):
+    def __init__(self, local: Node, stack: ElementaryStack):
         self.local = local
-        self._make_facade = make_facade
         self.peers: Dict[int, PeerInfo] = {}
         self.rendezvous = Rendezvous()
-        self._facades: Dict[int, Node] = {}
         self.round = 0
+        ranks = range(stack.n_nodes)
+        #: layer -> what each rank advertises on it, minted once.
+        self._adverts: Dict[str, List[Descriptor]] = {
+            PS_LAYER: [Descriptor(rank, age=0) for rank in ranks],
+            OVERLAY_LAYER: [
+                Descriptor(rank, age=0, profile=stack.profile(rank)) for rank in ranks
+            ],
+        }
 
     # -- membership (wire side) ----------------------------------------------
 
@@ -166,17 +175,13 @@ class NetDirectory:
             for peer in sorted(self.peers.values(), key=lambda p: p.node_id)
         ]
 
-    # -- Network surface (layer side) -----------------------------------------
+    # -- the peer seam (layer side) ---------------------------------------------
 
     def node(self, node_id: int) -> Node:
-        if node_id == self.local.node_id:
-            return self.local
-        if node_id not in self.peers:
-            raise SimulationError(f"unknown swarm peer {node_id}")
-        facade = self._facades.get(node_id)
-        if facade is None:
-            facade = self._facades[node_id] = self._make_facade(node_id)
-        return facade
+        """The local node; a peer has no node object here."""
+        if node_id != self.local.node_id:
+            raise SimulationError(f"node {node_id} is not this node")
+        return self.local
 
     def has_node(self, node_id: int) -> bool:
         return node_id == self.local.node_id or node_id in self.peers
@@ -189,15 +194,27 @@ class NetDirectory:
             return False
         return self.round - peer.last_seen_round <= LIVENESS_WINDOW
 
+    def runs(self, node_id: int, layer: str) -> bool:
+        """Whether ``node_id`` is this node or a known peer, and ``layer`` one
+        of the stack's."""
+        return layer in self._adverts and self.has_node(node_id)
+
+    def advert(self, node_id: int, layer: str) -> Optional[Descriptor]:
+        """What ``node_id`` advertises on ``layer``; ``None`` for an unknown
+        peer or layer."""
+        return self._adverts[layer][node_id] if self.runs(node_id, layer) else None
+
+    def profile(self, node_id: int, layer: str) -> Any:
+        """The profile ``node_id`` holds on ``layer``; ``None`` for an unknown
+        peer or layer (and on peer sampling, which has none)."""
+        advert = self.advert(node_id, layer)
+        return None if advert is None else advert.profile
+
     def node_ids(self) -> List[int]:
         return sorted([self.local.node_id, *self.peers])
 
     def alive_ids(self) -> List[int]:
         return [nid for nid in self.node_ids() if self.is_alive(nid)]
-
-    def alive_nodes(self) -> Iterator[Node]:
-        for node_id in self.alive_ids():
-            yield self.node(node_id)
 
     def alive_count(self) -> int:
         return len(self.alive_ids())
@@ -641,8 +658,9 @@ class NetRunner:
             PS_LAYER: frozenset((None,)),
             OVERLAY_LAYER: frozenset(map(self.stack.profile, range(config.n_nodes))),
         }
-        self.node = self._build_node(self.node_id)
-        self.directory = NetDirectory(self.node, self._build_node)
+        self.node = Node(self.node_id)
+        self.stack.attach(self.node, rank=self.node_id)
+        self.directory = NetDirectory(self.node, self.stack)
         self.endpoint = NetEndpoint(self)
         self.transport = NetTransport(
             Transport(config.costs),
@@ -658,18 +676,6 @@ class NetRunner:
         self.obs: Optional[Any] = None
         self._closed = False
         self._started = False
-
-    def _build_node(self, node_id: int) -> Node:
-        """The real local node, or an identity facade for a remote peer.
-
-        A facade carries the same protocol classes with the peer's derived
-        profile (swarm identity == shape rank) and an empty view: exactly
-        the knowledge a wire advertisement justifies, and enough for the
-        layers' ``self_descriptor()`` reads and ``isinstance`` checks.
-        """
-        node = Node(node_id)
-        self.stack.attach(node, rank=node_id)
-        return node
 
     # -- context --------------------------------------------------------------
 

@@ -141,6 +141,7 @@ class _ShardContext(RoundContext):
     """
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         self._rng = self.streams.stream(self.layer)
 
     def rng(self):

@@ -10,7 +10,7 @@ may stop the run early (e.g. once every layer has converged).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.network import Network
@@ -29,6 +29,10 @@ class RoundContext:
 
     Protocols draw randomness through :meth:`rng`, which returns the stream
     named ``(layer, node_id)`` — deterministic per node and layer.
+
+    A gossip layer learns about other nodes only through :attr:`peers`
+    (``is_alive``, ``runs``, ``profile``, ``advert``); of :attr:`network`
+    it reads the ``rendezvous`` alone (lint rule ``PEER001``).
     """
 
     node: "Node"
@@ -41,6 +45,14 @@ class RoundContext:
     #: protocol hot paths guard every call with ``if ctx.obs is not None``
     #: so uninstrumented runs do zero observability work.
     obs: Optional["Instrument"] = None
+    #: What this node knows of its peers. Defaults to :attr:`network`,
+    #: which answers from the true state (the live runner's
+    #: ``NetDirectory`` answers from its membership table).
+    peers: Any = None
+
+    def __post_init__(self) -> None:
+        if self.peers is None:
+            self.peers = self.network
 
     def rng(self):
         """The random stream for the current (layer, node) pair."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.node import Node
@@ -101,6 +101,30 @@ class Network:
     def is_alive(self, node_id: int) -> bool:
         node = self._nodes.get(node_id)
         return node is not None and node.alive
+
+    # -- the peer seam ----------------------------------------------------------
+    # ``ctx.peers``: all a gossip layer may ask about another node —
+    # :meth:`is_alive` and the three questions below. On the round and
+    # sharded engines the network answers them from every node's true state.
+
+    def runs(self, node_id: int, layer: str) -> bool:
+        """Whether ``node_id`` runs ``layer``."""
+        node = self._nodes.get(node_id)
+        return node is not None and node.has_protocol(layer)
+
+    def profile(self, node_id: int, layer: str) -> Any:
+        """The profile ``node_id`` holds on ``layer``; ``None`` if it does not
+        run it."""
+        node = self._nodes.get(node_id)
+        protocol = None if node is None else node.find(layer)
+        return None if protocol is None else protocol.profile
+
+    def advert(self, node_id: int, layer: str) -> Any:
+        """The self-descriptor ``node_id`` advertises on ``layer`` (the one it
+        would ship in its next exchange); ``None`` if it does not run it."""
+        node = self._nodes.get(node_id)
+        protocol = None if node is None else node.find(layer)
+        return None if protocol is None else protocol.self_descriptor()
 
     def nodes(self) -> Iterator[Node]:
         """All registered nodes, dead or alive, in id order."""

@@ -9,7 +9,8 @@ how Vicinity taps the peer-sampling layer for its "pinch of randomness".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
+import weakref
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -32,7 +33,7 @@ class Node:
         Free-form application metadata (e.g. the node's role assignment).
     """
 
-    __slots__ = ("node_id", "alive", "attributes", "_stack", "_order")
+    __slots__ = ("node_id", "alive", "attributes", "_stack", "_order", "__weakref__")
 
     def __init__(self, node_id: int):
         self.node_id = int(node_id)
@@ -44,9 +45,14 @@ class Node:
     # -- protocol stack ----------------------------------------------------
 
     def attach(self, name: str, protocol: "Protocol") -> "Protocol":
-        """Attach ``protocol`` under layer ``name``; stack order is attach order."""
+        """Attach ``protocol`` under layer ``name``; stack order is attach order.
+
+        The protocol learns its hosting node (:attr:`Protocol.node`), so it
+        reads its own sibling layers without asking the network.
+        """
         if name in self._stack:
             raise SimulationError(f"node {self.node_id} already has a protocol {name!r}")
+        protocol.node = weakref.proxy(self)
         self._stack[name] = protocol
         self._order.append(name)
         return protocol
@@ -55,10 +61,12 @@ class Node:
         """Swap the protocol attached under ``name`` (stack position kept).
 
         Used by reconfiguration when a node's component changes shape and its
-        core protocol must be rebuilt rather than just re-profiled.
+        core protocol must be rebuilt rather than just re-profiled. The new
+        protocol learns its hosting node, as on :meth:`attach`.
         """
         if name not in self._stack:
             raise SimulationError(f"node {self.node_id} has no protocol {name!r}")
+        protocol.node = weakref.proxy(self)
         self._stack[name] = protocol
         return protocol
 
@@ -74,6 +82,10 @@ class Node:
 
     def has_protocol(self, name: str) -> bool:
         return name in self._stack
+
+    def find(self, name: str) -> Optional["Protocol"]:
+        """The protocol attached under ``name``, or ``None``."""
+        return self._stack.get(name)
 
     def stack(self) -> Iterator[Tuple[str, "Protocol"]]:
         """Iterate ``(layer_name, protocol)`` pairs in stack order."""

@@ -16,6 +16,7 @@ from repro.sim.transport import ExchangeRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import RoundContext
+    from repro.sim.node import Node
 
 #: What the opening half hands the closing half: ``(partner_id, buffer,
 #: kept, wire_profile)`` — the request's payload and profile, and what the
@@ -32,6 +33,14 @@ class Protocol(ABC):
     instance, exactly as PeerSim's cycle-driven mode does; the transport is
     still informed of both message directions for bandwidth accounting.
     """
+
+    #: The hosting node, set by :meth:`~repro.sim.node.Node.attach` (and
+    #: ``replace``): where a layer reads its own siblings. A passive half
+    #: runs under the requester's context, so ``ctx.node`` is not it there.
+    #: A weak proxy: a strong back-reference would make every node a cycle
+    #: with its protocols, and a dropped network would wait for the cyclic
+    #: collector instead of being freed at once.
+    node: Optional["Node"] = None
 
     @abstractmethod
     def step(self, ctx: "RoundContext") -> None:
@@ -266,23 +275,23 @@ class GossipProtocol(Protocol):
     ) -> Any:
         """The oldest view entry that is alive (and ``valid``), healing as it goes.
 
-        A failed probe acts as failure detection: a dead entry is purged
-        with a tombstone, so stale copies gossiped back by third parties
-        cannot resurrect it, and counted as ``dead_purged``. A live entry
-        failing ``valid(network, node_id)`` is merely dropped — it is not
-        dead and may qualify again later. Returns the descriptor, or
-        ``None`` once the view is empty.
+        A failed probe acts as failure detection: an entry ``ctx.peers``
+        calls dead is purged with a tombstone, so stale copies gossiped back
+        by third parties cannot resurrect it, and counted as
+        ``dead_purged``. A live entry failing ``valid(ctx.peers, node_id)``
+        is merely dropped — it is not dead and may qualify again later.
+        Returns the descriptor, or ``None`` once the view is empty.
         """
         view = self.view
-        network = ctx.network
+        peers = ctx.peers
         while len(view):
             candidate = view.oldest()
             node_id = candidate.node_id
-            if not network.is_alive(node_id):
+            if not peers.is_alive(node_id):
                 view.purge(node_id)
                 if ctx.obs is not None:
                     ctx.obs.count_key(self._k_dead)
-            elif valid is None or valid(network, node_id):
+            elif valid is None or valid(peers, node_id):
                 return candidate
             else:
                 view.remove(node_id)
@@ -291,22 +300,22 @@ class GossipProtocol(Protocol):
     def _peer_adverts(self, ctx: "RoundContext", helper_layer: str) -> Iterator[Any]:
         """Fresh self-descriptors of the helper layer's neighbours.
 
-        Yields ``self_descriptor()`` of every live, reachable neighbour of
-        this node's ``helper_layer`` that runs this layer — the simulator
-        idiom for knowledge piggybacked on the helper's gossip. The hosting
-        node is looked up by id, not taken from ``ctx.node``: in a passive
-        half on the in-memory transport the context is the requester's.
+        Yields what ``ctx.peers.advert`` says every live, reachable
+        neighbour of this node's ``helper_layer`` advertises on this layer
+        (skipping those that do not run it) — the simulator idiom for
+        knowledge piggybacked on the helper's gossip. The helper is read
+        on :attr:`node`, not ``ctx.node``: in a passive half on the
+        in-memory transport the context is the requester's.
         """
-        own = ctx.network.node(self.node_id)
-        if not own.has_protocol(helper_layer):
+        helper = self.node.find(helper_layer)
+        if helper is None:
             return
-        network, transport, layer = ctx.network, ctx.transport, self.layer
-        for node_id in own.protocol(helper_layer).neighbors():
-            if node_id == self.node_id or not network.is_alive(node_id):
+        peers, transport, layer = ctx.peers, ctx.transport, self.layer
+        for node_id in helper.neighbors():
+            if node_id == self.node_id or not peers.is_alive(node_id):
                 continue
             if not transport.reachable(ctx, node_id):
                 continue  # peeking state across a partition cut would leak it
-            peer = network.node(node_id)
-            if peer.has_protocol(layer):
-                peer_protocol = peer.protocol(layer)
-                yield peer_protocol.self_descriptor()
+            advert = peers.advert(node_id, layer)
+            if advert is not None:
+                yield advert

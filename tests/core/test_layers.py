@@ -28,6 +28,7 @@ from repro.experiments.topologies import ring_of_rings
 from repro.gossip.descriptors import Descriptor
 from repro.shapes.ring import Ring
 from repro.sim.config import GossipParams
+from repro.sim.node import Node
 from repro.sim.transport import ExchangeRequest
 
 
@@ -114,21 +115,23 @@ class TestUO1Adopt:
 
 def own_stack_ctx(node_id, round_number=0, **protocols):
     """A context as the passive half sees it: ``ctx.node`` is the requester,
-    so a sibling layer may only be reached through the node's own id."""
+    so a sibling layer may only be reached through the protocols' own node
+    (they are attached to a fresh ``node_id``), and no other node is asked."""
 
     def off_limits(*_args):
         raise AssertionError("reached past this node's own stack")
 
-    own = SimpleNamespace(
-        has_protocol=lambda layer: layer in protocols,
-        protocol=lambda layer: protocols[layer] if layer in protocols else off_limits(),
-    )
+    own = Node(node_id)
+    for layer, protocol in protocols.items():
+        own.attach(layer, protocol)
     return SimpleNamespace(
         round=round_number,
         obs=None,
-        node=SimpleNamespace(has_protocol=off_limits, protocol=off_limits),
-        network=SimpleNamespace(
-            node=lambda peer_id: own if peer_id == node_id else off_limits()
+        host=own,  # the protocols hold their node weakly
+        node=SimpleNamespace(has_protocol=off_limits, protocol=off_limits, find=off_limits),
+        network=SimpleNamespace(node=off_limits),
+        peers=SimpleNamespace(
+            is_alive=off_limits, runs=off_limits, profile=off_limits, advert=off_limits
         ),
     )
 
@@ -366,12 +369,11 @@ def draw_foreign_partner(protocol, partner_id):
         assert partner_id in candidates
         return partner_id
 
-    everyone_runs_it = SimpleNamespace(has_protocol=lambda layer: True)
     ctx = SimpleNamespace(
         round=1,
         rng=lambda: SimpleNamespace(choice=pick),
-        network=SimpleNamespace(
-            is_alive=lambda node_id: True, node=lambda node_id: everyone_runs_it
+        peers=SimpleNamespace(
+            is_alive=lambda node_id: True, runs=lambda node_id, layer: True
         ),
         node=SimpleNamespace(has_protocol=lambda layer: False),
     )
@@ -381,7 +383,7 @@ def draw_foreign_partner(protocol, partner_id):
 def own_node_ctx(uo2, uo1, round_number=0):
     """The passive half's view of a node running ``uo2`` and, unless
     ``None``, the sibling ``uo1``."""
-    siblings = {} if uo1 is None else {LAYER_UO1: uo1}
+    siblings = {LAYER_UO2: uo2} if uo1 is None else {LAYER_UO2: uo2, LAYER_UO1: uo1}
     return own_stack_ctx(uo2.node_id, round_number, **siblings)
 
 
@@ -529,16 +531,14 @@ class TestUO2:
 
         def choose(protocol):
             rng = RecordingRng()
-            network = SimpleNamespace(
+            peers = SimpleNamespace(
                 is_alive=lambda node_id: node_id not in dead,
-                node=lambda node_id: SimpleNamespace(
-                    has_protocol=lambda layer: node_id not in without_layer
-                ),
+                runs=lambda node_id, layer: node_id not in without_layer,
             )
             ctx = SimpleNamespace(
                 round=1,  # odd: the foreign-contact turn
                 rng=lambda: rng,
-                network=network,
+                peers=peers,
                 node=SimpleNamespace(has_protocol=lambda layer: False),
                 obs=None,
             )
@@ -575,9 +575,9 @@ class TestUO2:
         ctx = SimpleNamespace(
             round=round_number,
             rng=lambda: SimpleNamespace(choice=lambda candidates: candidates[0]),
-            network=SimpleNamespace(
+            peers=SimpleNamespace(
                 is_alive=lambda node_id: node_id not in dead,
-                node=lambda node_id: SimpleNamespace(has_protocol=lambda layer: True),
+                runs=lambda node_id, layer: True,
             ),
             node=SimpleNamespace(has_protocol=lambda layer: True, protocol=lambda layer: uo1),
             obs=counting_obs(counted),
@@ -935,21 +935,22 @@ def stack_of(**protocols):
     )
 
 
-def selection_network(*members, dead=()):
-    """A network whose nodes run exactly the given ``PortSelection``
-    instances: what the layer's failure detection reads of its peers."""
-    nodes = {m.node_id: stack_of(port_selection=m) for m in members}
+def selection_peers(*members, dead=()):
+    """The peer seam of a world whose nodes run exactly the given
+    ``PortSelection`` instances: what the layer's failure detection reads
+    of its peers."""
+    by_id = {m.node_id: m for m in members}
     return SimpleNamespace(
-        is_alive=lambda node_id: node_id in nodes and node_id not in dead,
-        node=nodes.__getitem__,
+        is_alive=lambda node_id: node_id in by_id and node_id not in dead,
+        profile=lambda node_id, layer: by_id[node_id].profile,
     )
 
 
-def absorb_ctx(counted, network=None):
-    """Everybody alive unless ``network`` says otherwise; ``counted``
+def absorb_ctx(counted, peers=None):
+    """Everybody alive unless ``peers`` says otherwise; ``counted``
     collects the keyed increments (``None``: unobserved)."""
     return SimpleNamespace(
-        network=network or SimpleNamespace(is_alive=lambda node_id: True),
+        peers=peers or SimpleNamespace(is_alive=lambda node_id: True),
         obs=None if counted is None else counting_obs(counted),
     )
 
@@ -967,17 +968,17 @@ class TestPortLayerChurn:
             "east": (4, 2),  # east elects the highest: kept as it is
             "north": (1, 0),  # not a port of this component
         }
-        network = selection_network(
+        peers = selection_peers(
             protocol, PortSelection(3, NodeProfile("home", 0, 4, 0), ports)
         )
         counted = []
-        protocol._absorb(absorb_ctx(counted, network), None, received)
+        protocol._absorb(absorb_ctx(counted, peers), None, received)
         assert protocol.beliefs == {"west": (3, 0), "east": (5, 1)}
         assert counted == [(("descriptor_churn", "port_selection"), 1)]
-        protocol._absorb(absorb_ctx(counted, network), None, received)  # nothing new
+        protocol._absorb(absorb_ctx(counted, peers), None, received)  # nothing new
         assert len(counted) == 1
         unobserved = PortSelection(5, NodeProfile("home", 1, 4, 0), ports)
-        unobserved._absorb(absorb_ctx(None, network), None, received)
+        unobserved._absorb(absorb_ctx(None, peers), None, received)
         assert unobserved.beliefs == protocol.beliefs
 
     def test_port_connection_counts_adopted_bindings(self):
@@ -1020,7 +1021,7 @@ class TestPortSelectionSeeding:
             uo1.view.insert(Descriptor(node_id, 0, NodeProfile(component, rank, 4, 0)))
         return SimpleNamespace(
             node=stack_of(uo1=uo1),
-            network=selection_network(protocol, self.member(7, 0), self.member(3, 2)),
+            peers=selection_peers(protocol, self.member(7, 0), self.member(3, 2)),
             obs=None,
         )
 
@@ -1088,9 +1089,8 @@ class TestPortConnectionPartner:
                 uo1=uo1,
                 uo2=bare_uo2(contacts, node_id=5),
             ),
-            network=SimpleNamespace(
-                is_alive=lambda node_id: True,
-                node=lambda node_id: stack_of(port_connection=None),
+            peers=SimpleNamespace(
+                is_alive=lambda node_id: True, runs=lambda node_id, layer: True
             ),
         )
         assert protocol._choose_partner(ctx) == drawn[0][0]

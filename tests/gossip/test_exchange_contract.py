@@ -38,6 +38,7 @@ from repro.gossip.views import PartialView
 from repro.heal.scenarios import standard_deployment
 from repro.obs.instrument import Instrument
 from repro.sim.engine import RoundContext
+from repro.sim.node import Node
 from repro.sim.transport import ExchangeRequest, Transport
 
 #: class -> (layer it is attached under, runtime config that deploys it).
@@ -208,9 +209,12 @@ def test_completed_exchange_is_ledgered_and_counted_once(cls):
 
 
 def _state(value):
-    """A comparable copy of one protocol attribute (views by their entries)."""
+    """A comparable copy of one protocol attribute (views by their entries,
+    the hosting node by its id)."""
     if isinstance(value, PartialView):
         return value.descriptors()
+    if isinstance(value, Node):
+        return value.node_id
     if isinstance(value, dict):
         return {key: _state(item) for key, item in value.items()}
     return value

@@ -202,6 +202,7 @@ class TestBootstrapPartner:
             obs=None,
             node=world.nodes[0],
             network=world.network,
+            peers=world.network,
             transport=world.transport,
             rng=lambda: SimpleNamespace(choice=choice),
         )

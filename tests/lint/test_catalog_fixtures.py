@@ -30,7 +30,7 @@ from repro.lint import CATALOG, lint_python_source, lint_topo_file, self_check
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-_CODE_RE = re.compile(r"^(rpr|det|shd)(\d+)_")
+_CODE_RE = re.compile(r"^(rpr|det|shd|peer)(\d+)_")
 
 #: The round root every fixture package declares.
 FIXTURE_ROOTS = ["engine.py::Engine.run_round"]

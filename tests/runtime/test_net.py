@@ -11,7 +11,13 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import wire
-from repro.runtime.api import RunnerConfig, make_runner
+from repro.runtime.api import (
+    OVERLAY_LAYER,
+    PS_LAYER,
+    ElementaryStack,
+    RunnerConfig,
+    make_runner,
+)
 from repro.gossip.descriptors import Descriptor
 from repro.runtime.net import LIVENESS_WINDOW, NetDirectory, _Pending, parse_rendezvous
 from repro.sim.node import Node
@@ -32,20 +38,19 @@ class TestParseRendezvous:
             parse_rendezvous(text)
 
 
+#: The stack every member of the directory's 4-node ring swarm runs.
+STACK = ElementaryStack("ring", 4)
+
+
 def make_directory():
-    facades = []
-
-    def make_facade(node_id: int) -> Node:
-        node = Node(node_id)
-        facades.append(node)
-        return node
-
-    return NetDirectory(Node(0), make_facade), facades
+    local = Node(0)
+    STACK.attach(local, rank=0)
+    return NetDirectory(local, STACK)
 
 
 class TestNetDirectory:
     def test_add_peer_news_and_update(self):
-        directory, _ = make_directory()
+        directory = make_directory()
         assert directory.add_peer(1, "127.0.0.1", 9001) is True
         assert directory.add_peer(1, "127.0.0.1", 9002) is False  # update, not news
         assert directory.addr_of(1) == ("127.0.0.1", 9002)
@@ -53,7 +58,7 @@ class TestNetDirectory:
         assert directory.roster() == [(1, "127.0.0.1", 9002)]
 
     def test_network_surface(self):
-        directory, facades = make_directory()
+        directory = make_directory()
         directory.add_peer(2, "127.0.0.1", 9002)
         directory.add_peer(1, "127.0.0.1", 9001)
         assert directory.node_ids() == [0, 1, 2]
@@ -61,18 +66,51 @@ class TestNetDirectory:
         assert not directory.has_node(9)
         assert directory.size() == len(directory) == 3
         assert directory.node(0) is directory.local
-        facade = directory.node(2)
-        assert facade.node_id == 2
-        assert directory.node(2) is facade  # cached, one facade per peer
-        assert facades == [facade]
 
     def test_unknown_peer_is_an_error(self):
-        directory, _ = make_directory()
-        with pytest.raises(SimulationError, match="unknown swarm peer"):
-            directory.node(5)
+        """So is a known one: only the local node has a node object."""
+        directory = make_directory()
+        directory.add_peer(2, "127.0.0.1", 9002)
+        for node_id in (5, 2):
+            with pytest.raises(SimulationError, match="not this node"):
+                directory.node(node_id)
+
+    def test_the_peer_seam(self):
+        """The local id and a known peer are answered from the stack as the
+        rank equal to their id; an unknown peer runs nothing; a peer silent
+        past the window is dead but still known, so what it ran stands."""
+        directory = make_directory()
+        directory.add_peer(2, "127.0.0.1", 9002)
+        directory.add_peer(3, "127.0.0.1", 9003)
+        local_overlay = directory.local.protocol(OVERLAY_LAYER)
+        for node_id in (0, 2):
+            assert directory.is_alive(node_id)
+            assert directory.runs(node_id, PS_LAYER)
+            assert directory.runs(node_id, OVERLAY_LAYER)
+            assert directory.profile(node_id, OVERLAY_LAYER) == STACK.profile(node_id)
+            assert directory.profile(node_id, PS_LAYER) is None
+            assert directory.advert(node_id, OVERLAY_LAYER) == Descriptor(
+                node_id, age=0, profile=STACK.profile(node_id)
+            )
+            assert directory.advert(node_id, PS_LAYER) == Descriptor(node_id, age=0)
+        assert directory.advert(0, OVERLAY_LAYER) == local_overlay.self_descriptor()
+        assert not directory.runs(0, "uo1")
+        # Unknown: not alive, runs nothing, has no profile or advert.
+        assert not directory.is_alive(1)
+        assert not directory.runs(1, OVERLAY_LAYER)
+        assert directory.profile(1, OVERLAY_LAYER) is None
+        assert directory.advert(1, OVERLAY_LAYER) is None
+        # Silent past the window: dead, yet still a member of the table.
+        directory.round += LIVENESS_WINDOW
+        directory.touch(2)
+        directory.round += 1
+        assert directory.is_alive(2) and not directory.is_alive(3)
+        assert directory.runs(3, OVERLAY_LAYER)
+        assert directory.profile(3, OVERLAY_LAYER) == STACK.profile(3)
+        assert directory.advert(3, OVERLAY_LAYER).node_id == 3
 
     def test_liveness_window(self):
-        directory, _ = make_directory()
+        directory = make_directory()
         directory.add_peer(1, "127.0.0.1", 9001)
         assert directory.is_alive(1)
         directory.round += LIVENESS_WINDOW
@@ -85,7 +123,7 @@ class TestNetDirectory:
         assert directory.alive_ids() == [0, 1]
 
     def test_every_new_peer_registers_with_the_rendezvous(self):
-        directory, _ = make_directory()
+        directory = make_directory()
         directory.add_peer(2, "127.0.0.1", 9002)
         directory.add_peer(1, "127.0.0.1", 9001)
         directory.add_peer(2, "127.0.0.1", 9012)  # not news: no second entry
@@ -95,7 +133,7 @@ class TestNetDirectory:
         assert directory.rendezvous.sample(random.Random(0), 5) in ([1, 2], [2, 1])
 
     def test_touch_unknown_peer_is_noop(self):
-        directory, _ = make_directory()
+        directory = make_directory()
         directory.touch(42)
         assert directory.addr_of(42) is None
 
