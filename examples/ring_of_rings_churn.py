@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro import Runtime
 from repro.core.convergence import core_score
 from repro.experiments.topologies import ring_of_rings
-from repro.sim.churn import CatastrophicFailure, RandomChurn
+from repro.faults.schedule import catastrophic_failure, random_churn
 
 
 def health(deployment) -> float:
@@ -37,14 +37,18 @@ def main() -> None:
     print(f"initial convergence: {report.slowest} rounds, health {health(deployment):.2f}")
 
     # -- phase 1: continuous churn ------------------------------------------
-    churn = RandomChurn(
+    start = deployment.engine.round
+    churn = random_churn(
+        deployment,
         deployment.streams.fork("churn").stream("crash"),
         crash_rate=0.01,
         join_count=1,
         provisioner=deployment.provisioner(),
         min_population=96,
+        at_round=start,
+        until_round=start + 20,
     )
-    deployment.engine.add_control(churn)
+    churn.arm(deployment)
     print("\n20 rounds of continuous churn (1% crash rate, 1 join/round):")
     for _ in range(4):
         deployment.run(5)
@@ -53,17 +57,18 @@ def main() -> None:
             f"{deployment.network.alive_count()} live nodes, "
             f"core health {health(deployment):.2f}"
         )
-    deployment.engine.controls.remove(churn)
 
     # -- phase 2: catastrophic failure ---------------------------------------
-    catastrophe = CatastrophicFailure(
+    catastrophe = catastrophic_failure(
+        deployment,
         deployment.streams.fork("catastrophe").stream("kill"),
         at_round=deployment.engine.round,
         fraction=0.4,
     )
-    deployment.engine.add_control(catastrophe)
+    catastrophe.arm(deployment)
     deployment.run(1)
-    print(f"\ncatastrophe: killed {len(catastrophe.victims)} nodes at once")
+    (kill,) = catastrophe
+    print(f"\ncatastrophe: killed {len(kill.args[0])} nodes at once")
     deployment.rebalance()  # survivors and spares take over vacated ranks
     print(f"  after rebalance: health {health(deployment):.2f} "
           f"({deployment.network.alive_count()} live nodes)")

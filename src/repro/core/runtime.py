@@ -180,9 +180,9 @@ class Deployment:
         as the map its zone-pair link rules and zone outages resolve
         through. Every later call returns that same decorator, so exchanges
         are never vetoed (or RNG-drawn) twice; it may not bring another
-        zone map. Callers attach controls to the returned decorator. While
-        it holds no active fault, exchanges take the fast path and runs stay
-        bit-identical to a fault-free deployment.
+        zone map. A fault schedule (:mod:`repro.faults.schedule`) drives the
+        returned decorator. While it holds no active fault, exchanges take
+        the fast path and runs stay bit-identical to a fault-free deployment.
         """
         if self.faults is None:
             from repro.faults.transports import FaultTransport
@@ -320,7 +320,8 @@ class Deployment:
     # -- churn support ------------------------------------------------------------------
 
     def provisioner(self):
-        """A :data:`~repro.sim.churn.NodeProvisioner` for joining nodes.
+        """``provision(network, node)``: equips a joining node (a fault
+        schedule's ``join`` op provisions through it).
 
         Joining nodes enter as *spares*: they get the full protocol stack
         and start mixing into the peer-sampling substrate, but no component

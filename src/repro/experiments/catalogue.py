@@ -45,11 +45,11 @@ from repro.experiments.topologies import (
     ring_of_rings,
     star_of_cliques,
 )
+from repro.faults.schedule import FaultSchedule, catastrophic_failure, random_churn
 from repro.faults.transports import LinkQuality
 from repro.faults.zones import ZoneMap
 from repro.obs.export import render_table
 from repro.shapes.ring import Ring
-from repro.sim.churn import CatastrophicFailure, RandomChurn
 from repro.sim.config import GossipParams
 
 _Task = TypeVar("_Task")
@@ -294,6 +294,23 @@ def measure_reconfiguration(task) -> Dict[str, Optional[int]]:
     return samples
 
 
+def churn_schedule(deployment, crash_rate: float, rounds: int) -> FaultSchedule:
+    """A3's churn for the next ``rounds`` rounds: ``crash_rate`` of the
+    population crashes each round (never below half of it), and as many
+    spares join (at least one)."""
+    total, start = deployment.network.size(), deployment.engine.round
+    return random_churn(
+        deployment,
+        deployment.streams.fork("churn").stream("crash"),
+        crash_rate=crash_rate,
+        join_count=max(1, int(total * crash_rate)),
+        provisioner=deployment.provisioner(),
+        min_population=total // 2,
+        at_round=start,
+        until_round=start + rounds,
+    )
+
+
 def measure_churn(task) -> Dict[str, Optional[float]]:
     """A3, one seed: converge under churn, then lose half the nodes at once.
 
@@ -304,28 +321,19 @@ def measure_churn(task) -> Dict[str, Optional[float]]:
     right after and again after a 30-round recovery window.
     """
     point, seed, max_rounds = task
-    total = point.nodes
     deployment = _deploy(point, seed)
-    churn = RandomChurn(
-        deployment.streams.fork("churn").stream("crash"),
-        crash_rate=point.label,
-        join_count=max(1, int(total * point.label)),
-        provisioner=deployment.provisioner(),
-        min_population=total // 2,
-    )
-    deployment.engine.add_control(churn)
+    churn = churn_schedule(deployment, point.label, max_rounds).arm(deployment)
     deployment.tracker.layers = ["core", "uo1"]
     deployment.tracker.reset()
     rounds = deployment.run_until_converged(max_rounds).slowest
 
     deployment.engine.controls.remove(churn)
-    deployment.engine.add_control(
-        CatastrophicFailure(
-            deployment.streams.fork("catastrophe").stream("kill"),
-            at_round=deployment.engine.round,
-            fraction=0.5,
-        )
-    )
+    catastrophic_failure(
+        deployment,
+        deployment.streams.fork("catastrophe").stream("kill"),
+        at_round=deployment.engine.round,
+        fraction=0.5,
+    ).arm(deployment)
     deployment.run(1)
     deployment.rebalance()  # surviving nodes take over the vacated ranks
     health = [core_score(deployment.network, deployment.role_map, deployment.assembly)]

@@ -9,9 +9,12 @@ The subsystem has three parts, mirroring how real deployments fail:
   delays every peer-addressed exchange accordingly;
 - **placement** (:mod:`~repro.faults.zones`): a :class:`ZoneMap` grouping
   nodes into availability zones so failures can be *correlated*;
-- **schedule** (:mod:`~repro.faults.controls`): engine controls that fire
-  and heal faults at round boundaries — :class:`Partition`,
-  :class:`ZoneOutage`, :class:`PauseResume`, :class:`LinkDegradation`.
+- **schedule** (:mod:`~repro.faults.schedule`): a :class:`FaultSchedule`
+  is plain data, ``(round, op, args)`` events that round-trip through JSON,
+  built by :func:`partition`, :func:`zone_outage`, :func:`pause_resume`,
+  :func:`link_degradation`, :func:`random_churn` and
+  :func:`catastrophic_failure`; one :class:`Executor` control applies each
+  event at the start of its round.
 
 The package is injection only. Measuring recovery lives elsewhere:
 :class:`repro.obs.recovery.RecoveryObserver` times each layer's repair
@@ -20,12 +23,18 @@ the scenario rows behind ``python -m repro faults`` and ``python -m repro
 heal``.
 """
 
-from repro.faults.controls import (
-    LinkDegradation,
-    Partition,
-    PauseResume,
-    ZoneOutage,
+from repro.faults.schedule import (
+    Event,
+    Executor,
+    FaultSchedule,
+    apply,
+    catastrophic_failure,
+    link_degradation,
+    partition,
+    pause_resume,
+    random_churn,
     split_islands,
+    zone_outage,
 )
 from repro.faults.transports import (
     TIMEOUT_ROUNDS,
@@ -37,13 +46,19 @@ from repro.faults.zones import ZoneMap
 
 __all__ = [
     "TIMEOUT_ROUNDS",
+    "Event",
+    "Executor",
     "FaultEvent",
+    "FaultSchedule",
     "FaultTransport",
-    "LinkDegradation",
     "LinkQuality",
-    "Partition",
-    "PauseResume",
     "ZoneMap",
-    "ZoneOutage",
+    "apply",
+    "catastrophic_failure",
+    "link_degradation",
+    "partition",
+    "pause_resume",
+    "random_churn",
     "split_islands",
+    "zone_outage",
 ]

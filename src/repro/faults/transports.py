@@ -19,8 +19,8 @@ state dictates, accounting every drop (``partition`` / ``loss`` /
 inner transport otherwise. It stacks over the round engine's ledger, the
 wire-codec loopback, and the UDP runtime's local transport alike. This is
 the only fault path: protocol code never consults fault state, it asks the
-transport. Controls (:mod:`repro.faults.controls`) mutate the state at
-round boundaries.
+transport. A fault schedule (:mod:`repro.faults.schedule`) mutates the
+state at round boundaries.
 
 ``tests/runtime/test_fault_transport.py`` pins a mixed
 partition/loss/latency schedule through :class:`FaultTransport` to golden
@@ -131,6 +131,11 @@ class FaultTransport(TransportDecorator):
     def clear_partition(self) -> None:
         """Heal the partition: full reachability is restored."""
         self._island_of = {}
+
+    @property
+    def island_of(self) -> Dict[int, int]:
+        """The active partition map, ``node_id -> island`` (empty when none)."""
+        return self._island_of
 
     @property
     def partition_active(self) -> bool:

@@ -4,7 +4,7 @@ Correlated failures are the cloud's signature failure mode: machines share
 racks, racks share power feeds, zones share control planes. A
 :class:`ZoneMap` assigns every node to a named zone so fault controls can
 kill or degrade *whole zones at once* (see
-:class:`~repro.faults.controls.ZoneOutage` and the zone-pair link table of
+:func:`~repro.faults.schedule.zone_outage` and the zone-pair link table of
 :class:`~repro.faults.transports.FaultTransport`). A node that must fail
 alone is a one-node zone.
 """

@@ -8,8 +8,8 @@ action                      repairs
 ==========================  ===================================================
 :class:`RendezvousReseed`   overlay segregation — nodes drawn from the
                             rendezvous re-bootstrap their peer-sampling views
-                            from it (the re-contact :class:`~repro.faults.
-                            controls.Partition` applies at heal time)
+                            from it (the re-contact a fault schedule's
+                            ``heal`` op applies)
 :class:`ElasticAdjust`      churn spikes — re-runs the role assignment over
                             the live population (elastic replica adjustment)
                             and re-bootstraps starved peer-sampling views

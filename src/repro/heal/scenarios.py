@@ -5,8 +5,10 @@ substrate (:func:`standard_deployment`), converge it cleanly, arm a
 :class:`~repro.obs.recovery.RecoveryObserver` (plus the health monitor when
 telemetry is on, plus a :class:`~repro.heal.engine.RemediationEngine` when
 managed), inject one fault, and run. A row of :data:`SCENARIOS` says only
-what it injects and how long the run lasts; :func:`run_scenario` does the
-rest and returns one :class:`ScenarioResult`.
+what it injects (a fault row a :class:`~repro.faults.schedule.FaultSchedule`
+built on the deployment, a corruption row an inject function) and how long
+the run lasts; :func:`run_scenario` does the rest and returns one
+:class:`ScenarioResult`.
 
 The fault rows (``python -m repro faults``) run a fixed window plus
 recovery rounds and are judged on per-layer time-to-repair:
@@ -40,7 +42,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.runtime import Deployment, Runtime, RuntimeConfig
 from repro.errors import ConfigurationError
 from repro.experiments.topologies import ring_of_rings
-from repro.faults.controls import LinkDegradation, Partition, PauseResume, ZoneOutage
+from repro.faults.schedule import (
+    FaultSchedule,
+    catastrophic_failure,
+    link_degradation,
+    partition,
+    pause_resume,
+    zone_outage,
+)
 from repro.faults.transports import FaultTransport, LinkQuality
 from repro.faults.zones import ZoneMap
 from repro.heal.engine import RemediationEngine
@@ -61,22 +70,28 @@ DEFAULT_DEGREE = 1.0
 #: open incidents can close before the verdict is read.
 GRACE_ROUNDS = 6
 
-#: An injection: mutate the armed deployment at the start of the fault
-#: (``window`` and ``degree`` are the row's and the run's) and return a
-#: JSON-able description of what it injected (empty for the fault rows).
+#: A corruption row's injection: mutate the armed deployment at the start of
+#: the fault (``window`` and ``degree`` are the row's and the run's) and
+#: return a JSON-able description of what it injected.
 Inject = Callable[[Deployment, FaultTransport, int, float], Dict[str, Any]]
+
+#: A fault row's schedule, built on the armed deployment at injection
+#: (``window`` is the row's).
+Build = Callable[[Deployment, int], FaultSchedule]
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One row of the catalogue: what it injects and how long it runs.
 
-    The run lasts ``window + recovery`` rounds counted from injection;
-    a row with a ``budget`` then runs until every layer re-converges (at
-    most ``budget`` rounds), plus :data:`GRACE_ROUNDS` when it does.
+    A fault row builds a ``schedule``; a corruption row ``inject``s. The run
+    lasts ``window + recovery`` rounds counted from injection; a row with a
+    ``budget`` then runs until every layer re-converges (at most ``budget``
+    rounds), plus :data:`GRACE_ROUNDS` when it does.
     """
 
-    inject: Inject
+    inject: Optional[Inject] = None
+    schedule: Optional[Build] = None
     window: int = 0
     recovery: int = 0
     budget: Optional[int] = None
@@ -98,8 +113,10 @@ class ScenarioResult:
     health: Optional[Dict[str, Any]] = None
     managed: bool = False
     degree: float = DEFAULT_DEGREE
-    #: What the injection reported (stabilization rows).
+    #: What the injection reported (corruption rows).
     corruption: Dict[str, Any] = field(default_factory=dict)
+    #: The fault schedule the run applied (fault rows).
+    schedule: Optional[FaultSchedule] = None
     #: Rounds from injection to full re-convergence (None: never within the
     #: budget, or a fault row, which has no budget).
     stabilize_rounds: Optional[int] = None
@@ -185,90 +202,46 @@ def _stream(deployment: Deployment, space: str, *names):
     return deployment.streams.fork(space).stream(*names)
 
 
-def _record_kill(deployment: Deployment, faults: FaultTransport, victims) -> None:
-    for node_id in victims:
-        deployment.network.kill(node_id)
-    faults.record_event(deployment.engine.round, "catastrophe", f"killed={len(victims)}")
-
-
-def _rebalance(deployment: Deployment, faults: FaultTransport) -> None:
-    """Re-run the assignment rule so survivors and spares absorb the vacated
-    roles (the self-healing reaction to a crash-stop fault)."""
-    deployment.rebalance()
-    faults.record_event(deployment.engine.round, "rebalance", "roles reassigned")
-
-
-def _partition(deployment, faults, window, degree, **options):
+def _partition(deployment, window, rendezvous=4):
     start = deployment.engine.round
-    deployment.engine.add_control(
-        Partition(
-            faults,
-            at_round=start,
-            heal_round=start + window,
-            rng=_stream(deployment, "faults", "partition"),
-            **options,
-        )
-    )
-    return {}
+    rng = _stream(deployment, "faults", "partition")
+    return partition(deployment, start, start + window, rng, rendezvous)
 
 
-def _zone_outage(deployment, faults, window, degree):
+def _zone_outage(deployment, window):
     start = deployment.engine.round
-    deployment.engine.add_control(
-        ZoneOutage(
-            faults,
-            zone=DEFAULT_ZONES[0],
-            at_round=start,
-            mode="pause",
-            restore_round=start + window,
-        )
+    return zone_outage(
+        deployment, DEFAULT_ZONES[0], start, mode="pause", restore_round=start + window
     )
-    return {}
 
 
-def _zone_kill(deployment, faults, window, degree):
-    deployment.engine.add_control(
-        ZoneOutage(faults, zone=DEFAULT_ZONES[0], at_round=deployment.engine.round)
-    )
-    deployment.run(1)
-    _rebalance(deployment, faults)
-    return {}
+def _zone_kill(deployment, window):
+    """Kill one zone for good; the survivors absorb its roles a round later."""
+    start = deployment.engine.round
+    return zone_outage(deployment, DEFAULT_ZONES[0], start) + [(start + 1, "rebalance", ())]
 
 
-def _catastrophe(deployment, faults, window, degree):
-    alive = list(deployment.network.alive_ids())
+def _catastrophe(deployment, window):
+    start = deployment.engine.round
     rng = _stream(deployment, "faults", "catastrophe")
-    _record_kill(deployment, faults, rng.sample(alive, int(len(alive) * 0.3)))
-    _rebalance(deployment, faults)
-    return {}
+    return catastrophic_failure(deployment, rng, start, 0.3) + [(start, "rebalance", ())]
 
 
-def _flaky_links(deployment, faults, window, degree):
+def _flaky_links(deployment, window):
     start = deployment.engine.round
-    deployment.engine.add_control(
-        LinkDegradation(
-            faults,
-            at_round=start,
-            quality=LinkQuality(loss=0.6, latency=0.5),
-            zone_pairs=[(DEFAULT_ZONES[0], DEFAULT_ZONES[1])],
-            restore_round=start + window,
-        )
+    return link_degradation(
+        deployment,
+        start,
+        LinkQuality(loss=0.6, latency=0.5),
+        [(DEFAULT_ZONES[0], DEFAULT_ZONES[1])],
+        restore_round=start + window,
     )
-    return {}
 
 
-def _pause_resume(deployment, faults, window, degree):
+def _pause_resume(deployment, window):
     start = deployment.engine.round
-    deployment.engine.add_control(
-        PauseResume(
-            faults,
-            rng=_stream(deployment, "faults", "pause"),
-            at_round=start,
-            resume_round=start + window,
-            fraction=0.25,
-        )
-    )
-    return {}
+    rng = _stream(deployment, "faults", "pause")
+    return pause_resume(deployment, rng, start, start + window, fraction=0.25)
 
 
 def _corrupt(mode: str) -> Inject:
@@ -283,31 +256,29 @@ def _corrupt(mode: str) -> Inject:
     return inject
 
 
-def _partition_churn(deployment, faults, window, degree):
+def _partition_churn(deployment, window):
     """A real cut whose heal re-seeds nothing (``rendezvous=0``), so the two
     overlays can only be re-joined by the remediation engine — its
     rendezvous re-seed defers while the cut is active, then applies once it
     clears — plus a kill wave two rounds in: a churn spike and
     dead-descriptor debris on top."""
-    _partition(deployment, faults, window, degree, rendezvous=0)
-    deployment.run(2)
     alive = deployment.network.alive_ids()
     rng = _stream(deployment, "heal", "churn-wave")
-    victims = sorted(rng.sample(alive, min(8, max(0, len(alive) - 8))))
-    _record_kill(deployment, faults, victims)
-    return {"mode": "partition-churn", "window": window, "killed": len(victims)}
+    wave = sorted(rng.sample(alive, min(8, max(0, len(alive) - 8))))
+    wave_round = deployment.engine.round + 2
+    return _partition(deployment, window, rendezvous=0) + [(wave_round, "kill", (wave,))]
 
 
 #: The catalogue: row name -> what it injects and how long it runs.
 SCENARIOS: Dict[str, Scenario] = {
-    "partition": Scenario(_partition, window=20, recovery=60),
-    "zone-outage": Scenario(_zone_outage, window=15, recovery=60, zones=True),
-    "zone-kill": Scenario(_zone_kill, window=15, recovery=60, zones=True),
-    "catastrophe": Scenario(_catastrophe, recovery=80),
-    "flaky-links": Scenario(_flaky_links, window=25, recovery=40, zones=True),
-    "pause-resume": Scenario(_pause_resume, window=20, recovery=60),
+    "partition": Scenario(schedule=_partition, window=20, recovery=60),
+    "zone-outage": Scenario(schedule=_zone_outage, window=15, recovery=60, zones=True),
+    "zone-kill": Scenario(schedule=_zone_kill, window=15, recovery=60, zones=True),
+    "catastrophe": Scenario(schedule=_catastrophe, recovery=80),
+    "flaky-links": Scenario(schedule=_flaky_links, window=25, recovery=40, zones=True),
+    "pause-resume": Scenario(schedule=_pause_resume, window=20, recovery=60),
     **{mode: Scenario(_corrupt(mode), budget=80) for mode in corruption_modes()},
-    "partition-churn": Scenario(_partition_churn, window=12, budget=100),
+    "partition-churn": Scenario(schedule=_partition_churn, window=12, budget=100),
 }
 
 #: The rows ``repro faults`` runs (fixed length, judged on time-to-repair).
@@ -348,18 +319,21 @@ def run_scenario(
     faults = deployment.install_faults(zone_map)
     observer, monitor = _arm(deployment, faults, collector)
     engine = RemediationEngine.for_deployment(deployment, monitor) if managed else None
-    start = deployment.engine.round
     if budget is not None:
         deployment.tracker.reset()
-    corruption = row.inject(deployment, faults, row.window, degree)
-    if name in CORRUPTIONS:
+    corruption, schedule = {}, None
+    if row.schedule is not None:
+        schedule = row.schedule(deployment, row.window)
+        schedule.arm(deployment)
+    else:
+        corruption = row.inject(deployment, faults, row.window, degree)
         collector.emit(
             _events.EVENT_CORRUPTION,
             **{key: value for key, value in corruption.items() if key != "mode"},
             mode=name,
             flavor="managed" if managed else "unmanaged",
         )
-    deployment.run(row.window + row.recovery - (deployment.engine.round - start))
+    deployment.run(row.window + row.recovery)
     stabilize_rounds = None
     if budget is not None:
         converged = deployment.run_until_converged(budget)
@@ -394,6 +368,7 @@ def run_scenario(
         managed=managed,
         degree=degree,
         corruption=corruption,
+        schedule=schedule,
         stabilize_rounds=stabilize_rounds,
         budget=budget,
         remediation=None if engine is None else engine.summary(),
@@ -471,8 +446,15 @@ def _alert_history(alerts: List[Dict[str, Any]]) -> str:
 
 
 def format_scenario(result: ScenarioResult) -> str:
-    """Human-readable report for one scenario run: the time-to-repair
-    report of a fault row, the time-to-stabilize of a row with a budget."""
+    """Human-readable report for one scenario run: the schedule a fault row
+    ran (one ``schedule:`` line per event, then a blank line), then the
+    time-to-repair report of a fault row or the time-to-stabilize of a row
+    with a budget."""
+    schedule = "".join(f"schedule: {json.dumps(event)}\n" for event in result.schedule or ())
+    return schedule + ("\n" if schedule else "") + _format_report(result)
+
+
+def _format_report(result: ScenarioResult) -> str:
     health = result.health
     if result.budget is None:
         out = [

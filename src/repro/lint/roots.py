@@ -61,7 +61,6 @@ DEFAULT_ROOTS: Sequence[str] = (
     "*::*._absorb",
     "*::*._unreachable",
     "*::*.before_round",
-    "*::*.after_round",
     "*::*.observe",
     "*::*.act",
     "*::*.on_join",

@@ -177,12 +177,6 @@ class NetDirectory:
 
     # -- the peer seam (layer side) ---------------------------------------------
 
-    def node(self, node_id: int) -> Node:
-        """The local node; a peer has no node object here."""
-        if node_id != self.local.node_id:
-            raise SimulationError(f"node {node_id} is not this node")
-        return self.local
-
     def has_node(self, node_id: int) -> bool:
         return node_id == self.local.node_id or node_id in self.peers
 
@@ -210,20 +204,12 @@ class NetDirectory:
         advert = self.advert(node_id, layer)
         return None if advert is None else advert.profile
 
-    def node_ids(self) -> List[int]:
-        return sorted([self.local.node_id, *self.peers])
-
     def alive_ids(self) -> List[int]:
-        return [nid for nid in self.node_ids() if self.is_alive(nid)]
+        """This node and every peer it still hears from, sorted."""
+        return [nid for nid in sorted([self.local.node_id, *self.peers]) if self.is_alive(nid)]
 
     def alive_count(self) -> int:
         return len(self.alive_ids())
-
-    def size(self) -> int:
-        return 1 + len(self.peers)
-
-    def __len__(self) -> int:
-        return self.size()
 
 
 class _Pending:

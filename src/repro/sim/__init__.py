@@ -13,11 +13,11 @@ package reimplements that execution model:
   every gossip exchange reports its payload so byte-level bandwidth series
   (paper Fig. 4) can be extracted per protocol layer and per round;
 - :class:`~repro.sim.engine.Engine` — the round scheduler, driving controls
-  (churn, initializers), node steps, and observers;
+  (a fault schedule's executor), node steps, and observers;
 - :mod:`~repro.sim.rng` — deterministic named random streams derived from a
   single master seed, so every experiment is exactly reproducible;
-- :mod:`~repro.sim.controls` / :mod:`~repro.sim.churn` — round-boundary hooks
-  and failure injection.
+- :mod:`~repro.sim.controls` — round-boundary hooks (failure injection is
+  :mod:`repro.faults.schedule`).
 """
 
 from repro.sim.config import GossipParams, TransportCosts

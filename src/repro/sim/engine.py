@@ -2,9 +2,10 @@
 
 Reproduces PeerSim's cycle-driven execution model used by the paper's
 evaluation: each round, every live node executes one active step of each
-protocol in its stack, in a freshly shuffled node order; controls (churn,
-initializers) run at round boundaries; observers measure after each round and
-may stop the run early (e.g. once every layer has converged).
+protocol in its stack, in a freshly shuffled node order; controls (a fault
+schedule's :class:`~repro.faults.schedule.Executor`) run before the node
+steps; observers measure after each round and may stop the run early (e.g.
+once every layer has converged).
 """
 
 from __future__ import annotations
@@ -70,17 +71,17 @@ class Engine:
         experiments).
     controls:
         Round-boundary hooks run *before* the node steps of each round
-        (churn models, workload generators).
+        (a fault schedule's executor).
     observers:
         Measurement hooks run *after* the node steps of each round. An
         observer's :meth:`~repro.obs.instrument.Instrument.observe` may return
         ``True`` to request an early stop (e.g. "all layers converged").
     actuators:
         Closed-loop hooks (:class:`~repro.sim.controls.Actuator`) run in the
-        *act* phase — after every observer of a round, before the
-        after-round controls — so they decide on telemetry that is fresh
-        for the round. The remediation engine of :mod:`repro.heal` attaches
-        here; an engine with no actuators skips the phase entirely.
+        *act* phase — after every observer of a round — so they decide on
+        telemetry that is fresh for the round. The remediation engine of
+        :mod:`repro.heal` attaches here; an engine with no actuators skips
+        the phase entirely.
     obs:
         Optional :class:`~repro.obs.instrument.Instrument` telemetry sink,
         handed to every :class:`RoundContext` and timed around each round.
@@ -205,9 +206,9 @@ class Engine:
             if observer.observe(self.network, self.round):
                 stop = True
         # Act phase: closed-loop actuators run on this round's fresh
-        # observations, before the after-round controls. The span is only
-        # opened when actuators exist, so unmanaged runs record identical
-        # telemetry to the pre-act-phase engine.
+        # observations. The span is only opened when actuators exist, so
+        # unmanaged runs record identical telemetry to the pre-act-phase
+        # engine.
         if self.actuators:
             if obs is not None:
                 obs.span_begin("act")
@@ -215,8 +216,6 @@ class Engine:
                 actuator.act(self.network, self.round)
             if obs is not None:
                 obs.span_end("act")
-        for control in self.controls:
-            control.after_round(self.network, self.round)
         if obs is not None:
             obs.span_end("observe")
             obs.span_end("round")

@@ -135,6 +135,11 @@ class Network:
         for node_id in self.alive_ids():
             yield self._nodes[node_id]
 
+    @property
+    def next_id(self) -> int:
+        """The id the next created node gets."""
+        return self._next_id
+
     def node_ids(self) -> List[int]:
         return sorted(self._nodes)
 

@@ -8,8 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import Runtime
 from repro.errors import ConfigurationError
-from repro.faults.controls import LinkDegradation, split_islands
+from repro.experiments.topologies import ring_of_rings
+from repro.faults.schedule import link_degradation, split_islands
 from repro.faults.transports import FaultTransport, LinkQuality
 from repro.faults.zones import ZoneMap
 from repro.sim.rng import RandomStreams
@@ -20,6 +22,13 @@ def make_faults(zones=None):
     """A fault transport over a plain ledger; returns ``(ledger, faults)``."""
     ledger = Transport()
     return ledger, FaultTransport(ledger, RandomStreams(0), zones)
+
+
+def armed(zones=None):
+    """A small deployment with the fault plane over ``zones``; returns
+    ``(deployment, faults)``."""
+    deployment = Runtime(ring_of_rings(n_rings=2, ring_size=4), seed=0).deploy()
+    return deployment, deployment.install_faults(zones)
 
 
 def one_zone_per_node(ids):
@@ -55,24 +64,24 @@ class TestLinkRules:
 
     def test_zone_rule_needs_zone_map(self):
         # Without a zone map the rule could match nothing: rejected.
-        _, faults = make_faults()
+        deployment, faults = armed()
         with pytest.raises(ConfigurationError, match="ZoneMap"):
             faults.set_link("za", "zb", LinkQuality(loss=0.3))
         with pytest.raises(ConfigurationError, match="ZoneMap"):
-            LinkDegradation(
-                faults, at_round=0, quality=LinkQuality(loss=1.0),
+            link_degradation(
+                deployment, at_round=0, quality=LinkQuality(loss=1.0),
                 zone_pairs=[("za", "zb")],
             )
         assert not faults.active and faults.events == []
 
     def test_unknown_zone_rejected(self):
         # A rule naming a zone the map lacks would degrade 0 links.
-        _, faults = make_faults(ZoneMap.round_robin(range(8), ["za", "zb"]))
+        deployment, faults = armed(ZoneMap.round_robin(range(8), ["za", "zb"]))
         with pytest.raises(ConfigurationError, match="zq"):
             faults.set_link("za", "zq", LinkQuality(loss=1.0))
         with pytest.raises(ConfigurationError, match="zq"):
-            LinkDegradation(
-                faults, at_round=0, quality=LinkQuality(loss=1.0),
+            link_degradation(
+                deployment, at_round=0, quality=LinkQuality(loss=1.0),
                 zone_pairs=[("za", "zq")],
             )
         assert not faults.active and faults.events == []

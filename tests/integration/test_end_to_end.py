@@ -6,7 +6,7 @@ import pytest
 
 from repro import Runtime, RuntimeConfig, compile_source, to_source
 from repro.core.convergence import core_score
-from repro.sim.churn import CatastrophicFailure, RandomChurn
+from repro.faults.schedule import catastrophic_failure, random_churn
 
 
 MONGO_DSL = """
@@ -55,14 +55,16 @@ class TestChurnIntegration:
     def test_converges_under_continuous_churn(self):
         assembly = compile_source(MONGO_DSL)
         deployment = Runtime(assembly, seed=3).deploy()
-        churn = RandomChurn(
+        random_churn(
+            deployment,
             deployment.streams.fork("churn").stream("crash"),
             crash_rate=0.005,
             join_count=1,
             provisioner=deployment.provisioner(),
             min_population=40,
-        )
-        deployment.engine.add_control(churn)
+            at_round=0,
+            until_round=100,
+        ).arm(deployment)
         deployment.tracker.layers = ["core", "uo1", "uo2"]
         deployment.tracker.reset()
         report = deployment.run_until_converged(100)
@@ -72,12 +74,12 @@ class TestChurnIntegration:
         assembly = compile_source(MONGO_DSL)
         deployment = Runtime(assembly, seed=4).deploy(70)  # 14 spares
         deployment.run_until_converged(80)
-        kill = CatastrophicFailure(
+        catastrophic_failure(
+            deployment,
             deployment.streams.fork("kill").stream("k"),
             at_round=deployment.engine.round,
             fraction=0.4,
-        )
-        deployment.engine.add_control(kill)
+        ).arm(deployment)
         deployment.run(1)
         deployment.rebalance()
         damaged = core_score(

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.runtime import wire
 from repro.runtime.api import (
     OVERLAY_LAYER,
@@ -42,6 +42,11 @@ class TestParseRendezvous:
 STACK = ElementaryStack("ring", 4)
 
 
+def known_ids(runner):
+    """The runner's own id and every peer in its roster, sorted."""
+    return sorted([runner.node_id, *(row[0] for row in runner.directory.roster())])
+
+
 def make_directory():
     local = Node(0)
     STACK.attach(local, rank=0)
@@ -61,19 +66,12 @@ class TestNetDirectory:
         directory = make_directory()
         directory.add_peer(2, "127.0.0.1", 9002)
         directory.add_peer(1, "127.0.0.1", 9001)
-        assert directory.node_ids() == [0, 1, 2]
+        assert directory.alive_ids() == [0, 1, 2]
+        assert [row[0] for row in directory.roster()] == [1, 2]
         assert directory.has_node(0) and directory.has_node(2)
         assert not directory.has_node(9)
-        assert directory.size() == len(directory) == 3
-        assert directory.node(0) is directory.local
-
-    def test_unknown_peer_is_an_error(self):
-        """So is a known one: only the local node has a node object."""
-        directory = make_directory()
-        directory.add_peer(2, "127.0.0.1", 9002)
-        for node_id in (5, 2):
-            with pytest.raises(SimulationError, match="not this node"):
-                directory.node(node_id)
+        assert directory.alive_count() == 3
+        assert directory.local.node_id == 0
 
     def test_the_peer_seam(self):
         """The local id and a known peer are answered from the stack as the
@@ -381,7 +379,7 @@ def test_late_joiner_is_learned_through_the_hello_poll(monkeypatch):
                 break
         assert sorted(early.directory.peers) == [0, 2], rounds
         for runner in runners:
-            assert sorted(runner.directory.node_ids()) == [0, 1, 2]
+            assert known_ids(runner) == [0, 1, 2]
             assert runner.wire_stats()["malformed"] == 0
         assert {wire.HELLO, wire.PEERS_LIST} <= set(decoded) <= wire.FRAME_TYPES
     finally:
@@ -412,7 +410,7 @@ def test_three_node_swarm_in_process():
             thread.join(timeout=rounds * 0.05 + 15)
         assert not any(thread.is_alive() for thread in threads)
         for runner in runners:
-            assert sorted(runner.directory.node_ids()) == list(range(n))
+            assert known_ids(runner) == list(range(n))
             assert runner.round > 0
             stats = runner.wire_stats()
             assert stats["malformed"] == 0

@@ -106,17 +106,6 @@ class TestControlsAndObservers:
         engine.run(1)
         assert order == [("control", 0)]
 
-    def test_after_round_hook_runs(self):
-        net, _ = build(n=1)
-        calls = []
-
-        class After(Control):
-            def after_round(self, network, round_index):
-                calls.append(round_index)
-
-        Engine(net, streams=RandomStreams(1), controls=[After()]).run(3)
-        assert calls == [0, 1, 2]
-
     def test_observer_stop_request_halts_run(self):
         net, _ = build(n=1)
 
