@@ -43,7 +43,6 @@ def main() -> None:
         deployment.streams.fork("churn").stream("crash"),
         crash_rate=0.01,
         join_count=1,
-        provisioner=deployment.provisioner(),
         min_population=96,
         at_round=start,
         until_round=start + 20,

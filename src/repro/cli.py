@@ -352,7 +352,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         from repro.heal.engine import RemediationEngine
 
         engine = RemediationEngine.for_deployment(deployment, health)
-    deployment.tracker.stop_when_converged = True
     title = f"repro watch {args.file}"
 
     def frame() -> str:
@@ -365,20 +364,20 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         )
 
     if args.once:
-        deployment.engine.run(args.max_rounds)
+        deployment.run_until_converged(args.max_rounds)
         print(frame(), end="")
     else:
         clear = sys.stdout.isatty()
         executed = 0
         while executed < args.max_rounds:
             chunk = min(args.interval, args.max_rounds - executed)
-            ran = deployment.engine.run(chunk)
+            ran = deployment.run_until_converged(chunk).executed
             executed += ran
             if clear:
                 sys.stdout.write("\x1b[2J\x1b[H")
             print(frame())
             if ran < chunk:
-                break  # an observer (convergence) requested a stop
+                break  # every layer converged
     if args.alerts:
         _write_alerts(args.alerts, collector)
     return 0 if deployment.tracker.report().converged else 1

@@ -16,15 +16,18 @@ PeerSim observer does — against the oracle role map:
 - **port_connection** — for every link, the two oracle port managers hold
   fresh bindings for each other's ports.
 
-:class:`ConvergenceTracker` is an engine observer recording, per layer, the
-first round at which its predicate holds — the quantity plotted in Figures 2
-and 3 — and can stop a run once all tracked layers have converged.
+:class:`ConvergenceTracker` is the one place legality is judged: an engine
+observer that evaluates every predicate once a round into a per-round
+verdict series. From it come the first round at which each layer holds —
+the quantity plotted in Figures 2 and 3 — the stop of
+:meth:`~repro.core.runtime.Deployment.run_until_converged`, fault runs'
+time-to-repair, and the convergence telemetry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.layers import (
     LAYER_CORE,
@@ -35,6 +38,7 @@ from repro.core.layers import (
 )
 from repro.core.link import PortRef
 from repro.core.roles import RoleMap
+from repro.obs.events import EVENT_LAYER_CONVERGED
 from repro.obs.instrument import Instrument
 from repro.sim.network import Network
 
@@ -207,11 +211,10 @@ def layer_converged(
     assembly: "Assembly",
     uo1_view_size: int,
 ) -> bool:
-    """The legality predicate of ``layer`` — the one dispatcher.
+    """The legality predicate of ``layer``, for a one-off check.
 
-    Every observer that asks "does this layer hold right now?" (first
-    convergence, time-to-repair) goes through here, so the predicates and
-    their arguments are stated once.
+    A run's per-round verdicts come from :class:`ConvergenceTracker`, which
+    evaluates all five predicates with these same arguments.
     """
     if layer == LAYER_CORE:
         return core_converged(network, role_map, assembly)
@@ -255,7 +258,21 @@ class ConvergenceReport:
 
 
 class ConvergenceTracker(Instrument):
-    """Engine observer recording per-layer first convergence.
+    """Engine observer judging every layer's legality once a round.
+
+    The one legality ledger. Each observed round it computes the core score
+    once (the core verdict is ``score >= 1.0``), evaluates every other
+    layer's predicate once, and appends the round's verdicts to
+    :attr:`series` (with the round index in :attr:`rounds` and the score in
+    :attr:`core_scores`). :meth:`reset` never clears that series; it only
+    moves the point :attr:`first_converged` and :meth:`report` count from.
+    Time-to-repair (:class:`~repro.obs.recovery.RecoveryObserver`) and the
+    telemetry below are read from this one record.
+
+    With a telemetry sink in :attr:`instrument` (set by
+    :func:`~repro.obs.hooks.attach_collector`) it also emits one
+    ``layer_converged`` event per layer, and gauges ``core_score`` and
+    ``layers_converged`` (how many layers hold *this* round).
 
     Parameters
     ----------
@@ -264,10 +281,6 @@ class ConvergenceTracker(Instrument):
         on reconfiguration and churn rebalancing).
     uo1_view_size:
         The deployed UO1 view capacity (saturation threshold).
-    layers:
-        Which layers to track; defaults to all five.
-    stop_when_converged:
-        Ask the engine to stop once every tracked layer has converged.
     """
 
     ALL_LAYERS = (
@@ -283,51 +296,76 @@ class ConvergenceTracker(Instrument):
         assembly_provider: Callable[[], "Assembly"],
         role_map_provider: Callable[[], RoleMap],
         uo1_view_size: int,
-        layers: Optional[List[str]] = None,
-        stop_when_converged: bool = True,
     ):
         self._assembly = assembly_provider
         self._role_map = role_map_provider
         self.uo1_view_size = uo1_view_size
-        self.layers = list(layers) if layers is not None else list(self.ALL_LAYERS)
-        self.stop_when_converged = stop_when_converged
-        self.first_converged: Dict[str, Optional[int]] = {
-            layer: None for layer in self.layers
-        }
+        self.rounds: List[int] = []
+        self.series: Dict[str, List[bool]] = {layer: [] for layer in self.ALL_LAYERS}
         self.core_scores: List[float] = []
-        self.observed_rounds = 0
+        #: Layers whose convergence stops the engine; set only while
+        #: :meth:`~repro.core.runtime.Deployment.run_until_converged` runs.
+        self.waiting_for: Tuple[str, ...] = ()
+        self.instrument: Optional[Instrument] = None
+        self._reported: set = set()
+        self.reset()
+
+    @classmethod
+    def layers_of(cls, layers: Optional[Sequence[str]]) -> Tuple[str, ...]:
+        """``layers`` checked against :attr:`ALL_LAYERS` (all five if ``None``)."""
+        if layers is None:
+            return cls.ALL_LAYERS
+        for layer in layers:
+            if layer not in cls.ALL_LAYERS:
+                raise ValueError(f"unknown layer {layer!r}")
+        return tuple(layers)
 
     def reset(self) -> None:
-        """Restart tracking (called when a rebalance switches assemblies)."""
-        self.first_converged = {layer: None for layer in self.layers}
-        self.core_scores = []
+        """Count first convergence afresh from the next observed round
+        (called when a rebalance switches assemblies); the series stays."""
+        self.first_converged: Dict[str, Optional[int]] = {
+            layer: None for layer in self.ALL_LAYERS
+        }
         self.observed_rounds = 0
 
-    def _predicate(self, layer: str, network: Network) -> bool:
-        return layer_converged(
-            layer,
-            network,
-            self._role_map(),
-            self._assembly(),
-            self.uo1_view_size,
-        )
-
     def observe(self, network: Network, round_index: int) -> bool:
+        role_map, assembly = self._role_map(), self._assembly()
+        score = core_score(network, role_map, assembly)
+        verdicts = (
+            score >= 1.0,
+            uo1_converged(network, role_map, assembly, self.uo1_view_size),
+            uo2_converged(network, role_map, assembly),
+            port_selection_converged(network, role_map, assembly),
+            port_connection_converged(network, role_map, assembly),
+        )
+        self.rounds.append(round_index)
+        self.core_scores.append(score)
         self.observed_rounds += 1
-        if LAYER_CORE in self.layers:
-            self.core_scores.append(
-                core_score(network, self._role_map(), self._assembly())
-            )
-        for layer in self.layers:
-            if self.first_converged[layer] is None and self._predicate(layer, network):
+        for layer, held in zip(self.ALL_LAYERS, verdicts):
+            self.series[layer].append(held)
+            if held and self.first_converged[layer] is None:
                 # 1-based and relative to the last reset, so a measurement
                 # started mid-run (e.g. after a reconfiguration) reports
                 # rounds *since the change*, exactly as the paper plots.
                 self.first_converged[layer] = self.observed_rounds
-        done = all(value is not None for value in self.first_converged.values())
-        return done and self.stop_when_converged
+        if self.instrument is not None:
+            self._publish(sum(verdicts), score)
+        return bool(self.waiting_for) and all(
+            self.first_converged[layer] is not None for layer in self.waiting_for
+        )
 
-    def report(self) -> ConvergenceReport:
+    def _publish(self, holding: int, score: float) -> None:
+        for layer, first in self.first_converged.items():
+            if first is not None and layer not in self._reported:
+                self._reported.add(layer)
+                self.instrument.emit(EVENT_LAYER_CONVERGED, layer=layer, at=first)
+        self.instrument.gauge("layers_converged", holding)
+        self.instrument.gauge("core_score", score, layer="core")
+
+    def report(self, layers: Optional[Sequence[str]] = None) -> ConvergenceReport:
+        """First convergence since the last reset of ``layers`` (all five
+        if ``None``)."""
         return ConvergenceReport(
-            rounds=dict(self.first_converged), executed=self.observed_rounds
+            rounds={layer: self.first_converged[layer] for layer in self.layers_of(layers)},
+            executed=self.observed_rounds,
         )

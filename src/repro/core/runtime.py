@@ -17,7 +17,7 @@ live population — after failures, or onto a new assembly in place
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError, ConvergenceTimeout
 from repro.core.assembly import Assembly
@@ -288,25 +288,29 @@ class Deployment:
 
     def run(self, rounds: int) -> int:
         """Run a fixed number of rounds (no early stop)."""
-        previous = self.tracker.stop_when_converged
-        self.tracker.stop_when_converged = False
-        try:
-            return self.engine.run(rounds)
-        finally:
-            self.tracker.stop_when_converged = previous
+        return self.engine.run(rounds)
 
     def run_until_converged(
-        self, max_rounds: int = 120, raise_on_timeout: bool = False
+        self,
+        max_rounds: int = 120,
+        layers: Optional[Sequence[str]] = None,
+        raise_on_timeout: bool = False,
     ) -> ConvergenceReport:
-        """Run until every tracked layer converges (or the budget runs out).
+        """Run until every layer of ``layers`` (all five if ``None``) has
+        converged since the tracker's last reset, or the budget runs out.
 
-        With ``raise_on_timeout``, a budget miss raises
-        :class:`~repro.errors.ConvergenceTimeout` naming the slowest
-        unconverged layer instead of returning a partial report.
+        The report covers ``layers`` only; an unknown layer raises
+        ``ValueError`` before any round runs. With ``raise_on_timeout``, a
+        budget miss raises :class:`~repro.errors.ConvergenceTimeout` naming
+        the slowest unconverged layer instead of returning a partial report.
         """
-        self.tracker.stop_when_converged = True
-        executed = self.engine.run(max_rounds)
-        report = self.tracker.report()
+        tracker = self.tracker
+        tracker.waiting_for = tracker.layers_of(layers)
+        try:
+            executed = self.engine.run(max_rounds)
+        finally:
+            tracker.waiting_for = ()
+        report = tracker.report(layers)
         report.executed = executed
         if raise_on_timeout and not report.converged:
             stuck = sorted(

@@ -304,7 +304,6 @@ def churn_schedule(deployment, crash_rate: float, rounds: int) -> FaultSchedule:
         deployment.streams.fork("churn").stream("crash"),
         crash_rate=crash_rate,
         join_count=max(1, int(total * crash_rate)),
-        provisioner=deployment.provisioner(),
         min_population=total // 2,
         at_round=start,
         until_round=start + rounds,
@@ -323,9 +322,8 @@ def measure_churn(task) -> Dict[str, Optional[float]]:
     point, seed, max_rounds = task
     deployment = _deploy(point, seed)
     churn = churn_schedule(deployment, point.label, max_rounds).arm(deployment)
-    deployment.tracker.layers = ["core", "uo1"]
     deployment.tracker.reset()
-    rounds = deployment.run_until_converged(max_rounds).slowest
+    rounds = deployment.run_until_converged(max_rounds, layers=("core", "uo1")).slowest
 
     deployment.engine.controls.remove(churn)
     catastrophic_failure(

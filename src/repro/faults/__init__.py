@@ -17,8 +17,9 @@ The subsystem has three parts, mirroring how real deployments fail:
   event at the start of its round.
 
 The package is injection only. Measuring recovery lives elsewhere:
-:class:`repro.obs.recovery.RecoveryObserver` times each layer's repair
-against the decorator's event log, and :mod:`repro.heal.scenarios` holds
+:class:`repro.obs.recovery.RecoveryObserver` times each layer's repair on
+the convergence tracker's per-round verdicts against the decorator's event
+log, and :mod:`repro.heal.scenarios` holds
 the scenario rows behind ``python -m repro faults`` and ``python -m repro
 heal``.
 """

@@ -9,8 +9,9 @@ schedule is *built*, over the deployment's population at that moment.
 fires: the nodes a heal re-contacts, and how many nodes a resume revives.
 :class:`Executor`, the one fault control, applies each event once, at the
 start of its round. Every op but ``join`` logs its transition on the fault
-plane's event log, which :class:`~repro.obs.recovery.RecoveryObserver`
-times repairs against.
+plane's event log, against which
+:class:`~repro.obs.recovery.RecoveryObserver` times the convergence
+tracker's per-round verdicts.
 """
 
 from __future__ import annotations
@@ -217,16 +218,18 @@ def split_islands(node_ids: List[int], rng: random.Random) -> Dict[int, int]:
     return {node_id: index % 2 for index, node_id in enumerate(shuffled)}
 
 
-def partition(deployment, at_round, heal_round, rng, rendezvous=4) -> FaultSchedule:
-    """Cut the live population into two random islands (drawn from ``rng``)
-    at ``at_round``; heal at ``heal_round``, when ``rendezvous`` live nodes
-    per island (drawn from the deployment's ``("faults", "partition")``
-    stream, continued past the split) re-bootstrap their peer-sampling view
-    from the rendezvous. Two overlays segregated by a long cut never find
-    each other epidemically: with ``rendezvous=0`` they stay apart."""
+def partition(deployment, at_round, heal_round, rendezvous=4) -> FaultSchedule:
+    """Cut the live population into two random islands at ``at_round``;
+    heal at ``heal_round``, when ``rendezvous`` live nodes per island
+    re-bootstrap their peer-sampling view from the rendezvous. The split
+    and the re-contacts draw from one stream, the deployment's
+    ``("faults", "partition")``: the heal continues it past the split. Two
+    overlays segregated by a long cut never find each other epidemically:
+    with ``rendezvous=0`` they stay apart."""
     _check_window(at_round, heal_round, "partition")
     _require(rendezvous >= 0, f"rendezvous must be >= 0, got {rendezvous}")
     _plane(deployment, "partition")
+    rng = deployment.streams.fork("faults").stream("partition")
     island_of = split_islands(deployment.network.alive_ids(), rng)
     islands = [sorted(n for n, side in island_of.items() if side == s) for s in (0, 1)]
     return FaultSchedule([(at_round, "cut", (islands,)), (heal_round, "heal", (rendezvous,))])
@@ -286,18 +289,18 @@ def link_degradation(
 
 
 def random_churn(
-    deployment, rng, crash_rate=0.0, join_count=0, provisioner=None, min_population=8,
+    deployment, rng, crash_rate=0.0, join_count=0, min_population=8,
     *, at_round, until_round,
 ) -> FaultSchedule:
     """Memoryless churn in rounds ``[at_round, until_round)``: each round,
     each live node crashes with probability ``crash_rate`` (never below
     ``min_population`` live nodes), then ``join_count`` spares join. The
     coins are drawn now, over the sorted live ids and the ids joiners will
-    get, so nothing else may change the population in the window. The
-    deployment provisions joins; ``join_count > 0`` needs a ``provisioner``."""
+    get, so nothing else may change the population in the window. Joins are
+    provisioned by the deployment
+    (:meth:`~repro.core.runtime.Deployment.provisioner`)."""
     _require(0.0 <= crash_rate < 1.0, f"crash_rate must be in [0, 1), got {crash_rate}")
     _require(join_count >= 0, f"join_count must be >= 0, got {join_count}")
-    _require(join_count == 0 or provisioner is not None, "join_count > 0 requires a provisioner")
     _check_window(at_round, until_round, "random_churn")
     network = deployment.network
     alive, next_id, events = list(network.alive_ids()), network.next_id, []

@@ -10,8 +10,9 @@ and holds the whole fault state of a run:
   probability, extra latency), resolved through the decorator's
   :class:`~repro.faults.zones.ZoneMap` (``(zone, zone)`` degrades traffic
   within one zone). To degrade one node's links, give it a zone of its own;
-- an **event log** of timestamped :class:`FaultEvent` transitions, which
-  :class:`~repro.obs.recovery.RecoveryObserver` times repairs against.
+- an **event log** of timestamped :class:`FaultEvent` transitions, against
+  which :class:`~repro.obs.recovery.RecoveryObserver` times the convergence
+  tracker's verdicts.
 
 :meth:`FaultTransport.deliverable` vetoes (or delays) exchanges as that
 state dictates, accounting every drop (``partition`` / ``loss`` /

@@ -2,9 +2,10 @@
 
 Every scenario follows one protocol — deploy the shared ring-of-rings
 substrate (:func:`standard_deployment`), converge it cleanly, arm a
-:class:`~repro.obs.recovery.RecoveryObserver` (plus the health monitor when
-telemetry is on, plus a :class:`~repro.heal.engine.RemediationEngine` when
-managed), inject one fault, and run. A row of :data:`SCENARIOS` says only
+:class:`~repro.obs.recovery.RecoveryObserver` on the convergence tracker's
+verdict series (plus the health monitor when telemetry is on, plus a
+:class:`~repro.heal.engine.RemediationEngine` when managed), inject one
+fault, and run. A row of :data:`SCENARIOS` says only
 what it injects (a fault row a :class:`~repro.faults.schedule.FaultSchedule`
 built on the deployment, a corruption row an inject function) and how long
 the run lasts; :func:`run_scenario` does the rest and returns one
@@ -184,12 +185,13 @@ def standard_deployment(
 def _arm(deployment: Deployment, faults: FaultTransport, collector: Optional[Collector]):
     """Attach the recovery observer and, with telemetry, the health monitor.
 
-    Order matters: the recovery observer refreshes the ``layers_converged``
-    and ``dead_descriptor_fraction`` gauges each round, and the health
-    monitor — added last — evaluates its rules (and so the remediation
-    engine decides) on those fresh values. Returns ``(observer, monitor)``.
+    Order matters: the convergence tracker (the engine's first observer)
+    refreshes the ``layers_converged`` gauge and the recovery observer the
+    ``dead_descriptor_fraction`` gauge each round, and the health monitor —
+    added last — evaluates its rules (and so the remediation engine
+    decides) on those fresh values. Returns ``(observer, monitor)``.
     """
-    observer = RecoveryObserver.for_deployment(deployment, faults, instrument=collector)
+    observer = RecoveryObserver(faults, deployment.tracker, instrument=collector)
     deployment.engine.add_observer(observer)
     monitor = None if collector is None else attach_health(deployment, collector)
     return observer, monitor
@@ -204,8 +206,7 @@ def _stream(deployment: Deployment, space: str, *names):
 
 def _partition(deployment, window, rendezvous=4):
     start = deployment.engine.round
-    rng = _stream(deployment, "faults", "partition")
-    return partition(deployment, start, start + window, rng, rendezvous)
+    return partition(deployment, start, start + window, rendezvous)
 
 
 def _zone_outage(deployment, window):

@@ -1,7 +1,8 @@
 """Observability — one instrumentation spine for every runtime layer.
 
-Round hooks, the event log, the fault subsystem's recovery verifier and
-structural gauges all go through a single layered telemetry pipeline:
+Round hooks, the event log, the convergence tracker's verdicts, the fault
+subsystem's recovery verifier and structural gauges all go through a single
+layered telemetry pipeline:
 
 - :class:`~repro.obs.instrument.Instrument` — the unified protocol: round
   observation (``observe``), event emission (``emit``), counters
@@ -11,7 +12,8 @@ structural gauges all go through a single layered telemetry pipeline:
 - :class:`~repro.obs.collector.Collector` — the one concrete sink:
   per-layer counters (messages, descriptor churn, view replacements),
   per-round gauges (population, degree distributions, UO2 bucket
-  occupancy, core convergence score), the typed event stream of
+  occupancy, and the convergence tracker's ``core_score`` and
+  ``layers_converged``), the typed event stream of
   :mod:`repro.obs.events`, and wall-clock spans timed through the single
   sanctioned clock site :mod:`repro.obs.spans` (DET003-exempt).
 - :mod:`~repro.obs.export` — JSONL event streams and a Prometheus-style

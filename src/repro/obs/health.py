@@ -94,9 +94,8 @@ class HealthRule:
 class StalledConvergence(HealthRule):
     """No convergence progress below the expected layer count for a window.
 
-    Reads the ``layers_converged`` gauge (written by the convergence tracer
-    and, on fault runs, refreshed by the recovery observer with the current
-    — possibly regressed — count). The stall counter resets whenever the
+    Reads the ``layers_converged`` gauge, which the convergence tracker
+    writes each round with the current — possibly regressed — count. The stall counter resets whenever the
     count increases, so a healing partition clears the alert as soon as
     re-convergence resumes.
     """

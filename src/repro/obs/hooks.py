@@ -4,8 +4,10 @@ The runtime reports telemetry through ``ctx.obs`` — the engine hands every
 :class:`~repro.sim.engine.RoundContext` its instrument, and protocol hot
 paths guard each call with ``if ctx.obs is not None`` so an uninstrumented
 run performs zero observability work. These helpers do the one-time wiring:
-set the engine's sink, bind the round clock, emit the ``deploy`` event, and
-register the population/convergence tracers plus the collector's own
+set the engine's sink, bind the round clock, emit the ``deploy`` event,
+hand the deployment's convergence tracker the collector (its
+``layer_converged`` events and ``core_score`` / ``layers_converged``
+gauges), and register the population tracer plus the collector's own
 sampled structural gauges. Optional extras ride the same call: a
 :class:`~repro.obs.flow.FlowTracer` (causal propagation tracing) and a
 :class:`~repro.obs.health.HealthMonitor` (typed alert rules over the
@@ -18,7 +20,7 @@ from typing import Optional
 
 from repro.obs import events as _events
 from repro.obs.collector import Collector
-from repro.obs.trace import ConvergenceTracer, PopulationTracer
+from repro.obs.trace import PopulationTracer
 
 
 def attach_collector(
@@ -38,9 +40,9 @@ def attach_collector(
     ``flow`` attaches a :class:`~repro.obs.flow.FlowTracer` (the gossip
     layers mint provenance tags only while one is present). ``health=True``
     adds a :class:`~repro.obs.health.HealthMonitor` with the default rule
-    set as the *last* observer — after the tracers and the collector, so
-    its rules read gauges already fresh for the round — and exposes it as
-    ``collector.health``.
+    set as the *last* observer — after the convergence tracker, the
+    population tracer and the collector, so its rules read gauges already
+    fresh for the round — and exposes it as ``collector.health``.
     """
     if collector is None:
         collector = Collector(gauge_every=gauge_every, flow=flow)
@@ -55,8 +57,8 @@ def attach_collector(
         nodes=deployment.network.size(),
         components=len(deployment.assembly.components),
     )
+    deployment.tracker.instrument = collector
     engine.add_observer(PopulationTracer(collector))
-    engine.add_observer(ConvergenceTracer(collector, deployment.tracker))
     engine.add_observer(collector)
     if health:
         attach_health(deployment, collector)
@@ -69,11 +71,11 @@ def attach_health(deployment, collector: Collector, rules=None):
     Registered after every other observer (call this last) so the rules see
     the round's final gauge values; the monitor is also stored as
     ``collector.health`` for CLI/scenario access. The expected layer count
-    comes from the deployment's convergence tracker.
+    is the convergence tracker's five layers.
     """
     from repro.obs.health import HealthMonitor
 
-    expected = len(deployment.tracker.first_converged) or 5
+    expected = len(deployment.tracker.ALL_LAYERS)
     monitor = HealthMonitor(collector, rules=rules, expected_layers=expected)
     deployment.engine.add_observer(monitor)
     collector.health = monitor
@@ -88,10 +90,11 @@ def attach_collector_to_engine(
 ) -> Collector:
     """Wire a collector into a bare :class:`~repro.sim.engine.Engine`.
 
-    The deployment-level conveniences (deploy event, convergence tracer,
-    health rules) need oracle state an engine does not have; this variant
-    wires only the sink, the round clock, and the sampled structural
-    gauges — what perf workloads and hand-built simulations need.
+    The deployment-level conveniences (deploy event, convergence
+    telemetry, health rules) need oracle state an engine does not have;
+    this variant wires only the sink, the round clock, and the sampled
+    structural gauges — what perf workloads and hand-built simulations
+    need.
 
     Engines without an observer list (the sharded BSP engine, the UDP
     runtime) still get the sink and the round clock; they report through

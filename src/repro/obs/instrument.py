@@ -17,8 +17,11 @@ method                    role
 
 Every method is a no-op returning a falsy value, so a subclass implements
 only the facets it cares about:
-:class:`~repro.obs.recovery.RecoveryObserver` observes rounds, and
-:class:`~repro.obs.collector.Collector` implements everything. Hot paths
+:class:`~repro.core.convergence.ConvergenceTracker` observes rounds (the
+one place legality is judged),
+:class:`~repro.obs.recovery.RecoveryObserver` gauges the dead-descriptor
+fraction each round, and :class:`~repro.obs.collector.Collector`
+implements everything. Hot paths
 guard each call with ``if ctx.obs is not None`` — with no collector
 attached, instrumentation costs one attribute check and performs zero
 allocations.

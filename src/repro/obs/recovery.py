@@ -1,14 +1,15 @@
 """Self-healing verification: measuring recovery, not just survival.
 
 The paper claims the layered runtime "self-stabilizes under churn". The
-:class:`RecoveryObserver` turns that claim into numbers:
-it re-evaluates every layer's structural convergence predicate each round,
-reads the fault transport's event log, and reports **time-to-repair** — for
-each injected fault, how many rounds each layer needed to satisfy its
-predicate again — plus the residual dead-descriptor fraction (how
-completely stale knowledge was flushed) and the partition-merge time
-(rounds from heal until UO1 and the core overlay span the former cut
-again).
+:class:`RecoveryObserver` turns that claim into numbers: it reads the
+per-round layer verdicts the deployment's
+:class:`~repro.core.convergence.ConvergenceTracker` records (it judges no
+layer itself) against the fault transport's event log, and reports
+**time-to-repair** — for each injected fault, how many rounds each layer
+needed to satisfy its predicate again — plus the residual dead-descriptor
+fraction (how completely stale knowledge was flushed) and the
+partition-merge time (rounds from heal until UO1 and the core overlay span
+the former cut again).
 
 The hygiene measures the observer gauges live here too:
 :func:`dead_descriptor_fraction` (how much of the population's knowledge
@@ -19,19 +20,14 @@ it — the targeting map of the tombstone-purge remediation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.convergence import ConvergenceTracker
 from repro.core.layers import LAYER_CORE, LAYER_UO1
-from repro.core.roles import RoleMap
 from repro.faults.transports import FaultEvent, FaultTransport
 from repro.obs.export import render_table
 from repro.obs.instrument import Instrument
 from repro.sim.network import Network
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.assembly import Assembly
-    from repro.core.runtime import Deployment
 
 #: Layers whose views carry the overlay's membership knowledge.
 DEFAULT_VIEW_LAYERS: Tuple[str, ...] = ("peer_sampling", "uo1")
@@ -171,104 +167,75 @@ class RecoveryReport:
         return "\n".join(out)
 
 
-class RecoveryObserver(ConvergenceTracker):
-    """Engine observer evaluating every layer's predicate every round.
+def recovery_report(
+    events: Sequence[FaultEvent],
+    rounds: Sequence[int],
+    series: Dict[str, Sequence[bool]],
+    residual_dead_fraction: float = 0.0,
+) -> RecoveryReport:
+    """Time each fault event's repair on a verdict series.
 
-    A :class:`~repro.core.convergence.ConvergenceTracker` (same predicate,
-    same layers) that, instead of recording only the *first* convergence
-    round, keeps the full boolean series so repair times can be computed
-    relative to any fault event, and never requests an early stop (a fault
-    run must outlive its injected faults).
+    ``rounds`` are the observed round indices and ``series[layer]`` the
+    layer's verdict at each; a layer's repair after an event is the number
+    of rounds from the event to its first holding observation.
+    """
 
-    An optional ``instrument`` mirrors each observation as telemetry: one
-    ``layers_converged`` gauge and a ``dead_descriptor_fraction`` gauge per
-    round (no-ops on anything but a collector).
+    def repair_after(layer: str, event_round: int) -> Optional[int]:
+        for observed_round, held in zip(rounds, series[layer]):
+            if observed_round >= event_round and held:
+                return observed_round - event_round
+        return None
+
+    return RecoveryReport(
+        recoveries=[
+            EventRecovery(
+                event=event,
+                repair_rounds={layer: repair_after(layer, event.round) for layer in series},
+            )
+            for event in events
+        ],
+        layers=list(series),
+        final_converged={layer: bool(held) and held[-1] for layer, held in series.items()},
+        residual_dead_fraction=residual_dead_fraction,
+    )
+
+
+class RecoveryObserver(Instrument):
+    """Engine observer reporting a fault run's time-to-repair.
+
+    Legality is judged once a round by the deployment's
+    :class:`~repro.core.convergence.ConvergenceTracker`; the report reads
+    its verdict series from the round this observer was armed, against the
+    fault transport's event log. Per round the observer itself measures
+    only the dead-descriptor fraction, mirrored as a
+    ``dead_descriptor_fraction`` gauge on an optional ``instrument`` (a
+    no-op on anything but a collector). It never requests an early stop (a
+    fault run must outlive its injected faults).
     """
 
     def __init__(
         self,
         faults: FaultTransport,
-        assembly_provider: Callable[[], "Assembly"],
-        role_map_provider: Callable[[], RoleMap],
-        uo1_view_size: int,
-        layers: Optional[List[str]] = None,
+        tracker: ConvergenceTracker,
         instrument: Optional[Instrument] = None,
     ):
-        super().__init__(
-            assembly_provider,
-            role_map_provider,
-            uo1_view_size,
-            layers,
-            stop_when_converged=False,
-        )
         self.faults = faults
+        self.tracker = tracker
         self.instrument = instrument
-        self.rounds: List[int] = []
-        self.series: Dict[str, List[bool]] = {layer: [] for layer in self.layers}
+        self.armed_at = len(tracker.rounds)
         self.residual_dead_fraction = 0.0
 
-    @classmethod
-    def for_deployment(
-        cls,
-        deployment: "Deployment",
-        faults: FaultTransport,
-        layers: Optional[List[str]] = None,
-        instrument: Optional[Instrument] = None,
-    ) -> "RecoveryObserver":
-        """Build an observer wired to a deployment's oracle state."""
-        return cls(
-            faults,
-            assembly_provider=lambda: deployment.assembly,
-            role_map_provider=lambda: deployment.role_map,
-            uo1_view_size=deployment.config.uo1.view_size,
-            layers=layers,
-            instrument=instrument,
-        )
-
-    # -- observation ----------------------------------------------------------
-
     def observe(self, network: Network, round_index: int) -> bool:
-        self.rounds.append(round_index)
-        converged = 0
-        for layer in self.layers:
-            held = self._predicate(layer, network)
-            self.series[layer].append(held)
-            converged += held
         self.residual_dead_fraction = dead_descriptor_fraction(network)
         if self.instrument is not None:
-            self.instrument.gauge("layers_converged", converged)
             self.instrument.gauge("dead_descriptor_fraction", self.residual_dead_fraction)
         return False
 
-    # -- reporting ------------------------------------------------------------
-
-    def _repair_after(self, layer: str, event_round: int) -> Optional[int]:
-        """Rounds from ``event_round`` to the first converged observation."""
-        for index, observed_round in enumerate(self.rounds):
-            if observed_round < event_round:
-                continue
-            if self.series[layer][index]:
-                return observed_round - event_round
-        return None
-
     def report(self) -> RecoveryReport:
-        recoveries = [
-            EventRecovery(
-                event=event,
-                repair_rounds={
-                    layer: self._repair_after(layer, event.round)
-                    for layer in self.layers
-                },
-            )
-            for event in self.faults.events
-        ]
-        final = {
-            layer: bool(self.series[layer]) and self.series[layer][-1]
-            for layer in self.layers
-        }
-        return RecoveryReport(
-            recoveries=recoveries,
-            layers=list(self.layers),
-            final_converged=final,
-            residual_dead_fraction=self.residual_dead_fraction,
+        since = self.armed_at
+        return recovery_report(
+            self.faults.events,
+            self.tracker.rounds[since:],
+            {layer: held[since:] for layer, held in self.tracker.series.items()},
+            self.residual_dead_fraction,
         )

@@ -2,11 +2,12 @@
 
 :class:`TraceEvent` is the record every event sink keeps — crashes, joins,
 revivals, convergence transitions — serializable to JSON and printable as a
-timeline line. The population and convergence tracers below turn engine
-observations into such events; they are written against the
-:class:`~repro.obs.instrument.Instrument` protocol and feed whatever sink
-they are given (in practice a :class:`~repro.obs.collector.Collector`,
-which also receives their counter and gauge calls).
+timeline line. The population tracer below turns engine observations into
+such events; it is written against the
+:class:`~repro.obs.instrument.Instrument` protocol and feeds whatever sink
+it is given (in practice a :class:`~repro.obs.collector.Collector`,
+which also receives its counter calls). Convergence events come from the
+:class:`~repro.core.convergence.ConvergenceTracker` itself.
 """
 
 from __future__ import annotations
@@ -73,39 +74,3 @@ class PopulationTracer(Instrument):
                 self.instrument.count("node_ups")
         self._known_alive = alive
         return False
-
-
-class ConvergenceTracer(Instrument):
-    """Engine observer emitting one event per layer convergence transition.
-
-    Wraps a :class:`~repro.core.convergence.ConvergenceTracker`: whenever a
-    layer's first-convergence round becomes known, a ``layer_converged``
-    event fires; the latest core score and the converged-layer count are
-    mirrored as gauges.
-    """
-
-    def __init__(self, instrument: Instrument, tracker) -> None:
-        self.instrument = instrument
-        self.tracker = tracker
-        self._reported: set = set()
-
-    def observe(self, network: Network, round_index: int) -> bool:
-        converged = 0
-        for layer, first in self.tracker.first_converged.items():
-            if first is None:
-                continue
-            converged += 1
-            if layer not in self._reported:
-                self._reported.add(layer)
-                self.instrument.emit(
-                    _events.EVENT_LAYER_CONVERGED, layer=layer, at=first
-                )
-        self.instrument.gauge("layers_converged", converged)
-        if self.tracker.core_scores:
-            self.instrument.gauge(
-                "core_score", self.tracker.core_scores[-1], layer="core"
-            )
-        return False
-
-    def reset(self) -> None:
-        self._reported.clear()

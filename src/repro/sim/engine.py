@@ -205,8 +205,11 @@ class Engine:
         for observer in self.observers:
             if observer.observe(self.network, self.round):
                 stop = True
+        if obs is not None:
+            obs.span_end("observe")
         # Act phase: closed-loop actuators run on this round's fresh
-        # observations. The span is only opened when actuators exist, so
+        # observations, in a span of its own under ``round`` (a sibling of
+        # ``observe``). It is only opened when actuators exist, so
         # unmanaged runs record identical telemetry to the pre-act-phase
         # engine.
         if self.actuators:
@@ -217,7 +220,6 @@ class Engine:
             if obs is not None:
                 obs.span_end("act")
         if obs is not None:
-            obs.span_end("observe")
             obs.span_end("round")
         self.round += 1
         return stop

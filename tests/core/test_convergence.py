@@ -108,10 +108,9 @@ class TestTracker:
 
     def test_unknown_layer_rejected(self):
         deployment = Runtime(pair_assembly(), seed=35).deploy()
-        deployment.tracker.layers = ["warp_drive"]
-        deployment.tracker.reset()
         with pytest.raises(ValueError):
-            deployment.run(1)
+            deployment.run_until_converged(1, layers=("core", "warp_drive"))
+        assert deployment.engine.round == 0  # rejected before any round ran
 
 
 class TestReport:

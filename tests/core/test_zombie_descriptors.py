@@ -105,7 +105,6 @@ class TestZombieDescriptors:
             elif op == "reb":
                 deployment.rebalance()
         deployment.rebalance()
-        deployment.tracker.layers = ["core", "uo1", "uo2"]
         deployment.tracker.reset()
-        report = deployment.run_until_converged(120)
+        report = deployment.run_until_converged(120, layers=("core", "uo1", "uo2"))
         assert report.converged, report.rounds

@@ -52,23 +52,17 @@ class TestPartitionValidation:
     def test_window(self):
         deployment = make_deployment()
         with pytest.raises(ConfigurationError):
-            partition(deployment, at_round=-1, heal_round=5, rng=random.Random(0))
+            partition(deployment, at_round=-1, heal_round=5)
         with pytest.raises(ConfigurationError):
-            partition(deployment, at_round=5, heal_round=5, rng=random.Random(0))
+            partition(deployment, at_round=5, heal_round=5)
 
     def test_rendezvous_validation(self):
         with pytest.raises(ConfigurationError):
-            partition(
-                make_deployment(), at_round=0, heal_round=5,
-                rng=random.Random(0), rendezvous=-1,
-            )
+            partition(make_deployment(), at_round=0, heal_round=5, rendezvous=-1)
 
     def test_needs_the_fault_plane(self):
         with pytest.raises(ConfigurationError, match="faults installed"):
-            partition(
-                make_deployment(faults=False), at_round=0, heal_round=5,
-                rng=random.Random(0),
-            )
+            partition(make_deployment(faults=False), at_round=0, heal_round=5)
 
 
 class TestPartitionLifecycle:
@@ -76,7 +70,7 @@ class TestPartitionLifecycle:
         deployment = make_deployment(8)
         faults = deployment.faults
         partition(
-            deployment, at_round=1, heal_round=3, rng=random.Random(0), rendezvous=0
+            deployment, at_round=1, heal_round=3, rendezvous=0
         ).arm(deployment)
         deployment.run(1)
         assert not faults.partition_active
@@ -101,7 +95,7 @@ class TestPartitionLifecycle:
         deployment = make_deployment(10)
         faults, network = deployment.faults, deployment.network
         cut, heal = partition(
-            deployment, at_round=0, heal_round=2, rng=random.Random(3), rendezvous=2
+            deployment, at_round=0, heal_round=2, rendezvous=2
         )
         apply(cut, deployment)
         pairs = {(a, b) for a in range(10) for b in range(10) if faults.partitioned(a, b)}
@@ -131,7 +125,7 @@ class TestPartitionLifecycle:
         deployment = make_deployment(8)
         before = views(deployment)
         for event in partition(
-            deployment, at_round=0, heal_round=1, rng=random.Random(0), rendezvous=0
+            deployment, at_round=0, heal_round=1, rendezvous=0
         ):
             apply(event, deployment)
         assert views(deployment) == before
@@ -143,7 +137,7 @@ class TestPartitionLifecycle:
         deployment = make_deployment(10)
         network = deployment.network
         schedule = partition(
-            deployment, at_round=0, heal_round=2, rng=random.Random(3), rendezvous=2
+            deployment, at_round=0, heal_round=2, rendezvous=2
         )
         executor = schedule.arm(deployment)
         executor.before_round(network, 0)

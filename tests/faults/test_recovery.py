@@ -4,27 +4,10 @@ from __future__ import annotations
 
 from repro.faults.transports import FaultEvent, FaultTransport
 from repro.gossip.views import PartialView
-from repro.obs.recovery import EventRecovery, RecoveryObserver, dead_descriptor_fraction
+from repro.obs.recovery import EventRecovery, dead_descriptor_fraction, recovery_report
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
-
-
-class ScriptedObserver(RecoveryObserver):
-    """Observer with a scripted predicate series (no real deployment)."""
-
-    def __init__(self, faults, script):
-        super().__init__(
-            faults,
-            assembly_provider=lambda: None,
-            role_map_provider=lambda: None,
-            uo1_view_size=8,
-            layers=sorted(script),
-        )
-        self.script = script
-
-    def _predicate(self, layer, network):
-        return self.script[layer][len(self.rounds) - 1]
 
 
 def make_faults():
@@ -32,12 +15,9 @@ def make_faults():
 
 
 def run_script(faults, script):
-    observer = ScriptedObserver(faults, script)
-    network = Network()
+    """The report on a scripted verdict series, one observation a round."""
     n_rounds = len(next(iter(script.values())))
-    for round_index in range(n_rounds):
-        observer.observe(network, round_index)
-    return observer.report()
+    return recovery_report(faults.events, range(n_rounds), script)
 
 
 class TestEventRecovery:

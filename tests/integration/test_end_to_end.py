@@ -60,14 +60,12 @@ class TestChurnIntegration:
             deployment.streams.fork("churn").stream("crash"),
             crash_rate=0.005,
             join_count=1,
-            provisioner=deployment.provisioner(),
             min_population=40,
             at_round=0,
             until_round=100,
         ).arm(deployment)
-        deployment.tracker.layers = ["core", "uo1", "uo2"]
         deployment.tracker.reset()
-        report = deployment.run_until_converged(100)
+        report = deployment.run_until_converged(100, layers=("core", "uo1", "uo2"))
         assert report.converged, report.rounds
 
     def test_recovery_after_catastrophe(self):

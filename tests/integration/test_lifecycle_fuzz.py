@@ -135,9 +135,8 @@ class DeploymentLifecycle(RuleBasedStateMachine):
         if not hasattr(self, "deployment"):
             return
         self.deployment.rebalance()
-        self.deployment.tracker.layers = ["core", "uo1", "uo2"]
         self.deployment.tracker.reset()
-        report = self.deployment.run_until_converged(100)
+        report = self.deployment.run_until_converged(100, layers=("core", "uo1", "uo2"))
         assert report.converged, (
             f"post-fuzz healing failed: {report.rounds} "
             f"(flavor {self.flavor}, {self.deployment.network!r})"

@@ -1,8 +1,8 @@
 """The dashboard renderer and the span self-time profile.
 
 Both are pure functions of a collector, so the tests feed hand-built
-telemetry and assert on the rendered text / computed rows — no engine, no
-terminal.
+telemetry and assert on the rendered text / computed rows — no terminal,
+and no engine but the one round that pins where the engine opens ``act``.
 """
 
 from __future__ import annotations
@@ -11,12 +11,15 @@ import random
 
 import pytest
 
+from repro.core import Runtime
+from repro.experiments.topologies import ring_of_rings
 from repro.gossip.descriptors import Descriptor
 from repro.heal.engine import RemediationEngine
 from repro.obs.registry import MetricsRegistry
 from repro.obs.collector import Collector
 from repro.obs.flow import FlowTracer
 from repro.obs.health import Alert, HealthMonitor, StalledConvergence
+from repro.obs.hooks import attach_collector
 from repro.obs.watch import profile_rows, render_dashboard
 
 
@@ -170,6 +173,33 @@ class TestProfile:
         round_total, round_self = rows["round"]
         assert act_self == act_total  # leaf owns its full total
         assert round_self == pytest.approx(round_total - act_total)
+
+    def test_engine_closes_observe_before_act(self):
+        # A real managed round: the remediation step must not run inside
+        # ``observe``, or the profile counts it twice and clamps ``round``.
+        ticks = {"now": 0.0}
+
+        def clock() -> float:
+            ticks["now"] += 1.0
+            return ticks["now"]
+
+        deployment = Runtime(ring_of_rings(n_rings=2, ring_size=4), seed=0).deploy()
+        collector = attach_collector(
+            deployment, Collector(gauge_every=0, clock=clock), health=True
+        )
+        heal = RemediationEngine.for_deployment(deployment, collector.health)
+        act = heal.act
+
+        def slow_act(network, round_index):
+            ticks["now"] += 100.0  # a remediation step far longer than the gaps
+            act(network, round_index)
+
+        heal.act = slow_act
+        deployment.run(1)
+        rows = {name: (total, self_s) for name, _count, total, self_s in profile_rows(collector)}
+        assert set(rows) == {"round", "steps", "observe", "act"}
+        assert rows["observe"][0] < 100.0
+        assert sum(self_s for _total, self_s in rows.values()) == pytest.approx(rows["round"][0])
 
     def test_rows_sorted_by_self_time_descending(self):
         rows = profile_rows(self._profiled_collector())

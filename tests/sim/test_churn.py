@@ -37,10 +37,6 @@ class TestRandomChurnValidation:
         with pytest.raises(ConfigurationError):
             churn(deployment, random.Random(0), crash_rate=-0.1)
 
-    def test_joins_require_provisioner(self):
-        with pytest.raises(ConfigurationError):
-            churn(make_deployment(8), random.Random(0), join_count=1)
-
     def test_negative_joins(self):
         with pytest.raises(ConfigurationError):
             churn(make_deployment(8), random.Random(0), join_count=-1)
@@ -74,10 +70,7 @@ class TestRandomChurnBehavior:
     def test_joins_are_provisioned(self):
         deployment = make_deployment(8)
         network = deployment.network
-        schedule = churn(
-            deployment, random.Random(1), rounds=2, join_count=2,
-            provisioner=deployment.provisioner(),
-        )
+        schedule = churn(deployment, random.Random(1), rounds=2, join_count=2)
         assert list(schedule) == [(0, "join", (2,)), (1, "join", (2,))]
         schedule.arm(deployment)
         deployment.run(1)
@@ -92,7 +85,7 @@ class TestRandomChurnBehavior:
         deployment = make_deployment(8)
         schedule = churn(
             deployment, random.Random(4), rounds=12, crash_rate=0.3, join_count=1,
-            provisioner=deployment.provisioner(), min_population=4,
+            min_population=4,
         )
         killed = [node_id for event in schedule if event.op == "kill" for node_id in event.args[0]]
         assert max(killed) >= 8
