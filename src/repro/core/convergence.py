@@ -166,10 +166,18 @@ def _oracle_managers(
 
 
 def port_selection_converged(
-    network: Network, role_map: RoleMap, assembly: "Assembly"
+    network: Network,
+    role_map: RoleMap,
+    assembly: "Assembly",
+    oracle: Optional[Dict[PortRef, Optional[int]]] = None,
 ) -> bool:
-    """All live members agree on the oracle manager of each of their ports."""
-    oracle = _oracle_managers(network, role_map, assembly)
+    """All live members agree on the oracle manager of each of their ports.
+
+    ``oracle`` is :func:`_oracle_managers` of the same state, when the
+    caller already has it (the tracker computes it once a round).
+    """
+    if oracle is None:
+        oracle = _oracle_managers(network, role_map, assembly)
     for name, spec in assembly.components.items():
         if not spec.ports:
             continue
@@ -186,10 +194,15 @@ def port_selection_converged(
 
 
 def port_connection_converged(
-    network: Network, role_map: RoleMap, assembly: "Assembly"
+    network: Network,
+    role_map: RoleMap,
+    assembly: "Assembly",
+    oracle: Optional[Dict[PortRef, Optional[int]]] = None,
 ) -> bool:
-    """Every link is realized between its two oracle port managers."""
-    oracle = _oracle_managers(network, role_map, assembly)
+    """Every link is realized between its two oracle port managers
+    (``oracle`` as for :func:`port_selection_converged`)."""
+    if oracle is None:
+        oracle = _oracle_managers(network, role_map, assembly)
     for link in assembly.links:
         manager_a = oracle.get(link.a)
         manager_b = oracle.get(link.b)
@@ -202,31 +215,6 @@ def port_connection_converged(
         if protocol_b.binding_for(link.a) != manager_a:
             return False
     return True
-
-
-def layer_converged(
-    layer: str,
-    network: Network,
-    role_map: RoleMap,
-    assembly: "Assembly",
-    uo1_view_size: int,
-) -> bool:
-    """The legality predicate of ``layer``, for a one-off check.
-
-    A run's per-round verdicts come from :class:`ConvergenceTracker`, which
-    evaluates all five predicates with these same arguments.
-    """
-    if layer == LAYER_CORE:
-        return core_converged(network, role_map, assembly)
-    if layer == LAYER_UO1:
-        return uo1_converged(network, role_map, assembly, uo1_view_size)
-    if layer == LAYER_UO2:
-        return uo2_converged(network, role_map, assembly)
-    if layer == LAYER_PORT_SELECTION:
-        return port_selection_converged(network, role_map, assembly)
-    if layer == LAYER_PORT_CONNECTION:
-        return port_connection_converged(network, role_map, assembly)
-    raise ValueError(f"unknown layer {layer!r}")
 
 
 @dataclass
@@ -261,8 +249,9 @@ class ConvergenceTracker(Instrument):
     """Engine observer judging every layer's legality once a round.
 
     The one legality ledger. Each observed round it computes the core score
-    once (the core verdict is ``score >= 1.0``), evaluates every other
-    layer's predicate once, and appends the round's verdicts to
+    once (the core verdict is ``score >= 1.0``) and the oracle port managers
+    once (both port predicates read them), evaluates every other layer's
+    predicate once, and appends the round's verdicts to
     :attr:`series` (with the round index in :attr:`rounds` and the score in
     :attr:`core_scores`). :meth:`reset` never clears that series; it only
     moves the point :attr:`first_converged` and :meth:`report` count from.
@@ -331,12 +320,13 @@ class ConvergenceTracker(Instrument):
     def observe(self, network: Network, round_index: int) -> bool:
         role_map, assembly = self._role_map(), self._assembly()
         score = core_score(network, role_map, assembly)
+        oracle = _oracle_managers(network, role_map, assembly)
         verdicts = (
             score >= 1.0,
             uo1_converged(network, role_map, assembly, self.uo1_view_size),
             uo2_converged(network, role_map, assembly),
-            port_selection_converged(network, role_map, assembly),
-            port_connection_converged(network, role_map, assembly),
+            port_selection_converged(network, role_map, assembly, oracle),
+            port_connection_converged(network, role_map, assembly, oracle),
         )
         self.rounds.append(round_index)
         self.core_scores.append(score)

@@ -82,6 +82,21 @@ class TestOneJudgementARound:
         _, collector, calls = partition_run
         assert calls["layers_converged"] == collector.rounds_observed
 
+    def test_oracle_managers_are_computed_once_per_observed_round(self):
+        # Both port predicates read the one oracle the tracker hands them.
+        calls = []
+        managers = convergence._oracle_managers
+
+        def counting_managers(*args):
+            calls.append(args)
+            return managers(*args)
+
+        deployment = Runtime(pair_assembly(), seed=31).deploy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convergence, "_oracle_managers", counting_managers)
+            deployment.run(6)
+        assert len(calls) == len(deployment.tracker.rounds) == 6
+
 
 class TestLayersConvergedHoldsNow:
     def test_gauge_drops_when_a_layer_stops_holding(self):

@@ -109,7 +109,11 @@ import random
 import pytest
 
 from repro.core import Runtime, RuntimeConfig
-from repro.core.convergence import layer_converged
+from repro.core.convergence import (
+    port_connection_converged,
+    port_selection_converged,
+    uo1_converged,
+)
 from repro.core.layers import (
     LAYER_PORT_CONNECTION,
     LAYER_PORT_SELECTION,
@@ -331,15 +335,9 @@ def test_sampler_regime_reproduces_golden(seed):
     assert observe_sampler(seed) == SAMPLER_GOLDEN[seed]
 
 
-def legal(deployment, layer: str) -> bool:
-    """Whether ``layer``'s legality predicate holds right now."""
-    return layer_converged(
-        layer,
-        deployment.network,
-        deployment.role_map,
-        deployment.assembly,
-        deployment.tracker.uo1_view_size,
-    )
+def judged(deployment):
+    """The arguments every legality predicate takes, as of right now."""
+    return deployment.network, deployment.role_map, deployment.assembly
 
 
 def port_state(deployment):
@@ -378,8 +376,8 @@ def test_port_layers_are_closed(scenario, seed):
     for _ in range(max(3 * executed, DEFAULT_BINDING_TTL + 2)):
         deployment.run(1)
         assert port_state(deployment) == settled
-        assert legal(deployment, LAYER_PORT_SELECTION)
-        assert legal(deployment, LAYER_PORT_CONNECTION)
+        assert port_selection_converged(*judged(deployment))
+        assert port_connection_converged(*judged(deployment))
 
 
 def uo1_state(deployment):
@@ -424,7 +422,9 @@ def test_uo1_is_closed(scenario, seed):
         if now_stale == stale:
             assert now_digest == digest
         stale, digest = now_stale, now_digest
-        assert legal(deployment, LAYER_UO1)
+        assert uo1_converged(
+            *judged(deployment), deployment.tracker.uo1_view_size
+        )
 
 
 TRACED_COUNTERS = {
