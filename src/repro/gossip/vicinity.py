@@ -179,9 +179,17 @@ class Vicinity(GossipProtocol):
         peer advertised: on the wire for a requester, in the view entry
         that made it this round's partner otherwise (a bootstrap partner is
         in no view — the view was empty — so ``ctx.peers`` is asked).
+
+        A reply skips every id the request shipped: the requester holds
+        those already, so the slots go to what it has not seen. Only the
+        offer's candidates shrink; the merge still ranks the whole pool.
         """
+        pool = self._candidate_pool(ctx)
+        candidates = pool
         if request is not None:
             reference = request.profile
+            shipped = {d.node_id for d in request.payload}
+            candidates = [d for d in pool if d.node_id not in shipped]
         else:
             known = self.view.get(peer_id)
             reference = (
@@ -189,12 +197,11 @@ class Vicinity(GossipProtocol):
                 if known is not None
                 else ctx.peers.profile(peer_id, self.layer)
             )
-        pool = self._candidate_pool(ctx)
         advert = self._self_descriptor
         if flow is not None:
             advert = advert.tagged(ctx.round)
         buffer = select_closest(
-            pool + [advert],
+            candidates + [advert],
             reference,
             self._distances,
             self.params.gossip_size,

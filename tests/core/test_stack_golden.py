@@ -100,6 +100,23 @@ connection 2 -> 3) and 3 -> 3 (``("loss", 7)``: core 3 -> 2, port
 connection 3 -> 2), and the shorter ``("loss", 1)`` run halves its traffic
 (peer sampling 63 232 -> 30 784 B). The six other cases draw no loss coin
 and did not move.
+
+Re-pinned an eighth time: a Vicinity or T-Man reply skips every id its
+request shipped, so in these rings of 8 a reply often has fewer than
+``gossip_size`` candidates left, and core bytes fall 28-33 % in every case
+(``("plain", 7)`` 19 424 -> 13 664 B; traced ``("repair", 7)`` receives
+1 202 -> 772 core descriptors). No core round count moved in the eight
+cases. Three digests moved, ``("plain", 1)``, ``("loss", 7)`` and
+``("repair", 1)``: what the core hands UO1 changed, so UO1, UO2 and the port
+layers shift by a few dozen bytes each (``("loss", 1)`` too, UO1 only, with
+its digest kept), and ``("loss", 7)`` converges a round sooner (UO1 3 -> 2),
+so all its traffic falls by a third. The other four cases keep their digest,
+rounds and every non-core byte. In the sampler regime (rings of 20) the core is a round
+*later* on both pinned seeds (3 -> 4, 2 -> 3): one ring adjacency is found
+in round 3 or 4 instead of 2 or 3. Over seeds 1-30 of the same assembly
+the core's mean goes 3.27 -> 3.20 and the slowest layer's 3.33 -> 3.20, so
+these are two unlucky seeds, not the rule's trend. Traced counters:
+UO2 ``descriptor_churn`` 152 -> 151, deliveries 1 313 -> 1 315.
 """
 
 from __future__ import annotations
@@ -182,15 +199,15 @@ def observe(scenario: str, seed: int, collector=None):
 
 GOLDEN = {
     ("plain", 1): (
-        "7f76acb229f5a5cfce40ec4674b4803de61289efd2082e33d869898ba1fcece1",
+        "8c12e0c0d45b19cd03fb01ee7be385e7f8c438e10af697ceb2b65e857aa9b43a",
         {"core": 2, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
             "peer_sampling": (128, 26624),
-            "uo1": (128, 13304),
-            "uo2": (128, 21512),
-            "core": (128, 19472),
-            "port_selection": (128, 7448),
-            "port_connection": (128, 9368),
+            "uo1": (128, 13280),
+            "uo2": (128, 21656),
+            "core": (128, 13664),
+            "port_selection": (128, 7496),
+            "port_connection": (128, 9392),
         },
     ),
     ("plain", 7): (
@@ -200,7 +217,7 @@ GOLDEN = {
             "peer_sampling": (128, 26624),
             "uo1": (128, 13232),
             "uo2": (128, 21152),
-            "core": (128, 19424),
+            "core": (128, 13664),
             "port_selection": (128, 7304),
             "port_connection": (128, 9344),
         },
@@ -210,23 +227,23 @@ GOLDEN = {
         {"core": 2, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 3},
         {
             "peer_sampling": (148, 30784),
-            "uo1": (156, 16196),
+            "uo1": (156, 16176),
             "uo2": (160, 27976),
-            "core": (156, 23808),
+            "core": (156, 16776),
             "port_selection": (154, 9184),
             "port_connection": (146, 11024),
         },
     ),
     ("loss", 7): (
-        "4aa380d7fed5468e1c951f055be4bb087eebca9d3194ad15da657eab14527da4",
-        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
+        "160777e73fe34d3e63e7b69d338cccd368581ba542ffa8187857415c29b8b47e",
+        {"core": 2, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
-            "peer_sampling": (152, 31616),
-            "uo1": (152, 15512),
-            "uo2": (162, 28092),
-            "core": (166, 25312),
-            "port_selection": (150, 8568),
-            "port_connection": (146, 11720),
+            "peer_sampling": (98, 20384),
+            "uo1": (100, 10208),
+            "uo2": (112, 18592),
+            "core": (116, 12392),
+            "port_selection": (98, 5240),
+            "port_connection": (96, 6624),
         },
     ),
     ("tman", 1): (
@@ -236,7 +253,7 @@ GOLDEN = {
             "peer_sampling": (192, 39936),
             "uo1": (192, 20220),
             "uo2": (192, 33504),
-            "core": (192, 28680),
+            "core": (192, 20808),
             "port_selection": (192, 11592),
             "port_connection": (192, 15960),
         },
@@ -248,21 +265,21 @@ GOLDEN = {
             "peer_sampling": (192, 39936),
             "uo1": (192, 19964),
             "uo2": (192, 33480),
-            "core": (192, 28272),
+            "core": (192, 20640),
             "port_selection": (192, 11448),
             "port_connection": (192, 15912),
         },
     ),
     ("repair", 1): (
-        "5eca723dcb2aeba8e049d5f24e4c0060fb46f0210c1a1f1d15d973485bad08ff",
+        "4aacbb3d78f74a79548be9fe00b90e7134afb0c4aaf28e15893f7e77028b5d2e",
         {"core": 1, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
             "peer_sampling": (224, 46592),
-            "uo1": (224, 23780),
-            "uo2": (224, 38912),
-            "core": (224, 32192),
-            "port_selection": (224, 13064),
-            "port_connection": (224, 16424),
+            "uo1": (224, 23720),
+            "uo2": (224, 39080),
+            "core": (224, 21968),
+            "port_selection": (224, 13112),
+            "port_connection": (224, 16448),
         },
     ),
     ("repair", 7): (
@@ -272,7 +289,7 @@ GOLDEN = {
             "peer_sampling": (224, 46592),
             "uo1": (224, 23724),
             "uo2": (224, 38528),
-            "core": (224, 32432),
+            "core": (224, 22112),
             "port_selection": (224, 12992),
             "port_connection": (224, 16424),
         },
@@ -303,25 +320,25 @@ def observe_sampler(seed: int):
 SAMPLER_GOLDEN = {
     1: (
         "83ab2344cd5a06251b6d9638c31697583ad5f61370ebc640784f95178662870d",
-        {"core": 3, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 2},
+        {"core": 4, "uo1": 2, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
             "peer_sampling": (1200, 249600),
             "uo1": (1200, 180856),
             "uo2": (1200, 151872),
-            "core": (1200, 191352),
-            "port_selection": (1200, 74064),
+            "core": (1200, 190968),
+            "port_selection": (1200, 74208),
             "port_connection": (1200, 121944),
         },
     ),
     7: (
         "ffb53478096eea56e1fbc5e724b95f2fc689dda970e33c353b2f4e12133fd5b3",
-        {"core": 2, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
+        {"core": 3, "uo1": 3, "uo2": 1, "port_selection": 2, "port_connection": 2},
         {
             "peer_sampling": (1200, 249600),
             "uo1": (1200, 180192),
             "uo2": (1200, 151488),
-            "core": (1200, 191112),
-            "port_selection": (1200, 74160),
+            "core": (1200, 190560),
+            "port_selection": (1200, 74280),
             "port_connection": (1200, 121992),
         },
     ),
@@ -436,14 +453,14 @@ TRACED_COUNTERS = {
     ("descriptor_churn", "port_connection"): 163,
     ("descriptor_churn", "port_selection"): 44,
     ("descriptor_churn", "uo1"): 134,
-    ("descriptor_churn", "uo2"): 152,
-    ("descriptors_received", "core"): 1202,
+    ("descriptor_churn", "uo2"): 151,
+    ("descriptors_received", "core"): 772,
     ("descriptors_received", "peer_sampling"): 1792,
     ("descriptors_received", "port_connection"): 535,
     ("descriptors_received", "port_selection"): 392,
     ("descriptors_received", "uo1"): 728,
     ("descriptors_received", "uo2"): 1400,
-    ("descriptors_sent", "core"): 1202,
+    ("descriptors_sent", "core"): 772,
     ("descriptors_sent", "peer_sampling"): 1792,
     ("descriptors_sent", "port_connection"): 535,
     ("descriptors_sent", "port_selection"): 392,
@@ -460,7 +477,7 @@ TRACED_COUNTERS = {
     ("view_replacements", "peer_sampling"): 224,
     ("view_replacements", "uo1"): 224,
 }
-TRACED_DELIVERIES = 1313
+TRACED_DELIVERIES = 1315
 
 
 def test_traced_repair_reproduces_golden_telemetry():

@@ -5,11 +5,16 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.gossip.selection import FilteredProximity, Proximity
+from repro.gossip.descriptors import Descriptor
+from repro.gossip.selection import FilteredProximity, Proximity, select_closest
+from repro.gossip.tman import TMan
 from repro.gossip.vicinity import Vicinity
 from repro.shapes import make_shape
+from repro.sim.node import Node
 from repro.sim.protocol import Protocol
+from repro.sim.transport import ExchangeRequest
 from tests.gossip.helpers import GossipWorld
 
 
@@ -232,3 +237,131 @@ class TestBootstrapPartner:
         world = self.world(["members"], roster=[5])
         world.ps(0).view.replace([])
         assert self.draw(world) == (None, [])
+
+
+# -- the passive reply skips what the request shipped ---------------------------
+
+RING = 40
+
+
+def standalone(cls=Vicinity, node_id=0, entries=(), **kwargs):
+    """A ring instance fed by nothing but its own view: the candidate pool
+    is exactly ``entries``."""
+    instance = cls(
+        node_id,
+        profile=node_id,
+        proximity=Proximity(make_shape("ring").metric(RING)),
+        layer="ring",
+        random_layer=None,
+        **kwargs,
+    )
+    for descriptor in entries:
+        instance.view.insert(descriptor)
+    return instance
+
+
+def offer_ctx():
+    return SimpleNamespace(round=3, obs=None, peers=None)
+
+
+def entries_of(ids_and_ages):
+    return [Descriptor(node_id, age=age, profile=node_id) for node_id, age in ids_and_ages]
+
+
+def reply_to(instance, sender, shipped):
+    request = ExchangeRequest("ring", sender, entries_of((i, 0) for i in shipped), sender)
+    reply, kept = instance._offer(offer_ctx(), None, sender, request)
+    return reply, kept, request
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.dictionaries(
+        st.integers(1, RING - 1), st.integers(0, 30), max_size=12
+    ),
+    # Never the responder (node 0): an active offer excludes its partner.
+    shipped=st.sets(st.integers(1, RING - 1), max_size=8),
+    sender=st.integers(1, RING - 1),
+)
+def test_a_passive_reply_never_echoes_the_request(pool, shipped, sender):
+    instance = standalone(entries=entries_of(pool.items()))
+    reply, kept, request = reply_to(instance, sender, shipped)
+    ids = [d.node_id for d in reply]
+    assert not set(ids) & shipped
+    assert len(set(ids)) == len(ids) and sender not in ids
+    # Full whenever the rest of the pool (own advert included) allows.
+    left = {
+        node_id
+        for node_id, age in pool.items()
+        if age <= instance.descriptor_ttl
+    } | {instance.node_id}
+    left -= shipped | {sender}
+    assert len(reply) == min(instance.params.gossip_size, len(left))
+    # And it is what the parent's ranking picks among what is left.
+    expected = select_closest(
+        [d for d in kept if d.node_id not in shipped] + [instance.self_descriptor()],
+        sender,
+        instance.proximity,
+        instance.params.gossip_size,
+        exclude_id=sender,
+        max_age=instance.descriptor_ttl,
+    )
+    assert [tuple(d) for d in reply] == [tuple(d) for d in expected]
+    # The kept pool is the unfiltered one.
+    assert sorted(d.node_id for d in kept) == sorted(pool)
+
+
+#: Node 0's active offers to partners 5 and 33 over the view below, as the
+#: rule's parent recorded them: (id, age, profile, minted) per entry.
+ACTIVE_VIEW = ((5, 2), (33, 1), (1, 4), (39, 0), (2, 7), (38, 3), (20, 1), (3, 30))
+ACTIVE_GOLDEN = {
+    5: [(2, 7, 2, None), (1, 4, 1, None), (0, 0, 0, None), (39, 0, 39, None),
+        (38, 3, 38, None), (33, 1, 33, None)],
+    33: [(38, 3, 38, None), (39, 0, 39, None), (0, 0, 0, None), (1, 4, 1, None),
+         (2, 7, 2, None), (5, 2, 5, None)],
+}
+
+
+@pytest.mark.parametrize("partner", sorted(ACTIVE_GOLDEN))
+def test_the_active_offer_is_unchanged(partner):
+    instance = standalone(entries=entries_of(ACTIVE_VIEW))
+    offer, kept = instance._offer(offer_ctx(), None, partner, None)
+    assert [tuple(d) for d in offer] == ACTIVE_GOLDEN[partner]
+    assert sorted(d.node_id for d in kept) == sorted(i for i, _ in ACTIVE_VIEW)
+
+
+def test_the_merge_still_ranks_the_whole_kept_pool():
+    # Node 10 holds its ring neighbours; the requester (12) ships 9 and 11.
+    # The reply skips them, but 10's own view keeps them: the merge ranks
+    # the unfiltered pool plus what arrived.
+    instance = standalone(
+        node_id=10, entries=entries_of((i, 1) for i in (9, 11, 8, 13, 20, 30))
+    )
+    node = Node(10)
+    node.attach("ring", instance)
+    request = ExchangeRequest("ring", 12, entries_of((i, 0) for i in (9, 11, 14)), 12)
+    reply = instance.on_request(offer_ctx(), request)
+    assert not {d.node_id for d in reply} & {9, 11, 14}
+    assert {9, 11} <= set(instance.view.ids())
+    assert sorted(instance.view.ids()) == sorted(
+        d.node_id
+        for d in select_closest(
+            entries_of((i, 1) for i in (9, 11, 8, 13, 20, 30))
+            + entries_of((i, 1) for i in (9, 11, 14)),
+            10,
+            instance.proximity,
+            instance.params.view_size,
+            exclude_id=10,
+        )
+    )
+
+
+def test_tman_follows_the_same_rule():
+    pool = entries_of((i, 1) for i in (1, 2, 3, 4, 5, 6, 7, 8, 9))
+    vicinity = standalone(entries=pool)
+    tman = standalone(TMan, entries=pool)
+    for shipped in ((), (1, 2), (1, 2, 3, 4, 5, 6, 7, 8)):
+        mine, _, _ = reply_to(vicinity, 3, shipped)
+        theirs, _, _ = reply_to(tman, 3, shipped)
+        assert [tuple(d) for d in theirs] == [tuple(d) for d in mine]
+        assert not {d.node_id for d in theirs} & set(shipped)

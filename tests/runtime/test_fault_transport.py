@@ -166,11 +166,15 @@ def run_fault_schedule(seed: int):
 #: forgotten, 318 / 334), but in the link phase a node keeps the partner a
 #: lossy or timed-out link refused and retries it, so it meets the degraded
 #: links more often (397 / 398 dropped before, of which loss 67 / 59 and
-#: timeout 12 / 5; delayed 2 / 10).
+#: timeout 12 / 5; delayed 2 / 10). Re-pinned a sixth time, seed 1 only,
+#: when a Vicinity reply began skipping the ids its request shipped: a
+#: different core trajectory, so the partner draws that meet the cut and
+#: the degraded links differ (partition 318 -> 317, timeout 14 -> 15; 409
+#: dropped either way). Seed 7 did not move.
 GOLDEN = {
     1: {
-        "digest": "6a99f5e33762942bcedf2325346e01cf41cd9285837dafcb969398ed29ebdc7b",
-        "drop_reasons": {"loss": 77, "partition": 318, "timeout": 14},
+        "digest": "031577f7a9e2e0bf77d74fbf39beb8f56bc665f6426e03e8be3290bafb4dee77",
+        "drop_reasons": {"loss": 77, "partition": 317, "timeout": 15},
         "total_dropped": 409,
         "total_delayed": 7,
     },
