@@ -11,6 +11,10 @@ profile space, the candidate pool is topped up from the peer-sampling layer
 The layered runtime instantiates several Vicinity variants differing only in
 their proximity function and eligibility filter — the same genericity the
 original protocol advertises.
+
+One deviation from the published protocol: the passive half's reply skips
+every id the request shipped, so it never echoes what the requester just
+sent (:meth:`Vicinity._offer`; T-Man inherits it).
 """
 
 from __future__ import annotations
