@@ -8,7 +8,7 @@ topology" (paper §3.2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import AssemblyError
 from repro.core.component import ComponentSpec
@@ -118,11 +118,6 @@ class Assembly:
                 if ref.component != component:
                     neighbors.add(ref.component)
         return neighbors
-
-    def ports_of(self, component: str) -> List[Tuple[str, PortRef]]:
-        """``(port_name, ref)`` pairs for every declared port of a component."""
-        spec = self.component(component)
-        return [(port.name, PortRef(component, port.name)) for port in spec.ports]
 
     # -- deployment helpers ----------------------------------------------------------
 

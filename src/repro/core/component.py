@@ -9,7 +9,7 @@ elementary shape, a sizing rule, and the ports it offers to the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import AssemblyError
@@ -76,13 +76,3 @@ class ComponentSpec:
 
     def has_port(self, name: str) -> bool:
         return any(port.name == name for port in self.ports)
-
-    def with_ports(self, *ports: PortSpec) -> "ComponentSpec":
-        """A copy of this spec with additional ports appended."""
-        return ComponentSpec(
-            name=self.name,
-            shape=self.shape,
-            weight=self.weight,
-            size=self.size,
-            ports=self.ports + tuple(ports),
-        )

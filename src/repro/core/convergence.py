@@ -27,7 +27,17 @@ time-to-repair, and the convergence telemetry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.core.layers import (
     LAYER_CORE,
@@ -46,13 +56,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.assembly import Assembly
 
 
-def _live_members(network: Network, role_map: RoleMap, component: str):
-    """Live ``(node_id, rank)`` members of one component."""
-    return [
-        (node_id, rank)
-        for node_id, rank in role_map.members(component)
-        if network.is_alive(node_id)
-    ]
+class Snapshot(NamedTuple):
+    """What the predicates read of one round's state, gathered once.
+
+    ``alive`` is the set of live node ids, ``members`` each component's
+    live ``(node_id, rank)`` members in role-map order, and ``oracle`` the
+    selector-oracle manager of every declared port over those members.
+    The tracker builds one per observed round and hands it to every
+    predicate as ``state``; a predicate called without one builds its own.
+    """
+
+    alive: Set[int]
+    members: Dict[str, List[Tuple[int, int]]]
+    oracle: Dict[PortRef, Optional[int]]
+
+
+def snapshot(network: Network, role_map: RoleMap, assembly: "Assembly") -> Snapshot:
+    """The :class:`Snapshot` of the current state."""
+    alive = set(network.alive_ids())
+    members = {
+        name: [member for member in role_map.members(name) if member[0] in alive]
+        for name in assembly.components
+    }
+    return Snapshot(alive, members, _oracle_managers(assembly, members))
+
+
+def _oracle_managers(
+    assembly: "Assembly", members: Dict[str, List[Tuple[int, int]]]
+) -> Dict[PortRef, Optional[int]]:
+    """The selector-oracle manager of every declared port, over live members."""
+    return {
+        PortRef(name, port.name): port.selector.choose(members[name])
+        for name, spec in assembly.components.items()
+        for port in spec.ports
+    }
 
 
 def core_converged(
@@ -63,13 +100,17 @@ def core_converged(
 
 
 def core_score(
-    network: Network, role_map: RoleMap, assembly: "Assembly"
+    network: Network,
+    role_map: RoleMap,
+    assembly: "Assembly",
+    state: Optional[Snapshot] = None,
 ) -> float:
     """Fraction of directed target adjacencies realized across components.
 
     1.0 means fully converged; under churn this is the self-healing health
     metric (how much of the shape survives / has been rebuilt).
     """
+    alive = (state or snapshot(network, role_map, assembly)).alive
     wanted = 0
     realized = 0
     for name, spec in assembly.components.items():
@@ -80,7 +121,7 @@ def core_score(
         rank_of = {node_id: rank for node_id, rank in members}
         adjacency: Dict[int, List[int]] = {}
         for node_id, rank in members:
-            if not network.is_alive(node_id):
+            if node_id not in alive:
                 continue
             protocol = network.node(node_id).protocol(LAYER_CORE)
             adjacency[rank] = [
@@ -89,13 +130,13 @@ def core_score(
                 if other in rank_of
             ]
         for node_id, rank in members:
-            if not network.is_alive(node_id):
+            if node_id not in alive:
                 continue
             targets = spec.shape.target_neighbors(rank, size)
             for other in targets:
                 other_id = members[other][0] if other < len(members) else None
                 # Only count adjacencies with both endpoints alive.
-                if other_id is None or not network.is_alive(other_id):
+                if other_id is None or other_id not in alive:
                     continue
                 wanted += 1
                 if other in adjacency.get(rank, ()):
@@ -112,11 +153,15 @@ def core_score(
 
 
 def uo1_converged(
-    network: Network, role_map: RoleMap, assembly: "Assembly", view_size: int
+    network: Network,
+    role_map: RoleMap,
+    assembly: "Assembly",
+    view_size: int,
+    state: Optional[Snapshot] = None,
 ) -> bool:
     """Every live node's UO1 view is saturated with live same-component peers."""
-    for name in assembly.components:
-        members = _live_members(network, role_map, name)
+    state = state or snapshot(network, role_map, assembly)
+    for members in state.members.values():
         member_ids = {node_id for node_id, _ in members}
         needed = min(view_size, len(members) - 1)
         if needed <= 0:
@@ -130,59 +175,44 @@ def uo1_converged(
 
 
 def uo2_converged(
-    network: Network, role_map: RoleMap, assembly: "Assembly"
+    network: Network,
+    role_map: RoleMap,
+    assembly: "Assembly",
+    state: Optional[Snapshot] = None,
 ) -> bool:
     """Every live node has a live contact in every other component."""
-    populated = {
-        name
-        for name in assembly.components
-        if _live_members(network, role_map, name)
-    }
+    state = state or snapshot(network, role_map, assembly)
+    alive = state.alive
+    populated = {name for name, members in state.members.items() if members}
     # Order-insensitive all-quantifier: every component must pass, and no
     # state is touched, so hash order cannot leak into a decision.
     for name in populated:  # repro-lint: disable=DET004
         wanted = populated - {name}
         if not wanted:
             continue
-        for node_id, _ in _live_members(network, role_map, name):
-            protocol = network.node(node_id).protocol(LAYER_UO2)
+        for node_id, _ in state.members[name]:
+            buckets = network.node(node_id).protocol(LAYER_UO2).buckets
             for target in wanted:
-                contacts = protocol.contacts(target)
-                if not any(network.is_alive(d.node_id) for d in contacts):
+                # Ids only: which contacts a bucket holds needs no ages.
+                bucket = buckets.get(target)
+                if bucket is None or alive.isdisjoint(bucket.id_set()):
                     return False
     return True
-
-
-def _oracle_managers(
-    network: Network, role_map: RoleMap, assembly: "Assembly"
-) -> Dict[PortRef, Optional[int]]:
-    """The selector-oracle manager of every declared port, over live members."""
-    managers: Dict[PortRef, Optional[int]] = {}
-    for name, spec in assembly.components.items():
-        members = _live_members(network, role_map, name)
-        for port in spec.ports:
-            managers[PortRef(name, port.name)] = port.selector.choose(members)
-    return managers
 
 
 def port_selection_converged(
     network: Network,
     role_map: RoleMap,
     assembly: "Assembly",
-    oracle: Optional[Dict[PortRef, Optional[int]]] = None,
+    state: Optional[Snapshot] = None,
 ) -> bool:
-    """All live members agree on the oracle manager of each of their ports.
-
-    ``oracle`` is :func:`_oracle_managers` of the same state, when the
-    caller already has it (the tracker computes it once a round).
-    """
-    if oracle is None:
-        oracle = _oracle_managers(network, role_map, assembly)
+    """All live members agree on the oracle manager of each of their ports."""
+    state = state or snapshot(network, role_map, assembly)
+    oracle = state.oracle
     for name, spec in assembly.components.items():
         if not spec.ports:
             continue
-        members = _live_members(network, role_map, name)
-        for node_id, _ in members:
+        for node_id, _ in state.members[name]:
             protocol = network.node(node_id).protocol(LAYER_PORT_SELECTION)
             for port in spec.ports:
                 expected = oracle[PortRef(name, port.name)]
@@ -197,12 +227,10 @@ def port_connection_converged(
     network: Network,
     role_map: RoleMap,
     assembly: "Assembly",
-    oracle: Optional[Dict[PortRef, Optional[int]]] = None,
+    state: Optional[Snapshot] = None,
 ) -> bool:
-    """Every link is realized between its two oracle port managers
-    (``oracle`` as for :func:`port_selection_converged`)."""
-    if oracle is None:
-        oracle = _oracle_managers(network, role_map, assembly)
+    """Every link is realized between its two oracle port managers."""
+    oracle = (state or snapshot(network, role_map, assembly)).oracle
     for link in assembly.links:
         manager_a = oracle.get(link.a)
         manager_b = oracle.get(link.b)
@@ -248,10 +276,11 @@ class ConvergenceReport:
 class ConvergenceTracker(Instrument):
     """Engine observer judging every layer's legality once a round.
 
-    The one legality ledger. Each observed round it computes the core score
-    once (the core verdict is ``score >= 1.0``) and the oracle port managers
-    once (both port predicates read them), evaluates every other layer's
-    predicate once, and appends the round's verdicts to
+    The one legality ledger. Each observed round it gathers one
+    :class:`Snapshot` (live ids, live members, oracle port managers) that
+    every predicate reads, computes the core score once (the core verdict
+    is ``score >= 1.0``), evaluates every other layer's predicate once, and
+    appends the round's verdicts to
     :attr:`series` (with the round index in :attr:`rounds` and the score in
     :attr:`core_scores`). :meth:`reset` never clears that series; it only
     moves the point :attr:`first_converged` and :meth:`report` count from.
@@ -319,14 +348,14 @@ class ConvergenceTracker(Instrument):
 
     def observe(self, network: Network, round_index: int) -> bool:
         role_map, assembly = self._role_map(), self._assembly()
-        score = core_score(network, role_map, assembly)
-        oracle = _oracle_managers(network, role_map, assembly)
+        state = snapshot(network, role_map, assembly)
+        score = core_score(network, role_map, assembly, state)
         verdicts = (
             score >= 1.0,
-            uo1_converged(network, role_map, assembly, self.uo1_view_size),
-            uo2_converged(network, role_map, assembly),
-            port_selection_converged(network, role_map, assembly, oracle),
-            port_connection_converged(network, role_map, assembly, oracle),
+            uo1_converged(network, role_map, assembly, self.uo1_view_size, state),
+            uo2_converged(network, role_map, assembly, state),
+            port_selection_converged(network, role_map, assembly, state),
+            port_connection_converged(network, role_map, assembly, state),
         )
         self.rounds.append(round_index)
         self.core_scores.append(score)

@@ -96,9 +96,6 @@ class PortSelection(GossipProtocol):
         belief = self.beliefs.get(port_name)
         return belief[0] if belief else None
 
-    def is_manager_of(self, port_name: str) -> bool:
-        return self.manager_of(port_name) == self.node_id
-
     def neighbors(self) -> List[int]:
         return sorted({belief[0] for belief in self.beliefs.values()})
 

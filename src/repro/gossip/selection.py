@@ -70,6 +70,18 @@ class FilteredProximity(Proximity):
         return self._eligible(a, b)
 
 
+def raw_distance(proximity: Proximity) -> Callable[[Profile, Profile], float]:
+    """The callable that computes ``proximity.distance``, minus one frame.
+
+    The default :meth:`Proximity.distance` only forwards to the metric it
+    was built on, so a ranking loop calls that metric directly; a subclass
+    that overrides ``distance`` keeps its method.
+    """
+    if type(proximity).distance is Proximity.distance:
+        return proximity._distance
+    return proximity.distance
+
+
 def dedupe_youngest(descriptors: Iterable[Descriptor]) -> List[Descriptor]:
     """Collapse duplicates by node id, keeping the youngest copy of each."""
     best: Dict[int, Descriptor] = {}
@@ -110,8 +122,8 @@ def select_closest(
     This is *the* hot loop of every gossip round (see docs/performance.md),
     so it is written for per-descriptor cost: dedupe inlined (no helper
     call per item), the eligibility call skipped when the proximity uses
-    the vacuous default, distances pulled from the proximity's memo dict at
-    C speed when one is bound to ``reference``, and the ranking done over
+    the vacuous default, a plain :class:`Proximity` unwrapped to its raw
+    metric (:func:`raw_distance`), and the ranking done over
     pre-decorated ``(distance, node_id, ...)`` tuples by :func:`top_k`
     (``heapq.nsmallest`` in O(n log k) once the pool outgrows ``k``, a C
     sort below that). Node ids are unique after deduplication, so the
@@ -134,44 +146,11 @@ def select_closest(
     eligible = proximity.eligible
     if getattr(eligible, "__func__", None) is Proximity.eligible:
         eligible = None  # the base implementation is vacuously true
-
-    lookup = getattr(proximity, "lookup_for", None)
-    memo = lookup(reference) if lookup is not None else None
+    distance_fn = raw_distance(proximity)
     decorated = []
-    if memo is not None:
-        memo_get, compute = memo
-        try:
-            for descriptor in best.values():
-                if eligible is not None and not eligible(reference, descriptor.profile):
-                    continue
-                profile = descriptor.profile
-                distance = memo_get(profile)
-                if distance is None:
-                    distance = compute(profile)
-                decorated.append((distance, descriptor.node_id, descriptor))
-        except TypeError:
-            # An unhashable profile: the memo cannot key it, but ``compute``
-            # (DistanceCache.to) turns memoization off and stays correct, so
-            # the whole call is re-ranked through it.
-            decorated = [
-                (compute(descriptor.profile), descriptor.node_id, descriptor)
-                for descriptor in best.values()
-                if eligible is None or eligible(reference, descriptor.profile)
-            ]
-    else:
-        # Unwrap delegation layers so the loop pays one call per distance:
-        # a DistanceCache computes exactly base.distance(a, b) for every
-        # query, and the default Proximity.distance only forwards to the
-        # raw metric callable (overriding subclasses keep their frame).
-        source = getattr(proximity, "base", proximity)
-        if type(source).distance is Proximity.distance:
-            distance_fn = source._distance
-        else:
-            distance_fn = source.distance
-        for descriptor in best.values():
-            if eligible is not None and not eligible(reference, descriptor.profile):
-                continue
-            decorated.append(
-                (distance_fn(reference, descriptor.profile), descriptor.node_id, descriptor)
-            )
+    for descriptor in best.values():
+        profile = descriptor.profile
+        if eligible is not None and not eligible(reference, profile):
+            continue
+        decorated.append((distance_fn(reference, profile), descriptor.node_id, descriptor))
     return [item[2] for item in top_k(decorated, k)]

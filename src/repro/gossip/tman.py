@@ -60,7 +60,7 @@ class TMan(Vicinity):
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
         """Uniform draw from the ψ closest live view entries."""
         while len(self.view):
-            ranked = self.view.closest_to(self.psi, self._distances)
+            ranked = self.view.closest_to(self.psi, self.proximity, self.profile)
             live = [d for d in ranked if ctx.peers.is_alive(d.node_id)]
             if live:
                 return ctx.rng().choice(live).node_id

@@ -24,7 +24,6 @@ from typing import List, Optional
 from repro.gossip.descriptors import Descriptor
 from repro.gossip.selection import Profile, Proximity, select_closest
 from repro.gossip.views import PartialView
-from repro.perf.cache import DistanceCache
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
 from repro.sim.protocol import GossipProtocol
@@ -92,12 +91,6 @@ class Vicinity(GossipProtocol):
         self.descriptor_ttl = descriptor_ttl or max(24, 2 * self.params.view_size)
         self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
-        # The per-node memoized distance cache: every round this node ranks
-        # the same few dozen candidate profiles against its own profile, and
-        # ranking-function evaluation dominates the gossip round. The cache
-        # is a drop-in Proximity, so partner-referenced rankings pass
-        # through it unmemoized and unchanged.
-        self._distances = DistanceCache(proximity, profile)
 
     # -- descriptor & profile ---------------------------------------------------
 
@@ -109,13 +102,10 @@ class Vicinity(GossipProtocol):
         """Adopt a new profile (assembly reconfiguration).
 
         Entries that are no longer eligible under the new profile are
-        discarded immediately so the view re-converges from valid state,
-        and the memoized distances — all measured from the old profile —
-        are invalidated.
+        discarded immediately so the view re-converges from valid state.
         """
         self.profile = profile
         self._self_descriptor = Descriptor(self.node_id, age=0, profile=profile)
-        self._distances.rebind(profile)
         self.view.discard_where(
             lambda d: not self.proximity.eligible(profile, d.profile)
         )
@@ -123,8 +113,7 @@ class Vicinity(GossipProtocol):
     # -- protocol interface --------------------------------------------------------
 
     def neighbors(self) -> List[int]:
-        # closest_to reads warm distances straight out of the memo.
-        best = self.view.closest_to(self.target_degree, self._distances)
+        best = self.view.closest_to(self.target_degree, self.proximity, self.profile)
         return [descriptor.node_id for descriptor in best]
 
     def forget(self, node_id: int) -> None:
@@ -207,7 +196,7 @@ class Vicinity(GossipProtocol):
         buffer = select_closest(
             candidates + [advert],
             reference,
-            self._distances,
+            self.proximity,
             self.params.gossip_size,
             exclude_id=peer_id,
             max_age=self.descriptor_ttl,
@@ -237,7 +226,7 @@ class Vicinity(GossipProtocol):
         best = select_closest(
             pool + arrived,
             self.profile,
-            self._distances,
+            self.proximity,
             self.params.view_size,
             exclude_id=self.node_id,
             max_age=self.descriptor_ttl,

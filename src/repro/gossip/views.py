@@ -8,13 +8,12 @@ are evaluated on.
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.selection import top_k
+from repro.gossip.selection import Profile, Proximity, raw_distance, top_k
 
 _new = tuple.__new__
 
@@ -295,63 +294,23 @@ class PartialView:
             return values
         return rng.sample(values, k)
 
-    def closest_to(self, k: int, distances) -> List[Descriptor]:
-        """The ``k`` entries nearest the reference bound in ``distances``.
-
-        ``distances`` is anything with a ``to(profile) -> float`` method
-        (a :class:`~repro.perf.cache.DistanceCache` in practice). Exactly
-        :meth:`closest` on the profile distance. Warm distances are read
-        straight out of the cache's memo, as
-        :func:`~repro.gossip.selection.select_closest` reads them; an
-        unhashable profile re-ranks the call through ``to``.
-        """
-        self._settle()
-        lookup = getattr(distances, "lookup_for", None)
-        memo = lookup(distances.reference) if lookup is not None else None
-        decorated = []
-        append = decorated.append
-        if memo is not None:
-            memo_get, compute = memo
-            try:
-                for node_id, descriptor in self._entries.items():
-                    profile = descriptor.profile
-                    distance = memo_get(profile)
-                    if distance is None:
-                        distance = compute(profile)
-                    append((distance, node_id, descriptor))
-            except TypeError:
-                # An unhashable profile: re-rank through ``to``, which turns
-                # the memo off and stays correct.
-                decorated.clear()
-                memo = None
-        if memo is None:
-            to = distances.to
-            for node_id, descriptor in self._entries.items():
-                append((to(descriptor.profile), node_id, descriptor))
-        return [item[2] for item in top_k(decorated, k)]
-
-    def closest(
-        self, k: int, key: Callable[[Descriptor], float]
+    def closest_to(
+        self, k: int, proximity: Proximity, reference: Profile
     ) -> List[Descriptor]:
-        """The ``k`` entries minimizing ``key`` (stable tie-break on node id).
+        """The ``k`` entries nearest ``reference`` under ``proximity``.
 
-        Ranks over the (key, id) total order, so the result is exactly
-        ``sorted(...)[:k]`` — via ``heapq.nsmallest`` in O(n log k) when
-        the view is several times larger than ``k``, via a C sort below
-        that (see :func:`repro.gossip.selection.top_k`).
+        Exactly ``rank_by_distance(self.descriptors(), reference,
+        proximity)[:k]``: the ``(distance, node_id)`` order, ranked by
+        :func:`~repro.gossip.selection.top_k` with the metric unwrapped as
+        :func:`~repro.gossip.selection.select_closest` does.
         """
         self._settle()
-        entries = self._entries.values()
-        if len(entries) <= 4 * k:
-            return sorted(entries, key=lambda d: (key(d), d.node_id))[:k]
-        return heapq.nsmallest(k, entries, key=lambda d: (key(d), d.node_id))
-
-    def truncate_closest(self, k: int, key: Callable[[Descriptor], float]) -> None:
-        """Keep only the ``k`` entries minimizing ``key``."""
-        if len(self._entries) <= k:
-            return
-        keep = self.closest(k, key)
-        self._entries = {descriptor.node_id: descriptor for descriptor in keep}
+        distance = raw_distance(proximity)
+        decorated = [
+            (distance(reference, descriptor.profile), node_id, descriptor)
+            for node_id, descriptor in self._entries.items()
+        ]
+        return [item[2] for item in top_k(decorated, k)]
 
     def __repr__(self) -> str:
         return f"PartialView(capacity={self.capacity}, size={len(self)})"

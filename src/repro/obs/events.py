@@ -12,7 +12,7 @@ dataclass shared by the tracer and the collector.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 # -- lifecycle ----------------------------------------------------------------
 EVENT_DEPLOY = "deploy"
@@ -78,11 +78,6 @@ TAXONOMY: Dict[str, str] = {
     EVENT_INCIDENT_RECOVERED: "a remediation incident closed (alert cleared)",
     EVENT_INCIDENT_UNRECOVERABLE: "an incident used up its remediation attempts",
 }
-
-
-def known_kinds() -> List[str]:
-    """Every declared event kind, sorted."""
-    return sorted(TAXONOMY)
 
 
 def is_known(kind: str) -> bool:

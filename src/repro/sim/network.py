@@ -36,8 +36,8 @@ class Network:
     """The population of nodes in one simulation.
 
     Supports the churn operations the paper relies on ("nodes failing,
-    leaving or joining the system"): node creation, crash-stop kills,
-    revivals, and permanent removals. Node ids are allocated monotonically
+    leaving or joining the system"): node creation, crash-stop kills and
+    revivals. Node ids are allocated monotonically
     and never reused, so a descriptor can always be resolved unambiguously.
     Every created node registers with :attr:`rendezvous`.
 
@@ -70,13 +70,6 @@ class Network:
         if count < 0:
             raise SimulationError(f"cannot create {count} nodes")
         return [self.create_node() for _ in range(count)]
-
-    def remove_node(self, node_id: int) -> None:
-        """Permanently remove a node (it leaves the system for good)."""
-        if node_id not in self._nodes:
-            raise SimulationError(f"no node {node_id} to remove")
-        del self._nodes[node_id]
-        self._invalidate()
 
     def kill(self, node_id: int) -> None:
         """Crash-stop ``node_id`` (keeps its state; see :meth:`Node.kill`)."""

@@ -157,9 +157,6 @@ class Transport:
     def bytes_for(self, layer: str, round_index: int) -> int:
         return self._bytes.get(layer, {}).get(round_index, 0)
 
-    def messages_for(self, layer: str, round_index: int) -> int:
-        return self._messages.get(layer, {}).get(round_index, 0)
-
     def total_bytes(self, layer: Optional[str] = None) -> int:
         if layer is not None:
             return sum(self._bytes.get(layer, {}).values())

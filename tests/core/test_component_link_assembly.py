@@ -49,12 +49,6 @@ class TestComponentSpec:
             spec.port("c")
         assert set(spec.port_map()) == {"a", "b"}
 
-    def test_with_ports(self):
-        spec = ring_component(ports=(PortSpec("a"),))
-        extended = spec.with_ports(PortSpec("b"))
-        assert extended.has_port("b")
-        assert not spec.has_port("b")  # original untouched
-
 
 class TestPortRef:
     def test_parse(self):
@@ -156,7 +150,6 @@ class TestAssembly:
         assert assembly.links_of("left") == [link]
         assert assembly.linked_components("left") == {"right"}
         assert assembly.port(PortRef("left", "gate")).name == "gate"
-        assert [name for name, _ in assembly.ports_of("left")] == ["gate"]
 
     def test_equality(self):
         assert self.build_pair() == self.build_pair()

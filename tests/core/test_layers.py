@@ -914,7 +914,7 @@ class TestPortSelection:
         members = deployment.role_map.members("ring")
         expected = min(node_id for node_id, _ in members)
         protocol = deployment.network.node(expected).protocol(LAYER_PORT_SELECTION)
-        assert protocol.is_manager_of("gate")
+        assert protocol.manager_of("gate") == protocol.node_id
 
     def test_forget_reopens_election(self, pair_deployment):
         deployment = pair_deployment

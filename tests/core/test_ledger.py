@@ -83,7 +83,8 @@ class TestOneJudgementARound:
         assert calls["layers_converged"] == collector.rounds_observed
 
     def test_oracle_managers_are_computed_once_per_observed_round(self):
-        # Both port predicates read the one oracle the tracker hands them.
+        # Every predicate reads the one snapshot the tracker gathers, so its
+        # oracle is computed once; a predicate gathering its own would show.
         calls = []
         managers = convergence._oracle_managers
 

@@ -12,6 +12,7 @@ from repro.gossip.selection import (
     rank_by_distance,
     select_closest,
 )
+from repro.gossip.views import PartialView
 
 
 def absolute(a, b):
@@ -96,3 +97,17 @@ class TestSelectClosest:
             for descriptor in pool:
                 if descriptor.node_id not in chosen:
                     assert abs(descriptor.profile - reference) >= worst_selected
+
+
+def test_unhashable_profiles_rank_like_rank_by_distance():
+    """Nothing hashes a profile: list-valued ones rank through
+    ``select_closest`` and ``PartialView.closest_to`` exactly as the sorted
+    reference does, ties to the lowest id included."""
+    proximity = Proximity(lambda a, b: abs(a[0] - b[0]))
+    pool = [Descriptor(i, 0, profile=[p]) for i, p in enumerate((5, 1, 3, 2, 7, 3))]
+    reference = [3]
+    ranked = rank_by_distance(pool, reference, proximity)
+    view = PartialView(8, pool)
+    for k in range(len(pool) + 1):
+        assert select_closest(pool, reference, proximity, k) == ranked[:k]
+        assert view.closest_to(k, proximity, reference) == ranked[:k]

@@ -3,11 +3,9 @@
 ``select_closest`` used to rank with ``sorted(...)[:k]``; it now uses
 ``heapq.nsmallest`` over the same ``(distance, node_id)`` key. These tests
 assert exact equivalence — same descriptors, same order, including ties —
-against a reference implementation kept in its original ``sorted`` form,
-and that routing distances through the memoized :class:`DistanceCache`
-changes nothing either. The TTL skip inside the dedupe (``max_age``) and
-the plain-loop healer of ``select_view`` are pinned the same way, tags
-included.
+against a reference implementation kept in its original ``sorted`` form.
+The TTL skip inside the dedupe (``max_age``) and the plain-loop healer of
+``select_view`` are pinned the same way, tags included.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.gossip.selection import (  # noqa: E402
     rank_by_distance,
     select_closest,
 )
-from repro.perf.cache import DistanceCache  # noqa: E402
 from repro.sim.config import GossipParams  # noqa: E402
 
 node_ids = st.integers(min_value=0, max_value=20)
@@ -110,40 +107,6 @@ def test_select_closest_is_a_prefix_of_the_full_ranking(pool, reference, k):
     assert select_closest(pool, reference, TIE_HEAVY, k) == full[:k]
 
 
-@given(
-    pool=st.lists(descriptors, max_size=30),
-    reference=profiles,
-    k=st.integers(min_value=0, max_value=12),
-    which=st.integers(min_value=0, max_value=len(PROXIMITIES) - 1),
-)
-@settings(max_examples=200, deadline=None)
-def test_distance_cache_is_transparent_to_selection(pool, reference, k, which):
-    """The overlay hot path ranks through DistanceCache; results must be
-    bit-identical to ranking through the raw proximity."""
-    proximity = PROXIMITIES[which]
-    cached = DistanceCache(proximity, reference)
-    direct = select_closest(pool, reference, proximity, k)
-    assert select_closest(pool, reference, cached, k) == direct
-    # And again, exercising warm-cache hits.
-    assert select_closest(pool, reference, cached, k) == direct
-
-
-@given(
-    pool=st.lists(descriptors, max_size=30),
-    reference=profiles,
-    other=profiles,
-    k=st.integers(min_value=0, max_value=12),
-)
-@settings(max_examples=200, deadline=None)
-def test_distance_cache_passes_through_foreign_references(pool, reference, other, k):
-    """Partner-referenced rankings (buffer selection for the *partner's*
-    profile) flow through the cache unmemoized and unchanged."""
-    cached = DistanceCache(EXACT, reference)
-    assert select_closest(pool, other, cached, k) == select_closest(
-        pool, other, EXACT, k
-    )
-
-
 @given(pool=st.lists(descriptors, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_dedupe_keeps_exactly_one_youngest_copy_per_id(pool):
@@ -175,11 +138,10 @@ def test_max_age_skip_matches_filtered_sorted_reference(
     expected = reference_select(
         [d for d in pool if d.age <= max_age], reference, proximity, k, exclude_id=exclude
     )
-    for ranking in (proximity, DistanceCache(proximity, reference)):
-        actual = select_closest(
-            pool, reference, ranking, k, exclude_id=exclude, max_age=max_age
-        )
-        assert fields(actual) == fields(expected)
+    actual = select_closest(
+        pool, reference, proximity, k, exclude_id=exclude, max_age=max_age
+    )
+    assert fields(actual) == fields(expected)
 
 
 def reference_select_view(node_id, pool, sent, received, params, rng):

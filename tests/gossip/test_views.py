@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gossip.descriptors import Descriptor
+from repro.gossip.selection import Proximity
 from repro.gossip.views import PartialView
 
 
@@ -122,14 +123,9 @@ class TestSelection:
         assert len(view.sample(random.Random(0), 10)) == 2
 
     def test_closest(self):
-        view = make_view(8, [(i, 0) for i in range(8)])
-        closest = view.closest(3, key=lambda d: abs(d.node_id - 5))
+        view = PartialView(8, [Descriptor(i, 0, profile=i) for i in range(8)])
+        closest = view.closest_to(3, Proximity(lambda a, b: abs(a - b)), 5)
         assert [d.node_id for d in closest] == [5, 4, 6]
-
-    def test_truncate_closest(self):
-        view = make_view(8, [(i, 0) for i in range(8)])
-        view.truncate_closest(2, key=lambda d: d.node_id)
-        assert set(view.ids()) == {0, 1}
 
 
 class TestTombstones:

@@ -20,9 +20,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.gossip.descriptors import Descriptor  # noqa: E402
-from repro.gossip.selection import Proximity  # noqa: E402
+from repro.gossip.selection import Proximity, rank_by_distance  # noqa: E402
 from repro.gossip.views import PartialView  # noqa: E402
-from repro.perf.cache import DistanceCache  # noqa: E402
 
 # Small id/age spaces so sequences collide (same id seen at several ages).
 node_ids = st.integers(min_value=0, max_value=15)
@@ -195,23 +194,6 @@ def test_replace_equals_entry_clear_plus_insert_loop(capacity, ops, payload):
 
 
 @given(
-    entries=st.lists(descriptors, max_size=12),
-    k=st.integers(min_value=0, max_value=12),
-    rounds=st.integers(min_value=0, max_value=3),
-)
-@settings(deadline=None)
-def test_closest_equals_sorted_prefix(entries, k, rounds):
-    """`closest` (heapq-based) must be exactly the sorted-ranking prefix."""
-    view = PartialView(12)
-    view.merge(entries)
-    for _ in range(rounds):
-        view.increase_age()
-    key = lambda d: abs(d.node_id - 5)  # noqa: E731 — produces ties on purpose
-    expected = sorted(view.descriptors(), key=lambda d: (key(d), d.node_id))[:k]
-    assert view.closest(k, key) == expected
-
-
-@given(
     entries=st.lists(tagged, max_size=12),
     rounds=st.integers(min_value=0, max_value=3),
 )
@@ -229,40 +211,23 @@ def test_oldest_is_max_age_then_lowest_id(entries, rounds):
     assert tuple(view.oldest()) == tuple(expected)
 
 
-class _PlainDistances:
-    """Only ``to``: the duck type ``closest_to`` accepts besides the cache."""
-
-    def __init__(self, proximity, reference):
-        self._proximity, self._reference = proximity, reference
-
-    def to(self, profile):
-        return self._proximity.distance(self._reference, profile)
-
-
 @given(
     entries=st.lists(tagged, max_size=12),
     reference=st.integers(min_value=0, max_value=10),
     k=st.integers(min_value=0, max_value=12),
     rounds=st.integers(min_value=0, max_value=3),
-    warm=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_closest_to_matches_closest_on_the_cached_distance(
-    entries, reference, k, rounds, warm
-):
-    """``closest_to`` reads the memo (or calls ``to``) and ranks exactly as
-    ``closest(k, to)``: ties to the lowest id, tags carried through."""
+def test_closest_to_is_the_sorted_prefix(entries, reference, k, rounds):
+    """``closest_to`` ranks exactly as ``rank_by_distance`` over the view's
+    settled entries: ties to the lowest id, tags carried through, pending
+    age debt applied."""
     view = PartialView(12)
     view.merge(entries)
     for _ in range(rounds):
         view.increase_age()
     proximity = Proximity(lambda a, b: abs(a - b) // 3)  # many ties
-    cache = DistanceCache(proximity, reference)
-    if warm:
-        for descriptor in entries[::2]:
-            cache.to(descriptor.profile)
-    expected = view.closest(k, lambda d: cache.to(d.profile))
-    for distances in (cache, _PlainDistances(proximity, reference)):
-        assert [tuple(d) for d in view.closest_to(k, distances)] == [
-            tuple(d) for d in expected
-        ]
+    expected = rank_by_distance(view.descriptors(), reference, proximity)[:k]
+    assert [tuple(d) for d in view.closest_to(k, proximity, reference)] == [
+        tuple(d) for d in expected
+    ]

@@ -12,10 +12,10 @@ class TestTaxonomy:
             for name, value in vars(events).items()
             if name.startswith("EVENT_")
         }
-        assert constants == set(events.known_kinds())
+        assert constants == set(events.TAXONOMY)
 
     def test_kinds_have_descriptions(self):
-        for kind in events.known_kinds():
+        for kind in events.TAXONOMY:
             assert events.TAXONOMY[kind], kind
 
     def test_is_known(self):

@@ -19,17 +19,13 @@ class TestPopulation:
     def test_ids_never_reused_after_removal(self):
         net = Network()
         net.create_nodes(3)
-        net.remove_node(2)
+        net.kill(2)
         fresh = net.create_node()
         assert fresh.node_id == 3
 
     def test_negative_create_raises(self):
         with pytest.raises(SimulationError):
             Network().create_nodes(-1)
-
-    def test_remove_unknown_raises(self):
-        with pytest.raises(SimulationError):
-            Network().remove_node(0)
 
     def test_len_and_size(self):
         net = Network()
@@ -87,12 +83,11 @@ class TestRendezvous:
         for _ in range(50):
             assert 1 not in net.rendezvous.sample(rng, 3, exclude=1)
 
-    def test_killed_and_removed_ids_are_included(self):
+    def test_killed_ids_are_included(self):
         # Nobody deregisters: the rendezvous knows who joined, not who lives.
         net = Network()
         net.create_nodes(4)
         net.kill(1)
-        net.remove_node(2)
         assert sorted(net.rendezvous.sample(random.Random(0), 10)) == [0, 1, 2, 3]
 
     def test_sample_is_bounded_by_count(self):

@@ -44,7 +44,7 @@ class TestAccounting:
         transport.record_message("a", 0)
         assert transport.bytes_for("a", 0) == 1
         assert transport.bytes_for("a", 1) == 2
-        assert transport.messages_for("a", 1) == 2
+        assert transport.total_messages("a") == 3
 
     def test_buckets_by_layer(self):
         transport = Transport()
