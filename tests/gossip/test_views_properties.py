@@ -195,6 +195,26 @@ def test_replace_equals_entry_clear_plus_insert_loop(capacity, ops, payload):
 
 @given(
     entries=st.lists(tagged, max_size=12),
+    k=st.integers(min_value=0, max_value=12),
+    rounds=st.integers(min_value=0, max_value=3),
+)
+@settings(deadline=None)
+def test_closest_equals_sorted_prefix(entries, k, rounds):
+    """``closest_to`` (heapq-based) must be exactly the prefix of a plain
+    ``sorted`` on ``(distance, node_id)``."""
+    view = PartialView(12)
+    view.merge(entries)
+    for _ in range(rounds):
+        view.increase_age()
+    proximity = Proximity(lambda a, b: abs(a - b))  # ties on purpose
+    expected = sorted(
+        view.descriptors(), key=lambda d: (abs(5 - d.profile), d.node_id)
+    )[:k]
+    assert view.closest_to(k, proximity, 5) == expected
+
+
+@given(
+    entries=st.lists(tagged, max_size=12),
     rounds=st.integers(min_value=0, max_value=3),
 )
 @settings(deadline=None)
@@ -218,7 +238,7 @@ def test_oldest_is_max_age_then_lowest_id(entries, rounds):
     rounds=st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=200, deadline=None)
-def test_closest_to_is_the_sorted_prefix(entries, reference, k, rounds):
+def test_closest_to_matches_closest_on_the_cached_distance(entries, reference, k, rounds):
     """``closest_to`` ranks exactly as ``rank_by_distance`` over the view's
     settled entries: ties to the lowest id, tags carried through, pending
     age debt applied."""
