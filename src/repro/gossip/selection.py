@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.gossip.descriptors import Descriptor, youngest
+from repro.gossip.descriptors import Descriptor
 
 #: Profiles are opaque to the gossip layer; shapes and the runtime define them.
 Profile = Any
@@ -55,21 +55,6 @@ class Proximity:
         return True
 
 
-class FilteredProximity(Proximity):
-    """A proximity with an eligibility predicate."""
-
-    def __init__(
-        self,
-        distance: Callable[[Profile, Profile], float],
-        eligible: Callable[[Profile, Profile], bool],
-    ):
-        super().__init__(distance)
-        self._eligible = eligible
-
-    def eligible(self, a: Profile, b: Profile) -> bool:
-        return self._eligible(a, b)
-
-
 def raw_distance(proximity: Proximity) -> Callable[[Profile, Profile], float]:
     """The callable that computes ``proximity.distance``, minus one frame.
 
@@ -80,14 +65,6 @@ def raw_distance(proximity: Proximity) -> Callable[[Profile, Profile], float]:
     if type(proximity).distance is Proximity.distance:
         return proximity._distance
     return proximity.distance
-
-
-def dedupe_youngest(descriptors: Iterable[Descriptor]) -> List[Descriptor]:
-    """Collapse duplicates by node id, keeping the youngest copy of each."""
-    best: Dict[int, Descriptor] = {}
-    for descriptor in descriptors:
-        best[descriptor.node_id] = youngest(best.get(descriptor.node_id), descriptor)
-    return list(best.values())
 
 
 def rank_by_distance(
@@ -147,10 +124,9 @@ def select_closest(
     if getattr(eligible, "__func__", None) is Proximity.eligible:
         eligible = None  # the base implementation is vacuously true
     distance_fn = raw_distance(proximity)
-    decorated = []
-    for descriptor in best.values():
-        profile = descriptor.profile
-        if eligible is not None and not eligible(reference, profile):
-            continue
-        decorated.append((distance_fn(reference, profile), descriptor.node_id, descriptor))
+    decorated = [
+        (distance_fn(reference, descriptor.profile), node_id, descriptor)
+        for node_id, descriptor in best.items()
+        if eligible is None or eligible(reference, descriptor.profile)
+    ]
     return [item[2] for item in top_k(decorated, k)]

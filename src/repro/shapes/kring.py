@@ -6,6 +6,7 @@ from typing import Any, ClassVar, Dict, FrozenSet
 
 from repro.errors import TopologyError
 from repro.shapes.base import Metric, Shape
+from repro.shapes.ring import circular_metric
 
 
 class KRegularRing(Shape):
@@ -30,12 +31,7 @@ class KRegularRing(Shape):
 
     def metric(self, size: int) -> Metric:
         self.validate_size(size)
-
-        def circular(a: int, b: int) -> float:
-            delta = abs(a - b) % size
-            return float(min(delta, size - delta))
-
-        return circular
+        return circular_metric(size)
 
     def target_neighbors(self, rank: int, size: int) -> FrozenSet[int]:
         self._check_rank(rank, size)

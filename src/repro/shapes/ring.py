@@ -7,6 +7,22 @@ from typing import ClassVar, FrozenSet
 from repro.shapes.base import Metric, Shape
 
 
+def circular_metric(size: int) -> Metric:
+    """Circular distance on ranks mod ``size``: ``min(|a - b|, size - |a - b|)``.
+
+    Written without ``abs`` or ``min`` calls (one Python-level frame per
+    distance, and every gossip ranking loop runs it); equal to the
+    textbook form for any ints, negative or past ``size``
+    (tests/shapes/test_individual_shapes.py).
+    """
+
+    def circular(a: int, b: int) -> float:
+        d = (a - b) % size
+        return float(d if d + d <= size else size - d)
+
+    return circular
+
+
 class Ring(Shape):
     """A bidirectional ring: rank *r* is adjacent to *r±1 (mod size)*.
 
@@ -20,12 +36,7 @@ class Ring(Shape):
 
     def metric(self, size: int) -> Metric:
         self.validate_size(size)
-
-        def circular(a: int, b: int) -> float:
-            delta = abs(a - b) % size
-            return float(min(delta, size - delta))
-
-        return circular
+        return circular_metric(size)
 
     def target_neighbors(self, rank: int, size: int) -> FrozenSet[int]:
         self._check_rank(rank, size)

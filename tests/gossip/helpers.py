@@ -2,15 +2,38 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
+from repro.gossip.descriptors import Descriptor, youngest
 from repro.gossip.peer_sampling import PeerSampling
+from repro.gossip.selection import Proximity
 from repro.sim.config import GossipParams
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
+
+
+class FilteredProximity(Proximity):
+    """A proximity with an eligibility predicate (the program's own live in
+    the layers that filter, e.g. ``ComponentShapeProximity``)."""
+
+    def __init__(self, distance, eligible):
+        super().__init__(distance)
+        self._eligible = eligible
+
+    def eligible(self, a, b) -> bool:
+        return self._eligible(a, b)
+
+
+def dedupe_youngest(descriptors: Iterable[Descriptor]) -> List[Descriptor]:
+    """Reference dedupe: one copy per node id, the youngest (the first of
+    equal ages), in first-seen order."""
+    best: Dict[int, Descriptor] = {}
+    for descriptor in descriptors:
+        best[descriptor.node_id] = youngest(best.get(descriptor.node_id), descriptor)
+    return list(best.values())
 
 
 class GossipWorld:

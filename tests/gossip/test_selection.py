@@ -5,14 +5,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.selection import (
-    FilteredProximity,
-    Proximity,
-    dedupe_youngest,
-    rank_by_distance,
-    select_closest,
-)
+from repro.gossip.selection import Proximity, rank_by_distance, select_closest
 from repro.gossip.views import PartialView
+from tests.gossip.helpers import FilteredProximity, dedupe_youngest
 
 
 def absolute(a, b):

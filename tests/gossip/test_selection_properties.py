@@ -22,13 +22,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.gossip.descriptors import Descriptor  # noqa: E402
 from repro.gossip.peer_sampling import select_view  # noqa: E402
 from repro.gossip.selection import (  # noqa: E402
-    FilteredProximity,
     Proximity,
-    dedupe_youngest,
     rank_by_distance,
     select_closest,
 )
 from repro.sim.config import GossipParams  # noqa: E402
+from tests.gossip.helpers import FilteredProximity, dedupe_youngest  # noqa: E402
 
 node_ids = st.integers(min_value=0, max_value=20)
 ages = st.integers(min_value=0, max_value=6)

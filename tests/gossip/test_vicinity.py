@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gossip.descriptors import Descriptor
-from repro.gossip.selection import FilteredProximity, Proximity, select_closest
+from repro.gossip.selection import Proximity, select_closest
 from repro.gossip.tman import TMan
 from repro.gossip.vicinity import Vicinity
 from repro.shapes import make_shape
 from repro.sim.node import Node
 from repro.sim.protocol import Protocol
 from repro.sim.transport import ExchangeRequest
-from tests.gossip.helpers import GossipWorld
+from tests.gossip.helpers import FilteredProximity, GossipWorld
 
 
 def ring_world(n, seed=1, view_size=8, target_degree=2, random_layer="peer_sampling"):

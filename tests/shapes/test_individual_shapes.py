@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TopologyError
 from repro.shapes import make_shape
 from repro.shapes.grid import grid_dimensions
+from repro.shapes.ring import circular_metric
 from repro.shapes.star import HUB_RANK
 from repro.shapes.tree import _tree_path_length
 
@@ -30,6 +31,23 @@ class TestRing:
         ring = make_shape("ring")
         metric = ring.metric(size)
         assert metric(a % size, b % size) <= size / 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.integers(1, 200),
+        a=st.integers(-1000, 1000),
+        b=st.integers(-1000, 1000),
+        shape=st.sampled_from(["ring", "kring"]),
+    )
+    def test_circular_metric_is_the_textbook_form(self, size, a, b, shape):
+        """Any ints, negative or past ``size``: the same float, bit for bit,
+        as ``min(|a - b| mod size, size - |a - b| mod size)``."""
+        delta = abs(a - b) % size
+        expected = float(min(delta, size - delta))
+        # Below the ring's minimum size only the bare metric is defined.
+        metric = make_shape(shape).metric(size) if size >= 3 else circular_metric(size)
+        got = metric(a, b)
+        assert type(got) is float and got == expected
 
     def test_distance_examples(self):
         metric = make_shape("ring").metric(10)
