@@ -152,14 +152,14 @@ class Vicinity(GossipProtocol):
                 return ctx.rng().choice(candidates).node_id
         return None
 
-    def _candidate_pool(self, ctx: RoundContext) -> List[Descriptor]:
-        """View entries plus fresh candidates from the helper layers."""
-        pool = self.view.descriptors()
+    def _helper_feed(self, ctx: RoundContext) -> List[Descriptor]:
+        """Fresh candidates from the helper layers, random layer first."""
+        feed: List[Descriptor] = []
         if self.random_layer is not None:
-            pool.extend(self._peer_adverts(ctx, self.random_layer))
+            feed.extend(self._peer_adverts(ctx, self.random_layer))
         for layer in self.candidate_layers:
-            pool.extend(self._peer_adverts(ctx, layer))
-        return pool
+            feed.extend(self._peer_adverts(ctx, layer))
+        return feed
 
     def _offer(self, ctx: RoundContext, flow, peer_id, request):
         """The ``gossip_size`` fresh candidates most useful *to the peer*.
@@ -167,22 +167,25 @@ class Vicinity(GossipProtocol):
         Entries past the TTL (their owner stopped refreshing them) are
         neither offered nor merged: ``select_closest`` skips them.
 
-        The candidate pool is computed once per exchange and kept for the
-        merge. The reference the buffer is ranked on is the coordinate the
-        peer advertised: on the wire for a requester, in the view entry
-        that made it this round's partner otherwise (a bootstrap partner is
-        in no view — the view was empty — so ``ctx.peers`` is asked).
+        The candidates are the view plus the helper feed; the feed is
+        gathered once per exchange and kept for the merge, the view is not
+        (see :meth:`_merge_pool`). The reference the buffer is ranked on is
+        the coordinate the peer advertised: on the wire for a requester, in
+        the view entry that made it this round's partner otherwise (a
+        bootstrap partner is in no view — the view was empty — so
+        ``ctx.peers`` is asked).
 
         A reply skips every id the request shipped: the requester holds
         those already, so the slots go to what it has not seen. Only the
-        offer's candidates shrink; the merge still ranks the whole pool.
+        offer's candidates shrink; the merge still ranks the whole view and
+        feed.
         """
-        pool = self._candidate_pool(ctx)
-        candidates = pool
+        feed = self._helper_feed(ctx)
+        candidates = self.view.descriptors() + feed
         if request is not None:
             reference = request.profile
             shipped = {d.node_id for d in request.payload}
-            candidates = [d for d in pool if d.node_id not in shipped]
+            candidates = [d for d in candidates if d.node_id not in shipped]
         else:
             known = self.view.get(peer_id)
             reference = (
@@ -201,10 +204,10 @@ class Vicinity(GossipProtocol):
             exclude_id=peer_id,
             max_age=self.descriptor_ttl,
         )
-        return buffer, pool
+        return buffer, feed
 
     def _merge_pool(
-        self, ctx: RoundContext, pool: List[Descriptor], received: List[Descriptor]
+        self, ctx: RoundContext, feed: List[Descriptor], received: List[Descriptor]
     ) -> None:
         """Keep the ``view_size`` eligible candidates closest to self.
 
@@ -212,8 +215,10 @@ class Vicinity(GossipProtocol):
         current view, the received buffer, *and* the helper layers' fresh
         candidates (peer sampling and any runtime feeds) — merging the
         random layer every cycle is what lets the overlay discover regions
-        the greedy exchange alone would starve. The pool is computed once
-        per exchange and shared with the outgoing-buffer selection.
+        the greedy exchange alone would starve. The feed is the one the
+        offer gathered; the view is read now, so a closing half merges into
+        whatever the node absorbed since its opening half (on the BSP
+        engine, every request it answered in between).
 
         Received descriptors age by one hop in transit (PeerSim semantics).
         This matters for the TTL: without in-transit aging, an attractive
@@ -224,7 +229,7 @@ class Vicinity(GossipProtocol):
         """
         arrived = [d.aged() for d in received]
         best = select_closest(
-            pool + arrived,
+            self.view.descriptors() + feed + arrived,
             self.profile,
             self.proximity,
             self.params.view_size,

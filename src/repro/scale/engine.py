@@ -18,7 +18,9 @@ layer's exchange is cut at the seams of
 - **respond** — every node answers its requests through its own
   ``on_request`` under its own context, in ascending requester id;
 - **absorb** — every requester runs the closing half (``close_exchange``)
-  on the reply it got.
+  on the reply it got, merging it into its state as the respond phase left
+  it: what a node absorbed as a responder this round stays unless the
+  reply displaces it.
 
 Within a phase a node touches only its own state, the static adverts of the
 other ranks' facades, and the messages addressed to it, so shards run

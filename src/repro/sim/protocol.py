@@ -90,7 +90,7 @@ class GossipProtocol(Protocol):
     - :meth:`_choose_partner` — its partner rule;
     - :meth:`_offer` — the buffer it ships, plus whatever its absorb rule
       wants to remember of the offer (the shipped buffer for the swapper
-      layers, the shared candidate pool for the ranking layers);
+      layers, the helper feed for the ranking layers);
     - :meth:`_absorb` — its merge rule;
     - :meth:`_unreachable` — what a partner the transport calls
       unreachable means.

@@ -9,9 +9,11 @@ the partner go only when the transport calls it unreachable (and the port
 layers never), and a completed exchange is ledgered and counted once. The
 next part pins that the opening half, the partner's passive half and the
 closing half — the exchange as the BSP engine schedules it — compose to
-exactly ``step()``. The last part pins the have-digest of the two utility
-overlays: what a request says the requester holds, what the ledger charges
-for it, and what the passive half does with it.
+exactly ``step()``, and that a closing half merges into whatever the
+node's passive half absorbed since the opening half (the BSP engine answers
+requests between the two). The last part pins the have-digest of the two
+utility overlays: what a request says the requester holds, what the ledger
+charges for it, and what the passive half does with it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import dataclasses
 import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -220,6 +223,19 @@ def _state(value):
     return value
 
 
+def node_state(network, node_id):
+    """Every layer of the node by name, each as a comparable copy of its
+    attributes."""
+    return {
+        name: {
+            key: _state(item)
+            for key, item in vars(instance).items()
+            if key != "proximity"
+        }
+        for name, instance in network.node(node_id).stack()
+    }
+
+
 def exchange_world(cls, split):
     """Node 0's ``cls`` runs one exchange on the seeded warmed deployment of
     :func:`one_step`, by ``step()`` or by its halves; returns everything the
@@ -254,15 +270,7 @@ def exchange_world(cls, split):
         partner_id = transport.partner
     nodes = (0, partner_id)
     return {
-        "layers": {
-            (node_id, name): {
-                key: _state(item)
-                for key, item in vars(instance).items()
-                if key not in ("proximity", "_distances")
-            }
-            for node_id in nodes
-            for name, instance in network.node(node_id).stack()
-        },
+        "layers": {node_id: node_state(network, node_id) for node_id in nodes},
         "streams": [deployment.streams.stream(layer, n).getstate() for n in nodes],
         "ledger": (
             transport.recorded,
@@ -281,6 +289,130 @@ def test_the_halves_compose_to_step(cls):
     stepped = exchange_world(cls, split=False)
     assert stepped["ledger"][0], "the exchange must complete"
     assert exchange_world(cls, split=True) == stepped
+
+
+# -- the closing half merges into the state the passive half left ----------------------
+
+#: The layers that rank their view (the rest trim theirs by TOCS waves or keep
+#: tables, so "outranked" means nothing there).
+RANKING_LAYERS = (Vicinity, TMan)
+
+#: Nodes of the interleaving scenario: rings of 16.
+INTERLEAVED_NODES = 64
+
+
+def interleaved_world(cls, third_id):
+    """Node 0's ``cls`` opens an exchange and its partner answers it; then,
+    before node 0 closes, node ``third_id``'s offer reaches node 0's passive
+    half under node 0's own context — the BSP engine's respond phase, which
+    runs between a node's opening and closing halves. Returns the pieces,
+    with node 0's state ``before`` and ``after`` the passive half, or
+    ``None`` when ``third_id`` is not a third party of this layer.
+
+    The deployment starts cold, where a third party has the most to bring
+    (a warmed UO2, say, refreshes every bucket at age 0 in its opening
+    half, and a warmed core view holds nearly all its ring); only the port
+    layers are warmed one round, to have a partner at all."""
+    layer, config = CASES[cls]
+    deployment = standard_deployment(INTERLEAVED_NODES, 5, config=config)
+    network = deployment.network
+    if cls in PORT_LAYERS:
+        deployment.run(1)
+    transport = RecordingTransport()
+
+    def context(node_id):
+        return RoundContext(
+            node=network.node(node_id),
+            network=network,
+            transport=transport,
+            streams=deployment.streams,
+            round=1,
+            layer=layer,
+            obs=None,
+        )
+
+    ctx = context(0)
+    protocol = ctx.node.protocol(layer)
+    opened = protocol.open_exchange(ctx)
+    partner_id, buffer, _, profile = opened
+    third = network.node(third_id)
+    if third_id == partner_id or not third.has_protocol(layer):
+        return None
+    reply = network.node(partner_id).protocol(layer).on_request(
+        ctx, ExchangeRequest(layer, 0, buffer, profile)
+    )
+    sender = third.protocol(layer)
+    offer, _ = sender._offer(context(third_id), None, 0, None)
+    request = ExchangeRequest(layer, third_id, offer, sender.wire_profile)
+    before = node_state(network, 0)
+    protocol.on_request(ctx, request)
+    return SimpleNamespace(
+        network=network,
+        protocol=protocol,
+        ctx=ctx,
+        opened=opened,
+        reply=reply,
+        request=request,
+        before=before,
+        after=node_state(network, 0),
+    )
+
+
+def from_the_request(world):
+    """Ids the passive half ranked into the view off the third party's
+    request alone: not held before, and in neither the feed the open
+    gathered nor the partner's reply, so only the passive half has them."""
+    layer = world.protocol.layer
+    brought = view_ids(world.after, layer) - view_ids(world.before, layer)
+    brought &= {d.node_id for d in world.request.payload}
+    return brought - {d.node_id for d in (*world.opened[2], *world.reply)}
+
+
+def view_ids(state, layer):
+    return {d.node_id for d in state[layer]["view"]}
+
+
+def absorbing_world(cls):
+    """The first interleaved world whose passive half changes node 0 — for
+    a ranking layer, brings into its view what only the request carried."""
+    for third_id in range(1, INTERLEAVED_NODES):
+        world = interleaved_world(cls, third_id)
+        if world is None:
+            continue
+        if from_the_request(world) if cls in RANKING_LAYERS else world.before != world.after:
+            return world
+    pytest.fail("no third party's request changes node 0")
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_a_close_with_nothing_to_merge_keeps_what_the_passive_half_absorbed(cls):
+    """Open, a third party's request to the same node, close on an empty
+    reply: the close merges into the state the passive half left, so with
+    nothing arriving that state stands whole — on every layer of the node."""
+    world = absorbing_world(cls)
+    world.protocol.close_exchange(world.ctx, world.opened, type(world.reply)())
+    assert node_state(world.network, 0) == world.after
+
+
+@pytest.mark.parametrize("cls", RANKING_LAYERS, ids=lambda cls: cls.__name__)
+def test_what_the_passive_half_absorbed_yields_only_to_closer_entries(cls):
+    """The same interleaving closed on the partner's real reply: an entry the
+    passive half brought in leaves the view only when the view is full of
+    entries ranked closer to the node."""
+    world = absorbing_world(cls)
+    protocol = world.protocol
+    brought = from_the_request(world)
+    protocol.close_exchange(world.ctx, world.opened, world.reply)
+
+    def rank(descriptor):
+        distance = protocol.proximity.distance(protocol.profile, descriptor.profile)
+        return distance, descriptor.node_id
+
+    held = protocol.view.descriptors()
+    for descriptor in world.after[protocol.layer]["view"]:
+        if descriptor.node_id in brought and descriptor.node_id not in protocol.view:
+            assert len(held) == protocol.params.view_size
+            assert all(rank(d) < rank(descriptor) for d in held)
 
 
 # -- the have-digest: UO1 and UO2 ask for what they lack ------------------------------

@@ -244,23 +244,41 @@ class TestBootstrapPartner:
 RING = 40
 
 
-def standalone(cls=Vicinity, node_id=0, entries=()):
-    """A ring instance fed by nothing but its own view: the candidate pool
-    is exactly ``entries``."""
+def standalone(cls=Vicinity, node_id=0, entries=(), feed=()):
+    """A ring instance holding ``entries`` whose only helper layer lists
+    ``feed``: the candidate pool is exactly the view plus those ids' adverts
+    (:func:`offer_ctx`)."""
     instance = cls(
         node_id,
         profile=node_id,
         proximity=Proximity(make_shape("ring").metric(RING)),
         layer="ring",
-        random_layer=None,
+        random_layer="feed",
     )
+    node = Node(node_id)
+    node.attach("feed", Roster(feed))
+    node.attach("ring", instance)
+    instance.host = node  # ``Protocol.node`` is a weak proxy
     for descriptor in entries:
         instance.view.insert(descriptor)
     return instance
 
 
+def advert_of(node_id, layer="ring"):
+    return Descriptor(node_id, age=0, profile=node_id)
+
+
 def offer_ctx():
-    return SimpleNamespace(round=3, obs=None, peers=None)
+    """Every peer is alive and reachable, and advertises its rank."""
+    always = lambda *args: True  # noqa: E731
+    return SimpleNamespace(
+        round=3,
+        obs=None,
+        peers=SimpleNamespace(
+            is_alive=always, advert=advert_of, profile=lambda node_id, layer: node_id
+        ),
+        transport=SimpleNamespace(reachable=always),
+    )
 
 
 def entries_of(ids_and_ages):
@@ -280,9 +298,11 @@ def reply_to(instance, sender, shipped):
     # Never the responder (node 0): an active offer excludes its partner.
     shipped=st.sets(st.integers(1, RING - 1), max_size=8),
     sender=st.integers(1, RING - 1),
+    # Overlaps the view and the shipped ids at will.
+    feed=st.lists(st.integers(1, RING - 1), unique=True, max_size=6),
 )
-def test_a_passive_reply_never_echoes_the_request(pool, shipped, sender):
-    instance = standalone(entries=entries_of(pool.items()))
+def test_a_passive_reply_never_echoes_the_request(pool, shipped, sender, feed):
+    instance = standalone(entries=entries_of(pool.items()), feed=feed)
     reply, kept = reply_to(instance, sender, shipped)
     ids = [d.node_id for d in reply]
     assert not set(ids) & shipped
@@ -292,12 +312,14 @@ def test_a_passive_reply_never_echoes_the_request(pool, shipped, sender):
         node_id
         for node_id, age in pool.items()
         if age <= instance.descriptor_ttl
-    } | {instance.node_id}
+    } | set(feed) | {instance.node_id}
     left -= shipped | {sender}
     assert len(reply) == min(instance.params.gossip_size, len(left))
     # And it is what the parent's ranking picks among what is left.
+    candidates = instance.view.descriptors() + [advert_of(i) for i in feed]
     expected = select_closest(
-        [d for d in kept if d.node_id not in shipped] + [instance.self_descriptor()],
+        [d for d in candidates if d.node_id not in shipped]
+        + [instance.self_descriptor()],
         sender,
         instance.proximity,
         instance.params.gossip_size,
@@ -305,8 +327,12 @@ def test_a_passive_reply_never_echoes_the_request(pool, shipped, sender):
         max_age=instance.descriptor_ttl,
     )
     assert [tuple(d) for d in reply] == [tuple(d) for d in expected]
-    # The kept pool is the unfiltered one.
-    assert sorted(d.node_id for d in kept) == sorted(pool)
+    # What either half keeps for the merge is the helper feed, whole and in
+    # order: unfiltered by the request, and never the view (the merge reads
+    # the view as it is then).
+    assert [tuple(d) for d in kept] == [tuple(advert_of(i)) for i in feed]
+    _, kept = instance._offer(offer_ctx(), None, sender, None)
+    assert [tuple(d) for d in kept] == [tuple(advert_of(i)) for i in feed]
 
 
 #: Node 0's active offers to partners 5 and 33 over the view below, recorded
@@ -326,18 +352,17 @@ def test_the_active_offer_is_unchanged(partner):
     instance = standalone(entries=entries_of(ACTIVE_VIEW))
     offer, kept = instance._offer(offer_ctx(), None, partner, None)
     assert [tuple(d) for d in offer] == ACTIVE_GOLDEN[partner]
-    assert sorted(d.node_id for d in kept) == sorted(i for i, _ in ACTIVE_VIEW)
+    # The helper feed, empty here: the view is not kept.
+    assert kept == []
 
 
 def test_the_merge_still_ranks_the_whole_kept_pool():
     # Node 10 holds its ring neighbours; the requester (12) ships 9 and 11.
     # The reply skips them, but 10's own view keeps them: the merge ranks
-    # the unfiltered pool plus what arrived.
+    # the whole view plus what arrived.
     instance = standalone(
         node_id=10, entries=entries_of((i, 1) for i in (9, 11, 8, 13, 20, 30))
     )
-    node = Node(10)
-    node.attach("ring", instance)
     request = ExchangeRequest("ring", 12, entries_of((i, 0) for i in (9, 11, 14)), 12)
     reply = instance.on_request(offer_ctx(), request)
     assert not {d.node_id for d in reply} & {9, 11, 14}
