@@ -16,8 +16,8 @@ from repro.sim.transport import Transport
 
 
 class FilteredProximity(Proximity):
-    """A proximity with an eligibility predicate (the program's own live in
-    the layers that filter, e.g. ``ComponentShapeProximity``)."""
+    """A proximity with an eligibility predicate: the tests' stand-in for
+    the program's filtering proximities (``ComponentShapeProximity``)."""
 
     def __init__(self, distance, eligible):
         super().__init__(distance)
