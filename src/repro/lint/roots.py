@@ -38,12 +38,13 @@ DEFAULT_ROOTS: Sequence[str] = (
     # there diverges from the inline backend, which shares one interpreter.
     "scale/engine.py::ShardedEngine.run_round",
     "scale/engine.py::_shard_worker",
-    # The live UDP runtime: its active round driver and the receive loop
-    # both call straight into the gossip layers, so a nondeterminism
-    # source reachable from either diverges a swarm node's protocol state
-    # from its simulated twin. (The runtime's own wall-clock pacing is
-    # confined to the reviewed _now/_sleep helpers.)
-    "runtime/net.py::NetRunner.run_round",
+    # The live UDP runtime: the round coroutine and the receive handler
+    # both run on the node's loop and call straight into the gossip
+    # layers, so a nondeterminism source reachable from either diverges a
+    # swarm node's protocol state from its simulated twin. The coroutine
+    # is the root, not run_round, which only hands it to the loop. (The
+    # runtime's own wall-clock reads are confined to the reviewed _now.)
+    "runtime/net.py::NetRunner._round",
     "runtime/net.py::NetEndpoint.on_datagram",
     "runtime/swarm.py::_swarm_node",
     # The per-node telemetry endpoint: the /metrics handler runs on the

@@ -13,10 +13,19 @@ asyncio UDP endpoint. The layers never learn they left the simulator:
   known peer's advertisement is its rank's coordinate, the piggybacked
   knowledge a real datagram carries and nothing more. Only the local node
   holds protocol objects.
-- :class:`NetTransport` implements the transport seam: ``exchange``
-  serializes the request into a ``GOSSIP_REQ`` datagram and blocks (with a
-  timeout) on the matching ``GOSSIP_RESP``. A timeout returns ``None`` —
-  the outcome every layer already treats as a failed exchange.
+- :class:`NetRunner` drives each layer through the two halves of the
+  exchange: ``open_exchange``, a ``GOSSIP_REQ`` datagram, a wait on the
+  matching ``GOSSIP_RESP`` (with a timeout), ``close_exchange``. A timeout
+  closes on ``None`` — the outcome every layer already treats as a failed
+  exchange. :class:`NetTransport` only answers the ``deliverable`` and
+  ``reachable`` gates, from the liveness table.
+
+Protocol state has one thread, the endpoint's asyncio loop. The round is a
+coroutine on it, and a ``GOSSIP_REQ`` runs ``on_request`` on it between a
+round's own open and close, as the BSP engine's respond phase does; the
+closing half merges into the view as it is then. The caller's thread only
+submits work to the loop and waits for it (:meth:`NetEndpoint.call`), so
+two nodes that step at the same instant answer each other.
 
 Membership has one path, the bootstrap rendezvous: a node that is not the
 rendezvous ``HELLO``\\ s it every round until it knows ``n_nodes - 1``
@@ -28,10 +37,11 @@ before it enters the directory. Liveness is ``PING``/``PONG`` on the round
 ticker: a peer that stays silent for :data:`LIVENESS_WINDOW` rounds is
 considered dead until heard from again.
 
-This module is the *only* wall-clock-driven engine in the repo. Real time
-enters through exactly two helpers (:func:`_now`, :func:`_sleep`), each
-carrying a reviewed lint pragma; everything else is round-counter logic,
-so the deep determinism passes can treat the receive loop as a root
+This module is the *only* wall-clock-driven engine in the repo. The clock
+is read through one helper (:func:`_now`, carrying a reviewed lint pragma)
+and the caller's thread paces through :func:`_sleep`; the loop only waits
+on its own timers. Everything else is round-counter logic, so the deep
+determinism passes can treat the round and the receive loop as roots
 without drowning in clock findings.
 """
 
@@ -41,7 +51,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from collections import defaultdict
 
@@ -77,7 +87,7 @@ def _now() -> float:
 
 
 def _sleep(seconds: float) -> None:
-    """Wall-clock pacing of the live runtime — the only sleep site."""
+    """Wall-clock pacing of the caller's thread (the loop awaits its own timers)."""
     time.sleep(seconds)
 
 
@@ -212,20 +222,15 @@ class NetDirectory:
         return len(self.alive_ids())
 
 
-class _Pending:
+class _Pending(NamedTuple):
     """One in-flight request awaiting its GOSSIP_RESP from ``peer``."""
 
-    __slots__ = ("peer", "layer", "event", "payload", "started")
-
-    def __init__(self, peer: int, layer: str) -> None:
-        #: The node asked: a reply from any other ``src`` is not its answer.
-        self.peer = peer
-        #: The layer asked: the reply must carry what that layer ships.
-        self.layer = layer
-        self.event = threading.Event()
-        self.payload: Any = None
-        #: Wall-clock send time, set only when tracing is on (RTT spans).
-        self.started: Optional[float] = None
+    #: The node asked: a reply from any other ``src`` is not its answer.
+    peer: int
+    #: The layer asked: the reply must carry what that layer ships.
+    layer: str
+    #: Resolved with the reply's payload on the loop.
+    reply: "asyncio.Future[Any]"
 
 
 class _DatagramProtocol(asyncio.DatagramProtocol):
@@ -241,25 +246,21 @@ class _DatagramProtocol(asyncio.DatagramProtocol):
 class NetEndpoint:
     """The node's socket, receive loop, and wire-protocol state machine.
 
-    Owns a dedicated asyncio event loop on a daemon thread; the round
-    ticker lives on the caller's thread and talks to the loop only through
-    ``call_soon_threadsafe``. Protocol state (views, buckets) is guarded by
-    ``step_lock``: the ticker holds it for the active step, the receive
-    loop for each passive ``on_request``.
+    Owns a dedicated asyncio event loop on a daemon thread, and that loop
+    is the only thread that touches protocol state (views, buckets, the
+    directory): it receives every datagram, sends every frame and runs the
+    round. Other threads reach it through :meth:`call` alone.
     """
 
     def __init__(self, runner: "NetRunner"):
         self.runner = runner
         self.directory = runner.directory
-        self.step_lock = threading.Lock()
         self.seen = wire.SeenSet()
         self._msg_ids = wire.MsgIdSource(runner.node_id)
-        self._id_lock = threading.Lock()
         self._pending: Dict[str, _Pending] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
-        self._started = threading.Event()
         # Wire-level accounting (actual datagram traffic, not modelled costs).
         self.datagrams_sent = 0
         self.datagrams_received = 0
@@ -279,54 +280,57 @@ class NetEndpoint:
         self.port = 0
 
     def next_id(self) -> str:
-        """A fresh message id, safe across the ticker and loop threads."""
-        with self._id_lock:
-            return self._msg_ids.next()
+        """A fresh message id."""
+        return self._msg_ids.next()
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self, bind_host: str, port: int) -> None:
-        self._thread = threading.Thread(
-            target=self._run_loop, args=(bind_host, port), daemon=True
-        )
+        """Start the loop thread and bind the socket on it."""
+        loop = self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._run_loop, daemon=True)
         self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise SimulationError("UDP endpoint failed to start within 10s")
+        self._transport, _ = self.call(
+            loop.create_datagram_endpoint, lambda: _DatagramProtocol(self), (bind_host, port)
+        )
+        self.port = self._transport.get_extra_info("sockname")[1]
 
-    def _run_loop(self, bind_host: str, port: int) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        async def _open() -> None:
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda: _DatagramProtocol(self), local_addr=(bind_host, port)
-            )
-            self._transport = transport
-            self.port = transport.get_extra_info("sockname")[1]
-            self._started.set()
-
+    def _run_loop(self) -> None:
         try:
-            loop.run_until_complete(_open())
-            loop.run_forever()
+            self._loop.run_forever()
         finally:
-            if self._transport is not None:
-                self._transport.close()
-            loop.close()
+            self._loop.close()
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` on the loop thread, awaited if it is a coroutine.
+
+        The caller waits for the result, and an exception raised there
+        raises here. On the loop thread itself (an ``on_round`` hook
+        reading views) and with no loop thread (before :meth:`start`,
+        after :meth:`close`), ``fn`` runs in place.
+        """
+        thread = self._thread
+        if thread is None or thread is threading.current_thread():
+            return fn(*args)
+
+        async def on_loop() -> Any:
+            result = fn(*args)
+            return await result if asyncio.iscoroutine(result) else result
+
+        return asyncio.run_coroutine_threadsafe(on_loop(), self._loop).result()
 
     def close(self) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        """Close the socket, then stop the loop and wait for its thread."""
+        thread = self._thread
+        if thread is None:
+            return
+        if self._transport is not None:
+            self.call(self._transport.close)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        thread.join(timeout=5.0)
         self._thread = None
-        # Wake anything still blocked on a reply.
-        for pending in list(self._pending.values()):
-            pending.event.set()
-        self._pending.clear()
 
-    # -- sending --------------------------------------------------------------
+    # -- sending (loop thread) ------------------------------------------------
 
     def send_frame(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> int:
         """Encode and send; returns the datagram size in bytes."""
@@ -341,15 +345,7 @@ class NetEndpoint:
             frame = dict(frame)
             frame[wire.TRACE_KEY] = wire.make_trace(clock)
         data = wire.encode(frame)
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            return 0
-
-        def _send() -> None:
-            if self._transport is not None:
-                self._transport.sendto(data, addr)
-
-        loop.call_soon_threadsafe(_send)
+        self._transport.sendto(data, addr)
         self.datagrams_sent += 1
         self.bytes_sent += len(data)
         return len(data)
@@ -361,30 +357,31 @@ class NetEndpoint:
         self.peer_bytes_sent[node_id] += self.send_frame(frame, addr)
         return True
 
-    def request(
+    async def request(
         self, dst: int, frame: Dict[str, Any], timeout: float
     ) -> Optional[Any]:
-        """Send ``frame`` to ``dst`` and wait for its GOSSIP_RESP payload."""
+        """Send ``frame`` to ``dst`` and await its GOSSIP_RESP payload.
+
+        ``None`` when ``dst`` has no address or no answer comes within
+        ``timeout`` seconds; a timeout counts one drop against ``dst``.
+        """
         obs = self.runner.obs
-        pending = _Pending(dst, frame["layer"])
-        if obs is not None:
-            pending.started = _now()
+        started = _now() if obs is not None else 0.0
+        pending = _Pending(dst, frame["layer"], self._loop.create_future())
         self._pending[frame["id"]] = pending
         try:
             if not self.send_to_peer(dst, frame):
                 return None
-            if not pending.event.wait(timeout=timeout):
+            try:
+                payload = await asyncio.wait_for(pending.reply, timeout)
+            except asyncio.TimeoutError:
                 self.peer_drops[dst] += 1
                 if obs is not None:
-                    obs.count("exchange_timeouts", layer=self._frame_layer(frame))
+                    obs.count("exchange_timeouts", layer=pending.layer)
                 return None
-            if obs is not None and pending.started is not None:
-                obs.histogram(
-                    "gossip_rtt",
-                    _now() - pending.started,
-                    layer=self._frame_layer(frame),
-                )
-            return pending.payload
+            if obs is not None:
+                obs.histogram("gossip_rtt", _now() - started, layer=pending.layer)
+            return payload
         finally:
             self._pending.pop(frame["id"], None)
 
@@ -415,15 +412,6 @@ class NetEndpoint:
             obs = self.runner.obs
             if obs is not None:
                 obs.count("trace_frames", layer=self._frame_layer(frame))
-        if frame["t"] == wire.GOSSIP_REQ:
-            # Passive exchanges contend on the step lock, and the active
-            # step may be blocked right now waiting for *its* reply on this
-            # very thread — handle requests on an executor thread so the
-            # receive loop always stays free to resolve GOSSIP_RESP frames.
-            loop = self._loop
-            if loop is not None:
-                loop.run_in_executor(None, self._handle_frame, frame, addr)
-            return
         self._handle_frame(frame, addr)
 
     def _handle_frame(self, frame: Dict[str, Any], addr: Tuple[str, int]) -> None:
@@ -472,9 +460,7 @@ class NetEndpoint:
         if not local.has_protocol(request.layer):
             raise WireError(f"GOSSIP_REQ for unknown layer {request.layer!r}")
         self._check_gossip(request.layer, request.payload, (request.profile,))
-        with self.step_lock:
-            ctx = self.runner.make_context()
-            reply = local.protocol(request.layer).on_request(ctx, request)
+        reply = local.protocol(request.layer).on_request(self.runner.make_context(), request)
         self.send_frame(
             wire.make_frame(
                 wire.GOSSIP_RESP,
@@ -496,14 +482,13 @@ class NetEndpoint:
         :meth:`_handle_frame`) and leaves the exchange to time out.
         """
         pending = self._pending.get(frame.get("re"))
-        if pending is None:
+        if pending is None or pending.reply.done():
             return
         if frame["src"] != pending.peer:
             raise WireError(f"GOSSIP_RESP from {frame['src']}, not the node asked")
         payload = frame.get("payload")
         self._check_gossip(pending.layer, payload)
-        pending.payload = payload
-        pending.event.set()
+        pending.reply.set_result(payload)
 
     def _check_gossip(self, layer: str, payload: Any, profiles: Tuple = ()) -> None:
         """Refuse a gossip payload ``layer`` could not absorb.
@@ -585,51 +570,35 @@ class NetEndpoint:
 
 
 class NetTransport(TransportDecorator):
-    """The transport seam over real datagrams.
+    """The transport seam's two gates over the liveness table.
 
-    ``deliverable`` answers from the liveness table (an unreachable peer is
-    simply not exchanged with — no RNG, no fault plane); ``exchange``
-    serializes through the wire codec and blocks on the reply with a
-    timeout, returning ``None`` on silence — the layer-visible signature of
-    a real-network timeout. Modelled-cost accounting (``record_exchange``)
-    still lands on the wrapped in-memory ledger so per-layer byte series
-    stay comparable with simulator runs.
+    ``deliverable`` and ``reachable`` answer from the directory (an
+    unreachable peer is simply not exchanged with — no RNG, no fault
+    plane); the datagrams themselves are the runner's. Modelled-cost
+    accounting (``record_exchange``) still lands on the wrapped in-memory
+    ledger so per-layer byte series stay comparable with simulator runs.
     """
 
-    def __init__(self, inner: Transport, endpoint: NetEndpoint, timeout: float):
+    def __init__(self, inner: Transport, directory: NetDirectory):
         super().__init__(inner)
-        self.endpoint = endpoint
-        self.timeout = timeout
+        self.directory = directory
 
     def deliverable(self, ctx: RoundContext, dst: int, layer: str = "") -> bool:
-        return self.endpoint.directory.is_alive(dst)
+        return self.directory.is_alive(dst)
 
     def reachable(self, ctx: RoundContext, dst: int) -> bool:
-        return self.endpoint.directory.is_alive(dst)
-
-    def exchange(
-        self, ctx: RoundContext, dst: int, request: ExchangeRequest
-    ) -> Optional[Any]:
-        frame = wire.make_frame(
-            wire.GOSSIP_REQ,
-            request.sender,
-            self.endpoint.next_id(),
-            layer=request.layer,
-            payload=request.payload,
-            profile=request.profile,
-        )
-        return self.endpoint.request(dst, frame, timeout=self.timeout)
+        return self.directory.is_alive(dst)
 
 
 class NetRunner:
     """One swarm node satisfying the :class:`~repro.runtime.api.Runner` protocol.
 
-    ``run_round`` performs one active gossip round (steps both layers under
-    the endpoint's lock, sweeps liveness, pings peers); ``run`` paces
+    ``run_round`` performs one active gossip round on the endpoint's loop
+    (both layers' exchanges, the liveness sweep, the pings); ``run`` paces
     rounds on the wall-clock ticker. The optional :attr:`on_round` callback
-    fires after every round with ``(runner, round_index)`` and may return
-    ``True`` to stop — the swarm harness uses it to publish status files
-    and to honour the stop flag.
+    fires on the loop after every round with ``(runner, round_index)`` and
+    may return ``True`` to stop — the swarm harness uses it to publish
+    status files and to honour the stop flag.
     """
 
     def __init__(self, config: RunnerConfig):
@@ -648,11 +617,9 @@ class NetRunner:
         self.stack.attach(self.node, rank=self.node_id)
         self.directory = NetDirectory(self.node, self.stack)
         self.endpoint = NetEndpoint(self)
-        self.transport = NetTransport(
-            Transport(config.costs),
-            self.endpoint,
-            timeout=REPLY_TIMEOUT_FRACTION * config.round_interval,
-        )
+        self.transport = NetTransport(Transport(config.costs), self.directory)
+        #: Seconds an exchange waits for its reply.
+        self.reply_timeout = REPLY_TIMEOUT_FRACTION * config.round_interval
         self.round = 0
         self.on_round: Optional[Callable[["NetRunner", int], Optional[bool]]] = None
         #: Optional telemetry sink (:class:`~repro.obs.instrument.Instrument`).
@@ -684,14 +651,14 @@ class NetRunner:
         self.endpoint.start(self.bind_host, self.config.port)
         self._started = True
         if self.config.rendezvous:
-            self._join(parse_rendezvous(self.config.rendezvous))
+            self.endpoint.call(self._join, parse_rendezvous(self.config.rendezvous))
 
-    def _join(self, rendezvous: Tuple[str, int]) -> None:
+    async def _join(self, rendezvous: Tuple[str, int]) -> None:
         """HELLO the rendezvous until at least one peer is known."""
         deadline = _now() + 30.0
         while not self.directory.peers:
             self.endpoint.send_frame(self._hello_frame(), rendezvous)
-            _sleep(HELLO_RETRY_INTERVAL)
+            await asyncio.sleep(HELLO_RETRY_INTERVAL)
             if _now() > deadline:
                 raise SimulationError(
                     f"node {self.node_id}: no rendezvous response within 30s"
@@ -716,6 +683,10 @@ class NetRunner:
     def run_round(self) -> bool:
         """One active gossip round; returns ``True`` to request a stop."""
         self.start()
+        return self.endpoint.call(self._round)
+
+    async def _round(self) -> bool:
+        """The round on the loop: each layer's halves around its reply."""
         obs = self.obs
         if obs is not None:
             obs.span_begin("round")
@@ -729,11 +700,25 @@ class NetRunner:
             self.endpoint.send_frame(
                 self._hello_frame(), parse_rendezvous(self.config.rendezvous)
             )
-        with self.endpoint.step_lock:
-            ctx = self.make_context()
-            for layer, protocol in self.node.stack():
-                ctx.layer = layer
-                protocol.step(ctx)
+        ctx = self.make_context()
+        for layer, protocol in self.node.stack():
+            ctx.layer = layer
+            opened = protocol.open_exchange(ctx)
+            if opened is None:
+                continue
+            partner_id, buffer, _, profile = opened
+            reply = None
+            if buffer is not None:
+                frame = wire.make_frame(
+                    wire.GOSSIP_REQ,
+                    self.node_id,
+                    self.endpoint.next_id(),
+                    layer=layer,
+                    payload=buffer,
+                    profile=profile,
+                )
+                reply = await self.endpoint.request(partner_id, frame, self.reply_timeout)
+            protocol.close_exchange(ctx, opened, reply)
         for peer in self.directory.roster():
             self.endpoint.send_to_peer(
                 peer[0],
@@ -763,10 +748,6 @@ class NetRunner:
         if max_rounds < 0:
             raise SimulationError(f"max_rounds must be >= 0, got {max_rounds}")
         self.start()
-        # De-synchronize the tickers: nodes stepping in phase would all
-        # contend for each other's step locks at the same instant and
-        # time out in lockstep.
-        _sleep(self.config.round_interval * self.node_id / max(1, self.config.n_nodes))
         executed = 0
         for _ in range(max_rounds):
             began = _now()
@@ -782,8 +763,8 @@ class NetRunner:
     # -- introspection ---------------------------------------------------------
 
     def neighbors(self) -> List[int]:
-        """Current overlay neighbours of the local node."""
-        return self.node.protocol(OVERLAY_LAYER).neighbors()
+        """Current overlay neighbours of the local node, read on the loop."""
+        return self.endpoint.call(self.node.protocol(OVERLAY_LAYER).neighbors)
 
     def wire_stats(self) -> Dict[str, int]:
         return self.endpoint.wire_stats()

@@ -209,7 +209,7 @@ def _swarm_node(argv: Optional[List[str]] = None) -> int:
     try:
         runner.run(args.max_rounds)
         if not status:
-            publish()  # stopped before its first round ended
+            runner.endpoint.call(publish)  # stopped before its first round ended
         status["done"] = True
         _write_status(status_path, status)
         stream.flush(collector)
@@ -572,8 +572,12 @@ def run_swarm(
     directory.mkdir(parents=True, exist_ok=True)
     observer = SwarmObserver(directory, shape, n_nodes, seed, round_interval)
     stop_flag = directory / STOP_FLAG
-    if stop_flag.exists():
-        stop_flag.unlink()
+    # A reused directory: the last run's flag would stop this one, its
+    # statuses end it at the first poll with their verdict, and its event
+    # streams join this run's.
+    for pattern in (STOP_FLAG, "node-*.json", "node-*.jsonl"):
+        for stale in directory.glob(pattern):
+            stale.unlink()
     # Swarm metadata: lets `repro watch --swarm DIR` and `repro report DIR`
     # attach without being told the shape or size.
     _write_status(

@@ -154,9 +154,6 @@ class Transport:
     def layers(self) -> List[str]:
         return sorted(self._bytes)
 
-    def bytes_for(self, layer: str, round_index: int) -> int:
-        return self._bytes.get(layer, {}).get(round_index, 0)
-
     def total_bytes(self, layer: Optional[str] = None) -> int:
         if layer is not None:
             return sum(self._bytes.get(layer, {}).values())
@@ -243,10 +240,3 @@ class TransportDecorator:
 
     def reachable(self, ctx: "RoundContext", dst: int) -> bool:
         return self.inner.reachable(ctx, dst)
-
-    def unwrap(self) -> Transport:
-        """The innermost real transport (follows nested decorators)."""
-        inner = self.inner
-        while isinstance(inner, TransportDecorator):
-            inner = inner.inner
-        return inner

@@ -323,3 +323,15 @@ class TestRealTree:
         for method in ("request", "respond", "absorb", "verdict", "adjacency"):
             assert shard_state + method in hot
         assert {"scale.engine._seal", "scale.engine._unseal"} <= hot
+
+    def test_the_live_path_is_hot(self):
+        # The round coroutine and the receive handler run on the node's
+        # loop; each is a root itself, and reaches the exchange's wait or
+        # the frame dispatch.
+        model = analyze_project()
+        for root, reached in (
+            ("runtime.net.NetRunner._round", "runtime.net.NetEndpoint.request"),
+            ("runtime.net.NetEndpoint.on_datagram", "runtime.net.NetEndpoint._handle_frame"),
+        ):
+            assert root in model.roots
+            assert reached in model.graph.reachable_from([root])

@@ -53,7 +53,7 @@ class TestFactory:
             streams=donor.streams,
         )
         assert isinstance(runner.transport, LoopbackTransport)
-        assert runner.transport.unwrap() is inner
+        assert runner.transport.inner is inner
 
     def test_sharded_kind(self):
         runner = make_runner(

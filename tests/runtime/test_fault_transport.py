@@ -75,7 +75,7 @@ class TestDecoratorUnits:
     def test_decorators_stack_and_unwrap(self):
         inner = Transport()
         stacked = FaultTransport(LoopbackTransport(inner), RandomStreams(1))
-        assert stacked.unwrap() is inner
+        assert stacked.inner.inner is inner
         assert isinstance(stacked.inner, TransportDecorator)
         # accounting queries resolve through __getattr__ to the real ledger
         stacked.record_message("x", 3)

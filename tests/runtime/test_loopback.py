@@ -56,6 +56,7 @@ def test_modelled_accounting_identical():
 
 
 def test_wire_counters_track_serialized_traffic():
-    transport = LoopbackTransport(Transport())
+    inner = Transport()
+    transport = LoopbackTransport(inner)
     assert transport.wire_frames == 0 and transport.wire_bytes == 0
-    assert transport.unwrap() is transport.inner
+    assert transport.inner is inner

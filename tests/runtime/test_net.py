@@ -195,6 +195,16 @@ def test_bad_address_rows_are_malformed_and_never_added():
         assert runner.directory.roster() == [(1, "127.0.0.1", 9001), (3, "::1", 9003)]
 
 
+def handle(endpoint, frame):
+    """``frame`` through the codec, then its handler on the endpoint's loop."""
+    endpoint.call(endpoint._handle_frame, wire.decode(wire.encode(frame)), ("127.0.0.1", 9002))
+
+
+def pending_on(endpoint, peer, layer):
+    """A request record awaiting ``peer``'s ``layer`` reply on the loop."""
+    return _Pending(peer, layer, endpoint.call(endpoint._loop.create_future))
+
+
 #: ``(src, payload)`` of replies to a request node 0 sent node 2: none is its
 #: answer. The first comes from a node that was not asked; the rest carry
 #: what no layer of the runner replies with (``[1, 2, 3]`` used to raise
@@ -212,39 +222,48 @@ HOSTILE_REPLIES = [
 def test_wrong_sender_or_payload_replies_are_malformed_and_resolve_nothing():
     """A ``GOSSIP_RESP`` resolves its request only if it comes from the node
     asked and carries a descriptor list; every other one is counted
-    malformed and the exchange is left to time out to ``None``."""
+    malformed and leaves the reply future unresolved, so the exchange
+    times out to ``None``."""
     config = RunnerConfig(kind="net", n_nodes=4, shape="ring", seed=11, node_index=0)
     with make_runner(config) as runner:
+        runner.start()
         endpoint = runner.endpoint
-        pending = endpoint._pending["0:1"] = _Pending(2, "peer_sampling")
+        pending = endpoint._pending["0:1"] = pending_on(endpoint, 2, "peer_sampling")
         for seq, (src, payload) in enumerate(HOSTILE_REPLIES):
             reply = wire.make_frame(
                 wire.GOSSIP_RESP, src, f"{src}:{seq}", re="0:1",
                 layer="peer_sampling", payload=payload,
             )
-            endpoint._handle_frame(wire.decode(wire.encode(reply)), ("127.0.0.1", 9002))
+            handle(endpoint, reply)
         assert endpoint.malformed == len(HOSTILE_REPLIES)
-        assert not pending.event.is_set() and pending.payload is None
+        assert not pending.reply.done()
         answer = wire.make_frame(
             wire.GOSSIP_RESP, 2, "2:9", re="0:1", layer="peer_sampling",
             payload=[Descriptor(2), Descriptor(1, 3)],
         )
-        endpoint._handle_frame(wire.decode(wire.encode(answer)), ("127.0.0.1", 9002))
+        handle(endpoint, answer)
         assert endpoint.malformed == len(HOSTILE_REPLIES)
-        assert pending.event.is_set()
-        assert pending.payload == [Descriptor(2), Descriptor(1, 3)]
+        assert pending.reply.done()
+        assert pending.reply.result() == [Descriptor(2), Descriptor(1, 3)]
+        # A second answer (a fresh id, so not a duplicate) finds the request
+        # resolved and changes nothing.
+        handle(endpoint, dict(answer, id="2:10", payload=[Descriptor(2)]))
+        assert endpoint.malformed == len(HOSTILE_REPLIES)
+        assert pending.reply.result() == [Descriptor(2), Descriptor(1, 3)]
 
 
 def test_unanswered_exchange_times_out_to_none():
     """What a malformed reply leaves behind: the layer sees a timeout."""
     config = RunnerConfig(kind="net", n_nodes=4, shape="ring", seed=11, node_index=0)
     with make_runner(config) as runner:
-        runner.directory.add_peer(2, "127.0.0.1", 9002)
+        runner.start()
+        endpoint = runner.endpoint
+        endpoint.call(runner.directory.add_peer, 2, "127.0.0.1", 9002)
         request = wire.make_frame(
             wire.GOSSIP_REQ, 0, "0:1", layer="peer_sampling", payload=[], profile=None
         )
-        assert runner.endpoint.request(2, request, timeout=0.01) is None
-        assert runner.endpoint.peer_drops[2] == 1 and runner.endpoint._pending == {}
+        assert endpoint.call(endpoint.request, 2, request, 0.01) is None
+        assert endpoint.peer_drops[2] == 1 and endpoint._pending == {}
 
 
 #: Wire-valid overlay profiles a grid cannot rank: ``{"__m":[[1,2]]}`` decodes
@@ -267,21 +286,21 @@ def test_unrankable_profiles_are_malformed_on_either_half(hostile):
         {"layer": "peer_sampling", "payload": good, "profile": None},
     ]
     with make_runner(config) as runner:
+        runner.start()
         endpoint = runner.endpoint
         view = runner.node.protocol("overlay").view
         for seq, fields in enumerate(requests):
-            frame = wire.make_frame(wire.GOSSIP_REQ, 2, f"2:{seq}", **fields)
-            endpoint._handle_frame(wire.decode(wire.encode(frame)), ("127.0.0.1", 9002))
+            handle(endpoint, wire.make_frame(wire.GOSSIP_REQ, 2, f"2:{seq}", **fields))
         assert endpoint.malformed == len(requests)
         assert len(view) == 0
-        pending = endpoint._pending["0:1"] = _Pending(2, "overlay")
+        pending = endpoint._pending["0:1"] = pending_on(endpoint, 2, "overlay")
         reply = wire.make_frame(
             wire.GOSSIP_RESP, 2, "2:9", re="0:1", layer="overlay",
             payload=[Descriptor(3, 0, hostile)],
         )
-        endpoint._handle_frame(wire.decode(wire.encode(reply)), ("127.0.0.1", 9002))
+        handle(endpoint, reply)
         assert endpoint.malformed == len(requests) + 1
-        assert not pending.event.is_set() and pending.payload is None
+        assert not pending.reply.done()
 
 
 @pytest.mark.parametrize("hostile", UNRANKABLE_PROFILES, ids=["map", "short_tuple"])
@@ -331,6 +350,48 @@ def test_unrankable_reply_is_malformed_and_the_node_keeps_stepping(hostile):
         assert runner.node.protocol("overlay").view.ids() == []
         runner.run_round()
         assert runner.round == 2
+
+
+#: Rounds the lockstep test starts on both nodes at the same instant.
+LOCKSTEP_ROUNDS = 4
+
+
+def test_nodes_stepping_at_the_same_instant_answer_each_other():
+    """Both nodes start every round together (a barrier), so each one's
+    request reaches the other while that one waits for its own reply. The
+    loop answers it between the two halves: every exchange of both layers
+    completes, and no peer is charged a drop."""
+    base = dict(kind="net", n_nodes=2, shape="ring", seed=11, round_interval=0.5)
+    with make_runner(RunnerConfig(node_index=0, **base)) as first:
+        first.start()
+        rendezvous = f"127.0.0.1:{first.port}"
+        with make_runner(
+            RunnerConfig(node_index=1, rendezvous=rendezvous, **base)
+        ) as second:
+            second.start()
+            runners = (first, second)
+            barrier = threading.Barrier(len(runners))
+
+            def drive(runner):
+                for _ in range(LOCKSTEP_ROUNDS):
+                    barrier.wait(timeout=10.0)
+                    runner.run_round()
+
+            threads = [
+                threading.Thread(target=drive, args=(runner,), daemon=True)
+                for runner in runners
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            for runner in runners:
+                assert runner.round == LOCKSTEP_ROUNDS
+                assert runner.peer_stats()["drops"] == {}
+                for layer in (PS_LAYER, OVERLAY_LAYER):
+                    # A completed exchange records its request and its reply.
+                    assert runner.transport.total_messages(layer) == 2 * LOCKSTEP_ROUNDS
 
 
 #: Rounds within which a running node learns a late joiner from its poll:

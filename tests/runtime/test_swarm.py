@@ -343,6 +343,27 @@ class TestGuards:
             swarm.run_swarm(n_nodes=2, round_interval=float("nan"), status_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_reused_status_directory_is_cleared_before_any_child(
+        self, tmp_path, monkeypatch
+    ):
+        """The last run's statuses (all done, converged), event stream and
+        flag are gone before the first child starts: left behind, they
+        ended the next run at its first poll with their verdict and joined
+        its merged events."""
+        write_swarm(tmp_path, ring_statuses(4, done=True))
+        (tmp_path / "node-0.jsonl").write_text("{}\n", encoding="utf-8")
+        (tmp_path / swarm.STOP_FLAG).touch()
+        present = []
+
+        def first_child(*args, **kwargs):
+            present.extend(sorted(path.name for path in tmp_path.iterdir()))
+            raise OSError("no child in this test")
+
+        monkeypatch.setattr(swarm.subprocess, "Popen", first_child)
+        with pytest.raises(OSError, match="no child"):
+            swarm.run_swarm(n_nodes=4, status_dir=str(tmp_path))
+        assert present == ["swarm.json"]
+
     def test_module_main_rejects_supervisor_role(self):
         with pytest.raises(SystemExit, match="child entry point"):
             swarm.main([])

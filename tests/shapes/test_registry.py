@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.shapes import available_shapes, make_shape, register_shape
+from repro.shapes import registry
 from repro.shapes.base import Shape
 from repro.shapes.ring import Ring
 
@@ -42,6 +43,15 @@ class TestLookup:
 
 
 class TestRegistration:
+    @pytest.fixture(autouse=True)
+    def _drop_registrations(self):
+        """The registry is process-wide: remove what a test registered, so
+        a later module's ``available_shapes()`` lists the built-ins alone."""
+        builtins = set(available_shapes())
+        yield
+        for name in set(available_shapes()) - builtins:
+            del registry._REGISTRY[name]
+
     def test_register_custom_shape(self):
         class Pair(Shape):
             name = "pair_test_shape"

@@ -42,8 +42,7 @@ class TestAccounting:
         transport.begin_round(1)
         transport.record_message("a", 0)
         transport.record_message("a", 0)
-        assert transport.bytes_for("a", 0) == 1
-        assert transport.bytes_for("a", 1) == 2
+        assert transport.bytes_series("a", 2) == [1, 2]
         assert transport.total_messages("a") == 3
 
     def test_buckets_by_layer(self):
@@ -62,7 +61,7 @@ class TestAccounting:
 
     def test_unknown_layer_is_zero(self):
         transport = Transport()
-        assert transport.bytes_for("ghost", 0) == 0
+        assert transport.bytes_series("ghost", 1) == [0]
         assert transport.bytes_series("ghost", 3) == [0, 0, 0]
 
     def test_reset(self):
