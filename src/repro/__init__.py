@@ -47,7 +47,6 @@ from repro.core import (
     PortSpec,
     ProportionalAssignment,
     Runtime,
-    RuntimeConfig,
     make_selector,
 )
 from repro.dsl import TopologyBuilder, compile_source, parse_source, to_source
@@ -79,7 +78,6 @@ __all__ = [
     "PortSpec",
     "ProportionalAssignment",
     "Runtime",
-    "RuntimeConfig",
     "make_selector",
     # DSL
     "TopologyBuilder",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
 import networkx as nx
 
@@ -117,14 +117,3 @@ def topology_summary(deployment: "Deployment") -> Dict[str, Any]:
     else:
         summary["diameter"] = None
     return summary
-
-
-def degree_histogram(
-    deployment: "Deployment", layer: str = LAYER_CORE
-) -> Dict[int, int]:
-    """Degree → node count of the realized overlay of ``layer``."""
-    graph = realized_graph(deployment, layer, include_links=False)
-    histogram: Dict[int, int] = {}
-    for _, degree in graph.degree():
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return dict(sorted(histogram.items()))

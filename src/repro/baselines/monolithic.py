@@ -145,15 +145,12 @@ class MonolithicComposite:
     (links cannot be expressed at all, which is the point).
     """
 
-    def __init__(
-        self,
-        assembly: Assembly,
-        n_nodes: int,
-        seed: int,
-        params: Optional[GossipParams] = None,
-    ):
+    #: Gossip parameters of both layers (the overlay's view is widened to
+    #: the largest shape degree).
+    params = GossipParams()
+
+    def __init__(self, assembly: Assembly, n_nodes: int, seed: int):
         self.assembly = assembly
-        self.params = params or GossipParams()
         self.seed = seed
         self.network = Network()
         self.streams = RandomStreams(seed)

@@ -30,7 +30,7 @@ from repro.core.roles import (
     Role,
     RoleMap,
 )
-from repro.core.runtime import Deployment, Runtime, RuntimeConfig
+from repro.core.runtime import Deployment, Runtime
 
 __all__ = [
     "Assembly",
@@ -47,6 +47,5 @@ __all__ = [
     "Role",
     "RoleMap",
     "Runtime",
-    "RuntimeConfig",
     "make_selector",
 ]

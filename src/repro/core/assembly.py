@@ -110,15 +110,6 @@ class Assembly:
     def links_of(self, component: str) -> List[LinkSpec]:
         return [link for link in self.links if link.touches(component)]
 
-    def linked_components(self, component: str) -> Set[str]:
-        """Names of components connected to ``component`` by at least one link."""
-        neighbors: Set[str] = set()
-        for link in self.links_of(component):
-            for ref in link.endpoints():
-                if ref.component != component:
-                    neighbors.add(ref.component)
-        return neighbors
-
     # -- deployment helpers ----------------------------------------------------------
 
     def assign_roles(

@@ -37,9 +37,6 @@ from repro.sim.protocol import GossipProtocol
 #: A binding: who manages a port, and how stale that knowledge is.
 Binding = Tuple[int, int]  # (manager_id, age)
 
-#: Bindings older than this many rounds are discarded (failure healing).
-DEFAULT_BINDING_TTL = 16
-
 
 class PortConnection(GossipProtocol):
     """One node's port-connection instance.
@@ -52,12 +49,12 @@ class PortConnection(GossipProtocol):
         Every link of the assembly that touches the node's component.
     layer:
         Attachment/accounting label (``port_connection``).
-    binding_ttl:
-        Rounds before an unrefreshed binding is dropped.
     """
 
     #: The payload is a binding table, not a descriptor list.
     traces_flow = False
+    #: Bindings older than this many rounds are discarded (failure healing).
+    binding_ttl = 16
 
     def __init__(
         self,
@@ -65,10 +62,8 @@ class PortConnection(GossipProtocol):
         profile: NodeProfile,
         links: Tuple[LinkSpec, ...],
         layer: str = "port_connection",
-        binding_ttl: int = DEFAULT_BINDING_TTL,
     ):
         super().__init__(node_id, layer)
-        self.binding_ttl = binding_ttl
         self.set_profile(profile, links)
 
     # -- identity ------------------------------------------------------------------

@@ -47,9 +47,10 @@ class SameComponentOverlay(GossipProtocol):
         View size and gossip buffer size.
     layer:
         Attachment/accounting label (``uo1``).
-    random_layer:
-        The global peer-sampling layer harvested for same-component peers.
     """
+
+    #: The global peer-sampling layer harvested for same-component peers.
+    random_layer = "peer_sampling"
 
     def __init__(
         self,
@@ -57,16 +58,13 @@ class SameComponentOverlay(GossipProtocol):
         profile: NodeProfile,
         params: Optional[GossipParams] = None,
         layer: str = "uo1",
-        random_layer: str = "peer_sampling",
-        descriptor_ttl: Optional[int] = None,
     ):
         super().__init__(node_id, layer)
         self.profile = profile
         self.params = params or GossipParams()
-        self.random_layer = random_layer
         # Staleness hygiene: entries a dead member can no longer refresh
         # must age out instead of circulating (see Vicinity.descriptor_ttl).
-        self.descriptor_ttl = descriptor_ttl or max(24, 2 * self.params.view_size)
+        self.descriptor_ttl = max(24, 2 * self.params.view_size)
         self.view = PartialView(self.params.view_size)
         self._self_descriptor = Descriptor(node_id, age=0, profile=profile)
 

@@ -40,29 +40,21 @@ class DistantComponentOverlay(GossipProtocol):
     ----------
     node_id, profile:
         Identity and current role of the hosting node.
-    contacts_per_component:
-        Bucket capacity per foreign component.
-    gossip_contacts:
-        Maximum descriptors shipped per gossip message.
-    layer, random_layer:
-        Attachment labels of this protocol and the global peer sampling
-        (intra-component partners come from the node's UO1 layer).
+    layer:
+        Attachment/accounting label (``uo2``). Intra-component partners
+        come from the node's UO1 layer.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        profile: NodeProfile,
-        contacts_per_component: int = 2,
-        gossip_contacts: int = 8,
-        layer: str = "uo2",
-        random_layer: str = "peer_sampling",
-    ):
+    #: Bucket capacity per foreign component.
+    capacity = 2
+    #: Maximum descriptors shipped per gossip message.
+    gossip_contacts = 8
+    #: The global peer-sampling layer harvested for foreign contacts.
+    random_layer = "peer_sampling"
+
+    def __init__(self, node_id: int, profile: NodeProfile, layer: str = "uo2"):
         super().__init__(node_id, layer)
         self.profile = profile
-        self.capacity = max(1, contacts_per_component)
-        self.gossip_contacts = max(1, gossip_contacts)
-        self.random_layer = random_layer
         self.buckets: Dict[str, PartialView] = {}
         # The bucket this round's partner was drawn from (None: a member of
         # the node's own component), noted by the partner rule for the offer.

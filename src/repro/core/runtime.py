@@ -5,7 +5,7 @@ This module wires the paper's Figure 1 into per-node protocol stacks:
     global peer sampling  →  UO1 / UO2  →  core protocol
                                      →  port selection → port connection
 
-:class:`Runtime` is the factory (assembly + configuration + seed);
+:class:`Runtime` is the factory (assembly + seed + core flavour);
 :class:`Deployment` is one live system: a network, an engine, and the
 convergence tracker producing the paper's per-layer metrics. Deployments
 support churn provisioning (joining nodes enter as spares) and one
@@ -16,7 +16,6 @@ live population — after failures, or onto a new assembly in place
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError, ConvergenceTimeout
@@ -39,7 +38,7 @@ from repro.core.profiles import NodeProfile
 from repro.core.roles import Role, RoleMap, SPARE_COMPONENT
 from repro.gossip.peer_sampling import PeerSampling
 from repro.shapes.random_graph import RandomGraph
-from repro.sim.config import GossipParams, TransportCosts
+from repro.sim.config import GossipParams
 from repro.runtime.api import RunnerConfig, make_runner
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -47,39 +46,13 @@ from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
 
 
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """Tuning knobs of the layered runtime.
-
-    The defaults follow the standard values of the gossip literature (view
-    sizes 12-16, buffers of half the view); the paper does not publish its
-    own parameters, so these are the documented substitution (DESIGN.md §2).
-    """
-
-    peer_sampling: GossipParams = field(
-        default_factory=lambda: GossipParams(view_size=16, gossip_size=8, healer=1, swapper=7)
-    )
-    uo1: GossipParams = field(
-        default_factory=lambda: GossipParams(view_size=10, gossip_size=5, healer=1, swapper=4)
-    )
-    core: GossipParams = field(
-        default_factory=lambda: GossipParams(view_size=12, gossip_size=6, healer=1, swapper=4)
-    )
-    uo2_contacts_per_component: int = 2
-    binding_ttl: int = 16
-    core_flavor: str = "vicinity"
-    costs: TransportCosts = field(default_factory=TransportCosts)
-
-    def __post_init__(self) -> None:
-        if self.core_flavor not in ("vicinity", "tman"):
-            raise ConfigurationError(
-                f"core_flavor must be 'vicinity' or 'tman', got {self.core_flavor!r}"
-            )
-        if self.uo2_contacts_per_component < 1:
-            raise ConfigurationError("uo2_contacts_per_component must be >= 1")
-        if self.binding_ttl < 2:
-            raise ConfigurationError("binding_ttl must be >= 2")
-
+#: The gossip parameters of the three view-holding layers. They follow the
+#: standard values of the gossip literature (view sizes 12-16, buffers of half
+#: the view); the paper does not publish its own, so these are the documented
+#: substitution (DESIGN.md §2).
+PEER_SAMPLING_PARAMS = GossipParams(view_size=16, gossip_size=8, healer=1, swapper=7)
+UO1_PARAMS = GossipParams(view_size=10, gossip_size=5, healer=1, swapper=4)
+CORE_PARAMS = GossipParams(view_size=12, gossip_size=6, healer=1, swapper=4)
 
 #: The Fig. 4 split. The *baseline* is "the bandwidth needed to realize
 #: basic shapes": the per-component core protocols plus the peer-sampling
@@ -96,17 +69,16 @@ RUNTIME_OVERHEAD_LAYERS = (
 
 
 class Runtime:
-    """Factory binding an assembly to a runtime configuration and a seed."""
+    """Factory binding an assembly to a seed and a core-protocol flavour."""
 
-    def __init__(
-        self,
-        assembly: Assembly,
-        config: Optional[RuntimeConfig] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, assembly: Assembly, seed: int = 0, core_flavor: str = "vicinity"):
+        if core_flavor not in ("vicinity", "tman"):
+            raise ConfigurationError(
+                f"core_flavor must be 'vicinity' or 'tman', got {core_flavor!r}"
+            )
         self.assembly = assembly
-        self.config = config or RuntimeConfig()
         self.seed = seed
+        self.core_flavor = core_flavor
 
     def deploy(self, n_nodes: Optional[int] = None) -> "Deployment":
         """Create a network of ``n_nodes`` and install the full stack.
@@ -147,10 +119,9 @@ class Deployment:
     def __init__(self, runtime: Runtime, n_nodes: int):
         self.runtime = runtime
         self.assembly = runtime.assembly
-        self.config = runtime.config
         self.streams = RandomStreams(runtime.seed)
         self.network = Network()
-        self.transport = Transport(self.config.costs)
+        self.transport = Transport()
         self.network.create_nodes(n_nodes)
         self.role_map: RoleMap = self.assembly.assign_roles(self.network.node_ids())
         for node in self.network.nodes():
@@ -158,7 +129,7 @@ class Deployment:
         self.tracker = ConvergenceTracker(
             assembly_provider=lambda: self.assembly,
             role_map_provider=lambda: self.role_map,
-            uo1_view_size=self.config.uo1.view_size,
+            uo1_view_size=UO1_PARAMS.view_size,
         )
         # Through the unified factory; the hand-built substrate
         # (network/transport/streams) is passed through unchanged.
@@ -226,14 +197,24 @@ class Deployment:
             coord=shape.coordinate(rank, comp_size),
         )
 
+    def _core_for(self, node: Node, profile: NodeProfile, role: Role):
+        """A fresh core protocol for ``role``, of the runtime's flavour."""
+        return make_core_protocol(
+            node.node_id,
+            profile,
+            self._shape_for(role),
+            CORE_PARAMS,
+            layer=LAYER_CORE,
+            flavor=self.runtime.core_flavor,
+        )
+
     def _install_stack(self, node: Node, role: Role) -> None:
         """Attach the full Figure-1 stack for ``role`` to ``node``."""
-        config = self.config
         profile = self._profile_for(role)
         node.attributes["role"] = role
 
         peer_sampling = PeerSampling(
-            node.node_id, config.peer_sampling, layer=LAYER_PEER_SAMPLING
+            node.node_id, PEER_SAMPLING_PARAMS, layer=LAYER_PEER_SAMPLING
         )
         peer_sampling.bootstrap(
             self.streams.stream("bootstrap", node.node_id),
@@ -242,28 +223,10 @@ class Deployment:
         node.attach(LAYER_PEER_SAMPLING, peer_sampling)
         node.attach(
             LAYER_UO1,
-            SameComponentOverlay(node.node_id, profile, config.uo1, layer=LAYER_UO1),
+            SameComponentOverlay(node.node_id, profile, UO1_PARAMS, layer=LAYER_UO1),
         )
-        node.attach(
-            LAYER_UO2,
-            DistantComponentOverlay(
-                node.node_id,
-                profile,
-                contacts_per_component=config.uo2_contacts_per_component,
-                layer=LAYER_UO2,
-            ),
-        )
-        node.attach(
-            LAYER_CORE,
-            make_core_protocol(
-                node.node_id,
-                profile,
-                self._shape_for(role),
-                config.core,
-                layer=LAYER_CORE,
-                flavor=config.core_flavor,
-            ),
-        )
+        node.attach(LAYER_UO2, DistantComponentOverlay(node.node_id, profile, layer=LAYER_UO2))
+        node.attach(LAYER_CORE, self._core_for(node, profile, role))
         node.attach(
             LAYER_PORT_SELECTION,
             PortSelection(
@@ -276,11 +239,7 @@ class Deployment:
         node.attach(
             LAYER_PORT_CONNECTION,
             PortConnection(
-                node.node_id,
-                profile,
-                self._links_for(role),
-                layer=LAYER_PORT_CONNECTION,
-                binding_ttl=config.binding_ttl,
+                node.node_id, profile, self._links_for(role), layer=LAYER_PORT_CONNECTION
             ),
         )
 
@@ -441,17 +400,7 @@ class Deployment:
         node.attributes["role"] = role
         node.protocol(LAYER_UO1).set_profile(profile)
         node.protocol(LAYER_UO2).set_profile(profile)
-        node.replace(
-            LAYER_CORE,
-            make_core_protocol(
-                node.node_id,
-                profile,
-                self._shape_for(role),
-                self.config.core,
-                layer=LAYER_CORE,
-                flavor=self.config.core_flavor,
-            ),
-        )
+        node.replace(LAYER_CORE, self._core_for(node, profile, role))
         node.protocol(LAYER_PORT_SELECTION).set_profile(profile, self._ports_for(role))
         node.protocol(LAYER_PORT_CONNECTION).set_profile(profile, self._links_for(role))
 

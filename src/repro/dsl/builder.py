@@ -147,13 +147,6 @@ class TopologyBuilder:
         self._links.append(LinkSpec(self._ref(a), self._ref(b)))
         return self
 
-    def link_all(self, hub: PortEndpoint, spokes, port: str) -> "TopologyBuilder":
-        """Fan a link from ``hub`` out to ``port`` of every named component
-        (the builder twin of ``hub -- name[*].port``)."""
-        for name in spokes:
-            self.link(hub, (name, port))
-        return self
-
     def nodes(self, count: int) -> "TopologyBuilder":
         """Declare the default deployment size (the DSL's ``nodes N``)."""
         self._nodes = count

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.baselines.monolithic import MonolithicComposite, elementary_convergence
 from repro.core.convergence import ConvergenceTracker, core_score
-from repro.core.runtime import Runtime, RuntimeConfig
+from repro.core.runtime import Runtime
 from repro.dsl import TopologyBuilder
 from repro.experiments.plot import ascii_chart
 from repro.experiments.stats import Stats, summarize
@@ -157,7 +157,7 @@ class Point:
     label: Any
     nodes: int
     topology: Any
-    config: Optional[RuntimeConfig] = None
+    core_flavor: str = "vicinity"
     params: Optional[GossipParams] = None
     random_feed: bool = True
 
@@ -168,7 +168,7 @@ Measured = Tuple[Point, Dict[str, Any]]
 
 
 def _deploy(point: Point, seed: int):
-    return Runtime(point.topology, config=point.config, seed=seed).deploy(point.nodes)
+    return Runtime(point.topology, seed=seed, core_flavor=point.core_flavor).deploy(point.nodes)
 
 
 def measure_layers(task) -> Dict[str, Optional[int]]:
@@ -270,7 +270,7 @@ def measure_reconfiguration(task) -> Dict[str, Optional[int]]:
     initial = deployment.run_until_converged(max_rounds).slowest
     deployment.rebalance(target)
     report = deployment.run_until_converged(max_rounds)
-    cold = Runtime(target, config=point.config, seed=seed + 1000).deploy(total)
+    cold = Runtime(target, seed=seed + 1000, core_flavor=point.core_flavor).deploy(total)
     samples = {
         "converge topology A (ring-of-rings)": initial,
         "reconfigure A -> B (star-of-cliques)": report.slowest,
@@ -702,9 +702,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         title="A4: full runtime with Vicinity vs T-Man core protocols "
         "(ring-of-rings, 128 nodes; rounds to converge)",
         columns=("Layer", "tman", "vicinity"),
-        point=lambda flavor, n_nodes: _rings(
-            8, n_nodes, label=flavor, config=RuntimeConfig(core_flavor=flavor)
-        ),
+        point=lambda flavor, n_nodes: _rings(8, n_nodes, label=flavor, core_flavor=flavor),
         sweep=("tman", "vicinity"),
         nodes=128,
         table=_layers_by_point,

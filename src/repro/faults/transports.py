@@ -212,7 +212,7 @@ class FaultTransport(TransportDecorator):
         both.
         """
         if self.partitioned(src, dst):
-            self.inner.record_dropped(layer, reason="partition")
+            self.inner.record_dropped("partition")
             return False
         quality = self.quality(src, dst)
         if quality is None:
@@ -221,13 +221,13 @@ class FaultTransport(TransportDecorator):
             quality.loss >= 1.0
             or self.streams.stream("linkfaults", layer, src).random() < quality.loss
         ):
-            self.inner.record_dropped(layer, reason="loss")
+            self.inner.record_dropped("loss")
             return False
         if quality.latency > 0.0:
             if quality.latency >= TIMEOUT_ROUNDS:
-                self.inner.record_dropped(layer, reason="timeout")
+                self.inner.record_dropped("timeout")
                 return False
-            self.inner.record_delayed(layer, quality.latency)
+            self.inner.record_delayed(layer)
         return True
 
     # -- event log ------------------------------------------------------------

@@ -71,10 +71,6 @@ class Descriptor(tuple):
         """A copy with age reset to zero (a node advertising itself)."""
         return _new(Descriptor, (self[0], 0, self[2], self[3]))
 
-    def with_profile(self, profile: Any) -> "Descriptor":
-        """A copy carrying a different profile (used on reconfiguration)."""
-        return _new(Descriptor, (self[0], self[1], profile, self[3]))
-
     def tagged(self, minted_round: Optional[int]) -> "Descriptor":
         """A copy tagged with the round it was minted in (flow tracing)."""
         return _new(Descriptor, (self[0], self[1], self[2], minted_round))
@@ -101,12 +97,3 @@ class Descriptor(tuple):
 
     def __repr__(self) -> str:
         return f"Descriptor(node={self[0]}, age={self[1]}, profile={self[2]!r})"
-
-
-def youngest(a: Optional[Descriptor], b: Optional[Descriptor]) -> Optional[Descriptor]:
-    """Of two descriptors for the same node, the fresher one (lower age)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.age <= b.age else b

@@ -29,9 +29,11 @@ from repro.sim.engine import RoundContext
 class TMan(Vicinity):
     """One node's instance of a T-Man overlay.
 
-    Parameters mirror :class:`~repro.gossip.vicinity.Vicinity`, plus ``psi``,
-    the size of the closest-peers pool the gossip partner is drawn from.
+    Parameters mirror :class:`~repro.gossip.vicinity.Vicinity`.
     """
+
+    #: ψ: the size of the closest-peers pool the gossip partner is drawn from.
+    psi = 3
 
     def __init__(
         self,
@@ -41,21 +43,11 @@ class TMan(Vicinity):
         params: Optional[GossipParams] = None,
         layer: str = "tman",
         random_layer: Optional[str] = "peer_sampling",
-        psi: int = 3,
         target_degree: Optional[int] = None,
-        descriptor_ttl: Optional[int] = None,
     ):
         super().__init__(
-            node_id,
-            profile,
-            proximity,
-            params,
-            layer,
-            random_layer,
-            target_degree=target_degree,
-            descriptor_ttl=descriptor_ttl,
+            node_id, profile, proximity, params, layer, random_layer, target_degree=target_degree
         )
-        self.psi = max(1, psi)
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
         """Uniform draw from the ψ closest live view entries."""

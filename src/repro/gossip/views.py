@@ -72,12 +72,7 @@ class PartialView:
 
     __slots__ = ("capacity", "_entries", "_tombstones", "tombstone_ttl", "_age_debt")
 
-    def __init__(
-        self,
-        capacity: int,
-        entries: Iterable[Descriptor] = (),
-        tombstone_ttl: int = 64,
-    ):
+    def __init__(self, capacity: int, tombstone_ttl: int = 64):
         if capacity < 1:
             raise ConfigurationError(f"view capacity must be >= 1, got {capacity}")
         if tombstone_ttl < 1:
@@ -89,8 +84,6 @@ class PartialView:
         self._entries: Dict[int, Descriptor] = {}
         self._tombstones: Dict[int, int] = {}
         self._age_debt = 0
-        for descriptor in entries:
-            self.insert(descriptor)
 
     def _settle(self) -> None:
         """Apply any deferred aging so entries carry their true age.
@@ -209,11 +202,6 @@ class PartialView:
         self._tombstones[node_id] = self.tombstone_ttl
         return existed
 
-    def is_purged(self, node_id: int) -> bool:
-        """Whether ``node_id`` currently carries a tombstone."""
-        self._settle()
-        return node_id in self._tombstones
-
     def discard_where(self, predicate: Callable[[Descriptor], bool]) -> int:
         """Remove every descriptor matching ``predicate``; return the count."""
         self._settle()
@@ -273,12 +261,6 @@ class PartialView:
         """The entry with the highest age (ties broken by lowest node id)."""
         self._settle()
         return oldest_of(self._entries)
-
-    def youngest(self) -> Optional[Descriptor]:
-        self._settle()
-        if not self._entries:
-            return None
-        return min(self._entries.values(), key=lambda d: (d.age, d.node_id))
 
     def random(self, rng: random.Random) -> Optional[Descriptor]:
         self._settle()

@@ -240,9 +240,7 @@ class TombstonePurge(RemediationAction):
     name = "tombstone_purge"
     base_delay = 3
     max_delay = 12
-
-    def __init__(self, layers: Sequence[str] = DEFAULT_VIEW_LAYERS):
-        self.layers = tuple(layers)
+    layers = DEFAULT_VIEW_LAYERS
 
     def apply(self, deployment, alert, round_index, rng):
         network = deployment.network

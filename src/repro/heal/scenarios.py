@@ -40,7 +40,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.runtime import Deployment, Runtime, RuntimeConfig
+from repro.core.runtime import Deployment, Runtime
 from repro.errors import ConfigurationError
 from repro.experiments.topologies import ring_of_rings
 from repro.faults.schedule import (
@@ -161,7 +161,7 @@ class ScenarioResult:
 def standard_deployment(
     n_nodes: int,
     seed: int,
-    config: Optional[RuntimeConfig] = None,
+    core_flavor: str = "vicinity",
     collector: Optional[Collector] = None,
 ) -> Deployment:
     """A ring-of-rings deployment sized to ``n_nodes`` (extras are spares).
@@ -176,7 +176,7 @@ def standard_deployment(
     ring_size = 16 if n_nodes >= 64 else 8
     n_rings = max(2, n_nodes // ring_size)
     assembly = ring_of_rings(n_rings=n_rings, ring_size=ring_size)
-    deployment = Runtime(assembly, config=config, seed=seed).deploy(n_nodes)
+    deployment = Runtime(assembly, seed=seed, core_flavor=core_flavor).deploy(n_nodes)
     if collector is not None:
         attach_collector(deployment, collector)
     return deployment

@@ -296,17 +296,8 @@ class Collector(Instrument):
     def counter(self, name: str, layer: str = "") -> int:
         return self.counters.get((name, layer), 0)
 
-    def counter_total(self, name: str) -> int:
-        """Sum of ``name`` across all layer labels."""
-        return sum(
-            value for (key, _layer), value in self.counters.items() if key == name
-        )
-
     def gauge_value(self, name: str, layer: str = "") -> Optional[float]:
         return self.gauges.get((name, layer))
-
-    def histogram_of(self, name: str, layer: str = "") -> Optional[Histogram]:
-        return self.histograms.get((name, layer))
 
     def layers(self) -> List[str]:
         """Every non-empty layer label seen in counters or gauges, sorted."""

@@ -216,10 +216,6 @@ class FlowTracer:
             "max": ordered[-1][0],
         }
 
-    def flow_graph(self, layer: str) -> Dict[Tuple[int, int], int]:
-        """The layer's (sender → receiver) delivery counts."""
-        return dict(self.edges.get(layer, {}))
-
     def critical_path(self, layer: str) -> Optional[CriticalPath]:
         """The exchange chain behind the layer's last-closed knowledge edge.
 

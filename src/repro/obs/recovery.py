@@ -91,12 +91,6 @@ class EventRecovery:
     def repaired(self) -> bool:
         return all(value is not None for value in self.repair_rounds.values())
 
-    @property
-    def slowest_repair(self) -> Optional[int]:
-        if not self.repaired or not self.repair_rounds:
-            return None
-        return max(value for value in self.repair_rounds.values())
-
 
 @dataclass
 class RecoveryReport:
@@ -113,12 +107,6 @@ class RecoveryReport:
             if recovery.event.kind == kind:
                 return recovery
         return None
-
-    def time_to_repair(self, kind: str, layer: str) -> Optional[int]:
-        recovery = self.recovery_for(kind)
-        if recovery is None:
-            return None
-        return recovery.repair_rounds.get(layer)
 
     @property
     def partition_merge_rounds(self) -> Optional[int]:

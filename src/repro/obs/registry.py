@@ -44,9 +44,6 @@ class MetricsRegistry:
                 return candidate
         return None
 
-    def titles(self) -> List[str]:
-        return [title for title, _headers, _rows in self._sections]
-
     def render(self) -> str:
         """Every section as an aligned ASCII table, blank-line separated."""
         blocks = [

@@ -38,11 +38,9 @@ class LamportClock:
 
     __slots__ = ("_lock", "_value")
 
-    def __init__(self, start: int = 0) -> None:
-        if start < 0:
-            raise ValueError(f"Lamport clock cannot start negative: {start}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = int(start)
+        self._value = 0
 
     def read(self) -> int:
         """Current clock value (does not advance)."""

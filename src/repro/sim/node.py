@@ -92,9 +92,6 @@ class Node:
         for name in self._order:
             yield name, self._stack[name]
 
-    def layer_names(self) -> List[str]:
-        return list(self._order)
-
     # -- liveness ----------------------------------------------------------
 
     def kill(self) -> None:

@@ -57,12 +57,10 @@ class Transport:
         self._bytes: Dict[str, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
         self._messages: Dict[str, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
         # Fault-plane accounting: exchanges that never completed (partition
-        # cuts, lossy links, timeouts) and exchanges that completed late
-        # (degraded links), bucketed like the byte series.
-        self._dropped: Dict[str, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
+        # cuts, lossy links, timeouts), by cause, and exchanges that completed
+        # late (degraded links), bucketed like the byte series.
         self._drop_reasons: Dict[str, int] = defaultdict(int)
         self._delayed: Dict[str, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-        self._delay_sum: Dict[str, float] = defaultdict(float)
         self.round = 0
 
     def begin_round(self, round_index: int) -> None:
@@ -135,19 +133,17 @@ class Transport:
         total += self.record_message(layer, response_descriptors)
         return total
 
-    def record_dropped(self, layer: str, reason: str = "loss") -> None:
-        """Account one exchange lost to the fault plane on ``layer``.
+    def record_dropped(self, reason: str) -> None:
+        """Account one exchange lost to the fault plane.
 
         ``reason`` is a free-form tag (``"partition"``, ``"loss"``,
         ``"timeout"``) aggregated over the whole run.
         """
-        self._dropped[layer][self.round] += 1
         self._drop_reasons[reason] += 1
 
-    def record_delayed(self, layer: str, extra_latency: float) -> None:
+    def record_delayed(self, layer: str) -> None:
         """Account one exchange that completed late on a degraded link."""
         self._delayed[layer][self.round] += 1
-        self._delay_sum[layer] += extra_latency
 
     # -- queries -------------------------------------------------------------
 
@@ -169,11 +165,6 @@ class Transport:
         per_round = self._bytes.get(layer, {})
         return [per_round.get(r, 0) for r in range(rounds)]
 
-    def total_dropped(self, layer: Optional[str] = None) -> int:
-        if layer is not None:
-            return sum(self._dropped.get(layer, {}).values())
-        return sum(sum(per_round.values()) for per_round in self._dropped.values())
-
     def drop_reasons(self) -> Dict[str, int]:
         """Drop counts by cause over the whole run."""
         return dict(self._drop_reasons)
@@ -183,18 +174,11 @@ class Transport:
             return sum(self._delayed.get(layer, {}).values())
         return sum(sum(per_round.values()) for per_round in self._delayed.values())
 
-    def mean_extra_latency(self, layer: str) -> float:
-        """Mean extra latency over the delayed exchanges of ``layer``."""
-        count = self.total_delayed(layer)
-        return self._delay_sum[layer] / count if count else 0.0
-
     def reset(self) -> None:
         self._bytes.clear()
         self._messages.clear()
-        self._dropped.clear()
         self._drop_reasons.clear()
         self._delayed.clear()
-        self._delay_sum.clear()
         self.round = 0
 
 

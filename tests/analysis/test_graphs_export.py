@@ -13,7 +13,6 @@ from repro.analysis import (
     to_edge_list,
     topology_summary,
 )
-from repro.analysis.graphs import degree_histogram
 from repro.core import Runtime
 from repro.experiments.topologies import star_of_cliques
 
@@ -80,9 +79,9 @@ class TestComponentMetrics:
             mongo.network.revive(victim)
 
     def test_degree_histogram(self, mongo):
-        histogram = degree_histogram(mongo, "core")
-        assert sum(histogram.values()) == 36
-        assert 9 in histogram  # clique members know their 9 peers
+        degrees = dict(realized_graph(mongo, "core", include_links=False).degree())
+        assert len(degrees) == 36
+        assert 9 in degrees.values()  # clique members know their 9 peers
 
 
 class TestSummary:

@@ -148,7 +148,8 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             assembly.component("ghost")
         assert assembly.links_of("left") == [link]
-        assert assembly.linked_components("left") == {"right"}
+        linked = {ref.component for link in assembly.links_of("left") for ref in link.endpoints()}
+        assert linked == {"left", "right"}
         assert assembly.port(PortRef("left", "gate")).name == "gate"
 
     def test_equality(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Runtime
+from repro.core.runtime import UO1_PARAMS
 from repro.core.convergence import (
     ConvergenceReport,
     ConvergenceTracker,
@@ -44,7 +45,7 @@ class TestPredicatesBeforeAndAfter:
         deployment = fresh_deployment
         args = (deployment.network, deployment.role_map, deployment.assembly)
         assert not core_converged(*args)
-        assert not uo1_converged(*args, deployment.config.uo1.view_size)
+        assert not uo1_converged(*args, UO1_PARAMS.view_size)
         assert not uo2_converged(*args)
         assert not port_connection_converged(*args)
 
@@ -52,7 +53,7 @@ class TestPredicatesBeforeAndAfter:
         deployment = converged_deployment
         args = (deployment.network, deployment.role_map, deployment.assembly)
         assert core_converged(*args)
-        assert uo1_converged(*args, deployment.config.uo1.view_size)
+        assert uo1_converged(*args, UO1_PARAMS.view_size)
         assert uo2_converged(*args)
         assert port_selection_converged(*args)
         assert port_connection_converged(*args)

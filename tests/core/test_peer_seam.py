@@ -19,7 +19,6 @@ import sys
 import pytest
 
 import repro
-from repro.core import RuntimeConfig
 from repro.core.layers import (
     LAYER_CORE,
     LAYER_PEER_SAMPLING,
@@ -28,8 +27,8 @@ from repro.core.layers import (
     LAYER_UO1,
     LAYER_UO2,
     RUNTIME_LAYERS,
+    PortConnection,
 )
-from repro.core.layers.port_connection import DEFAULT_BINDING_TTL
 from repro.heal.scenarios import standard_deployment
 from repro.obs.collector import Collector
 from repro.perf.digest import overlay_digest
@@ -82,9 +81,7 @@ class Delegating:
 
 
 def deploy(flavor, collector=None):
-    return standard_deployment(
-        N_NODES, 7, config=RuntimeConfig(core_flavor=flavor), collector=collector
-    )
+    return standard_deployment(N_NODES, 7, core_flavor=flavor, collector=collector)
 
 
 def run_with(deployment, seam, rounds=ROUNDS):
@@ -167,7 +164,7 @@ def test_a_seam_that_calls_a_live_node_dead_is_believed_by_every_layer():
     run_with(
         deployment,
         lambda network: Shunning(network, set()),
-        rounds=DEFAULT_BINDING_TTL + 1,
+        rounds=PortConnection.binding_ttl + 1,
     )
     assert deployment.network.is_alive(victim)
     assert west_manager(deployment) == victim

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core import Runtime, RuntimeConfig
+from repro.core import Runtime
 from repro.core.layers import RUNTIME_LAYERS
 from repro.core.roles import SPARE_COMPONENT
 from repro.dsl import TopologyBuilder
@@ -21,19 +21,11 @@ def pair_assembly(ring=16, cell=8):
 
 class TestRuntimeConfig:
     def test_defaults_valid(self):
-        RuntimeConfig()
+        assert Runtime(pair_assembly()).core_flavor == "vicinity"
 
     def test_bad_flavor(self):
         with pytest.raises(ConfigurationError):
-            RuntimeConfig(core_flavor="chord")
-
-    def test_bad_uo2_contacts(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(uo2_contacts_per_component=0)
-
-    def test_bad_ttl(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(binding_ttl=1)
+            Runtime(pair_assembly(), core_flavor="chord")
 
 
 class TestDeploy:
@@ -59,7 +51,7 @@ class TestDeploy:
     def test_full_stack_installed(self):
         deployment = Runtime(pair_assembly(), seed=1).deploy()
         for node in deployment.network.nodes():
-            assert node.layer_names() == list(RUNTIME_LAYERS)
+            assert [name for name, _ in node.stack()] == list(RUNTIME_LAYERS)
 
     def test_surplus_nodes_become_spares(self):
         deployment = Runtime(pair_assembly(), seed=1).deploy(30)
@@ -170,5 +162,5 @@ class TestRebalance:
         provision = deployment.provisioner()
         node = deployment.network.create_node()
         provision(deployment.network, node)
-        assert node.layer_names() == list(RUNTIME_LAYERS)
+        assert [name for name, _ in node.stack()] == list(RUNTIME_LAYERS)
         assert node.attributes["role"].is_spare

@@ -125,7 +125,8 @@ import random
 
 import pytest
 
-from repro.core import Runtime, RuntimeConfig
+from repro.core import Runtime
+from repro.core.runtime import UO1_PARAMS
 from repro.core.convergence import (
     port_connection_converged,
     port_selection_converged,
@@ -137,7 +138,7 @@ from repro.core.layers import (
     LAYER_UO1,
     RUNTIME_LAYERS,
 )
-from repro.core.layers.port_connection import DEFAULT_BINDING_TTL
+from repro.core.layers.port_connection import PortConnection
 from repro.experiments.topologies import ring_of_rings
 from repro.faults.transports import LinkQuality
 from repro.faults.zones import ZoneMap
@@ -149,12 +150,8 @@ from repro.perf.digest import overlay_digest
 N_NODES = 32
 MAX_ROUNDS = 120
 
-CONFIGS = {
-    "plain": None,
-    "loss": None,
-    "tman": RuntimeConfig(core_flavor="tman"),
-    "repair": None,
-}
+#: The core flavour each scenario deploys.
+FLAVORS = {"plain": "vicinity", "loss": "vicinity", "tman": "tman", "repair": "vicinity"}
 #: What the ``loss`` case loses: a fifth of the exchanges of every link.
 LOSS = LinkQuality(loss=0.2)
 
@@ -163,7 +160,7 @@ def converge(scenario: str, seed: int, collector=None):
     """Run one scenario to convergence; return the deployment, the last
     report and the rounds executed since deployment."""
     deployment = standard_deployment(
-        N_NODES, seed, config=CONFIGS[scenario], collector=collector
+        N_NODES, seed, core_flavor=FLAVORS[scenario], collector=collector
     )
     if scenario == "loss":
         deployment.install_faults(ZoneMap(["all"])).set_link("all", "all", LOSS)
@@ -310,7 +307,7 @@ def observe_sampler(seed: int):
     is a sampler there and not a member list. Run to convergence and on to
     round ``SAMPLER_ROUNDS``, so the record covers steady-state gossip too."""
     deployment = Runtime(ring_of_rings(n_rings=3, ring_size=20), seed=seed).deploy(60)
-    assert deployment.config.uo1.view_size < 20 - 1
+    assert UO1_PARAMS.view_size < 20 - 1
     report = deployment.run_until_converged(MAX_ROUNDS)
     assert report.converged, report.rounds
     deployment.run(SAMPLER_ROUNDS - report.executed)
@@ -390,7 +387,7 @@ def test_port_layers_are_closed(scenario, seed):
     deployment, _, executed = converge(scenario, seed)
     settled = port_state(deployment)
     assert None not in settled[0].values() and None not in settled[1].values()
-    for _ in range(max(3 * executed, DEFAULT_BINDING_TTL + 2)):
+    for _ in range(max(3 * executed, PortConnection.binding_ttl + 2)):
         deployment.run(1)
         assert port_state(deployment) == settled
         assert port_selection_converged(*judged(deployment))

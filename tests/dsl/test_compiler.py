@@ -41,7 +41,8 @@ class TestCompilation:
     def test_links(self):
         assembly = compile_source(MONGO)
         assert len(assembly.links) == 2
-        assert assembly.linked_components("router") == {"shard0", "shard1"}
+        linked = {ref.component for link in assembly.links_of("router") for ref in link.endpoints()}
+        assert linked == {"router", "shard0", "shard1"}
 
     def test_nodes_and_assignment(self):
         assembly = compile_source(MONGO)

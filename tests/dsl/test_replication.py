@@ -70,7 +70,9 @@ class TestExpansion:
     def test_star_fan_out_creates_one_link_per_replica(self):
         assembly = compile_source(MONGO)
         assert len(assembly.links) == 4
-        assert assembly.linked_components("router") == {
+        linked = {ref.component for link in assembly.links_of("router") for ref in link.endpoints()}
+        assert linked == {
+            "router",
             "shard0",
             "shard1",
             "shard2",
@@ -84,7 +86,8 @@ class TestExpansion:
             "link a[2].p -- b.q }"
         )
         assert len(assembly.links) == 1
-        assert assembly.linked_components("b") == {"a2"}
+        linked = {ref.component for link in assembly.links_of("b") for ref in link.endpoints()}
+        assert linked == {"b", "a2"}
 
     def test_chain_links_between_replicas(self):
         assembly = compile_source(
@@ -93,7 +96,8 @@ class TestExpansion:
             "link seg[0].e -- seg[1].w "
             "link seg[1].e -- seg[2].w }"
         )
-        assert assembly.linked_components("seg1") == {"seg0", "seg2"}
+        linked = {ref.component for link in assembly.links_of("seg1") for ref in link.endpoints()}
+        assert linked == {"seg1", "seg0", "seg2"}
 
 
 class TestSemanticErrors:
@@ -136,7 +140,8 @@ class TestBuilderReplication:
         shards = builder.replicate(
             "shard", 4, "clique", size=18, ports={"head": "lowest_id"}
         )
-        builder.link_all(("router", "hub"), shards, "head")
+        for name in shards:
+            builder.link(("router", "hub"), (name, "head"))
         from_builder = builder.nodes(80).build()
         assert from_builder == compile_source(MONGO)
 

@@ -20,7 +20,8 @@ class TestStarOfCliques:
         assert set(assembly.components) == {"router", "shard0", "shard1", "shard2"}
         assert assembly.total_nodes == 36
         assert len(assembly.links) == 3
-        assert assembly.linked_components("router") == {"shard0", "shard1", "shard2"}
+        linked = {ref.component for link in assembly.links_of("router") for ref in link.endpoints()}
+        assert linked == {"router", "shard0", "shard1", "shard2"}
 
     def test_router_is_star_shards_are_cliques(self):
         assembly = star_of_cliques()
@@ -34,7 +35,8 @@ class TestRingOfRings:
         assert len(assembly.components) == 5
         assert len(assembly.links) == 5
         # super-ring: each ring links to exactly two neighbours
-        assert assembly.linked_components("ring0") == {"ring1", "ring4"}
+        linked = {ref.component for link in assembly.links_of("ring0") for ref in link.endpoints()}
+        assert linked == {"ring0", "ring1", "ring4"}
 
     def test_single_ring_has_no_links(self):
         assembly = ring_of_rings(n_rings=1, ring_size=8)
@@ -52,14 +54,16 @@ class TestGridOfRings:
         assert len(assembly.components) == 6
         # 2x3 mesh: horizontal 2*2 + vertical 3*1 = 7 links
         assert len(assembly.links) == 7
-        assert assembly.linked_components("dc_0_0") == {"dc_0_1", "dc_1_0"}
+        linked = {ref.component for link in assembly.links_of("dc_0_0") for ref in link.endpoints()}
+        assert linked == {"dc_0_0", "dc_0_1", "dc_1_0"}
 
 
 class TestLineOfStars:
     def test_chain(self):
         assembly = line_of_stars(n_stages=4, stage_size=6)
         assert len(assembly.links) == 3
-        assert assembly.linked_components("stage1") == {"stage0", "stage2"}
+        linked = {ref.component for link in assembly.links_of("stage1") for ref in link.endpoints()}
+        assert linked == {"stage1", "stage0", "stage2"}
 
 
 class TestIotComposite:

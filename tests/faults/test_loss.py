@@ -53,7 +53,7 @@ class TestLossyGossip:
     def test_peer_sampling_still_mixes_under_loss(self):
         world = lossy_world(30, seed=3, loss=0.3)
         world.run(12)
-        assert world.transport.total_dropped("peer_sampling") > 0
+        assert world.transport.drop_reasons()["loss"] > 0
         sizes = [len(world.ps(i).view) for i in range(30)]
         assert min(sizes) >= world.params.view_size - 2
 

@@ -21,13 +21,12 @@ def run_script(faults, script):
 
 
 class TestEventRecovery:
-    def test_repaired_and_slowest(self):
+    def test_repaired(self):
         recovery = EventRecovery(
             event=FaultEvent(3, "heal"),
             repair_rounds={"core": 4, "uo1": 9},
         )
         assert recovery.repaired
-        assert recovery.slowest_repair == 9
 
     def test_unrepaired(self):
         recovery = EventRecovery(
@@ -35,7 +34,6 @@ class TestEventRecovery:
             repair_rounds={"core": 4, "uo1": None},
         )
         assert not recovery.repaired
-        assert recovery.slowest_repair is None
 
 
 class TestRecoveryReport:
@@ -53,12 +51,10 @@ class TestRecoveryReport:
     def test_time_to_repair_relative_to_event(self):
         report = self.make_report()
         # After the partition at r2: core first True at r4, uo1 at r3.
-        assert report.time_to_repair("partition", "core") == 2
-        assert report.time_to_repair("partition", "uo1") == 1
+        assert report.recovery_for("partition").repair_rounds == {"core": 2, "uo1": 1}
         # After the heal at r5: core at r7, uo1 at r6.
-        assert report.time_to_repair("heal", "core") == 2
-        assert report.time_to_repair("heal", "uo1") == 1
-        assert report.time_to_repair("nope", "core") is None
+        assert report.recovery_for("heal").repair_rounds == {"core": 2, "uo1": 1}
+        assert report.recovery_for("nope") is None
 
     def test_partition_merge_is_slowest_of_uo1_and_core(self):
         report = self.make_report()
@@ -75,7 +71,7 @@ class TestRecoveryReport:
         report = run_script(
             faults, {"core": [False, False, False], "uo1": [True, True, True]}
         )
-        assert report.time_to_repair("heal", "core") is None
+        assert report.recovery_for("heal").repair_rounds["core"] is None
         assert report.partition_merge_rounds is None
         assert not report.healed
         assert not report.recoveries[0].repaired

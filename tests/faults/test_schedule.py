@@ -75,7 +75,7 @@ def test_the_a3_churn_schedule_round_trips_and_reruns():
     point = EXPERIMENTS["a3"].point(0.05, 48)
 
     def deploy():
-        return Runtime(point.topology, config=point.config, seed=1).deploy(point.nodes)
+        return Runtime(point.topology, seed=1, core_flavor=point.core_flavor).deploy(point.nodes)
 
     sent, twin = deploy(), deploy()
     copy = shipped(churn_schedule(sent, point.label, 60))

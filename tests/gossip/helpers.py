@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.gossip.descriptors import Descriptor, youngest
+from repro.gossip.descriptors import Descriptor
 from repro.gossip.peer_sampling import PeerSampling
 from repro.gossip.selection import Proximity
 from repro.sim.config import GossipParams
@@ -25,6 +25,15 @@ class FilteredProximity(Proximity):
 
     def eligible(self, a, b) -> bool:
         return self._eligible(a, b)
+
+
+def youngest(a: Optional[Descriptor], b: Optional[Descriptor]) -> Optional[Descriptor]:
+    """Of two descriptors for the same node, the fresher one (lower age)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a.age <= b.age else b
 
 
 def dedupe_youngest(descriptors: Iterable[Descriptor]) -> List[Descriptor]:

@@ -6,8 +6,9 @@ import pickle
 
 import pytest
 
-from repro.gossip.descriptors import Descriptor, youngest
+from repro.gossip.descriptors import Descriptor
 from repro.runtime import wire
+from tests.gossip.helpers import youngest
 
 
 class TestImmutability:
@@ -31,12 +32,6 @@ class TestImmutability:
 
     def test_fresh_keeps_profile(self):
         assert Descriptor(1, 9, "p").fresh().profile == "p"
-
-    def test_with_profile(self):
-        updated = Descriptor(1, 3, "old").with_profile("new")
-        assert updated.profile == "new"
-        assert updated.age == 3
-        assert updated.node_id == 1
 
 
 class TestEquality:
@@ -116,7 +111,6 @@ class TestTupleBackedRecord:
             (tagged.aged(), (1, 3, "p", self.TAG)),
             (tagged.aged(4), (1, 6, "p", self.TAG)),
             (tagged.fresh(), (1, 0, "p", self.TAG)),
-            (tagged.with_profile("q"), (1, 2, "q", self.TAG)),
             (tagged.tagged(None), (1, 2, "p", None)),
             (Descriptor(1, 2, "p").tagged(3), (1, 2, "p", 3)),
         ):

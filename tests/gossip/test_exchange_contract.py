@@ -27,7 +27,6 @@ from types import SimpleNamespace
 import pytest
 
 import repro
-from repro.core import RuntimeConfig
 from repro.core.layers import (
     DistantComponentOverlay,
     PortConnection,
@@ -44,15 +43,15 @@ from repro.sim.engine import RoundContext
 from repro.sim.node import Node
 from repro.sim.transport import ExchangeRequest, Transport
 
-#: class -> (layer it is attached under, runtime config that deploys it).
+#: class -> (layer it is attached under, core flavour that deploys it).
 CASES = {
-    PeerSampling: ("peer_sampling", None),
-    SameComponentOverlay: ("uo1", None),
-    DistantComponentOverlay: ("uo2", None),
-    Vicinity: ("core", None),
-    TMan: ("core", RuntimeConfig(core_flavor="tman")),
-    PortSelection: ("port_selection", None),
-    PortConnection: ("port_connection", None),
+    PeerSampling: ("peer_sampling", "vicinity"),
+    SameComponentOverlay: ("uo1", "vicinity"),
+    DistantComponentOverlay: ("uo2", "vicinity"),
+    Vicinity: ("core", "vicinity"),
+    TMan: ("core", "tman"),
+    PortSelection: ("port_selection", "vicinity"),
+    PortConnection: ("port_connection", "vicinity"),
 }
 
 #: Layers whose refusals cost the turn and nothing else, reachable or not.
@@ -129,8 +128,8 @@ class RecordingInstrument(Instrument):
 def one_step(cls, transport):
     """Warm a seeded deployment up, then run one active step of ``cls``
     on node 0 through ``transport``; returns (protocol, ctx, instrument)."""
-    layer, config = CASES[cls]
-    deployment = standard_deployment(32, 5, config=config)
+    layer, flavor = CASES[cls]
+    deployment = standard_deployment(32, 5, core_flavor=flavor)
     network = deployment.network
     deployment.run(1)
     node = network.node(0)
@@ -241,8 +240,8 @@ def exchange_world(cls, split):
     :func:`one_step`, by ``step()`` or by its halves; returns everything the
     exchange may touch: both nodes' layer state and streams, the ledger and
     the counters."""
-    layer, config = CASES[cls]
-    deployment = standard_deployment(32, 5, config=config)
+    layer, flavor = CASES[cls]
+    deployment = standard_deployment(32, 5, core_flavor=flavor)
     network = deployment.network
     deployment.run(1)
     transport, obs = RecordingTransport(), RecordingInstrument()
@@ -313,8 +312,8 @@ def interleaved_world(cls, third_id):
     (a warmed UO2, say, refreshes every bucket at age 0 in its opening
     half, and a warmed core view holds nearly all its ring); only the port
     layers are warmed one round, to have a partner at all."""
-    layer, config = CASES[cls]
-    deployment = standard_deployment(INTERLEAVED_NODES, 5, config=config)
+    layer, flavor = CASES[cls]
+    deployment = standard_deployment(INTERLEAVED_NODES, 5, core_flavor=flavor)
     network = deployment.network
     if cls in PORT_LAYERS:
         deployment.run(1)

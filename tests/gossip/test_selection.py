@@ -102,7 +102,8 @@ def test_unhashable_profiles_rank_like_rank_by_distance():
     pool = [Descriptor(i, 0, profile=[p]) for i, p in enumerate((5, 1, 3, 2, 7, 3))]
     reference = [3]
     ranked = rank_by_distance(pool, reference, proximity)
-    view = PartialView(8, pool)
+    view = PartialView(8)
+    view.merge(pool)
     for k in range(len(pool) + 1):
         assert select_closest(pool, reference, proximity, k) == ranked[:k]
         assert view.closest_to(k, proximity, reference) == ranked[:k]

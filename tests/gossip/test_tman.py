@@ -10,7 +10,7 @@ from repro.shapes import make_shape
 from tests.gossip.helpers import GossipWorld
 
 
-def line_world(n, seed=1, psi=3):
+def line_world(n, seed=1):
     shape = make_shape("line")
     proximity = Proximity(shape.metric(n))
 
@@ -22,7 +22,6 @@ def line_world(n, seed=1, psi=3):
                 profile=index,
                 proximity=proximity,
                 layer="tman",
-                psi=psi,
                 target_degree=2,
             ),
         )
@@ -58,15 +57,6 @@ class TestConvergence:
         world.run(25)
         first = world.nodes[0].protocol("tman").neighbors()
         assert 1 in first
-
-    def test_psi_one_still_converges(self):
-        n = 24
-        world = line_world(n, seed=4, psi=1)
-        for _ in range(40):
-            world.run(1)
-            if line_converged(world, n):
-                return
-        pytest.fail("psi=1 did not converge")
 
 
 class TestRobustness:

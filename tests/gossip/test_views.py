@@ -14,7 +14,9 @@ from repro.gossip.views import PartialView
 
 
 def make_view(capacity, entries=()):
-    return PartialView(capacity, [Descriptor(nid, age) for nid, age in entries])
+    view = PartialView(capacity)
+    view.merge(Descriptor(nid, age) for nid, age in entries)
+    return view
 
 
 class TestBasics:
@@ -82,7 +84,8 @@ class TestBasics:
         assert view.get(2).age == 5
 
     def test_profiles_reads_ids_and_profiles_without_settling(self):
-        view = PartialView(3, [Descriptor(1, 0, "a"), Descriptor(2, 4, "b")])
+        view = PartialView(3)
+        view.merge([Descriptor(1, 0, "a"), Descriptor(2, 4, "b")])
         view.increase_age()
         assert list(view.profiles()) == [(1, "a"), (2, "b")]
         assert view._age_debt == 1  # age-free: the debt is still owed
@@ -90,10 +93,9 @@ class TestBasics:
 
 
 class TestSelection:
-    def test_oldest_and_youngest(self):
+    def test_oldest(self):
         view = make_view(4, [(1, 3), (2, 7), (3, 0)])
         assert view.oldest().node_id == 2
-        assert view.youngest().node_id == 3
 
     def test_oldest_tie_breaks_lowest_id(self):
         view = make_view(4, [(5, 3), (2, 3)])
@@ -103,7 +105,6 @@ class TestSelection:
         view = PartialView(2)
         rng = random.Random(0)
         assert view.oldest() is None
-        assert view.youngest() is None
         assert view.random(rng) is None
         assert view.sample(rng, 3) == []
 
@@ -123,7 +124,8 @@ class TestSelection:
         assert len(view.sample(random.Random(0), 10)) == 2
 
     def test_closest(self):
-        view = PartialView(8, [Descriptor(i, 0, profile=i) for i in range(8)])
+        view = PartialView(8)
+        view.merge(Descriptor(i, 0, profile=i) for i in range(8))
         closest = view.closest_to(3, Proximity(lambda a, b: abs(a - b)), 5)
         assert [d.node_id for d in closest] == [5, 4, 6]
 
@@ -133,14 +135,12 @@ class TestTombstones:
         view = make_view(4, [(1, 3), (2, 0)])
         assert view.purge(1)
         assert 1 not in view
-        assert view.is_purged(1)
         assert not view.insert(Descriptor(1, 2))
         assert 1 not in view
 
     def test_purge_of_absent_node_still_tombstones(self):
         view = make_view(4)
         assert not view.purge(9)
-        assert view.is_purged(9)
         assert not view.insert(Descriptor(9, 1))
 
     def test_age_zero_announcement_lifts_tombstone(self):
@@ -148,7 +148,6 @@ class TestTombstones:
         view.purge(1)
         assert view.insert(Descriptor(1, 0))
         assert 1 in view
-        assert not view.is_purged(1)
         # Once lifted, ordinary descriptors flow again.
         view.remove(1)
         assert view.insert(Descriptor(1, 5))
@@ -158,9 +157,8 @@ class TestTombstones:
         view.purge(1)
         view.increase_age()
         view.increase_age()
-        assert view.is_purged(1)
+        assert not view.insert(Descriptor(1, 7))
         view.increase_age()
-        assert not view.is_purged(1)
         assert view.insert(Descriptor(1, 7))
 
     def test_replace_keeps_tombstones(self):
@@ -174,7 +172,6 @@ class TestTombstones:
         view = make_view(4, [(1, 0)])
         view.purge(2)
         view.clear()
-        assert not view.is_purged(2)
         assert view.insert(Descriptor(2, 9))
 
     def test_ttl_validation(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Runtime, RuntimeConfig, compile_source, to_source
+from repro import Runtime, compile_source, to_source
 from repro.core.convergence import core_score
 from repro.faults.schedule import catastrophic_failure, random_churn
 

@@ -15,7 +15,7 @@ class TestSections:
     def test_add_and_render(self):
         registry = MetricsRegistry()
         registry.add_section("demo", ("a", "b"), [(1, 2), (3, 4)])
-        assert registry.titles() == ["demo"]
+        assert list(registry.to_dict()) == ["demo"]
         assert registry.section("demo")[1] == ("a", "b")
         assert registry.section("missing") is None
         rendered = registry.render()
@@ -46,12 +46,8 @@ class TestFeeders:
         assert ("node_crash", 2, 2, 5) in rows
         assert ("deploy", 1, 0, 0) in rows
 
-    def test_for_deployment_has_all_telemetry_sections(
-        self, two_component_assembly, fast_config
-    ):
-        deployment = Runtime(
-            two_component_assembly, config=fast_config, seed=11
-        ).deploy(24)
+    def test_for_deployment_has_all_telemetry_sections(self, two_component_assembly):
+        deployment = Runtime(two_component_assembly, seed=11).deploy(24)
         report = deployment.run_until_converged(max_rounds=80)
         collector = Collector(gauge_every=0)
         collector.count("exchanges", 3, layer="uo1")
@@ -59,7 +55,7 @@ class TestFeeders:
         collector.emit("deploy")
         collector.emit("mystery")
         registry = MetricsRegistry.for_deployment(deployment, report, collector)
-        assert registry.titles() == [
+        assert list(registry.to_dict()) == [
             "convergence (rounds)",
             "bandwidth (bytes/node/round)",
             "counters",
@@ -69,16 +65,12 @@ class TestFeeders:
             "unknown event kinds",
         ]
 
-    def test_for_deployment_shares_the_telemetry_path(
-        self, two_component_assembly, fast_config
-    ):
-        deployment = Runtime(
-            two_component_assembly, config=fast_config, seed=11
-        ).deploy(24)
+    def test_for_deployment_shares_the_telemetry_path(self, two_component_assembly):
+        deployment = Runtime(two_component_assembly, seed=11).deploy(24)
         collector = attach_collector(deployment, gauge_every=4)
         report = deployment.run_until_converged(max_rounds=80)
         registry = MetricsRegistry.for_deployment(deployment, report, collector)
-        titles = registry.titles()
+        titles = list(registry.to_dict())
         assert titles[0] == "convergence (rounds)"
         assert "bandwidth (bytes/node/round)" in titles
         # Identical section shapes to the telemetry-only view: one code path.

@@ -50,13 +50,9 @@ class TestWorkloadDigests:
 
 
 class TestDeploymentDigests:
-    def test_overlays_identical_with_and_without_collector(
-        self, two_component_assembly, fast_config
-    ):
+    def test_overlays_identical_with_and_without_collector(self, two_component_assembly):
         def converge(with_collector: bool):
-            deployment = Runtime(
-                two_component_assembly, config=fast_config, seed=11
-            ).deploy(24)
+            deployment = Runtime(two_component_assembly, seed=11).deploy(24)
             if with_collector:
                 attach_collector(deployment, gauge_every=1)
             report = deployment.run_until_converged(max_rounds=80)
@@ -79,12 +75,8 @@ class TestProvenanceDisabledPath:
     tags anywhere in the overlay, and digests byte-identical to the
     uninstrumented run (a collector alone never mints tags)."""
 
-    def test_collector_without_flow_mints_no_tags(
-        self, two_component_assembly, fast_config
-    ):
-        deployment = Runtime(
-            two_component_assembly, config=fast_config, seed=11
-        ).deploy(24)
+    def test_collector_without_flow_mints_no_tags(self, two_component_assembly):
+        deployment = Runtime(two_component_assembly, seed=11).deploy(24)
         collector = attach_collector(deployment, gauge_every=1)
         assert collector.flow is None
         deployment.run_until_converged(max_rounds=80)

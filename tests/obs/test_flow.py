@@ -44,20 +44,20 @@ def context(deployment, node_id, layer, round_index, obs):
 
 class TestTagging:
     @pytest.mark.parametrize("layer", ["peer_sampling", "core", "uo1", "uo2"])
-    def test_offer_tags_the_own_advert_with_its_round(
-        self, two_component_assembly, fast_config, layer
-    ):
+    def test_offer_tags_the_own_advert_with_its_round(self, two_component_assembly, layer):
         """The tag names no origin because only a node's own advertisement
-        is ever minted: every tagged descriptor's origin is its ``node_id``."""
-        deployment = Runtime(two_component_assembly, config=fast_config, seed=3).deploy(24)
+        is ever minted: every tagged descriptor's origin is its ``node_id``.
+        The partner, node 5, is node 4's ring neighbour, so the core ranks
+        node 4's advert among the closest to it."""
+        deployment = Runtime(two_component_assembly, seed=3).deploy(24)
         collector = attach_collector(deployment, gauge_every=0, flow=FlowTracer())
         protocol = deployment.network.node(4).protocol(layer)
         ctx = context(deployment, 4, layer, 3, collector)
-        buffer, _ = protocol._offer(ctx, collector.flow, 9, None)
+        buffer, _ = protocol._offer(ctx, collector.flow, 5, None)
         assert [(d.node_id, d.provenance) for d in buffer if d.provenance is not None] == [
             (4, 3)
         ]
-        plain, _ = protocol._offer(ctx, None, 9, None)
+        plain, _ = protocol._offer(ctx, None, 5, None)
         assert all(d.provenance is None for d in plain)
 
     def test_on_received_only_reads(self):
@@ -80,7 +80,7 @@ class TestDeliveryRecords:
         assert tracer.first_delivery["uo1"][(1, 9)] == Delivery(
             round=3, sender=5, latency=3
         )
-        assert tracer.flow_graph("uo1") == {(5, 9): 1}
+        assert tracer.edges["uo1"] == {(5, 9): 1}
         # A later copy of the same origin does not overwrite the first.
         tracer.on_received(
             "uo1", 8, receiver=9, sender=6,
@@ -88,7 +88,7 @@ class TestDeliveryRecords:
         )
         assert tracer.first_delivery["uo1"][(1, 9)].round == 3
         # One count per delivered descriptor, added once per exchange.
-        assert tracer.flow_graph("uo1") == {(5, 9): 1, (6, 9): 2}
+        assert tracer.edges["uo1"] == {(5, 9): 1, (6, 9): 2}
 
     def test_own_knowledge_echoed_back_is_not_a_delivery(self):
         tracer = FlowTracer()
@@ -96,7 +96,7 @@ class TestDeliveryRecords:
         tracer.on_received("uo1", 2, receiver=9, sender=5, received=[echo])
         assert tracer.deliveries == 0
         assert tracer.first_delivery.get("uo1") == {}
-        assert tracer.flow_graph("uo1") == {}  # nor an edge
+        assert tracer.edges.get("uo1", {}) == {}  # nor an edge
 
     def test_latency_stats_percentiles(self):
         tracer = FlowTracer()
@@ -115,12 +115,10 @@ class TestDeliveryRecords:
 
 class TestPassiveAttribution:
     @pytest.mark.parametrize("layer", ["peer_sampling", "uo1", "uo2"])
-    def test_passive_delivery_is_attributed_to_the_wire_sender(
-        self, two_component_assembly, fast_config, layer
-    ):
+    def test_passive_delivery_is_attributed_to_the_wire_sender(self, two_component_assembly, layer):
         """``NetRunner.make_context`` hands ``on_request`` the *receiver's*
         context; the flow edge must still start at the wire sender."""
-        deployment = Runtime(two_component_assembly, config=fast_config, seed=3).deploy(24)
+        deployment = Runtime(two_component_assembly, seed=3).deploy(24)
         tracer = FlowTracer()
         collector = attach_collector(deployment, gauge_every=0, flow=tracer)
         sender, receiver = 4, 9
@@ -134,7 +132,7 @@ class TestPassiveAttribution:
         deployment.network.node(receiver).protocol(layer).on_request(
             ctx, ExchangeRequest(layer, sender, [advert])
         )
-        assert tracer.flow_graph(layer) == {(sender, receiver): 1}
+        assert tracer.edges[layer] == {(sender, receiver): 1}
 
 
 class TestCriticalPath:
@@ -172,17 +170,15 @@ class TestCriticalPath:
 
 
 class TestSeededDeployment:
-    def _traced_run(self, assembly, config, seed):
-        deployment = Runtime(assembly, config=config, seed=seed).deploy(24)
+    def _traced_run(self, assembly, seed):
+        deployment = Runtime(assembly, seed=seed).deploy(24)
         collector = attach_collector(deployment, gauge_every=0, flow=FlowTracer())
         report = deployment.run_until_converged(max_rounds=80)
         return deployment, collector, report
 
-    def test_critical_path_is_deterministic_per_seed(
-        self, two_component_assembly, fast_config
-    ):
-        _, first, report = self._traced_run(two_component_assembly, fast_config, 11)
-        _, second, _ = self._traced_run(two_component_assembly, fast_config, 11)
+    def test_critical_path_is_deterministic_per_seed(self, two_component_assembly):
+        _, first, report = self._traced_run(two_component_assembly, 11)
+        _, second, _ = self._traced_run(two_component_assembly, 11)
         assert report.converged
         paths_a = {
             layer: first.flow.critical_path(layer) for layer in first.flow.layers()
@@ -193,14 +189,10 @@ class TestSeededDeployment:
         assert paths_a and paths_a == paths_b
         assert "peer_sampling" in paths_a
 
-    def test_tracing_never_perturbs_the_overlay(
-        self, two_component_assembly, fast_config
-    ):
-        plain = Runtime(two_component_assembly, config=fast_config, seed=11).deploy(24)
+    def test_tracing_never_perturbs_the_overlay(self, two_component_assembly):
+        plain = Runtime(two_component_assembly, seed=11).deploy(24)
         plain_report = plain.run_until_converged(max_rounds=80)
-        traced, _, traced_report = self._traced_run(
-            two_component_assembly, fast_config, 11
-        )
+        traced, _, traced_report = self._traced_run(two_component_assembly, 11)
         assert traced_report.rounds == plain_report.rounds
         assert overlay_digest(traced.network, RUNTIME_LAYERS) == overlay_digest(
             plain.network, RUNTIME_LAYERS

@@ -25,7 +25,7 @@ class TestStateDump:
         clone.absorb_state(state)
         assert clone.deliveries == tracer.deliveries == 2
         assert clone.latency_stats("overlay") == tracer.latency_stats("overlay")
-        assert clone.flow_graph("overlay") == tracer.flow_graph("overlay")
+        assert clone.edges == tracer.edges
         assert clone.first_delivery == tracer.first_delivery
 
     def test_absorb_tolerates_missing_keys(self):
@@ -41,7 +41,7 @@ class TestStateDump:
         deliver(b, "overlay", 2, receiver=1, sender=0, origin=3)
         a.absorb_state(b.to_state())
         assert a.deliveries == 2
-        assert a.flow_graph("overlay")[(0, 1)] == 2
+        assert a.edges["overlay"][(0, 1)] == 2
         assert a.latency_stats("overlay")["count"] == 2
 
     def test_first_delivery_keeps_earliest_round_then_sender(self):
@@ -66,7 +66,7 @@ class TestMergeFlowStates:
             nodes.append(tracer.to_state())
         merged = merge_flow_states(nodes)
         assert merged.deliveries == 3
-        assert len(merged.flow_graph("overlay")) == 3
+        assert len(merged.edges["overlay"]) == 3
         assert merged.critical_path("overlay") is not None
 
     def test_falsy_entries_skipped(self):
@@ -88,7 +88,7 @@ class TestMergeFlowStates:
         merged = merge_flow_states([truncated, malformed, six_columns, state])
         assert merged.deliveries == 2  # the malformed and old dumps died before the count
         assert merged.latency_stats("overlay")["count"] == 3
-        assert merged.flow_graph("overlay") == {(1, 0): 2}
+        assert merged.edges["overlay"] == {(1, 0): 2}
         assert merged.first_delivery["overlay"] == {(2, 0): Delivery(1, 1, 1)}
         assert merged.critical_path("overlay").path == (2, 1, 0)
 

@@ -98,17 +98,17 @@ class TestCollectorHistograms:
         collector.histogram("gossip_rtt", 0.004, layer="overlay")
         collector.histogram("gossip_rtt", 0.008, layer="overlay")
         collector.histogram("gossip_rtt", 0.004, layer="peer_sampling")
-        overlay = collector.histogram_of("gossip_rtt", layer="overlay")
+        overlay = collector.histograms.get(("gossip_rtt", "overlay"))
         assert overlay is not None and overlay.count == 2
-        assert collector.histogram_of("gossip_rtt", layer="peer_sampling").count == 1
-        assert collector.histogram_of("gossip_rtt", layer="nope") is None
+        assert collector.histograms.get(("gossip_rtt", "peer_sampling")).count == 1
+        assert collector.histograms.get(("gossip_rtt", "nope")) is None
 
     def test_every_metric_buckets_on_rtt_bounds(self):
         collector = Collector(gauge_every=0)
         collector.histogram("gossip_rtt", 0.004)
         collector.histogram("custom_metric", 1.0)
-        assert collector.histogram_of("gossip_rtt").bounds == tuple(RTT_BUCKETS)
-        assert collector.histogram_of("custom_metric").bounds == tuple(RTT_BUCKETS)
+        assert collector.histograms[("gossip_rtt", "")].bounds == tuple(RTT_BUCKETS)
+        assert collector.histograms[("custom_metric", "")].bounds == tuple(RTT_BUCKETS)
 
     def test_snapshot_includes_histograms(self):
         collector = Collector(gauge_every=0)

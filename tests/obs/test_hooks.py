@@ -13,24 +13,16 @@ from repro.sim.config import TransportCosts
 
 
 class TestAttachCollector:
-    def test_returns_a_fresh_collector_by_default(
-        self, two_component_assembly, fast_config
-    ):
-        deployment = Runtime(
-            two_component_assembly, config=fast_config, seed=3
-        ).deploy(24)
+    def test_returns_a_fresh_collector_by_default(self, two_component_assembly):
+        deployment = Runtime(two_component_assembly, seed=3).deploy(24)
         collector = attach_collector(deployment)
         assert isinstance(collector, Collector)
         assert deployment.engine.obs is collector
         assert collector.events[0].kind == "deploy"
         assert collector.events[0].details["nodes"] == 24
 
-    def test_population_events_on_crash(
-        self, two_component_assembly, fast_config
-    ):
-        deployment = Runtime(
-            two_component_assembly, config=fast_config, seed=3
-        ).deploy(24)
+    def test_population_events_on_crash(self, two_component_assembly):
+        deployment = Runtime(two_component_assembly, seed=3).deploy(24)
         collector = attach_collector(deployment, gauge_every=0)
         deployment.run(2)
         victim = next(iter(deployment.network.alive_ids()))
@@ -40,14 +32,10 @@ class TestAttachCollector:
         assert [e.details["node"] for e in crashes] == [victim]
         assert collector.counter("node_crashes") == 1
 
-    def test_shared_collector_aggregates_two_runs(
-        self, two_component_assembly, fast_config
-    ):
+    def test_shared_collector_aggregates_two_runs(self, two_component_assembly):
         collector = Collector(gauge_every=0)
         for seed in (3, 4):
-            deployment = Runtime(
-                two_component_assembly, config=fast_config, seed=seed
-            ).deploy(24)
+            deployment = Runtime(two_component_assembly, seed=seed).deploy(24)
             attach_collector(deployment, collector)
             deployment.run(3)
         deploys = [e for e in collector.events if e.kind == "deploy"]

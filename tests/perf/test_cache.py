@@ -83,7 +83,8 @@ def test_select_closest_with_a_lone_unhashable_candidate():
 def test_closest_to_ranks_unhashable_profiles_through_the_cache(k):
     reference = (0,)
     proximity = Proximity(first_coordinate_distance)
-    view = PartialView(8, MIXED_POOL)
+    view = PartialView(8)
+    view.merge(MIXED_POOL)
     picked = view.closest_to(k, proximity, reference)
     assert [d.node_id for d in picked] == reference_ranking(MIXED_POOL, reference, k)
     assert view.closest_to(k, proximity, reference) == picked

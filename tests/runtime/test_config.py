@@ -6,7 +6,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.runtime import RuntimeConfig
 from repro.errors import ConfigurationError
 from repro.runtime.api import RunnerConfig
 from repro.scale.engine import ShardPlan
@@ -63,7 +62,7 @@ def test_config_surfaces_are_pinned():
     deliberate API change that updates this pin in the same commit."""
     surfaces = {
         cls.__name__: tuple(field.name for field in dataclasses.fields(cls))
-        for cls in (GossipParams, TransportCosts, ShardPlan, RunnerConfig, RuntimeConfig)
+        for cls in (GossipParams, TransportCosts, ShardPlan, RunnerConfig)
     }
     assert surfaces == {
         "GossipParams": ("view_size", "gossip_size", "healer", "swapper"),
@@ -86,14 +85,5 @@ def test_config_surfaces_are_pinned():
             "node_index",
             "rendezvous",
             "round_interval",
-        ),
-        "RuntimeConfig": (
-            "peer_sampling",
-            "uo1",
-            "core",
-            "uo2_contacts_per_component",
-            "binding_ttl",
-            "core_flavor",
-            "costs",
         ),
     }

@@ -4,21 +4,12 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.runtime.lamport import LamportClock
 
 
 class TestLamportClock:
     def test_starts_at_zero(self):
         assert LamportClock().read() == 0
-
-    def test_custom_start(self):
-        assert LamportClock(5).read() == 5
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            LamportClock(-1)
 
     def test_tick_advances_by_one(self):
         clock = LamportClock()
@@ -38,12 +29,14 @@ class TestLamportClock:
         assert clock.read() == 11
 
     def test_observe_stale_remote_still_advances(self):
-        clock = LamportClock(20)
+        clock = LamportClock()
+        clock.observe(19)
         assert clock.observe(3) == 21
 
     def test_causal_ordering_across_two_clocks(self):
         """If send happens-before receive, L(send) < L(receive)."""
-        sender, receiver = LamportClock(), LamportClock(7)
+        sender, receiver = LamportClock(), LamportClock()
+        receiver.observe(6)
         stamp = sender.tick()
         assert receiver.observe(stamp) > stamp
 

@@ -31,12 +31,12 @@ class TestMergeTelemetry:
         merge_telemetry(collector, statuses)
         assert collector.flow is not None
         assert collector.flow.deliveries == 3
-        assert len(collector.flow.flow_graph("overlay")) == 3
+        assert len(collector.flow.edges["overlay"]) == 3
 
     def test_rtt_histograms_merge_per_layer(self):
         collector = Collector(gauge_every=0)
         merge_telemetry(collector, {node: node_status(node) for node in range(3)})
-        merged = collector.histogram_of("gossip_rtt", layer="overlay")
+        merged = collector.histograms.get(("gossip_rtt", "overlay"))
         assert merged is not None and merged.count == 3
         assert merged.vmax == 0.006
 
@@ -46,14 +46,14 @@ class TestMergeTelemetry:
         merge_telemetry(collector, statuses)
         merge_telemetry(collector, statuses)  # supervisor polls repeatedly
         assert collector.flow.deliveries == 1
-        assert collector.histogram_of("gossip_rtt", layer="overlay").count == 1
+        assert collector.histograms.get(("gossip_rtt", "overlay")).count == 1
 
     def test_malformed_node_dump_degrades_gracefully(self):
         collector = Collector(gauge_every=0)
         bad = {"node": 1, "flow": {"latencies": "garbage"}, "rtt": {"overlay": 7}}
         merge_telemetry(collector, {0: node_status(0), 1: bad})
         # the good node's histogram survives, the bad one is skipped
-        assert collector.histogram_of("gossip_rtt", layer="overlay").count == 1
+        assert collector.histograms.get(("gossip_rtt", "overlay")).count == 1
 
     def test_statuses_without_telemetry_are_fine(self):
         collector = Collector(gauge_every=0)
@@ -61,7 +61,7 @@ class TestMergeTelemetry:
             collector,
             {0: {"node": 0, "round": 1, "neighbors": []}},
         )
-        assert collector.histogram_of("gossip_rtt", layer="overlay") is None
+        assert collector.histograms.get(("gossip_rtt", "overlay")) is None
 
 
 class TestSwarmReportTelemetry:

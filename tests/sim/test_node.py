@@ -69,7 +69,6 @@ class TestProtocolStack:
         for name in ("c", "a", "b"):
             node.attach(name, StubProtocol(name))
         assert [name for name, _ in node.stack()] == ["c", "a", "b"]
-        assert node.layer_names() == ["c", "a", "b"]
 
     def test_replace_keeps_position(self):
         node = Node(0)
